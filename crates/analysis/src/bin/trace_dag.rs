@@ -48,14 +48,14 @@ fn main() -> ExitCode {
     // Ring sized generously: a full run of R rounds emits a handful of
     // records per vertex per process, far under 64 per round per peer.
     let capacity = (max_round as usize + 1) * committee.n() * 64;
-    let mut config = NodeConfig::default().with_max_round(max_round).with_trace(capacity);
+    let mut config = NodeConfig::default().with_max_round(max_round);
     if sparse_k > 0 {
         config = config.with_sparse_edges(sparse_k as usize, seed);
     }
     let nodes: Vec<DagRiderNode<BrachaRbc>> = committee
         .members()
         .zip(keys)
-        .map(|(p, k)| DagRiderNode::new(committee, p, k, config.clone()))
+        .map(|(p, k)| DagRiderNode::new(committee, p, k, config.clone()).with_trace(capacity))
         .collect();
     let mut sim = Simulation::new(committee, nodes, UniformScheduler::new(1, 10), seed);
     sim.run();
@@ -64,7 +64,7 @@ fn main() -> ExitCode {
     let mut dropped = 0u64;
     for p in committee.members() {
         merged.extend(sim.actor(p).trace_records());
-        dropped += sim.actor(p).tracer().dropped();
+        dropped += sim.actor(p).tracer().map_or(0, |tracer| tracer.dropped());
     }
     let mode = match config.sparse_edges {
         Some(s) => format!("sparse k={}", s.k()),

@@ -114,7 +114,7 @@ where
                 let mut violations = auditor.audit_dag(node.dag());
                 violations.extend(auditor.audit_commits(node.dag(), node.commits()));
                 // Complete traces (no ring overwrites) are audited too.
-                if node.tracer().is_enabled() && node.tracer().dropped() == 0 {
+                if node.tracer().is_some_and(|tracer| tracer.dropped() == 0) {
                     violations.extend(auditor.audit_trace(&node.trace_records()));
                 }
                 (p, violations)

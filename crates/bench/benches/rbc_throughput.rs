@@ -28,6 +28,7 @@ fn drain<B: ReliableBroadcast>(n: usize, payload: &[u8], round: u64) -> usize {
                 }
             }
             RbcAction::Deliver(_) => deliveries += 1,
+            RbcAction::Phase(..) => {}
         }
     }
     deliveries

@@ -18,13 +18,14 @@
 use std::collections::VecDeque;
 
 use dagrider_rbc::RbcDelivery;
-use dagrider_trace::{SharedTracer, TraceEvent};
+use dagrider_trace::TraceEvent;
 use dagrider_types::{
     BatchDigest, Block, Committee, Decode, Payload, ProcessId, Round, SeqNum, SparseEdgeConfig,
     Vertex, VertexBuilder, Wave,
 };
 
 use crate::dag::Dag;
+use crate::event::EngineEvent;
 
 /// An effect emitted by the construction layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,8 +75,6 @@ pub struct DagCore {
     /// all of round `r - 1`, and accept peers' vertices down to the
     /// sampled minimum. `None` (or a degenerate config) is dense mode.
     sparse: Option<SparseEdgeConfig>,
-    /// Records round/vertex/wave transitions; disabled (free) by default.
-    tracer: SharedTracer,
 }
 
 impl DagCore {
@@ -101,16 +100,7 @@ impl DagCore {
             last_wave_signalled: 0,
             disable_weak_edges: false,
             sparse: None,
-            tracer: SharedTracer::disabled(),
         }
-    }
-
-    /// Attaches a tracer to this layer and the underlying [`Dag`];
-    /// round advances, vertex creations, wave signals, inserts, and prunes
-    /// are recorded through it.
-    pub fn set_tracer(&mut self, tracer: SharedTracer) {
-        self.dag.set_tracer(tracer.clone());
-        self.tracer = tracer;
     }
 
     /// **Ablation only**: stop adding weak edges to new vertices. This
@@ -179,26 +169,32 @@ impl DagCore {
     }
 
     /// Starts the protocol: broadcasts the round-1 vertex. Must be called
-    /// exactly once.
-    pub fn start(&mut self) -> Vec<DagEvent> {
+    /// exactly once. Every method that can advance the DAG reports its
+    /// transitions (inserts, round advances, vertex creations, wave
+    /// signals) into `events`, in the order they happen.
+    pub fn start(&mut self, events: &mut Vec<EngineEvent>) -> Vec<DagEvent> {
         debug_assert_eq!(self.round, Round::GENESIS, "start() is called once");
-        self.try_advance()
+        self.try_advance(events)
     }
 
     /// Re-runs the advance loop. Call after [`DagCore::enqueue_block`] if
     /// the process had stalled on an empty block queue (Algorithm 2
     /// line 17's `wait` unblocking).
-    pub fn retry_propose(&mut self) -> Vec<DagEvent> {
-        self.try_advance()
+    pub fn retry_propose(&mut self, events: &mut Vec<EngineEvent>) -> Vec<DagEvent> {
+        self.try_advance(events)
     }
 
     /// Handles `r_deliver(v, round, source)` (Algorithm 2 lines 22–26):
     /// decodes, validates, buffers, and drains the buffer.
-    pub fn on_rbc_delivery(&mut self, delivery: &RbcDelivery) -> Vec<DagEvent> {
+    pub fn on_rbc_delivery(
+        &mut self,
+        delivery: &RbcDelivery,
+        events: &mut Vec<EngineEvent>,
+    ) -> Vec<DagEvent> {
         let Ok(vertex) = Vertex::from_bytes(&delivery.payload) else {
             return Vec::new(); // malformed payload from a Byzantine source
         };
-        self.on_vertex(vertex, delivery.source, delivery.round)
+        self.on_vertex(vertex, delivery.source, delivery.round, events)
     }
 
     /// Handles an already-decoded vertex whose `(source, round)` the
@@ -208,6 +204,7 @@ impl DagCore {
         vertex: Vertex,
         attested_source: ProcessId,
         attested_round: Round,
+        events: &mut Vec<EngineEvent>,
     ) -> Vec<DagEvent> {
         // The reliable broadcast attests (source, round); the embedded
         // fields must match or the vertex is discarded (lines 23-24 set
@@ -228,7 +225,7 @@ impl DagCore {
             return Vec::new(); // straggler below the GC floor: already ordered
         }
         self.buffer.push(vertex);
-        self.try_advance()
+        self.try_advance(events)
     }
 
     /// Garbage-collects DAG rounds strictly below `keep_from` (see
@@ -241,8 +238,8 @@ impl DagCore {
 
     /// Lines 5–15: drains the buffer into the DAG and advances rounds
     /// while possible.
-    fn try_advance(&mut self) -> Vec<DagEvent> {
-        let mut events = Vec::new();
+    fn try_advance(&mut self, events: &mut Vec<EngineEvent>) -> Vec<DagEvent> {
+        let mut out = Vec::new();
         loop {
             let mut progressed = false;
 
@@ -255,7 +252,11 @@ impl DagCore {
                 while i < self.buffer.len() {
                     if self.dag.has_all_edges_of(&self.buffer[i]) {
                         let vertex = self.buffer.swap_remove(i);
-                        self.dag.insert(vertex);
+                        let reference = vertex.reference();
+                        if self.dag.insert(vertex) {
+                            let inserted = self.dag.get(reference).expect("insert returned true");
+                            events.push(EngineEvent::VertexInserted(inserted.clone()));
+                        }
                         moved_one = true;
                     } else {
                         i += 1;
@@ -273,20 +274,20 @@ impl DagCore {
                     let wave = self.round.wave();
                     if wave.number() > self.last_wave_signalled {
                         self.last_wave_signalled = wave.number();
-                        self.tracer.record(TraceEvent::WaveReady { wave });
-                        events.push(DagEvent::WaveReady(wave));
+                        events.push(TraceEvent::WaveReady { wave }.into());
+                        out.push(DagEvent::WaveReady(wave));
                     }
                 }
                 if self.max_round.is_some_and(|max| self.round.next() > max) {
-                    return events; // quiescence for finite experiments
+                    return out; // quiescence for finite experiments
                 }
                 self.round = self.round.next();
                 match self.create_new_vertex(self.round) {
                     Some(vertex) => {
-                        self.tracer.record(TraceEvent::RoundAdvanced { round: self.round });
-                        self.tracer
-                            .record(TraceEvent::VertexCreated { vertex: vertex.reference() });
-                        events.push(DagEvent::Broadcast(vertex));
+                        events.push(TraceEvent::RoundAdvanced { round: self.round }.into());
+                        events
+                            .push(TraceEvent::VertexCreated { vertex: vertex.reference() }.into());
+                        out.push(DagEvent::Broadcast(vertex));
                         progressed = true;
                     }
                     None => {
@@ -294,13 +295,13 @@ impl DagCore {
                         // `wait until ¬blocksToPropose.empty()`. Rewind the
                         // round so we retry when a block arrives.
                         self.round = self.round.prev().expect("advanced past genesis");
-                        return events;
+                        return out;
                     }
                 }
             }
 
             if !progressed {
-                return events;
+                return out;
             }
         }
     }
@@ -373,7 +374,7 @@ mod tests {
     #[test]
     fn start_broadcasts_round_one_vertex_over_genesis() {
         let mut c = core(0);
-        let events = c.start();
+        let events = c.start(&mut Vec::new());
         let v = broadcast_vertex(&events).expect("round-1 vertex");
         assert_eq!(v.round(), Round::new(1));
         assert_eq!(v.strong_edges().len(), 4, "genesis has all n vertices");
@@ -385,15 +386,17 @@ mod tests {
     fn round_advances_on_quorum_of_deliveries() {
         let mut c = core(0);
         let mut peers: Vec<DagCore> = (1..4).map(core).collect();
-        let my_v = broadcast_vertex(&c.start()).unwrap().clone();
+        let my_v = broadcast_vertex(&c.start(&mut Vec::new())).unwrap().clone();
         // Deliver my own vertex back to me (validity of RBC).
-        assert!(c.on_rbc_delivery(&delivery_of(&my_v)).is_empty());
+        assert!(c.on_rbc_delivery(&delivery_of(&my_v), &mut Vec::new()).is_empty());
         assert_eq!(c.round(), Round::new(1));
         // Two peers' round-1 vertices complete the quorum.
-        let peer_vs: Vec<Vertex> =
-            peers.iter_mut().map(|p| broadcast_vertex(&p.start()).unwrap().clone()).collect();
-        assert!(c.on_rbc_delivery(&delivery_of(&peer_vs[0])).is_empty());
-        let events = c.on_rbc_delivery(&delivery_of(&peer_vs[1]));
+        let peer_vs: Vec<Vertex> = peers
+            .iter_mut()
+            .map(|p| broadcast_vertex(&p.start(&mut Vec::new())).unwrap().clone())
+            .collect();
+        assert!(c.on_rbc_delivery(&delivery_of(&peer_vs[0]), &mut Vec::new()).is_empty());
+        let events = c.on_rbc_delivery(&delivery_of(&peer_vs[1]), &mut Vec::new());
         let v2 = broadcast_vertex(&events).expect("round-2 vertex after quorum");
         assert_eq!(v2.round(), Round::new(2));
         assert_eq!(v2.strong_edges().len(), 3, "strong edges to everything seen in r1");
@@ -405,25 +408,27 @@ mod tests {
         // Deliver a round-2 vertex before its round-1 predecessors: it
         // must wait in the buffer, then flush when the history arrives.
         let mut c = core(0);
-        c.start();
+        c.start(&mut Vec::new());
         let mut makers: Vec<DagCore> = (0..4).map(core).collect();
-        let r1: Vec<Vertex> =
-            makers.iter_mut().map(|m| broadcast_vertex(&m.start()).unwrap().clone()).collect();
+        let r1: Vec<Vertex> = makers
+            .iter_mut()
+            .map(|m| broadcast_vertex(&m.start(&mut Vec::new())).unwrap().clone())
+            .collect();
         // Build a round-2 vertex at maker 1 by feeding it all of round 1.
         let mut r2 = None;
         for v in &r1 {
-            let events = makers[1].on_rbc_delivery(&delivery_of(v));
+            let events = makers[1].on_rbc_delivery(&delivery_of(v), &mut Vec::new());
             if let Some(v2) = broadcast_vertex(&events) {
                 r2 = Some(v2.clone());
             }
         }
         let r2 = r2.expect("maker 1 advanced to round 2");
-        assert!(c.on_rbc_delivery(&delivery_of(&r2)).is_empty());
+        assert!(c.on_rbc_delivery(&delivery_of(&r2), &mut Vec::new()).is_empty());
         assert_eq!(c.buffered(), 1, "round-2 vertex parked");
         assert!(!c.dag().contains(r2.reference()));
         // Now deliver the round-1 vertices; the buffer flushes.
         for v in &r1 {
-            c.on_rbc_delivery(&delivery_of(v));
+            c.on_rbc_delivery(&delivery_of(v), &mut Vec::new());
         }
         assert_eq!(c.buffered(), 0);
         assert!(c.dag().contains(r2.reference()));
@@ -432,13 +437,13 @@ mod tests {
     #[test]
     fn malformed_payload_is_discarded() {
         let mut c = core(0);
-        c.start();
+        c.start(&mut Vec::new());
         let garbage = RbcDelivery {
             source: ProcessId::new(1),
             round: Round::new(1),
             payload: vec![0xff, 0x00, 0xff],
         };
-        assert!(c.on_rbc_delivery(&garbage).is_empty());
+        assert!(c.on_rbc_delivery(&garbage, &mut Vec::new()).is_empty());
         assert_eq!(c.buffered(), 0);
     }
 
@@ -447,22 +452,22 @@ mod tests {
         // A Byzantine process embeds (source, round) that differ from what
         // the reliable broadcast attests.
         let mut c = core(0);
-        c.start();
+        c.start(&mut Vec::new());
         let mut other = core(2);
-        let v = broadcast_vertex(&other.start()).unwrap().clone();
+        let v = broadcast_vertex(&other.start(&mut Vec::new())).unwrap().clone();
         let lying = RbcDelivery {
             source: ProcessId::new(1), // RBC says p1, vertex says p2
             round: v.round(),
             payload: v.to_bytes(),
         };
-        assert!(c.on_rbc_delivery(&lying).is_empty());
+        assert!(c.on_rbc_delivery(&lying, &mut Vec::new()).is_empty());
         assert_eq!(c.buffered(), 0);
     }
 
     #[test]
     fn too_few_strong_edges_is_discarded() {
         let mut c = core(0);
-        c.start();
+        c.start(&mut Vec::new());
         let bad = VertexBuilder::new(
             ProcessId::new(1),
             Round::new(1),
@@ -471,7 +476,7 @@ mod tests {
         .strong_edges([VertexRef::new(Round::GENESIS, ProcessId::new(0))])
         .build_unchecked();
         let d = delivery_of(&bad);
-        assert!(c.on_rbc_delivery(&d).is_empty());
+        assert!(c.on_rbc_delivery(&d, &mut Vec::new()).is_empty());
         assert_eq!(c.buffered(), 0, "line 25 drops it before buffering");
     }
 
@@ -483,7 +488,7 @@ mod tests {
         let mut waves_seen = Vec::new();
         let mut queue: VecDeque<Vertex> = VecDeque::new();
         for c in cores.iter_mut() {
-            for e in c.start() {
+            for e in c.start(&mut Vec::new()) {
                 if let DagEvent::Broadcast(v) = e {
                     queue.push_back(v);
                 }
@@ -497,7 +502,7 @@ mod tests {
             }
             let d = delivery_of(&v);
             for (i, c) in cores.iter_mut().enumerate() {
-                for e in c.on_rbc_delivery(&d) {
+                for e in c.on_rbc_delivery(&d, &mut Vec::new()) {
                     match e {
                         DagEvent::Broadcast(nv) => {
                             if nv.round() <= Round::new(12) {
@@ -527,7 +532,7 @@ mod tests {
             Block::new(ProcessId::new(0), SeqNum::new(2), vec![Transaction::synthetic(2, 8)]);
         c.enqueue_block(block1.clone());
         c.enqueue_block(block2);
-        let events = c.start();
+        let events = c.start(&mut Vec::new());
         let v = broadcast_vertex(&events).unwrap();
         assert_eq!(v.block(), Some(&block1));
         assert_eq!(c.pending_blocks(), 1);
@@ -536,11 +541,11 @@ mod tests {
     #[test]
     fn without_auto_blocks_the_process_stalls_and_resumes() {
         let mut c = DagCore::new(committee(), ProcessId::new(0), false, None);
-        let events = c.start();
+        let events = c.start(&mut Vec::new());
         assert!(broadcast_vertex(&events).is_none(), "no blocks: line 17 waits");
         assert_eq!(c.round(), Round::GENESIS);
         c.enqueue_block(Block::empty(ProcessId::new(0), SeqNum::new(1)));
-        let events = c.retry_propose();
+        let events = c.retry_propose(&mut Vec::new());
         assert!(broadcast_vertex(&events).is_some());
         assert_eq!(c.round(), Round::new(1));
     }
@@ -552,7 +557,7 @@ mod tests {
             .collect();
         let mut queue: VecDeque<Vertex> = VecDeque::new();
         for c in cores.iter_mut() {
-            for e in c.start() {
+            for e in c.start(&mut Vec::new()) {
                 if let DagEvent::Broadcast(v) = e {
                     queue.push_back(v);
                 }
@@ -563,7 +568,7 @@ mod tests {
             max_round_seen = max_round_seen.max(v.round());
             let d = delivery_of(&v);
             for c in cores.iter_mut() {
-                for e in c.on_rbc_delivery(&d) {
+                for e in c.on_rbc_delivery(&d, &mut Vec::new()) {
                     if let DagEvent::Broadcast(nv) = e {
                         queue.push_back(nv);
                     }

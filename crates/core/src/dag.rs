@@ -3,7 +3,6 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use dagrider_trace::{SharedTracer, TraceEvent};
 use dagrider_types::{Committee, ProcessId, Round, Vertex, VertexRef};
 
 use crate::reach::{Closure, SlotSpace, VertexClosures};
@@ -40,8 +39,6 @@ pub struct Dag {
     /// vertices were delivered and dropped. Edges into the collected
     /// region count as satisfied for causal closure.
     pruned_floor: Round,
-    /// Records insert/prune transitions; disabled (free) by default.
-    tracer: SharedTracer,
 }
 
 impl Dag {
@@ -61,14 +58,7 @@ impl Dag {
             closures: vec![genesis_closures],
             slots: SlotSpace::new(committee.n()),
             pruned_floor: Round::new(0),
-            tracer: SharedTracer::disabled(),
         }
-    }
-
-    /// Attaches a tracer; every successful insert and garbage-collection
-    /// pass is recorded through it.
-    pub fn set_tracer(&mut self, tracer: SharedTracer) {
-        self.tracer = tracer;
     }
 
     /// The committee.
@@ -143,10 +133,8 @@ impl Dag {
             return false;
         }
         let closures = self.close_over(&v);
-        let reference = v.reference();
         self.closures[index][v.source().as_usize()] = Some(closures);
         self.rounds[index].insert(v.source(), v);
-        self.tracer.record(TraceEvent::VertexInserted { vertex: reference });
         true
     }
 
@@ -271,10 +259,6 @@ impl Dag {
         self.pruned_floor = self.pruned_floor.max(keep_from);
         if self.slots.advance_base(self.pruned_floor.number().max(1)) > 0 {
             self.rebuild_closures();
-        }
-        if dropped > 0 {
-            self.tracer
-                .record(TraceEvent::Pruned { floor: self.pruned_floor, dropped: dropped as u64 });
         }
         dropped
     }

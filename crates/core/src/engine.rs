@@ -24,16 +24,23 @@
 //!   [`EngineOutput::Ordered`] for every `a_deliver` in total order.
 //!   Outputs must be routed in the order returned: the wire order is part
 //!   of the deterministic replay contract.
+//! * **Events** — every call also returns the [`EngineEvent`]s it went
+//!   through, in order, next to its outputs (one [`Turn`]). The engine
+//!   keeps no copy: traces, write-ahead logs, and metrics are the
+//!   driver's to build from the stream. A driver with a durable store
+//!   persists a turn's durable events before it routes the turn's
+//!   outputs.
 //! * **Timers** — the engine currently requests no timers of its own;
 //!   [`EngineInput::Timer`] runs end-of-turn housekeeping (share flush +
 //!   garbage collection), so drivers may safely deliver spurious timers.
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
 use dagrider_crypto::{sha256, Coin, CoinKeys, CoinShare, Digest};
 use dagrider_rbc::{RbcAction, ReliableBroadcast};
-use dagrider_trace::{SharedTracer, TraceEvent, TraceRecord};
+use dagrider_trace::TraceEvent;
 use dagrider_types::{
     Batch, BatchDigest, Block, Committee, Decode, DecodeError, Encode, Payload, ProcessId, Round,
     SparseEdgeConfig, Time, Vertex, VertexRef, Wave,
@@ -42,6 +49,7 @@ use dagrider_types::{
 use crate::construction::{DagCore, DagEvent};
 use crate::dag::Dag;
 use crate::durable::DurableEvent;
+use crate::event::EngineEvent;
 use crate::ordering::{CommitEvent, Delivery, OrderedVertex, Ordering};
 
 /// The content address of a batch: SHA-256 over its encoded bytes. Wire
@@ -127,9 +135,6 @@ pub struct NodeConfig {
     /// Garbage-collect DAG rounds this far below the fully-delivered
     /// prefix (`None` = keep everything; real deployments prune).
     pub gc_depth: Option<u64>,
-    /// Ring capacity for the structured event tracer (`None` = tracing
-    /// off, the default: the hot path then pays a single branch).
-    pub trace_capacity: Option<usize>,
     /// Sparse-edge mode (Clownfish-style): vertices carry a deterministic
     /// `k`-sample of strong edges and direct commits clear the adjusted
     /// `max(f + 1, n - k + 1)` threshold. Must be uniform across the committee.
@@ -146,7 +151,6 @@ impl Default for NodeConfig {
             disable_weak_edges: false,
             piggyback_coin: false,
             gc_depth: None,
-            trace_capacity: None,
             sparse_edges: None,
         }
     }
@@ -175,13 +179,6 @@ impl NodeConfig {
     /// prefix.
     pub fn with_gc_depth(mut self, depth: u64) -> Self {
         self.gc_depth = Some(depth);
-        self
-    }
-
-    /// Enables structured event tracing with a ring buffer of `capacity`
-    /// records per node.
-    pub fn with_trace(mut self, capacity: usize) -> Self {
-        self.trace_capacity = Some(capacity);
         self
     }
 
@@ -348,24 +345,14 @@ pub enum EngineOutput {
     },
 }
 
-/// One entry of the engine's optional I/O log (see
-/// [`DagRiderEngine::set_io_recording`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IoRecord {
-    /// An input handed to the engine, with the driver's clock reading.
-    Input {
-        /// The driver-supplied time of the call.
-        at: Time,
-        /// The input.
-        input: EngineInput,
-    },
-    /// The engine was started ([`DagRiderEngine::start`]).
-    Started {
-        /// The driver-supplied time of the call.
-        at: Time,
-    },
-    /// An output the engine returned.
-    Output(EngineOutput),
+/// What one engine call produced: the effects to route and the
+/// transitions it went through, each in the order they happened.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Turn {
+    /// The effects, in routing order.
+    pub outputs: Vec<EngineOutput>,
+    /// The transitions, in the order they happened.
+    pub events: Vec<EngineEvent>,
 }
 
 /// One DAG-Rider process as a sans-I/O state machine: the public face of
@@ -377,8 +364,8 @@ pub enum IoRecord {
 /// [`AvidRbc`](dagrider_rbc::AvidRbc) to realize the three Table 1 rows.
 ///
 /// Call [`DagRiderEngine::start`] exactly once, then
-/// [`DagRiderEngine::handle`] for every input, and route the returned
-/// [`EngineOutput`]s. See the module docs for the full contract.
+/// [`DagRiderEngine::handle`] for every input, and route the outputs of
+/// each returned [`Turn`]. See the module docs for the full contract.
 #[derive(Debug)]
 pub struct DagRiderEngine<B> {
     committee: Committee,
@@ -390,38 +377,18 @@ pub struct DagRiderEngine<B> {
     coin: Coin,
     /// Shares awaiting a vertex to ride (piggyback mode only).
     pending_shares: Vec<CoinShare>,
-    /// When each of our own vertices was handed to the broadcast layer
-    /// (for a_bcast → a_deliver latency measurements).
-    broadcast_at: std::collections::BTreeMap<Round, Time>,
     /// The local batch store's engine-side view: every batch whose bytes
     /// this process holds, by content digest.
-    batches: std::collections::BTreeMap<BatchDigest, Batch>,
+    batches: BTreeMap<BatchDigest, Batch>,
     /// Ordered deliveries whose payloads are not yet fully resolved — the
     /// head blocks the total order until its batches arrive.
     pending: VecDeque<PendingDelivery>,
     /// The resolved `a_deliver` log (what [`DagRiderEngine::ordered`]
     /// serves).
     resolved: Vec<OrderedVertex>,
-    /// Fetch requests issued for missing batches (metric).
-    fetches_sent: u64,
     /// Whether a [`FETCH_TIMER_TAG`] timer is outstanding.
     fetch_timer_armed: bool,
-    decode_failures: usize,
-    vertices_pruned: usize,
-    tracer: SharedTracer,
     started: bool,
-    io_log: Option<Vec<IoRecord>>,
-    /// Durable events accumulated this turn (`None` = recording off; see
-    /// [`DagRiderEngine::set_durable_recording`]).
-    durable_log: Option<Vec<DurableEvent>>,
-    /// How many entries of `ordering.commits()` have been recorded as
-    /// [`DurableEvent::Commit`]s already.
-    durable_commits_logged: usize,
-    /// Vertices already recorded (or replayed), so a sync duplicate after
-    /// recovery is not re-logged. Pruned with the DAG.
-    logged_vertices: BTreeSet<VertexRef>,
-    /// Coin shares already recorded (or replayed), by (instance, issuer).
-    logged_shares: BTreeSet<(u64, ProcessId)>,
 }
 
 /// One ordered delivery waiting for its batches, with its fetch budget.
@@ -447,37 +414,19 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         if let Some(sparse) = config.sparse_edges {
             ordering.set_commit_threshold(sparse.commit_threshold(&committee));
         }
-        let mut rbc = B::new(committee, me, config.rbc_seed);
-        let tracer = match config.trace_capacity {
-            Some(capacity) => SharedTracer::new(me, capacity),
-            None => SharedTracer::disabled(),
-        };
-        core.set_tracer(tracer.clone());
-        ordering.set_tracer(tracer.clone());
-        rbc.set_tracer(tracer.clone());
         Self {
             committee,
             me,
-            rbc,
+            rbc: B::new(committee, me, config.rbc_seed),
             core,
             ordering,
             coin: Coin::new(coin_keys),
             pending_shares: Vec::new(),
-            broadcast_at: std::collections::BTreeMap::new(),
-            batches: std::collections::BTreeMap::new(),
+            batches: BTreeMap::new(),
             pending: VecDeque::new(),
             resolved: Vec::new(),
-            fetches_sent: 0,
             fetch_timer_armed: false,
-            decode_failures: 0,
-            vertices_pruned: 0,
-            tracer,
             started: false,
-            io_log: None,
-            durable_log: None,
-            durable_commits_logged: 0,
-            logged_vertices: BTreeSet::new(),
-            logged_shares: BTreeSet::new(),
             config,
         }
     }
@@ -521,68 +470,49 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// harness counterpart of [`EngineInput::BatchStored`], for drivers
     /// that pre-stage batches before a run.
     pub fn store_batch(&mut self, batch: Batch) {
-        let digest = batch_digest(&batch);
-        self.insert_batch(digest, batch);
+        self.batches.insert(batch_digest(&batch), batch);
     }
 
-    /// The single batch-insert point: stores the batch, traces a fresh
-    /// insert, and records it durably (first sighting only).
-    fn insert_batch(&mut self, digest: BatchDigest, batch: Batch) {
-        if let Some(log) = self.durable_log.as_mut() {
-            if !self.batches.contains_key(&digest) {
-                log.push(DurableEvent::Batch(batch.clone()));
-            }
+    /// The single batch-insert point: stores a batch, reports it when new,
+    /// and resolves whatever deliveries waited on it.
+    fn on_batch(&mut self, digest: BatchDigest, batch: Batch, turn: &mut Turn, now: Time) {
+        if let Entry::Vacant(slot) = self.batches.entry(digest) {
+            slot.insert(batch.clone());
+            turn.events.push(EngineEvent::BatchStored { digest, batch });
         }
-        if self.batches.insert(digest, batch).is_none() {
-            self.tracer.record(TraceEvent::BatchStored { digest });
-        }
+        self.drain_pending(turn, now, false);
     }
 
-    /// Records a delivered or synced vertex durably (first sighting only;
-    /// genesis is never logged — every fresh engine already has it).
-    fn record_durable_vertex(&mut self, vertex: &Vertex) {
-        if self.durable_log.is_some()
-            && vertex.round() != Round::GENESIS
-            && self.logged_vertices.insert(vertex.reference())
-        {
-            if let Some(log) = self.durable_log.as_mut() {
-                log.push(DurableEvent::Vertex(vertex.clone()));
-            }
-        }
-    }
-
-    /// Records an accepted coin share durably (first sighting only).
-    fn record_durable_share(&mut self, share: &CoinShare) {
-        if self.durable_log.is_some()
-            && self.logged_shares.insert((share.instance(), share.issuer()))
-        {
-            if let Some(log) = self.durable_log.as_mut() {
-                log.push(DurableEvent::CoinShare(*share));
-            }
-        }
-    }
-
-    /// The single coin-share acceptance point: inserts the share (via the
-    /// verifying or pre-verified path), records it durably on acceptance,
-    /// and delivers whatever a completed election unlocks.
+    /// The single coin-share acceptance point: a share is taken only from
+    /// its issuer, inserted through the verifying or the pre-verified
+    /// path, reported when the coin did not hold it yet, and delivers
+    /// whatever a completed election unlocks.
     fn accept_share(
         &mut self,
+        from: ProcessId,
         share: CoinShare,
         proof_checked: bool,
-        out: &mut Vec<EngineOutput>,
+        turn: &mut Turn,
         now: Time,
     ) {
-        let wave = Wave::new(share.instance());
-        let res = if proof_checked {
+        if share.issuer() != from {
+            turn.events.push(EngineEvent::Rejected { from });
+            return;
+        }
+        let accepted = if proof_checked {
             self.coin.add_verified_share(share)
         } else {
             self.coin.add_share(share)
         };
-        let Ok(outcome) = res else { return };
-        self.record_durable_share(&share);
-        if let Some(leader) = outcome {
-            let delivered = self.ordering.on_leader(wave, leader, self.core.dag(), now);
-            self.deliver(delivered, out, now);
+        let Ok(new) = accepted else { return };
+        if new {
+            turn.events.push(EngineEvent::ShareAccepted(share));
+        }
+        if let Some(leader) = self.coin.leader(share.instance()) {
+            let wave = Wave::new(share.instance());
+            let delivered =
+                self.ordering.on_leader(wave, leader, self.core.dag(), now, &mut turn.events);
+            self.deliver(delivered, turn, now);
         }
     }
 
@@ -601,11 +531,6 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// Batches held in the engine's local store view.
     pub fn batches_stored(&self) -> usize {
         self.batches.len()
-    }
-
-    /// Fetch requests issued for missing batches so far.
-    pub fn fetches_sent(&self) -> u64 {
-        self.fetches_sent
     }
 
     /// Per-wave commit outcomes (experiment bookkeeping).
@@ -628,88 +553,6 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         self.ordering.decided_wave()
     }
 
-    /// Messages that failed to decode (malicious/corrupt wire bytes).
-    pub fn decode_failures(&self) -> usize {
-        self.decode_failures
-    }
-
-    /// Vertices dropped by garbage collection so far.
-    pub fn vertices_pruned(&self) -> usize {
-        self.vertices_pruned
-    }
-
-    /// The engine's tracer handle (disabled unless
-    /// [`NodeConfig::trace_capacity`] was set).
-    pub fn tracer(&self) -> &SharedTracer {
-        &self.tracer
-    }
-
-    /// The trace ring's contents, oldest first (empty when tracing is
-    /// off).
-    pub fn trace_records(&self) -> Vec<TraceRecord> {
-        self.tracer.records()
-    }
-
-    /// Broadcast-to-delivery latency of this process's **own** vertices,
-    /// in ticks: for every own vertex in the ordered log, the gap between
-    /// handing it to the broadcast layer and `a_deliver`-ing it locally.
-    /// This is the client-visible commit latency the §6.2 time-complexity
-    /// analysis bounds.
-    pub fn own_vertex_latencies(&self) -> Vec<(Round, u64)> {
-        self.resolved
-            .iter()
-            .filter(|o| o.vertex.source == self.me)
-            .filter_map(|o| {
-                self.broadcast_at
-                    .get(&o.vertex.round)
-                    .map(|&sent| (o.vertex.round, o.delivered_at.ticks() - sent.ticks()))
-            })
-            .collect()
-    }
-
-    /// Turns I/O recording on or off. While on, every input (with its
-    /// clock reading) and every output is appended to the log returned by
-    /// [`DagRiderEngine::io_log`] — the raw material of the determinism
-    /// tests and of replay debugging.
-    pub fn set_io_recording(&mut self, on: bool) {
-        if on {
-            self.io_log.get_or_insert_with(Vec::new);
-        } else {
-            self.io_log = None;
-        }
-    }
-
-    /// The recorded I/O log (empty unless
-    /// [`DagRiderEngine::set_io_recording`] enabled it).
-    pub fn io_log(&self) -> &[IoRecord] {
-        self.io_log.as_deref().unwrap_or(&[])
-    }
-
-    /// Turns durable-event recording on or off. While on, every newly
-    /// accepted vertex, coin share, batch, and wave commit is appended
-    /// (deduplicated) to an internal queue the driver drains with
-    /// [`DagRiderEngine::drain_durable_events`] after each turn — the
-    /// write-ahead-log feed of `dagrider-store`. Enable *after* replaying
-    /// recovered state: replayed events count as already logged.
-    pub fn set_durable_recording(&mut self, on: bool) {
-        if on {
-            if self.durable_log.is_none() {
-                self.durable_log = Some(Vec::new());
-                self.durable_commits_logged = self.ordering.commits().len();
-            }
-        } else {
-            self.durable_log = None;
-        }
-    }
-
-    /// Drains the durable events recorded since the last drain (empty
-    /// unless [`DagRiderEngine::set_durable_recording`] enabled it). The
-    /// driver must persist these *before* acting on the outputs of the
-    /// turn that produced them.
-    pub fn drain_durable_events(&mut self) -> Vec<DurableEvent> {
-        self.durable_log.as_mut().map(std::mem::take).unwrap_or_default()
-    }
-
     /// Every batch held in the engine's local store view — the batch
     /// section of a durable snapshot.
     pub fn stored_batches(&self) -> Vec<Batch> {
@@ -728,46 +571,35 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
 
     /// Replays one recovered durable event into the engine — the restart
     /// path. Events must be fed in log order, before
-    /// [`DagRiderEngine::start`] and before recording is (re-)enabled;
-    /// each replayed event is marked as already logged so the
-    /// post-recovery sync stream does not re-record it. Identical event
-    /// sequences rebuild byte-identical ordered logs (the determinism
-    /// contract of the module docs); outputs are returned for uniformity
-    /// but a recovering driver normally discards them — peers already
-    /// processed the originals.
+    /// [`DagRiderEngine::start`]. A vertex, share, or batch replays
+    /// exactly as its live input would; the DAG and the coin then hold
+    /// it, so a later sync duplicate reports no durable event. Identical
+    /// event sequences rebuild byte-identical ordered logs (the
+    /// determinism contract of the module docs); the turn is returned for
+    /// uniformity, but a recovering driver normally discards it — peers
+    /// already processed the originals, and the store already holds them.
     pub fn replay_durable(
         &mut self,
         event: DurableEvent,
         now: Time,
         rng: &mut rand::rngs::StdRng,
-    ) -> Vec<EngineOutput> {
-        self.tracer.set_now(now);
-        let mut out = Vec::new();
-        match event {
-            DurableEvent::Vertex(vertex) => {
-                self.logged_vertices.insert(vertex.reference());
-                let source = vertex.source();
-                let round = vertex.round();
-                let events = self.core.on_vertex(vertex, source, round);
-                let mut queue = VecDeque::new();
-                self.handle_dag_events(events, &mut out, &mut queue, now, rng);
-                self.drive(queue, &mut out, now, rng);
-            }
+    ) -> Turn {
+        let input = match event {
+            DurableEvent::Vertex(vertex) => EngineInput::SyncVertex(vertex),
             DurableEvent::CoinShare(share) => {
-                self.logged_shares.insert((share.instance(), share.issuer()));
-                self.on_verified_share(share, &mut out, now);
+                EngineInput::PreVerified(VerifiedInput::CoinShare { from: share.issuer(), share })
             }
-            DurableEvent::Batch(batch) => {
-                self.store_batch(batch);
-                self.drain_pending(&mut out, now, false);
-            }
+            DurableEvent::Batch(batch) => EngineInput::BatchStored(batch),
             DurableEvent::Commit { wave, leader } => {
-                let delivered = self.ordering.on_leader(wave, leader, self.core.dag(), now);
-                self.deliver(delivered, &mut out, now);
+                let mut turn = Turn::default();
+                let delivered =
+                    self.ordering.on_leader(wave, leader, self.core.dag(), now, &mut turn.events);
+                self.deliver(delivered, &mut turn, now);
+                self.finish_turn(&mut turn);
+                return turn;
             }
-        }
-        self.finish_turn(&mut out);
-        out
+        };
+        self.handle(now, input, rng)
     }
 
     /// All non-genesis vertices of the local DAG in ascending
@@ -797,45 +629,30 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
 
     /// Starts the protocol (Algorithm 2: broadcast the round-1 vertex).
     /// Must be called exactly once, before any [`DagRiderEngine::handle`].
-    pub fn start(&mut self, now: Time, rng: &mut rand::rngs::StdRng) -> Vec<EngineOutput> {
+    pub fn start(&mut self, now: Time, rng: &mut rand::rngs::StdRng) -> Turn {
         debug_assert!(!self.started, "start() is called once");
         self.started = true;
-        if let Some(log) = self.io_log.as_mut() {
-            log.push(IoRecord::Started { at: now });
-        }
-        self.tracer.set_now(now);
-        let mut out = Vec::new();
-        let events = self.core.start();
-        let mut queue = VecDeque::new();
-        self.handle_dag_events(events, &mut out, &mut queue, now, rng);
-        self.drive(queue, &mut out, now, rng);
-        self.finish_turn(&mut out);
-        self.record_outputs(&out);
-        out
+        let mut turn = Turn::default();
+        let dag_events = self.core.start(&mut turn.events);
+        self.advance(dag_events, &mut turn, now, rng);
+        self.finish_turn(&mut turn);
+        turn
     }
 
-    /// Feeds one input and returns the effects, in routing order.
-    pub fn handle(
-        &mut self,
-        now: Time,
-        input: EngineInput,
-        rng: &mut rand::rngs::StdRng,
-    ) -> Vec<EngineOutput> {
-        if let Some(log) = self.io_log.as_mut() {
-            log.push(IoRecord::Input { at: now, input: input.clone() });
-        }
-        self.tracer.set_now(now);
-        let mut out = Vec::new();
+    /// Feeds one input and returns its turn: outputs in routing order,
+    /// events in the order they happened.
+    pub fn handle(&mut self, now: Time, input: EngineInput, rng: &mut rand::rngs::StdRng) -> Turn {
+        let mut turn = Turn::default();
         match input {
             EngineInput::Message { from, payload } => {
-                self.on_message(from, &payload, &mut out, now, rng);
+                self.on_message(from, &payload, None, &mut turn, now, rng);
             }
             EngineInput::Timer { tag } => {
                 if tag == FETCH_TIMER_TAG {
                     // Fetch-retry turn: the head delivery may re-request
                     // its missing batches from the next peer in rotation.
                     self.fetch_timer_armed = false;
-                    self.drain_pending(&mut out, now, true);
+                    self.drain_pending(&mut turn, now, true);
                 }
                 // Other timer turns are end-of-turn housekeeping only.
             }
@@ -843,136 +660,73 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                 self.core.enqueue_block(block);
                 // Unblock a proposal stalled on an empty queue
                 // (Algorithm 2 line 17's `wait` resuming).
-                let events = self.core.retry_propose();
-                let mut queue = VecDeque::new();
-                self.handle_dag_events(events, &mut out, &mut queue, now, rng);
-                self.drive(queue, &mut out, now, rng);
+                let dag_events = self.core.retry_propose(&mut turn.events);
+                self.advance(dag_events, &mut turn, now, rng);
             }
             EngineInput::SyncVertex(vertex) => {
-                self.record_durable_vertex(&vertex);
-                let source = vertex.source();
-                let round = vertex.round();
-                let events = self.core.on_vertex(vertex, source, round);
-                let mut queue = VecDeque::new();
-                self.handle_dag_events(events, &mut out, &mut queue, now, rng);
-                self.drive(queue, &mut out, now, rng);
+                let (source, round) = (vertex.source(), vertex.round());
+                let dag_events = self.core.on_vertex(vertex, source, round, &mut turn.events);
+                self.advance(dag_events, &mut turn, now, rng);
             }
             EngineInput::SubmitDigests(digests) => {
                 self.core.enqueue_digests(digests);
-                let events = self.core.retry_propose();
-                let mut queue = VecDeque::new();
-                self.handle_dag_events(events, &mut out, &mut queue, now, rng);
-                self.drive(queue, &mut out, now, rng);
+                let dag_events = self.core.retry_propose(&mut turn.events);
+                self.advance(dag_events, &mut turn, now, rng);
             }
             EngineInput::BatchStored(batch) => {
-                let digest = batch_digest(&batch);
-                self.insert_batch(digest, batch);
-                self.drain_pending(&mut out, now, false);
+                self.on_batch(batch_digest(&batch), batch, &mut turn, now);
             }
-            EngineInput::PreVerified(verified) => match verified {
-                VerifiedInput::Message { from, payload, digest } => {
-                    self.on_verified_message(from, &payload, digest, &mut out, now, rng);
-                }
-                VerifiedInput::CoinShare { from, share } => {
-                    if share.issuer() == from {
-                        self.on_verified_share(share, &mut out, now);
-                    } else {
-                        self.decode_failures += 1;
-                    }
-                }
-                VerifiedInput::Batch { digest, batch } => {
-                    self.insert_batch(digest, batch);
-                    self.drain_pending(&mut out, now, false);
-                }
-            },
+            EngineInput::PreVerified(VerifiedInput::Message { from, payload, digest }) => {
+                self.on_message(from, &payload, digest, &mut turn, now, rng);
+            }
+            EngineInput::PreVerified(VerifiedInput::CoinShare { from, share }) => {
+                self.accept_share(from, share, true, &mut turn, now);
+            }
+            EngineInput::PreVerified(VerifiedInput::Batch { digest, batch }) => {
+                self.on_batch(digest, batch, &mut turn, now);
+            }
         }
-        self.finish_turn(&mut out);
-        self.record_outputs(&out);
-        out
+        self.finish_turn(&mut turn);
+        turn
     }
 
-    fn record_outputs(&mut self, out: &[EngineOutput]) {
-        if let Some(log) = self.io_log.as_mut() {
-            log.extend(out.iter().cloned().map(IoRecord::Output));
-        }
-    }
-
-    /// The Message-input body: decode the wire envelope, dispatch.
+    /// The Message-input body: decode the wire envelope, dispatch. A
+    /// `digest` pre-computed off-thread ([`VerifiedInput::Message`]) spares
+    /// the broadcast layer its own hashing. Coin shares arriving here were
+    /// *not* DLEQ-checked by the driver (the pool routes those as
+    /// [`VerifiedInput::CoinShare`]), so they take the verifying path.
     fn on_message(
         &mut self,
         from: ProcessId,
         payload: &[u8],
-        out: &mut Vec<EngineOutput>,
-        now: Time,
-        rng: &mut rand::rngs::StdRng,
-    ) {
-        match NodeMessage::<B::Message>::from_bytes(payload) {
-            Ok(NodeMessage::Rbc(m)) => {
-                let actions = self.rbc.on_message(from, m, rng);
-                self.drive(actions.into(), out, now, rng);
-            }
-            Ok(NodeMessage::Coin(share)) => {
-                // Shares from non-issuers or with bad proofs are rejected
-                // inside the coin.
-                if share.issuer() != from {
-                    self.decode_failures += 1;
-                    return;
-                }
-                self.accept_share(share, false, out, now);
-            }
-            Err(_) => self.decode_failures += 1,
-        }
-    }
-
-    /// The PreVerified-Message body: like [`Self::on_message`], but the
-    /// RBC payload digest was pre-computed off-thread, so the broadcast
-    /// layer skips its own hashing. Coin shares arriving through this
-    /// variant were *not* DLEQ-checked by the driver (the pool routes
-    /// those as [`VerifiedInput::CoinShare`]), so they take the normal
-    /// verifying path.
-    fn on_verified_message(
-        &mut self,
-        from: ProcessId,
-        payload: &[u8],
         digest: Option<Digest>,
-        out: &mut Vec<EngineOutput>,
+        turn: &mut Turn,
         now: Time,
         rng: &mut rand::rngs::StdRng,
     ) {
         match NodeMessage::<B::Message>::from_bytes(payload) {
             Ok(NodeMessage::Rbc(m)) => {
                 let actions = self.rbc.on_message_with_digest(from, m, digest, rng);
-                self.drive(actions.into(), out, now, rng);
+                let mut queue = VecDeque::new();
+                Self::enqueue(actions, &mut queue, &mut turn.events);
+                self.drive(queue, turn, now, rng);
             }
-            Ok(NodeMessage::Coin(share)) => {
-                if share.issuer() != from {
-                    self.decode_failures += 1;
-                    return;
-                }
-                self.accept_share(share, false, out, now);
-            }
-            Err(_) => self.decode_failures += 1,
+            // Shares with bad proofs are rejected inside the coin.
+            Ok(NodeMessage::Coin(share)) => self.accept_share(from, share, false, turn, now),
+            Err(_) => turn.events.push(EngineEvent::Rejected { from }),
         }
-    }
-
-    /// The PreVerified-CoinShare body: insert a share whose proof the
-    /// driver already verified.
-    fn on_verified_share(&mut self, share: CoinShare, out: &mut Vec<EngineOutput>, now: Time) {
-        self.accept_share(share, true, out, now);
     }
 
     /// Queues ordering-layer deliveries for payload resolution and emits
     /// every delivery now resolvable, preserving the total order.
-    fn deliver(&mut self, deliveries: Vec<Delivery>, out: &mut Vec<EngineOutput>, now: Time) {
+    fn deliver(&mut self, deliveries: Vec<Delivery>, turn: &mut Turn, now: Time) {
         for delivery in deliveries {
-            if self.tracer.is_enabled() {
-                for &digest in delivery.payload.digests() {
-                    self.tracer.record(TraceEvent::DigestOrdered { digest });
-                }
+            for &digest in delivery.payload.digests() {
+                turn.events.push(TraceEvent::DigestOrdered { digest }.into());
             }
             self.pending.push_back(PendingDelivery { delivery, attempts: 0 });
         }
-        self.drain_pending(out, now, false);
+        self.drain_pending(turn, now, false);
     }
 
     /// Resolves pending deliveries head-first: a head whose batches are
@@ -981,7 +735,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// triggers the bounded fetch path. `retry` marks a fetch-timer turn,
     /// which may re-request from the next peer in rotation; a head that
     /// exhausts its budget waits silently for a pushed batch.
-    fn drain_pending(&mut self, out: &mut Vec<EngineOutput>, now: Time, mut retry: bool) {
+    fn drain_pending(&mut self, turn: &mut Turn, now: Time, mut retry: bool) {
         while let Some(head) = self.pending.front() {
             let missing: Vec<BatchDigest> = head
                 .delivery
@@ -993,9 +747,9 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                 .collect();
             if missing.is_empty() {
                 let head = self.pending.pop_front().expect("front() was Some");
-                let resolved = self.resolve(head.delivery, now);
+                let resolved = self.resolve(head.delivery, now, &mut turn.events);
                 self.resolved.push(resolved.clone());
-                out.push(EngineOutput::Ordered(resolved));
+                turn.outputs.push(EngineOutput::Ordered(resolved));
                 // Progress was made: a fired retry timer is spent.
                 retry = false;
                 continue;
@@ -1009,16 +763,13 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                 let from = self.fetch_target(source, attempt);
                 let head = self.pending.front_mut().expect("front() was Some");
                 head.attempts += 1;
-                self.fetches_sent += 1;
-                if self.tracer.is_enabled() {
-                    for &digest in &missing {
-                        self.tracer.record(TraceEvent::BatchFetchRequested { digest, from });
-                    }
+                for &digest in &missing {
+                    turn.events.push(TraceEvent::BatchFetchRequested { digest, from }.into());
                 }
-                out.push(EngineOutput::FetchBatches { from, digests: missing });
+                turn.outputs.push(EngineOutput::FetchBatches { from, digests: missing });
                 if !self.fetch_timer_armed {
                     self.fetch_timer_armed = true;
-                    out.push(EngineOutput::SetTimer {
+                    turn.outputs.push(EngineOutput::SetTimer {
                         delay: FETCH_RETRY_DELAY,
                         tag: FETCH_TIMER_TAG,
                     });
@@ -1047,7 +798,12 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// Materializes a delivery whose batches are all local: inline blocks
     /// pass through; digest payloads concatenate their batches'
     /// transactions in digest-list order into one block.
-    fn resolve(&mut self, delivery: Delivery, now: Time) -> OrderedVertex {
+    fn resolve(
+        &self,
+        delivery: Delivery,
+        now: Time,
+        events: &mut Vec<EngineEvent>,
+    ) -> OrderedVertex {
         let block = match delivery.payload {
             Payload::Block(block) => block,
             Payload::Digests { proposer, seq, digests } => {
@@ -1056,7 +812,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                 for digest in &digests {
                     let batch = self.batches.get(digest).expect("drain checked availability");
                     transactions.extend_from_slice(batch.transactions());
-                    self.tracer.record(TraceEvent::BatchResolved { digest: *digest, waited });
+                    events.push(TraceEvent::BatchResolved { digest: *digest, waited }.into());
                 }
                 Block::new(proposer, seq, transactions)
             }
@@ -1069,88 +825,126 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         }
     }
 
-    /// Routes a batch of RBC actions plus all their knock-on effects.
+    /// Queues the actions one broadcast-layer call returned. Its phase
+    /// transitions happened during the call, so they are reported now,
+    /// ahead of the knock-on effects of its deliveries.
+    fn enqueue(
+        actions: Vec<RbcAction<B::Message>>,
+        queue: &mut VecDeque<RbcAction<B::Message>>,
+        events: &mut Vec<EngineEvent>,
+    ) {
+        for action in actions {
+            match action {
+                RbcAction::Phase(instance, phase) => {
+                    let primitive = B::PRIMITIVE;
+                    events.push(TraceEvent::RbcPhase { instance, primitive, phase }.into());
+                }
+                action => queue.push_back(action),
+            }
+        }
+    }
+
+    /// Acts on construction-layer events, then routes the broadcast
+    /// actions they caused plus all their knock-on effects.
+    fn advance(
+        &mut self,
+        dag_events: Vec<DagEvent>,
+        turn: &mut Turn,
+        now: Time,
+        rng: &mut rand::rngs::StdRng,
+    ) {
+        let mut queue = VecDeque::new();
+        self.handle_dag_events(dag_events, turn, &mut queue, now, rng);
+        self.drive(queue, turn, now, rng);
+    }
+
+    /// Routes queued RBC actions plus all their knock-on effects.
     fn drive(
         &mut self,
         mut queue: VecDeque<RbcAction<B::Message>>,
-        out: &mut Vec<EngineOutput>,
+        turn: &mut Turn,
         now: Time,
         rng: &mut rand::rngs::StdRng,
     ) {
         while let Some(action) = queue.pop_front() {
             match action {
                 RbcAction::Send(to, m) => {
-                    out.push(EngineOutput::Send {
+                    turn.outputs.push(EngineOutput::Send {
                         to,
                         payload: Bytes::from(NodeMessage::Rbc(m).to_bytes()),
                     });
                 }
                 RbcAction::Deliver(delivery) => {
-                    self.tracer.record(TraceEvent::VertexRbcDelivered {
-                        vertex: VertexRef::new(delivery.round, delivery.source),
-                    });
+                    let (source, round) = (delivery.source, delivery.round);
+                    turn.events.push(
+                        TraceEvent::VertexRbcDelivered { vertex: VertexRef::new(round, source) }
+                            .into(),
+                    );
                     let Ok(payload) = VertexPayload::from_bytes(&delivery.payload) else {
-                        self.decode_failures += 1;
+                        turn.events.push(EngineEvent::Rejected { from: source });
                         continue;
                     };
                     // Piggybacked shares are only valid from their issuer
                     // (the broadcast authenticates the vertex's creator).
                     for share in payload.coin_shares {
-                        if share.issuer() != delivery.source {
-                            self.decode_failures += 1;
-                            continue;
-                        }
-                        self.accept_share(share, false, out, now);
+                        self.accept_share(source, share, false, turn, now);
                     }
-                    self.record_durable_vertex(&payload.vertex);
-                    let events =
-                        self.core.on_vertex(payload.vertex, delivery.source, delivery.round);
-                    self.handle_dag_events(events, out, &mut queue, now, rng);
+                    let dag_events =
+                        self.core.on_vertex(payload.vertex, source, round, &mut turn.events);
+                    self.handle_dag_events(dag_events, turn, &mut queue, now, rng);
                 }
+                // `enqueue` reported phases when their call returned.
+                RbcAction::Phase(..) => {}
             }
         }
     }
 
     fn handle_dag_events(
         &mut self,
-        events: Vec<DagEvent>,
-        out: &mut Vec<EngineOutput>,
+        dag_events: Vec<DagEvent>,
+        turn: &mut Turn,
         queue: &mut VecDeque<RbcAction<B::Message>>,
         now: Time,
         rng: &mut rand::rngs::StdRng,
     ) {
-        for event in events {
+        for event in dag_events {
             match event {
                 DagEvent::Broadcast(vertex) => {
                     let round = vertex.round();
-                    self.broadcast_at.insert(round, now);
                     let coin_shares = if self.config.piggyback_coin {
                         std::mem::take(&mut self.pending_shares)
                     } else {
                         Vec::new()
                     };
                     let payload = VertexPayload { vertex, coin_shares }.to_bytes();
-                    queue.extend(self.rbc.rbcast(payload, round, rng));
+                    let actions = self.rbc.rbcast(payload, round, rng);
+                    Self::enqueue(actions, queue, &mut turn.events);
                 }
                 DagEvent::WaveReady(wave) => {
                     // Flip the coin only now that the wave is complete
                     // (line 35 — unpredictability requires revealing the
-                    // share no earlier).
+                    // share no earlier). The signal fires once per wave,
+                    // so the share is reported once.
                     let share = self.coin.my_share(wave.number(), rng);
-                    self.record_durable_share(&share);
+                    turn.events.push(EngineEvent::ShareAccepted(share));
                     if self.config.piggyback_coin {
                         // Ride the next vertex (the round 4w+1 broadcast,
                         // which immediately follows this event).
                         self.pending_shares.push(share);
                     } else {
                         let msg: NodeMessage<B::Message> = NodeMessage::Coin(share);
-                        out.push(EngineOutput::Broadcast { payload: Bytes::from(msg.to_bytes()) });
+                        turn.outputs
+                            .push(EngineOutput::Broadcast { payload: Bytes::from(msg.to_bytes()) });
                     }
-                    let delivered = self.ordering.on_wave_complete(wave, self.core.dag(), now);
-                    self.deliver(delivered, out, now);
+                    let dag = self.core.dag();
+                    let delivered =
+                        self.ordering.on_wave_complete(wave, dag, now, &mut turn.events);
+                    self.deliver(delivered, turn, now);
                     if let Some(leader) = self.coin.leader(wave.number()) {
-                        let delivered = self.ordering.on_leader(wave, leader, self.core.dag(), now);
-                        self.deliver(delivered, out, now);
+                        let dag = self.core.dag();
+                        let delivered =
+                            self.ordering.on_leader(wave, leader, dag, now, &mut turn.events);
+                        self.deliver(delivered, turn, now);
                     }
                 }
             }
@@ -1160,26 +954,17 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// End-of-turn housekeeping: flush shares that found no vertex to
     /// ride (finite runs stop broadcasting at `max_round`), then garbage
     /// collect.
-    fn finish_turn(&mut self, out: &mut Vec<EngineOutput>) {
+    fn finish_turn(&mut self, turn: &mut Turn) {
         for share in std::mem::take(&mut self.pending_shares) {
             let msg: NodeMessage<B::Message> = NodeMessage::Coin(share);
-            out.push(EngineOutput::Broadcast { payload: Bytes::from(msg.to_bytes()) });
+            turn.outputs.push(EngineOutput::Broadcast { payload: Bytes::from(msg.to_bytes()) });
         }
-        // Record wave commits decided this turn, after the vertex and
-        // share events that caused them (log order is causal order).
-        if let Some(log) = self.durable_log.as_mut() {
-            let commits = self.ordering.commits();
-            for commit in commits.get(self.durable_commits_logged..).unwrap_or(&[]) {
-                log.push(DurableEvent::Commit { wave: commit.wave, leader: commit.leader });
-            }
-            self.durable_commits_logged = commits.len();
-        }
-        self.maybe_gc();
+        self.maybe_gc(&mut turn.events);
     }
 
     /// Prunes every round strictly below the fully-delivered prefix minus
     /// the configured safety margin.
-    fn maybe_gc(&mut self) {
+    fn maybe_gc(&mut self, events: &mut Vec<EngineEvent>) {
         let Some(depth) = self.config.gc_depth else { return };
         // The lowest round still holding an undelivered vertex bounds what
         // is safe to drop.
@@ -1203,15 +988,15 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             // Advancing the floor also rebases the reachability engine's
             // slot space and rebuilds retained closures (see Dag::prune_below),
             // so prune only when the floor actually moves.
-            self.vertices_pruned += self.core.prune_below(keep_from);
+            let dropped = self.core.prune_below(keep_from);
+            if dropped > 0 {
+                events
+                    .push(TraceEvent::Pruned { floor: keep_from, dropped: dropped as u64 }.into());
+            }
             self.ordering.prune_delivered_below(keep_from);
             self.rbc.prune(keep_from);
             // Coin aggregators for waves entirely below the floor.
-            let keep_wave = keep_from.wave().number().saturating_sub(1);
-            self.coin.prune(keep_wave);
-            // The durable dedupe sets follow the same floors.
-            self.logged_vertices.retain(|r| r.round >= keep_from);
-            self.logged_shares.retain(|&(instance, _)| instance >= keep_wave);
+            self.coin.prune(keep_from.wave().number().saturating_sub(1));
         }
     }
 }
@@ -1308,14 +1093,16 @@ mod tests {
             }
         };
         for p in committee.members() {
-            let outs = engines[p.as_usize()].start(Time::new(clock), &mut rngs[p.as_usize()]);
+            let outs =
+                engines[p.as_usize()].start(Time::new(clock), &mut rngs[p.as_usize()]).outputs;
             route(p, outs, &mut wire);
         }
         while let Some((from, to, payload)) = wire.pop_front() {
             clock += 1;
             let input = EngineInput::Message { from, payload };
-            let outs =
-                engines[to.as_usize()].handle(Time::new(clock), input, &mut rngs[to.as_usize()]);
+            let outs = engines[to.as_usize()]
+                .handle(Time::new(clock), input, &mut rngs[to.as_usize()])
+                .outputs;
             route(to, outs, &mut wire);
         }
 
@@ -1374,17 +1161,19 @@ mod tests {
             }
         };
         for p in committee.members() {
-            let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]);
+            let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]).outputs;
             collect(p, outs, &mut wire, &mut ordered_outputs);
         }
         let mut t = 0u64;
         while let Some((from, to, payload)) = wire.pop_front() {
             t += 1;
-            let outs = engines[to.as_usize()].handle(
-                Time::new(t),
-                EngineInput::Message { from, payload },
-                &mut rngs[to.as_usize()],
-            );
+            let outs = engines[to.as_usize()]
+                .handle(
+                    Time::new(t),
+                    EngineInput::Message { from, payload },
+                    &mut rngs[to.as_usize()],
+                )
+                .outputs;
             collect(to, outs, &mut wire, &mut ordered_outputs);
         }
         for p in committee.members() {
@@ -1427,15 +1216,17 @@ mod tests {
             }
         };
         for p in committee.members() {
-            let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]);
+            let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]).outputs;
             route(p, outs, &mut wire);
         }
         while let Some((from, to, payload)) = wire.pop_front() {
-            let outs = engines[to.as_usize()].handle(
-                Time::ZERO,
-                EngineInput::Message { from, payload },
-                &mut rngs[to.as_usize()],
-            );
+            let outs = engines[to.as_usize()]
+                .handle(
+                    Time::ZERO,
+                    EngineInput::Message { from, payload },
+                    &mut rngs[to.as_usize()],
+                )
+                .outputs;
             route(to, outs, &mut wire);
         }
         let reference = engines[0].ordered().to_vec();
@@ -1450,22 +1241,21 @@ mod tests {
         let mut fresh_rng = StdRng::seed_from_u64(999);
         let vertices = engines[0].sync_vertices();
         assert!(!vertices.is_empty());
-        let mut sink = Vec::new();
         for v in vertices {
-            sink.extend(fresh.handle(Time::ZERO, EngineInput::SyncVertex(v), &mut fresh_rng));
+            fresh.handle(Time::ZERO, EngineInput::SyncVertex(v), &mut fresh_rng);
         }
         for w in 1..=top_wave {
             for issuer in [0usize, 1] {
                 let share = engines[issuer].coin_share(w, &mut rngs[issuer]);
                 let msg: NodeMessage<dagrider_rbc::BrachaMessage> = NodeMessage::Coin(share);
-                sink.extend(fresh.handle(
+                fresh.handle(
                     Time::ZERO,
                     EngineInput::Message {
                         from: ProcessId::new(issuer as u32),
                         payload: msg.to_bytes(),
                     },
                     &mut fresh_rng,
-                ));
+                );
             }
         }
         let rebuilt: Vec<VertexRef> = fresh.ordered().iter().map(|o| o.vertex).collect();
@@ -1473,5 +1263,15 @@ mod tests {
         let common = rebuilt.len().min(reference_refs.len());
         assert!(common > 0, "sync rebuilt nothing");
         assert_eq!(&rebuilt[..common], &reference_refs[..common]);
+    }
+
+    #[test]
+    fn engine_is_send_for_every_broadcast_layer() {
+        // A compile-time check: the engine holds no shared handles, so a
+        // driver may build it on one thread and run it on another.
+        fn assert_send<T: Send>() {}
+        assert_send::<DagRiderEngine<BrachaRbc>>();
+        assert_send::<DagRiderEngine<dagrider_rbc::AvidRbc>>();
+        assert_send::<DagRiderEngine<dagrider_rbc::ProbabilisticRbc>>();
     }
 }

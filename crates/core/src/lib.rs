@@ -22,7 +22,8 @@
 //! [`DagRiderEngine`] assembles both layers over any
 //! [`ReliableBroadcast`](dagrider_rbc::ReliableBroadcast) instantiation as a
 //! **sans-I/O state machine**: drivers feed it typed [`EngineInput`]s and
-//! route the typed [`EngineOutput`]s it returns. This crate performs no
+//! route the typed [`EngineOutput`]s it returns, next to the
+//! [`EngineEvent`]s each call went through. This crate performs no
 //! I/O and depends on no runtime — the deterministic simulator drives it
 //! through the `dagrider-simactor` adapter, and the real TCP cluster
 //! drives it from `dagrider-net`.
@@ -46,8 +47,8 @@
 //!
 //! // Starting the engine proposes the round-1 vertex: the outputs are the
 //! // reliable-broadcast sends the driver must put on the wire.
-//! let outputs = engine.start(Time::ZERO, &mut rng);
-//! assert!(outputs.iter().any(|o| matches!(o, EngineOutput::Send { .. })));
+//! let turn = engine.start(Time::ZERO, &mut rng);
+//! assert!(turn.outputs.iter().any(|o| matches!(o, EngineOutput::Send { .. })));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -58,6 +59,7 @@ mod construction;
 mod dag;
 mod durable;
 mod engine;
+mod event;
 mod ordering;
 mod reach;
 pub mod render;
@@ -66,7 +68,8 @@ pub use construction::{DagCore, DagEvent};
 pub use dag::Dag;
 pub use durable::DurableEvent;
 pub use engine::{
-    batch_digest, DagRiderEngine, EngineInput, EngineOutput, IoRecord, NodeConfig, NodeMessage,
+    batch_digest, DagRiderEngine, EngineInput, EngineOutput, NodeConfig, NodeMessage, Turn,
     VerifiedInput, VertexPayload, FETCH_RETRIES, FETCH_RETRY_DELAY, FETCH_TIMER_TAG,
 };
+pub use event::EngineEvent;
 pub use ordering::{CommitEvent, Delivery, OrderedVertex, Ordering, WaveOutcome};

@@ -18,11 +18,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dagrider_trace::{SharedTracer, TraceEvent};
+use dagrider_trace::TraceEvent;
 use dagrider_types::Time;
 use dagrider_types::{Block, Payload, ProcessId, Round, Vertex, VertexRef, Wave};
 
 use crate::dag::Dag;
+use crate::event::EngineEvent;
 
 /// One vertex in its final total-order position, as emitted by the
 /// ordering layer: the payload is whatever the vertex carried — an
@@ -102,13 +103,8 @@ pub struct Ordering {
     /// Next wave to interpret (waves are interpreted in order; see module
     /// docs — out-of-order interpretation would break Claim 5).
     cursor: u64,
-    /// The ordered-delivery log (payloads as carried, unresolved).
-    log: Vec<Delivery>,
     /// Per-wave outcomes (experiment bookkeeping, not protocol state).
     commits: Vec<CommitEvent>,
-    /// Records coin/commit/ordering transitions; disabled (free) by
-    /// default.
-    tracer: SharedTracer,
     /// Position counter for [`dagrider_trace::TraceEvent::VertexOrdered`].
     next_position: u64,
 }
@@ -127,17 +123,9 @@ impl Ordering {
             leaders: BTreeMap::new(),
             completed: BTreeSet::new(),
             cursor: 1,
-            log: Vec::new(),
             commits: Vec::new(),
-            tracer: SharedTracer::disabled(),
             next_position: 0,
         }
-    }
-
-    /// Attaches a tracer; coin openings, leader commits/skips, and every
-    /// `a_deliver` are recorded through it.
-    pub fn set_tracer(&mut self, tracer: SharedTracer) {
-        self.tracer = tracer;
     }
 
     /// Overrides the direct-commit support threshold (sparse-edge mode:
@@ -150,12 +138,6 @@ impl Ordering {
     /// The direct-commit support threshold currently in force.
     pub fn commit_threshold(&self) -> usize {
         self.quorum
-    }
-
-    /// The ordered-delivery log so far, in total order. Payloads are as
-    /// carried by the vertices; digest resolution happens downstream.
-    pub fn log(&self) -> &[Delivery] {
-        &self.log
     }
 
     /// Per-wave outcome records.
@@ -183,29 +165,49 @@ impl Ordering {
     }
 
     /// Signal from the construction layer: wave `w` completed locally.
-    /// Returns any deliveries unlocked.
-    pub fn on_wave_complete(&mut self, w: Wave, dag: &Dag, now: Time) -> Vec<Delivery> {
+    /// Returns any deliveries unlocked; coin flips, commits, skips, and
+    /// orderings are reported into `events` as they happen.
+    pub fn on_wave_complete(
+        &mut self,
+        w: Wave,
+        dag: &Dag,
+        now: Time,
+        events: &mut Vec<EngineEvent>,
+    ) -> Vec<Delivery> {
         self.completed.insert(w.number());
-        self.try_interpret(dag, now)
+        self.try_interpret(dag, now, events)
     }
 
     /// Signal from the coin: instance `w` opened with `leader`. Returns
-    /// any deliveries unlocked.
-    pub fn on_leader(&mut self, w: Wave, leader: ProcessId, dag: &Dag, now: Time) -> Vec<Delivery> {
+    /// any deliveries unlocked (events as for
+    /// [`Ordering::on_wave_complete`]).
+    pub fn on_leader(
+        &mut self,
+        w: Wave,
+        leader: ProcessId,
+        dag: &Dag,
+        now: Time,
+        events: &mut Vec<EngineEvent>,
+    ) -> Vec<Delivery> {
         if self.leaders.insert(w.number(), leader).is_none() {
-            self.tracer.record(TraceEvent::CoinFlipped { wave: w, leader });
+            events.push(TraceEvent::CoinFlipped { wave: w, leader }.into());
         }
-        self.try_interpret(dag, now)
+        self.try_interpret(dag, now, events)
     }
 
     /// Interprets every wave that is both locally complete and has an
     /// opened coin, in increasing order (Algorithm 3 lines 34–45).
-    fn try_interpret(&mut self, dag: &Dag, now: Time) -> Vec<Delivery> {
+    fn try_interpret(
+        &mut self,
+        dag: &Dag,
+        now: Time,
+        events: &mut Vec<EngineEvent>,
+    ) -> Vec<Delivery> {
         let mut newly_delivered = Vec::new();
         while self.completed.contains(&self.cursor) && self.leaders.contains_key(&self.cursor) {
             let w = self.cursor;
             self.cursor += 1;
-            newly_delivered.extend(self.interpret_wave(Wave::new(w), dag, now));
+            newly_delivered.extend(self.interpret_wave(Wave::new(w), dag, now, events));
         }
         newly_delivered
     }
@@ -219,7 +221,13 @@ impl Ordering {
     }
 
     /// The body of `wave_ready(w)` (lines 34–45).
-    fn interpret_wave(&mut self, w: Wave, dag: &Dag, now: Time) -> Vec<Delivery> {
+    fn interpret_wave(
+        &mut self,
+        w: Wave,
+        dag: &Dag,
+        now: Time,
+        events: &mut Vec<EngineEvent>,
+    ) -> Vec<Delivery> {
         let leader_process = *self
             .leaders
             .get(&w.number())
@@ -237,7 +245,7 @@ impl Ordering {
         });
 
         let Some(leader_vertex) = committed else {
-            self.tracer.record(TraceEvent::LeaderSkipped { wave: w, leader: leader_process });
+            events.push(TraceEvent::LeaderSkipped { wave: w, leader: leader_process }.into());
             self.commits.push(CommitEvent {
                 wave: w,
                 leader: leader_process,
@@ -246,11 +254,9 @@ impl Ordering {
             });
             return Vec::new();
         };
-        self.tracer.record(TraceEvent::LeaderCommitted {
-            wave: w,
-            leader: leader_vertex,
-            direct: true,
-        });
+        events.push(
+            TraceEvent::LeaderCommitted { wave: w, leader: leader_vertex, direct: true }.into(),
+        );
         self.commits.push(CommitEvent {
             wave: w,
             leader: leader_process,
@@ -269,11 +275,14 @@ impl Ordering {
                 if dag.strong_path(cursor_vertex, candidate) {
                     stack.push((wave_prime, candidate));
                     cursor_vertex = candidate;
-                    self.tracer.record(TraceEvent::LeaderCommitted {
-                        wave: wave_prime,
-                        leader: candidate,
-                        direct: false,
-                    });
+                    events.push(
+                        TraceEvent::LeaderCommitted {
+                            wave: wave_prime,
+                            leader: candidate,
+                            direct: false,
+                        }
+                        .into(),
+                    );
                     self.commits.push(CommitEvent {
                         wave: wave_prime,
                         leader: candidate.source,
@@ -288,9 +297,8 @@ impl Ordering {
         // Lines 51–57: pop in reverse push order → earlier waves first.
         let mut delivered = Vec::new();
         while let Some((wave, leader)) = stack.pop() {
-            delivered.extend(self.order_causal_history(wave, leader, dag, now));
+            delivered.extend(self.order_causal_history(wave, leader, dag, now, events));
         }
-        self.log.extend(delivered.iter().cloned());
         delivered
     }
 
@@ -304,6 +312,7 @@ impl Ordering {
         leader: VertexRef,
         dag: &Dag,
         now: Time,
+        events: &mut Vec<EngineEvent>,
     ) -> Vec<Delivery> {
         let history: Vec<VertexRef> = dag
             .causal_history(leader)
@@ -316,7 +325,7 @@ impl Ordering {
                 self.delivered.insert(reference);
                 let position = self.next_position;
                 self.next_position += 1;
-                self.tracer.record(TraceEvent::VertexOrdered { vertex: reference, wave, position });
+                events.push(TraceEvent::VertexOrdered { vertex: reference, wave, position }.into());
                 Delivery {
                     vertex: reference,
                     payload: dag
@@ -373,8 +382,9 @@ mod tests {
         let dag = wave1_dag();
         let mut ordering = Ordering::new(&dag);
         let w = Wave::new(1);
-        assert!(ordering.on_wave_complete(w, &dag, Time::ZERO).is_empty());
-        let delivered = ordering.on_leader(w, ProcessId::new(1), &dag, Time::new(5));
+        assert!(ordering.on_wave_complete(w, &dag, Time::ZERO, &mut Vec::new()).is_empty());
+        let delivered =
+            ordering.on_leader(w, ProcessId::new(1), &dag, Time::new(5), &mut Vec::new());
         assert!(!delivered.is_empty());
         assert_eq!(ordering.decided_wave(), w);
         assert_eq!(ordering.commits().len(), 1);
@@ -391,9 +401,9 @@ mod tests {
         let dag = wave1_dag();
         let mut ordering = Ordering::new(&dag);
         let w = Wave::new(1);
-        ordering.on_wave_complete(w, &dag, Time::ZERO);
+        ordering.on_wave_complete(w, &dag, Time::ZERO, &mut Vec::new());
         // The coin picked silent process 3, which has no vertex in r1.
-        let delivered = ordering.on_leader(w, ProcessId::new(3), &dag, Time::ZERO);
+        let delivered = ordering.on_leader(w, ProcessId::new(3), &dag, Time::ZERO, &mut Vec::new());
         assert!(delivered.is_empty());
         assert_eq!(ordering.decided_wave(), Wave::new(0));
         assert_eq!(ordering.commits()[0].outcome, WaveOutcome::Skipped);
@@ -409,17 +419,19 @@ mod tests {
             }
         }
         let mut ordering = Ordering::new(&dag);
-        ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO);
-        ordering.on_wave_complete(Wave::new(2), &dag, Time::ZERO);
+        ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO, &mut Vec::new());
+        ordering.on_wave_complete(Wave::new(2), &dag, Time::ZERO, &mut Vec::new());
         // Coin for wave 2 opens first: nothing happens yet.
-        let d2 = ordering.on_leader(Wave::new(2), ProcessId::new(0), &dag, Time::ZERO);
+        let d2 =
+            ordering.on_leader(Wave::new(2), ProcessId::new(0), &dag, Time::ZERO, &mut Vec::new());
         assert!(d2.is_empty(), "wave 2 must wait for wave 1");
         // Coin for wave 1 opens: both waves interpret, in order.
-        let d1 = ordering.on_leader(Wave::new(1), ProcessId::new(1), &dag, Time::ZERO);
+        let d1 =
+            ordering.on_leader(Wave::new(1), ProcessId::new(1), &dag, Time::ZERO, &mut Vec::new());
         assert!(!d1.is_empty());
         assert_eq!(ordering.decided_wave(), Wave::new(2));
-        // Wave-1 deliveries precede wave-2 deliveries in the log.
-        let log = ordering.log();
+        // Wave-1 deliveries precede wave-2 deliveries in the order.
+        let log = &d1;
         let w1_max = log
             .iter()
             .filter(|o| o.committed_in_wave == Wave::new(1))
@@ -463,8 +475,9 @@ mod tests {
             assert!(dag.insert(vertex(p, 4, &[0, 1, 2])));
         }
         let mut ordering = Ordering::new(&dag);
-        ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO);
-        let d = ordering.on_leader(Wave::new(1), ProcessId::new(0), &dag, Time::ZERO);
+        ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO, &mut Vec::new());
+        let d =
+            ordering.on_leader(Wave::new(1), ProcessId::new(0), &dag, Time::ZERO, &mut Vec::new());
         assert!(d.is_empty(), "only 2 < 2f+1 supporters: no direct commit");
         assert_eq!(ordering.commits()[0].outcome, WaveOutcome::Skipped);
 
@@ -477,8 +490,9 @@ mod tests {
                 assert!(dag.insert(vertex(p, r, &[0, 1, 2])));
             }
         }
-        ordering.on_wave_complete(Wave::new(2), &dag, Time::ZERO);
-        let d = ordering.on_leader(Wave::new(2), ProcessId::new(1), &dag, Time::ZERO);
+        ordering.on_wave_complete(Wave::new(2), &dag, Time::ZERO, &mut Vec::new());
+        let d =
+            ordering.on_leader(Wave::new(2), ProcessId::new(1), &dag, Time::ZERO, &mut Vec::new());
         assert!(!d.is_empty());
         assert_eq!(ordering.decided_wave(), Wave::new(2));
         // Wave 1's leader was committed indirectly…
@@ -488,7 +502,7 @@ mod tests {
             .find(|c| c.wave == Wave::new(1) && c.outcome == WaveOutcome::Indirect);
         assert!(indirect.is_some(), "commits: {:?}", ordering.commits());
         // …and its history is ordered before wave 2's leader history.
-        let log = ordering.log();
+        let log = &d;
         assert_eq!(log[0].committed_in_wave, Wave::new(1));
         assert!(log.iter().any(|o| o.committed_in_wave == Wave::new(2)));
     }
@@ -509,26 +523,32 @@ mod tests {
         }
         let mut ordering = Ordering::new(&dag);
         for w in 1..=4u64 {
-            ordering.on_wave_complete(Wave::new(w), &dag, Time::ZERO);
+            ordering.on_wave_complete(Wave::new(w), &dag, Time::ZERO, &mut Vec::new());
         }
         // Coin outcomes: waves 1-3 elect the silent p3 (leader vertex
         // missing → skipped); wait — for the walk to commit them they
         // must have *present* leaders; so elect present leaders but let
         // the waves stay undecided because their coins open late: feed
         // leaders out of order, wave 4 last.
-        assert!(ordering.on_leader(Wave::new(2), ProcessId::new(1), &dag, Time::ZERO).is_empty());
-        assert!(ordering.on_leader(Wave::new(3), ProcessId::new(0), &dag, Time::ZERO).is_empty());
-        assert!(ordering.on_leader(Wave::new(4), ProcessId::new(2), &dag, Time::ZERO).is_empty());
+        assert!(ordering
+            .on_leader(Wave::new(2), ProcessId::new(1), &dag, Time::ZERO, &mut Vec::new())
+            .is_empty());
+        assert!(ordering
+            .on_leader(Wave::new(3), ProcessId::new(0), &dag, Time::ZERO, &mut Vec::new())
+            .is_empty());
+        assert!(ordering
+            .on_leader(Wave::new(4), ProcessId::new(2), &dag, Time::ZERO, &mut Vec::new())
+            .is_empty());
         // Everything is buffered behind wave 1; its coin opens now.
-        let delivered = ordering.on_leader(Wave::new(1), ProcessId::new(0), &dag, Time::ZERO);
+        let delivered =
+            ordering.on_leader(Wave::new(1), ProcessId::new(0), &dag, Time::ZERO, &mut Vec::new());
         assert!(!delivered.is_empty());
         assert_eq!(ordering.decided_wave(), Wave::new(4));
         // All four waves committed (each directly, since the DAG is
         // fully connected), in increasing order in the log.
         let commit_waves: Vec<u64> = ordering.commits().iter().map(|c| c.wave.number()).collect();
         assert_eq!(commit_waves, vec![1, 2, 3, 4]);
-        let log_waves: Vec<u64> =
-            ordering.log().iter().map(|o| o.committed_in_wave.number()).collect();
+        let log_waves: Vec<u64> = delivered.iter().map(|o| o.committed_in_wave.number()).collect();
         assert!(log_waves.windows(2).all(|w| w[0] <= w[1]), "{log_waves:?}");
     }
 
@@ -553,11 +573,12 @@ mod tests {
         // a present leader for wave 2 interpreted *before* its support
         // exists.
         let mut ordering = Ordering::new(&dag);
-        ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO);
-        ordering.on_leader(Wave::new(1), ProcessId::new(3), &dag, Time::ZERO);
+        ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO, &mut Vec::new());
+        ordering.on_leader(Wave::new(1), ProcessId::new(3), &dag, Time::ZERO, &mut Vec::new());
         assert_eq!(ordering.commits()[0].outcome, WaveOutcome::Skipped);
-        ordering.on_wave_complete(Wave::new(2), &dag, Time::ZERO);
-        let d = ordering.on_leader(Wave::new(2), ProcessId::new(1), &dag, Time::ZERO);
+        ordering.on_wave_complete(Wave::new(2), &dag, Time::ZERO, &mut Vec::new());
+        let d =
+            ordering.on_leader(Wave::new(2), ProcessId::new(1), &dag, Time::ZERO, &mut Vec::new());
         // Wave 2 commits directly; wave 1's leader vertex does not exist,
         // so the stack walk correctly skips it (line 41's v' ≠ ⊥ check).
         assert!(!d.is_empty());
@@ -577,11 +598,17 @@ mod tests {
             }
         }
         let mut ordering = Ordering::new(&dag);
-        ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO);
-        ordering.on_wave_complete(Wave::new(2), &dag, Time::ZERO);
-        ordering.on_leader(Wave::new(1), ProcessId::new(0), &dag, Time::ZERO);
-        ordering.on_leader(Wave::new(2), ProcessId::new(2), &dag, Time::ZERO);
-        let log = ordering.log();
+        ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO, &mut Vec::new());
+        ordering.on_wave_complete(Wave::new(2), &dag, Time::ZERO, &mut Vec::new());
+        let mut log =
+            ordering.on_leader(Wave::new(1), ProcessId::new(0), &dag, Time::ZERO, &mut Vec::new());
+        log.extend(ordering.on_leader(
+            Wave::new(2),
+            ProcessId::new(2),
+            &dag,
+            Time::ZERO,
+            &mut Vec::new(),
+        ));
         let unique: BTreeSet<VertexRef> = log.iter().map(|o| o.vertex).collect();
         assert_eq!(unique.len(), log.len(), "duplicate deliveries in {log:?}");
     }
@@ -590,9 +617,11 @@ mod tests {
     fn genesis_is_never_delivered() {
         let dag = wave1_dag();
         let mut ordering = Ordering::new(&dag);
-        ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO);
-        ordering.on_leader(Wave::new(1), ProcessId::new(0), &dag, Time::ZERO);
-        assert!(ordering.log().iter().all(|o| o.vertex.round > Round::GENESIS));
+        ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO, &mut Vec::new());
+        let log =
+            ordering.on_leader(Wave::new(1), ProcessId::new(0), &dag, Time::ZERO, &mut Vec::new());
+        assert!(!log.is_empty());
+        assert!(log.iter().all(|o| o.vertex.round > Round::GENESIS));
     }
 
     #[test]
@@ -600,9 +629,12 @@ mod tests {
         let dag = wave1_dag();
         let run = || {
             let mut ordering = Ordering::new(&dag);
-            ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO);
-            ordering.on_leader(Wave::new(1), ProcessId::new(2), &dag, Time::ZERO);
-            ordering.log().iter().map(|o| o.vertex).collect::<Vec<_>>()
+            ordering.on_wave_complete(Wave::new(1), &dag, Time::ZERO, &mut Vec::new());
+            ordering
+                .on_leader(Wave::new(1), ProcessId::new(2), &dag, Time::ZERO, &mut Vec::new())
+                .iter()
+                .map(|o| o.vertex)
+                .collect::<Vec<_>>()
         };
         assert_eq!(run(), run());
     }

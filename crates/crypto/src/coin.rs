@@ -465,38 +465,44 @@ impl Coin {
     /// Produces (and locally records) this process's share for `instance`.
     pub fn my_share(&mut self, instance: u64, rng: &mut impl Rng) -> CoinShare {
         let share = self.keys.share(instance, rng);
-        // A correct process counts its own share toward the threshold.
-        let _ = self.add_share(share);
+        // A correct process counts its own share toward the threshold; the
+        // proof was just made from this process's own key.
+        let _ = self.add_verified_share(share);
         share
     }
 
-    /// Adds a received share; returns the leader if `instance` just opened
-    /// (or was already open).
+    /// Adds a received share. Returns `true` when the share is new to
+    /// this coin and `false` for a duplicate of its issuer's share; query
+    /// [`Coin::leader`] for the outcome.
     ///
     /// # Errors
     ///
     /// Propagates [`CoinError`] for invalid shares.
-    pub fn add_share(&mut self, share: CoinShare) -> Result<Option<ProcessId>, CoinError> {
-        let public = self.keys.public().clone();
-        self.aggregators
-            .entry(share.instance())
-            .or_insert_with(|| CoinAggregator::new(share.instance(), &public))
-            .add_share(share)
+    pub fn add_share(&mut self, share: CoinShare) -> Result<bool, CoinError> {
+        let aggregator = self.aggregator(share.instance());
+        let known = aggregator.shares.contains_key(&share.issuer());
+        aggregator.add_share(share)?;
+        Ok(!known)
     }
 
     /// Adds a share already verified by the caller (see
-    /// [`CoinAggregator::add_verified_share`]); returns the leader if
-    /// `instance` just opened (or was already open).
+    /// [`CoinAggregator::add_verified_share`]); returns whether it is new,
+    /// like [`Coin::add_share`].
     ///
     /// # Errors
     ///
     /// Propagates [`CoinError`] for mis-routed shares.
-    pub fn add_verified_share(&mut self, share: CoinShare) -> Result<Option<ProcessId>, CoinError> {
-        let public = self.keys.public().clone();
-        self.aggregators
-            .entry(share.instance())
-            .or_insert_with(|| CoinAggregator::new(share.instance(), &public))
-            .add_verified_share(share)
+    pub fn add_verified_share(&mut self, share: CoinShare) -> Result<bool, CoinError> {
+        let aggregator = self.aggregator(share.instance());
+        let known = aggregator.shares.contains_key(&share.issuer());
+        aggregator.add_verified_share(share)?;
+        Ok(!known)
+    }
+
+    /// The aggregator of `instance`, created on first use.
+    fn aggregator(&mut self, instance: u64) -> &mut CoinAggregator {
+        let public = &self.keys.public;
+        self.aggregators.entry(instance).or_insert_with(|| CoinAggregator::new(instance, public))
     }
 
     /// The leader elected by `instance`, if open.
@@ -646,11 +652,15 @@ mod tests {
     fn coin_wrapper_opens_with_own_plus_one_share() {
         let (committee, keys, mut rng) = setup(4, 29);
         let mut coin = Coin::new(keys[0].clone());
-        let _my_share = coin.my_share(5, &mut rng);
+        let my_share = coin.my_share(5, &mut rng);
         assert_eq!(coin.leader(5), None);
-        let leader = coin.add_share(keys[1].share(5, &mut rng)).unwrap().unwrap();
-        assert_eq!(coin.leader(5), Some(leader));
+        assert!(coin.add_share(keys[1].share(5, &mut rng)).unwrap(), "a peer's share is new");
+        let leader = coin.leader(5).unwrap();
         assert!(committee.contains(leader));
+        // Re-adding a share already held is accepted but reported as old.
+        assert!(!coin.add_share(my_share).unwrap());
+        assert!(!coin.add_verified_share(keys[1].share(5, &mut rng)).unwrap());
+        assert_eq!(coin.leader(5), Some(leader));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! before the consensus thread feels it. This module holds the pieces
 //! around that:
 //!
-//! * [`AdmissionStats`] — shared counters the reactor bumps and the
-//!   consensus thread samples into `TraceEvent::ClientAdmission`
-//!   records (cumulative, so the trace auditor can check monotonicity).
+//! * [`AdmissionStats`] — cumulative counters the reactor bumps and
+//!   [`NetNode::admission_stats`](crate::NetNode::admission_stats) reads.
 //! * [`frontend_loop`] — the subscriber matcher thread: it receives
 //!   `(client, seq, tx-hash)` triples from the reactor as submissions
 //!   drain toward the worker lanes, tails the published ordered log,
@@ -48,10 +47,9 @@ const DEAD_SWEEP: usize = 1024;
 /// How often the matcher polls the ordered log when idle.
 const FRONTEND_TICK: Duration = Duration::from_millis(5);
 
-/// Cumulative per-node client admission counters, shared between the
-/// reactor (writer) and the consensus thread (sampler). All four are
-/// monotone over a node's lifetime; the trace auditor checks exactly
-/// that on the sampled `ClientAdmission` records.
+/// Cumulative per-node client admission counters, written by the reactor
+/// and read through [`NetNode::admission_stats`](crate::NetNode::admission_stats).
+/// All four are monotone over a node's lifetime.
 #[derive(Debug, Default)]
 pub struct AdmissionStats {
     accepted: AtomicU64,
@@ -138,6 +136,13 @@ pub(crate) enum FrontendMsg {
 /// The subscriber matcher thread: consumes [`FrontendMsg`]s, tails the
 /// ordered log, and hands `ClientOrdered` notifications back to the
 /// reactor (which owns the client sockets).
+///
+/// Each pass takes the new log tail *first* and only then drains every
+/// queued message. The reactor sends a transaction's `Admitted` before
+/// it hands the transaction to a worker lane, so every transaction in
+/// the tail already has its entry among the drained messages; matching
+/// one message per pass instead would scan past a transaction whose
+/// entry still waited in the channel, and never notify it.
 pub(crate) fn frontend_loop(
     rx: &Receiver<FrontendMsg>,
     published: &Published,
@@ -153,29 +158,12 @@ pub(crate) fn frontend_loop(
         if stop.is_signalled() {
             return;
         }
-        match rx.recv_timeout(FRONTEND_TICK) {
-            Ok(FrontendMsg::Admitted { client, seq, hash }) => {
-                if total_waiting < MAX_WAITING && !dead.contains(&client) {
-                    waiting.entry(hash).or_default().push_back((client, seq));
-                    total_waiting += 1;
-                }
-            }
-            Ok(FrontendMsg::ClientGone { client }) => {
-                dead.insert(client);
-                if dead.len() >= DEAD_SWEEP {
-                    for entries in waiting.values_mut() {
-                        entries.retain(|(c, _)| !dead.contains(c));
-                    }
-                    waiting.retain(|_, entries| !entries.is_empty());
-                    total_waiting = waiting.values().map(VecDeque::len).sum();
-                    dead.clear();
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
+        let first = match rx.recv_timeout(FRONTEND_TICK) {
+            Ok(msg) => Some(msg),
+            Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => return,
-        }
+        };
 
-        // Tail the ordered log from the cursor and resolve matches.
         let fresh = {
             let log = lock_unpoisoned(&published.ordered);
             let fresh: Vec<_> = log
@@ -187,6 +175,27 @@ pub(crate) fn frontend_loop(
             cursor = log.len();
             fresh
         };
+        for msg in first.into_iter().chain(std::iter::from_fn(|| rx.try_recv().ok())) {
+            match msg {
+                FrontendMsg::Admitted { client, seq, hash } => {
+                    if total_waiting < MAX_WAITING && !dead.contains(&client) {
+                        waiting.entry(hash).or_default().push_back((client, seq));
+                        total_waiting += 1;
+                    }
+                }
+                FrontendMsg::ClientGone { client } => {
+                    dead.insert(client);
+                    if dead.len() >= DEAD_SWEEP {
+                        for entries in waiting.values_mut() {
+                            entries.retain(|(c, _)| !dead.contains(c));
+                        }
+                        waiting.retain(|_, entries| !entries.is_empty());
+                        total_waiting = waiting.values().map(VecDeque::len).sum();
+                        dead.clear();
+                    }
+                }
+            }
+        }
         let mut notified = false;
         for tx in &fresh {
             let hash = tx_hash(tx.as_ref());
@@ -240,5 +249,41 @@ mod tests {
         assert_eq!(snap.coalesced, 1);
         assert_eq!(snap.shed, 2);
         assert_eq!(snap.queue_high_water, 7, "high water keeps the max, not the last depth");
+    }
+
+    #[test]
+    fn admissions_queued_behind_an_ordered_tail_are_all_notified() {
+        use dagrider_core::OrderedVertex;
+        use dagrider_types::{Block, ProcessId, Round, SeqNum, Time, Transaction, VertexRef, Wave};
+
+        use crate::sync::mpsc;
+
+        // Both transactions are already in the published log while both
+        // `Admitted` entries still wait in the channel.
+        let txs = vec![Transaction::synthetic(1, 16), Transaction::synthetic(2, 16)];
+        let published = Published::default();
+        lock_unpoisoned(&published.ordered).push(OrderedVertex {
+            vertex: VertexRef::new(Round::new(1), ProcessId::new(0)),
+            block: Block::new(ProcessId::new(0), SeqNum::new(1), txs.clone()),
+            committed_in_wave: Wave::new(1),
+            delivered_at: Time::ZERO,
+        });
+        let (admitted, rx) = mpsc::channel();
+        for (seq, tx) in (0u64..).zip(&txs) {
+            let hash = tx_hash(tx.as_ref());
+            assert!(admitted.send(FrontendMsg::Admitted { client: 7, seq, hash }).is_ok());
+        }
+        // The loop returns once the channel is drained and disconnected.
+        drop(admitted);
+        let (reactor, commands) = mpsc::channel();
+        frontend_loop(&rx, &published, &reactor, &Waker::new(), &Shutdown::new());
+
+        let mut notified = Vec::new();
+        while let Ok(ReactorCmd::ClientSend { client, msg }) = commands.try_recv() {
+            assert_eq!(client, 7);
+            assert_eq!(msg, WireMsg::ClientOrdered { seq: notified.len() as u64 });
+            notified.push(client);
+        }
+        assert_eq!(notified.len(), 2, "every ordered transaction is notified");
     }
 }

@@ -4,10 +4,10 @@
 //! steady-state thread count is O(1) + O(workers) — independent of both
 //! peer count and client count:
 //!
-//! * **consensus** — owns the sans-I/O [`DagRiderEngine`] (constructed
-//!   inside the thread: the engine holds a non-`Send` tracer slot) and is
-//!   the only thread that touches protocol state. It drains one event
-//!   channel fed by everything else.
+//! * **consensus** — owns the sans-I/O [`DagRiderEngine`] and is the only
+//!   thread that touches protocol state. It drains one event channel fed
+//!   by everything else, and forwards the durable subset of each engine
+//!   turn's events to the flusher before routing the turn's outputs.
 //! * **reactor** — owns *every* socket: the listener, all inbound peer
 //!   and worker connections, all outbound links, and all client
 //!   sessions, swept in non-blocking readiness loops (see
@@ -44,13 +44,12 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dagrider_core::{
-    DagRiderEngine, DurableEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage,
-    OrderedVertex, VerifiedInput,
+    DagRiderEngine, DurableEvent, EngineEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage,
+    OrderedVertex, Turn, VerifiedInput,
 };
 use dagrider_crypto::CoinKeys;
 use dagrider_rbc::ReliableBroadcast;
 use dagrider_store::{replay_into, DurableStore, FsyncPolicy, Recovered, StoreSnapshot};
-use dagrider_trace::TraceEvent;
 use dagrider_types::{
     Batch, BatchDigest, Block, Committee, Encode, ProcessId, Round, Time, Transaction, Wave,
 };
@@ -534,7 +533,6 @@ impl NetNode {
             let consensus_stop = Arc::clone(&stop);
             let consensus_store = Arc::clone(&store);
             let consensus_waker = Arc::clone(&waker);
-            let consensus_admission = Arc::clone(&admission);
             threads.push(thread::spawn(move || {
                 consensus_loop::<B>(
                     config,
@@ -545,7 +543,6 @@ impl NetNode {
                     &consensus_store,
                     durable,
                     &consensus_waker,
-                    &consensus_admission,
                 );
             }));
         }
@@ -737,7 +734,6 @@ fn consensus_loop<B: ReliableBroadcast>(
     store: &BatchStore,
     durable: Option<DurableCtx>,
     waker: &Waker,
-    admission: &AdmissionStats,
 ) {
     let committee = config.committee;
     let me = config.me;
@@ -746,7 +742,6 @@ fn consensus_loop<B: ReliableBroadcast>(
     let mut rng: rand::rngs::StdRng = rand::SeedableRng::seed_from_u64(config.seed);
     let epoch = Instant::now();
     let mut durable = durable;
-    let durable_enabled = durable.is_some();
     let mut recovered_state = durable.as_mut().and_then(|ctx| ctx.recovered.take());
 
     // Pending engine timers as (fire-at, tag), unordered (few and coarse).
@@ -787,18 +782,17 @@ fn consensus_loop<B: ReliableBroadcast>(
         }
     };
 
-    // Every engine call goes through `emit`: first group-persist what
-    // the call recorded (a channel send to the flusher — the fsync
+    // Every engine turn goes through `emit`: first group-persist the
+    // turn's durable events (a channel send to the flusher — the fsync
     // happens off-thread), *then* route the outputs to the wire, so a
-    // WAL append always precedes the network effects it justifies.
-    // Snapshot cadence counts persisted vertex events; the capture is a
-    // cheap clone on this thread, the tmp-write/fsync/rename/truncate
-    // sequence runs on the flusher.
-    let mut emit = |engine: &mut DagRiderEngine<B>,
-                    outs: Vec<EngineOutput>,
-                    timers: &mut Vec<(Instant, u64)>| {
+    // WAL append always precedes the network effects it justifies. The
+    // rest of the stream is dropped. Snapshot cadence counts persisted
+    // vertex events; the capture is a cheap clone on this thread, the
+    // tmp-write/fsync/rename/truncate sequence runs on the flusher.
+    let mut emit = |engine: &DagRiderEngine<B>, turn: Turn, timers: &mut Vec<(Instant, u64)>| {
         if let Some(ctx) = durable.as_mut() {
-            let events = engine.drain_durable_events();
+            let events: Vec<DurableEvent> =
+                turn.events.into_iter().filter_map(EngineEvent::into_durable).collect();
             if !events.is_empty() {
                 let vertices =
                     events.iter().filter(|e| matches!(e, DurableEvent::Vertex(_))).count() as u64;
@@ -812,16 +806,17 @@ fn consensus_loop<B: ReliableBroadcast>(
                 }
             }
         }
-        route(outs, timers);
+        route(turn.outputs, timers);
     };
 
     // Replay the local store into the fresh engine before anything
     // touches the network. The recovered prefix re-derives silently —
-    // `Send`/`Broadcast` are dropped (peers saw the original traffic
-    // long ago) and `Ordered` re-deliveries surface through the
-    // engine's log in the publish step like any other progress — then
-    // recording turns on so only *new* events reach the WAL. The sync
-    // phase below then fetches just the suffix missed while down.
+    // its events are already in the store, `Send`/`Broadcast` are
+    // dropped (peers saw the original traffic long ago), and `Ordered`
+    // re-deliveries surface through the engine's log in the publish step
+    // like any other progress. The DAG and the coin now hold the prefix,
+    // so only *new* events reach the WAL. The sync phase below then
+    // fetches just the suffix missed while down.
     if let Some(rec) = recovered_state.take() {
         let mut replay_outs = Vec::new();
         let stats = replay_into(
@@ -837,11 +832,8 @@ fn consensus_loop<B: ReliableBroadcast>(
                 other => replay_outs.push(other),
             },
         );
-        emit(&mut engine, replay_outs, &mut timers);
+        route(replay_outs, &mut timers);
         published.recovered.store(stats.total() as u64, AtomicOrdering::Relaxed);
-    }
-    if durable_enabled {
-        engine.set_durable_recording(true);
     }
 
     // Sync phase: ask every peer for its retained DAG as links come up;
@@ -870,10 +862,6 @@ fn consensus_loop<B: ReliableBroadcast>(
     let ack_quorum = committee.quorum().saturating_sub(1);
     let mut acks: Vec<PendingAck> = Vec::new();
 
-    // Last client-admission sample, so the trace records one event per
-    // *change* rather than one per tick.
-    let mut last_admission = AdmissionSnapshot::default();
-
     loop {
         let event = rx.recv_timeout(config.tick);
         if stop.is_signalled() {
@@ -883,8 +871,8 @@ fn consensus_loop<B: ReliableBroadcast>(
             Ok(Event::Net { from, msg }) => match msg {
                 WireMsg::Engine(payload) => {
                     let input = EngineInput::Message { from, payload };
-                    let outs = engine.handle(engine_now(epoch), input, &mut rng);
-                    emit(&mut engine, outs, &mut timers);
+                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                    emit(&engine, turn, &mut timers);
                 }
                 WireMsg::SyncRequest => {
                     serve_sync(&mut engine, &mut rng, &queues[from.as_usize()], &frames);
@@ -892,8 +880,8 @@ fn consensus_loop<B: ReliableBroadcast>(
                 WireMsg::SyncVertex(vertex) => {
                     sync_received[from.as_usize()] += 1;
                     let input = EngineInput::SyncVertex(vertex);
-                    let outs = engine.handle(engine_now(epoch), input, &mut rng);
-                    emit(&mut engine, outs, &mut timers);
+                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                    emit(&engine, turn, &mut timers);
                 }
                 WireMsg::SyncEnd { served } => {
                     if sync_received[from.as_usize()] >= served {
@@ -920,18 +908,16 @@ fn consensus_loop<B: ReliableBroadcast>(
                     // engine resolve whatever deliveries wait on it.
                     let (digest, _) = store.insert(batch.clone());
                     let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
-                    let outs = engine.handle(engine_now(epoch), input, &mut rng);
-                    emit(&mut engine, outs, &mut timers);
+                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                    emit(&engine, turn, &mut timers);
                 }
                 WireMsg::BatchAck { digest } => {
-                    engine.tracer().set_now(engine_now(epoch));
-                    engine.tracer().record(TraceEvent::BatchAcked { digest, by: from });
                     if let Some(at) = acks.iter().position(|p| p.digest == digest) {
                         if acks[at].record(from) >= ack_quorum {
                             let released = acks.swap_remove(at).digest;
                             let input = EngineInput::SubmitDigests(vec![released]);
-                            let outs = engine.handle(engine_now(epoch), input, &mut rng);
-                            emit(&mut engine, outs, &mut timers);
+                            let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                            emit(&engine, turn, &mut timers);
                         }
                     }
                 }
@@ -949,33 +935,26 @@ fn consensus_loop<B: ReliableBroadcast>(
             },
             Ok(Event::Verified(verified)) => {
                 let input = EngineInput::PreVerified(verified);
-                let outs = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&mut engine, outs, &mut timers);
+                let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                emit(&engine, turn, &mut timers);
             }
             Ok(Event::Submit(block)) => {
-                let outs =
+                let turn =
                     engine.handle(engine_now(epoch), EngineInput::SubmitBlock(block), &mut rng);
-                emit(&mut engine, outs, &mut timers);
+                emit(&engine, turn, &mut timers);
             }
             Ok(Event::OwnBatch { digest, batch }) => {
-                // A local worker sealed and disseminated this batch.
-                // Trace its lifecycle, make it resolvable locally, and
-                // hold the digest until enough peers acknowledge.
-                let tracer = engine.tracer();
-                tracer.set_now(engine_now(epoch));
-                tracer.record(TraceEvent::BatchCreated {
-                    digest,
-                    bytes: batch.payload_bytes() as u64,
-                });
-                tracer.record(TraceEvent::BatchDisseminated { digest });
+                // A local worker sealed and disseminated this batch. Make
+                // it resolvable locally, and hold the digest until enough
+                // peers acknowledge.
                 acks.push(PendingAck {
                     digest,
                     acked: Vec::new(),
                     deadline: Instant::now() + config.ack_timeout,
                 });
                 let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
-                let outs = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&mut engine, outs, &mut timers);
+                let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                emit(&engine, turn, &mut timers);
             }
             Ok(Event::PeerBatch { from, digest, batch }) => {
                 // A peer's worker pushed this batch to us; acknowledge on
@@ -984,8 +963,8 @@ fn consensus_loop<B: ReliableBroadcast>(
                 // the batch, so hand the engine the pre-verified route.
                 queues[from.as_usize()].push(frames.encode(&WireMsg::BatchAck { digest }));
                 let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
-                let outs = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&mut engine, outs, &mut timers);
+                let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                emit(&engine, turn, &mut timers);
             }
             Ok(Event::LinkUp(peer)) => {
                 if !live {
@@ -1003,8 +982,8 @@ fn consensus_loop<B: ReliableBroadcast>(
         while i < timers.len() {
             if timers[i].0 <= now_instant {
                 let (_, tag) = timers.swap_remove(i);
-                let outs = engine.handle(engine_now(epoch), EngineInput::Timer { tag }, &mut rng);
-                emit(&mut engine, outs, &mut timers);
+                let turn = engine.handle(engine_now(epoch), EngineInput::Timer { tag }, &mut rng);
+                emit(&engine, turn, &mut timers);
             } else {
                 i += 1;
             }
@@ -1018,8 +997,8 @@ fn consensus_loop<B: ReliableBroadcast>(
             if acks[i].deadline <= now_instant {
                 let released = acks.swap_remove(i).digest;
                 let input = EngineInput::SubmitDigests(vec![released]);
-                let outs = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&mut engine, outs, &mut timers);
+                let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                emit(&engine, turn, &mut timers);
             } else {
                 i += 1;
             }
@@ -1033,25 +1012,9 @@ fn consensus_loop<B: ReliableBroadcast>(
             live = true;
             published.synced.store(true, AtomicOrdering::Relaxed);
             if engine.current_round() == Round::GENESIS && !engine.is_started() {
-                let outs = engine.start(engine_now(epoch), &mut rng);
-                emit(&mut engine, outs, &mut timers);
+                let turn = engine.start(engine_now(epoch), &mut rng);
+                emit(&engine, turn, &mut timers);
             }
-        }
-
-        // Sample the reactor's admission counters into the trace when
-        // they moved (cumulative values, so the auditor can check
-        // monotonicity per process).
-        let snap = admission.snapshot();
-        if snap != last_admission {
-            last_admission = snap;
-            let tracer = engine.tracer();
-            tracer.set_now(engine_now(epoch));
-            tracer.record(TraceEvent::ClientAdmission {
-                accepted: snap.accepted,
-                coalesced: snap.coalesced,
-                shed: snap.shed,
-                queue_high_water: snap.queue_high_water,
-            });
         }
 
         // Publish progress for cross-thread queries.

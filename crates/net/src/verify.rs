@@ -179,7 +179,7 @@ enum Item {
         slot: usize,
     },
     /// Undecodable bytes are forwarded on the *unverified* path so the
-    /// engine's `decode_failures` diagnostics still see them.
+    /// engine still reports them (`EngineEvent::Rejected`).
     Undecodable {
         from: ProcessId,
         payload: Vec<u8>,

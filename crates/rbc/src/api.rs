@@ -1,8 +1,8 @@
 //! The reliable broadcast abstraction (§2 of the paper).
 
 use dagrider_crypto::{sha256, Digest};
-use dagrider_trace::SharedTracer;
-use dagrider_types::{Committee, Decode, Encode, ProcessId, Round};
+use dagrider_trace::{RbcPhase, RbcPrimitive};
+use dagrider_types::{Committee, Decode, Encode, ProcessId, Round, VertexRef};
 use rand::rngs::StdRng;
 
 /// A reliable-broadcast delivery: the paper's `r_deliver_i(m, r, p_k)`.
@@ -25,6 +25,10 @@ pub enum RbcAction<M> {
     Send(ProcessId, M),
     /// Output `r_deliver` to the layer above.
     Deliver(RbcDelivery),
+    /// The instance carrying this vertex slot reached a phase at this
+    /// process. Nothing to route: drivers that trace report it as a
+    /// `TraceEvent::RbcPhase` of [`ReliableBroadcast::PRIMITIVE`].
+    Phase(VertexRef, RbcPhase),
 }
 
 impl<M> RbcAction<M> {
@@ -32,7 +36,7 @@ impl<M> RbcAction<M> {
     pub fn as_delivery(&self) -> Option<&RbcDelivery> {
         match self {
             RbcAction::Deliver(d) => Some(d),
-            RbcAction::Send(..) => None,
+            RbcAction::Send(..) | RbcAction::Phase(..) => None,
         }
     }
 }
@@ -54,6 +58,9 @@ impl<M> RbcAction<M> {
 pub trait ReliableBroadcast {
     /// The wire message type of this instantiation.
     type Message: Encode + Decode + Clone + std::fmt::Debug;
+
+    /// Which primitive this is, for the phases it reports.
+    const PRIMITIVE: RbcPrimitive;
 
     /// Creates the endpoint for process `me`. `seed` feeds any local
     /// randomness (only the probabilistic instantiation uses it).
@@ -135,12 +142,5 @@ pub trait ReliableBroadcast {
     /// default implementation keeps everything.
     fn prune(&mut self, before: Round) {
         let _ = before;
-    }
-
-    /// Attaches a tracer so the endpoint records per-instance phase events
-    /// ([`dagrider_trace::TraceEvent::RbcPhase`]). The default
-    /// implementation discards it (no tracing).
-    fn set_tracer(&mut self, tracer: SharedTracer) {
-        let _ = tracer;
     }
 }

@@ -18,7 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dagrider_crypto::{Digest, MerkleProof, MerkleTree, ReedSolomon, Shard};
-use dagrider_trace::{RbcPhase, RbcPrimitive, SharedTracer, TraceEvent};
+use dagrider_trace::{RbcPhase, RbcPrimitive};
 use dagrider_types::{Committee, Decode, DecodeError, Encode, ProcessId, Round, VertexRef};
 use rand::rngs::StdRng;
 
@@ -146,12 +146,12 @@ pub struct AvidRbc {
     me: ProcessId,
     rs: ReedSolomon,
     instances: BTreeMap<(ProcessId, Round), Instance>,
-    tracer: SharedTracer,
 }
 
 enum Step {
     SendAll(AvidMessage),
     Deliver(RbcDelivery),
+    Phase(RbcPhase),
 }
 
 impl AvidRbc {
@@ -164,6 +164,7 @@ impl AvidRbc {
         let mut actions = Vec::new();
         let mut work = VecDeque::from([(from, message)]);
         while let Some((sender, msg)) = work.pop_front() {
+            let instance = VertexRef::new(msg.round, msg.source);
             for out in self.handle(sender, msg) {
                 match out {
                     Step::SendAll(m) => {
@@ -173,6 +174,7 @@ impl AvidRbc {
                         }
                     }
                     Step::Deliver(d) => actions.push(RbcAction::Deliver(d)),
+                    Step::Phase(phase) => actions.push(RbcAction::Phase(instance, phase)),
                 }
             }
         }
@@ -197,16 +199,14 @@ impl AvidRbc {
                     return Vec::new();
                 }
                 instance.echoed = true;
-                self.tracer.record(TraceEvent::RbcPhase {
-                    instance: VertexRef::new(msg.round, msg.source),
-                    primitive: RbcPrimitive::Avid,
-                    phase: RbcPhase::Witness,
-                });
-                vec![Step::SendAll(AvidMessage {
-                    source: msg.source,
-                    round: msg.round,
-                    kind: AvidKind::Echo { root, shard, proof },
-                })]
+                vec![
+                    Step::Phase(RbcPhase::Witness),
+                    Step::SendAll(AvidMessage {
+                        source: msg.source,
+                        round: msg.round,
+                        kind: AvidKind::Echo { root, shard, proof },
+                    }),
+                ]
             }
             AvidKind::Echo { root, shard, proof } => {
                 // Each process may echo exactly its own fragment.
@@ -291,11 +291,7 @@ impl AvidRbc {
             };
             if let Some(root) = root {
                 instance.readied = true;
-                self.tracer.record(TraceEvent::RbcPhase {
-                    instance: VertexRef::new(round, source),
-                    primitive: RbcPrimitive::Avid,
-                    phase: RbcPhase::Commit,
-                });
+                steps.push(Step::Phase(RbcPhase::Commit));
                 steps.push(Step::SendAll(AvidMessage {
                     source,
                     round,
@@ -309,11 +305,7 @@ impl AvidRbc {
             if let Some((root, payload)) = &instance.payload {
                 if instance.readies.get(root).map_or(0, BTreeSet::len) >= quorum {
                     instance.delivered = true;
-                    self.tracer.record(TraceEvent::RbcPhase {
-                        instance: VertexRef::new(round, source),
-                        primitive: RbcPrimitive::Avid,
-                        phase: RbcPhase::Deliver,
-                    });
+                    steps.push(Step::Phase(RbcPhase::Deliver));
                     steps.push(Step::Deliver(RbcDelivery {
                         source,
                         round,
@@ -336,6 +328,7 @@ impl AvidRbc {
 
 impl ReliableBroadcast for AvidRbc {
     type Message = AvidMessage;
+    const PRIMITIVE: RbcPrimitive = RbcPrimitive::Avid;
 
     fn new(committee: Committee, me: ProcessId, _seed: u64) -> Self {
         Self {
@@ -343,7 +336,6 @@ impl ReliableBroadcast for AvidRbc {
             me,
             rs: ReedSolomon::for_committee(&committee),
             instances: BTreeMap::new(),
-            tracer: SharedTracer::disabled(),
         }
     }
 
@@ -361,16 +353,11 @@ impl ReliableBroadcast for AvidRbc {
         round: Round,
         _rng: &mut StdRng,
     ) -> Vec<RbcAction<AvidMessage>> {
-        self.tracer.record(TraceEvent::RbcPhase {
-            instance: VertexRef::new(round, self.me),
-            primitive: RbcPrimitive::Avid,
-            phase: RbcPhase::Init,
-        });
         let shards = self.rs.encode(&payload);
         let leaves: Vec<&[u8]> = shards.iter().map(|s| s.data.as_slice()).collect();
         let tree = MerkleTree::build(&leaves).expect("committee has at least one member");
         let root = tree.root();
-        let mut actions = Vec::new();
+        let mut actions = vec![RbcAction::Phase(VertexRef::new(round, self.me), RbcPhase::Init)];
         let mut own = None;
         for (member, shard) in self.committee.members().zip(shards) {
             let proof = tree.prove(shard.index as usize).expect("index in range");
@@ -406,10 +393,6 @@ impl ReliableBroadcast for AvidRbc {
     fn name() -> &'static str {
         "avid"
     }
-
-    fn set_tracer(&mut self, tracer: SharedTracer) {
-        self.tracer = tracer;
-    }
 }
 
 #[cfg(test)]
@@ -439,6 +422,7 @@ mod tests {
                     }
                 }
                 RbcAction::Deliver(d) => delivered[actor.as_usize()].push(d),
+                RbcAction::Phase(..) => {}
             }
         }
         delivered
@@ -575,6 +559,7 @@ mod tests {
                     }
                 }
                 RbcAction::Deliver(_) => delivered += 1,
+                RbcAction::Phase(..) => {}
             }
         }
         assert_eq!(delivered, 0, "inconsistent dispersal must never deliver");

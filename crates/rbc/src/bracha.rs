@@ -17,7 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dagrider_crypto::{sha256, Digest};
-use dagrider_trace::{RbcPhase, RbcPrimitive, SharedTracer, TraceEvent};
+use dagrider_trace::{RbcPhase, RbcPrimitive};
 use dagrider_types::{Committee, Decode, DecodeError, Encode, ProcessId, Round, VertexRef};
 use rand::rngs::StdRng;
 
@@ -111,7 +111,6 @@ pub struct BrachaRbc {
     committee: Committee,
     me: ProcessId,
     instances: BTreeMap<(ProcessId, Round), Instance>,
-    tracer: SharedTracer,
 }
 
 impl BrachaRbc {
@@ -134,6 +133,7 @@ impl BrachaRbc {
         let mut actions = Vec::new();
         let mut work = VecDeque::from([(from, message, digest)]);
         while let Some((sender, msg, digest)) = work.pop_front() {
+            let instance = VertexRef::new(msg.round, msg.source);
             for out in self.handle(sender, msg, digest) {
                 match out {
                     Step::SendAll(m, d) => {
@@ -144,6 +144,7 @@ impl BrachaRbc {
                         }
                     }
                     Step::Deliver(d) => actions.push(RbcAction::Deliver(d)),
+                    Step::Phase(phase) => actions.push(RbcAction::Phase(instance, phase)),
                 }
             }
         }
@@ -160,7 +161,6 @@ impl BrachaRbc {
         let quorum = self.committee.quorum();
         let small_quorum = self.committee.small_quorum();
         let key = (msg.source, msg.round);
-        let slot = VertexRef::new(msg.round, msg.source);
         let instance = self.instances.entry(key).or_default();
         let mut steps = Vec::new();
         match msg.kind {
@@ -169,11 +169,7 @@ impl BrachaRbc {
                 // inherits whatever hint the caller supplied.
                 if !instance.echoed {
                     instance.echoed = true;
-                    self.tracer.record(TraceEvent::RbcPhase {
-                        instance: slot,
-                        primitive: RbcPrimitive::Bracha,
-                        phase: RbcPhase::Witness,
-                    });
+                    steps.push(Step::Phase(RbcPhase::Witness));
                     steps.push(Step::SendAll(
                         BrachaMessage {
                             source: msg.source,
@@ -190,11 +186,7 @@ impl BrachaRbc {
                 instance.echoes.entry(digest).or_default().insert(from);
                 if instance.echoes[&digest].len() >= quorum && !instance.readied {
                     instance.readied = true;
-                    self.tracer.record(TraceEvent::RbcPhase {
-                        instance: slot,
-                        primitive: RbcPrimitive::Bracha,
-                        phase: RbcPhase::Commit,
-                    });
+                    steps.push(Step::Phase(RbcPhase::Commit));
                     let payload = instance.payloads[&digest].clone();
                     steps.push(Step::SendAll(
                         BrachaMessage {
@@ -213,11 +205,7 @@ impl BrachaRbc {
                 let count = instance.readies[&digest].len();
                 if count >= small_quorum && !instance.readied {
                     instance.readied = true;
-                    self.tracer.record(TraceEvent::RbcPhase {
-                        instance: slot,
-                        primitive: RbcPrimitive::Bracha,
-                        phase: RbcPhase::Commit,
-                    });
+                    steps.push(Step::Phase(RbcPhase::Commit));
                     let payload = instance.payloads[&digest].clone();
                     steps.push(Step::SendAll(
                         BrachaMessage {
@@ -230,11 +218,7 @@ impl BrachaRbc {
                 }
                 if count >= quorum && !instance.delivered {
                     instance.delivered = true;
-                    self.tracer.record(TraceEvent::RbcPhase {
-                        instance: slot,
-                        primitive: RbcPrimitive::Bracha,
-                        phase: RbcPhase::Deliver,
-                    });
+                    steps.push(Step::Phase(RbcPhase::Deliver));
                     steps.push(Step::Deliver(RbcDelivery {
                         source: msg.source,
                         round: msg.round,
@@ -261,13 +245,15 @@ fn resolve_digest(known: &BTreeMap<Digest, Vec<u8>>, payload: &[u8]) -> Digest {
 enum Step {
     SendAll(BrachaMessage, Option<Digest>),
     Deliver(RbcDelivery),
+    Phase(RbcPhase),
 }
 
 impl ReliableBroadcast for BrachaRbc {
     type Message = BrachaMessage;
+    const PRIMITIVE: RbcPrimitive = RbcPrimitive::Bracha;
 
     fn new(committee: Committee, me: ProcessId, _seed: u64) -> Self {
-        Self { committee, me, instances: BTreeMap::new(), tracer: SharedTracer::disabled() }
+        Self { committee, me, instances: BTreeMap::new() }
     }
 
     fn committee(&self) -> Committee {
@@ -284,14 +270,9 @@ impl ReliableBroadcast for BrachaRbc {
         round: Round,
         _rng: &mut StdRng,
     ) -> Vec<RbcAction<BrachaMessage>> {
-        self.tracer.record(TraceEvent::RbcPhase {
-            instance: VertexRef::new(round, self.me),
-            primitive: RbcPrimitive::Bracha,
-            phase: RbcPhase::Init,
-        });
         let init = BrachaMessage { source: self.me, round, kind: BrachaKind::Init(payload) };
-        let mut actions: Vec<RbcAction<BrachaMessage>> =
-            self.committee.others(self.me).map(|to| RbcAction::Send(to, init.clone())).collect();
+        let mut actions = vec![RbcAction::Phase(VertexRef::new(round, self.me), RbcPhase::Init)];
+        actions.extend(self.committee.others(self.me).map(|to| RbcAction::Send(to, init.clone())));
         actions.extend(self.process(self.me, init, None));
         actions
     }
@@ -326,10 +307,6 @@ impl ReliableBroadcast for BrachaRbc {
     fn name() -> &'static str {
         "bracha"
     }
-
-    fn set_tracer(&mut self, tracer: SharedTracer) {
-        self.tracer = tracer;
-    }
 }
 
 #[cfg(test)]
@@ -361,6 +338,7 @@ mod tests {
                     }
                 }
                 RbcAction::Deliver(d) => delivered[actor.as_usize()].push(d),
+                RbcAction::Phase(..) => {}
             }
         }
         delivered

@@ -13,7 +13,8 @@
 //!
 //! All three are **sans-io state machines** implementing
 //! [`ReliableBroadcast`]: they consume decoded messages and emit
-//! [`RbcAction`]s (sends and deliveries). [`RbcProcess`] adapts any of them
+//! [`RbcAction`]s (sends, deliveries, and the phases each instance
+//! reaches). [`RbcProcess`] adapts any of them
 //! to a `dagrider-simnet` [`Actor`](dagrider_simnet::Actor) for standalone
 //! operation, and `dagrider-core` embeds them beneath the DAG layer.
 //!

@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dagrider_crypto::{sha256, Digest};
-use dagrider_trace::{RbcPhase, RbcPrimitive, SharedTracer, TraceEvent};
+use dagrider_trace::{RbcPhase, RbcPrimitive};
 use dagrider_types::{Committee, Decode, DecodeError, Encode, ProcessId, Round, VertexRef};
 use rand::rngs::StdRng;
 use rand::RngExt;
@@ -177,27 +177,20 @@ pub struct ProbabilisticRbc {
     config: ProbConfig,
     sample_size: usize,
     instances: BTreeMap<(ProcessId, Round), Instance>,
-    tracer: SharedTracer,
 }
 
 enum Step {
     Send(ProcessId, ProbMessage),
     SendSample(ProbMessage),
     Deliver(RbcDelivery),
+    Phase(RbcPhase),
 }
 
 impl ProbabilisticRbc {
     /// Creates an endpoint with custom thresholds.
     pub fn with_config(committee: Committee, me: ProcessId, config: ProbConfig) -> Self {
         let sample_size = config.sample_size(committee.n());
-        Self {
-            committee,
-            me,
-            config,
-            sample_size,
-            instances: BTreeMap::new(),
-            tracer: SharedTracer::disabled(),
-        }
+        Self { committee, me, config, sample_size, instances: BTreeMap::new() }
     }
 
     /// The sample size `s` in use.
@@ -270,6 +263,7 @@ impl ProbabilisticRbc {
         let mut actions = Vec::new();
         let mut work = VecDeque::from([(from, message)]);
         while let Some((sender, msg)) = work.pop_front() {
+            let instance = VertexRef::new(msg.round, msg.source);
             let mut steps = Vec::new();
             self.ensure_instance((msg.source, msg.round), rng, &mut steps);
             steps.extend(self.handle(sender, msg));
@@ -284,6 +278,7 @@ impl ProbabilisticRbc {
                         }
                     }
                     Step::Deliver(d) => actions.push(RbcAction::Deliver(d)),
+                    Step::Phase(phase) => actions.push(RbcAction::Phase(instance, phase)),
                 }
             }
         }
@@ -315,11 +310,7 @@ impl ProbabilisticRbc {
                     }
                     if instance.echoed.is_none() {
                         instance.echoed = Some(digest);
-                        self.tracer.record(TraceEvent::RbcPhase {
-                            instance: VertexRef::new(round, source),
-                            primitive: RbcPrimitive::Probabilistic,
-                            phase: RbcPhase::Witness,
-                        });
+                        steps.push(Step::Phase(RbcPhase::Witness));
                         let echo = ProbMessage { source, round, kind: ProbKind::Echo(digest) };
                         for &sub in &instance.echo_subscribers {
                             steps.push(Step::Send(sub, echo.clone()));
@@ -353,15 +344,7 @@ impl ProbabilisticRbc {
                 if instance.echo_sample.contains(&from) {
                     instance.echoes.entry(digest).or_default().insert(from);
                     if instance.echoes[&digest].len() >= echo_threshold {
-                        let was_ready = instance.readied.is_some();
                         Self::turn_ready(instance, source, round, digest, &mut steps);
-                        if !was_ready && instance.readied.is_some() {
-                            self.tracer.record(TraceEvent::RbcPhase {
-                                instance: VertexRef::new(round, source),
-                                primitive: RbcPrimitive::Probabilistic,
-                                phase: RbcPhase::Commit,
-                            });
-                        }
                     }
                 }
             }
@@ -375,15 +358,7 @@ impl ProbabilisticRbc {
                     let ready_count =
                         instance.ready_sample.iter().filter(|p| got.contains(p)).count();
                     if ready_count >= ready_threshold {
-                        let was_ready = instance.readied.is_some();
                         Self::turn_ready(instance, source, round, digest, &mut steps);
-                        if !was_ready && instance.readied.is_some() {
-                            self.tracer.record(TraceEvent::RbcPhase {
-                                instance: VertexRef::new(round, source),
-                                primitive: RbcPrimitive::Probabilistic,
-                                phase: RbcPhase::Commit,
-                            });
-                        }
                     }
                 }
             }
@@ -398,11 +373,7 @@ impl ProbabilisticRbc {
                         instance.delivery_sample.iter().filter(|p| got.contains(p)).count();
                     if delivery_count >= deliver_threshold {
                         instance.delivered = true;
-                        self.tracer.record(TraceEvent::RbcPhase {
-                            instance: VertexRef::new(round, source),
-                            primitive: RbcPrimitive::Probabilistic,
-                            phase: RbcPhase::Deliver,
-                        });
+                        steps.push(Step::Phase(RbcPhase::Deliver));
                         steps.push(Step::Deliver(RbcDelivery {
                             source,
                             round,
@@ -427,6 +398,7 @@ impl ProbabilisticRbc {
             return;
         }
         instance.readied = Some(digest);
+        steps.push(Step::Phase(RbcPhase::Commit));
         let ready = ProbMessage { source, round, kind: ProbKind::Ready(digest) };
         for &sub in &instance.ready_subscribers {
             steps.push(Step::Send(sub, ready.clone()));
@@ -436,6 +408,7 @@ impl ProbabilisticRbc {
 
 impl ReliableBroadcast for ProbabilisticRbc {
     type Message = ProbMessage;
+    const PRIMITIVE: RbcPrimitive = RbcPrimitive::Probabilistic;
 
     fn new(committee: Committee, me: ProcessId, _seed: u64) -> Self {
         Self::with_config(committee, me, ProbConfig::default())
@@ -455,13 +428,10 @@ impl ReliableBroadcast for ProbabilisticRbc {
         round: Round,
         rng: &mut StdRng,
     ) -> Vec<RbcAction<ProbMessage>> {
-        self.tracer.record(TraceEvent::RbcPhase {
-            instance: VertexRef::new(round, self.me),
-            primitive: RbcPrimitive::Probabilistic,
-            phase: RbcPhase::Init,
-        });
         let gossip = ProbMessage { source: self.me, round, kind: ProbKind::Gossip(payload) };
-        self.process(self.me, gossip, rng)
+        let mut actions = vec![RbcAction::Phase(VertexRef::new(round, self.me), RbcPhase::Init)];
+        actions.extend(self.process(self.me, gossip, rng));
+        actions
     }
 
     fn on_message(
@@ -479,10 +449,6 @@ impl ReliableBroadcast for ProbabilisticRbc {
 
     fn name() -> &'static str {
         "probabilistic"
-    }
-
-    fn set_tracer(&mut self, tracer: SharedTracer) {
-        self.tracer = tracer;
     }
 }
 
@@ -514,6 +480,7 @@ mod tests {
                     }
                 }
                 RbcAction::Deliver(d) => delivered[actor.as_usize()].push(d),
+                RbcAction::Phase(..) => {}
             }
         }
         delivered
@@ -640,7 +607,7 @@ mod tests {
                         queue.push_back((to, a));
                     }
                 }
-                RbcAction::Deliver(_) => {}
+                RbcAction::Deliver(_) | RbcAction::Phase(..) => {}
             }
         }
         let s = eps[0].sample_size();

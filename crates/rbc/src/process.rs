@@ -2,7 +2,7 @@
 
 use bytes::Bytes;
 use dagrider_simnet::{Actor, Context};
-use dagrider_trace::SharedTracer;
+use dagrider_trace::{TraceEvent, Tracer};
 use dagrider_types::{Decode, Encode, ProcessId, Round};
 
 use crate::api::{RbcAction, RbcDelivery, ReliableBroadcast};
@@ -18,28 +18,26 @@ pub struct RbcProcess<B> {
     to_broadcast: Vec<(Round, Vec<u8>)>,
     delivered: Vec<RbcDelivery>,
     decode_failures: usize,
-    tracer: SharedTracer,
+    tracer: Option<Tracer>,
 }
 
 impl<B: ReliableBroadcast> RbcProcess<B> {
     /// Creates a process that will `r_bcast` each `(round, payload)` pair
     /// at startup.
     pub fn new(rbc: B, to_broadcast: Vec<(Round, Vec<u8>)>) -> Self {
-        Self {
-            rbc,
-            to_broadcast,
-            delivered: Vec::new(),
-            decode_failures: 0,
-            tracer: SharedTracer::disabled(),
-        }
+        Self { rbc, to_broadcast, delivered: Vec::new(), decode_failures: 0, tracer: None }
     }
 
-    /// Attaches `tracer` to both this adapter and the underlying endpoint;
-    /// phase events get stamped with the simulator's virtual clock.
-    pub fn with_tracer(mut self, tracer: SharedTracer) -> Self {
-        self.rbc.set_tracer(tracer.clone());
-        self.tracer = tracer;
+    /// Records the endpoint's phase events, stamped with the simulator's
+    /// virtual clock, into a ring of `capacity` records.
+    pub fn with_trace(mut self, capacity: usize) -> Self {
+        self.tracer = Some(Tracer::new(self.rbc.me(), capacity));
         self
+    }
+
+    /// The phase-event ring (`None` unless [`RbcProcess::with_trace`]).
+    pub fn tracer(&self) -> Option<&Tracer> {
+        self.tracer.as_ref()
     }
 
     /// Everything delivered so far, in delivery order.
@@ -64,6 +62,13 @@ impl<B: ReliableBroadcast> RbcProcess<B> {
                     ctx.send(to, Bytes::from(message.to_bytes()));
                 }
                 RbcAction::Deliver(delivery) => self.delivered.push(delivery),
+                RbcAction::Phase(instance, phase) => {
+                    if let Some(tracer) = self.tracer.as_mut() {
+                        tracer.set_now(ctx.now());
+                        let primitive = B::PRIMITIVE;
+                        tracer.record(TraceEvent::RbcPhase { instance, primitive, phase });
+                    }
+                }
             }
         }
     }
@@ -71,7 +76,6 @@ impl<B: ReliableBroadcast> RbcProcess<B> {
 
 impl<B: ReliableBroadcast> Actor for RbcProcess<B> {
     fn init(&mut self, ctx: &mut Context<'_>) {
-        self.tracer.set_now(ctx.now());
         let queued = std::mem::take(&mut self.to_broadcast);
         for (round, payload) in queued {
             let actions = self.rbc.rbcast(payload, round, ctx.rng());
@@ -80,7 +84,6 @@ impl<B: ReliableBroadcast> Actor for RbcProcess<B> {
     }
 
     fn on_message(&mut self, from: ProcessId, payload: &[u8], ctx: &mut Context<'_>) {
-        self.tracer.set_now(ctx.now());
         match B::Message::from_bytes(payload) {
             Ok(message) => {
                 let actions = self.rbc.on_message(from, message, ctx.rng());

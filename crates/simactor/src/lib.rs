@@ -5,7 +5,10 @@
 //! deterministic simulator: [`SimActor`] implements
 //! [`dagrider_simnet::Actor`] by translating simulator callbacks into
 //! [`EngineInput`](dagrider_core::EngineInput)s and routing the returned
-//! [`EngineOutput`]s back through the simulator's [`Context`].
+//! [`EngineOutput`]s back through the simulator's [`Context`]. It stamps
+//! the returned [`EngineEvent`](dagrider_core::EngineEvent)s with virtual
+//! time into an optional trace ring ([`SimActor::with_trace`]) and keeps
+//! the few counters simulation tests query.
 //!
 //! The adapter adds **no protocol logic** — every decision, every byte on
 //! the wire, and every draw of randomness happens inside the engine. That
@@ -57,13 +60,15 @@
 
 pub mod common_core;
 
+use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 
-use dagrider_core::{DagRiderEngine, EngineInput, EngineOutput, NodeConfig};
+use dagrider_core::{DagRiderEngine, EngineInput, EngineOutput, NodeConfig, Turn};
 use dagrider_crypto::CoinKeys;
 use dagrider_rbc::ReliableBroadcast;
 use dagrider_simnet::{Actor, Context};
-use dagrider_types::{Block, Committee, ProcessId};
+use dagrider_trace::{TraceEvent, TraceRecord, Tracer};
+use dagrider_types::{Block, Committee, ProcessId, Round, Time};
 
 /// A [`DagRiderEngine`] packaged as a simulator [`Actor`].
 ///
@@ -72,6 +77,13 @@ use dagrider_types::{Block, Committee, ProcessId};
 #[derive(Debug)]
 pub struct SimActor<B> {
     engine: DagRiderEngine<B>,
+    /// The trace ring (`None` unless [`SimActor::with_trace`]).
+    tracer: Option<Tracer>,
+    /// When each own vertex was created (for
+    /// [`SimActor::own_vertex_latencies`]).
+    created_at: BTreeMap<Round, Time>,
+    /// Vertices garbage collection dropped so far.
+    vertices_pruned: u64,
 }
 
 impl<B: ReliableBroadcast> SimActor<B> {
@@ -82,7 +94,55 @@ impl<B: ReliableBroadcast> SimActor<B> {
         coin_keys: CoinKeys,
         config: NodeConfig,
     ) -> Self {
-        Self { engine: DagRiderEngine::new(committee, me, coin_keys, config) }
+        Self {
+            engine: DagRiderEngine::new(committee, me, coin_keys, config),
+            tracer: None,
+            created_at: BTreeMap::new(),
+            vertices_pruned: 0,
+        }
+    }
+
+    /// Records the engine's trace events, stamped with virtual time, into
+    /// a ring of `capacity` records (the oldest are overwritten once it is
+    /// full; see [`Tracer::dropped`]).
+    #[must_use]
+    pub fn with_trace(mut self, capacity: usize) -> Self {
+        self.tracer = Some(Tracer::new(self.engine.me(), capacity));
+        self
+    }
+
+    /// The trace ring (`None` unless [`SimActor::with_trace`]).
+    pub fn tracer(&self) -> Option<&Tracer> {
+        self.tracer.as_ref()
+    }
+
+    /// The trace ring's contents, oldest first (empty when untraced).
+    pub fn trace_records(&self) -> Vec<TraceRecord> {
+        self.tracer.as_ref().map_or_else(Vec::new, Tracer::records)
+    }
+
+    /// Vertices dropped by garbage collection so far.
+    pub fn vertices_pruned(&self) -> u64 {
+        self.vertices_pruned
+    }
+
+    /// Broadcast-to-delivery latency of this process's **own** vertices,
+    /// in ticks: for every own vertex in the ordered log, the gap between
+    /// creating it and `a_deliver`-ing it locally. This is the
+    /// client-visible commit latency the §6.2 time-complexity analysis
+    /// bounds.
+    pub fn own_vertex_latencies(&self) -> Vec<(Round, u64)> {
+        let me = self.engine.me();
+        self.engine
+            .ordered()
+            .iter()
+            .filter(|o| o.vertex.source == me)
+            .filter_map(|o| {
+                self.created_at
+                    .get(&o.vertex.round)
+                    .map(|&sent| (o.vertex.round, o.delivered_at.ticks() - sent.ticks()))
+            })
+            .collect()
     }
 
     /// `a_bcast(b, r)`: enqueues a block of transactions for atomic
@@ -102,11 +162,28 @@ impl<B: ReliableBroadcast> SimActor<B> {
         &mut self.engine
     }
 
-    /// Routes engine outputs through the simulator context. Ordered
-    /// outputs stay in the engine's own log (queried after the run);
-    /// everything else is I/O.
-    fn route(outputs: Vec<EngineOutput>, ctx: &mut Context<'_>) {
-        for output in outputs {
+    /// Takes one engine turn at the simulator's current time: stamps its
+    /// events into the trace ring and counters, then routes its outputs
+    /// through the simulator context. Ordered outputs stay in the engine's
+    /// own log (queried after the run); everything else is I/O.
+    pub fn apply(&mut self, turn: Turn, ctx: &mut Context<'_>) {
+        let now = ctx.now();
+        if let Some(tracer) = self.tracer.as_mut() {
+            tracer.set_now(now);
+        }
+        for event in turn.events.iter().filter_map(dagrider_core::EngineEvent::trace) {
+            match event {
+                TraceEvent::VertexCreated { vertex } => {
+                    self.created_at.insert(vertex.round, now);
+                }
+                TraceEvent::Pruned { dropped, .. } => self.vertices_pruned += dropped,
+                _ => {}
+            }
+            if let Some(tracer) = self.tracer.as_mut() {
+                tracer.record(event);
+            }
+        }
+        for output in turn.outputs {
             match output {
                 EngineOutput::Send { to, payload } => ctx.send(to, payload),
                 EngineOutput::Broadcast { payload } => ctx.broadcast_to_others(payload),
@@ -138,19 +215,19 @@ impl<B> DerefMut for SimActor<B> {
 
 impl<B: ReliableBroadcast> Actor for SimActor<B> {
     fn init(&mut self, ctx: &mut Context<'_>) {
-        let outputs = self.engine.start(ctx.now(), ctx.rng());
-        Self::route(outputs, ctx);
+        let turn = self.engine.start(ctx.now(), ctx.rng());
+        self.apply(turn, ctx);
     }
 
     fn on_message(&mut self, from: ProcessId, payload: &[u8], ctx: &mut Context<'_>) {
         let input = EngineInput::Message { from, payload: payload.to_vec() };
-        let outputs = self.engine.handle(ctx.now(), input, ctx.rng());
-        Self::route(outputs, ctx);
+        let turn = self.engine.handle(ctx.now(), input, ctx.rng());
+        self.apply(turn, ctx);
     }
 
     fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_>) {
-        let outputs = self.engine.handle(ctx.now(), EngineInput::Timer { tag }, ctx.rng());
-        Self::route(outputs, ctx);
+        let turn = self.engine.handle(ctx.now(), EngineInput::Timer { tag }, ctx.rng());
+        self.apply(turn, ctx);
     }
 }
 

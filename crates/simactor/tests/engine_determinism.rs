@@ -1,41 +1,83 @@
 //! Engine determinism: the same recorded [`EngineInput`] sequence — with
 //! the same clock readings and the same RNG stream — must produce a
-//! byte-identical [`EngineOutput`] stream and an identical ordered log,
-//! whether the inputs originally came from a direct harness or from the
-//! simulator driving the `SimActor` adapter. This is the property that
-//! makes offline replay debugging of the TCP runtime possible.
+//! byte-identical [`EngineOutput`] stream, an identical event stream, and
+//! an identical ordered log, whether the inputs originally came from a
+//! direct harness or from the simulator driving the `SimActor` adapter.
+//! This is the property that makes offline replay debugging of the TCP
+//! runtime possible.
 
 use std::collections::VecDeque;
 
 use dagrider_core::{
-    DagRiderEngine, EngineInput, EngineOutput, IoRecord, NodeConfig, NodeMessage, VerifiedInput,
+    DagRiderEngine, EngineInput, EngineOutput, NodeConfig, NodeMessage, Turn, VerifiedInput,
 };
 use dagrider_crypto::deal_coin_keys;
 use dagrider_rbc::{BrachaMessage, BrachaRbc, ReliableBroadcast};
 use dagrider_simactor::DagRiderNode;
-use dagrider_simnet::{process_seed, Simulation, UniformScheduler};
+use dagrider_simnet::{process_seed, Actor, Context, Simulation, UniformScheduler};
 use dagrider_types::{Committee, Decode, ProcessId, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Replays the Started/Input records of `log` into `engine` (recording
-/// enabled), drawing randomness from `rng`.
-fn replay<B: dagrider_rbc::ReliableBroadcast>(
+/// One engine call as a driver saw it: the clock reading, the input
+/// (`None` for `start`), and the turn the engine returned.
+type Record = (Time, Option<EngineInput>, Turn);
+
+/// Makes one engine call and keeps its record.
+fn call<B: ReliableBroadcast>(
     engine: &mut DagRiderEngine<B>,
-    log: &[IoRecord],
+    at: Time,
+    input: Option<EngineInput>,
     rng: &mut StdRng,
-) {
-    engine.set_io_recording(true);
-    for record in log {
-        match record {
-            IoRecord::Started { at } => {
-                engine.start(*at, rng);
-            }
-            IoRecord::Input { at, input } => {
-                engine.handle(*at, input.clone(), rng);
-            }
-            IoRecord::Output(_) => {}
-        }
+    log: &mut Vec<Record>,
+) -> Turn {
+    let turn = match input.clone() {
+        None => engine.start(at, rng),
+        Some(input) => engine.handle(at, input, rng),
+    };
+    log.push((at, input, turn.clone()));
+    turn
+}
+
+/// Replays the calls of `log` into `engine`, drawing randomness from
+/// `rng`, and returns the records of the replay.
+fn replay<B: ReliableBroadcast>(
+    engine: &mut DagRiderEngine<B>,
+    log: &[Record],
+    rng: &mut StdRng,
+) -> Vec<Record> {
+    let mut replayed = Vec::new();
+    for (at, input, _) in log {
+        call(engine, *at, input.clone(), rng, &mut replayed);
+    }
+    replayed
+}
+
+/// A [`DagRiderNode`] driven exactly as the simulator drives it, keeping
+/// the record of every engine call it makes.
+struct Recorder {
+    node: DagRiderNode<BrachaRbc>,
+    log: Vec<Record>,
+}
+
+impl Recorder {
+    fn call(&mut self, input: Option<EngineInput>, ctx: &mut Context<'_>) {
+        let turn = call(self.node.engine_mut(), ctx.now(), input, ctx.rng(), &mut self.log);
+        self.node.apply(turn, ctx);
+    }
+}
+
+impl Actor for Recorder {
+    fn init(&mut self, ctx: &mut Context<'_>) {
+        self.call(None, ctx);
+    }
+
+    fn on_message(&mut self, from: ProcessId, payload: &[u8], ctx: &mut Context<'_>) {
+        self.call(Some(EngineInput::Message { from, payload: payload.to_vec() }), ctx);
+    }
+
+    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_>) {
+        self.call(Some(EngineInput::Timer { tag }), ctx);
     }
 }
 
@@ -50,9 +92,7 @@ fn direct_harness_run_replays_byte_identically() {
         .zip(keys.clone())
         .map(|(p, k)| DagRiderEngine::new(committee, p, k, config.clone()))
         .collect();
-    for engine in &mut engines {
-        engine.set_io_recording(true);
-    }
+    let mut logs: Vec<Vec<Record>> = vec![Vec::new(); 4];
     let mut rngs: Vec<StdRng> = (0..4).map(|i| StdRng::seed_from_u64(500 + i)).collect();
 
     // Drive to quiescence over an instant FIFO wire.
@@ -77,31 +117,30 @@ fn direct_harness_run_replays_byte_identically() {
         }
     };
     for p in committee.members() {
-        let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]);
-        route(p, &outs, &mut wire);
+        let i = p.as_usize();
+        let turn = call(&mut engines[i], Time::ZERO, None, &mut rngs[i], &mut logs[i]);
+        route(p, &turn.outputs, &mut wire);
     }
     let mut t = 0u64;
     while let Some((from, to, payload)) = wire.pop_front() {
         t += 1;
-        let outs = engines[to.as_usize()].handle(
-            Time::new(t),
-            EngineInput::Message { from, payload },
-            &mut rngs[to.as_usize()],
-        );
-        route(to, &outs, &mut wire);
+        let i = to.as_usize();
+        let input = EngineInput::Message { from, payload };
+        let turn = call(&mut engines[i], Time::new(t), Some(input), &mut rngs[i], &mut logs[i]);
+        route(to, &turn.outputs, &mut wire);
     }
 
     // Replay each engine's recorded inputs into a fresh engine with an
-    // identically seeded RNG: the full I/O log — outputs included — must
-    // be byte-identical, and so must the ordered log.
+    // identically seeded RNG: the full call record — outputs and events
+    // included — must be byte-identical, and so must the ordered log.
     for p in committee.members() {
         let i = p.as_usize();
-        assert!(!engines[i].io_log().is_empty());
+        assert!(!logs[i].is_empty());
         let mut fresh: DagRiderEngine<BrachaRbc> =
             DagRiderEngine::new(committee, p, keys[i].clone(), config.clone());
         let mut fresh_rng = StdRng::seed_from_u64(500 + i as u64);
-        replay(&mut fresh, engines[i].io_log(), &mut fresh_rng);
-        assert_eq!(fresh.io_log(), engines[i].io_log(), "{p}: I/O streams diverge on replay");
+        let replayed = replay(&mut fresh, &logs[i], &mut fresh_rng);
+        assert_eq!(replayed, logs[i], "{p}: I/O streams diverge on replay");
         assert_eq!(fresh.ordered(), engines[i].ordered(), "{p}: ordered logs diverge on replay");
         assert_eq!(fresh.decided_wave(), engines[i].decided_wave());
     }
@@ -133,6 +172,7 @@ fn digest_payloads_order_identically_to_inline_payloads() {
         ProcessId,
         &mut StdRng,
     ) -> Vec<EngineOutput>| {
+        let mut fetches_sent = vec![0u64; 4];
         let mut engines: Vec<DagRiderEngine<BrachaRbc>> = committee
             .members()
             .zip(keys.clone())
@@ -140,25 +180,25 @@ fn digest_payloads_order_identically_to_inline_payloads() {
             .collect();
         let mut rngs: Vec<StdRng> = (0..4).map(|i| StdRng::seed_from_u64(700 + i)).collect();
         let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
-        let route = |from: ProcessId,
-                     outs: &[EngineOutput],
-                     wire: &mut VecDeque<(ProcessId, ProcessId, Vec<u8>)>| {
-            for out in outs {
-                match out {
-                    EngineOutput::Send { to, payload } => {
-                        wire.push_back((from, *to, payload.to_vec()));
-                    }
-                    EngineOutput::Broadcast { payload } => {
-                        for to in committee.others(from) {
-                            wire.push_back((from, to, payload.to_vec()));
+        let mut route =
+            |from: ProcessId,
+             outs: &[EngineOutput],
+             wire: &mut VecDeque<(ProcessId, ProcessId, Vec<u8>)>| {
+                for out in outs {
+                    match out {
+                        EngineOutput::Send { to, payload } => {
+                            wire.push_back((from, *to, payload.to_vec()));
                         }
+                        EngineOutput::Broadcast { payload } => {
+                            for to in committee.others(from) {
+                                wire.push_back((from, to, payload.to_vec()));
+                            }
+                        }
+                        EngineOutput::FetchBatches { .. } => fetches_sent[from.as_usize()] += 1,
+                        EngineOutput::SetTimer { .. } | EngineOutput::Ordered(_) => {}
                     }
-                    EngineOutput::SetTimer { .. }
-                    | EngineOutput::Ordered(_)
-                    | EngineOutput::FetchBatches { .. } => {}
                 }
-            }
-        };
+            };
         for p in committee.members() {
             // Pre-start submissions self-start the engine (the first
             // proposal fires off the genesis quorum), so collect their
@@ -169,38 +209,43 @@ fn digest_payloads_order_identically_to_inline_payloads() {
             if engines[p.as_usize()].current_round() == dagrider_types::Round::GENESIS
                 && !engines[p.as_usize()].is_started()
             {
-                let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]);
+                let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]).outputs;
                 route(p, &outs, &mut wire);
             }
         }
         let mut t = 0u64;
         while let Some((from, to, payload)) = wire.pop_front() {
             t += 1;
-            let outs = engines[to.as_usize()].handle(
-                Time::new(t),
-                EngineInput::Message { from, payload },
-                &mut rngs[to.as_usize()],
-            );
+            let outs = engines[to.as_usize()]
+                .handle(
+                    Time::new(t),
+                    EngineInput::Message { from, payload },
+                    &mut rngs[to.as_usize()],
+                )
+                .outputs;
             route(to, &outs, &mut wire);
         }
-        engines
+        (engines, fetches_sent)
     };
 
     // Inline: each process proposes its transactions as a block.
-    let inline = run(&|engine, p, rng| {
+    let (inline, _) = run(&|engine, p, rng| {
         let block = Block::new(p, SeqNum::new(1), txs_of(p));
-        engine.handle(Time::ZERO, EngineInput::SubmitBlock(block), rng)
+        engine.handle(Time::ZERO, EngineInput::SubmitBlock(block), rng).outputs
     });
     // Digest: every batch is pre-stored on every engine (the post-
     // dissemination state), then each process proposes its digest.
     let batches: Vec<Batch> = committee.members().map(|p| Batch::new(p, 0, txs_of(p))).collect();
-    let digest = run(&|engine, p, rng| {
+    let (digest, digest_fetches) = run(&|engine, p, rng| {
         let mut outs = Vec::new();
         for batch in &batches {
-            outs.extend(engine.handle(Time::ZERO, EngineInput::BatchStored(batch.clone()), rng));
+            let input = EngineInput::BatchStored(batch.clone());
+            outs.extend(engine.handle(Time::ZERO, input, rng).outputs);
         }
         let digest = batch_digest(&batches[p.as_usize()]);
-        outs.extend(engine.handle(Time::ZERO, EngineInput::SubmitDigests(vec![digest]), rng));
+        outs.extend(
+            engine.handle(Time::ZERO, EngineInput::SubmitDigests(vec![digest]), rng).outputs,
+        );
         outs
     });
 
@@ -221,7 +266,7 @@ fn digest_payloads_order_identically_to_inline_payloads() {
             );
         }
         assert_eq!(inline[i].decided_wave(), digest[i].decided_wave());
-        assert_eq!(digest[i].fetches_sent(), 0, "{p}: pre-stored batches must never fetch");
+        assert_eq!(digest_fetches[i], 0, "{p}: pre-stored batches must never fetch");
     }
 }
 
@@ -235,13 +280,12 @@ fn sim_recorded_inputs_replay_identically_through_a_direct_harness() {
     let mut key_rng = StdRng::seed_from_u64(seed);
     let keys = deal_coin_keys(&committee, &mut key_rng);
     let config = NodeConfig::default().with_max_round(16);
-    let nodes: Vec<DagRiderNode<BrachaRbc>> = committee
+    let nodes: Vec<Recorder> = committee
         .members()
         .zip(keys.clone())
-        .map(|(p, k)| {
-            let mut node = DagRiderNode::new(committee, p, k, config.clone());
-            node.set_io_recording(true);
-            node
+        .map(|(p, k)| Recorder {
+            node: DagRiderNode::new(committee, p, k, config.clone()),
+            log: Vec::new(),
         })
         .collect();
     let mut sim = Simulation::new(committee, nodes, UniformScheduler::new(1, 10), seed);
@@ -249,15 +293,15 @@ fn sim_recorded_inputs_replay_identically_through_a_direct_harness() {
 
     for p in committee.members() {
         let i = p.as_usize();
-        let node = sim.actor(p);
+        let Recorder { node, log } = sim.actor(p);
         assert!(!node.ordered().is_empty());
         let mut fresh: DagRiderEngine<BrachaRbc> =
             DagRiderEngine::new(committee, p, keys[i].clone(), config.clone());
         // The simulator seeds each process's RNG from (seed, index); the
         // derivation is public exactly so replays can reproduce it.
         let mut fresh_rng = StdRng::seed_from_u64(process_seed(seed, i));
-        replay(&mut fresh, node.io_log(), &mut fresh_rng);
-        assert_eq!(fresh.io_log(), node.io_log(), "{p}: adapter vs direct replay diverge");
+        let replayed = replay(&mut fresh, log, &mut fresh_rng);
+        assert_eq!(&replayed, log, "{p}: adapter vs direct replay diverge");
         assert_eq!(fresh.ordered(), node.ordered(), "{p}: ordered logs diverge");
     }
 }
@@ -307,7 +351,7 @@ fn verified_and_unverified_routes_produce_identical_state() {
                 outputs[from.as_usize()].extend(outs);
             };
         for p in committee.members() {
-            let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]);
+            let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]).outputs;
             route(p, outs, &mut wire);
         }
         let mut t = 0u64;
@@ -332,7 +376,9 @@ fn verified_and_unverified_routes_produce_identical_state() {
             } else {
                 EngineInput::Message { from, payload }
             };
-            let outs = engines[to.as_usize()].handle(Time::new(t), input, &mut rngs[to.as_usize()]);
+            let outs = engines[to.as_usize()]
+                .handle(Time::new(t), input, &mut rngs[to.as_usize()])
+                .outputs;
             route(to, outs, &mut wire);
         }
         let ordered: Vec<_> =
@@ -365,20 +411,19 @@ fn degenerate_sparse_config_is_byte_identical_to_dense() {
         if sparse {
             config = config.with_sparse_edges(committee.quorum(), 23);
         }
-        let nodes: Vec<DagRiderNode<BrachaRbc>> = committee
+        let nodes: Vec<Recorder> = committee
             .members()
             .zip(keys)
-            .map(|(p, k)| {
-                let mut node = DagRiderNode::new(committee, p, k, config.clone());
-                node.set_io_recording(true);
-                node
+            .map(|(p, k)| Recorder {
+                node: DagRiderNode::new(committee, p, k, config.clone()),
+                log: Vec::new(),
             })
             .collect();
         let mut sim = Simulation::new(committee, nodes, UniformScheduler::new(1, 10), 23);
         sim.run();
         committee
             .members()
-            .map(|p| (sim.actor(p).io_log().to_vec(), sim.actor(p).ordered().to_vec()))
+            .map(|p| (sim.actor(p).log.clone(), sim.actor(p).node.ordered().to_vec()))
             .collect::<Vec<_>>()
     };
     let (dense, sparse) = (run(false), run(true));
@@ -393,18 +438,17 @@ fn two_identically_seeded_sim_runs_record_identical_io() {
         let mut key_rng = StdRng::seed_from_u64(13);
         let keys = deal_coin_keys(&committee, &mut key_rng);
         let config = NodeConfig::default().with_max_round(12).with_piggyback_coin();
-        let nodes: Vec<DagRiderNode<BrachaRbc>> = committee
+        let nodes: Vec<Recorder> = committee
             .members()
             .zip(keys)
-            .map(|(p, k)| {
-                let mut node = DagRiderNode::new(committee, p, k, config.clone());
-                node.set_io_recording(true);
-                node
+            .map(|(p, k)| Recorder {
+                node: DagRiderNode::new(committee, p, k, config.clone()),
+                log: Vec::new(),
             })
             .collect();
         let mut sim = Simulation::new(committee, nodes, UniformScheduler::new(1, 10), 13);
         sim.run();
-        committee.members().map(|p| sim.actor(p).io_log().to_vec()).collect::<Vec<_>>()
+        committee.members().map(|p| sim.actor(p).log.clone()).collect::<Vec<_>>()
     };
     let (a, b) = (run(), run());
     assert_eq!(a, b, "identically seeded runs must record identical I/O");

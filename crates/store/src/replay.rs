@@ -13,11 +13,11 @@
 //! 4. **WAL tail** in append order — the events the engine acted on
 //!    after the snapshot was captured.
 //!
-//! Replay is *silent*: the engine is driven with durable recording off
-//! and the resulting [`EngineOutput`]s are handed to the caller's sink,
-//! which typically drops the `Send`/`Broadcast`/timer traffic (peers
-//! saw it long ago) and keeps only the `Ordered` deliveries to rebuild
-//! the published log. Determinism of the engine guarantees the rebuilt
+//! Replay is *silent*: the events of every replayed turn are dropped
+//! (the store already holds them) and its [`EngineOutput`]s are handed
+//! to the caller's sink, which typically drops the
+//! `Send`/`Broadcast`/timer traffic (peers saw it long ago) and keeps
+//! only the `Ordered` deliveries to rebuild the published log. Determinism of the engine guarantees the rebuilt
 //! order is a byte-identical prefix of what the process had delivered
 //! before the crash — the property `DagAuditor::audit_recovery` and the
 //! kill-and-restart suite pin.
@@ -56,9 +56,9 @@ impl ReplayStats {
 /// every engine output to `on_output`.
 ///
 /// The engine must be freshly constructed (same committee, identity,
-/// coin key, and config as the pre-crash run) and must **not** have
-/// durable recording enabled yet — enable it after replay so the new
-/// WAL does not re-record the recovered prefix.
+/// coin key, and config as the pre-crash run). Once replayed, the DAG
+/// and the coin hold the recovered prefix, so later turns report none of
+/// it as durable again.
 pub fn replay_into<B, F>(
     engine: &mut DagRiderEngine<B>,
     snapshot: Option<&StoreSnapshot>,
@@ -73,7 +73,7 @@ where
 {
     let mut stats = ReplayStats::default();
     let mut feed = |engine: &mut DagRiderEngine<B>, event: DurableEvent, rng: &mut StdRng| {
-        for output in engine.replay_durable(event, now, rng) {
+        for output in engine.replay_durable(event, now, rng).outputs {
             on_output(output);
         }
     };

@@ -4,23 +4,20 @@
 //! creation, RBC delivery, DAG insertion, round advancement, coin flips,
 //! leader commits/skips, causal-order delivery, garbage collection, and the
 //! phases of the underlying reliable-broadcast primitives — is describable
-//! as a [`TraceEvent`]. A [`Tracer`] stamps events with the driver's
-//! virtual [`Time`] and the recording process, producing [`TraceRecord`]s
-//! in a pre-allocated ring buffer, so the paper's quantitative claims
-//! (expected constant time per wave in asynchronous time units, §3/§6) can
-//! be measured rather than assumed.
+//! as a [`TraceEvent`]. The engine returns these events next to its
+//! outputs; a driver that wants a trace stamps them with its virtual
+//! [`Time`] into a [`Tracer`], a pre-allocated ring of [`TraceRecord`]s,
+//! so the paper's quantitative claims (expected constant time per wave in
+//! asynchronous time units, §3/§6) can be measured rather than assumed.
 //!
-//! Tracing is opt-in and designed to vanish from the hot path when off:
-//! [`SharedTracer::disabled`] is a `None` behind one pointer-sized check,
-//! and events are `Copy` — recording never allocates once the ring is
-//! built.
+//! Events are `Copy`, so recording never allocates once the ring is built.
 //!
 //! ```
-//! use dagrider_trace::{SharedTracer, TraceEvent};
+//! use dagrider_trace::{TraceEvent, Tracer};
 //! use dagrider_types::Time;
 //! use dagrider_types::{ProcessId, Round};
 //!
-//! let tracer = SharedTracer::new(ProcessId::new(0), 64);
+//! let mut tracer = Tracer::new(ProcessId::new(0), 64);
 //! tracer.set_now(Time::new(3));
 //! tracer.record(TraceEvent::RoundAdvanced { round: Round::new(1) });
 //! let records = tracer.records();
@@ -30,9 +27,7 @@
 
 #![forbid(unsafe_code)]
 
-use std::cell::RefCell;
 use std::fmt;
-use std::rc::Rc;
 
 use dagrider_types::Time;
 use dagrider_types::{BatchDigest, Decode, DecodeError, Encode, ProcessId, Round, VertexRef, Wave};
@@ -309,63 +304,6 @@ impl Tracer {
         out.extend_from_slice(&self.ring[self.start..]);
         out.extend_from_slice(&self.ring[..self.start]);
         out
-    }
-}
-
-/// A cheaply clonable handle to an optional [`Tracer`].
-///
-/// Protocol components each hold a `SharedTracer`; clones share one ring.
-/// The default (`disabled`) handle is `None`, so an untraced node pays a
-/// single branch per would-be event. The `Rc` makes holders `!Send`, which
-/// is fine: the simulator, nodes and RBC state machines are all
-/// single-threaded by design.
-#[derive(Debug, Clone, Default)]
-pub struct SharedTracer(Option<Rc<RefCell<Tracer>>>);
-
-impl SharedTracer {
-    /// A handle that records nothing.
-    pub fn disabled() -> Self {
-        Self(None)
-    }
-
-    /// Creates an enabled tracer for `process` with the given ring
-    /// capacity.
-    pub fn new(process: ProcessId, capacity: usize) -> Self {
-        Self(Some(Rc::new(RefCell::new(Tracer::new(process, capacity)))))
-    }
-
-    /// Whether events are being recorded.
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Sets the virtual time stamped onto subsequent records.
-    pub fn set_now(&self, now: Time) {
-        if let Some(tracer) = &self.0 {
-            tracer.borrow_mut().set_now(now);
-        }
-    }
-
-    /// Records an event (no-op when disabled).
-    pub fn record(&self, event: TraceEvent) {
-        if let Some(tracer) = &self.0 {
-            tracer.borrow_mut().record(event);
-        }
-    }
-
-    /// The retained records, oldest first (empty when disabled).
-    pub fn records(&self) -> Vec<TraceRecord> {
-        self.0.as_ref().map_or_else(Vec::new, |tracer| tracer.borrow().records())
-    }
-
-    /// Total events recorded over the tracer's lifetime (0 when disabled).
-    pub fn recorded(&self) -> u64 {
-        self.0.as_ref().map_or(0, |tracer| tracer.borrow().recorded())
-    }
-
-    /// Records overwritten because the ring was full (0 when disabled).
-    pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map_or(0, |tracer| tracer.borrow().dropped())
     }
 }
 
@@ -703,7 +641,7 @@ mod tests {
 
     #[test]
     fn records_are_stamped_with_time_and_sequence() {
-        let tracer = SharedTracer::new(ProcessId::new(2), 16);
+        let mut tracer = Tracer::new(ProcessId::new(2), 16);
         tracer.set_now(Time::new(5));
         tracer.record(TraceEvent::RoundAdvanced { round: Round::new(1) });
         tracer.set_now(Time::new(9));
@@ -738,25 +676,6 @@ mod tests {
     fn zero_capacity_is_rounded_up() {
         let mut tracer = Tracer::new(ProcessId::new(0), 0);
         tracer.record(TraceEvent::RoundAdvanced { round: Round::new(1) });
-        assert_eq!(tracer.records().len(), 1);
-    }
-
-    #[test]
-    fn disabled_tracer_records_nothing() {
-        let tracer = SharedTracer::disabled();
-        assert!(!tracer.is_enabled());
-        tracer.record(TraceEvent::WaveReady { wave: Wave::new(1) });
-        assert!(tracer.records().is_empty());
-        assert_eq!(tracer.recorded(), 0);
-        let default = SharedTracer::default();
-        assert!(!default.is_enabled());
-    }
-
-    #[test]
-    fn clones_share_one_ring() {
-        let tracer = SharedTracer::new(ProcessId::new(1), 8);
-        let clone = tracer.clone();
-        clone.record(TraceEvent::WaveReady { wave: Wave::new(2) });
         assert_eq!(tracer.records().len(), 1);
     }
 

@@ -126,6 +126,7 @@ impl DkgActor {
                         }
                     }
                 }
+                RbcAction::Phase(..) => {}
             }
         }
         self.try_finish(ctx.me());

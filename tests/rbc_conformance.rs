@@ -10,7 +10,7 @@ use dag_rider::rbc::{
 use dag_rider::simnet::{
     BandwidthScheduler, Scheduler, Simulation, TargetedScheduler, Time, UniformScheduler,
 };
-use dag_rider::trace::{RbcPhase, SharedTracer, TraceEvent};
+use dag_rider::trace::{RbcPhase, TraceEvent};
 use dag_rider::types::{Committee, ProcessId, Round, VertexRef};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -184,6 +184,7 @@ impl<B: ReliableBroadcast> DirectNet<B> {
                     }
                 }
                 RbcAction::Deliver(delivery) => self.delivered[at.as_usize()].push(delivery),
+                RbcAction::Phase(..) => {}
             }
         }
     }
@@ -241,7 +242,7 @@ fn crash_stop_mid_broadcast_case<B: ReliableBroadcast>(seed: u64, reached: usize
             RbcAction::Send(to, message) if to.as_usize() <= reached => {
                 net.queue.push_back((sender, to, message));
             }
-            RbcAction::Send(..) => {}
+            RbcAction::Send(..) | RbcAction::Phase(..) => {}
             RbcAction::Deliver(delivery) => net.delivered[0].push(delivery),
         }
     }
@@ -321,27 +322,24 @@ fn traced_phases<B: ReliableBroadcast>(
     seed: u64,
 ) -> Vec<(ProcessId, Vec<(VertexRef, RbcPhase)>)> {
     let committee = Committee::new(n).unwrap();
-    let tracers: Vec<SharedTracer> =
-        committee.members().map(|p| SharedTracer::new(p, 4096)).collect();
     let actors: Vec<RbcProcess<B>> = committee
         .members()
-        .zip(tracers.iter())
-        .map(|(p, tracer)| {
+        .map(|p| {
             RbcProcess::new(
                 B::new(committee, p, seed),
                 vec![(Round::new(1), format!("payload-{p}").into_bytes())],
             )
-            .with_tracer(tracer.clone())
+            .with_trace(4096)
         })
         .collect();
     let mut sim = Simulation::new(committee, actors, UniformScheduler::new(1, 8), seed);
     sim.run();
     let correct: Vec<ProcessId> = sim.committee().members().collect();
     assert_conformance(&sim, &correct, n);
-    tracers
-        .iter()
-        .zip(committee.members())
-        .map(|(tracer, p)| {
+    committee
+        .members()
+        .map(|p| {
+            let tracer = sim.actor(p).tracer().expect("every process is traced");
             assert_eq!(tracer.dropped(), 0, "phase ring overflowed at {p}");
             let phases = tracer
                 .records()

@@ -27,15 +27,16 @@ use std::path::PathBuf;
 
 use dag_rider::analysis::{DagAuditor, InvariantViolation};
 use dag_rider::core::{
-    DagRiderEngine, DurableEvent, EngineInput, EngineOutput, NodeConfig, OrderedVertex,
+    DagRiderEngine, DurableEvent, EngineEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage,
+    OrderedVertex,
 };
 use dag_rider::crypto::deal_coin_keys;
-use dag_rider::rbc::BrachaRbc;
+use dag_rider::rbc::{BrachaMessage, BrachaRbc};
 use dag_rider::store::{
     replay_into, DurableStore, FaultKind, FaultPlan, FsyncPolicy, StoreSnapshot,
 };
 use dag_rider::types::{
-    Block, Committee, Encode, ProcessId, SeqNum, Time, Transaction, VertexRef, Wave,
+    Block, Committee, Encode, ProcessId, SeqNum, Time, Transaction, Vertex, VertexRef, Wave,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -53,10 +54,17 @@ struct Recorded {
     snapshot: StoreSnapshot,
     snapshot_at: usize,
     ordered: Vec<OrderedVertex>,
+    /// The observer's sync stream at the end of the run.
+    sync: Vec<Vertex>,
+}
+
+/// The durable subset of a turn's events — what the runtime persists.
+fn durable(events: Vec<EngineEvent>) -> Vec<DurableEvent> {
+    events.into_iter().filter_map(EngineEvent::into_durable).collect()
 }
 
 /// Runs four engines to agreement through an instant-delivery FIFO wire,
-/// with the observer node recording durable events. A snapshot of the
+/// keeping the observer node's durable events. A snapshot of the
 /// observer is captured the first time its ordered log is non-empty.
 fn record_run(seed: u64) -> Recorded {
     let committee = Committee::new(4).unwrap();
@@ -68,7 +76,6 @@ fn record_run(seed: u64) -> Recorded {
         .zip(keys)
         .map(|(p, k)| DagRiderEngine::new(committee, p, k, config.clone()))
         .collect();
-    engines[OBSERVER].set_durable_recording(true);
     let mut rngs: Vec<StdRng> = (0..4).map(|i| StdRng::seed_from_u64(100 + i)).collect();
     let tx = Transaction::synthetic(seed, 16);
     engines[2].enqueue_block(Block::new(ProcessId::new(2), SeqNum::new(1), vec![tx]));
@@ -97,19 +104,21 @@ fn record_run(seed: u64) -> Recorded {
         }
     };
     for p in committee.members() {
-        let outs = engines[p.as_usize()].start(Time::new(clock), &mut rngs[p.as_usize()]);
-        route(p, outs, &mut wire);
+        let turn = engines[p.as_usize()].start(Time::new(clock), &mut rngs[p.as_usize()]);
+        if p.as_usize() == OBSERVER {
+            events.extend(durable(turn.events));
+        }
+        route(p, turn.outputs, &mut wire);
     }
-    events.extend(engines[OBSERVER].drain_durable_events());
     while let Some((from, to, payload)) = wire.pop_front() {
         clock += 1;
         let input = EngineInput::Message { from, payload };
-        let outs = engines[to.as_usize()].handle(Time::new(clock), input, &mut rngs[to.as_usize()]);
-        route(to, outs, &mut wire);
+        let turn = engines[to.as_usize()].handle(Time::new(clock), input, &mut rngs[to.as_usize()]);
+        route(to, turn.outputs, &mut wire);
         if to.as_usize() == OBSERVER {
-            events.extend(engines[OBSERVER].drain_durable_events());
+            events.extend(durable(turn.events));
             // Mirror the runtime's single-producer discipline: capture
-            // only after draining, so the snapshot supersedes exactly
+            // only after persisting, so the snapshot supersedes exactly
             // the events recorded so far.
             if snapshot.is_none() && !engines[OBSERVER].ordered().is_empty() {
                 snapshot = Some((events.len(), StoreSnapshot::capture(&engines[OBSERVER])));
@@ -120,7 +129,8 @@ fn record_run(seed: u64) -> Recorded {
     assert!(!ordered.is_empty(), "the run must order something to be worth recovering");
     let (snapshot_at, snapshot) = snapshot.expect("a snapshot must have been captured mid-run");
     assert!(snapshot_at < events.len(), "events must continue past the snapshot capture");
-    Recorded { committee, events, snapshot, snapshot_at, ordered }
+    let sync = engines[OBSERVER].sync_vertices();
+    Recorded { committee, events, snapshot, snapshot_at, ordered, sync }
 }
 
 /// A fresh observer engine: same committee, identity, coin key, and
@@ -344,6 +354,37 @@ fn replay_commits_waves_in_order_and_exactly_once() {
     let refs: Vec<VertexRef> = engine.ordered().iter().map(|o| o.vertex).collect();
     let expected: Vec<VertexRef> = run.ordered.iter().map(|o| o.vertex).collect();
     assert_eq!(refs, expected);
+}
+
+#[test]
+fn recovered_state_persists_nothing_when_peers_resend_it() {
+    // After a full replay the DAG and the coin already hold everything
+    // the pre-crash process knew, so a peer re-sending its sync stream
+    // and every coin share of the log must produce no durable event.
+    let run = record_run(SEED);
+    let (mut engine, _) = recover(run.committee, None, &run.events);
+    let mut rng = StdRng::seed_from_u64(2);
+    let mut persisted = Vec::new();
+    assert!(!run.sync.is_empty());
+    for vertex in run.sync {
+        let input = EngineInput::SyncVertex(vertex);
+        persisted.extend(durable(engine.handle(Time::ZERO, input, &mut rng).events));
+    }
+    let shares: Vec<_> = run
+        .events
+        .iter()
+        .filter_map(|e| match e {
+            DurableEvent::CoinShare(share) => Some(*share),
+            _ => None,
+        })
+        .collect();
+    assert!(!shares.is_empty());
+    for share in shares {
+        let payload = NodeMessage::<BrachaMessage>::Coin(share).to_bytes();
+        let input = EngineInput::Message { from: share.issuer(), payload };
+        persisted.extend(durable(engine.handle(Time::ZERO, input, &mut rng).events));
+    }
+    assert_eq!(persisted, Vec::new());
 }
 
 fn scratch_dir(name: &str) -> PathBuf {

@@ -11,7 +11,7 @@ use dag_rider::crypto::deal_coin_keys;
 use dag_rider::rbc::BrachaRbc;
 use dag_rider::simactor::DagRiderNode;
 use dag_rider::simnet::{Simulation, UniformScheduler};
-use dag_rider::trace::{TraceEvent, TraceRecord};
+use dag_rider::trace::{TraceEvent, TraceRecord, Tracer};
 use dag_rider::types::{Committee, VertexRef, Wave};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -29,11 +29,11 @@ fn traced_run(
     // Ample ring: never drop a record, so traces are complete and the
     // auditor's stream checks are sound.
     let capacity = (MAX_ROUND as usize + 1) * n * 64;
-    let config = NodeConfig::default().with_max_round(MAX_ROUND).with_trace(capacity);
+    let config = NodeConfig::default().with_max_round(MAX_ROUND);
     let nodes: Vec<DagRiderNode<BrachaRbc>> = committee
         .members()
         .zip(keys)
-        .map(|(p, k)| DagRiderNode::new(committee, p, k, config.clone()))
+        .map(|(p, k)| DagRiderNode::new(committee, p, k, config.clone()).with_trace(capacity))
         .collect();
     let mut sim = Simulation::new(committee, nodes, UniformScheduler::new(1, max_delay), seed);
     sim.run();
@@ -150,8 +150,8 @@ fn check_run(n: usize, seed: u64, max_delay: u64) {
     let mut merged: Vec<TraceRecord> = Vec::new();
     for p in committee.members() {
         let node = sim.actor(p);
-        assert!(node.tracer().is_enabled());
-        assert_eq!(node.tracer().dropped(), 0, "{p}: ring too small, trace incomplete");
+        let tracer = node.tracer().expect("traced run");
+        assert_eq!(tracer.dropped(), 0, "{p}: ring too small, trace incomplete");
         let records = node.trace_records();
         assert!(!records.is_empty(), "{p}: no trace records");
         let violations = auditor.audit_trace(&records);
@@ -200,9 +200,9 @@ fn tracing_is_off_by_default() {
     for p in committee.members() {
         let node = sim.actor(p);
         assert!(!node.ordered().is_empty(), "{p} must still make progress");
-        assert!(!node.tracer().is_enabled());
+        assert!(node.tracer().is_none());
         assert!(node.trace_records().is_empty());
-        assert_eq!(node.tracer().recorded(), 0);
+        assert_eq!(node.tracer().map_or(0, Tracer::recorded), 0);
     }
 }
 
@@ -215,12 +215,51 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
     use std::collections::VecDeque;
 
     use dag_rider::analysis::InvariantViolation;
-    use dag_rider::core::{batch_digest, DagRiderEngine, EngineInput, EngineOutput};
-    use dag_rider::types::{Batch, ProcessId, Round, Time, Transaction};
+    use dag_rider::core::{
+        batch_digest, DagRiderEngine, EngineEvent, EngineInput, EngineOutput, Turn,
+    };
+    use dag_rider::types::{Batch, BatchDigest, ProcessId, Round, Time, Transaction};
+
+    /// The test's driver: an instant FIFO wire, the fetch requests the
+    /// engines issued, and each engine's event stream stamped with the
+    /// time of its turn, as the simulator adapter stamps it.
+    struct Driver {
+        wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)>,
+        fetches: VecDeque<(ProcessId, Vec<BatchDigest>)>,
+        fetches_sent: Vec<u64>,
+        tracers: Vec<Tracer>,
+    }
+
+    impl Driver {
+        fn route(&mut self, committee: Committee, from: ProcessId, at: Time, turn: Turn) {
+            let tracer = &mut self.tracers[from.as_usize()];
+            tracer.set_now(at);
+            for event in turn.events.iter().filter_map(EngineEvent::trace) {
+                tracer.record(event);
+            }
+            for out in turn.outputs {
+                match out {
+                    EngineOutput::Send { to, payload } => {
+                        self.wire.push_back((from, to, payload.to_vec()));
+                    }
+                    EngineOutput::Broadcast { payload } => {
+                        for to in committee.others(from) {
+                            self.wire.push_back((from, to, payload.to_vec()));
+                        }
+                    }
+                    EngineOutput::FetchBatches { digests, .. } => {
+                        self.fetches_sent[from.as_usize()] += 1;
+                        self.fetches.push_back((from, digests));
+                    }
+                    EngineOutput::SetTimer { .. } | EngineOutput::Ordered(_) => {}
+                }
+            }
+        }
+    }
 
     let committee = Committee::new(4).unwrap();
     let keys = deal_coin_keys(&committee, &mut StdRng::seed_from_u64(414));
-    let config = NodeConfig::default().with_max_round(MAX_ROUND).with_trace(8192);
+    let config = NodeConfig::default().with_max_round(MAX_ROUND);
     let mut engines: Vec<DagRiderEngine<BrachaRbc>> = committee
         .members()
         .zip(keys)
@@ -236,69 +275,51 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
     // missing-batch fetch path.
     let straggler = ProcessId::new(3);
 
-    let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
-    let mut fetches: VecDeque<(ProcessId, Vec<dag_rider::types::BatchDigest>)> = VecDeque::new();
-    let route =
-        |from: ProcessId,
-         outs: &[EngineOutput],
-         wire: &mut VecDeque<(ProcessId, ProcessId, Vec<u8>)>,
-         fetches: &mut VecDeque<(ProcessId, Vec<dag_rider::types::BatchDigest>)>| {
-            for out in outs {
-                match out {
-                    EngineOutput::Send { to, payload } => {
-                        wire.push_back((from, *to, payload.to_vec()));
-                    }
-                    EngineOutput::Broadcast { payload } => {
-                        for to in committee.others(from) {
-                            wire.push_back((from, to, payload.to_vec()));
-                        }
-                    }
-                    EngineOutput::FetchBatches { digests, .. } => {
-                        fetches.push_back((from, digests.clone()));
-                    }
-                    EngineOutput::SetTimer { .. } | EngineOutput::Ordered(_) => {}
-                }
-            }
-        };
+    let mut driver = Driver {
+        wire: VecDeque::new(),
+        fetches: VecDeque::new(),
+        fetches_sent: vec![0; 4],
+        tracers: committee.members().map(|p| Tracer::new(p, 8192)).collect(),
+    };
     for p in committee.members() {
         let i = p.as_usize();
-        let mut outs = Vec::new();
         for (b, batch) in batches.iter().enumerate() {
             if p == straggler && b == 0 {
                 continue;
             }
-            outs.extend(engines[i].handle(
+            let turn = engines[i].handle(
                 Time::ZERO,
                 EngineInput::BatchStored(batch.clone()),
                 &mut rngs[i],
-            ));
+            );
+            driver.route(committee, p, Time::ZERO, turn);
         }
-        outs.extend(engines[i].handle(
+        let turn = engines[i].handle(
             Time::ZERO,
             EngineInput::SubmitDigests(vec![batch_digest(&batches[i])]),
             &mut rngs[i],
-        ));
-        route(p, &outs, &mut wire, &mut fetches);
+        );
+        driver.route(committee, p, Time::ZERO, turn);
         if engines[i].current_round() == Round::GENESIS && !engines[i].is_started() {
-            let outs = engines[i].start(Time::ZERO, &mut rngs[i]);
-            route(p, &outs, &mut wire, &mut fetches);
+            let turn = engines[i].start(Time::ZERO, &mut rngs[i]);
+            driver.route(committee, p, Time::ZERO, turn);
         }
     }
     let mut t = 0u64;
-    while !wire.is_empty() || !fetches.is_empty() {
-        while let Some((from, to, payload)) = wire.pop_front() {
+    while !driver.wire.is_empty() || !driver.fetches.is_empty() {
+        while let Some((from, to, payload)) = driver.wire.pop_front() {
             t += 1;
             let i = to.as_usize();
-            let outs = engines[i].handle(
+            let turn = engines[i].handle(
                 Time::new(t),
                 EngineInput::Message { from, payload },
                 &mut rngs[i],
             );
-            route(to, &outs, &mut wire, &mut fetches);
+            driver.route(committee, to, Time::new(t), turn);
         }
         // Serve the fetch requests the drained wire produced: deliver the
         // requested batches to the requester at a strictly later tick.
-        while let Some((requester, digests)) = fetches.pop_front() {
+        while let Some((requester, digests)) = driver.fetches.pop_front() {
             let i = requester.as_usize();
             for digest in digests {
                 let Some(batch) = batches.iter().find(|b| batch_digest(b) == digest).cloned()
@@ -306,9 +327,9 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
                     continue;
                 };
                 t += 1;
-                let outs =
+                let turn =
                     engines[i].handle(Time::new(t), EngineInput::BatchStored(batch), &mut rngs[i]);
-                route(requester, &outs, &mut wire, &mut fetches);
+                driver.route(committee, requester, Time::new(t), turn);
             }
         }
     }
@@ -318,16 +339,16 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
         let i = p.as_usize();
         assert!(!engines[i].ordered().is_empty(), "{p}: ordered nothing");
         assert_eq!(engines[i].ordered().len(), engines[0].ordered().len());
-        let records: Vec<TraceRecord> = engines[i].tracer().records();
-        assert!(engines[i].tracer().is_enabled());
+        let records: Vec<TraceRecord> = driver.tracers[i].records();
+        assert_eq!(driver.tracers[i].dropped(), 0, "{p}: ring too small, trace incomplete");
         let ordered_digests =
             records.iter().filter(|r| matches!(r.event, TraceEvent::DigestOrdered { .. })).count();
         assert!(ordered_digests >= 4, "{p}: only {ordered_digests} digests ordered in trace");
         let violations = auditor.audit_trace(&records);
         assert!(violations.is_empty(), "{p}: digest trace audit failed: {violations:?}");
     }
-    assert!(engines[straggler.as_usize()].fetches_sent() > 0, "straggler never fetched");
-    let straggler_records = engines[straggler.as_usize()].tracer().records();
+    assert!(driver.fetches_sent[straggler.as_usize()] > 0, "straggler never fetched");
+    let straggler_records = driver.tracers[straggler.as_usize()].records();
     assert!(
         straggler_records.iter().any(|r| matches!(r.event, TraceEvent::BatchFetchRequested { .. })),
         "straggler trace has no fetch request"
