@@ -3,14 +3,22 @@
 //! rule's support count, causal-history collection, and the weak-edge
 //! orphan scan — the per-wave CPU work of the ordering layer, swept over
 //! committee sizes n ∈ {4, 16, 31} plus large-committee rows at
-//! n ∈ {64, 128, 256} in dense and sparse-edge (k = 24) modes.
+//! n ∈ {64, 128, 256} in dense and sparse-edge (k = 24) modes. The
+//! `engine/handle` rows time one engine call of a long-running cluster at
+//! two ages, to show whether the cost per call grows with run length.
+
+use std::collections::VecDeque;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use dagrider_core::Dag;
+use dagrider_core::{Dag, DagRiderEngine, EngineInput, EngineOutput, NodeConfig};
+use dagrider_crypto::deal_coin_keys;
+use dagrider_rbc::BrachaRbc;
 use dagrider_types::{
-    Block, Committee, ProcessId, Round, SeqNum, SparseEdgeConfig, Vertex, VertexBuilder, VertexRef,
-    Wave,
+    Block, Committee, ProcessId, Round, SeqNum, SparseEdgeConfig, Time, Vertex, VertexBuilder,
+    VertexRef, Wave,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::hint::black_box;
 
 /// Builds a fully connected DAG over `active` processes, `rounds` deep.
@@ -183,5 +191,91 @@ fn bench_deep_queries(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_insert, bench_queries, bench_deep_queries, bench_large_committees);
+/// Four engines (`gc_depth(64)`, empty blocks, no round cap) wired by an
+/// instant FIFO queue: a cluster that runs for as long as it is stepped.
+struct FifoCluster {
+    committee: Committee,
+    engines: Vec<DagRiderEngine<BrachaRbc>>,
+    rngs: Vec<StdRng>,
+    wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)>,
+    clock: u64,
+}
+
+impl FifoCluster {
+    fn start() -> Self {
+        let committee = Committee::new(4).unwrap();
+        let keys = deal_coin_keys(&committee, &mut StdRng::seed_from_u64(11));
+        let config = NodeConfig::default().with_gc_depth(64);
+        let engines = committee
+            .members()
+            .zip(keys)
+            .map(|(p, k)| DagRiderEngine::new(committee, p, k, config.clone()))
+            .collect();
+        let rngs = (0..4).map(|i| StdRng::seed_from_u64(200 + i)).collect();
+        let mut cluster = FifoCluster { committee, engines, rngs, wire: VecDeque::new(), clock: 0 };
+        for p in committee.members() {
+            let i = p.as_usize();
+            let outputs = cluster.engines[i].start(Time::ZERO, &mut cluster.rngs[i]).outputs;
+            cluster.route(p, outputs);
+        }
+        cluster
+    }
+
+    fn route(&mut self, from: ProcessId, outputs: Vec<EngineOutput>) {
+        for output in outputs {
+            match output {
+                EngineOutput::Send { to, payload } => {
+                    self.wire.push_back((from, to, payload.to_vec()));
+                }
+                EngineOutput::Broadcast { payload } => {
+                    for to in self.committee.others(from) {
+                        self.wire.push_back((from, to, payload.to_vec()));
+                    }
+                }
+                EngineOutput::SetTimer { .. }
+                | EngineOutput::Ordered(_)
+                | EngineOutput::FetchBatches { .. } => {}
+            }
+        }
+    }
+
+    /// Delivers the oldest message on the wire: one `handle` call.
+    fn step(&mut self) {
+        let (from, to, payload) = self.wire.pop_front().expect("an uncapped run never quiesces");
+        self.clock += 1;
+        let i = to.as_usize();
+        let input = EngineInput::Message { from, payload };
+        let outputs =
+            self.engines[i].handle(Time::new(self.clock), input, &mut self.rngs[i]).outputs;
+        self.route(to, outputs);
+    }
+
+    fn run_to(&mut self, round: u64) {
+        while self.engines[0].current_round() < Round::new(round) {
+            self.step();
+        }
+    }
+}
+
+/// The mean cost of one engine call near round 1,000 and near round
+/// 10,000 of one cluster. Both rows sit far past the 64-round GC horizon,
+/// so equal rows mean the cost per call does not grow with run length.
+fn bench_engine_handle(c: &mut Criterion) {
+    let mut cluster = FifoCluster::start();
+    for round in [1_000u64, 10_000] {
+        cluster.run_to(round);
+        c.bench_function(&format!("engine/handle/n=4/gc=64/round={round}"), |b| {
+            b.iter(|| cluster.step());
+        });
+    }
+}
+
+criterion_group!(
+    benches,
+    bench_insert,
+    bench_queries,
+    bench_deep_queries,
+    bench_large_committees,
+    bench_engine_handle
+);
 criterion_main!(benches);

@@ -26,19 +26,41 @@ use crate::reach::{Closure, SlotSpace, VertexClosures};
 #[derive(Debug, Clone)]
 pub struct Dag {
     committee: Committee,
-    /// `rounds[r]` = the vertices of round `r`, keyed by source.
-    rounds: Vec<BTreeMap<ProcessId, Vertex>>,
-    /// `closures[r][source]` = the closure bitsets of the vertex of round
-    /// `r` broadcast by `source` — parallel to `rounds`, but indexed by
-    /// source so the insert-time composition loop resolves each edge's
-    /// closures with two array indexes instead of a tree lookup.
-    closures: Vec<Vec<Option<VertexClosures>>>,
+    /// Round 0: the genesis vertices, never collected.
+    genesis: StoredRound,
+    /// Rounds `base..=highest_round()`, oldest first. Garbage collection
+    /// pops collected rounds off the front, so the store holds only the
+    /// retained window, however long the DAG has been growing.
+    window: VecDeque<StoredRound>,
+    /// The round of `window[0]`: the pruned floor (at least 1), or lower
+    /// after a prune past the top. The emptied window then starts one
+    /// past the old highest round, and an insert above the floor fills
+    /// the gap with empty rounds, which the next prune pops.
+    base: u64,
     /// The `(round, source) -> bit` mapping shared by every closure.
     slots: SlotSpace,
     /// Rounds `1..pruned_floor` have been garbage-collected: their
     /// vertices were delivered and dropped. Edges into the collected
     /// region count as satisfied for causal closure.
     pruned_floor: Round,
+}
+
+/// One round of the store.
+#[derive(Debug, Clone)]
+struct StoredRound {
+    /// The round's vertices, keyed by source.
+    vertices: BTreeMap<ProcessId, Vertex>,
+    /// `closures[source]` = the closure bitsets of `source`'s vertex —
+    /// indexed by source so the insert-time composition loop resolves
+    /// each edge's closures with two array indexes instead of a tree
+    /// lookup.
+    closures: Vec<Option<VertexClosures>>,
+}
+
+impl StoredRound {
+    fn empty(n: usize) -> Self {
+        Self { vertices: BTreeMap::new(), closures: vec![None; n] }
+    }
 }
 
 impl Dag {
@@ -48,14 +70,15 @@ impl Dag {
     /// descendant of DAG-Rider we hardcode all `n`, a superset, so round-1
     /// vertices can reference any subset of size ≥ `2f+1`.)
     pub fn new(committee: Committee) -> Self {
-        let genesis: BTreeMap<ProcessId, Vertex> =
-            committee.members().map(|p| (p, Vertex::genesis(p))).collect();
-        let genesis_closures: Vec<Option<VertexClosures>> =
-            vec![Some(VertexClosures::default()); committee.n()];
+        let genesis = StoredRound {
+            vertices: committee.members().map(|p| (p, Vertex::genesis(p))).collect(),
+            closures: vec![Some(VertexClosures::default()); committee.n()],
+        };
         Self {
             committee,
-            rounds: vec![genesis],
-            closures: vec![genesis_closures],
+            genesis,
+            window: VecDeque::new(),
+            base: 1,
             slots: SlotSpace::new(committee.n()),
             pruned_floor: Round::new(0),
         }
@@ -68,13 +91,39 @@ impl Dag {
 
     /// The highest round that holds at least one vertex.
     pub fn highest_round(&self) -> Round {
-        Round::new(self.rounds.len() as u64 - 1)
+        Round::new(self.base + self.window.len() as u64 - 1)
+    }
+
+    /// The stored round `round`: genesis, or a round of the window.
+    fn stored(&self, round: Round) -> Option<&StoredRound> {
+        if round == Round::GENESIS {
+            return Some(&self.genesis);
+        }
+        self.window.get(round.number().checked_sub(self.base)? as usize)
+    }
+
+    /// Mutable access to the stored round `round`.
+    fn stored_mut(&mut self, round: Round) -> Option<&mut StoredRound> {
+        if round == Round::GENESIS {
+            return Some(&mut self.genesis);
+        }
+        self.window.get_mut(round.number().checked_sub(self.base)? as usize)
+    }
+
+    /// Genesis, then the rounds of the window, ascending.
+    fn stored_rounds(&self) -> impl Iterator<Item = &StoredRound> {
+        std::iter::once(&self.genesis).chain(&self.window)
+    }
+
+    /// The rounds of the window with their numbers, ascending.
+    fn window_rounds(&self) -> impl Iterator<Item = (Round, &StoredRound)> {
+        (self.base..).map(Round::new).zip(&self.window)
     }
 
     /// The vertices of `round`, keyed by source (empty map if none yet).
     pub fn round_vertices(&self, round: Round) -> &BTreeMap<ProcessId, Vertex> {
         static EMPTY: BTreeMap<ProcessId, Vertex> = BTreeMap::new();
-        self.rounds.get(round.number() as usize).unwrap_or(&EMPTY)
+        self.stored(round).map_or(&EMPTY, |stored| &stored.vertices)
     }
 
     /// Number of vertices in `round`.
@@ -84,7 +133,7 @@ impl Dag {
 
     /// The vertex broadcast by `source` in `round`, if present.
     pub fn get(&self, reference: VertexRef) -> Option<&Vertex> {
-        self.rounds.get(reference.round.number() as usize).and_then(|m| m.get(&reference.source))
+        self.stored(reference.round)?.vertices.get(&reference.source)
     }
 
     /// Whether the referenced vertex is present.
@@ -120,21 +169,22 @@ impl Dag {
     /// first, as Algorithm 2 does.
     pub fn insert(&mut self, v: Vertex) -> bool {
         debug_assert!(self.has_all_edges_of(&v), "DAG must stay causally closed");
-        if v.round() != Round::GENESIS && v.round() < self.pruned_floor {
+        let round = v.round();
+        if round != Round::GENESIS && round < self.pruned_floor {
             return false;
         }
-        let index = v.round().number() as usize;
         let n = self.committee.n();
-        while self.rounds.len() <= index {
-            self.rounds.push(BTreeMap::new());
-            self.closures.push(vec![None; n]);
+        while self.highest_round() < round {
+            self.window.push_back(StoredRound::empty(n));
         }
-        if self.rounds[index].contains_key(&v.source()) {
+        if self.contains(v.reference()) {
             return false;
         }
         let closures = self.close_over(&v);
-        self.closures[index][v.source().as_usize()] = Some(closures);
-        self.rounds[index].insert(v.source(), v);
+        let stored =
+            self.stored_mut(round).expect("the window reaches every round above the floor");
+        stored.closures[v.source().as_usize()] = Some(closures);
+        stored.vertices.insert(v.source(), v);
         true
     }
 
@@ -148,10 +198,7 @@ impl Dag {
 
     /// The closure bitsets of the referenced vertex, if present.
     fn closures_of(&self, reference: VertexRef) -> Option<&VertexClosures> {
-        self.closures
-            .get(reference.round.number() as usize)
-            .and_then(|row| row.get(reference.source.as_usize()))
-            .and_then(Option::as_ref)
+        self.stored(reference.round)?.closures.get(reference.source.as_usize())?.as_ref()
     }
 
     /// `path(v, u)` of Algorithm 1: is there a path from `from` down to
@@ -220,11 +267,11 @@ impl Dag {
                 reachable.union_with(&closures.all);
             }
         }
-        // …subtracted from all vertices in rounds [1, below].
+        // …subtracted from all retained vertices in rounds [1, below].
         let mut orphans = Vec::new();
-        for r in 1..=below.number() {
-            for &source in self.round_vertices(Round::new(r)).keys() {
-                let reference = VertexRef::new(Round::new(r), source);
+        for (round, stored) in self.window_rounds().take_while(|&(round, _)| round <= below) {
+            for &source in stored.vertices.keys() {
+                let reference = VertexRef::new(round, source);
                 let covered =
                     self.slots.slot(reference).is_some_and(|slot| reachable.contains(slot));
                 if !covered {
@@ -235,9 +282,10 @@ impl Dag {
         orphans
     }
 
-    /// Garbage-collects rounds strictly below `keep_from`, replacing them
-    /// with empty maps (indices stay stable). Safe once the ordering layer
-    /// has delivered everything below: ordered history is never consulted
+    /// Garbage-collects rounds strictly below `keep_from`, popping them
+    /// off the front of the window, so the cost is the number of rounds
+    /// dropped plus the rebuild below. Safe once the ordering layer has
+    /// delivered everything below: ordered history is never consulted
     /// again (Algorithm 3 walks only forward from `decidedWave`), and
     /// reachability queries against collected rounds simply return false.
     ///
@@ -247,14 +295,13 @@ impl Dag {
     ///
     /// Returns the number of vertices dropped.
     pub fn prune_below(&mut self, keep_from: Round) -> usize {
+        // Round 0 (genesis) is held apart and kept: new joiners' round-1
+        // vertices verify against it and it costs O(n).
         let mut dropped = 0;
-        // Round 0 (genesis) is kept: new joiners' round-1 vertices verify
-        // against it and it costs O(n).
-        let n = self.committee.n();
-        for index in 1..self.rounds.len().min(keep_from.number() as usize) {
-            dropped += self.rounds[index].len();
-            self.rounds[index] = BTreeMap::new();
-            self.closures[index] = vec![None; n];
+        while self.base < keep_from.number() {
+            let Some(round) = self.window.pop_front() else { break };
+            dropped += round.vertices.len();
+            self.base += 1;
         }
         self.pruned_floor = self.pruned_floor.max(keep_from);
         if self.slots.advance_base(self.pruned_floor.number().max(1)) > 0 {
@@ -264,56 +311,44 @@ impl Dag {
     }
 
     /// Recomputes every retained closure under the truncated slot space,
-    /// in ascending round order. Wholesale recomposition (rather than
-    /// shifting bits in place) is what keeps the engine exactly equal to
-    /// the BFS: genesis survives pruning, so a vertex whose only paths to
-    /// a genesis vertex ran through the collected rounds must *lose* that
-    /// bit, just as the BFS loses the path. No other target is affected —
-    /// edges strictly descend in round, so a path between two retained
+    /// in ascending round order, each round from the rounds below it that
+    /// are already rebuilt. Wholesale recomposition (rather than shifting
+    /// bits in place) is what keeps the engine exactly equal to the BFS:
+    /// genesis survives pruning, so a vertex whose only paths to a genesis
+    /// vertex ran through the collected rounds must *lose* that bit, just
+    /// as the BFS loses the path. No other target is affected — edges
+    /// strictly descend in round, so a path between two retained
     /// non-genesis vertices can never dip below the floor.
     fn rebuild_closures(&mut self) {
         let n = self.committee.n();
-        let mut rebuilt: Vec<Vec<Option<VertexClosures>>> = Vec::with_capacity(self.rounds.len());
-        let mut genesis_row = vec![None; n];
-        for &p in self.rounds[0].keys() {
-            genesis_row[p.as_usize()] = Some(VertexClosures::default());
-        }
-        rebuilt.push(genesis_row);
-        for index in 1..self.rounds.len() {
+        for index in 0..self.window.len() {
             let mut row = vec![None; n];
-            for (&source, v) in &self.rounds[index] {
-                let closures = crate::reach::compose(&self.slots, v, |edge| {
-                    rebuilt
-                        .get(edge.round.number() as usize)
-                        .and_then(|r| r.get(edge.source.as_usize()))
-                        .and_then(Option::as_ref)
-                });
-                row[source.as_usize()] = Some(closures);
+            for (&source, v) in &self.window[index].vertices {
+                row[source.as_usize()] = Some(self.close_over(v));
             }
-            rebuilt.push(row);
+            self.window[index].closures = row;
         }
-        self.closures = rebuilt;
     }
 
     /// The lowest non-genesis round that still holds vertices (`None` if
     /// only genesis remains).
     pub fn lowest_retained_round(&self) -> Option<Round> {
-        (1..self.rounds.len()).find(|&i| !self.rounds[i].is_empty()).map(|i| Round::new(i as u64))
+        self.window_rounds().find(|(_, stored)| !stored.vertices.is_empty()).map(|(round, _)| round)
     }
 
     /// Iterates over every vertex in the DAG, by round then source.
     pub fn iter(&self) -> impl Iterator<Item = &Vertex> {
-        self.rounds.iter().flat_map(|m| m.values())
+        self.stored_rounds().flat_map(|stored| stored.vertices.values())
     }
 
     /// Total number of vertices (including genesis).
     pub fn len(&self) -> usize {
-        self.rounds.iter().map(BTreeMap::len).sum()
+        self.stored_rounds().map(|stored| stored.vertices.len()).sum()
     }
 
     /// Whether the DAG holds only genesis (it is never fully empty).
     pub fn is_empty(&self) -> bool {
-        self.rounds.len() == 1
+        self.highest_round() == Round::GENESIS
     }
 
     // ------------------------------------------------------------------
@@ -475,9 +510,8 @@ impl Dag {
             return false;
         };
         let Some(closures) = self
-            .closures
-            .get_mut(of.round.number() as usize)
-            .and_then(|row| row.get_mut(of.source.as_usize()))
+            .stored_mut(of.round)
+            .and_then(|stored| stored.closures.get_mut(of.source.as_usize()))
             .and_then(Option::as_mut)
         else {
             return false;
@@ -750,6 +784,42 @@ mod tests {
         assert!(dag.poison_reachability_for_tests(from, to, true));
         assert!(!dag.strong_path(from, to), "poisoned bit flips the engine answer");
         assert!(dag.oracle_strong_path(from, to), "the oracle is unaffected");
+    }
+
+    #[test]
+    fn the_stored_window_stays_bounded_over_a_long_run() {
+        let mut dag = Dag::new(committee());
+        for r in 1..=10_000u64 {
+            for p in 0..4 {
+                assert!(dag.insert(vertex(p, r, &[0, 1, 2, 3], &[])));
+            }
+            let Some(keep_from) = r.checked_sub(8).filter(|&k| k >= 1) else { continue };
+            let dropped = dag.prune_below(Round::new(keep_from));
+            assert_eq!(dropped, if keep_from > 1 { 4 } else { 0 });
+            assert!(dag.window.len() <= 10, "round {r}: {} stored rounds", dag.window.len());
+            assert_eq!(dag.lowest_retained_round(), Some(Round::new(keep_from)));
+            assert_eq!(dag.highest_round(), Round::new(r));
+            assert_eq!(dag.len(), 4 + 4 * 9, "genesis plus nine full rounds");
+        }
+        // A prune past the top empties the window but keeps the top round…
+        assert_eq!(dag.prune_below(Round::new(10_005)), 4 * 9);
+        assert_eq!(dag.highest_round(), Round::new(10_000));
+        assert_eq!(dag.lowest_retained_round(), None);
+        assert_eq!(dag.len(), 4);
+        assert!(!dag.is_empty());
+        // …refuses stragglers below the floor, and inserts above it: the
+        // edges into the collected gap count as satisfied.
+        assert!(!dag.insert(vertex(0, 10_004, &[0, 1, 2], &[])));
+        let v = vertex(1, 10_005, &[0, 1, 2], &[]);
+        assert!(dag.has_all_edges_of(&v));
+        assert!(dag.insert(v.clone()));
+        assert!(dag.contains(v.reference()));
+        assert_eq!(dag.highest_round(), Round::new(10_005));
+        assert_eq!(dag.lowest_retained_round(), Some(Round::new(10_005)));
+        assert_eq!(dag.round_size(Round::new(10_003)), 0);
+        assert_eq!(dag.len(), 5);
+        assert!(dag.window.len() <= 10);
+        assert_eq!(dag.causal_history(v.reference()), vec![v.reference()]);
     }
 
     #[test]

@@ -31,8 +31,9 @@
 //!   persists a turn's durable events before it routes the turn's
 //!   outputs.
 //! * **Timers** — the engine currently requests no timers of its own;
-//!   [`EngineInput::Timer`] runs end-of-turn housekeeping (share flush +
-//!   garbage collection), so drivers may safely deliver spurious timers.
+//!   [`EngineInput::Timer`] runs end-of-turn housekeeping (the share
+//!   flush; garbage collection runs only on turns that ordered a vertex),
+//!   so drivers may safely deliver spurious timers.
 
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
@@ -388,6 +389,9 @@ pub struct DagRiderEngine<B> {
     resolved: Vec<OrderedVertex>,
     /// Whether a [`FETCH_TIMER_TAG`] timer is outstanding.
     fetch_timer_armed: bool,
+    /// Whether ordering delivered a vertex since the last GC pass — the
+    /// only way the delivered frontier can advance (see `maybe_gc`).
+    gc_due: bool,
     started: bool,
 }
 
@@ -426,6 +430,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             pending: VecDeque::new(),
             resolved: Vec::new(),
             fetch_timer_armed: false,
+            gc_due: false,
             started: false,
             config,
         }
@@ -606,17 +611,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// `(round, source)` order — the replay stream served to a restarted
     /// peer (each becomes an [`EngineInput::SyncVertex`] there).
     pub fn sync_vertices(&self) -> Vec<Vertex> {
-        let mut out = Vec::new();
-        let mut round = self.core.dag().lowest_retained_round().unwrap_or(Round::new(1));
-        if round == Round::GENESIS {
-            round = Round::new(1);
-        }
-        let high = self.core.dag().highest_round();
-        while round <= high {
-            out.extend(self.core.dag().round_vertices(round).values().cloned());
-            round = round.next();
-        }
-        out
+        self.core.dag().iter().filter(|v| v.round() != Round::GENESIS).cloned().collect()
     }
 
     /// This process's own coin share for `instance` (a wave number), for
@@ -720,6 +715,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// Queues ordering-layer deliveries for payload resolution and emits
     /// every delivery now resolvable, preserving the total order.
     fn deliver(&mut self, deliveries: Vec<Delivery>, turn: &mut Turn, now: Time) {
+        self.gc_due |= !deliveries.is_empty();
         for delivery in deliveries {
             for &digest in delivery.payload.digests() {
                 turn.events.push(TraceEvent::DigestOrdered { digest }.into());
@@ -953,17 +949,25 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
 
     /// End-of-turn housekeeping: flush shares that found no vertex to
     /// ride (finite runs stop broadcasting at `max_round`), then garbage
-    /// collect.
+    /// collect if ordering delivered anything.
     fn finish_turn(&mut self, turn: &mut Turn) {
         for share in std::mem::take(&mut self.pending_shares) {
             let msg: NodeMessage<B::Message> = NodeMessage::Coin(share);
             turn.outputs.push(EngineOutput::Broadcast { payload: Bytes::from(msg.to_bytes()) });
         }
-        self.maybe_gc(&mut turn.events);
+        if std::mem::take(&mut self.gc_due) {
+            self.maybe_gc(&mut turn.events);
+        }
     }
 
     /// Prunes every round strictly below the fully-delivered prefix minus
     /// the configured safety margin.
+    ///
+    /// Only turns in which ordering delivered a vertex call this, and
+    /// that skips no prune: a vertex joins the DAG undelivered, so
+    /// inserts can hold the frontier back but never move it forward, and
+    /// without a delivery `keep_from` cannot rise above the floor the
+    /// last pass already set.
     fn maybe_gc(&mut self, events: &mut Vec<EngineEvent>) {
         let Some(depth) = self.config.gc_depth else { return };
         // The lowest round still holding an undelivered vertex bounds what

@@ -9,13 +9,17 @@
 use std::collections::VecDeque;
 
 use dagrider_core::{
-    DagRiderEngine, EngineInput, EngineOutput, NodeConfig, NodeMessage, Turn, VerifiedInput,
+    DagRiderEngine, EngineEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage, Turn,
+    VerifiedInput,
 };
-use dagrider_crypto::deal_coin_keys;
+use dagrider_crypto::{deal_coin_keys, Sha256};
 use dagrider_rbc::{BrachaMessage, BrachaRbc, ReliableBroadcast};
 use dagrider_simactor::DagRiderNode;
-use dagrider_simnet::{process_seed, Actor, Context, Simulation, UniformScheduler};
-use dagrider_types::{Committee, Decode, ProcessId, Time};
+use dagrider_simnet::{
+    process_seed, Actor, Context, Simulation, TargetedScheduler, UniformScheduler,
+};
+use dagrider_trace::TraceEvent;
+use dagrider_types::{encode_bytes, Committee, Decode, Encode, ProcessId, Round, Time};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -453,4 +457,167 @@ fn two_identically_seeded_sim_runs_record_identical_io() {
     let (a, b) = (run(), run());
     assert_eq!(a, b, "identically seeded runs must record identical I/O");
     assert!(a.iter().all(|log| !log.is_empty()));
+}
+
+/// A [`DagRiderNode`] that folds every engine turn it takes into one
+/// SHA-256 stream. A silent node never starts and ignores all input.
+struct StreamHasher {
+    node: DagRiderNode<BrachaRbc>,
+    silent: bool,
+    stream: Sha256,
+    /// The highest garbage-collection floor this node reported so far.
+    floor: Round,
+    /// Broadcast deliveries of vertices whose round was already collected.
+    late: u64,
+}
+
+impl StreamHasher {
+    fn call(&mut self, input: Option<EngineInput>, ctx: &mut Context<'_>) {
+        if self.silent {
+            return;
+        }
+        let now = ctx.now();
+        let engine = self.node.engine_mut();
+        let turn = match input {
+            None => engine.start(now, ctx.rng()),
+            Some(input) => engine.handle(now, input, ctx.rng()),
+        };
+        for event in turn.events.iter().filter_map(EngineEvent::trace) {
+            match event {
+                TraceEvent::Pruned { floor, .. } => self.floor = self.floor.max(floor),
+                TraceEvent::VertexRbcDelivered { vertex } if vertex.round < self.floor => {
+                    self.late += 1;
+                }
+                _ => {}
+            }
+        }
+        let mut buf = Vec::new();
+        now.ticks().encode(&mut buf);
+        encode_turn(&turn, &mut buf);
+        self.stream.update(&buf);
+        self.node.apply(turn, ctx);
+    }
+}
+
+impl Actor for StreamHasher {
+    fn init(&mut self, ctx: &mut Context<'_>) {
+        self.call(None, ctx);
+    }
+
+    fn on_message(&mut self, from: ProcessId, payload: &[u8], ctx: &mut Context<'_>) {
+        self.call(Some(EngineInput::Message { from, payload: payload.to_vec() }), ctx);
+    }
+
+    fn on_timer(&mut self, tag: u64, ctx: &mut Context<'_>) {
+        self.call(Some(EngineInput::Timer { tag }), ctx);
+    }
+}
+
+/// Encodes a turn: each event's trace record and durable projection,
+/// then each output.
+fn encode_turn(turn: &Turn, buf: &mut Vec<u8>) {
+    (turn.events.len() as u64).encode(buf);
+    for event in &turn.events {
+        event.trace().encode(buf);
+        event.clone().into_durable().encode(buf);
+    }
+    (turn.outputs.len() as u64).encode(buf);
+    for output in &turn.outputs {
+        match output {
+            EngineOutput::Send { to, payload } => {
+                0u8.encode(buf);
+                to.encode(buf);
+                encode_bytes(payload, buf);
+            }
+            EngineOutput::Broadcast { payload } => {
+                1u8.encode(buf);
+                encode_bytes(payload, buf);
+            }
+            EngineOutput::SetTimer { delay, tag } => {
+                2u8.encode(buf);
+                delay.encode(buf);
+                tag.encode(buf);
+            }
+            EngineOutput::Ordered(ordered) => {
+                3u8.encode(buf);
+                ordered.vertex.encode(buf);
+                ordered.block.encode(buf);
+                ordered.committed_in_wave.encode(buf);
+                ordered.delivered_at.ticks().encode(buf);
+            }
+            EngineOutput::FetchBatches { from, digests } => {
+                4u8.encode(buf);
+                from.encode(buf);
+                digests.encode(buf);
+            }
+        }
+    }
+}
+
+/// What one golden run produced: the stream digest, the vertices
+/// delivered by broadcast after their round was collected, and process
+/// 0's decided wave.
+struct GoldenRun {
+    digest: String,
+    late: u64,
+    decided: u64,
+}
+
+/// Runs `n` processes for 400 rounds with `gc_depth(8)` and hashes every
+/// turn of every process, in process order. Delays are uniform, except
+/// that the last process is cut off for a while: everything it sends or
+/// receives then takes 400 ticks, so its vertices of that stretch reach
+/// the others after their rounds were collected. `silent` never starts.
+fn golden_run(n: usize, config: NodeConfig, silent: Option<ProcessId>, seed: u64) -> GoldenRun {
+    let committee = Committee::new(n).unwrap();
+    let mut key_rng = StdRng::seed_from_u64(seed);
+    let keys = deal_coin_keys(&committee, &mut key_rng);
+    let config = config.with_max_round(400).with_gc_depth(8);
+    let nodes: Vec<StreamHasher> = committee
+        .members()
+        .zip(keys)
+        .map(|(p, k)| StreamHasher {
+            node: DagRiderNode::new(committee, p, k, config.clone()),
+            silent: silent == Some(p),
+            stream: Sha256::new(),
+            floor: Round::GENESIS,
+            late: 0,
+        })
+        .collect();
+    let victim = ProcessId::new(n as u32 - 1);
+    let scheduler = TargetedScheduler::new(UniformScheduler::new(1, 10), [victim], 400)
+        .with_window(Time::new(500), Time::new(1500));
+    let mut sim = Simulation::new(committee, nodes, scheduler, seed);
+    sim.run();
+    let mut all = Sha256::new();
+    let mut late = 0;
+    for p in committee.members() {
+        let hasher = sim.actor(p);
+        all.update(hasher.stream.clone().finalize().as_bytes());
+        late += hasher.late;
+    }
+    let decided = sim.actor(ProcessId::new(0)).node.decided_wave().number();
+    GoldenRun { digest: all.finalize().to_hex(), late, decided }
+}
+
+#[test]
+fn gc_runs_match_their_recorded_stream_digests() {
+    // The digests pin every turn of these runs: when the engine prunes,
+    // what each prune drops, and every event and output around it. An
+    // optimisation of the DAG store or of the GC pass leaves them as they
+    // are.
+    const PLAIN: &str = "376626b2ba5b5787197f756ad70437d5ef736c1a0d62a68b24950e69dc5b687a";
+    const SILENT: &str = "557e270dd2f6923b01a15e7854e9bfbf64dab6c3afb549b4edc904e50255e123";
+    const PIGGYBACK: &str = "4d97664f6f5ae81a10fdd592f0b61a0b88c97d0ccf0dca7149965c7b5a95d6a4";
+    let cases = [
+        ("plain", 4, NodeConfig::default(), None, 41, PLAIN),
+        ("silent p2", 7, NodeConfig::default(), Some(ProcessId::new(2)), 42, SILENT),
+        ("piggyback", 4, NodeConfig::default().with_piggyback_coin(), None, 43, PIGGYBACK),
+    ];
+    for (name, n, config, silent, seed, expected) in cases {
+        let run = golden_run(n, config, silent, seed);
+        assert!(run.decided >= 90, "{name}: decided only wave {}", run.decided);
+        assert!(run.late > 0, "{name}: no vertex arrived below the GC floor");
+        assert_eq!(run.digest, expected, "{name}: the turn stream changed");
+    }
 }

@@ -39,16 +39,21 @@ fn subset(rng: &mut StdRng, pool: &[VertexRef], min: usize) -> Vec<VertexRef> {
 /// occasional weak edge to a random older retained vertex. Every inserted
 /// vertex keeps the DAG causally closed. Equivocation attempts — a second
 /// vertex for an occupied `(round, source)` slot — are injected and must
-/// be rejected without disturbing the engine.
+/// be rejected without disturbing the engine. Growth starts above the
+/// highest round and at or above the pruned floor; strong edges into a
+/// collected round name any of its slots, as they count as satisfied.
 fn grow(dag: &mut Dag, rng: &mut StdRng, rounds: u64) {
     let committee = dag.committee();
     let quorum = committee.quorum();
-    let start = dag.highest_round().number() + 1;
+    let start = (dag.highest_round().number() + 1).max(dag.pruned_floor().number());
     for r in start..start + rounds {
         let round = Round::new(r);
         let prev_round = Round::new(r - 1);
-        let prev: Vec<VertexRef> =
-            dag.round_vertices(prev_round).keys().map(|&p| VertexRef::new(prev_round, p)).collect();
+        let prev: Vec<VertexRef> = if prev_round < dag.pruned_floor() {
+            committee.members().map(|p| VertexRef::new(prev_round, p)).collect()
+        } else {
+            dag.round_vertices(prev_round).keys().map(|&p| VertexRef::new(prev_round, p)).collect()
+        };
         if prev.len() < quorum {
             return; // can't legally extend a starved round
         }
@@ -135,28 +140,44 @@ proptest! {
         assert_equivalent(&dag);
     }
 
-    /// Engine ≡ oracle across `prune_below` interleavings: grow, prune at
-    /// a random floor (recheck), then keep growing above the floor
-    /// (recheck again) — closures recomposed by the prune-time rebuild and
+    /// Engine ≡ oracle across three grow/prune cycles. The first prune
+    /// lands at a random floor, the second a random step above it, and the
+    /// third above the highest round, which empties the stored window and
+    /// leaves a gap below the next insert. After each prune the oracle is
+    /// rechecked and every collected vertex must bounce off as a
+    /// straggler; then the DAG keeps growing above the floor and is
+    /// rechecked again — closures recomposed by the prune-time rebuild and
     /// closures composed fresh after it must both agree with the oracle.
     #[test]
-    fn engine_matches_oracle_under_pruning(seed in 0u64..10_000, floor in 2u64..7) {
+    fn engine_matches_oracle_under_pruning(seed in 0u64..10_000, floor in 2u64..7, gap in 0u64..4) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut dag = Dag::new(Committee::new(4).expect("4 = 3f + 1"));
         grow(&mut dag, &mut rng, 8);
-        let stragglers: Vec<Vertex> = dag
-            .round_vertices(Round::new(floor - 1))
-            .values()
-            .cloned()
-            .collect();
-        dag.prune_below(Round::new(floor));
-        assert_equivalent(&dag);
-        // Re-delivering a collected vertex must be refused, not resurrected.
-        for vertex in stragglers {
-            assert!(!dag.insert(vertex), "stragglers below the floor are rejected");
+        for cycle in 0..3 {
+            let highest = dag.highest_round();
+            let keep_from = Round::new(match cycle {
+                0 => floor,
+                1 => dag.pruned_floor().number() + rng.random_range(1u64..5),
+                _ => highest.number() + 1 + gap,
+            });
+            let stragglers: Vec<Vertex> = dag
+                .iter()
+                .filter(|v| v.round() != Round::GENESIS && v.round() < keep_from)
+                .cloned()
+                .collect();
+            dag.prune_below(keep_from);
+            assert_eq!(dag.highest_round(), highest, "cycle {cycle}: a prune keeps the top round");
+            assert_eq!(dag.pruned_floor(), keep_from);
+            assert!(dag.lowest_retained_round().is_none_or(|low| low >= keep_from));
+            assert_equivalent(&dag);
+            // Re-delivering a collected vertex must be refused, not resurrected.
+            for vertex in stragglers {
+                assert!(!dag.insert(vertex), "cycle {cycle}: stragglers below the floor are rejected");
+            }
+            grow(&mut dag, &mut rng, 6);
+            assert!(dag.highest_round() > highest, "cycle {cycle}: growth resumes above the floor");
+            assert_equivalent(&dag);
         }
-        grow(&mut dag, &mut rng, 4);
-        assert_equivalent(&dag);
     }
 
     /// Completeness: flipping a single closure bit anywhere makes the
