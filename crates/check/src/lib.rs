@@ -20,26 +20,22 @@
 //! 4. **Worker-pool shutdown** — the `VerifyPool` dismantling protocol
 //!    (workers `recv` while holding the shared receiver lock; shutdown
 //!    drops the sender, then joins), checked for lost-wakeup hangs.
-//! 5. **Batch-store insert/resolve** — a batch reader and a fetch
-//!    responder racing to insert the same batch (plus an unrelated one)
-//!    against a concurrent resolver; duplicate inserts must be counted
-//!    exactly once and resolution must see whole batches.
-//! 6. **Batcher shutdown** — the worker batcher's `recv_timeout`
+//! 5. **Batcher shutdown** — the worker batcher's `recv_timeout`
 //!    assemble loop against a client-sender drop: the tail batch must
 //!    be sealed and pushed, never lost or duplicated.
-//! 7. **WAL writer** — the durability flusher's group-drain loop
+//! 6. **WAL writer** — the durability flusher's group-drain loop
 //!    (`wal_flush_loop`) against a producer and shutdown: every
 //!    persisted event must land in the sink exactly once, in order,
 //!    inside a committed group, and the final sync must run.
-//! 8. **WAL compaction** — snapshot installation interleaved with
+//! 7. **WAL compaction** — snapshot installation interleaved with
 //!    appends on the same channel: the snapshot must supersede exactly
 //!    the events queued before it and never swallow those after.
-//! 9. **Reactor wakeup** — the reactor's park/unpark protocol: racing
+//! 8. **Reactor wakeup** — the reactor's park/unpark protocol: racing
 //!    producers push work and ring the `Waker`; the surface parks
 //!    untimed so a lost wake is a deadlock, not a slow sweep.
-//! 10. **Reactor shutdown** — shutdown signalled (twice, concurrently)
-//!     while the reactor is mid-sweep, about to park, or parked: the
-//!     signal-then-wake pair must terminate the loop on every schedule.
+//! 9. **Reactor shutdown** — shutdown signalled (twice, concurrently)
+//!    while the reactor is mid-sweep, about to park, or parked: the
+//!    signal-then-wake pair must terminate the loop on every schedule.
 //!
 //! Run everything via the `dagrider-check` binary, or call
 //! [`check_surface`] from tests.
@@ -54,9 +50,9 @@ use dagrider_net::sync::atomic::{AtomicU64, Ordering};
 use dagrider_net::sync::model::{explore, Config, Report, Search};
 use dagrider_net::sync::{mpsc, thread, Arc, Mutex, PoisonError};
 use dagrider_net::wal::{wal_channel, wal_flush_loop, WalSink};
-use dagrider_net::{Backoff, BatchStore, Frame, FramePool, Pop, SendQueue, Shutdown, Waker};
+use dagrider_net::{Backoff, Frame, FramePool, Pop, SendQueue, Shutdown, Waker};
 use dagrider_store::StoreSnapshot;
-use dagrider_types::{Batch, Committee, ProcessId, Transaction};
+use dagrider_types::{Batch, Committee, ProcessId};
 
 /// One model-checked concurrency scenario.
 #[derive(Clone, Copy)]
@@ -101,13 +97,6 @@ pub fn surfaces() -> Vec<Surface> {
             description: "worker-pool dismantling (recv under a shared receiver \
                           lock, sender drop, join) must not lose wakeups",
             body: worker_pool_shutdown,
-        },
-        Surface {
-            name: "batch-store",
-            description: "BatchStore insert/resolve race: duplicate inserts from \
-                          the push and fetch paths must count once, and resolution \
-                          must never see a torn batch",
-            body: batch_store_insert_resolve,
         },
         Surface {
             name: "batcher-shutdown",
@@ -331,40 +320,7 @@ fn worker_pool_shutdown() {
     assert_eq!(processed.load(Ordering::Relaxed), 2, "a job was lost in shutdown");
 }
 
-/// Surface 5: the duplicate-insert race from the real runtime — a batch
-/// reader storing a pushed batch races a fetch response storing the very
-/// same batch (plus an unrelated batch from a third path), while the
-/// fetch path immediately resolves what it stored. Invariants: exactly
-/// one of the duplicate inserts reports fresh, accounting counts each
-/// distinct batch once, and a resolved batch is always whole.
-fn batch_store_insert_resolve() {
-    let store = Arc::new(BatchStore::new());
-    let pushed = Batch::new(ProcessId::new(0), 0, vec![Transaction::synthetic(1, 8)]);
-    let fetched = pushed.clone();
-    let other = Batch::new(ProcessId::new(1), 1, vec![Transaction::synthetic(2, 16)]);
-
-    let store_reader = Arc::clone(&store);
-    let reader = thread::spawn(move || store_reader.insert(pushed).1);
-    let store_fetcher = Arc::clone(&store);
-    let fetcher = thread::spawn(move || {
-        let (digest, fresh) = store_fetcher.insert(fetched);
-        // Resolution must see the whole batch the moment insert returns,
-        // whichever insert won the race.
-        let resolved = store_fetcher.get(digest).expect("inserted batch must resolve");
-        assert_eq!(resolved.payload_bytes(), 8, "resolved batch is torn");
-        fresh
-    });
-    let (_, fresh_other) = store.insert(other);
-    assert!(fresh_other, "the unrelated batch has no competitor");
-
-    let fresh_push = reader.join().expect("reader thread");
-    let fresh_fetch = fetcher.join().expect("fetcher thread");
-    assert!(fresh_push != fresh_fetch, "duplicate inserts must report fresh exactly once");
-    assert_eq!(store.len(), 2, "duplicate insert created a phantom entry");
-    assert_eq!(store.payload_bytes(), 8 + 16, "payload accounting double- or under-counted");
-}
-
-/// Surface 6: the worker batcher shape — a `recv_timeout` assemble loop
+/// Surface 5: the worker batcher shape — a `recv_timeout` assemble loop
 /// that seals on size, on interval expiry, and on disconnect — against
 /// the shutdown path dropping the client sender. Every accepted
 /// transaction must reach the send queue in exactly one sealed batch;
@@ -474,7 +430,7 @@ fn empty_snapshot() -> StoreSnapshot {
     StoreSnapshot::from_parts(DagSnapshot::capture(&Dag::new(committee)), Vec::new(), Vec::new())
 }
 
-/// Surface 7: the durability flusher in miniature — a consensus-shaped
+/// Surface 6: the durability flusher in miniature — a consensus-shaped
 /// producer persisting groups of events while the flusher drains
 /// whatever has accumulated into single commit groups, then shutdown by
 /// handle drop. Invariants: every event lands exactly once and in
@@ -510,7 +466,7 @@ fn wal_writer() {
     );
 }
 
-/// Surface 8: compaction on the durability channel — append, snapshot,
+/// Surface 7: compaction on the durability channel — append, snapshot,
 /// append, in the single-producer order the consensus loop guarantees
 /// (drain-then-capture). Invariant: however the flusher groups the
 /// jobs, the snapshot supersedes exactly the events queued before it,
@@ -542,7 +498,7 @@ fn wal_compaction() {
     );
 }
 
-/// Surface 9: the reactor's park/unpark protocol — producers push work
+/// Surface 8: the reactor's park/unpark protocol — producers push work
 /// and ring the [`Waker`]; the reactor drains with non-blocking
 /// `try_pop` and parks between sweeps. The real loop parks with a
 /// timeout as a belt-and-braces fallback; the surface strips the
@@ -580,7 +536,7 @@ fn reactor_wakeup() {
     assert_eq!(drained, 2, "the reactor must observe every pushed frame");
 }
 
-/// Surface 10: shutdown during poll — `NetNode::shutdown` signals the
+/// Surface 9: shutdown during poll — `NetNode::shutdown` signals the
 /// latch and then rings the waker, and a racing second shutdown does
 /// the same (the double-call path). Whether the reactor is mid-sweep,
 /// between the signal check and the park, or already parked, it must

@@ -23,7 +23,8 @@
 //!   is handled inside the engine), [`EngineOutput::SetTimer`], and
 //!   [`EngineOutput::Ordered`] for every `a_deliver` in total order.
 //!   Outputs must be routed in the order returned: the wire order is part
-//!   of the deterministic replay contract.
+//!   of the deterministic replay contract. The engine keeps no ordered
+//!   log: a driver that wants one keeps the `Ordered` outputs.
 //! * **Events** — every call also returns the [`EngineEvent`]s it went
 //!   through, in order, next to its outputs (one [`Turn`]). The engine
 //!   keeps no copy: traces, write-ahead logs, and metrics are the
@@ -255,7 +256,7 @@ pub enum EngineInput {
     /// `a_bcast` in digest mode: batch digests the worker layer finished
     /// disseminating, ready to ride the next vertex as its payload.
     SubmitDigests(Vec<BatchDigest>),
-    /// A batch became available in the local batch store (own assembly, a
+    /// A batch to keep in the engine's batch store (own assembly, a
     /// peer's dissemination stream, or a completed fetch). Unblocks any
     /// pending deliveries waiting on its digest.
     BatchStored(Batch),
@@ -294,7 +295,7 @@ pub enum VerifiedInput {
         share: CoinShare,
     },
     /// A batch whose content digest was already computed off-thread (by
-    /// the worker that sealed it or the reader that stored it), sparing
+    /// the batcher that sealed it or the reactor that received it), sparing
     /// the consensus thread the serialize-and-hash pass that
     /// [`EngineInput::BatchStored`] performs. `digest` must equal
     /// [`batch_digest`]`(&batch)`.
@@ -378,15 +379,16 @@ pub struct DagRiderEngine<B> {
     coin: Coin,
     /// Shares awaiting a vertex to ride (piggyback mode only).
     pending_shares: Vec<CoinShare>,
-    /// The local batch store's engine-side view: every batch whose bytes
-    /// this process holds, by content digest.
+    /// The node's batch store: every batch whose bytes this process
+    /// holds, by content digest. Resolution reads it, drivers serve peer
+    /// fetches from it ([`DagRiderEngine::batch`]), and snapshots capture
+    /// it.
     batches: BTreeMap<BatchDigest, Batch>,
+    /// Total transaction payload bytes across `batches`.
+    batch_bytes: u64,
     /// Ordered deliveries whose payloads are not yet fully resolved — the
     /// head blocks the total order until its batches arrive.
     pending: VecDeque<PendingDelivery>,
-    /// The resolved `a_deliver` log (what [`DagRiderEngine::ordered`]
-    /// serves).
-    resolved: Vec<OrderedVertex>,
     /// Whether a [`FETCH_TIMER_TAG`] timer is outstanding.
     fetch_timer_armed: bool,
     /// Whether ordering delivered a vertex since the last GC pass — the
@@ -427,8 +429,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             coin: Coin::new(coin_keys),
             pending_shares: Vec::new(),
             batches: BTreeMap::new(),
+            batch_bytes: 0,
             pending: VecDeque::new(),
-            resolved: Vec::new(),
             fetch_timer_armed: false,
             gc_due: false,
             started: false,
@@ -475,13 +477,17 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// harness counterpart of [`EngineInput::BatchStored`], for drivers
     /// that pre-stage batches before a run.
     pub fn store_batch(&mut self, batch: Batch) {
-        self.batches.insert(batch_digest(&batch), batch);
+        if let Entry::Vacant(slot) = self.batches.entry(batch_digest(&batch)) {
+            self.batch_bytes += batch.payload_bytes() as u64;
+            slot.insert(batch);
+        }
     }
 
-    /// The single batch-insert point: stores a batch, reports it when new,
-    /// and resolves whatever deliveries waited on it.
+    /// The batch-insert point of every turn: stores a batch, reports it
+    /// when new, and resolves whatever deliveries waited on it.
     fn on_batch(&mut self, digest: BatchDigest, batch: Batch, turn: &mut Turn, now: Time) {
         if let Entry::Vacant(slot) = self.batches.entry(digest) {
+            self.batch_bytes += batch.payload_bytes() as u64;
             slot.insert(batch.clone());
             turn.events.push(EngineEvent::BatchStored { digest, batch });
         }
@@ -521,21 +527,25 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         }
     }
 
-    /// The `a_deliver` log: every vertex (block) in its final total-order
-    /// position, batch digests resolved to their transactions.
-    pub fn ordered(&self) -> &[OrderedVertex] {
-        &self.resolved
-    }
-
     /// Ordered deliveries still waiting for their batches (the head
     /// blocks the total order until it resolves).
     pub fn pending_deliveries(&self) -> usize {
         self.pending.len()
     }
 
-    /// Batches held in the engine's local store view.
+    /// Batches held in the batch store.
     pub fn batches_stored(&self) -> usize {
         self.batches.len()
+    }
+
+    /// Total transaction payload bytes across the stored batches.
+    pub fn batch_payload_bytes(&self) -> u64 {
+        self.batch_bytes
+    }
+
+    /// The stored batch for `digest`, if this process holds it.
+    pub fn batch(&self, digest: &BatchDigest) -> Option<&Batch> {
+        self.batches.get(digest)
     }
 
     /// Per-wave commit outcomes (experiment bookkeeping).
@@ -558,8 +568,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         self.ordering.decided_wave()
     }
 
-    /// Every batch held in the engine's local store view — the batch
-    /// section of a durable snapshot.
+    /// Every stored batch — the batch section of a durable snapshot.
     pub fn stored_batches(&self) -> Vec<Batch> {
         self.batches.values().cloned().collect()
     }
@@ -580,9 +589,10 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// exactly as its live input would; the DAG and the coin then hold
     /// it, so a later sync duplicate reports no durable event. Identical
     /// event sequences rebuild byte-identical ordered logs (the
-    /// determinism contract of the module docs); the turn is returned for
-    /// uniformity, but a recovering driver normally discards it — peers
-    /// already processed the originals, and the store already holds them.
+    /// determinism contract of the module docs). A recovering driver
+    /// keeps the turn's `Ordered` outputs, which rebuild its log, and
+    /// drops the rest: peers already processed the originals, and the
+    /// store already holds the events.
     pub fn replay_durable(
         &mut self,
         event: DurableEvent,
@@ -744,7 +754,6 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             if missing.is_empty() {
                 let head = self.pending.pop_front().expect("front() was Some");
                 let resolved = self.resolve(head.delivery, now, &mut turn.events);
-                self.resolved.push(resolved.clone());
                 turn.outputs.push(EngineOutput::Ordered(resolved));
                 // Progress was made: a fired retry timer is spent.
                 retry = false;
@@ -1074,28 +1083,30 @@ mod tests {
         let tx = Transaction::synthetic(7, 16);
         engines[2].enqueue_block(Block::new(ProcessId::new(2), SeqNum::new(1), vec![tx.clone()]));
 
-        // (from, to, payload) FIFO network with instant delivery.
+        // (from, to, payload) FIFO network with instant delivery; each
+        // process's log is the sequence of its `Ordered` outputs.
         let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
+        let mut logs: Vec<Vec<OrderedVertex>> = vec![Vec::new(); 4];
         let mut clock = 0u64;
-        let route = |from: ProcessId,
-                     outs: Vec<EngineOutput>,
-                     wire: &mut VecDeque<(ProcessId, ProcessId, Vec<u8>)>| {
-            for out in outs {
-                match out {
-                    EngineOutput::Send { to, payload } => {
-                        wire.push_back((from, to, payload.to_vec()));
-                    }
-                    EngineOutput::Broadcast { payload } => {
-                        for to in committee.others(from) {
+        let mut route =
+            |from: ProcessId,
+             outs: Vec<EngineOutput>,
+             wire: &mut VecDeque<(ProcessId, ProcessId, Vec<u8>)>| {
+                for out in outs {
+                    match out {
+                        EngineOutput::Send { to, payload } => {
                             wire.push_back((from, to, payload.to_vec()));
                         }
+                        EngineOutput::Broadcast { payload } => {
+                            for to in committee.others(from) {
+                                wire.push_back((from, to, payload.to_vec()));
+                            }
+                        }
+                        EngineOutput::Ordered(o) => logs[from.as_usize()].push(o),
+                        EngineOutput::SetTimer { .. } | EngineOutput::FetchBatches { .. } => {}
                     }
-                    EngineOutput::SetTimer { .. }
-                    | EngineOutput::Ordered(_)
-                    | EngineOutput::FetchBatches { .. } => {}
                 }
-            }
-        };
+            };
         for p in committee.members() {
             let outs =
                 engines[p.as_usize()].start(Time::new(clock), &mut rngs[p.as_usize()]).outputs;
@@ -1112,77 +1123,21 @@ mod tests {
 
         // Agreement: every pair of logs is prefix-comparable, and the
         // client block was ordered everywhere.
-        let logs: Vec<Vec<VertexRef>> =
-            engines.iter().map(|e| e.ordered().iter().map(|o| o.vertex).collect()).collect();
-        for (i, a) in logs.iter().enumerate() {
-            for b in logs.iter().skip(i + 1) {
+        let refs: Vec<Vec<VertexRef>> =
+            logs.iter().map(|log| log.iter().map(|o| o.vertex).collect()).collect();
+        for (i, a) in refs.iter().enumerate() {
+            for b in refs.iter().skip(i + 1) {
                 let common = a.len().min(b.len());
                 assert_eq!(&a[..common], &b[..common], "logs diverge");
             }
         }
-        for e in &engines {
+        for (e, log) in engines.iter().zip(&logs) {
             assert!(e.decided_wave() >= Wave::new(1), "{} decided nothing", e.me());
             assert!(
-                e.ordered().iter().any(|o| o.block.transactions().contains(&tx)),
+                log.iter().any(|o| o.block.transactions().contains(&tx)),
                 "{} did not order the client block",
                 e.me()
             );
-        }
-    }
-
-    #[test]
-    fn ordered_outputs_match_the_log() {
-        // Every Ordered output must appear in the queryable log, in order.
-        let committee = Committee::new(4).unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
-        let keys = deal_coin_keys(&committee, &mut rng);
-        let config = NodeConfig::default().with_max_round(12);
-        let mut engines: Vec<DagRiderEngine<BrachaRbc>> = committee
-            .members()
-            .zip(keys)
-            .map(|(p, k)| DagRiderEngine::new(committee, p, k, config.clone()))
-            .collect();
-        let mut rngs: Vec<StdRng> = (0..4).map(StdRng::seed_from_u64).collect();
-        let mut ordered_outputs: Vec<Vec<OrderedVertex>> = vec![Vec::new(); 4];
-        let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
-        let collect = |from: ProcessId,
-                       outs: Vec<EngineOutput>,
-                       wire: &mut VecDeque<(ProcessId, ProcessId, Vec<u8>)>,
-                       ordered: &mut Vec<Vec<OrderedVertex>>| {
-            for out in outs {
-                match out {
-                    EngineOutput::Send { to, payload } => {
-                        wire.push_back((from, to, payload.to_vec()));
-                    }
-                    EngineOutput::Broadcast { payload } => {
-                        for to in committee.others(from) {
-                            wire.push_back((from, to, payload.to_vec()));
-                        }
-                    }
-                    EngineOutput::Ordered(o) => ordered[from.as_usize()].push(o),
-                    EngineOutput::SetTimer { .. } | EngineOutput::FetchBatches { .. } => {}
-                }
-            }
-        };
-        for p in committee.members() {
-            let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]).outputs;
-            collect(p, outs, &mut wire, &mut ordered_outputs);
-        }
-        let mut t = 0u64;
-        while let Some((from, to, payload)) = wire.pop_front() {
-            t += 1;
-            let outs = engines[to.as_usize()]
-                .handle(
-                    Time::new(t),
-                    EngineInput::Message { from, payload },
-                    &mut rngs[to.as_usize()],
-                )
-                .outputs;
-            collect(to, outs, &mut wire, &mut ordered_outputs);
-        }
-        for p in committee.members() {
-            assert!(!ordered_outputs[p.as_usize()].is_empty());
-            assert_eq!(ordered_outputs[p.as_usize()].as_slice(), engines[p.as_usize()].ordered());
         }
     }
 
@@ -1202,23 +1157,29 @@ mod tests {
             .collect();
         let mut rngs: Vec<StdRng> = (0..4).map(|i| StdRng::seed_from_u64(50 + i)).collect();
         let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
-        let route = |from: ProcessId,
-                     outs: Vec<EngineOutput>,
-                     wire: &mut VecDeque<(ProcessId, ProcessId, Vec<u8>)>| {
-            for out in outs {
-                match out {
-                    EngineOutput::Send { to, payload } => {
-                        wire.push_back((from, to, payload.to_vec()));
-                    }
-                    EngineOutput::Broadcast { payload } => {
-                        for to in committee.others(from) {
+        // p0's log: the vertices of its `Ordered` outputs.
+        let mut reference: Vec<VertexRef> = Vec::new();
+        let mut route =
+            |from: ProcessId,
+             outs: Vec<EngineOutput>,
+             wire: &mut VecDeque<(ProcessId, ProcessId, Vec<u8>)>| {
+                for out in outs {
+                    match out {
+                        EngineOutput::Send { to, payload } => {
                             wire.push_back((from, to, payload.to_vec()));
                         }
+                        EngineOutput::Broadcast { payload } => {
+                            for to in committee.others(from) {
+                                wire.push_back((from, to, payload.to_vec()));
+                            }
+                        }
+                        EngineOutput::Ordered(o) if from == ProcessId::new(0) => {
+                            reference.push(o.vertex);
+                        }
+                        _ => {}
                     }
-                    _ => {}
                 }
-            }
-        };
+            };
         for p in committee.members() {
             let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]).outputs;
             route(p, outs, &mut wire);
@@ -1233,7 +1194,6 @@ mod tests {
                 .outputs;
             route(to, outs, &mut wire);
         }
-        let reference = engines[0].ordered().to_vec();
         assert!(!reference.is_empty());
         let top_wave = engines[0].decided_wave().number();
 
@@ -1243,30 +1203,32 @@ mod tests {
         let mut fresh: DagRiderEngine<BrachaRbc> =
             DagRiderEngine::new(committee, ProcessId::new(3), keys[3].clone(), config);
         let mut fresh_rng = StdRng::seed_from_u64(999);
+        let mut rebuilt: Vec<VertexRef> = Vec::new();
+        let mut feed = |input: EngineInput| {
+            for out in fresh.handle(Time::ZERO, input, &mut fresh_rng).outputs {
+                if let EngineOutput::Ordered(o) = out {
+                    rebuilt.push(o.vertex);
+                }
+            }
+        };
         let vertices = engines[0].sync_vertices();
         assert!(!vertices.is_empty());
         for v in vertices {
-            fresh.handle(Time::ZERO, EngineInput::SyncVertex(v), &mut fresh_rng);
+            feed(EngineInput::SyncVertex(v));
         }
         for w in 1..=top_wave {
             for issuer in [0usize, 1] {
                 let share = engines[issuer].coin_share(w, &mut rngs[issuer]);
                 let msg: NodeMessage<dagrider_rbc::BrachaMessage> = NodeMessage::Coin(share);
-                fresh.handle(
-                    Time::ZERO,
-                    EngineInput::Message {
-                        from: ProcessId::new(issuer as u32),
-                        payload: msg.to_bytes(),
-                    },
-                    &mut fresh_rng,
-                );
+                feed(EngineInput::Message {
+                    from: ProcessId::new(issuer as u32),
+                    payload: msg.to_bytes(),
+                });
             }
         }
-        let rebuilt: Vec<VertexRef> = fresh.ordered().iter().map(|o| o.vertex).collect();
-        let reference_refs: Vec<VertexRef> = reference.iter().map(|o| o.vertex).collect();
-        let common = rebuilt.len().min(reference_refs.len());
+        let common = rebuilt.len().min(reference.len());
         assert!(common > 0, "sync rebuilt nothing");
-        assert_eq!(&rebuilt[..common], &reference_refs[..common]);
+        assert_eq!(&rebuilt[..common], &reference[..common]);
     }
 
     #[test]

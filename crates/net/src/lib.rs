@@ -14,8 +14,6 @@
 //! * [`backoff`] — capped exponential reconnect delays.
 //! * [`queue`] — bounded per-peer outbound queues with drop-oldest
 //!   backpressure.
-//! * [`batch`] — [`BatchStore`], the digest-keyed in-memory store for
-//!   disseminated transaction batches.
 //! * `worker` (crate-private) — worker channels: transaction batching
 //!   and peer-to-peer batch dissemination off the consensus path.
 //! * `reactor` (crate-private) — the readiness-based event loop: one
@@ -51,7 +49,6 @@
 #![warn(missing_docs)]
 
 pub mod backoff;
-pub mod batch;
 pub mod client;
 pub mod frame;
 pub mod queue;
@@ -65,7 +62,6 @@ pub mod wire;
 pub(crate) mod worker;
 
 pub use backoff::Backoff;
-pub use batch::BatchStore;
 pub use client::{AdmissionSnapshot, AdmissionStats};
 pub use frame::{read_frame, write_frame, Fill, Frame, FramePool, FrameReader, MAX_FRAME_LEN};
 pub use queue::{Pop, SendQueue};

@@ -46,10 +46,10 @@ use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
+use dagrider_core::batch_digest;
 use dagrider_types::{Block, Committee, Decode, Encode, ProcessId, SeqNum, Transaction};
 
 use crate::backoff::Backoff;
-use crate::batch::BatchStore;
 use crate::client::{tx_hash, AdmissionStats, FrontendMsg};
 use crate::frame::{write_frame, Fill, Frame, FramePool, FrameReader};
 use crate::queue::{Pop, SendQueue};
@@ -190,7 +190,6 @@ pub(crate) struct ReactorConfig {
     pub waker: Arc<Waker>,
     pub consensus: Sender<Event>,
     pub verify: Arc<dyn PoolControl>,
-    pub batch_store: Arc<BatchStore>,
     pub worker_txs: Vec<Sender<Transaction>>,
     pub frontend: Sender<FrontendMsg>,
     pub redial: Sender<DialRequest>,
@@ -503,7 +502,7 @@ impl Reactor {
                 if batch.creator() != from {
                     return Verdict::Dead;
                 }
-                let (digest, _) = self.config.batch_store.insert(batch.clone());
+                let digest = batch_digest(&batch);
                 if self.config.consensus.send(Event::PeerBatch { from, digest, batch }).is_ok() {
                     Verdict::Keep
                 } else {

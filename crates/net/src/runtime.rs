@@ -54,7 +54,6 @@ use dagrider_types::{
     Batch, BatchDigest, Block, Committee, Encode, ProcessId, Round, Time, Transaction, Wave,
 };
 
-use crate::batch::BatchStore;
 use crate::client::{frontend_loop, AdmissionSnapshot, AdmissionStats};
 use crate::frame::FramePool;
 use crate::queue::SendQueue;
@@ -284,8 +283,8 @@ pub(crate) enum Event {
         /// The sealed batch.
         batch: Batch,
     },
-    /// A peer's worker connection pushed a batch (already in the
-    /// [`BatchStore`]): hand it to the engine and acknowledge.
+    /// A peer's worker connection pushed a batch: hand it to the engine
+    /// and acknowledge.
     PeerBatch {
         /// The pushing peer.
         from: ProcessId,
@@ -305,11 +304,24 @@ pub(crate) enum Event {
 /// read it too).
 #[derive(Debug, Default)]
 pub(crate) struct Published {
+    /// The node's ordered log: every `Ordered` output of its engine.
     pub(crate) ordered: Mutex<Vec<OrderedVertex>>,
     pub(crate) round: AtomicU64,
     pub(crate) decided_wave: AtomicU64,
     pub(crate) synced: AtomicBool,
     pub(crate) recovered: AtomicU64,
+    /// Batches in the engine's batch store, and their payload bytes.
+    pub(crate) batches: AtomicU64,
+    pub(crate) batch_bytes: AtomicU64,
+}
+
+/// What routing engine outputs leaves for the consensus loop: the
+/// timers to fire, as (fire-at, tag) and unordered (few and coarse), and
+/// the ordered vertices to publish at the end of the iteration.
+#[derive(Default)]
+struct Routed {
+    timers: Vec<(Instant, u64)>,
+    ordered: Vec<OrderedVertex>,
 }
 
 /// Consensus-side durability state: the flusher handle, what the store
@@ -346,7 +358,6 @@ pub struct NetNode {
     waker: Arc<Waker>,
     admission: Arc<AdmissionStats>,
     verify: Arc<dyn PoolControl>,
-    store: Arc<BatchStore>,
     worker_txs: Vec<Sender<Transaction>>,
     worker_queues: Vec<Arc<SendQueue>>,
     next_worker: AtomicU64,
@@ -401,7 +412,6 @@ impl NetNode {
             config.coin_keys.public().clone(),
             tx.clone(),
         ));
-        let store = Arc::new(BatchStore::new());
 
         // The reactor's feeds: commands (registered links, client
         // notifications), redial requests, and frontend match traffic.
@@ -434,7 +444,6 @@ impl NetNode {
                 peer_queues.push(queue);
             }
             worker_queues.extend(peer_queues.iter().cloned());
-            let batcher_store = Arc::clone(&store);
             let batcher_consensus = tx.clone();
             let batcher_stop = Arc::clone(&stop);
             let batcher_waker = Arc::clone(&waker);
@@ -442,7 +451,6 @@ impl NetNode {
                 let lane = BatchLane {
                     me,
                     worker,
-                    store: &batcher_store,
                     peer_queues: &peer_queues,
                     consensus: &batcher_consensus,
                     waker: &batcher_waker,
@@ -479,7 +487,6 @@ impl NetNode {
                 waker: Arc::clone(&waker),
                 consensus: tx.clone(),
                 verify: Arc::clone(&verify) as Arc<dyn PoolControl>,
-                batch_store: Arc::clone(&store),
                 worker_txs: worker_txs.clone(),
                 frontend: frontend_tx,
                 redial: redial_tx,
@@ -531,7 +538,6 @@ impl NetNode {
             let state = Arc::clone(&published);
             let consensus_queues = queues.clone();
             let consensus_stop = Arc::clone(&stop);
-            let consensus_store = Arc::clone(&store);
             let consensus_waker = Arc::clone(&waker);
             threads.push(thread::spawn(move || {
                 consensus_loop::<B>(
@@ -540,7 +546,6 @@ impl NetNode {
                     &consensus_queues,
                     &state,
                     &consensus_stop,
-                    &consensus_store,
                     durable,
                     &consensus_waker,
                 );
@@ -557,7 +562,6 @@ impl NetNode {
             waker,
             admission,
             verify,
-            store,
             worker_txs,
             worker_queues,
             next_worker: AtomicU64::new(0),
@@ -609,15 +613,16 @@ impl NetNode {
         self.worker_txs.len()
     }
 
-    /// Batches currently held in the shared [`BatchStore`] (own and
-    /// received).
+    /// Batches the engine's batch store holds (own, received, fetched,
+    /// and recovered from the durable store), as of the consensus loop's
+    /// last iteration.
     pub fn batches_stored(&self) -> usize {
-        self.store.len()
+        self.published.batches.load(AtomicOrdering::Relaxed) as usize
     }
 
     /// Total transaction payload bytes across stored batches.
     pub fn batch_payload_bytes(&self) -> u64 {
-        self.store.payload_bytes()
+        self.published.batch_bytes.load(AtomicOrdering::Relaxed)
     }
 
     /// Snapshot of the ordered log so far.
@@ -724,14 +729,12 @@ impl Drop for NetNode {
 /// engine until shutdown. Every iteration ends by ringing the reactor's
 /// waker, so frames the engine pushed this iteration hit the wire
 /// without waiting for the reactor's idle tick.
-#[allow(clippy::too_many_arguments)]
 fn consensus_loop<B: ReliableBroadcast>(
     config: NetConfig,
     rx: Receiver<Event>,
     queues: &[Arc<SendQueue>],
     published: &Published,
     stop: &Shutdown,
-    store: &BatchStore,
     durable: Option<DurableCtx>,
     waker: &Waker,
 ) {
@@ -744,12 +747,11 @@ fn consensus_loop<B: ReliableBroadcast>(
     let mut durable = durable;
     let mut recovered_state = durable.as_mut().and_then(|ctx| ctx.recovered.take());
 
-    // Pending engine timers as (fire-at, tag), unordered (few and coarse).
-    let mut timers: Vec<(Instant, u64)> = Vec::new();
+    let mut routed = Routed::default();
     // Encode buffers recycle through this pool: steady-state outbound
     // traffic allocates nothing.
     let frames = FramePool::new();
-    let route = |outs: Vec<EngineOutput>, timers: &mut Vec<(Instant, u64)>| {
+    let route = |outs: Vec<EngineOutput>, routed: &mut Routed| {
         for out in outs {
             match out {
                 EngineOutput::Send { to, payload } => {
@@ -767,7 +769,7 @@ fn consensus_loop<B: ReliableBroadcast>(
                     }
                 }
                 EngineOutput::SetTimer { delay, tag } => {
-                    timers.push((Instant::now() + Duration::from_millis(delay), tag));
+                    routed.timers.push((Instant::now() + Duration::from_millis(delay), tag));
                 }
                 EngineOutput::FetchBatches { from, digests } => {
                     // The engine ordered a digest whose batch never
@@ -775,9 +777,7 @@ fn consensus_loop<B: ReliableBroadcast>(
                     // (mirrors the sync shortfall re-request).
                     queues[from.as_usize()].push(frames.encode(&WireMsg::BatchRequest { digests }));
                 }
-                // Ordered vertices are published from the engine's own log
-                // below; nothing to route.
-                EngineOutput::Ordered(_) => {}
+                EngineOutput::Ordered(ordered) => routed.ordered.push(ordered),
             }
         }
     };
@@ -789,7 +789,7 @@ fn consensus_loop<B: ReliableBroadcast>(
     // rest of the stream is dropped. Snapshot cadence counts persisted
     // vertex events; the capture is a cheap clone on this thread, the
     // tmp-write/fsync/rename/truncate sequence runs on the flusher.
-    let mut emit = |engine: &DagRiderEngine<B>, turn: Turn, timers: &mut Vec<(Instant, u64)>| {
+    let mut emit = |engine: &DagRiderEngine<B>, turn: Turn, routed: &mut Routed| {
         if let Some(ctx) = durable.as_mut() {
             let events: Vec<DurableEvent> =
                 turn.events.into_iter().filter_map(EngineEvent::into_durable).collect();
@@ -806,17 +806,17 @@ fn consensus_loop<B: ReliableBroadcast>(
                 }
             }
         }
-        route(turn.outputs, timers);
+        route(turn.outputs, routed);
     };
 
     // Replay the local store into the fresh engine before anything
     // touches the network. The recovered prefix re-derives silently —
     // its events are already in the store, `Send`/`Broadcast` are
     // dropped (peers saw the original traffic long ago), and `Ordered`
-    // re-deliveries surface through the engine's log in the publish step
-    // like any other progress. The DAG and the coin now hold the prefix,
-    // so only *new* events reach the WAL. The sync phase below then
-    // fetches just the suffix missed while down.
+    // re-deliveries are published with the first iteration's progress.
+    // The DAG and the coin now hold the prefix, so only *new* events
+    // reach the WAL. The sync phase below then fetches just the suffix
+    // missed while down.
     if let Some(rec) = recovered_state.take() {
         let mut replay_outs = Vec::new();
         let stats = replay_into(
@@ -826,13 +826,11 @@ fn consensus_loop<B: ReliableBroadcast>(
             engine_now(epoch),
             &mut rng,
             |out| match out {
-                EngineOutput::Send { .. }
-                | EngineOutput::Broadcast { .. }
-                | EngineOutput::Ordered(_) => {}
+                EngineOutput::Send { .. } | EngineOutput::Broadcast { .. } => {}
                 other => replay_outs.push(other),
             },
         );
-        route(replay_outs, &mut timers);
+        route(replay_outs, &mut routed);
         published.recovered.store(stats.total() as u64, AtomicOrdering::Relaxed);
     }
 
@@ -850,7 +848,6 @@ fn consensus_loop<B: ReliableBroadcast>(
     let mut sync_retries = vec![SYNC_RETRIES; committee.n()];
     let mut sync_deadline = Instant::now() + config.sync_timeout;
     let mut live = false;
-    let mut published_len = 0usize;
 
     // Digests sealed by our own workers, awaiting peer acks before the
     // engine may propose them. Lives entirely on this thread — acks
@@ -872,7 +869,7 @@ fn consensus_loop<B: ReliableBroadcast>(
                 WireMsg::Engine(payload) => {
                     let input = EngineInput::Message { from, payload };
                     let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                    emit(&engine, turn, &mut timers);
+                    emit(&engine, turn, &mut routed);
                 }
                 WireMsg::SyncRequest => {
                     serve_sync(&mut engine, &mut rng, &queues[from.as_usize()], &frames);
@@ -881,7 +878,7 @@ fn consensus_loop<B: ReliableBroadcast>(
                     sync_received[from.as_usize()] += 1;
                     let input = EngineInput::SyncVertex(vertex);
                     let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                    emit(&engine, turn, &mut timers);
+                    emit(&engine, turn, &mut routed);
                 }
                 WireMsg::SyncEnd { served } => {
                     if sync_received[from.as_usize()] >= served {
@@ -899,17 +896,16 @@ fn consensus_loop<B: ReliableBroadcast>(
                     }
                 }
                 WireMsg::BatchRequest { digests } => {
-                    serve_batches(store, &digests, &queues[from.as_usize()], &frames);
+                    serve_batches(&engine, &digests, &queues[from.as_usize()], &frames);
                 }
                 WireMsg::Batch(batch) => {
                     // A fetch response on the consensus connection (the
                     // steady-state push stream lands on worker
-                    // connections, not here). Store it, then let the
-                    // engine resolve whatever deliveries wait on it.
-                    let (digest, _) = store.insert(batch.clone());
-                    let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
-                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                    emit(&engine, turn, &mut timers);
+                    // connections, not here). The engine stores it and
+                    // resolves whatever deliveries wait on it.
+                    let turn =
+                        engine.handle(engine_now(epoch), EngineInput::BatchStored(batch), &mut rng);
+                    emit(&engine, turn, &mut routed);
                 }
                 WireMsg::BatchAck { digest } => {
                     if let Some(at) = acks.iter().position(|p| p.digest == digest) {
@@ -917,7 +913,7 @@ fn consensus_loop<B: ReliableBroadcast>(
                             let released = acks.swap_remove(at).digest;
                             let input = EngineInput::SubmitDigests(vec![released]);
                             let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                            emit(&engine, turn, &mut timers);
+                            emit(&engine, turn, &mut routed);
                         }
                     }
                 }
@@ -936,12 +932,12 @@ fn consensus_loop<B: ReliableBroadcast>(
             Ok(Event::Verified(verified)) => {
                 let input = EngineInput::PreVerified(verified);
                 let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&engine, turn, &mut timers);
+                emit(&engine, turn, &mut routed);
             }
             Ok(Event::Submit(block)) => {
                 let turn =
                     engine.handle(engine_now(epoch), EngineInput::SubmitBlock(block), &mut rng);
-                emit(&engine, turn, &mut timers);
+                emit(&engine, turn, &mut routed);
             }
             Ok(Event::OwnBatch { digest, batch }) => {
                 // A local worker sealed and disseminated this batch. Make
@@ -954,7 +950,7 @@ fn consensus_loop<B: ReliableBroadcast>(
                 });
                 let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
                 let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&engine, turn, &mut timers);
+                emit(&engine, turn, &mut routed);
             }
             Ok(Event::PeerBatch { from, digest, batch }) => {
                 // A peer's worker pushed this batch to us; acknowledge on
@@ -964,7 +960,7 @@ fn consensus_loop<B: ReliableBroadcast>(
                 queues[from.as_usize()].push(frames.encode(&WireMsg::BatchAck { digest }));
                 let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
                 let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&engine, turn, &mut timers);
+                emit(&engine, turn, &mut routed);
             }
             Ok(Event::LinkUp(peer)) => {
                 if !live {
@@ -979,11 +975,11 @@ fn consensus_loop<B: ReliableBroadcast>(
         // Fire due timers.
         let now_instant = Instant::now();
         let mut i = 0;
-        while i < timers.len() {
-            if timers[i].0 <= now_instant {
-                let (_, tag) = timers.swap_remove(i);
+        while i < routed.timers.len() {
+            if routed.timers[i].0 <= now_instant {
+                let (_, tag) = routed.timers.swap_remove(i);
                 let turn = engine.handle(engine_now(epoch), EngineInput::Timer { tag }, &mut rng);
-                emit(&engine, turn, &mut timers);
+                emit(&engine, turn, &mut routed);
             } else {
                 i += 1;
             }
@@ -998,7 +994,7 @@ fn consensus_loop<B: ReliableBroadcast>(
                 let released = acks.swap_remove(i).digest;
                 let input = EngineInput::SubmitDigests(vec![released]);
                 let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&engine, turn, &mut timers);
+                emit(&engine, turn, &mut routed);
             } else {
                 i += 1;
             }
@@ -1013,22 +1009,39 @@ fn consensus_loop<B: ReliableBroadcast>(
             published.synced.store(true, AtomicOrdering::Relaxed);
             if engine.current_round() == Round::GENESIS && !engine.is_started() {
                 let turn = engine.start(engine_now(epoch), &mut rng);
-                emit(&engine, turn, &mut timers);
+                emit(&engine, turn, &mut routed);
             }
         }
 
         // Publish progress for cross-thread queries.
-        let log = engine.ordered();
-        if log.len() > published_len {
-            lock_unpoisoned(&published.ordered).extend_from_slice(&log[published_len..]);
-            published_len = log.len();
+        if !routed.ordered.is_empty() {
+            lock_unpoisoned(&published.ordered).append(&mut routed.ordered);
         }
         published.round.store(engine.current_round().number(), AtomicOrdering::Relaxed);
         published.decided_wave.store(engine.decided_wave().number(), AtomicOrdering::Relaxed);
+        published.batches.store(engine.batches_stored() as u64, AtomicOrdering::Relaxed);
+        published.batch_bytes.store(engine.batch_payload_bytes(), AtomicOrdering::Relaxed);
 
         // Anything this iteration queued is on the wire after one
         // reactor sweep — ring the bell rather than wait for its tick.
         waker.wake();
+    }
+}
+
+/// Serves a peer's missing-batch fetch from the engine's batch store:
+/// one [`WireMsg::Batch`] frame per digest we hold. Digests we lack are
+/// skipped — the requester's engine rotates to another peer on its
+/// fetch timer, so silence is a valid answer.
+fn serve_batches<B: ReliableBroadcast>(
+    engine: &DagRiderEngine<B>,
+    digests: &[BatchDigest],
+    queue: &SendQueue,
+    frames: &FramePool,
+) {
+    for digest in digests {
+        if let Some(batch) = engine.batch(digest) {
+            queue.push(frames.encode_with(|buf| WireMsg::encode_batch_into(batch, buf)));
+        }
     }
 }
 
@@ -1038,23 +1051,6 @@ fn consensus_loop<B: ReliableBroadcast>(
 /// regeneration equals re-send; `f + 1` peers answering reconstructs
 /// every coin), then `SyncEnd` carrying the vertex count so the
 /// requester can detect in-flight loss and re-request.
-/// Serves a peer's missing-batch fetch from the shared store: one
-/// [`WireMsg::Batch`] frame per digest we hold. Digests we lack are
-/// skipped — the requester's engine rotates to another peer on its
-/// fetch timer, so silence is a valid answer.
-fn serve_batches(
-    store: &BatchStore,
-    digests: &[BatchDigest],
-    queue: &SendQueue,
-    frames: &FramePool,
-) {
-    for &digest in digests {
-        if let Some(batch) = store.get(digest) {
-            queue.push(frames.encode_with(|buf| WireMsg::encode_batch_into(&batch, buf)));
-        }
-    }
-}
-
 fn serve_sync<B: ReliableBroadcast>(
     engine: &mut DagRiderEngine<B>,
     rng: &mut rand::rngs::StdRng,

@@ -2,20 +2,21 @@
 //!
 //! This is the Narwhal-style decoupling of data dissemination from
 //! consensus (PAPERS.md, "Bullshark"): client transactions go to worker
-//! channels, never to the consensus thread. Each worker runs
+//! channels, never to the consensus thread.
 //!
 //! Each worker runs a **batcher** thread that drains its transaction
-//! channel, assembles size/time-bounded [`Batch`]es, stores them in the
-//! shared [`BatchStore`], and fans each sealed batch out to every peer
-//! through that peer's bounded [`SendQueue`] (one frame encoding shared
-//! by all peers via [`FramePool`]). The queues themselves are drained by
-//! the reactor (`crate::reactor`), which owns the dedicated worker-lane
-//! connections announced with [`WireMsg::WorkerHello`] — sealing rings
-//! the reactor's waker so the fan-out hits the wire without waiting for
-//! the next sweep tick.
+//! channel, assembles size/time-bounded [`Batch`]es, hashes each sealed
+//! batch, and fans it out to every peer through that peer's bounded
+//! [`SendQueue`] (one frame encoding shared by all peers via
+//! [`FramePool`]) before handing it to consensus, whose engine holds the
+//! node's only copy. The queues themselves are drained by the reactor
+//! (`crate::reactor`), which owns the dedicated worker-lane connections
+//! announced with [`WireMsg::WorkerHello`] — sealing rings the reactor's
+//! waker so the fan-out hits the wire without waiting for the next sweep
+//! tick.
 //!
-//! Inbound, the reactor classifies `WorkerHello` connections and stores
-//! each pushed batch before notifying the consensus thread; consensus
+//! Inbound, the reactor classifies `WorkerHello` connections and hashes
+//! each pushed batch before handing it to the consensus thread; consensus
 //! acknowledges on the consensus connection ([`WireMsg::BatchAck`]) and
 //! releases the digest into a vertex payload once a quorum has
 //! acknowledged (or an ack timeout expires — the engine's bounded fetch
@@ -27,9 +28,9 @@
 
 use std::time::{Duration, Instant};
 
+use dagrider_core::batch_digest;
 use dagrider_types::{Batch, BatchDigest, ProcessId, Transaction};
 
-use crate::batch::BatchStore;
 use crate::frame::FramePool;
 use crate::queue::SendQueue;
 use crate::runtime::Event;
@@ -98,11 +99,10 @@ impl Assembler {
 }
 
 /// Everything a batcher needs to seal and publish a batch: its identity
-/// plus the store, fan-out queues, and consensus channel it writes to.
+/// plus the fan-out queues and consensus channel it writes to.
 pub(crate) struct BatchLane<'a> {
     pub me: ProcessId,
     pub worker: u32,
-    pub store: &'a BatchStore,
     pub peer_queues: &'a [Arc<SendQueue>],
     pub consensus: &'a Sender<Event>,
     /// Rung after a seal fans out, so the reactor drains the peer
@@ -112,7 +112,7 @@ pub(crate) struct BatchLane<'a> {
 
 /// The batcher thread body for worker channel `lane.worker` of process
 /// `lane.me`: drain the transaction channel, seal size/time-bounded
-/// batches, store and fan them out, and hand each sealed batch to
+/// batches, fan them out, and hand each sealed batch to
 /// consensus (which traces its lifecycle and releases the digest after
 /// ack quorum).
 pub(crate) fn batch_loop(
@@ -151,14 +151,14 @@ pub(crate) fn batch_loop(
     }
 }
 
-/// Seals the pending transactions into a batch: store it, encode one
-/// frame shared by every peer queue, and notify consensus.
+/// Seals the pending transactions into a batch: hash it, encode one
+/// frame shared by every peer queue, and hand it to consensus.
 fn seal(lane: &BatchLane<'_>, assembler: &mut Assembler, frames: &FramePool) {
     if assembler.is_empty() {
         return;
     }
     let batch = Batch::new(lane.me, lane.worker, assembler.take());
-    let (digest, _) = lane.store.insert(batch.clone());
+    let digest = batch_digest(&batch);
     let frame = frames.encode_with(|buf| WireMsg::encode_batch_into(&batch, buf));
     for queue in lane.peer_queues {
         queue.push(frame.clone());

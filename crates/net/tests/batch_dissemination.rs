@@ -133,9 +133,10 @@ fn workers_disseminate_and_order_by_digest() {
     assert!(len > 16, "only {len} vertices ordered in {max_round} rounds");
     for (i, node) in nodes.iter().enumerate() {
         // Everyone stored everyone's batches (pushed, since with an
-        // unreachable deadline unacked digests are never even proposed).
-        assert!(node.batches_stored() >= 4, "node {i} stored {}", node.batches_stored());
-        assert!(node.batch_payload_bytes() >= 4 * 48);
+        // unreachable deadline unacked digests are never even proposed),
+        // each once: every node sealed exactly one 48-byte marker batch.
+        assert_eq!(node.batches_stored(), 4, "node {i} stored {}", node.batches_stored());
+        assert_eq!(node.batch_payload_bytes(), 4 * 48, "node {i} miscounted payload bytes");
         for m in 0..nodes.len() {
             assert!(ordered_marker(node, &marker(m)), "node {i} never ordered marker {m}");
         }
@@ -189,11 +190,12 @@ fn blackholed_pushes_resolve_through_the_fetch_path() {
         }
     }
     // The victim received no pushes, so every peer batch it holds came
-    // through the fetch path — and it must hold all of them to have
-    // resolved its (byte-identical) log above.
-    assert!(
-        nodes[victim].batches_stored() >= n,
-        "victim resolved only {} batches",
+    // through the fetch path — and it must hold all of them, each once,
+    // to have resolved its (byte-identical) log above.
+    assert_eq!(
+        nodes[victim].batches_stored(),
+        n,
+        "victim resolved {} batches",
         nodes[victim].batches_stored()
     );
     for mut node in nodes {

@@ -238,6 +238,103 @@ fn a_killed_node_restarts_from_its_local_store() {
     let _ = std::fs::remove_dir_all(&store_dir);
 }
 
+/// A node restarted from its store answers fetches for the batches it
+/// recovered. Node 0 runs alone, seals one batch, and is restarted from
+/// its store; the test then plays peer 1 over raw sockets and asks for
+/// that batch. Only the store can have brought it back: no peer ever ran.
+#[test]
+fn a_restarted_node_serves_the_batches_it_recovered() {
+    use std::io;
+    use std::net::TcpStream;
+
+    use dagrider_core::batch_digest;
+    use dagrider_net::{read_frame, write_frame, WireMsg};
+    use dagrider_types::{Batch, Decode, Encode};
+
+    let (cluster, mut listeners) = Cluster::prepare(4, 909, 8);
+    let listener = listeners.remove(0);
+    // This test plays peer 1; peers 2 and 3 never accept. Every port
+    // stays bound, so no other test can take one over.
+    let peer = listeners.remove(0);
+    peer.set_nonblocking(true).unwrap();
+    let store_dir = scratch_dir("serve-recovered");
+    let marker = Transaction::synthetic(9_090, 48);
+    let batch = Batch::new(ProcessId::new(0), 0, vec![marker.clone()]);
+
+    let first = cluster.start_with_store(0, Some(listener), &store_dir);
+    assert_eq!(first.workers(), 1);
+    assert!(first.submit_tx(marker));
+    // The batch is sealed within the batch interval, long before the
+    // sync phase times out and the node goes live.
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while (first.batches_stored() == 0 || !first.is_live()) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(first.batches_stored(), 1, "node 0 never stored its batch");
+    let addr = first.local_addr();
+    drop(first);
+    // Discard the links the first run dialed to peer 1.
+    while peer.accept().is_ok() {}
+
+    let node = cluster.start_with_store(0, Some(TcpListener::bind(addr).unwrap()), &store_dir);
+    let deadline = Instant::now() + Duration::from_secs(15);
+    while node.recovered_events() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(node.recovered_events() >= 1, "the restart must replay the local store");
+
+    // Node 0 writes to peer 1 on the link it dials: accept it (a link
+    // that opens with `Hello`; worker links open with `WorkerHello`).
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut worker_links = Vec::new();
+    let mut from_node = loop {
+        assert!(Instant::now() < deadline, "node 0 never dialed peer 1");
+        match peer.accept() {
+            Ok((mut stream, _)) => {
+                stream.set_nonblocking(false).unwrap();
+                stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                let hello = WireMsg::from_bytes(&read_frame(&mut stream).unwrap()).unwrap();
+                if matches!(hello, WireMsg::Hello(_)) {
+                    break stream;
+                }
+                worker_links.push(stream);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(e) => panic!("accepting node 0's dial failed: {e}"),
+        }
+    };
+    // ... and reads peer 1's requests on the link peer 1 dials.
+    let mut to_node = TcpStream::connect(addr).unwrap();
+    write_frame(&mut to_node, &WireMsg::Hello(ProcessId::new(1)).to_bytes()).unwrap();
+    let request = WireMsg::BatchRequest { digests: vec![batch_digest(&batch)] };
+    write_frame(&mut to_node, &request.to_bytes()).unwrap();
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let served = loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        assert!(!left.is_zero(), "node 0 never served the batch it recovered");
+        from_node.set_read_timeout(Some(left)).unwrap();
+        let Ok(frame) = read_frame(&mut from_node) else {
+            panic!("node 0 never served the batch it recovered");
+        };
+        if let Ok(WireMsg::Batch(served)) = WireMsg::from_bytes(&frame) {
+            break served;
+        }
+    };
+    assert_eq!(served, batch);
+    // Nothing was submitted since the restart: the recovered batch counts.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while node.batches_stored() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(node.batches_stored() >= 1, "the recovered batch is not counted");
+
+    drop((to_node, from_node, worker_links, node, listeners));
+    let _ = std::fs::remove_dir_all(&store_dir);
+}
+
 /// OS threads in this process, per `/proc/self/task` (Linux).
 fn os_thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, |entries| entries.count())

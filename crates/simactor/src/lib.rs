@@ -5,10 +5,11 @@
 //! deterministic simulator: [`SimActor`] implements
 //! [`dagrider_simnet::Actor`] by translating simulator callbacks into
 //! [`EngineInput`](dagrider_core::EngineInput)s and routing the returned
-//! [`EngineOutput`]s back through the simulator's [`Context`]. It stamps
-//! the returned [`EngineEvent`](dagrider_core::EngineEvent)s with virtual
-//! time into an optional trace ring ([`SimActor::with_trace`]) and keeps
-//! the few counters simulation tests query.
+//! [`EngineOutput`]s back through the simulator's [`Context`]. It keeps
+//! the process's ordered log ([`SimActor::ordered`]), stamps the returned
+//! [`EngineEvent`](dagrider_core::EngineEvent)s with virtual time into an
+//! optional trace ring ([`SimActor::with_trace`]), and keeps the few
+//! counters simulation tests query.
 //!
 //! The adapter adds **no protocol logic** — every decision, every byte on
 //! the wire, and every draw of randomness happens inside the engine. That
@@ -63,7 +64,7 @@ pub mod common_core;
 use std::collections::BTreeMap;
 use std::ops::{Deref, DerefMut};
 
-use dagrider_core::{DagRiderEngine, EngineInput, EngineOutput, NodeConfig, Turn};
+use dagrider_core::{DagRiderEngine, EngineInput, EngineOutput, NodeConfig, OrderedVertex, Turn};
 use dagrider_crypto::CoinKeys;
 use dagrider_rbc::ReliableBroadcast;
 use dagrider_simnet::{Actor, Context};
@@ -72,11 +73,13 @@ use dagrider_types::{Block, Committee, ProcessId, Round, Time};
 
 /// A [`DagRiderEngine`] packaged as a simulator [`Actor`].
 ///
-/// Dereferences to the engine, so all engine queries (`ordered()`,
-/// `decided_wave()`, `dag()`, …) read directly off a `SimActor`.
+/// Dereferences to the engine, so all engine queries (`decided_wave()`,
+/// `dag()`, …) read directly off a `SimActor`.
 #[derive(Debug)]
 pub struct SimActor<B> {
     engine: DagRiderEngine<B>,
+    /// The `a_deliver` log: every `Ordered` output, in total order.
+    ordered: Vec<OrderedVertex>,
     /// The trace ring (`None` unless [`SimActor::with_trace`]).
     tracer: Option<Tracer>,
     /// When each own vertex was created (for
@@ -96,6 +99,7 @@ impl<B: ReliableBroadcast> SimActor<B> {
     ) -> Self {
         Self {
             engine: DagRiderEngine::new(committee, me, coin_keys, config),
+            ordered: Vec::new(),
             tracer: None,
             created_at: BTreeMap::new(),
             vertices_pruned: 0,
@@ -121,6 +125,12 @@ impl<B: ReliableBroadcast> SimActor<B> {
         self.tracer.as_ref().map_or_else(Vec::new, Tracer::records)
     }
 
+    /// The `a_deliver` log: every vertex (block) in its final total-order
+    /// position, batch digests resolved to their transactions.
+    pub fn ordered(&self) -> &[OrderedVertex] {
+        &self.ordered
+    }
+
     /// Vertices dropped by garbage collection so far.
     pub fn vertices_pruned(&self) -> u64 {
         self.vertices_pruned
@@ -133,8 +143,7 @@ impl<B: ReliableBroadcast> SimActor<B> {
     /// bounds.
     pub fn own_vertex_latencies(&self) -> Vec<(Round, u64)> {
         let me = self.engine.me();
-        self.engine
-            .ordered()
+        self.ordered
             .iter()
             .filter(|o| o.vertex.source == me)
             .filter_map(|o| {
@@ -164,8 +173,8 @@ impl<B: ReliableBroadcast> SimActor<B> {
 
     /// Takes one engine turn at the simulator's current time: stamps its
     /// events into the trace ring and counters, then routes its outputs
-    /// through the simulator context. Ordered outputs stay in the engine's
-    /// own log (queried after the run); everything else is I/O.
+    /// through the simulator context. Ordered outputs join the ordered log
+    /// (queried after the run); everything else is I/O.
     pub fn apply(&mut self, turn: Turn, ctx: &mut Context<'_>) {
         let now = ctx.now();
         if let Some(tracer) = self.tracer.as_mut() {
@@ -193,7 +202,7 @@ impl<B: ReliableBroadcast> SimActor<B> {
                 // test feeds digests directly — and then it drives the
                 // engine itself, not through this actor.
                 EngineOutput::FetchBatches { .. } => {}
-                EngineOutput::Ordered(_) => {}
+                EngineOutput::Ordered(o) => self.ordered.push(o),
             }
         }
     }

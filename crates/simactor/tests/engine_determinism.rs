@@ -9,8 +9,8 @@
 use std::collections::VecDeque;
 
 use dagrider_core::{
-    DagRiderEngine, EngineEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage, Turn,
-    VerifiedInput,
+    DagRiderEngine, EngineEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage, OrderedVertex,
+    Turn, VerifiedInput,
 };
 use dagrider_crypto::{deal_coin_keys, Sha256};
 use dagrider_rbc::{BrachaMessage, BrachaRbc, ReliableBroadcast};
@@ -41,6 +41,23 @@ fn call<B: ReliableBroadcast>(
     };
     log.push((at, input, turn.clone()));
     turn
+}
+
+/// The `Ordered` outputs among `outputs`, in order: the log a driver
+/// keeps.
+fn ordered_in<'a>(outputs: impl IntoIterator<Item = &'a EngineOutput>) -> Vec<OrderedVertex> {
+    outputs
+        .into_iter()
+        .filter_map(|out| match out {
+            EngineOutput::Ordered(o) => Some(o.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// The ordered log of a call record.
+fn ordered_log(log: &[Record]) -> Vec<OrderedVertex> {
+    ordered_in(log.iter().flat_map(|(_, _, turn)| &turn.outputs))
 }
 
 /// Replays the calls of `log` into `engine`, drawing randomness from
@@ -145,7 +162,7 @@ fn direct_harness_run_replays_byte_identically() {
         let mut fresh_rng = StdRng::seed_from_u64(500 + i as u64);
         let replayed = replay(&mut fresh, &logs[i], &mut fresh_rng);
         assert_eq!(replayed, logs[i], "{p}: I/O streams diverge on replay");
-        assert_eq!(fresh.ordered(), engines[i].ordered(), "{p}: ordered logs diverge on replay");
+        assert_eq!(ordered_log(&replayed), ordered_log(&logs[i]), "{p}: ordered logs diverge");
         assert_eq!(fresh.decided_wave(), engines[i].decided_wave());
     }
 }
@@ -177,6 +194,7 @@ fn digest_payloads_order_identically_to_inline_payloads() {
         &mut StdRng,
     ) -> Vec<EngineOutput>| {
         let mut fetches_sent = vec![0u64; 4];
+        let mut ordered: Vec<Vec<OrderedVertex>> = vec![Vec::new(); 4];
         let mut engines: Vec<DagRiderEngine<BrachaRbc>> = committee
             .members()
             .zip(keys.clone())
@@ -199,7 +217,8 @@ fn digest_payloads_order_identically_to_inline_payloads() {
                             }
                         }
                         EngineOutput::FetchBatches { .. } => fetches_sent[from.as_usize()] += 1,
-                        EngineOutput::SetTimer { .. } | EngineOutput::Ordered(_) => {}
+                        EngineOutput::Ordered(o) => ordered[from.as_usize()].push(o.clone()),
+                        EngineOutput::SetTimer { .. } => {}
                     }
                 }
             };
@@ -229,18 +248,18 @@ fn digest_payloads_order_identically_to_inline_payloads() {
                 .outputs;
             route(to, &outs, &mut wire);
         }
-        (engines, fetches_sent)
+        (engines, ordered, fetches_sent)
     };
 
     // Inline: each process proposes its transactions as a block.
-    let (inline, _) = run(&|engine, p, rng| {
+    let (inline, inline_ordered, _) = run(&|engine, p, rng| {
         let block = Block::new(p, SeqNum::new(1), txs_of(p));
         engine.handle(Time::ZERO, EngineInput::SubmitBlock(block), rng).outputs
     });
     // Digest: every batch is pre-stored on every engine (the post-
     // dissemination state), then each process proposes its digest.
     let batches: Vec<Batch> = committee.members().map(|p| Batch::new(p, 0, txs_of(p))).collect();
-    let (digest, digest_fetches) = run(&|engine, p, rng| {
+    let (digest, digest_ordered, digest_fetches) = run(&|engine, p, rng| {
         let mut outs = Vec::new();
         for batch in &batches {
             let input = EngineInput::BatchStored(batch.clone());
@@ -255,8 +274,7 @@ fn digest_payloads_order_identically_to_inline_payloads() {
 
     for p in committee.members() {
         let i = p.as_usize();
-        let a = inline[i].ordered();
-        let b = digest[i].ordered();
+        let (a, b) = (&inline_ordered[i], &digest_ordered[i]);
         assert!(!a.is_empty(), "{p}: inline cluster ordered nothing");
         assert_eq!(a.len(), b.len(), "{p}: ordered log lengths diverge");
         for (ea, eb) in a.iter().zip(b.iter()) {
@@ -306,7 +324,7 @@ fn sim_recorded_inputs_replay_identically_through_a_direct_harness() {
         let mut fresh_rng = StdRng::seed_from_u64(process_seed(seed, i));
         let replayed = replay(&mut fresh, log, &mut fresh_rng);
         assert_eq!(&replayed, log, "{p}: adapter vs direct replay diverge");
-        assert_eq!(fresh.ordered(), node.ordered(), "{p}: ordered logs diverge");
+        assert_eq!(ordered_log(&replayed), node.ordered(), "{p}: ordered logs diverge");
     }
 }
 
@@ -385,8 +403,7 @@ fn verified_and_unverified_routes_produce_identical_state() {
                 .outputs;
             route(to, outs, &mut wire);
         }
-        let ordered: Vec<_> =
-            committee.members().map(|p| engines[p.as_usize()].ordered().to_vec()).collect();
+        let ordered: Vec<_> = outputs.iter().map(ordered_in).collect();
         let decided: Vec<_> =
             committee.members().map(|p| engines[p.as_usize()].decided_wave()).collect();
         (outputs, ordered, decided)

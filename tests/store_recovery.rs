@@ -36,7 +36,7 @@ use dag_rider::store::{
     replay_into, DurableStore, FaultKind, FaultPlan, FsyncPolicy, StoreSnapshot,
 };
 use dag_rider::types::{
-    Block, Committee, Encode, ProcessId, SeqNum, Time, Transaction, Vertex, VertexRef, Wave,
+    Block, Committee, Encode, ProcessId, SeqNum, Time, Transaction, Vertex, Wave,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -83,10 +83,12 @@ fn record_run(seed: u64) -> Recorded {
     let mut events: Vec<DurableEvent> = Vec::new();
     let mut snapshot: Option<(usize, StoreSnapshot)> = None;
     let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
+    // The observer's log: its `Ordered` outputs.
+    let mut ordered: Vec<OrderedVertex> = Vec::new();
     let mut clock = 0u64;
-    let route = |from: ProcessId,
-                 outs: Vec<EngineOutput>,
-                 wire: &mut VecDeque<(ProcessId, ProcessId, Vec<u8>)>| {
+    let mut route = |from: ProcessId,
+                     outs: Vec<EngineOutput>,
+                     wire: &mut VecDeque<(ProcessId, ProcessId, Vec<u8>)>| {
         for out in outs {
             match out {
                 EngineOutput::Send { to, payload } => {
@@ -97,6 +99,7 @@ fn record_run(seed: u64) -> Recorded {
                         wire.push_back((from, to, payload.to_vec()));
                     }
                 }
+                EngineOutput::Ordered(o) if from.as_usize() == OBSERVER => ordered.push(o),
                 EngineOutput::SetTimer { .. }
                 | EngineOutput::Ordered(_)
                 | EngineOutput::FetchBatches { .. } => {}
@@ -114,18 +117,19 @@ fn record_run(seed: u64) -> Recorded {
         clock += 1;
         let input = EngineInput::Message { from, payload };
         let turn = engines[to.as_usize()].handle(Time::new(clock), input, &mut rngs[to.as_usize()]);
+        let delivered = turn.outputs.iter().any(|o| matches!(o, EngineOutput::Ordered(_)));
         route(to, turn.outputs, &mut wire);
         if to.as_usize() == OBSERVER {
             events.extend(durable(turn.events));
-            // Mirror the runtime's single-producer discipline: capture
-            // only after persisting, so the snapshot supersedes exactly
-            // the events recorded so far.
-            if snapshot.is_none() && !engines[OBSERVER].ordered().is_empty() {
+            // Capture at the observer's first delivery. Mirror the
+            // runtime's single-producer discipline: capture only after
+            // persisting, so the snapshot supersedes exactly the events
+            // recorded so far.
+            if snapshot.is_none() && delivered {
                 snapshot = Some((events.len(), StoreSnapshot::capture(&engines[OBSERVER])));
             }
         }
     }
-    let ordered = engines[OBSERVER].ordered().to_vec();
     assert!(!ordered.is_empty(), "the run must order something to be worth recovering");
     let (snapshot_at, snapshot) = snapshot.expect("a snapshot must have been captured mid-run");
     assert!(snapshot_at < events.len(), "events must continue past the snapshot capture");
@@ -176,13 +180,8 @@ fn full_wal_replay_rebuilds_the_exact_ordered_log() {
     let run = record_run(SEED);
     let (engine, replayed) = recover(run.committee, None, &run.events);
     assert_logs_identical(&run.ordered, &replayed);
-    assert_logs_identical(&run.ordered, engine.ordered());
-    let report = DagAuditor::new(run.committee).audit_recovery(
-        engine.dag(),
-        &run.ordered,
-        engine.ordered(),
-        true,
-    );
+    let report =
+        DagAuditor::new(run.committee).audit_recovery(engine.dag(), &run.ordered, &replayed, true);
     assert!(report.is_empty(), "recovery audit must be clean: {report:?}");
 }
 
@@ -190,14 +189,10 @@ fn full_wal_replay_rebuilds_the_exact_ordered_log() {
 fn snapshot_plus_tail_replay_rebuilds_the_exact_ordered_log() {
     let run = record_run(SEED);
     let tail = &run.events[run.snapshot_at..];
-    let (engine, _) = recover(run.committee, Some(&run.snapshot), tail);
-    assert_logs_identical(&run.ordered, engine.ordered());
-    let report = DagAuditor::new(run.committee).audit_recovery(
-        engine.dag(),
-        &run.ordered,
-        engine.ordered(),
-        true,
-    );
+    let (engine, replayed) = recover(run.committee, Some(&run.snapshot), tail);
+    assert_logs_identical(&run.ordered, &replayed);
+    let report =
+        DagAuditor::new(run.committee).audit_recovery(engine.dag(), &run.ordered, &replayed, true);
     assert!(report.is_empty(), "snapshot recovery audit must be clean: {report:?}");
 }
 
@@ -211,19 +206,18 @@ fn every_crash_point_recovers_a_clean_prefix() {
     let auditor = DagAuditor::new(run.committee);
     let mut last_len = 0usize;
     for cut in 0..=run.events.len() {
-        let (engine, _) = recover(run.committee, None, &run.events[..cut]);
-        let recovered = engine.ordered();
+        let (engine, recovered) = recover(run.committee, None, &run.events[..cut]);
         assert!(
             recovered.len() <= run.ordered.len(),
             "crash at {cut}: recovered more than was ever delivered"
         );
-        assert_logs_identical(&run.ordered[..recovered.len()], recovered);
+        assert_logs_identical(&run.ordered[..recovered.len()], &recovered);
         assert!(
             recovered.len() >= last_len,
             "crash at {cut}: a longer prefix recovered fewer deliveries"
         );
         last_len = recovered.len();
-        let report = auditor.audit_recovery(engine.dag(), &run.ordered, recovered, false);
+        let report = auditor.audit_recovery(engine.dag(), &run.ordered, &recovered, false);
         assert!(report.is_empty(), "crash at {cut}: audit must be clean: {report:?}");
     }
     assert_eq!(last_len, run.ordered.len(), "the full stream must recover the full log");
@@ -262,10 +256,10 @@ fn faulted_stores_on_disk_recover_clean_prefixes() {
         } else {
             assert!(recovered.wal_defect.is_some(), "case {case}: damage must be classified");
         }
-        let (engine, _) = recover(run.committee, None, &recovered.tail);
-        let report = auditor.audit_recovery(engine.dag(), &run.ordered, engine.ordered(), false);
+        let (engine, replayed) = recover(run.committee, None, &recovered.tail);
+        let report = auditor.audit_recovery(engine.dag(), &run.ordered, &replayed, false);
         assert!(report.is_empty(), "case {case}: audit must be clean: {report:?}");
-        assert_logs_identical(&run.ordered[..engine.ordered().len()], engine.ordered());
+        assert_logs_identical(&run.ordered[..replayed.len()], &replayed);
         let _ = fs::remove_dir_all(&dir);
     }
 }
@@ -273,9 +267,8 @@ fn faulted_stores_on_disk_recover_clean_prefixes() {
 #[test]
 fn the_auditor_fires_on_doctored_recovery_logs() {
     let run = record_run(SEED);
-    let (engine, _) = recover(run.committee, None, &run.events);
+    let (engine, clean) = recover(run.committee, None, &run.events);
     let auditor = DagAuditor::new(run.committee);
-    let clean = engine.ordered().to_vec();
     assert!(clean.len() >= 2, "need at least two deliveries to doctor");
 
     // Swapped entries: divergence at the first swapped position.
@@ -328,11 +321,10 @@ fn replay_commits_waves_in_order_and_exactly_once() {
     // clean rebuild: waves commit monotonically, every delivery streams
     // through the sink exactly once, and the rebuilt log matches.
     let run = record_run(SEED);
-    let mut engine = fresh_observer(run.committee);
     let mut rng = StdRng::seed_from_u64(1);
     let mut streamed: Vec<OrderedVertex> = Vec::new();
     replay_into(
-        &mut engine,
+        &mut fresh_observer(run.committee),
         Some(&run.snapshot),
         &run.events[run.snapshot_at..],
         Time::ZERO,
@@ -348,12 +340,9 @@ fn replay_commits_waves_in_order_and_exactly_once() {
         waves.windows(2).all(|w| w[0] <= w[1]),
         "replay committed waves out of order: {waves:?}"
     );
-    // The streamed deliveries and the queryable log agree exactly — no
+    // The streamed deliveries are the pre-crash log exactly — no
     // delivery is duplicated into the sink or withheld from it.
-    assert_logs_identical(engine.ordered(), &streamed);
-    let refs: Vec<VertexRef> = engine.ordered().iter().map(|o| o.vertex).collect();
-    let expected: Vec<VertexRef> = run.ordered.iter().map(|o| o.vertex).collect();
-    assert_eq!(refs, expected);
+    assert_logs_identical(&run.ordered, &streamed);
 }
 
 #[test]
