@@ -69,9 +69,9 @@ pub struct ProcessTraffic {
     /// Frames its TCP send queues discarded under drop-oldest
     /// backpressure (zero in simulation, which has no bounded queues).
     pub dropped_frames: u64,
-    /// High-water batch depth of its signature-verification pool (1 =
-    /// the pool kept up; larger = decode/verify backlogs formed). Zero
-    /// in simulation.
+    /// The largest burst of events its consensus thread drained, and
+    /// verified, in one wake-up (1 = it kept up; larger = a backlog
+    /// formed). Zero in simulation.
     pub verify_batch_depth: u64,
     /// Missing-batch fetch requests this process issued: it ordered a
     /// digest whose batch never arrived by dissemination and had to ask

@@ -7,8 +7,7 @@
 //! bounded exhaustive and seeded random interleavings; any deadlock,
 //! failed assertion, or livelock comes back as a replayable schedule.
 //!
-//! The surfaces cover the runtime's three load-bearing concurrency
-//! structures plus the worker-pool shutdown shape:
+//! The surfaces cover the runtime's load-bearing concurrency structures:
 //!
 //! 1. **SendQueue push/pop/drop** — drop-oldest accounting under
 //!    concurrent producers and a draining consumer.
@@ -17,23 +16,20 @@
 //! 3. **Shutdown / backoff** — a writer-shaped dial-retry loop against
 //!    concurrent double-shutdown; an uninterruptible sleep or lost
 //!    wakeup hangs (deadlock) or spins (step limit).
-//! 4. **Worker-pool shutdown** — the `VerifyPool` dismantling protocol
-//!    (workers `recv` while holding the shared receiver lock; shutdown
-//!    drops the sender, then joins), checked for lost-wakeup hangs.
-//! 5. **Batcher shutdown** — the worker batcher's `recv_timeout`
+//! 4. **Batcher shutdown** — the worker batcher's `recv_timeout`
 //!    assemble loop against a client-sender drop: the tail batch must
 //!    be sealed and pushed, never lost or duplicated.
-//! 6. **WAL writer** — the durability flusher's group-drain loop
+//! 5. **WAL writer** — the durability flusher's group-drain loop
 //!    (`wal_flush_loop`) against a producer and shutdown: every
 //!    persisted event must land in the sink exactly once, in order,
 //!    inside a committed group, and the final sync must run.
-//! 7. **WAL compaction** — snapshot installation interleaved with
+//! 6. **WAL compaction** — snapshot installation interleaved with
 //!    appends on the same channel: the snapshot must supersede exactly
 //!    the events queued before it and never swallow those after.
-//! 8. **Reactor wakeup** — the reactor's park/unpark protocol: racing
+//! 7. **Reactor wakeup** — the reactor's park/unpark protocol: racing
 //!    producers push work and ring the `Waker`; the surface parks
 //!    untimed so a lost wake is a deadlock, not a slow sweep.
-//! 9. **Reactor shutdown** — shutdown signalled (twice, concurrently)
+//! 8. **Reactor shutdown** — shutdown signalled (twice, concurrently)
 //!    while the reactor is mid-sweep, about to park, or parked: the
 //!    signal-then-wake pair must terminate the loop on every schedule.
 //!
@@ -46,7 +42,7 @@ use std::time::Duration;
 
 use dagrider_analysis::DagSnapshot;
 use dagrider_core::{Dag, DurableEvent};
-use dagrider_net::sync::atomic::{AtomicU64, Ordering};
+use dagrider_net::sync::atomic::Ordering;
 use dagrider_net::sync::model::{explore, Config, Report, Search};
 use dagrider_net::sync::{mpsc, thread, Arc, Mutex, PoisonError};
 use dagrider_net::wal::{wal_channel, wal_flush_loop, WalSink};
@@ -91,12 +87,6 @@ pub fn surfaces() -> Vec<Surface> {
             description: "writer dial-retry loop with interruptible backoff under \
                           concurrent double-shutdown",
             body: shutdown_during_backoff,
-        },
-        Surface {
-            name: "verify-shutdown",
-            description: "worker-pool dismantling (recv under a shared receiver \
-                          lock, sender drop, join) must not lose wakeups",
-            body: worker_pool_shutdown,
         },
         Surface {
             name: "batcher-shutdown",
@@ -281,46 +271,7 @@ fn shutdown_during_backoff() {
     assert!(stop.is_signalled());
 }
 
-/// Surface 4: the `VerifyPool` dismantling protocol in miniature — two
-/// workers share one receiver behind a mutex and block in `recv` while
-/// holding it; shutdown drops the sender and joins. Every job must be
-/// processed and both workers must observe the disconnect (a lost
-/// wakeup leaves a worker blocked forever → deadlock).
-fn worker_pool_shutdown() {
-    let (tx, rx) = mpsc::channel::<u8>();
-    let rx = Arc::new(Mutex::new(rx));
-    let processed = Arc::new(AtomicU64::new(0));
-
-    let workers: Vec<_> = (0..2)
-        .map(|_| {
-            let rx = Arc::clone(&rx);
-            let processed = Arc::clone(&processed);
-            thread::spawn(move || loop {
-                let guard = rx.lock().unwrap_or_else(PoisonError::into_inner);
-                match guard.recv() {
-                    Ok(_job) => {
-                        processed.fetch_add(1, Ordering::Relaxed);
-                        // Batch drain, as the real worker loop does.
-                        while let Ok(_more) = guard.try_recv() {
-                            processed.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    Err(_) => return, // disconnected: pool shut down
-                }
-            })
-        })
-        .collect();
-
-    tx.send(1).expect("send while workers live");
-    tx.send(2).expect("send while workers live");
-    drop(tx); // shutdown: close the job queue...
-    for worker in workers {
-        worker.join().expect("worker must observe the disconnect"); // ...and join
-    }
-    assert_eq!(processed.load(Ordering::Relaxed), 2, "a job was lost in shutdown");
-}
-
-/// Surface 5: the worker batcher shape — a `recv_timeout` assemble loop
+/// Surface 4: the worker batcher shape — a `recv_timeout` assemble loop
 /// that seals on size, on interval expiry, and on disconnect — against
 /// the shutdown path dropping the client sender. Every accepted
 /// transaction must reach the send queue in exactly one sealed batch;
@@ -430,7 +381,7 @@ fn empty_snapshot() -> StoreSnapshot {
     StoreSnapshot::from_parts(DagSnapshot::capture(&Dag::new(committee)), Vec::new(), Vec::new())
 }
 
-/// Surface 6: the durability flusher in miniature — a consensus-shaped
+/// Surface 5: the durability flusher in miniature — a consensus-shaped
 /// producer persisting groups of events while the flusher drains
 /// whatever has accumulated into single commit groups, then shutdown by
 /// handle drop. Invariants: every event lands exactly once and in
@@ -466,7 +417,7 @@ fn wal_writer() {
     );
 }
 
-/// Surface 7: compaction on the durability channel — append, snapshot,
+/// Surface 6: compaction on the durability channel — append, snapshot,
 /// append, in the single-producer order the consensus loop guarantees
 /// (drain-then-capture). Invariant: however the flusher groups the
 /// jobs, the snapshot supersedes exactly the events queued before it,
@@ -498,7 +449,7 @@ fn wal_compaction() {
     );
 }
 
-/// Surface 8: the reactor's park/unpark protocol — producers push work
+/// Surface 7: the reactor's park/unpark protocol — producers push work
 /// and ring the [`Waker`]; the reactor drains with non-blocking
 /// `try_pop` and parks between sweeps. The real loop parks with a
 /// timeout as a belt-and-braces fallback; the surface strips the
@@ -536,7 +487,7 @@ fn reactor_wakeup() {
     assert_eq!(drained, 2, "the reactor must observe every pushed frame");
 }
 
-/// Surface 9: shutdown during poll — `NetNode::shutdown` signals the
+/// Surface 8: shutdown during poll — `NetNode::shutdown` signals the
 /// latch and then rings the waker, and a racing second shutdown does
 /// the same (the double-call path). Whether the reactor is mid-sweep,
 /// between the signal check and the park, or already parked, it must

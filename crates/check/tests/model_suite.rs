@@ -55,16 +55,6 @@ fn shutdown_during_backoff_survives_bounded_exhaustive_search() {
 }
 
 #[test]
-fn verify_worker_shutdown_survives_bounded_exhaustive_search() {
-    let report = check_surface(
-        &surface("verify-shutdown").expect("registered"),
-        &budget(),
-        Search::Exhaustive,
-    );
-    assert!(report.passed(), "verify-shutdown failed: {:?}", report.failure);
-}
-
-#[test]
 fn reactor_wakeup_survives_bounded_exhaustive_search() {
     let report = check_surface(
         &surface("reactor-wakeup").expect("registered"),

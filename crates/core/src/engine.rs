@@ -40,7 +40,7 @@ use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
 
 use bytes::Bytes;
-use dagrider_crypto::{sha256, Coin, CoinKeys, CoinShare, Digest};
+use dagrider_crypto::{sha256, Coin, CoinKeys, CoinShare};
 use dagrider_rbc::{RbcAction, ReliableBroadcast};
 use dagrider_trace::TraceEvent;
 use dagrider_types::{
@@ -260,34 +260,22 @@ pub enum EngineInput {
     /// peer's dissemination stream, or a completed fetch). Unblocks any
     /// pending deliveries waiting on its digest.
     BatchStored(Batch),
-    /// Wire input whose expensive checks (SHA-256 payload digests, coin
-    /// DLEQ proofs) a *trusted driver* already performed off the consensus
-    /// thread. The engine skips re-verification, so only drivers that
+    /// Input whose checks a *trusted driver* already performed: a batch
+    /// it hashed itself, or a coin share replayed from its own durable
+    /// store. The engine skips re-verification, so only drivers that
     /// actually ran the checks may construct this variant — an invariant
-    /// enforced by `cargo xtask lint` (only `dagrider-net`'s verification
-    /// pool and the test drivers may name it outside this crate).
+    /// enforced by `cargo xtask lint` (only `dagrider-net` and the test
+    /// drivers may name it outside this crate).
     PreVerified(VerifiedInput),
 }
 
-/// The payload of [`EngineInput::PreVerified`]: one unit of wire input with
-/// its verification artifacts attached.
+/// The payload of [`EngineInput::PreVerified`]: one input with its
+/// verification artifacts attached.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerifiedInput {
-    /// Encoded [`NodeMessage`] bytes (expected to decode to an RBC
-    /// message) plus the pre-computed SHA-256 digest of the RBC payload,
-    /// exactly as [`ReliableBroadcast::message_digest`] would return for
-    /// the decoded message. A `None` digest (or bytes that decode to a
-    /// coin share) falls back to the unverified handling path.
-    Message {
-        /// The authenticated sender.
-        from: ProcessId,
-        /// The raw received bytes.
-        payload: Vec<u8>,
-        /// Pre-computed digest of the decoded RBC payload.
-        digest: Option<Digest>,
-    },
     /// A coin share whose DLEQ proof already verified against the
-    /// issuer's key.
+    /// issuer's key (the restart path replays the shares the engine
+    /// accepted before the crash).
     CoinShare {
         /// The authenticated sender.
         from: ProcessId,
@@ -496,8 +484,9 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
 
     /// The single coin-share acceptance point: a share is taken only from
     /// its issuer, inserted through the verifying or the pre-verified
-    /// path, reported when the coin did not hold it yet, and delivers
-    /// whatever a completed election unlocks.
+    /// path, reported when the coin did not hold it yet (or refused, as
+    /// [`EngineEvent::ShareRejected`]), and delivers whatever a completed
+    /// election unlocks.
     fn accept_share(
         &mut self,
         from: ProcessId,
@@ -506,16 +495,17 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         turn: &mut Turn,
         now: Time,
     ) {
-        if share.issuer() != from {
-            turn.events.push(EngineEvent::Rejected { from });
-            return;
-        }
-        let accepted = if proof_checked {
-            self.coin.add_verified_share(share)
+        let accepted = if share.issuer() != from {
+            None
+        } else if proof_checked {
+            self.coin.add_verified_share(share).ok()
         } else {
-            self.coin.add_share(share)
+            self.coin.add_share(share).ok()
         };
-        let Ok(new) = accepted else { return };
+        let Some(new) = accepted else {
+            turn.events.push(EngineEvent::ShareRejected { from });
+            return;
+        };
         if new {
             turn.events.push(EngineEvent::ShareAccepted(share));
         }
@@ -650,7 +640,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         let mut turn = Turn::default();
         match input {
             EngineInput::Message { from, payload } => {
-                self.on_message(from, &payload, None, &mut turn, now, rng);
+                self.on_message(from, &payload, &mut turn, now, rng);
             }
             EngineInput::Timer { tag } => {
                 if tag == FETCH_TIMER_TAG {
@@ -681,9 +671,6 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             EngineInput::BatchStored(batch) => {
                 self.on_batch(batch_digest(&batch), batch, &mut turn, now);
             }
-            EngineInput::PreVerified(VerifiedInput::Message { from, payload, digest }) => {
-                self.on_message(from, &payload, digest, &mut turn, now, rng);
-            }
             EngineInput::PreVerified(VerifiedInput::CoinShare { from, share }) => {
                 self.accept_share(from, share, true, &mut turn, now);
             }
@@ -695,23 +682,20 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         turn
     }
 
-    /// The Message-input body: decode the wire envelope, dispatch. A
-    /// `digest` pre-computed off-thread ([`VerifiedInput::Message`]) spares
-    /// the broadcast layer its own hashing. Coin shares arriving here were
-    /// *not* DLEQ-checked by the driver (the pool routes those as
-    /// [`VerifiedInput::CoinShare`]), so they take the verifying path.
+    /// The Message-input body: decode the wire envelope, dispatch. The
+    /// broadcast layer hashes what it needs, and coin shares take the
+    /// verifying path.
     fn on_message(
         &mut self,
         from: ProcessId,
         payload: &[u8],
-        digest: Option<Digest>,
         turn: &mut Turn,
         now: Time,
         rng: &mut rand::rngs::StdRng,
     ) {
         match NodeMessage::<B::Message>::from_bytes(payload) {
             Ok(NodeMessage::Rbc(m)) => {
-                let actions = self.rbc.on_message_with_digest(from, m, digest, rng);
+                let actions = self.rbc.on_message(from, m, rng);
                 let mut queue = VecDeque::new();
                 Self::enqueue(actions, &mut queue, &mut turn.events);
                 self.drive(queue, turn, now, rng);
@@ -1229,6 +1213,52 @@ mod tests {
         let common = rebuilt.len().min(reference.len());
         assert!(common > 0, "sync rebuilt nothing");
         assert_eq!(&rebuilt[..common], &reference[..common]);
+    }
+
+    #[test]
+    fn refused_wire_input_is_reported_and_never_accepted() {
+        // Undecodable bytes are `Rejected`; a coin share relayed by a
+        // process other than its issuer, and one whose proof was tampered
+        // with, are each `ShareRejected`. None of them reaches the coin.
+        let committee = Committee::new(4).unwrap();
+        let mut rng = StdRng::seed_from_u64(61);
+        let keys = deal_coin_keys(&committee, &mut rng);
+        let mut engine: DagRiderEngine<BrachaRbc> = DagRiderEngine::new(
+            committee,
+            ProcessId::new(0),
+            keys[0].clone(),
+            NodeConfig::default(),
+        );
+        let coin = |share| NodeMessage::<dagrider_rbc::BrachaMessage>::Coin(share).to_bytes();
+        let (p1, p2) = (ProcessId::new(1), ProcessId::new(2));
+        let share = Coin::new(keys[1].clone()).my_share(1, &mut rng);
+        // The last byte ends the proof's response varint: flipping its low
+        // bit keeps the share decodable and breaks the proof.
+        let mut forged = coin(share);
+        *forged.last_mut().unwrap() ^= 1;
+        match NodeMessage::<dagrider_rbc::BrachaMessage>::from_bytes(&forged) {
+            Ok(NodeMessage::Coin(bad)) => assert!(keys[0].public().verify(&bad).is_err()),
+            other => panic!("the tampered share must still decode, got {other:?}"),
+        }
+
+        let cases = [
+            (p1, vec![0xff, 0xee], EngineEvent::Rejected { from: p1 }),
+            (p2, coin(share), EngineEvent::ShareRejected { from: p2 }),
+            (p1, forged, EngineEvent::ShareRejected { from: p1 }),
+        ];
+        for (from, payload, expected) in cases {
+            let turn = engine.handle(Time::ZERO, EngineInput::Message { from, payload }, &mut rng);
+            assert_eq!(turn.events, vec![expected]);
+            assert!(turn.outputs.is_empty());
+        }
+        // The untampered share from its issuer is accepted: the refusals
+        // above came from the relay and the proof, not the share.
+        let turn = engine.handle(
+            Time::ZERO,
+            EngineInput::Message { from: p1, payload: coin(share) },
+            &mut rng,
+        );
+        assert_eq!(turn.events, vec![EngineEvent::ShareAccepted(share)]);
     }
 
     #[test]

@@ -35,10 +35,15 @@ pub enum EngineEvent {
     /// The coin accepted a share it did not hold yet (this process's own
     /// share included): persisted as [`DurableEvent::CoinShare`].
     ShareAccepted(CoinShare),
-    /// Wire input from `from` failed to decode, or carried a coin share
-    /// issued by another process.
+    /// Wire input from `from` failed to decode.
     Rejected {
         /// The authenticated peer the input came from.
+        from: ProcessId,
+    },
+    /// The coin refused a share from `from`: its proof failed, or it was
+    /// issued by another process.
+    ShareRejected {
+        /// The authenticated peer the share came from.
         from: ProcessId,
     },
 }
@@ -60,7 +65,9 @@ impl EngineEvent {
             EngineEvent::BatchStored { digest, .. } => {
                 Some(TraceEvent::BatchStored { digest: *digest })
             }
-            EngineEvent::ShareAccepted(_) | EngineEvent::Rejected { .. } => None,
+            EngineEvent::ShareAccepted(_)
+            | EngineEvent::Rejected { .. }
+            | EngineEvent::ShareRejected { .. } => None,
         }
     }
 
@@ -78,7 +85,9 @@ impl EngineEvent {
             EngineEvent::Trace(TraceEvent::LeaderSkipped { wave, leader }) => {
                 Some(DurableEvent::Commit { wave, leader })
             }
-            EngineEvent::Trace(_) | EngineEvent::Rejected { .. } => None,
+            EngineEvent::Trace(_)
+            | EngineEvent::Rejected { .. }
+            | EngineEvent::ShareRejected { .. } => None,
         }
     }
 }

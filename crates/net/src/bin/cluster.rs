@@ -420,7 +420,7 @@ fn child_main(args: &[String]) -> Result<(), String> {
     std::fs::write(&out, text).map_err(|e| format!("write {out}: {e}"))?;
     eprintln!(
         "node {index}: ordered {} vertices, decided wave {}, {} frames dropped, \
-         verify batch depth {}, {} events replayed from store",
+         largest consensus burst {}, {} events replayed from store",
         node.ordered_len(),
         node.decided_wave().number(),
         node.dropped_frames(),

@@ -23,7 +23,8 @@
 //! * [`client`] — the client submission front end: admission counters
 //!   and the ordered-notification matcher behind the reactor.
 //! * [`runtime`] — [`NetNode`]: one DAG-Rider process as an
-//!   event-driven TCP runtime with graceful shutdown.
+//!   event-driven TCP runtime with graceful shutdown. Its consensus
+//!   thread verifies peer input inline, a burst of events per wake-up.
 //! * [`wal`] — off-thread durability: the consensus loop hands durable
 //!   events to a flusher thread that appends them to a
 //!   `dagrider-store` write-ahead log and installs compacted
@@ -56,7 +57,6 @@ pub(crate) mod reactor;
 pub mod runtime;
 pub mod signal;
 pub mod sync;
-pub(crate) mod verify;
 pub mod wal;
 pub mod wire;
 pub(crate) mod worker;

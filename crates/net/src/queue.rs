@@ -1,12 +1,13 @@
 //! Bounded per-peer outbound queues.
 //!
-//! Each peer gets one [`SendQueue`] feeding its writer thread. The queue
-//! is the backpressure boundary between the consensus thread (which must
-//! never block on a slow peer — the protocol is asynchronous precisely so
-//! one laggard cannot stall the rest) and the TCP connection. When a peer
-//! falls more than `capacity` frames behind, the *oldest* frames are
-//! dropped: reliable broadcast tolerates message loss by design, and a
-//! rejoining peer recovers anything it missed through the sync protocol.
+//! Each outbound link gets one [`SendQueue`], which the reactor drains
+//! into the link's socket. The queue is the backpressure boundary between
+//! the consensus thread (which must never block on a slow peer — the
+//! protocol is asynchronous precisely so one laggard cannot stall the
+//! rest) and the TCP connection. When a peer falls more than `capacity`
+//! frames behind, the *oldest* frames are dropped: reliable broadcast
+//! tolerates message loss by design, and a rejoining peer recovers
+//! anything it missed through the sync protocol.
 //!
 //! Queues hold [`Frame`] handles, so a broadcast enqueued at `n - 1`
 //! peers shares one encoded buffer — pushing is a refcount bump, never a
@@ -34,6 +35,11 @@ struct Inner {
     frames: VecDeque<Frame>,
     closed: bool,
     dropped: u64,
+    /// Threads parked in [`SendQueue::pop_timeout`]. Pushes ring the
+    /// condvar only when one is: a notify is a futex syscall even with
+    /// nobody waiting, and the reactor drains with `try_pop` and never
+    /// parks here.
+    parked: usize,
 }
 
 /// A bounded MPSC frame queue with drop-oldest overflow.
@@ -50,7 +56,12 @@ impl SendQueue {
         assert!(capacity > 0, "queue capacity must be positive");
         Self {
             capacity,
-            inner: Mutex::new(Inner { frames: VecDeque::new(), closed: false, dropped: 0 }),
+            inner: Mutex::new(Inner {
+                frames: VecDeque::new(),
+                closed: false,
+                dropped: 0,
+                parked: 0,
+            }),
             ready: Condvar::new(),
         }
     }
@@ -73,8 +84,11 @@ impl SendQueue {
             inner.dropped += 1;
         }
         inner.frames.push_back(frame);
+        let parked = inner.parked > 0;
         drop(inner);
-        self.ready.notify_one();
+        if parked {
+            self.ready.notify_one();
+        }
         true
     }
 
@@ -89,8 +103,11 @@ impl SendQueue {
                 inner.dropped += 1;
             }
             inner.frames.push_front(frame);
+            let parked = inner.parked > 0;
             drop(inner);
-            self.ready.notify_one();
+            if parked {
+                self.ready.notify_one();
+            }
         }
     }
 
@@ -104,9 +121,11 @@ impl SendQueue {
             if inner.closed {
                 return Pop::Closed;
             }
+            inner.parked += 1;
             let (guard, result) =
                 self.ready.wait_timeout(inner, timeout).unwrap_or_else(PoisonError::into_inner);
             inner = guard;
+            inner.parked -= 1;
             if result.timed_out() && inner.frames.is_empty() && !inner.closed {
                 return Pop::TimedOut;
             }

@@ -16,9 +16,12 @@
 //!   blocking `read_exact`.
 //! * **outbound** — every dialed link ([`OutLink`]), draining the same
 //!   bounded [`SendQueue`]s the per-peer writer threads used to drain,
-//!   now via the non-blocking [`SendQueue::try_pop`] with explicit
-//!   partial-write state. Dead links are handed back to the dialer
-//!   thread for backoff redial; the in-flight frame is requeued first.
+//!   now via the non-blocking [`SendQueue::try_pop`]. A link takes up to
+//!   [`MAX_IOV`] queued frames into its [`Outbox`] and writes them with
+//!   one `write_vectored` call, carrying partial-write state across frame
+//!   boundaries. Dead links are handed back to the dialer thread for
+//!   backoff redial; every frame taken but not fully sent is requeued
+//!   first.
 //! * **clients** — admission control at the socket edge: bounded
 //!   per-client queues, typed [`WireMsg::ClientReject`]s when load must
 //!   shed, round-robin draining into the worker lanes (or inline
@@ -42,7 +45,7 @@
 //! non-blocking, so they only ever fail fast.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{self, Write};
+use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
@@ -58,7 +61,6 @@ use crate::signal::{Shutdown, Waker};
 use crate::sync::atomic::Ordering as AtomicOrdering;
 use crate::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use crate::sync::Arc;
-use crate::verify::PoolControl;
 use crate::wire::{RejectReason, WireMsg};
 
 /// Inbound connections accepted per sweep (keeps one accept storm from
@@ -86,6 +88,9 @@ const REPLY_QUEUE_CAP: usize = 4096;
 /// How long the reactor parks when a full sweep made no progress.
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
+/// Frames one `write_vectored` call offers a socket.
+const MAX_IOV: usize = 64;
+
 /// How long the dialer waits for one TCP connect.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
 
@@ -107,15 +112,73 @@ pub(crate) enum LinkKind {
 }
 
 /// One connected outbound link: a non-blocking socket draining a
-/// bounded [`SendQueue`], with explicit partial-write state so a frame
-/// split across `write` calls resumes where it left off.
+/// bounded [`SendQueue`] through its [`Outbox`].
 pub(crate) struct OutLink {
     stream: TcpStream,
     kind: LinkKind,
     addr: SocketAddr,
     queue: Arc<SendQueue>,
-    /// The frame currently on the wire and how many of its bytes went out.
-    current: Option<(Frame, usize)>,
+    /// Frames taken from `queue` but not yet fully written.
+    unsent: Outbox,
+}
+
+/// Frames bound for one socket, oldest first, with how many bytes of
+/// the front frame already went out; the frames behind it are untouched,
+/// so a write that stops anywhere resumes where it left off.
+#[derive(Default)]
+struct Outbox {
+    frames: VecDeque<Frame>,
+    offset: usize,
+}
+
+impl Outbox {
+    /// Offers up to [`MAX_IOV`] frames to `out` in one `write_vectored`
+    /// call and drops what it took. Returns whether the call took every
+    /// byte offered; `false` means the socket buffer is full for now.
+    fn write_to<W: Write>(&mut self, out: &mut W) -> io::Result<bool> {
+        let mut iov = [IoSlice::new(&[]); MAX_IOV];
+        let count = self.frames.len().min(MAX_IOV);
+        let mut offered = 0;
+        for (i, (slot, frame)) in iov.iter_mut().zip(&self.frames).enumerate() {
+            let skip = if i == 0 { self.offset } else { 0 };
+            *slot = IoSlice::new(&frame.wire_bytes()[skip..]);
+            offered += slot.len();
+        }
+        let written = loop {
+            match out.write_vectored(&iov[..count]) {
+                Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+                Ok(n) => break n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        };
+        self.advance(written);
+        Ok(written == offered)
+    }
+
+    /// Marks `written` more bytes as sent: pops every frame they complete
+    /// and leaves the offset inside the next.
+    fn advance(&mut self, mut written: usize) {
+        while let Some(front) = self.frames.front() {
+            let left = front.wire_bytes().len() - self.offset;
+            if written < left {
+                self.offset += written;
+                return;
+            }
+            written -= left;
+            self.frames.pop_front();
+            self.offset = 0;
+        }
+    }
+
+    /// Puts every frame not fully sent back at the front of `queue`, in
+    /// order. A new connection starts a fresh frame stream, so a
+    /// partly-sent frame is retried whole.
+    fn requeue(self, queue: &SendQueue) {
+        for frame in self.frames.into_iter().rev() {
+            queue.requeue_front(frame);
+        }
+    }
 }
 
 /// A link the dialer should (re)establish.
@@ -169,9 +232,7 @@ struct ClientConn {
     /// `client_queue_capacity`.
     pending: VecDeque<(u64, Transaction)>,
     /// Outbound acks/rejects/notifications awaiting socket readiness.
-    replies: VecDeque<Frame>,
-    /// Bytes of the front reply frame already written.
-    reply_offset: usize,
+    replies: Outbox,
 }
 
 /// Verdict after handling one inbound frame.
@@ -189,7 +250,6 @@ pub(crate) struct ReactorConfig {
     pub cmds: Receiver<ReactorCmd>,
     pub waker: Arc<Waker>,
     pub consensus: Sender<Event>,
-    pub verify: Arc<dyn PoolControl>,
     pub worker_txs: Vec<Sender<Transaction>>,
     pub frontend: Sender<FrontendMsg>,
     pub redial: Sender<DialRequest>,
@@ -317,13 +377,14 @@ impl Reactor {
     }
 
     /// Drains every outbound queue into its link, resuming partial
-    /// writes. A broken link's in-flight frame is requeued at the front
+    /// writes. A broken link's unsent frames are requeued at the front
     /// and the link goes back to the dialer.
     fn flush_links(&mut self) -> bool {
         let mut progress = false;
         let mut i = 0;
         while i < self.links.len() {
-            match Self::pump_link(&mut self.links[i]) {
+            let link = &mut self.links[i];
+            match Self::pump_link(&mut link.stream, &mut link.unsent, &link.queue) {
                 LinkPump::Progress => {
                     progress = true;
                     i += 1;
@@ -343,48 +404,46 @@ impl Reactor {
         progress
     }
 
-    /// Writes as much of one link's queue as the socket accepts.
-    fn pump_link(link: &mut OutLink) -> LinkPump {
+    /// Writes as much of one link's queue as the socket accepts: tops
+    /// `unsent` up from `queue` and offers it in one `write_vectored`
+    /// call, until the queue is empty or the socket is full.
+    fn pump_link<W: Write>(stream: &mut W, unsent: &mut Outbox, queue: &SendQueue) -> LinkPump {
         let mut progress = false;
         loop {
-            if link.current.is_none() {
-                match link.queue.try_pop() {
-                    Pop::Frame(frame) => link.current = Some((frame, 0)),
-                    Pop::TimedOut => {
-                        return if progress { LinkPump::Progress } else { LinkPump::Idle };
+            let mut closed = false;
+            while unsent.frames.len() < MAX_IOV {
+                match queue.try_pop() {
+                    Pop::Frame(frame) => unsent.frames.push_back(frame),
+                    Pop::TimedOut => break,
+                    Pop::Closed => {
+                        closed = true;
+                        break;
                     }
-                    Pop::Closed => return LinkPump::Closed,
                 }
             }
-            let (frame, offset) = link.current.as_mut().expect("current frame was just set");
-            let bytes = frame.wire_bytes();
-            match link.stream.write(&bytes[*offset..]) {
-                Ok(0) => return LinkPump::Broken,
-                Ok(n) => {
-                    *offset += n;
-                    progress = true;
-                    if *offset == bytes.len() {
-                        link.current = None;
-                    }
-                }
+            if unsent.frames.is_empty() {
+                return match (closed, progress) {
+                    (true, _) => LinkPump::Closed,
+                    (false, true) => LinkPump::Progress,
+                    (false, false) => LinkPump::Idle,
+                };
+            }
+            match unsent.write_to(stream) {
+                Ok(true) => progress = true,
+                Ok(false) => return LinkPump::Progress,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     return if progress { LinkPump::Progress } else { LinkPump::Idle };
                 }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(_) => return LinkPump::Broken,
             }
         }
     }
 
-    /// Requeues a broken link's in-flight frame and asks the dialer to
+    /// Requeues a broken link's unsent frames and asks the dialer to
     /// re-establish it.
     fn redial_link(&self, link: OutLink) {
-        let OutLink { kind, addr, queue, current, .. } = link;
-        if let Some((frame, _)) = current {
-            // The new connection starts a fresh frame stream, so the
-            // partially-sent frame is retried whole.
-            queue.requeue_front(frame);
-        }
+        let OutLink { kind, addr, queue, unsent, .. } = link;
+        unsent.requeue(&queue);
         let _ = self.config.redial.send(DialRequest { kind, addr, queue });
     }
 
@@ -472,13 +531,6 @@ impl Reactor {
                 let from = *from;
                 match msg {
                     WireMsg::Hello(_) => Verdict::Keep,
-                    WireMsg::Engine(payload) => {
-                        if self.config.verify.submit_job(from, payload) {
-                            Verdict::Keep
-                        } else {
-                            Verdict::Dead // pool shut down: the node is stopping
-                        }
-                    }
                     WireMsg::ClientHello
                     | WireMsg::ClientSubmit { .. }
                     | WireMsg::ClientSubmitAck { .. }
@@ -523,8 +575,7 @@ impl Reactor {
                 reader: conn.reader,
                 subscribed: false,
                 pending: VecDeque::new(),
-                replies: VecDeque::new(),
-                reply_offset: 0,
+                replies: Outbox::default(),
             },
         );
         self.client_ids.push(id);
@@ -632,13 +683,14 @@ impl Reactor {
     /// Appends one reply frame, shedding the oldest when the client
     /// stops reading (replies are best-effort toward a stalled client).
     fn queue_reply(client: &mut ClientConn, frames: &FramePool, msg: &WireMsg) {
-        if client.replies.len() >= REPLY_QUEUE_CAP {
+        let replies = &mut client.replies.frames;
+        if replies.len() >= REPLY_QUEUE_CAP {
             // Never evict the frame mid-write at the front.
-            if client.replies.len() > 1 {
-                client.replies.remove(1);
+            if replies.len() > 1 {
+                replies.remove(1);
             }
         }
-        client.replies.push_back(frames.encode(msg));
+        replies.push_back(frames.encode(msg));
     }
 
     /// Removes a departed client and tells the frontend to forget its
@@ -720,7 +772,7 @@ impl Reactor {
         let mut progress = false;
         for id in dirty {
             let Some(client) = self.clients.get_mut(&id) else { continue };
-            match Self::pump_client_replies(client) {
+            match Self::pump_client_replies(&mut client.stream, &mut client.replies) {
                 Ok((drained, wrote)) => {
                     progress |= wrote;
                     if !drained {
@@ -736,30 +788,27 @@ impl Reactor {
         progress
     }
 
-    /// Writes as much of one client's reply queue as the socket accepts.
-    /// Returns `(fully drained, wrote anything)`.
-    fn pump_client_replies(client: &mut ClientConn) -> io::Result<(bool, bool)> {
+    /// Writes as much of one client's reply queue as the socket accepts,
+    /// [`MAX_IOV`] frames per `write_vectored` call. Returns `(fully
+    /// drained, wrote anything)`.
+    fn pump_client_replies<W: Write>(
+        stream: &mut W,
+        replies: &mut Outbox,
+    ) -> io::Result<(bool, bool)> {
         let mut wrote = false;
-        loop {
-            let Some(front) = client.replies.front() else { return Ok((true, wrote)) };
-            let bytes = front.wire_bytes();
-            match client.stream.write(&bytes[client.reply_offset..]) {
-                Ok(0) => {
-                    return Err(io::Error::new(io::ErrorKind::WriteZero, "client write stalled"));
-                }
-                Ok(n) => {
+        while !replies.frames.is_empty() {
+            match replies.write_to(stream) {
+                Ok(all) => {
                     wrote = true;
-                    client.reply_offset += n;
-                    if client.reply_offset == bytes.len() {
-                        client.replies.pop_front();
-                        client.reply_offset = 0;
+                    if !all {
+                        return Ok((false, true));
                     }
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok((false, wrote)),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                 Err(e) => return Err(e),
             }
         }
+        Ok((true, wrote))
     }
 }
 
@@ -861,6 +910,176 @@ fn dial(me: ProcessId, req: &DialRequest) -> io::Result<OutLink> {
         kind: req.kind,
         addr: req.addr,
         queue: Arc::clone(&req.queue),
-        current: None,
+        unsent: Outbox::default(),
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Cursor;
+
+    use super::*;
+
+    /// A non-blocking socket stand-in: call `i` takes at most
+    /// `limits[i % len]` bytes across the offered slices, and a zero
+    /// limit is a full socket (`WouldBlock`). `fail_at: Some(k)` breaks
+    /// the connection once `k` calls have taken bytes.
+    struct Trickle {
+        out: Vec<u8>,
+        limits: Vec<usize>,
+        calls: usize,
+        /// Where in `out` each accepting call ended.
+        ends: Vec<usize>,
+        fail_at: Option<usize>,
+    }
+
+    impl Trickle {
+        fn new(limits: Vec<usize>) -> Self {
+            Self { out: Vec::new(), limits, calls: 0, ends: Vec::new(), fail_at: None }
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            let mut room = self.limits[self.calls % self.limits.len()];
+            self.calls += 1;
+            if room == 0 {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            if self.fail_at == Some(self.ends.len()) {
+                return Err(io::ErrorKind::ConnectionReset.into());
+            }
+            let start = self.out.len();
+            for buf in bufs {
+                let n = room.min(buf.len());
+                self.out.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            self.ends.push(self.out.len());
+            Ok(self.out.len() - start)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn payload(i: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|j| (i * 31 + j) as u8).collect()
+    }
+
+    fn queued(payloads: &[Vec<u8>]) -> SendQueue {
+        let queue = SendQueue::new(1024);
+        for p in payloads {
+            assert!(queue.push(Frame::from_payload(p)));
+        }
+        queue
+    }
+
+    /// Every frame the wire carried, decoded through a [`FrameReader`].
+    fn decode(wire: &[u8]) -> Vec<Vec<u8>> {
+        let mut reader = FrameReader::new();
+        let mut src = Cursor::new(wire.to_vec());
+        while let Ok(Fill::Read(_)) = reader.fill_from(&mut src) {}
+        let mut frames = Vec::new();
+        while let Some(frame) = reader.next_frame().expect("well-formed stream") {
+            frames.push(frame);
+        }
+        assert_eq!(reader.buffered(), 0, "a frame was cut short");
+        frames
+    }
+
+    /// Pumps `queue` through `writer` until both it and the outbox are
+    /// empty.
+    fn pump_dry(writer: &mut Trickle, queue: &SendQueue) {
+        let mut unsent = Outbox::default();
+        for _ in 0..100_000 {
+            match Reactor::pump_link(writer, &mut unsent, queue) {
+                LinkPump::Progress | LinkPump::Idle => {}
+                LinkPump::Closed | LinkPump::Broken => panic!("link died"),
+            }
+            if unsent.frames.is_empty() && queue.is_empty() {
+                return;
+            }
+        }
+        panic!("pump never drained the queue");
+    }
+
+    #[test]
+    fn vectored_writes_resume_mid_frame_and_keep_every_byte() {
+        // Wire lengths 7, 16 and 4; the socket is full once, after the
+        // first write. The middle frame spans three writes: 4 of its
+        // bytes ride the second behind the first frame's tail, 6 the
+        // third, and its last 6 lead the fourth ahead of the last frame.
+        let payloads = vec![payload(0, 3), payload(1, 12), payload(2, 0)];
+        let mut writer = Trickle::new(vec![5, 0, 6, 6, 100]);
+        pump_dry(&mut writer, &queued(&payloads));
+        assert_eq!(writer.ends, vec![5, 11, 17, 27]);
+        assert_eq!(decode(&writer.out), payloads);
+
+        // Many frames, more than one vectored call can offer, under
+        // every limit from one byte per call up, with a full socket
+        // every fifth call: the stream is byte-identical and in order.
+        let sizes = [3, 12, 0, 1, 40, 300, 7, 64, 2, 1000];
+        let payloads: Vec<Vec<u8>> = (0..150).map(|i| payload(i, sizes[i % sizes.len()])).collect();
+        for k in [1, 2, 7, 33, 4096, 1 << 20] {
+            let mut seed = 0x9e37_79b9_u64 ^ k as u64;
+            let limits = (0..97)
+                .map(|i| {
+                    seed ^= seed << 13;
+                    seed ^= seed >> 7;
+                    seed ^= seed << 17;
+                    if i % 5 == 4 {
+                        0
+                    } else {
+                        1 + (seed % k as u64) as usize
+                    }
+                })
+                .collect();
+            let mut writer = Trickle::new(limits);
+            pump_dry(&mut writer, &queued(&payloads));
+            assert_eq!(decode(&writer.out), payloads, "limit {k}");
+
+            // The client reply path shares the outbox.
+            let mut writer = Trickle::new(writer.limits);
+            let mut replies = Outbox::default();
+            replies.frames.extend(payloads.iter().map(|p| Frame::from_payload(p)));
+            while !matches!(Reactor::pump_client_replies(&mut writer, &mut replies), Ok((true, _)))
+            {
+            }
+            assert_eq!(decode(&writer.out), payloads, "limit {k}, replies");
+        }
+    }
+
+    #[test]
+    fn a_broken_link_requeues_its_unsent_frames_in_order() {
+        // Wire lengths 7, 9, 4, 5, 104: the first call takes the first
+        // frame and 3 bytes of the second, then the connection breaks.
+        let payloads: Vec<Vec<u8>> =
+            [3, 5, 0, 1, 100].iter().enumerate().map(|(i, &len)| payload(i, len)).collect();
+        let queue = queued(&payloads);
+        let mut writer = Trickle::new(vec![10]);
+        writer.fail_at = Some(1);
+        let mut unsent = Outbox::default();
+        assert!(matches!(Reactor::pump_link(&mut writer, &mut unsent, &queue), LinkPump::Progress));
+        assert!(matches!(Reactor::pump_link(&mut writer, &mut unsent, &queue), LinkPump::Broken));
+        assert_eq!(decode(&writer.out[..7]), payloads[..1]);
+
+        // A frame queued while the link was dying stays behind the
+        // requeued ones.
+        let late = payload(9, 2);
+        queue.push(Frame::from_payload(&late));
+        unsent.requeue(&queue);
+        let mut expected: Vec<Frame> =
+            payloads[1..].iter().map(|p| Frame::from_payload(p)).collect();
+        expected.push(Frame::from_payload(&late));
+        for frame in expected {
+            assert_eq!(queue.try_pop(), Pop::Frame(frame));
+        }
+        assert_eq!(queue.try_pop(), Pop::TimedOut);
+    }
 }

@@ -6,8 +6,11 @@
 //!
 //! * **consensus** — owns the sans-I/O [`DagRiderEngine`] and is the only
 //!   thread that touches protocol state. It drains one event channel fed
-//!   by everything else, and forwards the durable subset of each engine
-//!   turn's events to the flusher before routing the turn's outputs.
+//!   by everything else, a burst of queued events per wake-up, and feeds
+//!   peer payloads to the engine raw: the engine hashes each broadcast
+//!   payload once per instance and checks each coin share's proof. It
+//!   forwards the durable subset of each engine turn's events to the
+//!   flusher before routing the turn's outputs.
 //! * **reactor** — owns *every* socket: the listener, all inbound peer
 //!   and worker connections, all outbound links, and all client
 //!   sessions, swept in non-blocking readiness loops (see
@@ -26,8 +29,6 @@
 //!   appends them to the write-ahead log, fsyncs per policy, and
 //!   installs compacted snapshots — every disk wait lives here, never
 //!   on the consensus thread (see [`crate::wal`]).
-//!
-//! (Plus the bounded verification pool, [`crate::verify`].)
 //!
 //! A (re)starting node first replays its durable store (snapshot + WAL
 //! tail) into the fresh engine, then asks every peer for its retained
@@ -63,7 +64,6 @@ use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use crate::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use crate::sync::thread::{self, JoinHandle};
 use crate::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use crate::verify::{PoolControl, VerifyPool};
 use crate::wal::{wal_channel, wal_flush_loop, WalHandle};
 use crate::wire::WireMsg;
 use crate::worker::{batch_loop, BatchLane, BatchPolicy, PendingAck};
@@ -91,9 +91,6 @@ pub struct NetConfig {
     /// Consensus loop wake-up interval (timer resolution, shutdown
     /// latency).
     pub tick: Duration,
-    /// Verification worker threads (digest + DLEQ checks off the
-    /// consensus thread). At least one.
-    pub verify_workers: usize,
     /// Batch-dissemination worker channels. Zero disables the batch
     /// layer entirely (inline [`NetNode::submit`] still works).
     pub workers: usize,
@@ -184,10 +181,6 @@ impl NetConfig {
             sync_timeout: Duration::from_secs(2),
             queue_capacity: 4096,
             tick: Duration::from_millis(25),
-            // Leave a core for the consensus thread where there are
-            // cores to spare; a single worker otherwise.
-            verify_workers: thread::available_parallelism()
-                .map_or(1, |n| n.get().saturating_sub(1).clamp(1, 4)),
             workers: 1,
             batch_max_bytes: 64 * 1024,
             batch_interval: Duration::from_millis(10),
@@ -202,13 +195,6 @@ impl NetConfig {
     #[must_use]
     pub fn with_sync_timeout(mut self, timeout: Duration) -> Self {
         self.sync_timeout = timeout;
-        self
-    }
-
-    /// Overrides the verification worker count (clamped to at least 1).
-    #[must_use]
-    pub fn with_verify_workers(mut self, workers: usize) -> Self {
-        self.verify_workers = workers.max(1);
         self
     }
 
@@ -270,9 +256,6 @@ impl NetConfig {
 pub(crate) enum Event {
     /// A decoded wire message from an identified peer.
     Net { from: ProcessId, msg: WireMsg },
-    /// Wire input the verification pool already checked
-    /// (digests computed, coin proofs verified).
-    Verified(VerifiedInput),
     /// A client block submission.
     Submit(Block),
     /// A local worker sealed and disseminated a batch: hand it to the
@@ -313,6 +296,10 @@ pub(crate) struct Published {
     /// Batches in the engine's batch store, and their payload bytes.
     pub(crate) batches: AtomicU64,
     pub(crate) batch_bytes: AtomicU64,
+    /// Coin shares the engine refused (`EngineEvent::ShareRejected`).
+    pub(crate) rejected_shares: AtomicU64,
+    /// The largest burst of events one consensus wake-up took.
+    pub(crate) max_burst: AtomicU64,
 }
 
 /// What routing engine outputs leaves for the consensus loop: the
@@ -357,7 +344,6 @@ pub struct NetNode {
     queues: Vec<Arc<SendQueue>>,
     waker: Arc<Waker>,
     admission: Arc<AdmissionStats>,
-    verify: Arc<dyn PoolControl>,
     worker_txs: Vec<Sender<Transaction>>,
     worker_queues: Vec<Arc<SendQueue>>,
     next_worker: AtomicU64,
@@ -407,11 +393,6 @@ impl NetNode {
         let admission = Arc::new(AdmissionStats::default());
         let queues: Vec<Arc<SendQueue>> =
             (0..committee.n()).map(|_| Arc::new(SendQueue::new(config.queue_capacity))).collect();
-        let verify: Arc<VerifyPool<B>> = Arc::new(VerifyPool::new(
-            config.verify_workers,
-            config.coin_keys.public().clone(),
-            tx.clone(),
-        ));
 
         // The reactor's feeds: commands (registered links, client
         // notifications), redial requests, and frontend match traffic.
@@ -486,7 +467,6 @@ impl NetNode {
                 cmds: cmd_rx,
                 waker: Arc::clone(&waker),
                 consensus: tx.clone(),
-                verify: Arc::clone(&verify) as Arc<dyn PoolControl>,
                 worker_txs: worker_txs.clone(),
                 frontend: frontend_tx,
                 redial: redial_tx,
@@ -561,7 +541,6 @@ impl NetNode {
             queues,
             waker,
             admission,
-            verify,
             worker_txs,
             worker_queues,
             next_worker: AtomicU64::new(0),
@@ -678,15 +657,17 @@ impl NetNode {
         self.queues.iter().chain(&self.worker_queues).map(|q| q.dropped()).sum()
     }
 
-    /// Coin shares the verification pool dropped for invalid proofs.
+    /// Coin shares the engine refused: a failed proof, or a share relayed
+    /// by a process other than its issuer.
     pub fn rejected_shares(&self) -> u64 {
-        self.verify.rejected_shares()
+        self.published.rejected_shares.load(AtomicOrdering::Relaxed)
     }
 
-    /// Largest verification batch any pool worker drained in one wake-up
-    /// (1 = keeping up; at the batch cap, verification is backlogged).
+    /// The largest burst of events the consensus thread drained, and
+    /// verified, in one wake-up (1 = keeping up; at the burst bound of
+    /// 64, consensus is backlogged).
     pub fn verify_batch_depth(&self) -> u64 {
-        self.verify.batch_high_water()
+        self.published.max_burst.load(AtomicOrdering::Relaxed)
     }
 
     /// Cumulative client admission counters: accepted, drained, shed,
@@ -712,7 +693,6 @@ impl NetNode {
         for queue in self.queues.iter().chain(&self.worker_queues) {
             queue.close();
         }
-        self.verify.shutdown_pool();
         for handle in self.threads.drain(..) {
             let _ = handle.join();
         }
@@ -725,10 +705,14 @@ impl Drop for NetNode {
     }
 }
 
+/// Events one consensus wake-up takes before it fires timers, publishes
+/// progress and rings the reactor.
+const MAX_BURST: u64 = 64;
+
 /// The consensus thread: sync phase, then the event loop driving the
-/// engine until shutdown. Every iteration ends by ringing the reactor's
-/// waker, so frames the engine pushed this iteration hit the wire
-/// without waiting for the reactor's idle tick.
+/// engine until shutdown. Each wake-up takes a burst of queued events
+/// and ends by ringing the reactor's waker once, so frames the engine
+/// pushed hit the wire without waiting for the reactor's idle tick.
 fn consensus_loop<B: ReliableBroadcast>(
     config: NetConfig,
     rx: Receiver<Event>,
@@ -785,11 +769,17 @@ fn consensus_loop<B: ReliableBroadcast>(
     // Every engine turn goes through `emit`: first group-persist the
     // turn's durable events (a channel send to the flusher — the fsync
     // happens off-thread), *then* route the outputs to the wire, so a
-    // WAL append always precedes the network effects it justifies. The
-    // rest of the stream is dropped. Snapshot cadence counts persisted
-    // vertex events; the capture is a cheap clone on this thread, the
+    // WAL append always precedes the network effects it justifies.
+    // Refused coin shares are counted; the rest of the stream is
+    // dropped. Snapshot cadence counts persisted vertex events; the
+    // capture is a cheap clone on this thread, and the
     // tmp-write/fsync/rename/truncate sequence runs on the flusher.
     let mut emit = |engine: &DagRiderEngine<B>, turn: Turn, routed: &mut Routed| {
+        let rejected =
+            turn.events.iter().filter(|e| matches!(e, EngineEvent::ShareRejected { .. })).count();
+        if rejected > 0 {
+            published.rejected_shares.fetch_add(rejected as u64, AtomicOrdering::Relaxed);
+        }
         if let Some(ctx) = durable.as_mut() {
             let events: Vec<DurableEvent> =
                 turn.events.into_iter().filter_map(EngineEvent::into_durable).collect();
@@ -860,117 +850,128 @@ fn consensus_loop<B: ReliableBroadcast>(
     let mut acks: Vec<PendingAck> = Vec::new();
 
     loop {
-        let event = rx.recv_timeout(config.tick);
+        let mut next = match rx.recv_timeout(config.tick) {
+            Ok(event) => Some(event),
+            Err(RecvTimeoutError::Timeout) => None,
+            Err(RecvTimeoutError::Disconnected) => return,
+        };
         if stop.is_signalled() {
             return;
         }
-        match event {
-            Ok(Event::Net { from, msg }) => match msg {
-                WireMsg::Engine(payload) => {
-                    let input = EngineInput::Message { from, payload };
-                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                    emit(&engine, turn, &mut routed);
-                }
-                WireMsg::SyncRequest => {
-                    serve_sync(&mut engine, &mut rng, &queues[from.as_usize()], &frames);
-                }
-                WireMsg::SyncVertex(vertex) => {
-                    sync_received[from.as_usize()] += 1;
-                    let input = EngineInput::SyncVertex(vertex);
-                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                    emit(&engine, turn, &mut routed);
-                }
-                WireMsg::SyncEnd { served } => {
-                    if sync_received[from.as_usize()] >= served {
-                        awaiting_sync.remove(&from);
-                    } else if !live && sync_retries[from.as_usize()] > 0 {
-                        // The stream arrived short of what the peer put on
-                        // the wire: a dying connection swallowed frames.
-                        // Ask again, and give the retry a fresh window.
-                        sync_retries[from.as_usize()] -= 1;
-                        sync_received[from.as_usize()] = 0;
-                        queues[from.as_usize()].push(frames.encode(&WireMsg::SyncRequest));
-                        sync_deadline = Instant::now() + config.sync_timeout;
-                    } else {
-                        awaiting_sync.remove(&from);
+        // One wake-up takes every event already queued, up to
+        // `MAX_BURST`; each turn still persists before it routes.
+        let mut burst = 0;
+        while let Some(event) = next.take() {
+            burst += 1;
+            match event {
+                Event::Net { from, msg } => match msg {
+                    WireMsg::Engine(payload) => {
+                        let input = EngineInput::Message { from, payload };
+                        let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                        emit(&engine, turn, &mut routed);
                     }
-                }
-                WireMsg::BatchRequest { digests } => {
-                    serve_batches(&engine, &digests, &queues[from.as_usize()], &frames);
-                }
-                WireMsg::Batch(batch) => {
-                    // A fetch response on the consensus connection (the
-                    // steady-state push stream lands on worker
-                    // connections, not here). The engine stores it and
-                    // resolves whatever deliveries wait on it.
-                    let turn =
-                        engine.handle(engine_now(epoch), EngineInput::BatchStored(batch), &mut rng);
-                    emit(&engine, turn, &mut routed);
-                }
-                WireMsg::BatchAck { digest } => {
-                    if let Some(at) = acks.iter().position(|p| p.digest == digest) {
-                        if acks[at].record(from) >= ack_quorum {
-                            let released = acks.swap_remove(at).digest;
-                            let input = EngineInput::SubmitDigests(vec![released]);
-                            let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                            emit(&engine, turn, &mut routed);
+                    WireMsg::SyncRequest => {
+                        serve_sync(&mut engine, &mut rng, &queues[from.as_usize()], &frames);
+                    }
+                    WireMsg::SyncVertex(vertex) => {
+                        sync_received[from.as_usize()] += 1;
+                        let input = EngineInput::SyncVertex(vertex);
+                        let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                        emit(&engine, turn, &mut routed);
+                    }
+                    WireMsg::SyncEnd { served } => {
+                        if sync_received[from.as_usize()] >= served {
+                            awaiting_sync.remove(&from);
+                        } else if !live && sync_retries[from.as_usize()] > 0 {
+                            // The stream arrived short of what the peer put on
+                            // the wire: a dying connection swallowed frames.
+                            // Ask again, and give the retry a fresh window.
+                            sync_retries[from.as_usize()] -= 1;
+                            sync_received[from.as_usize()] = 0;
+                            queues[from.as_usize()].push(frames.encode(&WireMsg::SyncRequest));
+                            sync_deadline = Instant::now() + config.sync_timeout;
+                        } else {
+                            awaiting_sync.remove(&from);
                         }
                     }
+                    WireMsg::BatchRequest { digests } => {
+                        serve_batches(&engine, &digests, &queues[from.as_usize()], &frames);
+                    }
+                    WireMsg::Batch(batch) => {
+                        // A fetch response on the consensus connection (the
+                        // steady-state push stream lands on worker
+                        // connections, not here). The engine stores it and
+                        // resolves whatever deliveries wait on it.
+                        let turn = engine.handle(
+                            engine_now(epoch),
+                            EngineInput::BatchStored(batch),
+                            &mut rng,
+                        );
+                        emit(&engine, turn, &mut routed);
+                    }
+                    WireMsg::BatchAck { digest } => {
+                        if let Some(at) = acks.iter().position(|p| p.digest == digest) {
+                            if acks[at].record(from) >= ack_quorum {
+                                let released = acks.swap_remove(at).digest;
+                                let input = EngineInput::SubmitDigests(vec![released]);
+                                let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                                emit(&engine, turn, &mut routed);
+                            }
+                        }
+                    }
+                    // Handshake frames are consumed by the reactor; client
+                    // frames never reach consensus (admission happens at
+                    // the socket edge).
+                    WireMsg::Hello(_)
+                    | WireMsg::WorkerHello { .. }
+                    | WireMsg::ClientHello
+                    | WireMsg::ClientSubmit { .. }
+                    | WireMsg::ClientSubmitAck { .. }
+                    | WireMsg::ClientReject { .. }
+                    | WireMsg::ClientSubscribe
+                    | WireMsg::ClientOrdered { .. } => {}
+                },
+                Event::Submit(block) => {
+                    let turn =
+                        engine.handle(engine_now(epoch), EngineInput::SubmitBlock(block), &mut rng);
+                    emit(&engine, turn, &mut routed);
                 }
-                // Handshake frames are consumed by the reactor; client
-                // frames never reach consensus (admission happens at
-                // the socket edge).
-                WireMsg::Hello(_)
-                | WireMsg::WorkerHello { .. }
-                | WireMsg::ClientHello
-                | WireMsg::ClientSubmit { .. }
-                | WireMsg::ClientSubmitAck { .. }
-                | WireMsg::ClientReject { .. }
-                | WireMsg::ClientSubscribe
-                | WireMsg::ClientOrdered { .. } => {}
-            },
-            Ok(Event::Verified(verified)) => {
-                let input = EngineInput::PreVerified(verified);
-                let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&engine, turn, &mut routed);
-            }
-            Ok(Event::Submit(block)) => {
-                let turn =
-                    engine.handle(engine_now(epoch), EngineInput::SubmitBlock(block), &mut rng);
-                emit(&engine, turn, &mut routed);
-            }
-            Ok(Event::OwnBatch { digest, batch }) => {
-                // A local worker sealed and disseminated this batch. Make
-                // it resolvable locally, and hold the digest until enough
-                // peers acknowledge.
-                acks.push(PendingAck {
-                    digest,
-                    acked: Vec::new(),
-                    deadline: Instant::now() + config.ack_timeout,
-                });
-                let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
-                let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&engine, turn, &mut routed);
-            }
-            Ok(Event::PeerBatch { from, digest, batch }) => {
-                // A peer's worker pushed this batch to us; acknowledge on
-                // the consensus connection so the creator can count us
-                // toward its release quorum. The reader already hashed
-                // the batch, so hand the engine the pre-verified route.
-                queues[from.as_usize()].push(frames.encode(&WireMsg::BatchAck { digest }));
-                let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
-                let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                emit(&engine, turn, &mut routed);
-            }
-            Ok(Event::LinkUp(peer)) => {
-                if !live {
-                    sync_received[peer.as_usize()] = 0;
-                    queues[peer.as_usize()].push(frames.encode(&WireMsg::SyncRequest));
+                Event::OwnBatch { digest, batch } => {
+                    // A local worker sealed and disseminated this batch. Make
+                    // it resolvable locally, and hold the digest until enough
+                    // peers acknowledge.
+                    acks.push(PendingAck {
+                        digest,
+                        acked: Vec::new(),
+                        deadline: Instant::now() + config.ack_timeout,
+                    });
+                    let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
+                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                    emit(&engine, turn, &mut routed);
                 }
+                Event::PeerBatch { from, digest, batch } => {
+                    // A peer's worker pushed this batch to us; acknowledge on
+                    // the consensus connection so the creator can count us
+                    // toward its release quorum. The reader already hashed
+                    // the batch, so hand the engine the pre-verified route.
+                    queues[from.as_usize()].push(frames.encode(&WireMsg::BatchAck { digest }));
+                    let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
+                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                    emit(&engine, turn, &mut routed);
+                }
+                Event::LinkUp(peer) => {
+                    if !live {
+                        sync_received[peer.as_usize()] = 0;
+                        queues[peer.as_usize()].push(frames.encode(&WireMsg::SyncRequest));
+                    }
+                }
+                Event::Shutdown => return,
             }
-            Ok(Event::Shutdown) | Err(RecvTimeoutError::Disconnected) => return,
-            Err(RecvTimeoutError::Timeout) => {}
+            if burst < MAX_BURST {
+                next = rx.try_recv().ok();
+            }
         }
+        published.max_burst.fetch_max(burst, AtomicOrdering::Relaxed);
 
         // Fire due timers.
         let now_instant = Instant::now();

@@ -84,40 +84,57 @@ impl Shutdown {
 /// between sweeps. The pending flag is flipped *under the mutex* before
 /// notifying, so a wake that races the reactor's park is latched, never
 /// lost — a wake issued while the reactor is mid-sweep is consumed by
-/// the next park instead of vanishing. `crates/check` explores the
+/// the next park instead of vanishing. A waiter counts itself parked
+/// under the same mutex, and `wake` rings the condvar only when one is:
+/// a notify is a futex syscall even with nobody waiting, and most wakes
+/// land while the reactor is mid-sweep. `crates/check` explores the
 /// wake/park handshake exhaustively (`reactor-wakeup`,
 /// `reactor-shutdown` surfaces).
 #[derive(Debug, Default)]
 pub struct Waker {
-    /// Wakes issued but not yet consumed, guarded so a waiter cannot
-    /// check-then-park across a producer's wake.
-    pending: Mutex<bool>,
+    /// Guarded so a waiter cannot check-then-park across a producer's
+    /// wake.
+    state: Mutex<WakerState>,
     bell: Condvar,
+}
+
+#[derive(Debug, Default)]
+struct WakerState {
+    /// A wake was issued and not yet consumed.
+    pending: bool,
+    /// Threads parked on the bell.
+    parked: usize,
 }
 
 impl Waker {
     /// Creates a waker with no pending wake.
     pub const fn new() -> Self {
-        Self { pending: Mutex::new(false), bell: Condvar::new() }
+        Self { state: Mutex::new(WakerState { pending: false, parked: 0 }), bell: Condvar::new() }
     }
 
-    /// Latches a wake and rings the bell. Coalescing: any number of
-    /// wakes before the next wait collapse into one.
+    /// Latches a wake and rings the bell if a thread is parked.
+    /// Coalescing: any number of wakes before the next wait collapse into
+    /// one.
     pub fn wake(&self) {
-        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        *pending = true;
-        drop(pending);
-        self.bell.notify_one();
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        state.pending = true;
+        let parked = state.parked > 0;
+        drop(state);
+        if parked {
+            self.bell.notify_one();
+        }
     }
 
     /// Parks until a wake arrives (consuming it). Returns immediately
     /// if a wake is already latched.
     pub fn wait(&self) {
-        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
-        while !*pending {
-            pending = self.bell.wait(pending).unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        while !state.pending {
+            state.parked += 1;
+            state = self.bell.wait(state).unwrap_or_else(PoisonError::into_inner);
+            state.parked -= 1;
         }
-        *pending = false;
+        state.pending = false;
     }
 
     /// Parks up to `timeout` for a wake. Returns `true` if a wake was
@@ -125,22 +142,24 @@ impl Waker {
     /// again, so a timeout is pacing, not an error.
     pub fn wait_timeout(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut pending = self.pending.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
         loop {
-            if *pending {
-                *pending = false;
+            if state.pending {
+                state.pending = false;
                 return true;
             }
             let now = Instant::now();
             if now >= deadline {
                 return false;
             }
+            state.parked += 1;
             let (guard, result) = self
                 .bell
-                .wait_timeout(pending, deadline - now)
+                .wait_timeout(state, deadline - now)
                 .unwrap_or_else(PoisonError::into_inner);
-            pending = guard;
-            if result.timed_out() && !*pending {
+            state = guard;
+            state.parked -= 1;
+            if result.timed_out() && !state.pending {
                 return false;
             }
         }

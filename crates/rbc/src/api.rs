@@ -1,6 +1,5 @@
 //! The reliable broadcast abstraction (§2 of the paper).
 
-use dagrider_crypto::{sha256, Digest};
 use dagrider_trace::{RbcPhase, RbcPrimitive};
 use dagrider_types::{Committee, Decode, Encode, ProcessId, Round, VertexRef};
 use rand::rngs::StdRng;
@@ -90,49 +89,6 @@ pub trait ReliableBroadcast {
         message: Self::Message,
         rng: &mut StdRng,
     ) -> Vec<RbcAction<Self::Message>>;
-
-    /// The payload bytes whose SHA-256 digest this instantiation uses as
-    /// its equivocation-detection key, if it uses one. Drivers that verify
-    /// messages off the protocol thread use this (via [`message_digest`])
-    /// to pre-compute the digest and hand it to
-    /// [`on_message_with_digest`], keeping hashing off the hot path. The
-    /// default (`None`) means digests cannot be pre-computed.
-    ///
-    /// [`message_digest`]: ReliableBroadcast::message_digest
-    /// [`on_message_with_digest`]: ReliableBroadcast::on_message_with_digest
-    fn payload_bytes(message: &Self::Message) -> Option<&[u8]> {
-        let _ = message;
-        None
-    }
-
-    /// The digest `on_message` would compute for `message`, if any — the
-    /// value a driver may pass to [`on_message_with_digest`]. Callers must
-    /// treat the pair `(message, digest)` as inseparable: supplying a
-    /// digest that was not computed from this exact message breaks the
-    /// protocol's equivocation detection.
-    ///
-    /// [`on_message_with_digest`]: ReliableBroadcast::on_message_with_digest
-    fn message_digest(message: &Self::Message) -> Option<Digest> {
-        Self::payload_bytes(message).map(sha256)
-    }
-
-    /// Like [`on_message`], but with an optional pre-computed payload
-    /// digest (from [`message_digest`] on the *same* message). The default
-    /// ignores the hint and defers to [`on_message`]; instantiations that
-    /// hash payloads override this to skip the recomputation.
-    ///
-    /// [`on_message`]: ReliableBroadcast::on_message
-    /// [`message_digest`]: ReliableBroadcast::message_digest
-    fn on_message_with_digest(
-        &mut self,
-        from: ProcessId,
-        message: Self::Message,
-        digest: Option<Digest>,
-        rng: &mut StdRng,
-    ) -> Vec<RbcAction<Self::Message>> {
-        let _ = digest;
-        self.on_message(from, message, rng)
-    }
 
     /// A short human-readable name for reports ("bracha", "avid", …).
     fn name() -> &'static str;

@@ -67,9 +67,7 @@ impl Encode for BrachaMessage {
     }
 
     fn encoded_len(&self) -> usize {
-        let payload = match &self.kind {
-            BrachaKind::Init(p) | BrachaKind::Echo(p) | BrachaKind::Ready(p) => p,
-        };
+        let payload = self.kind.payload();
         self.source.encoded_len()
             + self.round.encoded_len()
             + 1
@@ -120,18 +118,16 @@ impl BrachaRbc {
     }
 
     /// Runs the state machine on `(from, message)` plus any self-addressed
-    /// follow-ups, accumulating wire sends and deliveries. `digest`, when
-    /// present, is the pre-computed SHA-256 of the message's payload (from
-    /// a driver that hashed it off-thread); follow-ups thread the digest
-    /// along so one payload is hashed at most once per instance.
+    /// follow-ups, accumulating wire sends and deliveries. Follow-ups
+    /// carry the digest their step already knows, so one payload is hashed
+    /// at most once per instance.
     fn process(
         &mut self,
         from: ProcessId,
         message: BrachaMessage,
-        digest: Option<Digest>,
     ) -> Vec<RbcAction<BrachaMessage>> {
         let mut actions = Vec::new();
-        let mut work = VecDeque::from([(from, message, digest)]);
+        let mut work = VecDeque::from([(from, message, None)]);
         while let Some((sender, msg, digest)) = work.pop_front() {
             let instance = VertexRef::new(msg.round, msg.source);
             for out in self.handle(sender, msg, digest) {
@@ -165,8 +161,8 @@ impl BrachaRbc {
         let mut steps = Vec::new();
         match msg.kind {
             BrachaKind::Init(payload) => {
-                // The INIT path never needs the digest itself; the echo
-                // inherits whatever hint the caller supplied.
+                // Nothing has hashed the payload yet: the echo's own step
+                // does, once.
                 if !instance.echoed {
                     instance.echoed = true;
                     steps.push(Step::Phase(RbcPhase::Witness));
@@ -176,7 +172,7 @@ impl BrachaRbc {
                             round: msg.round,
                             kind: BrachaKind::Echo(payload),
                         },
-                        digest,
+                        None,
                     ));
                 }
             }
@@ -273,7 +269,7 @@ impl ReliableBroadcast for BrachaRbc {
         let init = BrachaMessage { source: self.me, round, kind: BrachaKind::Init(payload) };
         let mut actions = vec![RbcAction::Phase(VertexRef::new(round, self.me), RbcPhase::Init)];
         actions.extend(self.committee.others(self.me).map(|to| RbcAction::Send(to, init.clone())));
-        actions.extend(self.process(self.me, init, None));
+        actions.extend(self.process(self.me, init));
         actions
     }
 
@@ -283,21 +279,7 @@ impl ReliableBroadcast for BrachaRbc {
         message: BrachaMessage,
         _rng: &mut StdRng,
     ) -> Vec<RbcAction<BrachaMessage>> {
-        self.process(from, message, None)
-    }
-
-    fn payload_bytes(message: &BrachaMessage) -> Option<&[u8]> {
-        Some(message.kind.payload())
-    }
-
-    fn on_message_with_digest(
-        &mut self,
-        from: ProcessId,
-        message: BrachaMessage,
-        digest: Option<Digest>,
-        _rng: &mut StdRng,
-    ) -> Vec<RbcAction<BrachaMessage>> {
-        self.process(from, message, digest)
+        self.process(from, message)
     }
 
     fn prune(&mut self, before: Round) {
@@ -457,36 +439,6 @@ mod tests {
         // Tag byte sits after source (1 byte) and round (1 byte).
         bytes[2] = 9;
         assert!(BrachaMessage::from_bytes(&bytes).is_err());
-    }
-
-    #[test]
-    fn digest_hint_path_matches_plain_on_message() {
-        // Drive two endpoints through the same message sequence — one via
-        // on_message, one via on_message_with_digest with the correct
-        // pre-computed digest — and check the emitted actions agree.
-        let (mut eps, mut rng) = setup(4);
-        let committee = Committee::new(4).unwrap();
-        let mut hinted = BrachaRbc::new(committee, ProcessId::new(3), 0);
-        let msg = |kind| BrachaMessage { source: ProcessId::new(0), round: Round::new(1), kind };
-        let sequence = vec![
-            (ProcessId::new(0), msg(BrachaKind::Init(b"payload".to_vec()))),
-            (ProcessId::new(1), msg(BrachaKind::Echo(b"payload".to_vec()))),
-            (ProcessId::new(2), msg(BrachaKind::Echo(b"payload".to_vec()))),
-            // An equivocating echo for different bytes.
-            (ProcessId::new(0), msg(BrachaKind::Echo(b"other".to_vec()))),
-            (ProcessId::new(1), msg(BrachaKind::Ready(b"payload".to_vec()))),
-            (ProcessId::new(2), msg(BrachaKind::Ready(b"payload".to_vec()))),
-        ];
-        for (from, m) in sequence {
-            let digest = BrachaRbc::message_digest(&m);
-            assert_eq!(digest, Some(sha256(m.kind.payload())));
-            let plain = eps[3].on_message(from, m.clone(), &mut rng);
-            let fast = hinted.on_message_with_digest(from, m, digest, &mut rng);
-            assert_eq!(plain, fast);
-        }
-        // Both delivered exactly once, with the majority payload.
-        assert!(eps[3].instances[&(ProcessId::new(0), Round::new(1))].delivered);
-        assert!(hinted.instances[&(ProcessId::new(0), Round::new(1))].delivered);
     }
 
     #[test]

@@ -330,13 +330,13 @@ fn sim_recorded_inputs_replay_identically_through_a_direct_harness() {
 
 #[test]
 fn verified_and_unverified_routes_produce_identical_state() {
-    // The TCP runtime's verification pool rewrites wire input into
-    // `EngineInput::PreVerified` after doing the expensive checks itself.
-    // Skipping re-verification must be a pure optimisation: feeding the
-    // same wire traffic through the untrusted `Message` route and through
-    // the pre-verified route — digests and shares prepared exactly as the
-    // pool prepares them — must leave every engine in an identical state
-    // with an identical output stream.
+    // Restart replay feeds the coin shares a node accepted before its
+    // crash as `EngineInput::PreVerified`, skipping the proof check it
+    // already ran. Skipping re-verification must be a pure optimisation:
+    // feeding the same wire traffic with every coin share on the
+    // untrusted `Message` route and on the pre-verified route must leave
+    // every engine in an identical state with an identical output
+    // stream.
     let committee = Committee::new(4).unwrap();
     let mut key_rng = StdRng::seed_from_u64(29);
     let keys = deal_coin_keys(&committee, &mut key_rng);
@@ -379,24 +379,13 @@ fn verified_and_unverified_routes_produce_identical_state() {
         let mut t = 0u64;
         while let Some((from, to, payload)) = wire.pop_front() {
             t += 1;
-            let input = if preverify {
-                // Exactly the verification pool's rewrite: RBC messages
-                // gain their pre-computed payload digest, coin shares are
-                // decoded and DLEQ-checked (here: known honest), anything
-                // undecodable stays on the untrusted path.
-                match NodeMessage::<BrachaMessage>::from_bytes(&payload) {
-                    Ok(NodeMessage::Rbc(m)) => EngineInput::PreVerified(VerifiedInput::Message {
-                        from,
-                        payload,
-                        digest: BrachaRbc::message_digest(&m),
-                    }),
-                    Ok(NodeMessage::Coin(share)) => {
-                        EngineInput::PreVerified(VerifiedInput::CoinShare { from, share })
-                    }
-                    Err(_) => EngineInput::Message { from, payload },
+            // Coin shares from honest peers are known valid here; every
+            // other message stays on the untrusted route.
+            let input = match NodeMessage::<BrachaMessage>::from_bytes(&payload) {
+                Ok(NodeMessage::Coin(share)) if preverify => {
+                    EngineInput::PreVerified(VerifiedInput::CoinShare { from, share })
                 }
-            } else {
-                EngineInput::Message { from, payload }
+                _ => EngineInput::Message { from, payload },
             };
             let outs = engines[to.as_usize()]
                 .handle(Time::new(t), input, &mut rngs[to.as_usize()])

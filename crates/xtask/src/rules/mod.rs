@@ -190,10 +190,10 @@ fn check_engine_isolation(root: &Path, findings: &mut Vec<Finding>) {
 /// Rule `preverified-boundary`: `EngineInput::PreVerified` carries the
 /// claim "this input was already verified" and the engine trusts it
 /// without re-checking. Only the engine itself and the drivers that
-/// actually perform verification (the TCP runtime's worker pool, the
-/// deterministic simulator harness) may name it — any other crate
-/// constructing one would inject unverified input past the digest and
-/// proof checks. Comments and strings are exempt (prose may explain the
+/// actually perform the checks (the TCP runtime, whose batcher and
+/// reactor hash each batch they hand over, and the deterministic
+/// simulator harness) may name it — any other crate constructing one
+/// would inject unverified input past the digest and proof checks. Comments and strings are exempt (prose may explain the
 /// mechanism).
 fn check_preverified_boundary(root: &Path, findings: &mut Vec<Finding>) {
     let allowed = ["crates/core", "crates/net", "crates/simactor"];
@@ -266,9 +266,15 @@ const EVENT_LOOP_FNS: &[(&str, &str)] = &[
     ("crates/net/src/runtime.rs", "serve_sync"),
     ("crates/net/src/runtime.rs", "serve_batches"),
     ("crates/net/src/reactor.rs", "reactor_loop"),
+    ("crates/net/src/reactor.rs", "handle_cmds"),
     ("crates/net/src/reactor.rs", "flush_links"),
+    ("crates/net/src/reactor.rs", "pump_link"),
     ("crates/net/src/reactor.rs", "sweep_conns"),
+    ("crates/net/src/reactor.rs", "sweep_clients"),
+    ("crates/net/src/reactor.rs", "read_client"),
     ("crates/net/src/reactor.rs", "drain_admission"),
+    ("crates/net/src/reactor.rs", "flush_replies"),
+    ("crates/net/src/reactor.rs", "pump_client_replies"),
 ];
 
 /// Calls that can stall the consensus thread indefinitely. `.recv()` is
