@@ -172,7 +172,7 @@ fn start_cluster(cfg: &Config) -> Vec<NetNode> {
     let node_config = NodeConfig::default().with_gc_depth(64);
     let mut nodes = Vec::new();
     for (i, listener) in listeners.into_iter().enumerate() {
-        let mut config = NetConfig::new(
+        let config = NetConfig::new(
             committee,
             ProcessId::new(i as u32),
             addrs.clone(),
@@ -180,10 +180,8 @@ fn start_cluster(cfg: &Config) -> Vec<NetNode> {
             keys[i].clone(),
             4242 + i as u64,
         )
-        .with_sync_timeout(Duration::from_millis(500));
-        if cfg.workers > 0 {
-            config = config.with_workers(cfg.workers);
-        }
+        .with_sync_timeout(Duration::from_millis(500))
+        .with_workers(cfg.workers);
         nodes.push(NetNode::start::<BrachaRbc>(config, Some(listener)).expect("start node"));
     }
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -264,7 +262,7 @@ fn main() {
         cfg.clients, cfg.nodes, cfg.workers, cfg.window, cfg.tx_size, cfg.warmup, cfg.measure
     );
     // In-process cluster by default; `--connect` targets a cluster that
-    // is already serving (e.g. `cluster --serve --workers 2`).
+    // is already serving (e.g. `cluster --serve`).
     let (nodes, addrs): (Vec<NetNode>, Vec<SocketAddr>) = match &cfg.connect {
         Some(addrs) => {
             println!("targeting external cluster at {addrs:?}");

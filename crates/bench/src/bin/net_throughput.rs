@@ -4,20 +4,18 @@
 //! simnet run of the same engine, reporting blocks/sec, ordered-tx/sec,
 //! and p50/p99 submit→order latency.
 //!
-//! The TCP phase keeps a fixed window of client blocks in flight per node
-//! (submit a replacement the moment a node orders its own block), warms
-//! up, then measures over a fixed wall-clock window. The simnet phase
-//! runs the identical engine at fixed load through the deterministic
-//! simulator, isolating protocol + codec CPU cost from socket I/O.
-//!
-//! With `--workers W` the cluster runs in batch-dissemination mode:
-//! client transactions enter through [`NetNode::submit_tx`], worker
-//! channels batch and disseminate them peer-to-peer, and consensus
-//! vertices carry only digests. The closed loop then windows individual
-//! transactions (a submission is outstanding until the submitting node
-//! orders it) instead of whole blocks. `--matrix` sweeps
-//! tx sizes {256 B, 1 KiB, 4 KiB} × worker counts {inline, 1, 2, 4} and
-//! reports ordered tx/s and ordered bytes/s for each cell.
+//! The TCP phase runs each node with `--workers W` worker lanes (default
+//! 2): client transactions enter through [`NetNode::submit_tx`], worker
+//! lanes batch and disseminate them peer-to-peer, and consensus vertices
+//! carry only digests. It keeps a fixed window of transactions in flight
+//! per node (a submission is outstanding until the submitting node orders
+//! it, and is then replaced), warms up, then measures over a fixed
+//! wall-clock window. The simnet phase runs the identical engine at fixed
+//! load through the deterministic simulator, isolating protocol + codec
+//! CPU cost from socket I/O, once with inline block payloads and once
+//! with digest payloads. `--matrix` sweeps tx sizes {256 B, 1 KiB, 4 KiB}
+//! × worker counts {1, 2, 4} and reports ordered tx/s and ordered bytes/s
+//! for each cell.
 //!
 //! With `--durable` every node keeps a durable store (checksummed WAL +
 //! periodic snapshots) under a scratch directory, using the default
@@ -33,7 +31,7 @@
 //! cargo run --release -p dagrider-bench --bin net_throughput -- --smoke
 //! ```
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
@@ -72,7 +70,7 @@ impl Config {
             txs_per_block: 32,
             tx_size: 256,
             sim_rounds: 64,
-            workers: 0,
+            workers: 2,
             durable: false,
             matrix: false,
             json: None,
@@ -197,10 +195,8 @@ fn start_cluster(cfg: &Config) -> Vec<NetNode> {
             keys[i].clone(),
             42 + i as u64,
         )
-        .with_sync_timeout(Duration::from_millis(500));
-        if cfg.workers > 0 {
-            config = config.with_workers(cfg.workers);
-        }
+        .with_sync_timeout(Duration::from_millis(500))
+        .with_workers(cfg.workers);
         if cfg.durable {
             // Default store policy: batched fsync (EveryN), periodic
             // snapshots — the production durability configuration.
@@ -219,100 +215,16 @@ fn start_cluster(cfg: &Config) -> Vec<NetNode> {
     nodes
 }
 
-/// Closed-loop load against a real localhost TCP cluster.
-fn run_tcp(cfg: &Config) -> TcpResult {
-    if cfg.workers > 0 {
-        return run_tcp_workers(cfg);
-    }
-    let n = cfg.nodes;
-    let nodes = start_cluster(cfg);
-
-    // Submit the initial window and start the closed loop.
-    let mut next_seq = vec![1u64; n];
-    let mut submitted_at: HashMap<(usize, u64), Instant> = HashMap::new();
-    for (i, node) in nodes.iter().enumerate() {
-        for _ in 0..cfg.window {
-            let seq = next_seq[i];
-            next_seq[i] += 1;
-            submitted_at.insert((i, seq), Instant::now());
-            node.submit(client_block(i, seq, cfg));
-        }
-    }
-
-    let mut cursors = vec![0usize; n];
-    let warmup_end = Instant::now() + cfg.warmup;
-    let mut measuring = false;
-    let mut measure_start = Instant::now();
-    let mut measure_end = measure_start + cfg.measure;
-    let mut result = TcpResult::default();
-    let mut latencies_ms: Vec<f64> = Vec::new();
-
-    loop {
-        let now = Instant::now();
-        if !measuring && now >= warmup_end {
-            measuring = true;
-            measure_start = now;
-            measure_end = now + cfg.measure;
-        }
-        if measuring && now >= measure_end {
-            break;
-        }
-        for (i, node) in nodes.iter().enumerate() {
-            let new = node.ordered_from(cursors[i]);
-            cursors[i] += new.len();
-            for ordered in &new {
-                let block = &ordered.block;
-                // Throughput is counted at node 0's log (all logs agree).
-                if i == 0 && measuring {
-                    result.vertices += 1;
-                    if !block.transactions().is_empty() {
-                        result.blocks += 1;
-                        result.txs += block.transactions().len() as u64;
-                        result.bytes += payload_bytes(block);
-                    }
-                }
-                // Submit→order latency and window refill are tracked at
-                // the proposing node's own log.
-                if block.proposer().as_usize() == i {
-                    if let Some(at) = submitted_at.remove(&(i, block.seq().number())) {
-                        if measuring {
-                            latencies_ms.push(at.elapsed().as_secs_f64() * 1e3);
-                        }
-                        let seq = next_seq[i];
-                        next_seq[i] += 1;
-                        submitted_at.insert((i, seq), Instant::now());
-                        node.submit(client_block(i, seq, cfg));
-                    }
-                }
-            }
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-
-    result.secs = measure_start.elapsed().as_secs_f64();
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("no NaNs"));
-    result.p50_ms = percentile(&latencies_ms, 0.5);
-    result.p99_ms = percentile(&latencies_ms, 0.99);
-    result.dropped_frames = nodes.iter().map(NetNode::dropped_frames).sum();
-
-    for mut node in nodes {
-        node.shutdown();
-    }
-    cleanup_store_dirs(cfg);
-    result
-}
-
-/// Closed-loop load in batch-dissemination mode: transactions enter via
-/// `submit_tx`, workers batch and disseminate them, vertices carry
-/// digests. The window counts individual transactions — one is
+/// Closed-loop load against a real localhost TCP cluster: transactions
+/// enter via `submit_tx`, workers batch and disseminate them, vertices
+/// carry digests. The window counts individual transactions — one is
 /// outstanding from submission until the submitting node orders a block
 /// of its own containing it, at which point a replacement is submitted.
-fn run_tcp_workers(cfg: &Config) -> TcpResult {
+fn run_tcp(cfg: &Config) -> TcpResult {
     let n = cfg.nodes;
     let nodes = start_cluster(cfg);
 
-    // Per-node transaction window, sized to carry the same payload as
-    // the inline mode's block window.
+    // Per-node transaction window: `window` blocks' worth of transactions.
     let target = (cfg.window * cfg.txs_per_block) as u64;
     let mut submitted = vec![0u64; n];
     let mut own_ordered = vec![0u64; n];
@@ -401,10 +313,10 @@ fn run_tcp_workers(cfg: &Config) -> TcpResult {
 }
 
 /// One matrix cell: ordered tx/s and bytes/s for a (tx size, workers)
-/// configuration. `workers == 0` is the digest-less inline baseline.
+/// configuration.
 fn run_matrix(cfg: &Config) {
     const TX_SIZES: [usize; 3] = [256, 1024, 4096];
-    const WORKER_COUNTS: [usize; 4] = [0, 1, 2, 4];
+    const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
     println!(
         "matrix: n={} window={} txs/block={} warmup={:?} measure={:?} per cell",
         cfg.nodes, cfg.window, cfg.txs_per_block, cfg.warmup, cfg.measure
@@ -422,12 +334,11 @@ fn run_matrix(cfg: &Config) {
             let r = run_tcp(&cell);
             let txs_per_sec = r.txs as f64 / r.secs;
             let bytes_per_sec = r.bytes as f64 / r.secs;
-            let mode = if workers == 0 { "inline".to_string() } else { workers.to_string() };
             println!(
                 "  {:>8} {:>8} {:>12.1} {:>14.1} {:>9.1} {:>9.1}",
-                tx_size, mode, txs_per_sec, bytes_per_sec, r.p50_ms, r.p99_ms
+                tx_size, workers, txs_per_sec, bytes_per_sec, r.p50_ms, r.p99_ms
             );
-            assert!(r.txs > 0, "cell ({tx_size}B, {mode}) ordered nothing — cluster stalled");
+            assert!(r.txs > 0, "cell ({tx_size}B, {workers}) ordered nothing — cluster stalled");
             rows.push(format!(
                 concat!(
                     "    {{\"tx_size\": {}, \"workers\": {}, \"txs_per_sec\": {:.1}, ",
@@ -532,9 +443,8 @@ fn main() {
     let txs_per_sec = tcp.txs as f64 / tcp.secs;
     let bytes_per_sec = tcp.bytes as f64 / tcp.secs;
     let vertices_per_sec = tcp.vertices as f64 / tcp.secs;
-    let mode = if cfg.workers > 0 { "digest" } else { "inline" };
     println!(
-        "\nTCP cluster ({} nodes, closed loop, {mode} payloads, {:.1} s):",
+        "\nTCP cluster ({} nodes, closed loop, digest payloads, {:.1} s):",
         cfg.nodes, tcp.secs
     );
     println!("  ordered vertices/sec  {vertices_per_sec:>10.1}");

@@ -134,6 +134,12 @@ impl DagCore {
         self.round
     }
 
+    /// The last wave this process completed ([`DagEvent::WaveReady`]), or
+    /// wave 0 before the first.
+    pub(crate) fn last_wave_ready(&self) -> Wave {
+        Wave::new(self.last_wave_signalled)
+    }
+
     /// Vertices parked in the buffer (diagnostics).
     pub fn buffered(&self) -> usize {
         self.buffer.len()

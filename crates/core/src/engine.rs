@@ -15,9 +15,14 @@
 //!
 //! * **Inputs** — [`EngineInput::Message`] for every payload received from
 //!   an authenticated peer, [`EngineInput::Timer`] when a timer requested
-//!   via [`EngineOutput::SetTimer`] fires, [`EngineInput::SubmitBlock`] for
-//!   client payload (`a_bcast`), and [`EngineInput::SyncVertex`] for state
-//!   transfer when a restarted process catches up.
+//!   via [`EngineOutput::SetTimer`] fires, [`EngineInput::SubmitBlock`]
+//!   (inline) or [`EngineInput::SubmitDigests`] (digests of disseminated
+//!   batches) for client payload (`a_bcast`), [`EngineInput::BatchStored`]
+//!   for a batch's bytes, and [`EngineInput::SyncVertex`] for state
+//!   transfer when a restarted process catches up. No input carries an
+//!   unchecked claim: the engine checks what arrives, and a
+//!   [`HashedBatch`] is built only by hashing. A restarting driver feeds
+//!   its durable store through [`DagRiderEngine::replay_durable`].
 //! * **Outputs** — [`EngineOutput::Send`] (unicast to one peer),
 //!   [`EngineOutput::Broadcast`] (to every *other* process — self-routing
 //!   is handled inside the engine), [`EngineOutput::SetTimer`], and
@@ -59,6 +64,34 @@ use crate::ordering::{CommitEvent, Delivery, OrderedVertex, Ordering};
 /// crate), so the digest function lives here, next to its main consumer.
 pub fn batch_digest(batch: &Batch) -> BatchDigest {
     BatchDigest::new(*sha256(batch.to_bytes()).as_bytes())
+}
+
+/// A batch paired with its content digest. The fields are private and
+/// [`HashedBatch::new`] is the only constructor, so the digest always
+/// matches the batch: a driver may hash on any thread and hand the pair
+/// to the engine ([`EngineInput::BatchStored`]), which stores it by that
+/// digest without hashing again.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HashedBatch {
+    digest: BatchDigest,
+    batch: Batch,
+}
+
+impl HashedBatch {
+    /// Hashes `batch` ([`batch_digest`]).
+    pub fn new(batch: Batch) -> Self {
+        Self { digest: batch_digest(&batch), batch }
+    }
+
+    /// The batch's content digest.
+    pub fn digest(&self) -> BatchDigest {
+        self.digest
+    }
+
+    /// The batch.
+    pub fn batch(&self) -> &Batch {
+        &self.batch
+    }
 }
 
 /// Timer tag reserved for the missing-batch fetch retry loop.
@@ -257,42 +290,10 @@ pub enum EngineInput {
     /// disseminating, ready to ride the next vertex as its payload.
     SubmitDigests(Vec<BatchDigest>),
     /// A batch to keep in the engine's batch store (own assembly, a
-    /// peer's dissemination stream, or a completed fetch). Unblocks any
-    /// pending deliveries waiting on its digest.
-    BatchStored(Batch),
-    /// Input whose checks a *trusted driver* already performed: a batch
-    /// it hashed itself, or a coin share replayed from its own durable
-    /// store. The engine skips re-verification, so only drivers that
-    /// actually ran the checks may construct this variant — an invariant
-    /// enforced by `cargo xtask lint` (only `dagrider-net` and the test
-    /// drivers may name it outside this crate).
-    PreVerified(VerifiedInput),
-}
-
-/// The payload of [`EngineInput::PreVerified`]: one input with its
-/// verification artifacts attached.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum VerifiedInput {
-    /// A coin share whose DLEQ proof already verified against the
-    /// issuer's key (the restart path replays the shares the engine
-    /// accepted before the crash).
-    CoinShare {
-        /// The authenticated sender.
-        from: ProcessId,
-        /// The verified share.
-        share: CoinShare,
-    },
-    /// A batch whose content digest was already computed off-thread (by
-    /// the batcher that sealed it or the reactor that received it), sparing
-    /// the consensus thread the serialize-and-hash pass that
-    /// [`EngineInput::BatchStored`] performs. `digest` must equal
-    /// [`batch_digest`]`(&batch)`.
-    Batch {
-        /// The batch's content digest.
-        digest: BatchDigest,
-        /// The batch now available for resolution.
-        batch: Batch,
-    },
+    /// peer's dissemination stream, or a completed fetch), already hashed
+    /// by whoever built the [`HashedBatch`]. Unblocks any pending
+    /// deliveries waiting on its digest.
+    BatchStored(HashedBatch),
 }
 
 /// A typed effect returned by the engine. Drivers must route outputs in
@@ -473,7 +474,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
 
     /// The batch-insert point of every turn: stores a batch, reports it
     /// when new, and resolves whatever deliveries waited on it.
-    fn on_batch(&mut self, digest: BatchDigest, batch: Batch, turn: &mut Turn, now: Time) {
+    fn on_batch(&mut self, hashed: HashedBatch, turn: &mut Turn, now: Time) {
+        let HashedBatch { digest, batch } = hashed;
         if let Entry::Vacant(slot) = self.batches.entry(digest) {
             self.batch_bytes += batch.payload_bytes() as u64;
             slot.insert(batch.clone());
@@ -483,8 +485,9 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     }
 
     /// The single coin-share acceptance point: a share is taken only from
-    /// its issuer, inserted through the verifying or the pre-verified
-    /// path, reported when the coin did not hold it yet (or refused, as
+    /// its issuer, has its proof checked unless `proof_checked` (a share
+    /// replayed from the durable store, accepted before the crash), is
+    /// reported when the coin did not hold it yet (or refused, as
     /// [`EngineEvent::ShareRejected`]), and delivers whatever a completed
     /// election unlocks.
     fn accept_share(
@@ -574,9 +577,10 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     }
 
     /// Replays one recovered durable event into the engine — the restart
-    /// path. Events must be fed in log order, before
-    /// [`DagRiderEngine::start`]. A vertex, share, or batch replays
-    /// exactly as its live input would; the DAG and the coin then hold
+    /// path. Events must be fed in log order, normally before
+    /// [`DagRiderEngine::start`]. A vertex or batch replays exactly as
+    /// its live input would, and a coin share as one whose proof was
+    /// checked before it was persisted; the DAG and the coin then hold
     /// it, so a later sync duplicate reports no durable event. Identical
     /// event sequences rebuild byte-identical ordered logs (the
     /// determinism contract of the module docs). A recovering driver
@@ -589,22 +593,23 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         now: Time,
         rng: &mut rand::rngs::StdRng,
     ) -> Turn {
-        let input = match event {
-            DurableEvent::Vertex(vertex) => EngineInput::SyncVertex(vertex),
-            DurableEvent::CoinShare(share) => {
-                EngineInput::PreVerified(VerifiedInput::CoinShare { from: share.issuer(), share })
+        let mut turn = Turn::default();
+        match event {
+            DurableEvent::Vertex(vertex) => {
+                return self.handle(now, EngineInput::SyncVertex(vertex), rng);
             }
-            DurableEvent::Batch(batch) => EngineInput::BatchStored(batch),
+            DurableEvent::CoinShare(share) => {
+                self.accept_share(share.issuer(), share, true, &mut turn, now);
+            }
+            DurableEvent::Batch(batch) => self.on_batch(HashedBatch::new(batch), &mut turn, now),
             DurableEvent::Commit { wave, leader } => {
-                let mut turn = Turn::default();
                 let delivered =
                     self.ordering.on_leader(wave, leader, self.core.dag(), now, &mut turn.events);
                 self.deliver(delivered, &mut turn, now);
-                self.finish_turn(&mut turn);
-                return turn;
             }
-        };
-        self.handle(now, input, rng)
+        }
+        self.finish_turn(&mut turn);
+        turn
     }
 
     /// All non-genesis vertices of the local DAG in ascending
@@ -614,12 +619,23 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         self.core.dag().iter().filter(|v| v.round() != Round::GENESIS).cloned().collect()
     }
 
-    /// This process's own coin share for `instance` (a wave number), for
-    /// replay to a restarted peer. Share values are deterministic per
-    /// (key, instance); only the proof nonce draws from `rng`, and any
-    /// valid share combines to the same leader.
-    pub fn coin_share(&mut self, instance: u64, rng: &mut rand::rngs::StdRng) -> CoinShare {
-        self.coin.my_share(instance, rng)
+    /// This process's own coin shares for a restarted peer, in wave
+    /// order: one for each wave this process completed that its coin
+    /// still keeps, from the garbage-collection floor up to the last
+    /// wave it completed. A share for a wave still in progress would
+    /// make the coin predictable before the wave ends (§2), so none is
+    /// served. Share values are deterministic per (key, wave); only the
+    /// proof nonce draws from `rng`, and any valid share combines to the
+    /// same leader.
+    pub fn sync_shares(&mut self, rng: &mut rand::rngs::StdRng) -> Vec<CoinShare> {
+        let completed = self.core.last_wave_ready().number();
+        (self.coin_floor().max(1)..=completed).map(|wave| self.coin.my_share(wave, rng)).collect()
+    }
+
+    /// The lowest wave the coin keeps: the wave before the one holding
+    /// the DAG's garbage-collection floor (`maybe_gc` prunes the rest).
+    fn coin_floor(&self) -> u64 {
+        self.core.dag().pruned_floor().wave().number().saturating_sub(1)
     }
 
     /// Starts the protocol (Algorithm 2: broadcast the round-1 vertex).
@@ -668,15 +684,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                 let dag_events = self.core.retry_propose(&mut turn.events);
                 self.advance(dag_events, &mut turn, now, rng);
             }
-            EngineInput::BatchStored(batch) => {
-                self.on_batch(batch_digest(&batch), batch, &mut turn, now);
-            }
-            EngineInput::PreVerified(VerifiedInput::CoinShare { from, share }) => {
-                self.accept_share(from, share, true, &mut turn, now);
-            }
-            EngineInput::PreVerified(VerifiedInput::Batch { digest, batch }) => {
-                self.on_batch(digest, batch, &mut turn, now);
-            }
+            EngineInput::BatchStored(hashed) => self.on_batch(hashed, &mut turn, now),
         }
         self.finish_turn(&mut turn);
         turn
@@ -993,7 +1001,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             self.ordering.prune_delivered_below(keep_from);
             self.rbc.prune(keep_from);
             // Coin aggregators for waves entirely below the floor.
-            self.coin.prune(keep_from.wave().number().saturating_sub(1));
+            self.coin.prune(self.coin_floor());
         }
     }
 }
@@ -1125,23 +1133,22 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sync_vertices_rebuild_an_identical_ordered_log() {
-        // Run four engines to quiescence, then rebuild a fifth process's
-        // state purely from one engine's sync stream plus coin shares —
-        // the restarted-process catch-up path of the TCP runtime.
+    /// Runs four engines over an instant FIFO wire until no message is
+    /// left; returns them, their RNGs, their dealt keys, and p0's log (the
+    /// vertices of its `Ordered` outputs).
+    fn quiesce(
+        config: &NodeConfig,
+        seed: u64,
+    ) -> (Vec<DagRiderEngine<BrachaRbc>>, Vec<StdRng>, Vec<CoinKeys>, Vec<VertexRef>) {
         let committee = Committee::new(4).unwrap();
-        let mut rng = StdRng::seed_from_u64(33);
-        let keys = deal_coin_keys(&committee, &mut rng);
-        let config = NodeConfig::default().with_max_round(12);
+        let keys = deal_coin_keys(&committee, &mut StdRng::seed_from_u64(seed));
         let mut engines: Vec<DagRiderEngine<BrachaRbc>> = committee
             .members()
             .zip(keys.clone())
             .map(|(p, k)| DagRiderEngine::new(committee, p, k, config.clone()))
             .collect();
-        let mut rngs: Vec<StdRng> = (0..4).map(|i| StdRng::seed_from_u64(50 + i)).collect();
+        let mut rngs: Vec<StdRng> = (0..4).map(|i| StdRng::seed_from_u64(seed + 17 + i)).collect();
         let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
-        // p0's log: the vertices of its `Ordered` outputs.
         let mut reference: Vec<VertexRef> = Vec::new();
         let mut route =
             |from: ProcessId,
@@ -1178,12 +1185,22 @@ mod tests {
                 .outputs;
             route(to, outs, &mut wire);
         }
+        (engines, rngs, keys, reference)
+    }
+
+    #[test]
+    fn sync_vertices_rebuild_an_identical_ordered_log() {
+        // Run four engines to quiescence, then rebuild a fifth process's
+        // state purely from one engine's sync stream plus two peers' sync
+        // shares — the restarted-process catch-up path of the TCP runtime.
+        let config = NodeConfig::default().with_max_round(12);
+        let (mut engines, mut rngs, keys, reference) = quiesce(&config, 33);
         assert!(!reference.is_empty());
-        let top_wave = engines[0].decided_wave().number();
 
         // A "restarted" p3: fresh engine, fed p0's sync stream and two
         // peers' coin shares (threshold f + 1 = 2). It must not start —
         // syncing precedes proposing.
+        let committee = engines[0].committee();
         let mut fresh: DagRiderEngine<BrachaRbc> =
             DagRiderEngine::new(committee, ProcessId::new(3), keys[3].clone(), config);
         let mut fresh_rng = StdRng::seed_from_u64(999);
@@ -1200,9 +1217,8 @@ mod tests {
         for v in vertices {
             feed(EngineInput::SyncVertex(v));
         }
-        for w in 1..=top_wave {
-            for issuer in [0usize, 1] {
-                let share = engines[issuer].coin_share(w, &mut rngs[issuer]);
+        for issuer in [0usize, 1] {
+            for share in engines[issuer].sync_shares(&mut rngs[issuer]) {
                 let msg: NodeMessage<dagrider_rbc::BrachaMessage> = NodeMessage::Coin(share);
                 feed(EngineInput::Message {
                     from: ProcessId::new(issuer as u32),
@@ -1213,6 +1229,45 @@ mod tests {
         let common = rebuilt.len().min(reference.len());
         assert!(common > 0, "sync rebuilt nothing");
         assert_eq!(&rebuilt[..common], &reference[..common]);
+    }
+
+    #[test]
+    fn sync_shares_open_no_leader_for_a_wave_in_progress() {
+        // Round 10 lies in wave 3, which no engine completes: the shares
+        // two engines serve open waves 1 and 2, and reveal nothing that
+        // would let one more share predict wave 3's leader.
+        let (mut engines, mut rngs, keys, _) =
+            quiesce(&NodeConfig::default().with_max_round(10), 5);
+        for engine in &engines {
+            assert_eq!(engine.dag().highest_round().wave(), Wave::new(3));
+            assert_eq!(engine.core.last_wave_ready(), Wave::new(2));
+        }
+        let mut coin = Coin::new(keys[3].clone());
+        for issuer in [0usize, 1] {
+            for share in engines[issuer].sync_shares(&mut rngs[issuer]) {
+                assert!(share.instance() <= 2, "served a share for wave {}", share.instance());
+                coin.add_share(share).unwrap();
+            }
+        }
+        assert!(coin.leader(1).is_some() && coin.leader(2).is_some());
+        assert_eq!(coin.leader(3), None);
+    }
+
+    #[test]
+    fn sync_shares_stay_within_the_coins_retained_waves() {
+        // A long garbage-collected run completes 100 waves, but its coin
+        // keeps only the last few: the served shares are those, and
+        // serving them re-creates none of the pruned elections.
+        let config = NodeConfig::default().with_max_round(400).with_gc_depth(16);
+        let (mut engines, mut rngs, _, _) = quiesce(&config, 9);
+        let engine = &mut engines[0];
+        assert_eq!(engine.core.last_wave_ready(), Wave::new(100));
+        let retained: Vec<u64> = engine.coin_leaders().iter().map(|&(wave, _)| wave).collect();
+        let shares = engine.sync_shares(&mut rngs[0]);
+        let served: Vec<u64> = shares.iter().map(CoinShare::instance).collect();
+        assert!(!served.is_empty() && served.len() <= 8, "served waves {served:?}");
+        assert!(served.iter().all(|wave| retained.contains(wave)), "{served:?} ⊄ {retained:?}");
+        assert_eq!(engine.coin_leaders().len(), retained.len());
     }
 
     #[test]

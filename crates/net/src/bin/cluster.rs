@@ -6,6 +6,10 @@
 //! ordered log, and verifies the logs are **identical** — the atomic
 //! broadcast total-order property, demonstrated over real TCP.
 //!
+//! Each child runs `--workers N` worker lanes (default 2): its marker is
+//! batched, disseminated peer-to-peer over worker connections, and
+//! ordered by digest — the full decoupled data path end to end.
+//!
 //! With `--restart`, the parent additionally SIGKILLs one child mid-run
 //! and relaunches it; the replacement must rejoin through the sync
 //! protocol (and reconnect backoff) and still produce the same log.
@@ -14,11 +18,6 @@
 //! under the run directory. Combined with `--restart`, the relaunched
 //! child replays its predecessor's store first and syncs only the suffix
 //! it missed — the kill-and-restart recovery path over real processes.
-//!
-//! With `--workers N` (N > 0), each child runs N worker channels and
-//! submits its marker as a raw transaction: it is batched, disseminated
-//! peer-to-peer over worker connections, and ordered by digest —
-//! exercising the full decoupled data path end to end.
 //!
 //! With `--serve`, the parent instead brings up a **long-lived** cluster
 //! for external clients: children run with an effectively unbounded round
@@ -35,7 +34,7 @@
 //! ```text
 //! cargo run --release -p dagrider-net --bin cluster
 //! cargo run --release -p dagrider-net --bin cluster -- --restart
-//! cargo run --release -p dagrider-net --bin cluster -- --serve --workers 2
+//! cargo run --release -p dagrider-net --bin cluster -- --serve
 //! ```
 
 #![forbid(unsafe_code)]
@@ -50,13 +49,15 @@ use dagrider_crypto::deal_coin_keys;
 use dagrider_net::{NetConfig, NetNode, StoreConfig};
 use dagrider_rbc::BrachaRbc;
 use dagrider_store::FsyncPolicy;
-use dagrider_types::{Block, Committee, ProcessId, SeqNum, Transaction};
+use dagrider_types::{Committee, ProcessId, Transaction};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Committee-wide seed: coin-key dealing must agree across processes.
 const DEFAULT_SEED: u64 = 2026;
 const DEFAULT_MAX_ROUND: u64 = 24;
+/// Worker lanes per child, as in the benchmark and `loadgen`.
+const DEFAULT_WORKERS: usize = 2;
 /// A child declares quiescence once its log stopped growing this long.
 const STABLE_GRACE: Duration = Duration::from_millis(1500);
 
@@ -101,7 +102,7 @@ fn parent_main(args: &[String]) -> Result<(), String> {
     let default_round = if serve { u64::MAX / 2 } else { DEFAULT_MAX_ROUND };
     let max_round: u64 = parse_arg(args, "--max-round", default_round)?;
     let timeout = Duration::from_secs(parse_arg(args, "--timeout-secs", 120u64)?);
-    let workers: usize = parse_arg(args, "--workers", 0)?;
+    let workers: usize = parse_arg(args, "--workers", DEFAULT_WORKERS)?;
 
     let dir = match arg_value(args, "--dir") {
         Some(d) => PathBuf::from(d),
@@ -266,8 +267,9 @@ fn wait_and_verify(
         return Err("cluster quiesced with an empty ordered log".into());
     }
 
-    // Validity: in an uninterrupted run every process's marker block must
-    // be ordered (they all ride round-1 vertices). A mid-run kill can
+    // Validity: in an uninterrupted run every process's marker must be
+    // ordered (each is sealed within the batch interval, and its digest
+    // rides one of its process's early vertices). A mid-run kill can
     // orphan early vertices whose weak-edge carriers died with the victim
     // — validity is only *eventual*, and the run is truncated at
     // `max_round` — so the restart mode requires at least one marker.
@@ -305,7 +307,7 @@ fn child_main(args: &[String]) -> Result<(), String> {
     let seed: u64 = parse_arg(args, "--seed", DEFAULT_SEED)?;
     let max_round: u64 = parse_arg(args, "--max-round", DEFAULT_MAX_ROUND)?;
     let serve = args.iter().any(|a| a == "--serve");
-    let workers: usize = parse_arg(args, "--workers", 0)?;
+    let workers: usize = parse_arg(args, "--workers", DEFAULT_WORKERS)?;
     let out = arg_value(args, "--out").ok_or("--out is required")?;
     let addrs: Vec<SocketAddr> = arg_value(args, "--addrs")
         .ok_or("--addrs is required")?
@@ -351,17 +353,11 @@ fn child_main(args: &[String]) -> Result<(), String> {
     let node =
         NetNode::start::<BrachaRbc>(config, Some(listener)).map_err(|e| format!("start: {e}"))?;
 
-    // Submit our marker immediately: the engine queues it until its
-    // first proposal, so it rides the earliest possible vertex (on
-    // localhost the whole run can finish in under a second — waiting for
-    // the sync phase could miss the last proposal round entirely).
-    // With workers enabled the marker goes through a worker channel:
-    // batched, disseminated peer-to-peer, and ordered by digest.
-    if workers > 0 {
-        node.submit_tx(marker_tx(index));
-    } else {
-        node.submit(Block::new(me, SeqNum::new(1), vec![marker_tx(index)]));
-    }
+    // Submit our marker immediately, through a worker lane: it is
+    // batched, disseminated peer-to-peer, and its digest rides an early
+    // vertex (on localhost the whole run can finish in under a second —
+    // waiting for the sync phase could miss the last proposal round).
+    node.submit_tx(marker_tx(index));
 
     // Serving mode: no quiescence, no log dump — run until the parent
     // goes away, ordering whatever the client front end feeds us. The

@@ -63,8 +63,7 @@ pub struct AdmissionStats {
 pub struct AdmissionSnapshot {
     /// Submissions admitted into a client queue (acked).
     pub accepted: u64,
-    /// Admitted transactions drained onward — into a worker lane or an
-    /// inline coalesced block.
+    /// Admitted transactions drained onward into a worker lane.
     pub coalesced: u64,
     /// Submissions refused with a typed reject (queue full, oversized,
     /// or node not yet live).

@@ -14,8 +14,9 @@
 //! * [`backoff`] — capped exponential reconnect delays.
 //! * [`queue`] — bounded per-peer outbound queues with drop-oldest
 //!   backpressure.
-//! * `worker` (crate-private) — worker channels: transaction batching
-//!   and peer-to-peer batch dissemination off the consensus path.
+//! * `worker` (crate-private) — worker lanes, the node's only way in
+//!   for transactions: batching, hashing, and peer-to-peer batch
+//!   dissemination off the consensus path. Consensus orders digests.
 //! * `reactor` (crate-private) — the readiness-based event loop: one
 //!   thread owns every peer, worker, and client socket, so the node's
 //!   thread count is O(1) + O(workers) regardless of cluster or client
@@ -24,7 +25,8 @@
 //!   and the ordered-notification matcher behind the reactor.
 //! * [`runtime`] — [`NetNode`]: one DAG-Rider process as an
 //!   event-driven TCP runtime with graceful shutdown. Its consensus
-//!   thread verifies peer input inline, a burst of events per wake-up.
+//!   thread checks peer input as the engine takes it, a burst of events
+//!   per wake-up; batches arrive already hashed.
 //! * [`wal`] — off-thread durability: the consensus loop hands durable
 //!   events to a flusher thread that appends them to a
 //!   `dagrider-store` write-ahead log and installs compacted
@@ -37,8 +39,8 @@
 //!   [`Waker`], the reactor's lost-wakeup-proof readiness bell.
 //!
 //! The `cluster` binary launches an `n = 4` cluster as real OS processes
-//! on localhost, submits transactions, and checks that every process
-//! emits the same total order (optionally SIGKILLing and restarting one
+//! on localhost, submits a transaction to each through its worker lanes,
+//! and checks that every process emits the same total order (optionally SIGKILLing and restarting one
 //! process mid-run to exercise sync-on-rejoin):
 //!
 //! ```text
@@ -69,3 +71,4 @@ pub use runtime::{NetConfig, NetNode, StoreConfig};
 pub use signal::{Shutdown, Waker};
 pub use wal::{wal_channel, wal_flush_loop, WalHandle, WalJob, WalJobs, WalSink};
 pub use wire::{RejectReason, WireMsg};
+pub use worker::BATCH_MAX_BYTES;

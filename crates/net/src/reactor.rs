@@ -23,12 +23,11 @@
 //!   backoff redial; every frame taken but not fully sent is requeued
 //!   first.
 //! * **clients** — admission control at the socket edge: bounded
-//!   per-client queues, typed [`WireMsg::ClientReject`]s when load must
-//!   shed, round-robin draining into the worker lanes (or inline
-//!   coalesced blocks when `workers == 0`), per-connection reply queues
-//!   for acks and ordered notifications. Client sockets are swept in
-//!   rotating chunks so ten thousand idle connections cannot starve
-//!   peer traffic.
+//!   per-client queues ([`CLIENT_QUEUE_CAPACITY`]), typed
+//!   [`WireMsg::ClientReject`]s when load must shed, round-robin draining
+//!   into the worker lanes, per-connection reply queues for acks and
+//!   ordered notifications. Client sockets are swept in rotating chunks
+//!   so ten thousand idle connections cannot starve peer traffic.
 //!
 //! The reactor never blocks on I/O: when a full sweep makes no
 //! progress, it parks on a [`Waker`] — the same flag-under-mutex shape
@@ -49,8 +48,8 @@ use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use dagrider_core::batch_digest;
-use dagrider_types::{Block, Committee, Decode, Encode, ProcessId, SeqNum, Transaction};
+use dagrider_core::HashedBatch;
+use dagrider_types::{Committee, Decode, Encode, ProcessId, Transaction};
 
 use crate::backoff::Backoff;
 use crate::client::{tx_hash, AdmissionStats, FrontendMsg};
@@ -62,6 +61,7 @@ use crate::sync::atomic::Ordering as AtomicOrdering;
 use crate::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use crate::sync::Arc;
 use crate::wire::{RejectReason, WireMsg};
+use crate::worker::BATCH_MAX_BYTES;
 
 /// Inbound connections accepted per sweep (keeps one accept storm from
 /// starving established traffic).
@@ -79,6 +79,11 @@ const DRAIN_BUDGET: usize = 1024;
 /// Read calls per connection per sweep (16 KiB each): bounds how long
 /// one fast peer can hold the sweep.
 const CONN_FILLS: usize = 4;
+
+/// Admitted-but-undrained submissions buffered per client connection; a
+/// submission past this depth is refused with a typed
+/// [`WireMsg::ClientReject`] (queue full) instead of admitted.
+const CLIENT_QUEUE_CAPACITY: usize = 1024;
 
 /// Reply frames buffered per client before the oldest notification is
 /// dropped (acks and ordered notifications are best-effort toward a
@@ -229,7 +234,7 @@ struct ClientConn {
     reader: FrameReader,
     subscribed: bool,
     /// Admitted-but-not-yet-drained submissions, bounded by
-    /// `client_queue_capacity`.
+    /// [`CLIENT_QUEUE_CAPACITY`].
     pending: VecDeque<(u64, Transaction)>,
     /// Outbound acks/rejects/notifications awaiting socket readiness.
     replies: Outbox,
@@ -244,7 +249,6 @@ enum Verdict {
 
 /// Everything the reactor thread needs, handed over at spawn.
 pub(crate) struct ReactorConfig {
-    pub me: ProcessId,
     pub committee: Committee,
     pub listener: TcpListener,
     pub cmds: Receiver<ReactorCmd>,
@@ -256,8 +260,6 @@ pub(crate) struct ReactorConfig {
     pub stats: Arc<AdmissionStats>,
     pub published: Arc<Published>,
     pub stop: Arc<Shutdown>,
-    pub client_queue_capacity: usize,
-    pub max_tx_bytes: usize,
 }
 
 /// The reactor thread body: build the sweep state and loop until
@@ -274,7 +276,6 @@ pub(crate) fn reactor_main(config: ReactorConfig) {
         drain_cursor: 0,
         next_client: 1,
         next_worker: 0,
-        next_block_seq: 0,
         reply_dirty: Vec::new(),
         frames: FramePool::new(),
     };
@@ -294,7 +295,6 @@ struct Reactor {
     drain_cursor: usize,
     next_client: u64,
     next_worker: usize,
-    next_block_seq: u64,
     /// Clients with queued replies to flush this sweep.
     reply_dirty: Vec<u64>,
     frames: FramePool,
@@ -550,12 +550,13 @@ impl Reactor {
                 let from = *from;
                 // Worker push streams carry only the peer's own batches;
                 // anything else is protocol abuse and drops the stream.
+                // Hashing here keeps it off the consensus thread.
                 let WireMsg::Batch(batch) = msg else { return Verdict::Dead };
                 if batch.creator() != from {
                     return Verdict::Dead;
                 }
-                let digest = batch_digest(&batch);
-                if self.config.consensus.send(Event::PeerBatch { from, digest, batch }).is_ok() {
+                let batch = HashedBatch::new(batch);
+                if self.config.consensus.send(Event::PeerBatch { from, batch }).is_ok() {
                     Verdict::Keep
                 } else {
                     Verdict::Dead
@@ -623,7 +624,7 @@ impl Reactor {
                         progress = true;
                         match WireMsg::from_bytes(&bytes) {
                             Ok(WireMsg::ClientSubmit { seq, tx }) => {
-                                let reply = if tx.len() > self.config.max_tx_bytes {
+                                let reply = if tx.len() > BATCH_MAX_BYTES {
                                     self.config.stats.record_shed();
                                     WireMsg::ClientReject { seq, reason: RejectReason::Oversized }
                                 } else if !self
@@ -634,8 +635,7 @@ impl Reactor {
                                 {
                                     self.config.stats.record_shed();
                                     WireMsg::ClientReject { seq, reason: RejectReason::NotReady }
-                                } else if client.pending.len() >= self.config.client_queue_capacity
-                                {
+                                } else if client.pending.len() >= CLIENT_QUEUE_CAPACITY {
                                     self.config.stats.record_shed();
                                     WireMsg::ClientReject { seq, reason: RejectReason::QueueFull }
                                 } else {
@@ -702,18 +702,14 @@ impl Reactor {
         }
     }
 
-    /// Round-robin drain of admitted submissions toward consensus: into
-    /// the worker lanes when the batch layer is on, or coalesced into
-    /// inline blocks when `workers == 0`. Budgeted per sweep — this is
-    /// the per-client fairness point.
+    /// Round-robin drain of admitted submissions into the worker lanes.
+    /// Budgeted per sweep — this is the per-client fairness point.
     fn drain_admission(&mut self) -> bool {
         if self.client_ids.is_empty() {
             return false;
         }
         let mut budget = DRAIN_BUDGET;
         let mut idle_streak = 0usize;
-        let mut coalesced: Vec<Transaction> = Vec::new();
-        let mut coalesced_bytes = 0usize;
         let mut drained = false;
         while budget > 0 && idle_streak < self.client_ids.len() {
             self.drain_cursor %= self.client_ids.len();
@@ -735,31 +731,12 @@ impl Reactor {
                 let hash = tx_hash(tx.as_ref());
                 let _ = self.config.frontend.send(FrontendMsg::Admitted { client: id, seq, hash });
             }
-            if self.config.worker_txs.is_empty() {
-                coalesced_bytes += tx.len();
-                coalesced.push(tx);
-                if coalesced_bytes >= self.config.max_tx_bytes {
-                    self.submit_block(std::mem::take(&mut coalesced));
-                    coalesced_bytes = 0;
-                }
-            } else {
-                let at = self.next_worker;
-                self.next_worker = self.next_worker.wrapping_add(1);
-                let lane = &self.config.worker_txs[at % self.config.worker_txs.len()];
-                let _ = lane.send(tx);
-            }
-        }
-        if !coalesced.is_empty() {
-            self.submit_block(coalesced);
+            let at = self.next_worker;
+            self.next_worker = self.next_worker.wrapping_add(1);
+            let lane = &self.config.worker_txs[at % self.config.worker_txs.len()];
+            let _ = lane.send(tx);
         }
         drained
-    }
-
-    /// Submits one coalesced inline block (the `workers == 0` path).
-    fn submit_block(&mut self, txs: Vec<Transaction>) {
-        let block = Block::new(self.config.me, SeqNum::new(self.next_block_seq), txs);
-        self.next_block_seq += 1;
-        let _ = self.config.consensus.send(Event::Submit(block));
     }
 
     /// Flushes queued reply frames for every client marked dirty,

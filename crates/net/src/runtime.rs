@@ -21,9 +21,11 @@
 //!   ones with capped jittered [`Backoff`].
 //! * **frontend** — matches ordered transactions back to subscribed
 //!   clients' submissions (see [`crate::client`]).
-//! * **batcher × workers** — per worker channel, assembling and sealing
-//!   transaction batches ([`crate::worker`]); the reactor writes the
-//!   fan-out.
+//! * **batcher × workers** — per worker channel, assembling, sealing
+//!   and hashing transaction batches ([`crate::worker`]); the reactor
+//!   writes the fan-out. The lanes are the node's only way in for
+//!   transactions: [`NetNode::submit_tx`] and the client protocol both
+//!   feed them, and consensus orders only batch digests.
 //! * **flusher** (when a [`StoreConfig`] is set) — owns the
 //!   [`DurableStore`]: drains groups of durable events off a channel,
 //!   appends them to the write-ahead log, fsyncs per policy, and
@@ -45,15 +47,13 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dagrider_core::{
-    DagRiderEngine, DurableEvent, EngineEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage,
-    OrderedVertex, Turn, VerifiedInput,
+    DagRiderEngine, DurableEvent, EngineEvent, EngineInput, EngineOutput, HashedBatch, NodeConfig,
+    NodeMessage, OrderedVertex, Turn,
 };
 use dagrider_crypto::CoinKeys;
 use dagrider_rbc::ReliableBroadcast;
 use dagrider_store::{replay_into, DurableStore, FsyncPolicy, Recovered, StoreSnapshot};
-use dagrider_types::{
-    Batch, BatchDigest, Block, Committee, Encode, ProcessId, Round, Time, Transaction, Wave,
-};
+use dagrider_types::{BatchDigest, Committee, Encode, ProcessId, Round, Time, Transaction, Wave};
 
 use crate::client::{frontend_loop, AdmissionSnapshot, AdmissionStats};
 use crate::frame::FramePool;
@@ -66,7 +66,7 @@ use crate::sync::thread::{self, JoinHandle};
 use crate::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use crate::wal::{wal_channel, wal_flush_loop, WalHandle};
 use crate::wire::WireMsg;
-use crate::worker::{batch_loop, BatchLane, BatchPolicy, PendingAck};
+use crate::worker::{batch_loop, BatchLane, PendingAck};
 
 /// Configuration for one cluster process.
 #[derive(Debug, Clone)]
@@ -86,20 +86,9 @@ pub struct NetConfig {
     /// How long to wait for peers' sync replies before starting the
     /// protocol anyway.
     pub sync_timeout: Duration,
-    /// Per-peer outbound queue capacity, in frames (drop-oldest beyond).
-    pub queue_capacity: usize,
-    /// Consensus loop wake-up interval (timer resolution, shutdown
-    /// latency).
-    pub tick: Duration,
-    /// Batch-dissemination worker channels. Zero disables the batch
-    /// layer entirely (inline [`NetNode::submit`] still works).
+    /// Batch-dissemination worker lanes. Every transaction enters the
+    /// node through them, so a node runs at least one.
     pub workers: usize,
-    /// A worker seals its pending batch once transaction payload
-    /// reaches this size.
-    pub batch_max_bytes: usize,
-    /// ... or once the oldest pending transaction is this old, so a
-    /// trickle of traffic still reaches consensus promptly.
-    pub batch_interval: Duration,
     /// How long consensus waits for peer [`BatchAck`]s before releasing
     /// a sealed digest into a vertex payload anyway (the engine's
     /// bounded fetch path covers peers that missed the push).
@@ -113,14 +102,8 @@ pub struct NetConfig {
     /// fetch path.
     pub worker_addrs: Option<Vec<SocketAddr>>,
     /// Durable store configuration; `None` runs the node ephemeral (a
-    /// crash recovers over peer sync alone, as before PR 8).
+    /// crash recovers over peer sync alone).
     pub store: Option<StoreConfig>,
-    /// Admitted-but-undrained submissions buffered per client
-    /// connection; a submission past this depth is refused with a typed
-    /// [`WireMsg::ClientReject`] (queue full) instead of admitted.
-    ///
-    /// [`WireMsg::ClientReject`]: crate::wire::WireMsg::ClientReject
-    pub client_queue_capacity: usize,
 }
 
 /// Where and how a node persists its durable state (see
@@ -161,8 +144,8 @@ impl StoreConfig {
 }
 
 impl NetConfig {
-    /// A configuration with production-ish defaults: 2 s sync phase,
-    /// 4096-frame queues, 25 ms tick.
+    /// A configuration with production-ish defaults: 2 s sync phase, one
+    /// worker lane, 1 s ack wait, no store.
     pub fn new(
         committee: Committee,
         me: ProcessId,
@@ -179,15 +162,10 @@ impl NetConfig {
             coin_keys,
             seed,
             sync_timeout: Duration::from_secs(2),
-            queue_capacity: 4096,
-            tick: Duration::from_millis(25),
             workers: 1,
-            batch_max_bytes: 64 * 1024,
-            batch_interval: Duration::from_millis(10),
             ack_timeout: Duration::from_secs(1),
             worker_addrs: None,
             store: None,
-            client_queue_capacity: 1024,
         }
     }
 
@@ -198,25 +176,11 @@ impl NetConfig {
         self
     }
 
-    /// Overrides the batch-dissemination worker channel count (0
-    /// disables the batch layer).
+    /// Overrides the batch-dissemination worker lane count (a node runs
+    /// at least one).
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Overrides the batch size bound.
-    #[must_use]
-    pub fn with_batch_max_bytes(mut self, bytes: usize) -> Self {
-        self.batch_max_bytes = bytes.max(1);
-        self
-    }
-
-    /// Overrides the batch age bound.
-    #[must_use]
-    pub fn with_batch_interval(mut self, interval: Duration) -> Self {
-        self.batch_interval = interval;
         self
     }
 
@@ -242,39 +206,22 @@ impl NetConfig {
         self.store = Some(store);
         self
     }
-
-    /// Overrides the per-client admission queue depth (clamped to at
-    /// least 1).
-    #[must_use]
-    pub fn with_client_queue_capacity(mut self, capacity: usize) -> Self {
-        self.client_queue_capacity = capacity.max(1);
-        self
-    }
 }
 
 /// Everything that can wake the consensus thread.
 pub(crate) enum Event {
     /// A decoded wire message from an identified peer.
     Net { from: ProcessId, msg: WireMsg },
-    /// A client block submission.
-    Submit(Block),
-    /// A local worker sealed and disseminated a batch: hand it to the
-    /// engine's batch map and start the ack-quorum wait on its digest.
-    OwnBatch {
-        /// The batch's digest (computed off-thread by the worker).
-        digest: BatchDigest,
-        /// The sealed batch.
-        batch: Batch,
-    },
-    /// A peer's worker connection pushed a batch: hand it to the engine
-    /// and acknowledge.
+    /// A local worker sealed, hashed and disseminated a batch: hand it to
+    /// the engine's batch map and start the ack-quorum wait on its digest.
+    OwnBatch(HashedBatch),
+    /// A peer's worker connection pushed a batch, which the reactor
+    /// hashed: hand it to the engine and acknowledge.
     PeerBatch {
         /// The pushing peer.
         from: ProcessId,
-        /// The batch's digest (computed off-thread by the reader).
-        digest: BatchDigest,
         /// The received batch.
-        batch: Batch,
+        batch: HashedBatch,
     },
     /// A writer (re-)established its connection to `peer`.
     LinkUp(ProcessId),
@@ -392,7 +339,7 @@ impl NetNode {
         let waker = Arc::new(Waker::new());
         let admission = Arc::new(AdmissionStats::default());
         let queues: Vec<Arc<SendQueue>> =
-            (0..committee.n()).map(|_| Arc::new(SendQueue::new(config.queue_capacity))).collect();
+            (0..committee.n()).map(|_| Arc::new(SendQueue::new(QUEUE_CAPACITY))).collect();
 
         // The reactor's feeds: commands (registered links, client
         // notifications), redial requests, and frontend match traffic.
@@ -405,18 +352,16 @@ impl NetNode {
         // The batch-dissemination workers: one batcher per worker
         // channel. Fan-out queues are drained by the reactor over links
         // the dialer establishes — no per-(worker, peer) threads.
-        let policy =
-            BatchPolicy { max_bytes: config.batch_max_bytes, max_delay: config.batch_interval };
         let dial_addrs = config.worker_addrs.clone().unwrap_or_else(|| config.addrs.clone());
         let mut worker_txs = Vec::new();
         let mut worker_queues = Vec::new();
-        for worker in 0..config.workers {
+        for worker in 0..config.workers.max(1) {
             let worker = u32::try_from(worker).unwrap_or(u32::MAX);
             let (batch_tx, batch_rx) = mpsc::channel::<Transaction>();
             worker_txs.push(batch_tx);
             let mut peer_queues = Vec::new();
             for peer in committee.others(me) {
-                let queue = Arc::new(SendQueue::new(config.queue_capacity));
+                let queue = Arc::new(SendQueue::new(QUEUE_CAPACITY));
                 let _ = redial_tx.send(DialRequest {
                     kind: LinkKind::Worker { peer, worker },
                     addr: dial_addrs[peer.as_usize()],
@@ -436,7 +381,7 @@ impl NetNode {
                     consensus: &batcher_consensus,
                     waker: &batcher_waker,
                 };
-                batch_loop(&lane, &batch_rx, policy, &batcher_stop);
+                batch_loop(&lane, &batch_rx, &batcher_stop);
             }));
         }
 
@@ -461,7 +406,6 @@ impl NetNode {
         // The reactor: every socket lives on this one thread.
         {
             let reactor_config = ReactorConfig {
-                me,
                 committee,
                 listener,
                 cmds: cmd_rx,
@@ -473,10 +417,6 @@ impl NetNode {
                 stats: Arc::clone(&admission),
                 published: Arc::clone(&published),
                 stop: Arc::clone(&stop),
-                client_queue_capacity: config.client_queue_capacity.max(1),
-                // A transaction that cannot fit one batch can never be
-                // disseminated; refuse it at admission.
-                max_tx_bytes: config.batch_max_bytes,
             };
             threads.push(thread::spawn(move || reactor_main(reactor_config)));
         }
@@ -565,20 +505,10 @@ impl NetNode {
         self.addr
     }
 
-    /// Submits a block of transactions for atomic broadcast. Returns
-    /// `false` after shutdown.
-    ///
-    /// The inline path: the block's bytes ride a vertex payload through
-    /// reliable broadcast. For throughput, prefer [`NetNode::submit_tx`],
-    /// which disseminates transaction bytes over worker connections and
-    /// hands consensus only a digest.
-    pub fn submit(&self, block: Block) -> bool {
-        self.tx.send(Event::Submit(block)).is_ok()
-    }
-
-    /// Submits one transaction to a batch-dissemination worker channel
-    /// (round-robin). Returns `false` when the batch layer is disabled
-    /// (`workers == 0`) or the node is shutting down.
+    /// Submits one transaction for atomic broadcast through a
+    /// batch-dissemination worker lane (round-robin): its bytes travel
+    /// over worker connections, and consensus orders the batch digest.
+    /// Returns `false` once the node is shutting down.
     pub fn submit_tx(&self, tx: Transaction) -> bool {
         if self.worker_txs.is_empty() {
             return false;
@@ -708,6 +638,14 @@ impl Drop for NetNode {
 /// Events one consensus wake-up takes before it fires timers, publishes
 /// progress and rings the reactor.
 const MAX_BURST: u64 = 64;
+
+/// Outbound queue capacity per peer link and per worker link, in frames
+/// (drop-oldest beyond).
+const QUEUE_CAPACITY: usize = 4096;
+
+/// How long the consensus thread waits for an event before it fires due
+/// timers anyway (timer resolution, shutdown latency).
+const TICK: Duration = Duration::from_millis(25);
 
 /// The consensus thread: sync phase, then the event loop driving the
 /// engine until shutdown. Each wake-up takes a burst of queued events
@@ -850,7 +788,7 @@ fn consensus_loop<B: ReliableBroadcast>(
     let mut acks: Vec<PendingAck> = Vec::new();
 
     loop {
-        let mut next = match rx.recv_timeout(config.tick) {
+        let mut next = match rx.recv_timeout(TICK) {
             Ok(event) => Some(event),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => return,
@@ -900,13 +838,11 @@ fn consensus_loop<B: ReliableBroadcast>(
                     WireMsg::Batch(batch) => {
                         // A fetch response on the consensus connection (the
                         // steady-state push stream lands on worker
-                        // connections, not here). The engine stores it and
-                        // resolves whatever deliveries wait on it.
-                        let turn = engine.handle(
-                            engine_now(epoch),
-                            EngineInput::BatchStored(batch),
-                            &mut rng,
-                        );
+                        // connections, not here), hashed on this thread. The
+                        // engine stores it and resolves whatever deliveries
+                        // wait on it.
+                        let input = EngineInput::BatchStored(HashedBatch::new(batch));
+                        let turn = engine.handle(engine_now(epoch), input, &mut rng);
                         emit(&engine, turn, &mut routed);
                     }
                     WireMsg::BatchAck { digest } => {
@@ -931,32 +867,27 @@ fn consensus_loop<B: ReliableBroadcast>(
                     | WireMsg::ClientSubscribe
                     | WireMsg::ClientOrdered { .. } => {}
                 },
-                Event::Submit(block) => {
-                    let turn =
-                        engine.handle(engine_now(epoch), EngineInput::SubmitBlock(block), &mut rng);
-                    emit(&engine, turn, &mut routed);
-                }
-                Event::OwnBatch { digest, batch } => {
+                Event::OwnBatch(batch) => {
                     // A local worker sealed and disseminated this batch. Make
                     // it resolvable locally, and hold the digest until enough
                     // peers acknowledge.
                     acks.push(PendingAck {
-                        digest,
+                        digest: batch.digest(),
                         acked: Vec::new(),
                         deadline: Instant::now() + config.ack_timeout,
                     });
-                    let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
-                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                    let turn =
+                        engine.handle(engine_now(epoch), EngineInput::BatchStored(batch), &mut rng);
                     emit(&engine, turn, &mut routed);
                 }
-                Event::PeerBatch { from, digest, batch } => {
+                Event::PeerBatch { from, batch } => {
                     // A peer's worker pushed this batch to us; acknowledge on
                     // the consensus connection so the creator can count us
-                    // toward its release quorum. The reader already hashed
-                    // the batch, so hand the engine the pre-verified route.
+                    // toward its release quorum.
+                    let digest = batch.digest();
                     queues[from.as_usize()].push(frames.encode(&WireMsg::BatchAck { digest }));
-                    let input = EngineInput::PreVerified(VerifiedInput::Batch { digest, batch });
-                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                    let turn =
+                        engine.handle(engine_now(epoch), EngineInput::BatchStored(batch), &mut rng);
                     emit(&engine, turn, &mut routed);
                 }
                 Event::LinkUp(peer) => {
@@ -1048,9 +979,9 @@ fn serve_batches<B: ReliableBroadcast>(
 
 /// Streams our retained DAG to a catching-up peer: every non-genesis
 /// vertex in ascending `(round, source)` order, then our own coin share
-/// for every wave touched so far (shares are deterministic per wave, so
-/// regeneration equals re-send; `f + 1` peers answering reconstructs
-/// every coin), then `SyncEnd` carrying the vertex count so the
+/// for each completed wave the coin still keeps
+/// ([`DagRiderEngine::sync_shares`]; `f + 1` peers answering reconstructs
+/// those coins), then `SyncEnd` carrying the vertex count so the
 /// requester can detect in-flight loss and re-request.
 fn serve_sync<B: ReliableBroadcast>(
     engine: &mut DagRiderEngine<B>,
@@ -1063,9 +994,7 @@ fn serve_sync<B: ReliableBroadcast>(
         queue.push(frames.encode(&WireMsg::SyncVertex(vertex)));
         served += 1;
     }
-    let top_wave = engine.dag().highest_round().wave().number();
-    for wave in 1..=top_wave {
-        let share = engine.coin_share(wave, rng);
+    for share in engine.sync_shares(rng) {
         let msg = NodeMessage::<B::Message>::Coin(share);
         queue.push(frames.encode_with(|buf| WireMsg::encode_engine_into(&msg.to_bytes(), buf)));
     }

@@ -6,14 +6,14 @@
 //!
 //! Each worker runs a **batcher** thread that drains its transaction
 //! channel, assembles size/time-bounded [`Batch`]es, hashes each sealed
-//! batch, and fans it out to every peer through that peer's bounded
-//! [`SendQueue`] (one frame encoding shared by all peers via
-//! [`FramePool`]) before handing it to consensus, whose engine holds the
-//! node's only copy. The queues themselves are drained by the reactor
-//! (`crate::reactor`), which owns the dedicated worker-lane connections
-//! announced with [`WireMsg::WorkerHello`] — sealing rings the reactor's
-//! waker so the fan-out hits the wire without waiting for the next sweep
-//! tick.
+//! batch into a [`HashedBatch`], and fans it out to every peer through
+//! that peer's bounded [`SendQueue`] (one frame encoding shared by all
+//! peers via [`FramePool`]) before handing it to consensus, whose engine
+//! holds the node's only copy. The queues themselves are drained by the
+//! reactor (`crate::reactor`), which owns the dedicated worker-lane
+//! connections announced with [`WireMsg::WorkerHello`] — sealing rings
+//! the reactor's waker so the fan-out hits the wire without waiting for
+//! the next sweep tick.
 //!
 //! Inbound, the reactor classifies `WorkerHello` connections and hashes
 //! each pushed batch before handing it to the consensus thread; consensus
@@ -28,7 +28,7 @@
 
 use std::time::{Duration, Instant};
 
-use dagrider_core::batch_digest;
+use dagrider_core::HashedBatch;
 use dagrider_types::{Batch, BatchDigest, ProcessId, Transaction};
 
 use crate::frame::FramePool;
@@ -38,6 +38,15 @@ use crate::signal::{Shutdown, Waker};
 use crate::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use crate::sync::Arc;
 use crate::wire::WireMsg;
+
+/// A worker seals its pending batch once transaction payload reaches
+/// this size. The reactor refuses a client transaction larger than this:
+/// it could never be disseminated.
+pub const BATCH_MAX_BYTES: usize = 64 * 1024;
+
+/// A worker seals an underfull batch once its oldest transaction is this
+/// old, so a trickle of traffic still reaches consensus promptly.
+const BATCH_INTERVAL: Duration = Duration::from_millis(10);
 
 /// Batch assembly bounds for one worker channel.
 #[derive(Debug, Clone, Copy)]
@@ -111,19 +120,14 @@ pub(crate) struct BatchLane<'a> {
 }
 
 /// The batcher thread body for worker channel `lane.worker` of process
-/// `lane.me`: drain the transaction channel, seal size/time-bounded
-/// batches, fan them out, and hand each sealed batch to
-/// consensus (which traces its lifecycle and releases the digest after
-/// ack quorum).
-pub(crate) fn batch_loop(
-    lane: &BatchLane<'_>,
-    rx: &Receiver<Transaction>,
-    policy: BatchPolicy,
-    stop: &Shutdown,
-) {
+/// `lane.me`: drain the transaction channel, seal batches bounded by
+/// [`BATCH_MAX_BYTES`] and [`BATCH_INTERVAL`], fan them out, and hand
+/// each sealed batch to consensus (which releases the digest after ack
+/// quorum).
+pub(crate) fn batch_loop(lane: &BatchLane<'_>, rx: &Receiver<Transaction>, stop: &Shutdown) {
     let frames = FramePool::new();
     let mut assembler =
-        Assembler::new(BatchPolicy { max_bytes: policy.max_bytes.max(1), ..policy });
+        Assembler::new(BatchPolicy { max_bytes: BATCH_MAX_BYTES, max_delay: BATCH_INTERVAL });
     loop {
         let now = Instant::now();
         if stop.is_signalled() {
@@ -157,14 +161,13 @@ fn seal(lane: &BatchLane<'_>, assembler: &mut Assembler, frames: &FramePool) {
     if assembler.is_empty() {
         return;
     }
-    let batch = Batch::new(lane.me, lane.worker, assembler.take());
-    let digest = batch_digest(&batch);
-    let frame = frames.encode_with(|buf| WireMsg::encode_batch_into(&batch, buf));
+    let batch = HashedBatch::new(Batch::new(lane.me, lane.worker, assembler.take()));
+    let frame = frames.encode_with(|buf| WireMsg::encode_batch_into(batch.batch(), buf));
     for queue in lane.peer_queues {
         queue.push(frame.clone());
     }
     lane.waker.wake();
-    let _ = lane.consensus.send(Event::OwnBatch { digest, batch });
+    let _ = lane.consensus.send(Event::OwnBatch(batch));
 }
 
 /// A digest sealed by a local worker, awaiting peer acknowledgements

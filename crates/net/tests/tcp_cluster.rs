@@ -1,7 +1,8 @@
 //! In-process TCP cluster integration: four [`NetNode`]s on localhost
-//! ephemeral ports must reach agreement over real sockets, and a node
-//! that is torn down and replaced must rebuild the same log through the
-//! sync protocol.
+//! ephemeral ports must reach agreement over real sockets, a node that
+//! is torn down and replaced must rebuild the same log through the sync
+//! protocol, and the reactor's edge checks must hold against raw
+//! sockets.
 
 use std::net::TcpListener;
 use std::path::{Path, PathBuf};
@@ -9,10 +10,12 @@ use std::time::{Duration, Instant};
 
 use dagrider_core::NodeConfig;
 use dagrider_crypto::{deal_coin_keys, CoinKeys};
-use dagrider_net::{NetConfig, NetNode, StoreConfig};
+use dagrider_net::{
+    read_frame, write_frame, NetConfig, NetNode, RejectReason, StoreConfig, WireMsg,
+};
 use dagrider_rbc::BrachaRbc;
 use dagrider_store::FsyncPolicy;
-use dagrider_types::{Block, Committee, ProcessId, SeqNum, Transaction};
+use dagrider_types::{Batch, Committee, Decode, Encode, ProcessId, Transaction};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -111,9 +114,9 @@ fn four_nodes_agree_over_real_sockets() {
     for (i, listener) in listeners.into_iter().enumerate() {
         nodes.push(cluster.start(i, Some(listener)));
     }
-    // One client block at node 2; it must be ordered everywhere.
+    // One client transaction at node 2; it must be ordered everywhere.
     let tx = Transaction::synthetic(7, 24);
-    nodes[2].submit(Block::new(ProcessId::new(2), SeqNum::new(1), vec![tx.clone()]));
+    assert!(nodes[2].submit_tx(tx.clone()));
 
     let refs: Vec<&NetNode> = nodes.iter().collect();
     await_quiescence(&refs, max_round, Duration::from_millis(800), Duration::from_secs(60));
@@ -123,7 +126,7 @@ fn four_nodes_agree_over_real_sockets() {
         assert!(node.decided_wave().number() >= 1, "{} decided nothing", node.me());
         assert!(
             node.ordered().iter().any(|o| o.block.transactions().contains(&tx)),
-            "{} never ordered the client block",
+            "{} never ordered the client transaction",
             node.me()
         );
     }
@@ -248,8 +251,6 @@ fn a_restarted_node_serves_the_batches_it_recovered() {
     use std::net::TcpStream;
 
     use dagrider_core::batch_digest;
-    use dagrider_net::{read_frame, write_frame, WireMsg};
-    use dagrider_types::{Batch, Decode, Encode};
 
     let (cluster, mut listeners) = Cluster::prepare(4, 909, 8);
     let listener = listeners.remove(0);
@@ -349,9 +350,6 @@ fn os_thread_count() -> usize {
 fn thread_count_is_independent_of_client_connections() {
     use std::net::TcpStream;
 
-    use dagrider_net::{read_frame, write_frame, WireMsg};
-    use dagrider_types::{Decode, Encode};
-
     let max_round = 16;
     let (cluster, listeners) = Cluster::prepare(4, 808, max_round);
     let mut nodes: Vec<NetNode> = Vec::new();
@@ -359,8 +357,8 @@ fn thread_count_is_independent_of_client_connections() {
         nodes.push(cluster.start(i, Some(listener)));
     }
     // Progress implies the full mesh is dialed and every per-node
-    // thread (consensus, reactor, dialer, frontend, verify pool,
-    // batchers) is up: the steady state to measure against.
+    // thread (consensus, reactor, dialer, frontend, batchers) is up: the
+    // steady state to measure against.
     let deadline = Instant::now() + Duration::from_secs(30);
     while nodes.iter().any(|n| n.current_round().number() < 1) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -368,20 +366,16 @@ fn thread_count_is_independent_of_client_connections() {
     let before = os_thread_count();
     assert!(before > 1, "/proc/self/task must be readable on Linux");
 
-    let mut clients: Vec<TcpStream> = Vec::new();
-    for i in 0..48u64 {
-        let mut stream = TcpStream::connect(cluster.addrs[(i % 4) as usize]).unwrap();
-        stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
-        write_frame(&mut stream, &WireMsg::ClientHello.to_bytes()).unwrap();
-        let submit = WireMsg::ClientSubmit { seq: 1, tx: Transaction::synthetic(1_000 + i, 16) };
-        write_frame(&mut stream, &submit.to_bytes()).unwrap();
-        clients.push(stream);
-    }
+    let mut clients: Vec<TcpStream> = (0..48u64)
+        .map(|i| {
+            let addr = cluster.addrs[(i % 4) as usize];
+            client_submit(addr, 1, Transaction::synthetic(1_000 + i, 16))
+        })
+        .collect();
     // Every connection is served — admission answers with an ack or a
     // typed reject, never silence — without a single thread appearing.
     for stream in &mut clients {
-        let frame = read_frame(stream).unwrap();
-        let msg = WireMsg::from_bytes(&frame).unwrap();
+        let msg = client_reply(stream);
         assert!(
             matches!(
                 msg,
@@ -400,6 +394,96 @@ fn thread_count_is_independent_of_client_connections() {
     for mut node in nodes {
         node.shutdown();
     }
+}
+
+/// Opens a client session on `addr` and submits `tx` as `seq`.
+fn client_submit(addr: std::net::SocketAddr, seq: u64, tx: Transaction) -> std::net::TcpStream {
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    write_frame(&mut stream, &WireMsg::ClientHello.to_bytes()).unwrap();
+    write_frame(&mut stream, &WireMsg::ClientSubmit { seq, tx }.to_bytes()).unwrap();
+    stream
+}
+
+/// The node's reply to the one submission on `stream`.
+fn client_reply(stream: &mut std::net::TcpStream) -> WireMsg {
+    WireMsg::from_bytes(&read_frame(stream).unwrap()).unwrap()
+}
+
+#[test]
+fn a_node_still_syncing_refuses_client_submissions() {
+    // Node 0 alone, with a sync phase far longer than the test: it can
+    // never finish syncing, so admission must answer `NotReady`.
+    let (cluster, mut listeners) = Cluster::prepare(4, 111, 8);
+    let config = cluster.config(0).with_sync_timeout(Duration::from_secs(600));
+    let node = NetNode::start::<BrachaRbc>(config, Some(listeners.remove(0))).unwrap();
+    let mut stream = client_submit(node.local_addr(), 1, Transaction::synthetic(1, 16));
+    assert_eq!(
+        client_reply(&mut stream),
+        WireMsg::ClientReject { seq: 1, reason: RejectReason::NotReady }
+    );
+    assert!(!node.is_live());
+    drop((stream, node, listeners));
+}
+
+#[test]
+fn admission_refuses_exactly_the_transactions_no_batch_can_hold() {
+    use dagrider_net::BATCH_MAX_BYTES;
+
+    let (cluster, listeners) = Cluster::prepare(4, 222, 8);
+    let nodes: Vec<NetNode> =
+        listeners.into_iter().enumerate().map(|(i, l)| cluster.start(i, Some(l))).collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !nodes[0].is_live() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(nodes[0].is_live(), "node 0 never finished its sync phase");
+    let addr = nodes[0].local_addr();
+    let mut over = client_submit(addr, 1, Transaction::synthetic(1, BATCH_MAX_BYTES + 1));
+    assert_eq!(
+        client_reply(&mut over),
+        WireMsg::ClientReject { seq: 1, reason: RejectReason::Oversized }
+    );
+    let mut fits = client_submit(addr, 2, Transaction::synthetic(2, BATCH_MAX_BYTES));
+    assert_eq!(client_reply(&mut fits), WireMsg::ClientSubmitAck { seq: 2 });
+    drop((over, fits, nodes));
+}
+
+#[test]
+fn a_worker_stream_may_push_only_its_own_peers_batches() {
+    use std::io::Read;
+
+    // The test plays peer 1's worker lane toward node 0, which runs
+    // alone and submits nothing: every batch it stores came from here.
+    let (cluster, mut listeners) = Cluster::prepare(4, 333, 8);
+    let node = cluster.start(0, Some(listeners.remove(0)));
+    let push = |creator: u32, tag: u64| {
+        let mut stream = std::net::TcpStream::connect(node.local_addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let hello = WireMsg::WorkerHello { from: ProcessId::new(1), worker: 0 };
+        write_frame(&mut stream, &hello.to_bytes()).unwrap();
+        let batch = Batch::new(ProcessId::new(creator), 0, vec![Transaction::synthetic(tag, 32)]);
+        write_frame(&mut stream, &WireMsg::Batch(batch).to_bytes()).unwrap();
+        stream
+    };
+
+    // A batch created by p2 on p1's stream: the reactor drops the stream
+    // (the read sees it close) and nothing reaches the batch store.
+    let mut forged = push(2, 1);
+    match forged.read(&mut [0u8; 1]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("the stream stayed open: {other:?}"),
+    }
+    assert_eq!(node.batches_stored(), 0);
+    // The same push with creator p1 is stored, and it is the only batch.
+    let honest = push(1, 2);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while node.batches_stored() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(node.batches_stored(), 1, "exactly p1's own batch is stored");
+    drop((forged, honest, node, listeners));
 }
 
 #[test]

@@ -9,8 +9,8 @@
 use std::collections::VecDeque;
 
 use dagrider_core::{
-    DagRiderEngine, EngineEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage, OrderedVertex,
-    Turn, VerifiedInput,
+    DagRiderEngine, DurableEvent, EngineEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage,
+    OrderedVertex, Turn,
 };
 use dagrider_crypto::{deal_coin_keys, Sha256};
 use dagrider_rbc::{BrachaMessage, BrachaRbc, ReliableBroadcast};
@@ -175,7 +175,7 @@ fn digest_payloads_order_identically_to_inline_payloads() {
     // pre-stored everywhere, as after worker dissemination) must order
     // the same vertex sequence as one proposing the same transactions
     // inline — and resolve each delivery to the same transactions.
-    use dagrider_core::batch_digest;
+    use dagrider_core::{batch_digest, HashedBatch};
     use dagrider_types::{Batch, Block, SeqNum, Transaction};
 
     let committee = Committee::new(4).unwrap();
@@ -262,7 +262,7 @@ fn digest_payloads_order_identically_to_inline_payloads() {
     let (digest, digest_ordered, digest_fetches) = run(&|engine, p, rng| {
         let mut outs = Vec::new();
         for batch in &batches {
-            let input = EngineInput::BatchStored(batch.clone());
+            let input = EngineInput::BatchStored(HashedBatch::new(batch.clone()));
             outs.extend(engine.handle(Time::ZERO, input, rng).outputs);
         }
         let digest = batch_digest(&batches[p.as_usize()]);
@@ -331,10 +331,10 @@ fn sim_recorded_inputs_replay_identically_through_a_direct_harness() {
 #[test]
 fn verified_and_unverified_routes_produce_identical_state() {
     // Restart replay feeds the coin shares a node accepted before its
-    // crash as `EngineInput::PreVerified`, skipping the proof check it
+    // crash through `replay_durable`, skipping the proof check it
     // already ran. Skipping re-verification must be a pure optimisation:
     // feeding the same wire traffic with every coin share on the
-    // untrusted `Message` route and on the pre-verified route must leave
+    // untrusted `Message` route and on the replay route must leave
     // every engine in an identical state with an identical output
     // stream.
     let committee = Committee::new(4).unwrap();
@@ -381,15 +381,15 @@ fn verified_and_unverified_routes_produce_identical_state() {
             t += 1;
             // Coin shares from honest peers are known valid here; every
             // other message stays on the untrusted route.
-            let input = match NodeMessage::<BrachaMessage>::from_bytes(&payload) {
+            let (engine, rng) = (&mut engines[to.as_usize()], &mut rngs[to.as_usize()]);
+            let outs = match NodeMessage::<BrachaMessage>::from_bytes(&payload) {
                 Ok(NodeMessage::Coin(share)) if preverify => {
-                    EngineInput::PreVerified(VerifiedInput::CoinShare { from, share })
+                    assert_eq!(share.issuer(), from, "honest peers send only their own shares");
+                    engine.replay_durable(DurableEvent::CoinShare(share), Time::new(t), rng)
                 }
-                _ => EngineInput::Message { from, payload },
-            };
-            let outs = engines[to.as_usize()]
-                .handle(Time::new(t), input, &mut rngs[to.as_usize()])
-                .outputs;
+                _ => engine.handle(Time::new(t), EngineInput::Message { from, payload }, rng),
+            }
+            .outputs;
             route(to, outs, &mut wire);
         }
         let ordered: Vec<_> = outputs.iter().map(ordered_in).collect();

@@ -8,9 +8,8 @@
 //!
 //! - **repository conventions** — crate roots carry
 //!   `#![forbid(unsafe_code)]` and docs, protocol-critical crates avoid
-//!   `.unwrap()`, paper citations are spelled out, the sans-I/O engine
-//!   keeps its isolation, and pre-verified inputs stay inside their
-//!   trust boundary;
+//!   `.unwrap()`, paper citations are spelled out, and the sans-I/O
+//!   engine keeps its isolation;
 //! - **concurrency discipline** — `crates/net` routes all
 //!   synchronization through its `crate::sync` shim layer (so the
 //!   `dagrider-check` model checker can interpose), the cross-file

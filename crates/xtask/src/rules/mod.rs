@@ -3,7 +3,7 @@
 
 pub mod lock_order;
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::engine::{Finding, Rule};
 use crate::source::{code_lines, crate_roots, read, rust_files};
@@ -30,11 +30,6 @@ pub fn registry() -> Vec<Rule> {
             name: "engine-isolation",
             summary: "the sans-I/O core must not depend on the simulator",
             run: check_engine_isolation,
-        },
-        Rule {
-            name: "preverified-boundary",
-            summary: "only verifying drivers may construct pre-verified engine inputs",
-            run: check_preverified_boundary,
         },
         Rule {
             name: "sync-discipline",
@@ -182,44 +177,6 @@ fn check_engine_isolation(root: &Path, findings: &mut Vec<Finding>) {
                               the engine must stay driver-agnostic"
                         .into(),
                 });
-            }
-        }
-    }
-}
-
-/// Rule `preverified-boundary`: `EngineInput::PreVerified` carries the
-/// claim "this input was already verified" and the engine trusts it
-/// without re-checking. Only the engine itself and the drivers that
-/// actually perform the checks (the TCP runtime, whose batcher and
-/// reactor hash each batch they hand over, and the deterministic
-/// simulator harness) may name it — any other crate constructing one
-/// would inject unverified input past the digest and proof checks. Comments and strings are exempt (prose may explain the
-/// mechanism).
-fn check_preverified_boundary(root: &Path, findings: &mut Vec<Finding>) {
-    let allowed = ["crates/core", "crates/net", "crates/simactor"];
-    let mut dirs: Vec<PathBuf> = vec![root.join("src"), root.join("tests"), root.join("examples")];
-    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
-        dirs.extend(
-            entries
-                .filter_map(Result::ok)
-                .map(|e| e.path())
-                .filter(|p| !allowed.iter().any(|a| p.ends_with(a))),
-        );
-    }
-    dirs.sort();
-    for dir in dirs {
-        for file in rust_files(&dir) {
-            for (number, line) in code_lines(&read(&file)) {
-                if line.contains("PreVerified") || line.contains("VerifiedInput") {
-                    findings.push(Finding {
-                        path: file.clone(),
-                        line: number,
-                        message: "pre-verified engine inputs may only be constructed by \
-                                  verifying drivers (`crates/net`, `crates/simactor`); \
-                                  use `EngineInput::Message` here"
-                            .into(),
-                    });
-                }
             }
         }
     }
@@ -375,7 +332,7 @@ fn function_region(source: &str, name: &str) -> Option<(usize, usize)> {
 mod tests {
     use super::*;
 
-    fn temp_tree(name: &str) -> PathBuf {
+    fn temp_tree(name: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(name);
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).expect("temp dir is writable");
@@ -396,24 +353,6 @@ mod tests {
                 "rule name {name} is not kebab-case"
             );
         }
-    }
-
-    #[test]
-    fn preverified_rule_flags_code_but_not_prose() {
-        let root = temp_tree("xtask-preverified-test");
-        let src = root.join("crates/foo/src");
-        std::fs::create_dir_all(&src).expect("temp dir is writable");
-        std::fs::write(
-            src.join("lib.rs"),
-            "// EngineInput::PreVerified is fine in prose\n\
-             fn f() { g(EngineInput::PreVerified(v)); }\n",
-        )
-        .expect("temp file is writable");
-        let mut findings = Vec::new();
-        check_preverified_boundary(&root, &mut findings);
-        assert_eq!(findings.len(), 1);
-        assert_eq!(findings[0].line, 2);
-        std::fs::remove_dir_all(&root).ok();
     }
 
     #[test]

@@ -117,8 +117,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             NetNode::start::<BrachaRbc>(cfg, Some(listener))
         })
         .collect::<Result<_, _>>()?;
-    let tx = Transaction::synthetic(7, 48);
-    tcp_nodes[1].submit(Block::new(ProcessId::new(1), SeqNum::new(1), vec![tx]));
+    // A transaction enters through a worker lane: its bytes travel to
+    // the peers on worker connections, and a vertex carries its batch
+    // digest.
+    tcp_nodes[1].submit_tx(Transaction::synthetic(7, 48));
 
     // Wait until every node exhausted its rounds and the logs stabilize.
     let deadline = Instant::now() + Duration::from_secs(30);

@@ -216,7 +216,7 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
 
     use dag_rider::analysis::InvariantViolation;
     use dag_rider::core::{
-        batch_digest, DagRiderEngine, EngineEvent, EngineInput, EngineOutput, Turn,
+        batch_digest, DagRiderEngine, EngineEvent, EngineInput, EngineOutput, HashedBatch, Turn,
     };
     use dag_rider::types::{Batch, BatchDigest, ProcessId, Round, Time, Transaction};
 
@@ -293,7 +293,7 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
             }
             let turn = engines[i].handle(
                 Time::ZERO,
-                EngineInput::BatchStored(batch.clone()),
+                EngineInput::BatchStored(HashedBatch::new(batch.clone())),
                 &mut rngs[i],
             );
             driver.route(committee, p, Time::ZERO, turn);
@@ -331,8 +331,8 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
                     continue;
                 };
                 t += 1;
-                let turn =
-                    engines[i].handle(Time::new(t), EngineInput::BatchStored(batch), &mut rngs[i]);
+                let input = EngineInput::BatchStored(HashedBatch::new(batch));
+                let turn = engines[i].handle(Time::new(t), input, &mut rngs[i]);
                 driver.route(committee, requester, Time::new(t), turn);
             }
         }
