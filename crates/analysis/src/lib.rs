@@ -12,9 +12,8 @@
 //! * [`DagAuditor`] checks a live [`Dag`](dagrider_core::Dag), a
 //!   serialized [`DagSnapshot`], or a commit record, returning a typed
 //!   [`InvariantViolation`] (with paper citation) per breach;
-//! * [`AuditedSimulation`] wires the auditor into simnet runs — debug
-//!   builds (or the `force-audit` feature) audit every honest process
-//!   after the run;
+//! * [`AuditedSimulation`] wires the auditor into simnet runs: it audits
+//!   every honest process of a finished run;
 //! * [`TraceReport`] digests structured event traces into per-wave commit
 //!   latencies (ticks, §3 asynchronous time units, rounds), ordering-lag
 //!   distributions, and per-process traffic;

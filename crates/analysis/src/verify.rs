@@ -1,11 +1,5 @@
 //! Simulation self-verification: audit every honest node of a finished
-//! simnet run.
-//!
-//! The hook is gated so production-profile experiments pay nothing:
-//! [`AuditedSimulation::run_audited`] audits only in debug builds (or
-//! when the `force-audit` feature is enabled), while
-//! [`AuditedSimulation::audit_honest`] is always available for tests that
-//! want the check unconditionally.
+//! simnet run with [`AuditedSimulation::audit_honest`].
 
 use std::fmt;
 
@@ -22,26 +16,10 @@ use crate::violation::InvariantViolation;
 pub struct AuditReport {
     /// `(process, its violations)`, one entry per audited process.
     per_process: Vec<(ProcessId, Vec<InvariantViolation>)>,
-    /// Whether the audit actually ran (release-profile [`run_audited`]
-    /// skips it unless `force-audit` is on).
-    ///
-    /// [`run_audited`]: AuditedSimulation::run_audited
-    audited: bool,
 }
 
 impl AuditReport {
-    /// A report for a run where the audit was compiled out.
-    pub fn skipped() -> Self {
-        Self { per_process: Vec::new(), audited: false }
-    }
-
-    /// Whether the audit ran at all.
-    pub fn audited(&self) -> bool {
-        self.audited
-    }
-
-    /// Whether no process had any violation (vacuously true if the audit
-    /// was skipped — check [`AuditReport::audited`] to distinguish).
+    /// Whether no process had any violation.
     pub fn is_clean(&self) -> bool {
         self.per_process.iter().all(|(_, v)| v.is_empty())
     }
@@ -73,9 +51,6 @@ impl AuditReport {
 
 impl fmt::Display for AuditReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if !self.audited {
-            return write!(f, "audit skipped (release build without force-audit)");
-        }
         if self.is_clean() {
             return write!(f, "audit clean ({} processes)", self.per_process.len());
         }
@@ -91,13 +66,8 @@ impl fmt::Display for AuditReport {
 /// Extension trait wiring the [`DagAuditor`] into simnet runs.
 pub trait AuditedSimulation {
     /// Audits the DAG and commit record of every honest (non-crashed,
-    /// non-Byzantine) process, unconditionally.
+    /// non-Byzantine) process.
     fn audit_honest(&self) -> AuditReport;
-
-    /// Runs the simulation to quiescence, then audits — in debug builds
-    /// or with the `force-audit` feature; a release-profile run returns
-    /// [`AuditReport::skipped`] and pays nothing.
-    fn run_audited(&mut self) -> AuditReport;
 }
 
 impl<B, S> AuditedSimulation for Simulation<DagRiderNode<B>, S>
@@ -120,15 +90,6 @@ where
                 (p, violations)
             })
             .collect();
-        AuditReport { per_process, audited: true }
-    }
-
-    fn run_audited(&mut self) -> AuditReport {
-        self.run();
-        if cfg!(debug_assertions) || cfg!(feature = "force-audit") {
-            self.audit_honest()
-        } else {
-            AuditReport::skipped()
-        }
+        AuditReport { per_process }
     }
 }

@@ -52,15 +52,8 @@ proptest! {
     fn honest_runs_audit_clean(seed in 0u64..10_000, max_delay in 2u64..20, big in proptest::bool::ANY) {
         let n = if big { 7 } else { 4 };
         let mut sim = honest_sim(n, seed, 16, max_delay);
-        let report = sim.run_audited();
-        // The hook audits in debug builds and under `force-audit` only;
-        // a release build audits the finished run explicitly instead.
-        prop_assert_eq!(report.audited(), cfg!(debug_assertions) || cfg!(feature = "force-audit"));
-        if report.audited() {
-            report.assert_clean();
-        } else {
-            sim.audit_honest().assert_clean();
-        }
+        sim.run();
+        sim.audit_honest().assert_clean();
     }
 
     /// Crash faults (up to f, mid-run, dropping in-flight messages) leave

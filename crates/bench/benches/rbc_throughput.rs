@@ -14,7 +14,7 @@ use std::hint::black_box;
 /// Drives one broadcast to quiescence; returns deliveries observed.
 fn drain<B: ReliableBroadcast>(n: usize, payload: &[u8], round: u64) -> usize {
     let committee = Committee::new(n).unwrap();
-    let mut endpoints: Vec<B> = committee.members().map(|p| B::new(committee, p, 0)).collect();
+    let mut endpoints: Vec<B> = committee.members().map(|p| B::new(committee, p)).collect();
     let mut rng = StdRng::seed_from_u64(round);
     let mut deliveries = 0usize;
     let actions = endpoints[0].rbcast(payload.to_vec(), Round::new(round), &mut rng);

@@ -2,7 +2,7 @@
 //!
 //! Each [`Surface`] is a small, self-contained concurrent scenario built
 //! from the *real* runtime types (`SendQueue`, `FramePool`, `Shutdown`,
-//! `Backoff`, the shimmed channels) with its invariants asserted inline.
+//! `Waker`, the shimmed channels) with its invariants asserted inline.
 //! [`dagrider_net::sync::model::explore`] then runs the scenario under
 //! bounded exhaustive and seeded random interleavings; any deadlock,
 //! failed assertion, or livelock comes back as a replayable schedule.
@@ -10,26 +10,24 @@
 //! The surfaces cover the runtime's load-bearing concurrency structures:
 //!
 //! 1. **SendQueue push/pop/drop** — drop-oldest accounting under
-//!    concurrent producers and a draining consumer.
+//!    concurrent producers and a consumer draining with `try_pop`, as
+//!    the reactor does.
 //! 2. **FramePool recycling** — cross-thread clone/drop/re-encode; a
 //!    double-put or premature recycle shows up as payload corruption.
-//! 3. **Shutdown / backoff** — a writer-shaped dial-retry loop against
-//!    concurrent double-shutdown; an uninterruptible sleep or lost
-//!    wakeup hangs (deadlock) or spins (step limit).
-//! 4. **Batcher shutdown** — the worker batcher's `recv_timeout`
+//! 3. **Batcher shutdown** — the worker batcher's `recv_timeout`
 //!    assemble loop against a client-sender drop: the tail batch must
 //!    be sealed and pushed, never lost or duplicated.
-//! 5. **WAL writer** — the durability flusher's group-drain loop
+//! 4. **WAL writer** — the durability flusher's group-drain loop
 //!    (`wal_flush_loop`) against a producer and shutdown: every
 //!    persisted event must land in the sink exactly once, in order,
 //!    inside a committed group, and the final sync must run.
-//! 6. **WAL compaction** — snapshot installation interleaved with
+//! 5. **WAL compaction** — snapshot installation interleaved with
 //!    appends on the same channel: the snapshot must supersede exactly
 //!    the events queued before it and never swallow those after.
-//! 7. **Reactor wakeup** — the reactor's park/unpark protocol: racing
+//! 6. **Reactor wakeup** — the reactor's park/unpark protocol: racing
 //!    producers push work and ring the `Waker`; the surface parks
 //!    untimed so a lost wake is a deadlock, not a slow sweep.
-//! 8. **Reactor shutdown** — shutdown signalled (twice, concurrently)
+//! 7. **Reactor shutdown** — shutdown signalled (twice, concurrently)
 //!    while the reactor is mid-sweep, about to park, or parked: the
 //!    signal-then-wake pair must terminate the loop on every schedule.
 //!
@@ -46,7 +44,7 @@ use dagrider_net::sync::atomic::Ordering;
 use dagrider_net::sync::model::{explore, Config, Report, Search};
 use dagrider_net::sync::{mpsc, thread, Arc, Mutex, PoisonError};
 use dagrider_net::wal::{wal_channel, wal_flush_loop, WalSink};
-use dagrider_net::{Backoff, Frame, FramePool, Pop, SendQueue, Shutdown, Waker};
+use dagrider_net::{Frame, FramePool, Pop, SendQueue, Shutdown, Waker};
 use dagrider_store::StoreSnapshot;
 use dagrider_types::{Batch, Committee, ProcessId};
 
@@ -81,12 +79,6 @@ pub fn surfaces() -> Vec<Surface> {
             description: "FramePool buffer recycling across threads: clone, drop, \
                           and re-encode must never alias live frames",
             body: frame_pool_recycling,
-        },
-        Surface {
-            name: "shutdown-backoff",
-            description: "writer dial-retry loop with interruptible backoff under \
-                          concurrent double-shutdown",
-            body: shutdown_during_backoff,
         },
         Surface {
             name: "batcher-shutdown",
@@ -170,13 +162,14 @@ fn send_queue_accounting() {
     let qb = Arc::clone(&queue);
     let producer_b = thread::spawn(move || u64::from(qb.push(frame(3))));
 
-    // Drain concurrently with the producers: a timeout here is the
-    // scheduler exploring the "consumer outran the producers" branch.
+    // Drain concurrently with the producers, as the reactor does: an
+    // empty queue here is the scheduler exploring the "consumer outran
+    // the producers" branch.
     let mut popped = 0u64;
     loop {
-        match queue.pop_timeout(Duration::from_millis(10)) {
+        match queue.try_pop() {
             Pop::Frame(_) => popped += 1,
-            Pop::TimedOut => break,
+            Pop::Empty => break,
             Pop::Closed => unreachable!("queue is never closed in this scenario"),
         }
     }
@@ -184,7 +177,7 @@ fn send_queue_accounting() {
     let accepted = producer_a.join().expect("producer a") + producer_b.join().expect("producer b");
     // Producers are done; drain what is left.
     let mut remaining = 0u64;
-    while let Pop::Frame(_) = queue.pop_timeout(Duration::from_millis(10)) {
+    while let Pop::Frame(_) = queue.try_pop() {
         remaining += 1;
     }
     assert!(queue.is_empty(), "queue must be empty after a full drain with no live producers");
@@ -228,50 +221,7 @@ fn frame_pool_recycling() {
     assert_eq!(delta.payload(), b"delta");
 }
 
-/// Surface 3: the writer-thread shape — dial fails, back off
-/// interruptibly, retry — against two threads signalling shutdown and
-/// closing the queue in an arbitrary order (the `NetNode::shutdown`
-/// double-call path). The writer must terminate on every schedule: a
-/// blind sleep or a lost shutdown wakeup deadlocks, an uninterruptible
-/// retry loop trips the step limit.
-fn shutdown_during_backoff() {
-    let stop = Arc::new(Shutdown::new());
-    let queue = Arc::new(SendQueue::new(2));
-    queue.push(frame(9));
-
-    let writer_stop = Arc::clone(&stop);
-    let writer_queue = Arc::clone(&queue);
-    let writer = thread::spawn(move || {
-        let mut backoff =
-            Backoff::new(Duration::from_millis(50), Duration::from_secs(2)).with_jitter(30, 7);
-        loop {
-            if writer_stop.is_signalled() {
-                return;
-            }
-            // Dial failure path: interruptible backoff.
-            if writer_stop.wait_timeout(backoff.next_delay()) {
-                return;
-            }
-            // Connected path: drain until closed.
-            match writer_queue.pop_timeout(Duration::from_millis(100)) {
-                Pop::Closed => return,
-                Pop::Frame(_) | Pop::TimedOut => {}
-            }
-        }
-    });
-
-    // Double shutdown: a second signaller races the first, and the queue
-    // close races both.
-    let racing_stop = Arc::clone(&stop);
-    let second = thread::spawn(move || racing_stop.signal());
-    stop.signal();
-    queue.close();
-    second.join().expect("second signaller");
-    writer.join().expect("writer must terminate under every schedule");
-    assert!(stop.is_signalled());
-}
-
-/// Surface 4: the worker batcher shape — a `recv_timeout` assemble loop
+/// Surface 3: the worker batcher shape — a `recv_timeout` assemble loop
 /// that seals on size, on interval expiry, and on disconnect — against
 /// the shutdown path dropping the client sender. Every accepted
 /// transaction must reach the send queue in exactly one sealed batch;
@@ -317,7 +267,7 @@ fn batcher_shutdown() {
     drop(client); // NetNode::shutdown drops the worker senders...
     batcher.join().expect("batcher must observe the disconnect");
     let mut delivered = 0u64;
-    while let Pop::Frame(frame) = queue.pop_timeout(Duration::from_millis(10)) {
+    while let Pop::Frame(frame) = queue.try_pop() {
         delivered += frame.payload().len() as u64;
     }
     assert_eq!(delivered, 3, "a transaction was lost or duplicated in shutdown");
@@ -381,7 +331,7 @@ fn empty_snapshot() -> StoreSnapshot {
     StoreSnapshot::from_parts(DagSnapshot::capture(&Dag::new(committee)), Vec::new(), Vec::new())
 }
 
-/// Surface 5: the durability flusher in miniature — a consensus-shaped
+/// Surface 4: the durability flusher in miniature — a consensus-shaped
 /// producer persisting groups of events while the flusher drains
 /// whatever has accumulated into single commit groups, then shutdown by
 /// handle drop. Invariants: every event lands exactly once and in
@@ -417,7 +367,7 @@ fn wal_writer() {
     );
 }
 
-/// Surface 6: compaction on the durability channel — append, snapshot,
+/// Surface 5: compaction on the durability channel — append, snapshot,
 /// append, in the single-producer order the consensus loop guarantees
 /// (drain-then-capture). Invariant: however the flusher groups the
 /// jobs, the snapshot supersedes exactly the events queued before it,
@@ -449,7 +399,7 @@ fn wal_compaction() {
     );
 }
 
-/// Surface 7: the reactor's park/unpark protocol — producers push work
+/// Surface 6: the reactor's park/unpark protocol — producers push work
 /// and ring the [`Waker`]; the reactor drains with non-blocking
 /// `try_pop` and parks between sweeps. The real loop parks with a
 /// timeout as a belt-and-braces fallback; the surface strips the
@@ -487,7 +437,7 @@ fn reactor_wakeup() {
     assert_eq!(drained, 2, "the reactor must observe every pushed frame");
 }
 
-/// Surface 8: shutdown during poll — `NetNode::shutdown` signals the
+/// Surface 7: shutdown during poll — `NetNode::shutdown` signals the
 /// latch and then rings the waker, and a racing second shutdown does
 /// the same (the double-call path). Whether the reactor is mid-sweep,
 /// between the signal check and the park, or already parked, it must

@@ -45,16 +45,6 @@ fn frame_pool_recycling_survives_bounded_exhaustive_search() {
 }
 
 #[test]
-fn shutdown_during_backoff_survives_bounded_exhaustive_search() {
-    let report = check_surface(
-        &surface("shutdown-backoff").expect("registered"),
-        &budget(),
-        Search::Exhaustive,
-    );
-    assert!(report.passed(), "shutdown-backoff failed: {:?}", report.failure);
-}
-
-#[test]
 fn reactor_wakeup_survives_bounded_exhaustive_search() {
     let report = check_surface(
         &surface("reactor-wakeup").expect("registered"),

@@ -60,10 +60,6 @@ pub struct DagCore {
     /// to also carry batch-digest lists in worker-dissemination mode).
     blocks_to_propose: VecDeque<QueuedPayload>,
     next_seq: SeqNum,
-    /// When the queue is empty, propose an empty block instead of stalling
-    /// (the paper assumes an infinite supply of blocks; real systems send
-    /// empty/heartbeat blocks).
-    auto_empty_blocks: bool,
     /// Stop creating vertices after this round, so simulations quiesce.
     max_round: Option<Round>,
     /// Rounds whose `wave_ready` already fired (monotone cursor).
@@ -78,15 +74,11 @@ pub struct DagCore {
 }
 
 impl DagCore {
-    /// Creates the construction state. If `auto_empty_blocks` is false the
-    /// process stalls when out of client blocks (Algorithm 2 line 17's
-    /// `wait`), which is exactly what the validity experiments need.
-    pub fn new(
-        committee: Committee,
-        me: ProcessId,
-        auto_empty_blocks: bool,
-        max_round: Option<Round>,
-    ) -> Self {
+    /// Creates the construction state. A process with no client block
+    /// queued proposes an empty block instead of waiting (Algorithm 2
+    /// line 17's `wait`): the paper assumes an infinite supply of blocks,
+    /// and real systems send empty heartbeat blocks.
+    pub fn new(committee: Committee, me: ProcessId, max_round: Option<Round>) -> Self {
         Self {
             committee,
             me,
@@ -95,7 +87,6 @@ impl DagCore {
             round: Round::GENESIS,
             blocks_to_propose: VecDeque::new(),
             next_seq: SeqNum::new(1),
-            auto_empty_blocks,
             max_round,
             last_wave_signalled: 0,
             disable_weak_edges: false,
@@ -183,9 +174,11 @@ impl DagCore {
         self.try_advance(events)
     }
 
-    /// Re-runs the advance loop. Call after [`DagCore::enqueue_block`] if
-    /// the process had stalled on an empty block queue (Algorithm 2
-    /// line 17's `wait` unblocking).
+    /// Re-runs the advance loop after a block or digest list was
+    /// enqueued. Before [`DagCore::start`], this moves a fresh process off
+    /// genesis with the enqueued payload, as `start` would. Past genesis
+    /// a round waits only on other processes' vertices, never on the
+    /// local queue, so the call changes nothing.
     pub fn retry_propose(&mut self, events: &mut Vec<EngineEvent>) -> Vec<DagEvent> {
         self.try_advance(events)
     }
@@ -288,22 +281,11 @@ impl DagCore {
                     return out; // quiescence for finite experiments
                 }
                 self.round = self.round.next();
-                match self.create_new_vertex(self.round) {
-                    Some(vertex) => {
-                        events.push(TraceEvent::RoundAdvanced { round: self.round }.into());
-                        events
-                            .push(TraceEvent::VertexCreated { vertex: vertex.reference() }.into());
-                        out.push(DagEvent::Broadcast(vertex));
-                        progressed = true;
-                    }
-                    None => {
-                        // Out of blocks and auto-fill disabled: the paper's
-                        // `wait until ¬blocksToPropose.empty()`. Rewind the
-                        // round so we retry when a block arrives.
-                        self.round = self.round.prev().expect("advanced past genesis");
-                        return out;
-                    }
-                }
+                let vertex = self.create_new_vertex(self.round);
+                events.push(TraceEvent::RoundAdvanced { round: self.round }.into());
+                events.push(TraceEvent::VertexCreated { vertex: vertex.reference() }.into());
+                out.push(DagEvent::Broadcast(vertex));
+                progressed = true;
             }
 
             if !progressed {
@@ -313,14 +295,13 @@ impl DagCore {
     }
 
     /// `create_new_vertex(round)` (lines 16–21 and 27–31).
-    fn create_new_vertex(&mut self, round: Round) -> Option<Vertex> {
+    fn create_new_vertex(&mut self, round: Round) -> Vertex {
         let payload: Payload = match self.blocks_to_propose.pop_front() {
             Some(QueuedPayload::Block(block)) => Payload::Block(block),
             Some(QueuedPayload::Digests(digests)) => {
                 Payload::Digests { proposer: self.me, seq: self.next_seq, digests }
             }
-            None if self.auto_empty_blocks => Payload::Block(Block::empty(self.me, self.next_seq)),
-            None => return None,
+            None => Payload::Block(Block::empty(self.me, self.next_seq)),
         };
         self.next_seq = self.next_seq.next();
         let prev = round.prev().expect("proposals are never in round 0");
@@ -342,12 +323,11 @@ impl DagCore {
         } else {
             self.dag.orphans_below(&strong, orphan_cutoff)
         };
-        let vertex = VertexBuilder::new(self.me, round, payload)
+        VertexBuilder::new(self.me, round, payload)
             .strong_edges(strong)
             .weak_edges(weak)
             .build_with_min_strong(&self.committee, self.min_strong_edges())
-            .expect("a correct process builds valid vertices");
-        Some(vertex)
+            .expect("a correct process builds valid vertices")
     }
 }
 
@@ -362,7 +342,7 @@ mod tests {
     }
 
     fn core(me: u32) -> DagCore {
-        DagCore::new(committee(), ProcessId::new(me), true, None)
+        DagCore::new(committee(), ProcessId::new(me), None)
     }
 
     fn delivery_of(vertex: &Vertex) -> RbcDelivery {
@@ -531,7 +511,7 @@ mod tests {
 
     #[test]
     fn blocks_are_consumed_in_fifo_order() {
-        let mut c = DagCore::new(committee(), ProcessId::new(0), true, None);
+        let mut c = DagCore::new(committee(), ProcessId::new(0), None);
         let block1 =
             Block::new(ProcessId::new(0), SeqNum::new(1), vec![Transaction::synthetic(1, 8)]);
         let block2 =
@@ -545,21 +525,9 @@ mod tests {
     }
 
     #[test]
-    fn without_auto_blocks_the_process_stalls_and_resumes() {
-        let mut c = DagCore::new(committee(), ProcessId::new(0), false, None);
-        let events = c.start(&mut Vec::new());
-        assert!(broadcast_vertex(&events).is_none(), "no blocks: line 17 waits");
-        assert_eq!(c.round(), Round::GENESIS);
-        c.enqueue_block(Block::empty(ProcessId::new(0), SeqNum::new(1)));
-        let events = c.retry_propose(&mut Vec::new());
-        assert!(broadcast_vertex(&events).is_some());
-        assert_eq!(c.round(), Round::new(1));
-    }
-
-    #[test]
     fn max_round_quiesces() {
         let mut cores: Vec<DagCore> = (0..4)
-            .map(|i| DagCore::new(committee(), ProcessId::new(i), true, Some(Round::new(2))))
+            .map(|i| DagCore::new(committee(), ProcessId::new(i), Some(Round::new(2))))
             .collect();
         let mut queue: VecDeque<Vertex> = VecDeque::new();
         for c in cores.iter_mut() {

@@ -148,16 +148,11 @@ impl<M: Decode> Decode for NodeMessage<M> {
 }
 
 /// Configuration for a [`DagRiderEngine`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct NodeConfig {
-    /// Propose empty blocks when the client queue runs dry (default true;
-    /// the paper assumes an infinite block supply).
-    pub auto_empty_blocks: bool,
     /// Stop creating vertices after this round so finite runs quiesce
     /// (default: none — run forever).
     pub max_round: Option<Round>,
-    /// Seed for the broadcast layer's local randomness.
-    pub rbc_seed: u64,
     /// **Ablation only**: build vertices without weak edges, knowingly
     /// breaking Validity (measured in `bench/bin/ablation_weak_edges`).
     pub disable_weak_edges: bool,
@@ -177,30 +172,10 @@ pub struct NodeConfig {
     pub sparse_edges: Option<SparseEdgeConfig>,
 }
 
-impl Default for NodeConfig {
-    fn default() -> Self {
-        Self {
-            auto_empty_blocks: true,
-            max_round: None,
-            rbc_seed: 0,
-            disable_weak_edges: false,
-            piggyback_coin: false,
-            gc_depth: None,
-            sparse_edges: None,
-        }
-    }
-}
-
 impl NodeConfig {
     /// Caps vertex creation at `round`.
     pub fn with_max_round(mut self, round: u64) -> Self {
         self.max_round = Some(Round::new(round));
-        self
-    }
-
-    /// Sets whether empty blocks are auto-proposed when starved.
-    pub fn with_auto_empty_blocks(mut self, auto: bool) -> Self {
-        self.auto_empty_blocks = auto;
         self
     }
 
@@ -402,7 +377,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         coin_keys: CoinKeys,
         config: NodeConfig,
     ) -> Self {
-        let mut core = DagCore::new(committee, me, config.auto_empty_blocks, config.max_round);
+        let mut core = DagCore::new(committee, me, config.max_round);
         core.set_disable_weak_edges(config.disable_weak_edges);
         core.set_sparse_edges(config.sparse_edges);
         let mut ordering = Ordering::new(core.dag());
@@ -412,7 +387,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         Self {
             committee,
             me,
-            rbc: B::new(committee, me, config.rbc_seed),
+            rbc: B::new(committee, me),
             core,
             ordering,
             coin: Coin::new(coin_keys),
@@ -446,8 +421,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// protocol — the compatibility path for harnesses that inject client
     /// payload outside a driver turn (the block rides the next vertex).
     /// Prefer feeding [`EngineInput::SubmitBlock`] through
-    /// [`DagRiderEngine::handle`], which also unblocks a proposal stalled
-    /// on an empty queue.
+    /// [`DagRiderEngine::handle`], which also moves an engine that has not
+    /// started off genesis.
     pub fn enqueue_block(&mut self, block: Block) {
         self.core.enqueue_block(block);
     }
@@ -669,8 +644,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             }
             EngineInput::SubmitBlock(block) => {
                 self.core.enqueue_block(block);
-                // Unblock a proposal stalled on an empty queue
-                // (Algorithm 2 line 17's `wait` resuming).
+                // Before `start`, this moves a fresh engine off genesis.
                 let dag_events = self.core.retry_propose(&mut turn.events);
                 self.advance(dag_events, &mut turn, now, rng);
             }

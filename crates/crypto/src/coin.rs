@@ -195,25 +195,7 @@ impl CoinPublicKeys {
 
     /// Verifies a share's DLEQ proof against the issuer's verification key.
     pub fn verify(&self, share: &CoinShare) -> Result<(), CoinError> {
-        self.verify_with_base(share, instance_base(share.instance))
-    }
-
-    /// Verifies a batch of shares, computing each distinct instance's base
-    /// `H̃(w)` once — the shares of one wave all target the same instance,
-    /// so the hash-to-group cost is amortized across the batch.
-    pub fn verify_batch(&self, shares: &[CoinShare]) -> Vec<Result<(), CoinError>> {
-        let mut bases: BTreeMap<u64, GroupElement> = BTreeMap::new();
-        shares
-            .iter()
-            .map(|share| {
-                let base =
-                    *bases.entry(share.instance).or_insert_with(|| instance_base(share.instance));
-                self.verify_with_base(share, base)
-            })
-            .collect()
-    }
-
-    fn verify_with_base(&self, share: &CoinShare, base: GroupElement) -> Result<(), CoinError> {
+        let base = instance_base(share.instance);
         let vk =
             self.verification_key(share.issuer).ok_or(CoinError::UnknownIssuer(share.issuer))?;
         // Recompute the commitments from the response: a = g^z · vk^{-c},
@@ -385,8 +367,8 @@ impl CoinAggregator {
     }
 
     /// Adds a share whose DLEQ proof the caller has *already* verified
-    /// (e.g. on a verification worker thread via
-    /// [`CoinPublicKeys::verify_batch`]), skipping the proof check here.
+    /// (its own fresh share, or one replayed from a durable log that only
+    /// records checked shares), skipping the proof check here.
     /// Instance and membership checks still apply, so a mis-routed share
     /// cannot corrupt the aggregator.
     ///
@@ -615,6 +597,12 @@ mod tests {
         let honest = keys[1].share(7, &mut rng);
         let forged = CoinShare { issuer: ProcessId::new(2), ..honest };
         assert_eq!(agg.add_share(forged), Err(CoinError::InvalidShare(ProcessId::new(2))));
+        // The same value under a name outside the committee.
+        let stranger = CoinShare { issuer: ProcessId::new(99), ..honest };
+        assert_eq!(
+            keys[0].public().verify(&stranger),
+            Err(CoinError::UnknownIssuer(ProcessId::new(99)))
+        );
         assert_eq!(agg.share_count(), 0);
     }
 
@@ -673,32 +661,6 @@ mod tests {
         assert_eq!(decoded, share);
         // And the decoded share still verifies.
         keys[0].public().verify(&decoded).unwrap();
-    }
-
-    #[test]
-    fn verify_batch_matches_single_share_verification() {
-        let (_, keys, mut rng) = setup(7, 41);
-        // A mixed batch spanning instances: valid shares, a forged issuer,
-        // a tampered value, and an unknown issuer.
-        let mut shares: Vec<CoinShare> = Vec::new();
-        for k in &keys[..4] {
-            shares.push(k.share(10, &mut rng));
-            shares.push(k.share(11, &mut rng));
-        }
-        let honest = keys[4].share(10, &mut rng);
-        shares.push(CoinShare { issuer: ProcessId::new(5), ..honest });
-        let mut tampered = keys[5].share(11, &mut rng);
-        tampered.value = tampered.value.mul(GroupElement::generator());
-        shares.push(tampered);
-        shares.push(CoinShare { issuer: ProcessId::new(99), ..keys[6].share(10, &mut rng) });
-
-        let public = keys[0].public();
-        let batch = public.verify_batch(&shares);
-        assert_eq!(batch.len(), shares.len());
-        for (share, batch_result) in shares.iter().zip(&batch) {
-            assert_eq!(*batch_result, public.verify(share));
-        }
-        assert_eq!(batch.iter().filter(|r| r.is_err()).count(), 3);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!
 //! * [`AdmissionStats`] — cumulative counters the reactor bumps and
 //!   [`NetNode::admission_stats`](crate::NetNode::admission_stats) reads.
-//! * [`frontend_loop`] — the subscriber matcher thread: it receives
-//!   `(client, seq, tx-hash)` triples from the reactor as submissions
-//!   drain toward the worker lanes, tails the published ordered log,
-//!   and routes a [`WireMsg::ClientOrdered`] back through the reactor
-//!   when a subscribed client's transaction lands in the total order.
+//! * [`Matcher`] (crate-private) — the ordered-notification matcher the
+//!   reactor keeps beside its client sessions: an entry per subscribed
+//!   submission drained toward the worker lanes, taken when a
+//!   transaction with its bytes lands in the total order, so the reactor
+//!   can queue a [`WireMsg::ClientOrdered`] on that client's socket.
 //!
 //! Matching is by transaction content hash, which makes ordered
 //! notifications *best effort* under adversarial duplicates: two
@@ -27,25 +27,13 @@
 //! [`WireMsg::ClientReject`]: crate::wire::WireMsg::ClientReject
 //! [`WireMsg::ClientOrdered`]: crate::wire::WireMsg::ClientOrdered
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::time::Duration;
+use std::collections::{HashMap, VecDeque};
 
-use crate::reactor::ReactorCmd;
-use crate::runtime::{lock_unpoisoned, Published};
-use crate::signal::{Shutdown, Waker};
 use crate::sync::atomic::{AtomicU64, Ordering as AtomicOrdering};
-use crate::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use crate::wire::WireMsg;
 
 /// Entries the matcher retains before it starts refusing new ones —
 /// bounds memory when subscribers outrun ordering.
 const MAX_WAITING: usize = 1 << 20;
-
-/// Dead-client tombstones tolerated before the waiting map is swept.
-const DEAD_SWEEP: usize = 1024;
-
-/// How often the matcher polls the ordered log when idle.
-const FRONTEND_TICK: Duration = Duration::from_millis(5);
 
 /// Cumulative per-node client admission counters, written by the reactor
 /// and read through [`NetNode::admission_stats`](crate::NetNode::admission_stats).
@@ -103,7 +91,7 @@ impl AdmissionStats {
 /// FNV-1a over transaction bytes: the content key admission and the
 /// matcher agree on. Not cryptographic — a collision only misroutes a
 /// best-effort notification between two byte-identical submissions.
-pub(crate) fn tx_hash(bytes: &[u8]) -> u64 {
+fn tx_hash(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &byte in bytes {
         hash ^= u64::from(byte);
@@ -112,112 +100,61 @@ pub(crate) fn tx_hash(bytes: &[u8]) -> u64 {
     hash
 }
 
-/// Reactor → frontend traffic.
-pub(crate) enum FrontendMsg {
-    /// A subscribed client's submission was drained toward consensus;
-    /// notify `client` with `seq` once a transaction hashing to `hash`
-    /// is ordered.
-    Admitted {
-        /// The reactor-assigned client connection id.
-        client: u64,
-        /// The client's correlation number for this submission.
-        seq: u64,
-        /// Content hash of the submitted transaction.
-        hash: u64,
-    },
-    /// The client connection closed; its waiting entries are garbage.
-    ClientGone {
-        /// The departed client's connection id.
-        client: u64,
-    },
+/// Subscribed submissions waiting for their transaction to be ordered:
+/// the ordered-notification matcher. The reactor owns it next to the
+/// client sessions, records an entry before it hands the transaction to
+/// a worker lane, and takes entries as the ordered log grows, so an
+/// entry always exists before its transaction can appear in the log.
+///
+/// Entries are keyed by [`tx_hash`] and queue in admission order, so
+/// byte-identical transactions are notified oldest first. Client ids are
+/// never reused, so a departed client's entry needs no tombstone: it is
+/// dropped when a transaction with its bytes is ordered, and the next
+/// waiter with the same bytes takes the notification.
+#[derive(Debug, Default)]
+pub(crate) struct Matcher {
+    by_hash: HashMap<u64, VecDeque<(u64, u64)>>,
+    len: usize,
 }
 
-/// The subscriber matcher thread: consumes [`FrontendMsg`]s, tails the
-/// ordered log, and hands `ClientOrdered` notifications back to the
-/// reactor (which owns the client sockets).
-///
-/// Each pass takes the new log tail *first* and only then drains every
-/// queued message. The reactor sends a transaction's `Admitted` before
-/// it hands the transaction to a worker lane, so every transaction in
-/// the tail already has its entry among the drained messages; matching
-/// one message per pass instead would scan past a transaction whose
-/// entry still waited in the channel, and never notify it.
-pub(crate) fn frontend_loop(
-    rx: &Receiver<FrontendMsg>,
-    published: &Published,
-    reactor: &Sender<ReactorCmd>,
-    waker: &Waker,
-    stop: &Shutdown,
-) {
-    let mut waiting: HashMap<u64, VecDeque<(u64, u64)>> = HashMap::new();
-    let mut total_waiting = 0usize;
-    let mut dead: HashSet<u64> = HashSet::new();
-    let mut cursor = 0usize;
-    loop {
-        if stop.is_signalled() {
-            return;
+impl Matcher {
+    /// Records that `client` waits for its submission `seq` of `tx` to be
+    /// ordered. Records nothing once [`MAX_WAITING`] entries wait: that
+    /// client then gets no notification for `seq`.
+    pub(crate) fn admit(&mut self, client: u64, seq: u64, tx: &[u8]) {
+        if self.len < MAX_WAITING {
+            self.by_hash.entry(tx_hash(tx)).or_default().push_back((client, seq));
+            self.len += 1;
         }
-        let first = match rx.recv_timeout(FRONTEND_TICK) {
-            Ok(msg) => Some(msg),
-            Err(RecvTimeoutError::Timeout) => None,
-            Err(RecvTimeoutError::Disconnected) => return,
-        };
+    }
 
-        let fresh = {
-            let log = lock_unpoisoned(&published.ordered);
-            let fresh: Vec<_> = log
-                .get(cursor..)
-                .map(|tail| {
-                    tail.iter().flat_map(|v| v.block.transactions().iter().cloned()).collect()
-                })
-                .unwrap_or_default();
-            cursor = log.len();
-            fresh
-        };
-        for msg in first.into_iter().chain(std::iter::from_fn(|| rx.try_recv().ok())) {
-            match msg {
-                FrontendMsg::Admitted { client, seq, hash } => {
-                    if total_waiting < MAX_WAITING && !dead.contains(&client) {
-                        waiting.entry(hash).or_default().push_back((client, seq));
-                        total_waiting += 1;
-                    }
-                }
-                FrontendMsg::ClientGone { client } => {
-                    dead.insert(client);
-                    if dead.len() >= DEAD_SWEEP {
-                        for entries in waiting.values_mut() {
-                            entries.retain(|(c, _)| !dead.contains(c));
-                        }
-                        waiting.retain(|_, entries| !entries.is_empty());
-                        total_waiting = waiting.values().map(VecDeque::len).sum();
-                        dead.clear();
-                    }
-                }
+    /// Whether no entry waits.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Takes the `(client, seq)` to notify now that `tx` is ordered: the
+    /// oldest entry for its bytes whose client is still `connected`.
+    /// Entries of departed clients ahead of it are dropped.
+    pub(crate) fn take(
+        &mut self,
+        tx: &[u8],
+        connected: impl Fn(u64) -> bool,
+    ) -> Option<(u64, u64)> {
+        let hash = tx_hash(tx);
+        let entries = self.by_hash.get_mut(&hash)?;
+        let mut found = None;
+        while let Some((client, seq)) = entries.pop_front() {
+            self.len -= 1;
+            if connected(client) {
+                found = Some((client, seq));
+                break;
             }
         }
-        let mut notified = false;
-        for tx in &fresh {
-            let hash = tx_hash(tx.as_ref());
-            let Some(entries) = waiting.get_mut(&hash) else { continue };
-            while let Some((client, seq)) = entries.pop_front() {
-                total_waiting -= 1;
-                if dead.contains(&client) {
-                    continue; // tombstoned: fall through to the next waiter
-                }
-                let msg = WireMsg::ClientOrdered { seq };
-                if reactor.send(ReactorCmd::ClientSend { client, msg }).is_err() {
-                    return; // reactor gone: the node is stopping
-                }
-                notified = true;
-                break; // one notification per ordered transaction
-            }
-            if entries.is_empty() {
-                waiting.remove(&hash);
-            }
+        if entries.is_empty() {
+            self.by_hash.remove(&hash);
         }
-        if notified {
-            waker.wake();
-        }
+        found
     }
 }
 
@@ -251,38 +188,51 @@ mod tests {
     }
 
     #[test]
-    fn admissions_queued_behind_an_ordered_tail_are_all_notified() {
-        use dagrider_core::OrderedVertex;
-        use dagrider_types::{Block, ProcessId, Round, SeqNum, Time, Transaction, VertexRef, Wave};
+    fn identical_bytes_are_notified_in_admission_order() {
+        let mut matcher = Matcher::default();
+        matcher.admit(7, 0, b"same");
+        matcher.admit(8, 5, b"other");
+        matcher.admit(9, 1, b"same");
+        matcher.admit(7, 2, b"same");
+        let connected = |_| true;
+        assert_eq!(matcher.take(b"same", connected), Some((7, 0)));
+        assert_eq!(matcher.take(b"same", connected), Some((9, 1)));
+        assert_eq!(matcher.take(b"same", connected), Some((7, 2)));
+        assert_eq!(matcher.take(b"same", connected), None, "one notification per entry");
+        assert_eq!(matcher.take(b"unseen", connected), None);
+        assert!(!matcher.is_empty());
+        assert_eq!(matcher.take(b"other", connected), Some((8, 5)));
+        assert!(matcher.is_empty());
+    }
 
-        use crate::sync::mpsc;
+    #[test]
+    fn a_departed_clients_entry_falls_through_to_the_next_waiter() {
+        let mut matcher = Matcher::default();
+        matcher.admit(1, 10, b"tx");
+        matcher.admit(2, 20, b"tx");
+        matcher.admit(3, 30, b"tx");
+        // Clients 1 and 2 left: both entries go as the bytes are ordered.
+        assert_eq!(matcher.take(b"tx", |client| client == 3), Some((3, 30)));
+        assert!(matcher.is_empty());
+        // With no connected waiter, the departed entries are still dropped.
+        matcher.admit(4, 40, b"tx");
+        assert_eq!(matcher.take(b"tx", |_| false), None);
+        assert!(matcher.is_empty());
+    }
 
-        // Both transactions are already in the published log while both
-        // `Admitted` entries still wait in the channel.
-        let txs = vec![Transaction::synthetic(1, 16), Transaction::synthetic(2, 16)];
-        let published = Published::default();
-        lock_unpoisoned(&published.ordered).push(OrderedVertex {
-            vertex: VertexRef::new(Round::new(1), ProcessId::new(0)),
-            block: Block::new(ProcessId::new(0), SeqNum::new(1), txs.clone()),
-            committed_in_wave: Wave::new(1),
-            delivered_at: Time::ZERO,
-        });
-        let (admitted, rx) = mpsc::channel();
-        for (seq, tx) in (0u64..).zip(&txs) {
-            let hash = tx_hash(tx.as_ref());
-            assert!(admitted.send(FrontendMsg::Admitted { client: 7, seq, hash }).is_ok());
+    #[test]
+    fn an_entry_past_max_waiting_is_refused() {
+        let mut matcher = Matcher::default();
+        for seq in 0..MAX_WAITING as u64 {
+            matcher.admit(1, seq, b"tx");
         }
-        // The loop returns once the channel is drained and disconnected.
-        drop(admitted);
-        let (reactor, commands) = mpsc::channel();
-        frontend_loop(&rx, &published, &reactor, &Waker::new(), &Shutdown::new());
-
-        let mut notified = Vec::new();
-        while let Ok(ReactorCmd::ClientSend { client, msg }) = commands.try_recv() {
-            assert_eq!(client, 7);
-            assert_eq!(msg, WireMsg::ClientOrdered { seq: notified.len() as u64 });
-            notified.push(client);
-        }
-        assert_eq!(notified.len(), 2, "every ordered transaction is notified");
+        matcher.admit(2, 0, b"late");
+        assert_eq!(matcher.take(b"late", |_| true), None, "the cap refuses new entries");
+        // Taking one entry makes room for exactly one more.
+        assert_eq!(matcher.take(b"tx", |_| true), Some((1, 0)));
+        matcher.admit(2, 1, b"late");
+        matcher.admit(2, 2, b"late");
+        assert_eq!(matcher.take(b"late", |_| true), Some((2, 1)));
+        assert_eq!(matcher.take(b"late", |_| true), None);
     }
 }

@@ -13,16 +13,17 @@
 //!   client submit/subscribe protocol).
 //! * [`backoff`] — capped exponential reconnect delays.
 //! * [`queue`] — bounded per-peer outbound queues with drop-oldest
-//!   backpressure.
+//!   backpressure, drained by the reactor without blocking.
 //! * `worker` (crate-private) — worker lanes, the node's only way in
 //!   for transactions: batching, hashing, and peer-to-peer batch
 //!   dissemination off the consensus path. Consensus orders digests.
 //! * `reactor` (crate-private) — the readiness-based event loop: one
-//!   thread owns every peer, worker, and client socket, so the node's
-//!   thread count is O(1) + O(workers) regardless of cluster or client
-//!   size.
+//!   thread owns every peer, worker, and client socket and tells
+//!   subscribed clients when their transactions are ordered, so the
+//!   node's thread count is O(1) + O(workers) regardless of cluster or
+//!   client size.
 //! * [`client`] — the client submission front end: admission counters
-//!   and the ordered-notification matcher behind the reactor.
+//!   and the ordered-notification matcher the reactor keeps.
 //! * [`runtime`] — [`NetNode`]: one DAG-Rider process as an
 //!   event-driven TCP runtime with graceful shutdown. Its consensus
 //!   thread checks peer input as the engine takes it, a burst of events
@@ -35,7 +36,7 @@
 //! * [`sync`] — the shimmed concurrency primitives every module above
 //!   must use (enforced by `cargo xtask lint`), plus [`sync::model`],
 //!   the deterministic interleaving explorer behind `dagrider-check`.
-//! * [`signal`] — [`Shutdown`], the interruptible shutdown latch, and
+//! * [`signal`] — [`Shutdown`], the one-shot shutdown latch, and
 //!   [`Waker`], the reactor's lost-wakeup-proof readiness bell.
 //!
 //! The `cluster` binary launches an `n = 4` cluster as real OS processes

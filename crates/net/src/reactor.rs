@@ -28,12 +28,17 @@
 //!   into the worker lanes, per-connection reply queues for acks and
 //!   ordered notifications. Client sockets are swept in rotating chunks
 //!   so ten thousand idle connections cannot starve peer traffic.
+//! * **ordered notifications** — a subscribed client's submission leaves
+//!   an entry in the reactor's [`Matcher`] as it drains toward a worker
+//!   lane; when the published ordered log grows, the reactor reads the
+//!   new tail from its cursor and queues a [`WireMsg::ClientOrdered`] on
+//!   the socket of each client whose transaction it finds.
 //!
 //! The reactor never blocks on I/O: when a full sweep makes no
-//! progress, it parks on a [`Waker`] — the same flag-under-mutex shape
-//! as [`Shutdown`], explored by `dagrider-check` — which every producer
-//! (consensus routing frames, batchers sealing, the dialer registering
-//! links, the client frontend) rings after publishing work. `cargo
+//! progress, it parks on a [`Waker`] — a flag-under-mutex latch
+//! explored by `dagrider-check` — which every producer (consensus
+//! routing frames and appending to the ordered log, batchers sealing,
+//! the dialer registering links) rings after publishing work. `cargo
 //! xtask lint` verifies no blocking call reaches the sweep functions.
 //!
 //! Dialing stays on its own thread ([`dialer_loop`]): `connect` is the
@@ -52,10 +57,10 @@ use dagrider_core::HashedBatch;
 use dagrider_types::{Committee, Decode, Encode, ProcessId, Transaction};
 
 use crate::backoff::Backoff;
-use crate::client::{tx_hash, AdmissionStats, FrontendMsg};
+use crate::client::{AdmissionStats, Matcher};
 use crate::frame::{write_frame, Fill, Frame, FramePool, FrameReader};
 use crate::queue::{Pop, SendQueue};
-use crate::runtime::{Event, Published};
+use crate::runtime::{lock_unpoisoned, Event, Published};
 use crate::signal::{Shutdown, Waker};
 use crate::sync::atomic::Ordering as AtomicOrdering;
 use crate::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
@@ -196,20 +201,6 @@ pub(crate) struct DialRequest {
     pub queue: Arc<SendQueue>,
 }
 
-/// Work handed to the reactor thread from outside.
-pub(crate) enum ReactorCmd {
-    /// The dialer connected and handshook a link; adopt its socket.
-    Register(Box<OutLink>),
-    /// The frontend wants `msg` pushed to client connection `client`
-    /// (dropped silently if the client is gone or unsubscribed).
-    ClientSend {
-        /// The reactor-assigned client connection id.
-        client: u64,
-        /// The notification to enqueue.
-        msg: WireMsg,
-    },
-}
-
 /// What an inbound connection turned out to be.
 enum ConnRole {
     /// First frame not yet seen.
@@ -251,11 +242,11 @@ enum Verdict {
 pub(crate) struct ReactorConfig {
     pub committee: Committee,
     pub listener: TcpListener,
-    pub cmds: Receiver<ReactorCmd>,
+    /// Links the dialer connected and handshook, for the reactor to adopt.
+    pub dialed: Receiver<OutLink>,
     pub waker: Arc<Waker>,
     pub consensus: Sender<Event>,
     pub worker_txs: Vec<Sender<Transaction>>,
-    pub frontend: Sender<FrontendMsg>,
     pub redial: Sender<DialRequest>,
     pub stats: Arc<AdmissionStats>,
     pub published: Arc<Published>,
@@ -277,6 +268,8 @@ pub(crate) fn reactor_main(config: ReactorConfig) {
         next_client: 1,
         next_worker: 0,
         reply_dirty: Vec::new(),
+        matcher: Matcher::default(),
+        ordered_cursor: 0,
         frames: FramePool::new(),
     };
     reactor.reactor_loop();
@@ -297,6 +290,10 @@ struct Reactor {
     next_worker: usize,
     /// Clients with queued replies to flush this sweep.
     reply_dirty: Vec<u64>,
+    /// Subscribed submissions waiting for their transaction to be ordered.
+    matcher: Matcher,
+    /// How much of the published ordered log `notify_ordered` has read.
+    ordered_cursor: usize,
     frames: FramePool,
 }
 
@@ -317,12 +314,13 @@ impl Reactor {
             if self.config.stop.is_signalled() {
                 return;
             }
-            let mut progress = self.handle_cmds();
+            let mut progress = self.adopt_links();
             progress |= self.accept_pending();
             progress |= self.flush_links();
             progress |= self.sweep_conns();
             progress |= self.sweep_clients();
             progress |= self.drain_admission();
+            progress |= self.notify_ordered();
             progress |= self.flush_replies();
             if !progress {
                 self.config.waker.wait_timeout(IDLE_WAIT);
@@ -330,23 +328,13 @@ impl Reactor {
         }
     }
 
-    /// Adopts dialed links and frontend notifications. Never blocks:
-    /// the command channel is drained with `try_recv`.
-    fn handle_cmds(&mut self) -> bool {
+    /// Adopts the links the dialer connected. Never blocks: the channel
+    /// is drained with `try_recv`.
+    fn adopt_links(&mut self) -> bool {
         let mut progress = false;
-        while let Ok(cmd) = self.config.cmds.try_recv() {
+        while let Ok(link) = self.config.dialed.try_recv() {
+            self.links.push(link);
             progress = true;
-            match cmd {
-                ReactorCmd::Register(link) => self.links.push(*link),
-                ReactorCmd::ClientSend { client, msg } => {
-                    if let Some(conn) = self.clients.get_mut(&client) {
-                        if conn.subscribed {
-                            Self::queue_reply(conn, &self.frames, &msg);
-                            self.reply_dirty.push(client);
-                        }
-                    }
-                }
-            }
         }
         progress
     }
@@ -414,7 +402,7 @@ impl Reactor {
             while unsent.frames.len() < MAX_IOV {
                 match queue.try_pop() {
                     Pop::Frame(frame) => unsent.frames.push_back(frame),
-                    Pop::TimedOut => break,
+                    Pop::Empty => break,
                     Pop::Closed => {
                         closed = true;
                         break;
@@ -693,12 +681,12 @@ impl Reactor {
         replies.push_back(frames.encode(msg));
     }
 
-    /// Removes a departed client and tells the frontend to forget its
-    /// waiting notifications.
+    /// Removes a departed client. Its entries in the matcher stay until
+    /// their transactions are ordered; ids are never reused, so no later
+    /// client can take them.
     fn drop_client(&mut self, id: u64) {
         if self.clients.remove(&id).is_some() {
             self.stale_ids += 1;
-            let _ = self.config.frontend.send(FrontendMsg::ClientGone { client: id });
         }
     }
 
@@ -727,9 +715,9 @@ impl Reactor {
             budget -= 1;
             drained = true;
             self.config.stats.record_coalesce();
+            // The entry exists before the transaction can be ordered.
             if client.subscribed {
-                let hash = tx_hash(tx.as_ref());
-                let _ = self.config.frontend.send(FrontendMsg::Admitted { client: id, seq, hash });
+                self.matcher.admit(id, seq, tx.as_ref());
             }
             let at = self.next_worker;
             self.next_worker = self.next_worker.wrapping_add(1);
@@ -737,6 +725,39 @@ impl Reactor {
             let _ = lane.send(tx);
         }
         drained
+    }
+
+    /// Matches the ordered log's new tail against the waiting entries and
+    /// queues a [`WireMsg::ClientOrdered`] for each match. The log's
+    /// mutex is taken only when the log grew and some entry waits; with
+    /// nothing waiting, the cursor just moves past the new tail.
+    fn notify_ordered(&mut self) -> bool {
+        let len = self.config.published.ordered_len.load(AtomicOrdering::Acquire) as usize;
+        if len <= self.ordered_cursor {
+            return false;
+        }
+        let start = std::mem::replace(&mut self.ordered_cursor, len);
+        if self.matcher.is_empty() {
+            return false;
+        }
+        let fresh: Vec<Transaction> = {
+            let log = lock_unpoisoned(&self.config.published.ordered);
+            log[start..len].iter().flat_map(|v| v.block.transactions().iter().cloned()).collect()
+        };
+        let mut notified = false;
+        for tx in &fresh {
+            let clients = &self.clients;
+            let Some((id, seq)) = self.matcher.take(tx.as_ref(), |id| clients.contains_key(&id))
+            else {
+                continue;
+            };
+            if let Some(client) = self.clients.get_mut(&id) {
+                Self::queue_reply(client, &self.frames, &WireMsg::ClientOrdered { seq });
+                self.reply_dirty.push(id);
+                notified = true;
+            }
+        }
+        notified
     }
 
     /// Flushes queued reply frames for every client marked dirty,
@@ -799,7 +820,7 @@ impl Reactor {
 pub(crate) fn dialer_loop(
     me: ProcessId,
     rx: &Receiver<DialRequest>,
-    reactor: &Sender<ReactorCmd>,
+    reactor: &Sender<OutLink>,
     waker: &Waker,
     consensus: &Sender<Event>,
     stop: &Shutdown,
@@ -841,7 +862,7 @@ pub(crate) fn dialer_loop(
                     if let LinkKind::Consensus { peer } = req.kind {
                         let _ = consensus.send(Event::LinkUp(peer));
                     }
-                    if reactor.send(ReactorCmd::Register(Box::new(link))).is_err() {
+                    if reactor.send(link).is_err() {
                         return; // reactor gone: the node is stopping
                     }
                     waker.wake();
@@ -1057,6 +1078,6 @@ mod tests {
         for frame in expected {
             assert_eq!(queue.try_pop(), Pop::Frame(frame));
         }
-        assert_eq!(queue.try_pop(), Pop::TimedOut);
+        assert_eq!(queue.try_pop(), Pop::Empty);
     }
 }

@@ -14,13 +14,12 @@
 //! * **reactor** — owns *every* socket: the listener, all inbound peer
 //!   and worker connections, all outbound links, and all client
 //!   sessions, swept in non-blocking readiness loops (see
-//!   [`crate::reactor`]). Client admission, load shedding, and
-//!   round-robin fairness live here, at the socket edge.
+//!   [`crate::reactor`]). Client admission, load shedding, round-robin
+//!   fairness, and matching ordered transactions back to subscribed
+//!   clients' submissions live here, at the socket edge.
 //! * **dialer** — the one place TCP `connect` happens; hands connected,
 //!   handshaken, non-blocking links to the reactor and redials dead
 //!   ones with capped jittered [`Backoff`].
-//! * **frontend** — matches ordered transactions back to subscribed
-//!   clients' submissions (see [`crate::client`]).
 //! * **batcher × workers** — per worker channel, assembling, sealing
 //!   and hashing transaction batches ([`crate::worker`]); the reactor
 //!   writes the fan-out. The lanes are the node's only way in for
@@ -55,7 +54,7 @@ use dagrider_rbc::ReliableBroadcast;
 use dagrider_store::{replay_into, DurableStore, FsyncPolicy, Recovered, StoreSnapshot};
 use dagrider_types::{BatchDigest, Committee, Encode, ProcessId, Round, Time, Transaction, Wave};
 
-use crate::client::{frontend_loop, AdmissionSnapshot, AdmissionStats};
+use crate::client::{AdmissionSnapshot, AdmissionStats};
 use crate::frame::FramePool;
 use crate::queue::SendQueue;
 use crate::reactor::{dialer_loop, reactor_main, DialRequest, LinkKind, ReactorConfig};
@@ -230,12 +229,17 @@ pub(crate) enum Event {
 }
 
 /// State the consensus thread publishes for cross-thread queries (the
-/// reactor's admission gate and the client frontend's ordered-log tail
-/// read it too).
+/// reactor's admission gate and its ordered-notification sweep read it
+/// too).
 #[derive(Debug, Default)]
 pub(crate) struct Published {
     /// The node's ordered log: every `Ordered` output of its engine.
     pub(crate) ordered: Mutex<Vec<OrderedVertex>>,
+    /// The ordered log's length, stored (`Release`) under its mutex after
+    /// each append; the reactor's `Acquire` load sees the log grow
+    /// without taking the mutex, and a length it reads never exceeds the
+    /// log it then locks.
+    pub(crate) ordered_len: AtomicU64,
     pub(crate) round: AtomicU64,
     pub(crate) decided_wave: AtomicU64,
     pub(crate) synced: AtomicBool,
@@ -341,11 +345,10 @@ impl NetNode {
         let queues: Vec<Arc<SendQueue>> =
             (0..committee.n()).map(|_| Arc::new(SendQueue::new(QUEUE_CAPACITY))).collect();
 
-        // The reactor's feeds: commands (registered links, client
-        // notifications), redial requests, and frontend match traffic.
-        let (cmd_tx, cmd_rx) = mpsc::channel();
+        // The reactor's feeds: links the dialer connected, and redial
+        // requests back to the dialer.
+        let (dialed_tx, dialed_rx) = mpsc::channel();
         let (redial_tx, redial_rx) = mpsc::channel::<DialRequest>();
-        let (frontend_tx, frontend_rx) = mpsc::channel();
 
         let mut threads = Vec::new();
 
@@ -394,12 +397,11 @@ impl NetNode {
             });
         }
         {
-            let dial_cmds = cmd_tx.clone();
             let dial_waker = Arc::clone(&waker);
             let dial_consensus = tx.clone();
             let dial_stop = Arc::clone(&stop);
             threads.push(thread::spawn(move || {
-                dialer_loop(me, &redial_rx, &dial_cmds, &dial_waker, &dial_consensus, &dial_stop);
+                dialer_loop(me, &redial_rx, &dialed_tx, &dial_waker, &dial_consensus, &dial_stop);
             }));
         }
 
@@ -408,28 +410,16 @@ impl NetNode {
             let reactor_config = ReactorConfig {
                 committee,
                 listener,
-                cmds: cmd_rx,
+                dialed: dialed_rx,
                 waker: Arc::clone(&waker),
                 consensus: tx.clone(),
                 worker_txs: worker_txs.clone(),
-                frontend: frontend_tx,
                 redial: redial_tx,
                 stats: Arc::clone(&admission),
                 published: Arc::clone(&published),
                 stop: Arc::clone(&stop),
             };
             threads.push(thread::spawn(move || reactor_main(reactor_config)));
-        }
-
-        // The client frontend: ordered-notification matching.
-        {
-            let fe_published = Arc::clone(&published);
-            let fe_cmds = cmd_tx;
-            let fe_waker = Arc::clone(&waker);
-            let fe_stop = Arc::clone(&stop);
-            threads.push(thread::spawn(move || {
-                frontend_loop(&frontend_rx, &fe_published, &fe_cmds, &fe_waker, &fe_stop);
-            }));
         }
 
         // The durable store and its flusher thread. Opened here (not in
@@ -608,8 +598,8 @@ impl NetNode {
 
     /// Stops every thread and joins them. Idempotent — signalling is a
     /// one-shot latch and every drain below tolerates repetition; the
-    /// double-shutdown and shutdown-during-backoff paths are model-checked
-    /// by `dagrider-check`. Also runs on drop.
+    /// double-shutdown path is model-checked by `dagrider-check`. Also
+    /// runs on drop.
     pub fn shutdown(&mut self) {
         self.stop.signal();
         // Unpark the reactor so it observes the signal immediately and
@@ -947,15 +937,18 @@ fn consensus_loop<B: ReliableBroadcast>(
 
         // Publish progress for cross-thread queries.
         if !routed.ordered.is_empty() {
-            lock_unpoisoned(&published.ordered).append(&mut routed.ordered);
+            let mut log = lock_unpoisoned(&published.ordered);
+            log.append(&mut routed.ordered);
+            published.ordered_len.store(log.len() as u64, AtomicOrdering::Release);
         }
         published.round.store(engine.current_round().number(), AtomicOrdering::Relaxed);
         published.decided_wave.store(engine.decided_wave().number(), AtomicOrdering::Relaxed);
         published.batches.store(engine.batches_stored() as u64, AtomicOrdering::Relaxed);
         published.batch_bytes.store(engine.batch_payload_bytes(), AtomicOrdering::Relaxed);
 
-        // Anything this iteration queued is on the wire after one
-        // reactor sweep — ring the bell rather than wait for its tick.
+        // Anything this iteration queued or ordered reaches the wire, and
+        // the subscribed clients, after one reactor sweep — ring the bell
+        // rather than wait for its tick.
         waker.wake();
     }
 }

@@ -1,88 +1,55 @@
-//! Interruptible shutdown signalling.
+//! Shutdown signalling and the reactor's readiness bell.
 //!
-//! [`Shutdown`] replaces flag-polling sleeps (the old pattern slept in
-//! 50 ms chunks and re-checked an `AtomicBool`, so shutdown latency was
-//! a coin flip and the model checker cannot meaningfully explore a
-//! wall-clock poll). Waiters park on a condvar; [`Shutdown::signal`]
-//! flips the flag *under the mutex* before notifying, so a waiter that
-//! has checked the flag but not yet parked cannot miss the wakeup — the
-//! classic lost-wakeup shape `dagrider-check` exists to catch.
+//! [`Shutdown`] is a one-shot, idempotent latch: any number of callers
+//! may signal it in any order, and every runtime thread polls it at the
+//! top of its loop. No thread waits on it — each one already wakes on
+//! its own channel, timer or [`Waker`], and `NetNode::shutdown` rings
+//! those after signalling — so it is a single atomic flag.
 //!
-//! Signalling is idempotent: any number of callers may signal in any
-//! order, concurrently with waiters; `crates/check` model-checks the
-//! double-shutdown path.
+//! [`Waker`] is where the reactor parks between sweeps. A wake is
+//! latched *under the mutex* before notifying, so a reactor that has
+//! checked for work but not yet parked cannot miss it — the classic
+//! lost-wakeup shape `dagrider-check` exists to catch. `crates/check`
+//! model-checks both, including a concurrent double shutdown.
 
 use std::time::{Duration, Instant};
 
 use crate::sync::atomic::{AtomicBool, Ordering};
 use crate::sync::{Condvar, Mutex, PoisonError};
 
-/// A one-shot, idempotent shutdown latch with interruptible waits.
+/// A one-shot, idempotent shutdown latch.
 #[derive(Debug, Default)]
 pub struct Shutdown {
-    /// Lock-free fast path for hot-loop checks.
     flag: AtomicBool,
-    /// The authoritative state, guarded so waiters cannot lose a wakeup.
-    state: Mutex<bool>,
-    signalled: Condvar,
 }
 
 impl Shutdown {
     /// Creates an unsignalled latch.
     pub const fn new() -> Self {
-        Self { flag: AtomicBool::new(false), state: Mutex::new(false), signalled: Condvar::new() }
+        Self { flag: AtomicBool::new(false) }
     }
 
     /// Signals shutdown. Safe to call any number of times from any
-    /// thread; every current and future waiter wakes immediately.
+    /// thread.
     pub fn signal(&self) {
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        *state = true;
         self.flag.store(true, Ordering::Release);
-        drop(state);
-        self.signalled.notify_all();
     }
 
-    /// Whether shutdown has been signalled (lock-free).
+    /// Whether shutdown has been signalled.
     pub fn is_signalled(&self) -> bool {
         self.flag.load(Ordering::Acquire)
     }
-
-    /// Waits up to `timeout` for the signal. Returns `true` if shutdown
-    /// was signalled (now or earlier), `false` on timeout — so callers
-    /// write `if shutdown.wait_timeout(delay) { return }` instead of an
-    /// uninterruptible sleep.
-    pub fn wait_timeout(&self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        let mut state = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if *state {
-                return true;
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            let (guard, result) = self
-                .signalled
-                .wait_timeout(state, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            state = guard;
-            if result.timed_out() && !*state {
-                return false;
-            }
-        }
-    }
 }
 
-/// The reactor's readiness bell: a level-latched wakeup with the same
-/// lost-wakeup-proof shape as [`Shutdown`].
+/// The reactor's readiness bell: a level-latched, lost-wakeup-proof
+/// wakeup.
 ///
-/// Producers (the consensus loop after pushing frames, batchers after
-/// sealing, the dialer after registering a link, the client frontend)
-/// call [`Waker::wake`]; the reactor parks in [`Waker::wait_timeout`]
-/// between sweeps. The pending flag is flipped *under the mutex* before
-/// notifying, so a wake that races the reactor's park is latched, never
+/// Producers (the consensus loop after pushing frames or appending to
+/// the ordered log, batchers after sealing, the dialer after registering
+/// a link, `NetNode::shutdown` after signalling) call [`Waker::wake`];
+/// the reactor parks in [`Waker::wait_timeout`] between sweeps. The
+/// pending flag is flipped *under the mutex* before notifying, so a
+/// wake that races the reactor's park is latched, never
 /// lost — a wake issued while the reactor is mid-sweep is consumed by
 /// the next park instead of vanishing. A waiter counts itself parked
 /// under the same mutex, and `wake` rings the condvar only when one is:
@@ -199,33 +166,11 @@ mod tests {
     }
 
     #[test]
-    fn signalled_latch_returns_immediately() {
+    fn signalling_is_idempotent() {
         let latch = Shutdown::new();
         assert!(!latch.is_signalled());
         latch.signal();
         latch.signal(); // idempotent
         assert!(latch.is_signalled());
-        let start = Instant::now();
-        assert!(latch.wait_timeout(Duration::from_secs(5)));
-        assert!(start.elapsed() < Duration::from_secs(1), "signalled wait must not block");
-    }
-
-    #[test]
-    fn unsignalled_latch_times_out() {
-        let latch = Shutdown::new();
-        assert!(!latch.wait_timeout(Duration::from_millis(10)));
-        assert!(!latch.is_signalled());
-    }
-
-    #[test]
-    fn cross_thread_signal_interrupts_a_long_wait() {
-        let latch = Arc::new(Shutdown::new());
-        let waiter = Arc::clone(&latch);
-        let start = Instant::now();
-        let handle = thread::spawn(move || waiter.wait_timeout(Duration::from_secs(30)));
-        thread::sleep(Duration::from_millis(20));
-        latch.signal();
-        assert!(handle.join().expect("waiter thread"), "wait must report the signal");
-        assert!(start.elapsed() < Duration::from_secs(5), "signal did not interrupt the wait");
     }
 }

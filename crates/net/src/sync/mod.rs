@@ -539,8 +539,7 @@ pub mod thread {
     }
 
     /// Sleeps for `duration` — or, under the model, yields once (model
-    /// time is abstract; use [`crate::Shutdown::wait_timeout`] for
-    /// interruptible waits).
+    /// time is abstract).
     pub fn sleep(duration: Duration) {
         if let Some((exec, tid)) = current() {
             exec.schedule_point(tid, "thread::sleep");

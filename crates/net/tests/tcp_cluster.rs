@@ -166,7 +166,7 @@ fn a_killed_node_rejoins_via_sync_and_matches() {
     assert_identical_logs(&refs);
 
     // The replacement reclaims the same address and must catch up purely
-    // through sync replies (its peers' writers reconnect via backoff).
+    // through sync replies (its peers' dialers reconnect via backoff).
     let listener = TcpListener::bind(reclaimed_addr).unwrap();
     let rejoined = cluster.start(3, Some(listener));
     let all: Vec<&NetNode> = survivors.iter().chain(std::iter::once(&rejoined)).collect();
@@ -357,8 +357,8 @@ fn thread_count_is_independent_of_client_connections() {
         nodes.push(cluster.start(i, Some(listener)));
     }
     // Progress implies the full mesh is dialed and every per-node
-    // thread (consensus, reactor, dialer, frontend, batchers) is up: the
-    // steady state to measure against.
+    // thread (consensus, reactor, dialer, batchers) is up: the steady
+    // state to measure against.
     let deadline = Instant::now() + Duration::from_secs(30);
     while nodes.iter().any(|n| n.current_round().number() < 1) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -408,6 +408,102 @@ fn client_submit(addr: std::net::SocketAddr, seq: u64, tx: Transaction) -> std::
 /// The node's reply to the one submission on `stream`.
 fn client_reply(stream: &mut std::net::TcpStream) -> WireMsg {
     WireMsg::from_bytes(&read_frame(stream).unwrap()).unwrap()
+}
+
+/// Reads frames from `stream` until it has an ack and an ordered
+/// notification for every seq in `1..=k`, or panics after `timeout`.
+/// Returns how often each seq was notified, indexed by seq.
+fn await_acks_and_notifications(
+    stream: &mut std::net::TcpStream,
+    k: u64,
+    timeout: Duration,
+) -> Vec<u32> {
+    let deadline = Instant::now() + timeout;
+    let mut acked = vec![0u32; k as usize + 1];
+    let mut notified = vec![0u32; k as usize + 1];
+    while acked[1..].contains(&0) || notified[1..].contains(&0) {
+        let left = deadline.saturating_duration_since(Instant::now());
+        assert!(!left.is_zero(), "acked {acked:?}, notified {notified:?} after {timeout:?}");
+        stream.set_read_timeout(Some(left)).unwrap();
+        match client_reply(stream) {
+            WireMsg::ClientSubmitAck { seq } if (1..=k).contains(&seq) => {
+                acked[seq as usize] += 1;
+            }
+            WireMsg::ClientOrdered { seq } if (1..=k).contains(&seq) => {
+                notified[seq as usize] += 1;
+            }
+            other => panic!("unexpected frame to a subscribed client: {other:?}"),
+        }
+    }
+    assert!(acked[1..].iter().all(|&n| n == 1), "each submission is acked once: {acked:?}");
+    notified
+}
+
+/// A subscribed client hears `ClientOrdered` exactly once for each of its
+/// transactions, over real sockets. A second client that submits the
+/// same bytes as one of them and leaves at once takes nothing from it.
+#[test]
+fn subscribed_clients_are_notified_once_per_ordered_transaction() {
+    let (mut cluster, listeners) = Cluster::prepare(4, 1_212, 0);
+    // No round cap: the cluster runs until every transaction is ordered,
+    // pruning as the TCP deployments do.
+    cluster.node_config = NodeConfig::default().with_gc_depth(64);
+    let nodes: Vec<NetNode> =
+        listeners.into_iter().enumerate().map(|(i, l)| cluster.start(i, Some(l))).collect();
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while nodes.iter().any(|n| !n.is_live()) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(nodes.iter().all(NetNode::is_live), "the cluster never went live");
+    let addr = nodes[0].local_addr();
+    let k = 8u64;
+    let shared_seq = 3u64;
+    let tx = |seq: u64| Transaction::synthetic(1_212_000 + seq, 40);
+
+    let mut first = std::net::TcpStream::connect(addr).unwrap();
+    write_frame(&mut first, &WireMsg::ClientHello.to_bytes()).unwrap();
+    write_frame(&mut first, &WireMsg::ClientSubscribe.to_bytes()).unwrap();
+
+    // The second client subscribes, submits the bytes the first client
+    // will send as `shared_seq`, and leaves once its submission is in:
+    // the ack is written after the reactor drained it toward a worker
+    // lane, so its copy is ordered too.
+    let mut second = std::net::TcpStream::connect(addr).unwrap();
+    second.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    write_frame(&mut second, &WireMsg::ClientHello.to_bytes()).unwrap();
+    write_frame(&mut second, &WireMsg::ClientSubscribe.to_bytes()).unwrap();
+    let submit = WireMsg::ClientSubmit { seq: 1, tx: tx(shared_seq) };
+    write_frame(&mut second, &submit.to_bytes()).unwrap();
+    assert_eq!(client_reply(&mut second), WireMsg::ClientSubmitAck { seq: 1 });
+    drop(second);
+
+    for seq in 1..=k {
+        write_frame(&mut first, &WireMsg::ClientSubmit { seq, tx: tx(seq) }.to_bytes()).unwrap();
+    }
+    let notified = await_acks_and_notifications(&mut first, k, Duration::from_secs(30));
+    assert!(notified[1..].iter().all(|&n| n == 1), "notifications per seq: {notified:?}");
+
+    // Once both copies of the shared bytes are ordered, a duplicate
+    // notification would already be on its way.
+    let shared = tx(shared_seq);
+    let copies = || {
+        nodes[0]
+            .ordered()
+            .iter()
+            .flat_map(|o| o.block.transactions())
+            .filter(|t| **t == shared)
+            .count()
+    };
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while copies() < 2 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(copies(), 2, "both copies of the shared bytes are ordered");
+    first.set_read_timeout(Some(Duration::from_millis(500))).unwrap();
+    if let Ok(frame) = read_frame(&mut first) {
+        panic!("a frame after every seq was notified: {:?}", WireMsg::from_bytes(&frame));
+    }
+    drop((first, nodes));
 }
 
 #[test]
@@ -489,8 +585,8 @@ fn a_worker_stream_may_push_only_its_own_peers_batches() {
 #[test]
 fn shutdown_is_prompt_and_idempotent() {
     let (cluster, mut listeners) = Cluster::prepare(4, 606, 8);
-    // Only start one node: its writers never connect (peers absent), so
-    // shutdown must interrupt dial backoff and blocked queue waits.
+    // Only start one node: its dialer never connects (peers absent), so
+    // shutdown must reach a dialer in backoff and a parked reactor.
     let listener = listeners.remove(0);
     let mut node = cluster.start(0, Some(listener));
     std::thread::sleep(Duration::from_millis(200));

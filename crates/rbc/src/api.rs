@@ -61,9 +61,9 @@ pub trait ReliableBroadcast {
     /// Which primitive this is, for the phases it reports.
     const PRIMITIVE: RbcPrimitive;
 
-    /// Creates the endpoint for process `me`. `seed` feeds any local
-    /// randomness (only the probabilistic instantiation uses it).
-    fn new(committee: Committee, me: ProcessId, seed: u64) -> Self;
+    /// Creates the endpoint for process `me`. An endpoint keeps no
+    /// randomness of its own; it draws from the `rng` each call takes.
+    fn new(committee: Committee, me: ProcessId) -> Self;
 
     /// The committee this endpoint serves.
     fn committee(&self) -> Committee;

@@ -330,7 +330,7 @@ impl ReliableBroadcast for AvidRbc {
     type Message = AvidMessage;
     const PRIMITIVE: RbcPrimitive = RbcPrimitive::Avid;
 
-    fn new(committee: Committee, me: ProcessId, _seed: u64) -> Self {
+    fn new(committee: Committee, me: ProcessId) -> Self {
         Self {
             committee,
             me,
@@ -403,7 +403,7 @@ mod tests {
 
     fn setup(n: usize) -> (Vec<AvidRbc>, StdRng) {
         let committee = Committee::new(n).unwrap();
-        let endpoints = committee.members().map(|p| AvidRbc::new(committee, p, 0)).collect();
+        let endpoints = committee.members().map(|p| AvidRbc::new(committee, p)).collect();
         (endpoints, StdRng::seed_from_u64(1))
     }
 

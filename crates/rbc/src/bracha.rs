@@ -248,7 +248,7 @@ impl ReliableBroadcast for BrachaRbc {
     type Message = BrachaMessage;
     const PRIMITIVE: RbcPrimitive = RbcPrimitive::Bracha;
 
-    fn new(committee: Committee, me: ProcessId, _seed: u64) -> Self {
+    fn new(committee: Committee, me: ProcessId) -> Self {
         Self { committee, me, instances: BTreeMap::new() }
     }
 
@@ -299,7 +299,7 @@ mod tests {
 
     fn setup(n: usize) -> (Vec<BrachaRbc>, StdRng) {
         let committee = Committee::new(n).unwrap();
-        let endpoints = committee.members().map(|p| BrachaRbc::new(committee, p, 0)).collect();
+        let endpoints = committee.members().map(|p| BrachaRbc::new(committee, p)).collect();
         (endpoints, StdRng::seed_from_u64(1))
     }
 

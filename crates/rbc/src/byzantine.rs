@@ -47,7 +47,7 @@ impl BrachaEquivocator {
         payload_b: Vec<u8>,
     ) -> Self {
         use crate::api::ReliableBroadcast;
-        Self { round, payload_a, payload_b, inner: crate::bracha::BrachaRbc::new(committee, me, 0) }
+        Self { round, payload_a, payload_b, inner: crate::bracha::BrachaRbc::new(committee, me) }
     }
 }
 
@@ -107,7 +107,7 @@ mod tests {
                             b"BBBB".to_vec(),
                         ))
                     } else {
-                        Either::Left(RbcProcess::new(BrachaRbc::new(committee, p, 0), Vec::new()))
+                        Either::Left(RbcProcess::new(BrachaRbc::new(committee, p), Vec::new()))
                     }
                 })
                 .collect();
@@ -152,7 +152,7 @@ mod tests {
                     Either::Right(SilentActor)
                 } else {
                     Either::Left(RbcProcess::new(
-                        BrachaRbc::new(committee, p, 0),
+                        BrachaRbc::new(committee, p),
                         vec![(Round::new(1), format!("from-{p}").into_bytes())],
                     ))
                 }

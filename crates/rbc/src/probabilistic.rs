@@ -410,7 +410,7 @@ impl ReliableBroadcast for ProbabilisticRbc {
     type Message = ProbMessage;
     const PRIMITIVE: RbcPrimitive = RbcPrimitive::Probabilistic;
 
-    fn new(committee: Committee, me: ProcessId, _seed: u64) -> Self {
+    fn new(committee: Committee, me: ProcessId) -> Self {
         Self::with_config(committee, me, ProbConfig::default())
     }
 
@@ -460,8 +460,7 @@ mod tests {
 
     fn setup(n: usize, seed: u64) -> (Vec<ProbabilisticRbc>, StdRng) {
         let committee = Committee::new(n).unwrap();
-        let endpoints =
-            committee.members().map(|p| ProbabilisticRbc::new(committee, p, 0)).collect();
+        let endpoints = committee.members().map(|p| ProbabilisticRbc::new(committee, p)).collect();
         (endpoints, StdRng::seed_from_u64(seed))
     }
 
@@ -530,7 +529,7 @@ mod tests {
     #[test]
     fn sample_excludes_self_and_has_no_duplicates() {
         let committee = Committee::new(13).unwrap();
-        let rbc = ProbabilisticRbc::new(committee, ProcessId::new(5), 0);
+        let rbc = ProbabilisticRbc::new(committee, ProcessId::new(5));
         let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..20 {
             let sample = rbc.sample(&mut rng);
@@ -563,7 +562,7 @@ mod tests {
         // not push me past the sieve threshold.
         let committee = Committee::new(31).unwrap();
         let me = ProcessId::new(0);
-        let mut rbc = ProbabilisticRbc::new(committee, me, 0);
+        let mut rbc = ProbabilisticRbc::new(committee, me);
         let mut rng = StdRng::seed_from_u64(1);
         let digest = sha256(b"attack");
         // Initialize the instance so samples exist.

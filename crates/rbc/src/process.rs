@@ -110,7 +110,7 @@ mod tests {
             .members()
             .map(|p| {
                 RbcProcess::new(
-                    B::new(committee, p, seed),
+                    B::new(committee, p),
                     vec![(Round::new(1), format!("payload-from-{p}").into_bytes())],
                 )
             })
@@ -169,7 +169,7 @@ mod tests {
                     Either::Right(GarbageSender)
                 } else {
                     Either::Left(RbcProcess::new(
-                        BrachaRbc::new(committee, p, 0),
+                        BrachaRbc::new(committee, p),
                         vec![(Round::new(1), b"ok".to_vec())],
                     ))
                 }

@@ -223,13 +223,14 @@ const EVENT_LOOP_FNS: &[(&str, &str)] = &[
     ("crates/net/src/runtime.rs", "serve_sync"),
     ("crates/net/src/runtime.rs", "serve_batches"),
     ("crates/net/src/reactor.rs", "reactor_loop"),
-    ("crates/net/src/reactor.rs", "handle_cmds"),
+    ("crates/net/src/reactor.rs", "adopt_links"),
     ("crates/net/src/reactor.rs", "flush_links"),
     ("crates/net/src/reactor.rs", "pump_link"),
     ("crates/net/src/reactor.rs", "sweep_conns"),
     ("crates/net/src/reactor.rs", "sweep_clients"),
     ("crates/net/src/reactor.rs", "read_client"),
     ("crates/net/src/reactor.rs", "drain_admission"),
+    ("crates/net/src/reactor.rs", "notify_ordered"),
     ("crates/net/src/reactor.rs", "flush_replies"),
     ("crates/net/src/reactor.rs", "pump_client_replies"),
 ];

@@ -99,7 +99,7 @@ impl DkgActor {
         Self {
             committee,
             my_dealing: Dealing::deal(&committee, me, &mut rng),
-            rbc: BrachaRbc::new(committee, me, 0),
+            rbc: BrachaRbc::new(committee, me),
             commitments: vec![None; committee.n()],
             shares: vec![None; committee.n()],
             keys: None,

@@ -87,7 +87,7 @@ impl DagEquivocator {
             round: Round::new(1),
             payload_a: make(0xA),
             payload_b: make(0xB),
-            inner: BrachaRbc::new(committee, me, 0),
+            inner: BrachaRbc::new(committee, me),
         }
     }
 }

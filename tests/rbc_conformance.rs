@@ -26,7 +26,7 @@ fn build<B: ReliableBroadcast, S: Scheduler>(
         .members()
         .map(|p| {
             RbcProcess::new(
-                B::new(committee, p, seed),
+                B::new(committee, p),
                 vec![(Round::new(1), format!("payload-{p}").into_bytes())],
             )
         })
@@ -162,7 +162,7 @@ struct DirectNet<B: ReliableBroadcast> {
 impl<B: ReliableBroadcast> DirectNet<B> {
     fn new(n: usize, seed: u64, duplicate: bool) -> Self {
         let committee = Committee::new(n).unwrap();
-        let procs: Vec<B> = committee.members().map(|p| B::new(committee, p, seed)).collect();
+        let procs: Vec<B> = committee.members().map(|p| B::new(committee, p)).collect();
         Self {
             procs,
             queue: VecDeque::new(),
@@ -326,7 +326,7 @@ fn traced_phases<B: ReliableBroadcast>(
         .members()
         .map(|p| {
             RbcProcess::new(
-                B::new(committee, p, seed),
+                B::new(committee, p),
                 vec![(Round::new(1), format!("payload-{p}").into_bytes())],
             )
             .with_trace(4096)
@@ -461,7 +461,7 @@ fn avid_beats_bracha_on_bandwidth_limited_links() {
                     } else {
                         Vec::new()
                     };
-                    RbcProcess::new(AvidRbc::new(committee, p, 0), queue)
+                    RbcProcess::new(AvidRbc::new(committee, p), queue)
                 })
                 .collect();
             let mut sim = Simulation::new(committee, actors, scheduler, 5);
@@ -479,7 +479,7 @@ fn avid_beats_bracha_on_bandwidth_limited_links() {
                     } else {
                         Vec::new()
                     };
-                    RbcProcess::new(BrachaRbc::new(committee, p, 0), queue)
+                    RbcProcess::new(BrachaRbc::new(committee, p), queue)
                 })
                 .collect();
             let mut sim = Simulation::new(committee, actors, scheduler, 5);
