@@ -329,9 +329,6 @@ impl DagAuditor {
             // Batch digests this process ordered but has not (yet) resolved
             // to a stored batch; leftovers at end-of-trace are violations.
             unresolved_digests: BTreeSet<BatchDigest>,
-            // Last client-admission sample (accepted, coalesced, shed,
-            // queue high-water); all four are cumulative counters.
-            admission: Option<[u64; 4]>,
         }
         let mut violations = Vec::new();
         let mut states: BTreeMap<ProcessId, ProcessState> = BTreeMap::new();
@@ -384,32 +381,11 @@ impl DagAuditor {
                 TraceEvent::BatchResolved { digest, .. } => {
                     state.unresolved_digests.remove(&digest);
                 }
-                TraceEvent::ClientAdmission { accepted, coalesced, shed, queue_high_water } => {
-                    let sample = [accepted, coalesced, shed, queue_high_water];
-                    if let Some(previous) = state.admission {
-                        const COUNTERS: [&str; 4] =
-                            ["accepted", "coalesced", "shed", "queue_high_water"];
-                        for (i, &name) in COUNTERS.iter().enumerate() {
-                            if sample[i] < previous[i] {
-                                violations.push(InvariantViolation::NonMonotoneAdmission {
-                                    process: record.process,
-                                    counter: name,
-                                    value: sample[i],
-                                    previous: previous[i],
-                                });
-                            }
-                        }
-                    }
-                    state.admission = Some(sample);
-                }
                 TraceEvent::VertexCreated { .. }
                 | TraceEvent::VertexRbcDelivered { .. }
                 | TraceEvent::WaveReady { .. }
                 | TraceEvent::Pruned { .. }
                 | TraceEvent::RbcPhase { .. }
-                | TraceEvent::BatchCreated { .. }
-                | TraceEvent::BatchDisseminated { .. }
-                | TraceEvent::BatchAcked { .. }
                 | TraceEvent::BatchStored { .. }
                 | TraceEvent::BatchFetchRequested { .. } => {}
             }

@@ -66,28 +66,10 @@ pub struct ProcessTraffic {
     pub bytes: u64,
     /// Trace records it contributed.
     pub records: u64,
-    /// Frames its TCP send queues discarded under drop-oldest
-    /// backpressure (zero in simulation, which has no bounded queues).
-    pub dropped_frames: u64,
-    /// The largest burst of events its consensus thread drained, and
-    /// verified, in one wake-up (1 = it kept up; larger = a backlog
-    /// formed). Zero in simulation.
-    pub verify_batch_depth: u64,
     /// Missing-batch fetch requests this process issued: it ordered a
     /// digest whose batch never arrived by dissemination and had to ask
     /// a peer. Zero when worker push streams keep up.
     pub batch_fetches: u64,
-    /// Client transactions this process's front end admitted (final
-    /// `ClientAdmission` sample; zero in simulation and for nodes
-    /// serving no clients).
-    pub client_accepted: u64,
-    /// Admitted transactions coalesced into dissemination batches.
-    pub client_coalesced: u64,
-    /// Client submissions shed with a typed reject (queue full,
-    /// oversized, or node not ready).
-    pub client_shed: u64,
-    /// High-water mark of any single client's pending-submission queue.
-    pub client_queue_high_water: u64,
 }
 
 /// The full observability report for one run.
@@ -137,7 +119,6 @@ impl TraceReport {
         let mut lags: Vec<u64> = Vec::new();
         let mut resolve_waits: Vec<u64> = Vec::new();
         let mut fetch_counts: BTreeMap<ProcessId, u64> = BTreeMap::new();
-        let mut admission: BTreeMap<ProcessId, [u64; 4]> = BTreeMap::new();
 
         let mut sorted: Vec<&TraceRecord> = records.iter().collect();
         sorted.sort_by_key(|r| (r.process, r.seq));
@@ -166,11 +147,6 @@ impl TraceReport {
                 }
                 TraceEvent::BatchFetchRequested { .. } => {
                     *fetch_counts.entry(record.process).or_default() += 1;
-                }
-                TraceEvent::ClientAdmission { accepted, coalesced, shed, queue_high_water } => {
-                    // Counters are cumulative; the last sample in seq
-                    // order is the run's total.
-                    admission.insert(record.process, [accepted, coalesced, shed, queue_high_water]);
                 }
                 TraceEvent::LeaderCommitted { wave, direct, .. } => {
                     let entered = round_entered
@@ -213,21 +189,12 @@ impl TraceReport {
 
         let per_process = record_counts
             .iter()
-            .map(|(&process, &records)| {
-                let adm = admission.get(&process).copied().unwrap_or_default();
-                ProcessTraffic {
-                    process,
-                    messages: metrics.messages_sent_by(process),
-                    bytes: metrics.bytes_sent_by(process),
-                    records,
-                    dropped_frames: 0,
-                    verify_batch_depth: 0,
-                    batch_fetches: fetch_counts.get(&process).copied().unwrap_or(0),
-                    client_accepted: adm[0],
-                    client_coalesced: adm[1],
-                    client_shed: adm[2],
-                    client_queue_high_water: adm[3],
-                }
+            .map(|(&process, &records)| ProcessTraffic {
+                process,
+                messages: metrics.messages_sent_by(process),
+                bytes: metrics.bytes_sent_by(process),
+                records,
+                batch_fetches: fetch_counts.get(&process).copied().unwrap_or(0),
             })
             .collect();
 
@@ -241,45 +208,6 @@ impl TraceReport {
             total_time_units: metrics.time_units(now),
             ordered_total: lags.len() as u64,
         }
-    }
-
-    /// Attaches the TCP runtime's health counters to `process`'s traffic
-    /// row, inserting a fresh row (zero simulated traffic) when the
-    /// process contributed no trace records. The simulator never calls
-    /// this; the cluster driver does, from [`NetNode`] accessors.
-    ///
-    /// [`NetNode`]: ../dagrider_net/struct.NetNode.html
-    pub fn set_net_counters(
-        &mut self,
-        process: ProcessId,
-        dropped_frames: u64,
-        verify_batch_depth: u64,
-    ) {
-        let row = match self.per_process.iter_mut().find(|p| p.process == process) {
-            Some(row) => row,
-            None => {
-                let at = self.per_process.partition_point(|p| p.process < process);
-                self.per_process.insert(
-                    at,
-                    ProcessTraffic {
-                        process,
-                        messages: 0,
-                        bytes: 0,
-                        records: 0,
-                        dropped_frames: 0,
-                        verify_batch_depth: 0,
-                        batch_fetches: 0,
-                        client_accepted: 0,
-                        client_coalesced: 0,
-                        client_shed: 0,
-                        client_queue_high_water: 0,
-                    },
-                );
-                &mut self.per_process[at]
-            }
-        };
-        row.dropped_frames = dropped_frames;
-        row.verify_batch_depth = verify_batch_depth;
     }
 }
 
@@ -371,34 +299,14 @@ impl fmt::Display for TraceReport {
         writeln!(f, "per-process traffic:")?;
         writeln!(
             f,
-            "  {:>4} {:>9} {:>11} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>6} {:>5}",
-            "proc",
-            "messages",
-            "bytes",
-            "records",
-            "dropped",
-            "vdepth",
-            "fetches",
-            "accepted",
-            "coalesced",
-            "shed",
-            "qhw"
+            "  {:>4} {:>9} {:>11} {:>8} {:>8}",
+            "proc", "messages", "bytes", "records", "fetches"
         )?;
         for p in &self.per_process {
             writeln!(
                 f,
-                "  {:>4} {:>9} {:>11} {:>8} {:>8} {:>8} {:>8} {:>8} {:>9} {:>6} {:>5}",
-                p.process,
-                p.messages,
-                p.bytes,
-                p.records,
-                p.dropped_frames,
-                p.verify_batch_depth,
-                p.batch_fetches,
-                p.client_accepted,
-                p.client_coalesced,
-                p.client_shed,
-                p.client_queue_high_water
+                "  {:>4} {:>9} {:>11} {:>8} {:>8}",
+                p.process, p.messages, p.bytes, p.records, p.batch_fetches
             )?;
         }
         Ok(())
@@ -457,30 +365,6 @@ mod tests {
     }
 
     #[test]
-    fn net_counters_attach_to_existing_rows_and_insert_missing_ones() {
-        let mut tracer = Tracer::new(ProcessId::new(1), 64);
-        tracer.set_now(Time::new(5));
-        tracer.record(TraceEvent::RoundAdvanced { round: Round::new(1) });
-        let metrics = Metrics::new(4);
-        let mut report = TraceReport::build(&tracer.records(), &metrics, Time::new(10));
-
-        // Process 1 has a traffic row from its trace records; process 0
-        // does not and must be inserted in id order.
-        report.set_net_counters(ProcessId::new(1), 7, 3);
-        report.set_net_counters(ProcessId::new(0), 2, 1);
-        assert_eq!(report.per_process.len(), 2);
-        assert_eq!(report.per_process[0].process, ProcessId::new(0));
-        assert_eq!(report.per_process[0].dropped_frames, 2);
-        assert_eq!(report.per_process[1].records, 1, "trace totals survive the setter");
-        assert_eq!(report.per_process[1].dropped_frames, 7);
-        assert_eq!(report.per_process[1].verify_batch_depth, 3);
-
-        let rendered = report.to_string();
-        assert!(rendered.contains("dropped"), "{rendered}");
-        assert!(rendered.contains("vdepth"), "{rendered}");
-    }
-
-    #[test]
     fn batch_resolve_waits_and_fetch_counts_are_tallied() {
         use dagrider_types::BatchDigest;
         let d = BatchDigest::new([7u8; 32]);
@@ -501,37 +385,6 @@ mod tests {
         let rendered = report.to_string();
         assert!(rendered.contains("batch resolve wait (1 digests)"), "{rendered}");
         assert!(rendered.contains("fetches"), "{rendered}");
-    }
-
-    #[test]
-    fn admission_columns_report_the_last_cumulative_sample() {
-        let mut tracer = Tracer::new(ProcessId::new(0), 64);
-        tracer.set_now(Time::new(5));
-        tracer.record(TraceEvent::ClientAdmission {
-            accepted: 10,
-            coalesced: 8,
-            shed: 0,
-            queue_high_water: 3,
-        });
-        tracer.set_now(Time::new(9));
-        tracer.record(TraceEvent::ClientAdmission {
-            accepted: 120,
-            coalesced: 118,
-            shed: 3,
-            queue_high_water: 42,
-        });
-        let metrics = Metrics::new(4);
-        let report = TraceReport::build(&tracer.records(), &metrics, Time::new(10));
-        assert_eq!(report.per_process.len(), 1);
-        let p = &report.per_process[0];
-        assert_eq!(p.client_accepted, 120, "later sample wins");
-        assert_eq!(p.client_coalesced, 118);
-        assert_eq!(p.client_shed, 3);
-        assert_eq!(p.client_queue_high_water, 42);
-
-        let rendered = report.to_string();
-        assert!(rendered.contains("accepted"), "{rendered}");
-        assert!(rendered.contains("qhw"), "{rendered}");
     }
 
     #[test]

@@ -251,23 +251,6 @@ pub enum InvariantViolation {
         /// The vertex delivered there before the crash.
         vertex: VertexRef,
     },
-    /// A process's client-admission counters regressed between trace
-    /// samples. The admission statistics (accepted / coalesced / shed /
-    /// queue high-water) are cumulative monotone counters, so a later
-    /// sample reporting a smaller value means records were reordered,
-    /// dropped, or fabricated — the audit trail of client submissions
-    /// (§1: "clients send transactions") cannot be trusted.
-    NonMonotoneAdmission {
-        /// The process whose trace regressed.
-        process: ProcessId,
-        /// Which counter regressed (`accepted`, `coalesced`, `shed`, or
-        /// `queue_high_water`).
-        counter: &'static str,
-        /// The regressed (later, smaller) sample.
-        value: u64,
-        /// The earlier, larger sample.
-        previous: u64,
-    },
 }
 
 impl InvariantViolation {
@@ -302,9 +285,6 @@ impl InvariantViolation {
             InvariantViolation::DuplicateWaveCommit { .. } => "§5, Algorithm 3 line 44",
             InvariantViolation::CommitWithoutCoin { .. } => "§5, Algorithm 3 lines 34-35",
             InvariantViolation::NonMonotoneRound { .. } => "§4, Algorithm 2 lines 10-13",
-            InvariantViolation::NonMonotoneAdmission { .. } => {
-                "§1 (client submission; cumulative admission counters)"
-            }
         }
     }
 
@@ -336,8 +316,7 @@ impl InvariantViolation {
             | InvariantViolation::RecoveryLostDelivery { vertex, .. } => Some(*vertex),
             InvariantViolation::DuplicateWaveCommit { leader, .. } => Some(*leader),
             InvariantViolation::NonMonotoneRound { .. }
-            | InvariantViolation::UnresolvedOrderedDigest { .. }
-            | InvariantViolation::NonMonotoneAdmission { .. } => None,
+            | InvariantViolation::UnresolvedOrderedDigest { .. } => None,
         }
     }
 
@@ -458,12 +437,6 @@ impl fmt::Display for InvariantViolation {
                 write!(
                     f,
                     "recovery lost {vertex}, delivered at position {position} before the crash"
-                )
-            }
-            InvariantViolation::NonMonotoneAdmission { process, counter, value, previous } => {
-                write!(
-                    f,
-                    "{process} admission counter `{counter}` regressed from {previous} to {value}"
                 )
             }
         }?;

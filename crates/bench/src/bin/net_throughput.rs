@@ -7,15 +7,18 @@
 //! The TCP phase runs each node with `--workers W` worker lanes (default
 //! 2): client transactions enter through [`NetNode::submit_tx`], worker
 //! lanes batch and disseminate them peer-to-peer, and consensus vertices
-//! carry only digests. It keeps a fixed window of transactions in flight
-//! per node (a submission is outstanding until the submitting node orders
-//! it, and is then replaced), warms up, then measures over a fixed
-//! wall-clock window. The simnet phase runs the identical engine at fixed
-//! load through the deterministic simulator, isolating protocol + codec
-//! CPU cost from socket I/O, once with inline block payloads and once
-//! with digest payloads. `--matrix` sweeps tx sizes {256 B, 1 KiB, 4 KiB}
-//! × worker counts {1, 2, 4} and reports ordered tx/s and ordered bytes/s
-//! for each cell.
+//! carry only digests. Every lane is served by the node's one reactor
+//! thread, so `W` sets how many batches are open at once and how many
+//! worker links each node keeps to each peer, not a thread count. It
+//! keeps a fixed window of transactions in flight per node (a submission
+//! is outstanding until the submitting node orders it, and is then
+//! replaced), warms up, then measures over a fixed wall-clock window.
+//! The simnet phase runs the identical engine at fixed load through the
+//! deterministic simulator, isolating protocol + codec CPU cost from
+//! socket I/O, once with inline block payloads and once with digest
+//! payloads. `--matrix` sweeps tx sizes {256 B, 1 KiB, 4 KiB}
+//! × worker lane counts {1, 2, 4} and reports ordered tx/s and ordered
+//! bytes/s for each cell.
 //!
 //! With `--durable` every node keeps a durable store (checksummed WAL +
 //! periodic snapshots) under a scratch directory, using the default
@@ -229,7 +232,7 @@ fn run_tcp(cfg: &Config) -> TcpResult {
     let mut submitted = vec![0u64; n];
     let mut own_ordered = vec![0u64; n];
     // Submission instants, popped in order as own transactions order:
-    // worker channels preserve per-channel FIFO, so this matches
+    // worker lanes preserve per-lane FIFO, so this matches
     // transactions to instants closely enough for latency percentiles.
     let mut in_flight: Vec<VecDeque<Instant>> = vec![VecDeque::new(); n];
     for (i, node) in nodes.iter().enumerate() {

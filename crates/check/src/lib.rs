@@ -14,20 +14,17 @@
 //!    the reactor does.
 //! 2. **FramePool recycling** — cross-thread clone/drop/re-encode; a
 //!    double-put or premature recycle shows up as payload corruption.
-//! 3. **Batcher shutdown** — the worker batcher's `recv_timeout`
-//!    assemble loop against a client-sender drop: the tail batch must
-//!    be sealed and pushed, never lost or duplicated.
-//! 4. **WAL writer** — the durability flusher's group-drain loop
+//! 3. **WAL writer** — the durability flusher's group-drain loop
 //!    (`wal_flush_loop`) against a producer and shutdown: every
 //!    persisted event must land in the sink exactly once, in order,
 //!    inside a committed group, and the final sync must run.
-//! 5. **WAL compaction** — snapshot installation interleaved with
+//! 4. **WAL compaction** — snapshot installation interleaved with
 //!    appends on the same channel: the snapshot must supersede exactly
 //!    the events queued before it and never swallow those after.
-//! 6. **Reactor wakeup** — the reactor's park/unpark protocol: racing
+//! 5. **Reactor wakeup** — the reactor's park/unpark protocol: racing
 //!    producers push work and ring the `Waker`; the surface parks
 //!    untimed so a lost wake is a deadlock, not a slow sweep.
-//! 7. **Reactor shutdown** — shutdown signalled (twice, concurrently)
+//! 6. **Reactor shutdown** — shutdown signalled (twice, concurrently)
 //!    while the reactor is mid-sweep, about to park, or parked: the
 //!    signal-then-wake pair must terminate the loop on every schedule.
 //!
@@ -36,13 +33,11 @@
 
 #![forbid(unsafe_code)]
 
-use std::time::Duration;
-
 use dagrider_analysis::DagSnapshot;
 use dagrider_core::{Dag, DurableEvent};
 use dagrider_net::sync::atomic::Ordering;
 use dagrider_net::sync::model::{explore, Config, Report, Search};
-use dagrider_net::sync::{mpsc, thread, Arc, Mutex, PoisonError};
+use dagrider_net::sync::{thread, Arc, Mutex, PoisonError};
 use dagrider_net::wal::{wal_channel, wal_flush_loop, WalSink};
 use dagrider_net::{Frame, FramePool, Pop, SendQueue, Shutdown, Waker};
 use dagrider_store::StoreSnapshot;
@@ -79,12 +74,6 @@ pub fn surfaces() -> Vec<Surface> {
             description: "FramePool buffer recycling across threads: clone, drop, \
                           and re-encode must never alias live frames",
             body: frame_pool_recycling,
-        },
-        Surface {
-            name: "batcher-shutdown",
-            description: "worker batcher recv_timeout loop under client-sender \
-                          drop: the tail batch must be sealed, not lost",
-            body: batcher_shutdown,
         },
         Surface {
             name: "wal-writer",
@@ -221,59 +210,6 @@ fn frame_pool_recycling() {
     assert_eq!(delta.payload(), b"delta");
 }
 
-/// Surface 3: the worker batcher shape — a `recv_timeout` assemble loop
-/// that seals on size, on interval expiry, and on disconnect — against
-/// the shutdown path dropping the client sender. Every accepted
-/// transaction must reach the send queue in exactly one sealed batch;
-/// losing the disconnect (or the tail batch) deadlocks or fails the
-/// accounting below.
-fn batcher_shutdown() {
-    let (client, jobs) = mpsc::channel::<u8>();
-    let queue = Arc::new(SendQueue::new(4));
-
-    let out = Arc::clone(&queue);
-    let batcher = thread::spawn(move || {
-        let mut buf: Vec<u8> = Vec::new();
-        let seal = |buf: &mut Vec<u8>| {
-            out.push(Frame::from_payload(buf));
-            buf.clear();
-        };
-        loop {
-            match jobs.recv_timeout(Duration::from_millis(10)) {
-                Ok(tx) => {
-                    buf.push(tx);
-                    if buf.len() >= 2 {
-                        seal(&mut buf); // size bound reached
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Timeout) => {
-                    if !buf.is_empty() {
-                        seal(&mut buf); // batch interval expired
-                    }
-                }
-                Err(mpsc::RecvTimeoutError::Disconnected) => {
-                    if !buf.is_empty() {
-                        seal(&mut buf); // shutdown: flush the tail
-                    }
-                    return;
-                }
-            }
-        }
-    });
-
-    for tx in [1u8, 2, 3] {
-        client.send(tx).expect("send while the batcher lives");
-    }
-    drop(client); // NetNode::shutdown drops the worker senders...
-    batcher.join().expect("batcher must observe the disconnect");
-    let mut delivered = 0u64;
-    while let Pop::Frame(frame) = queue.try_pop() {
-        delivered += frame.payload().len() as u64;
-    }
-    assert_eq!(delivered, 3, "a transaction was lost or duplicated in shutdown");
-    queue.close(); // ...then closes the writer queues
-}
-
 /// An in-memory [`WalSink`] with shared, lock-guarded observation
 /// state, so the surfaces below can assert on what the flusher did
 /// after joining it. `install_snapshot` mirrors the real store: it
@@ -331,7 +267,7 @@ fn empty_snapshot() -> StoreSnapshot {
     StoreSnapshot::from_parts(DagSnapshot::capture(&Dag::new(committee)), Vec::new(), Vec::new())
 }
 
-/// Surface 4: the durability flusher in miniature — a consensus-shaped
+/// Surface 3: the durability flusher in miniature — a consensus-shaped
 /// producer persisting groups of events while the flusher drains
 /// whatever has accumulated into single commit groups, then shutdown by
 /// handle drop. Invariants: every event lands exactly once and in
@@ -367,7 +303,7 @@ fn wal_writer() {
     );
 }
 
-/// Surface 5: compaction on the durability channel — append, snapshot,
+/// Surface 4: compaction on the durability channel — append, snapshot,
 /// append, in the single-producer order the consensus loop guarantees
 /// (drain-then-capture). Invariant: however the flusher groups the
 /// jobs, the snapshot supersedes exactly the events queued before it,
@@ -399,7 +335,7 @@ fn wal_compaction() {
     );
 }
 
-/// Surface 6: the reactor's park/unpark protocol — producers push work
+/// Surface 5: the reactor's park/unpark protocol — producers push work
 /// and ring the [`Waker`]; the reactor drains with non-blocking
 /// `try_pop` and parks between sweeps. The real loop parks with a
 /// timeout as a belt-and-braces fallback; the surface strips the
@@ -437,7 +373,7 @@ fn reactor_wakeup() {
     assert_eq!(drained, 2, "the reactor must observe every pushed frame");
 }
 
-/// Surface 7: shutdown during poll — `NetNode::shutdown` signals the
+/// Surface 6: shutdown during poll — `NetNode::shutdown` signals the
 /// latch and then rings the waker, and a racing second shutdown does
 /// the same (the double-call path). Whether the reactor is mid-sweep,
 /// between the signal check and the park, or already parked, it must

@@ -18,10 +18,10 @@
 //!   for transactions: batching, hashing, and peer-to-peer batch
 //!   dissemination off the consensus path. Consensus orders digests.
 //! * `reactor` (crate-private) — the readiness-based event loop: one
-//!   thread owns every peer, worker, and client socket and tells
-//!   subscribed clients when their transactions are ordered, so the
-//!   node's thread count is O(1) + O(workers) regardless of cluster or
-//!   client size.
+//!   thread owns every peer, worker, and client socket, fills and seals
+//!   the worker lanes' batches, and tells subscribed clients when their
+//!   transactions are ordered, so a node runs three threads (four with a
+//!   store) regardless of cluster size, client count, or lane count.
 //! * [`client`] — the client submission front end: admission counters
 //!   and the ordered-notification matcher the reactor keeps.
 //! * [`runtime`] — [`NetNode`]: one DAG-Rider process as an

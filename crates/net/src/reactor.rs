@@ -28,6 +28,11 @@
 //!   into the worker lanes, per-connection reply queues for acks and
 //!   ordered notifications. Client sockets are swept in rotating chunks
 //!   so ten thousand idle connections cannot starve peer traffic.
+//! * **worker lanes** — the reactor owns every [`Lane`]. Drained client
+//!   submissions and `NetNode::submit_tx`'s channel fill the lanes'
+//!   open batches round-robin; a lane seals when its batch is full or
+//!   its oldest transaction is due, queuing one shared frame per peer
+//!   for the worker links and handing the batch to consensus.
 //! * **ordered notifications** — a subscribed client's submission leaves
 //!   an entry in the reactor's [`Matcher`] as it drains toward a worker
 //!   lane; when the published ordered log grows, the reactor reads the
@@ -37,9 +42,10 @@
 //! The reactor never blocks on I/O: when a full sweep makes no
 //! progress, it parks on a [`Waker`] — a flag-under-mutex latch
 //! explored by `dagrider-check` — which every producer (consensus
-//! routing frames and appending to the ordered log, batchers sealing,
-//! the dialer registering links) rings after publishing work. `cargo
-//! xtask lint` verifies no blocking call reaches the sweep functions.
+//! routing frames and appending to the ordered log, `NetNode::submit_tx`,
+//! the dialer registering links) rings after publishing work. The park
+//! also bounds how late a due batch seals. `cargo xtask lint` verifies
+//! no blocking call reaches the sweep functions.
 //!
 //! Dialing stays on its own thread ([`dialer_loop`]): `connect` is the
 //! one operation `std::net` offers no non-blocking form for (without
@@ -66,7 +72,7 @@ use crate::sync::atomic::Ordering as AtomicOrdering;
 use crate::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use crate::sync::Arc;
 use crate::wire::{RejectReason, WireMsg};
-use crate::worker::BATCH_MAX_BYTES;
+use crate::worker::{Lane, BATCH_MAX_BYTES};
 
 /// Inbound connections accepted per sweep (keeps one accept storm from
 /// starving established traffic).
@@ -77,8 +83,9 @@ const ACCEPT_BUDGET: usize = 256;
 /// which there may be tens of thousands, mostly idle — take turns.
 const CLIENT_SWEEP_CHUNK: usize = 2048;
 
-/// Admitted transactions drained toward consensus per sweep, round-robin
-/// across clients so one firehose client cannot monopolize a sweep.
+/// Transactions moved into the worker lanes per sweep from the client
+/// queues, round-robin across clients so one firehose client cannot
+/// monopolize a sweep, and as many again from `NetNode::submit_tx`.
 const DRAIN_BUDGET: usize = 1024;
 
 /// Read calls per connection per sweep (16 KiB each): bounds how long
@@ -116,7 +123,7 @@ pub(crate) enum LinkKind {
     Worker {
         /// The peer being dialed.
         peer: ProcessId,
-        /// The local worker channel index.
+        /// The local worker lane index.
         worker: u32,
     },
 }
@@ -246,7 +253,10 @@ pub(crate) struct ReactorConfig {
     pub dialed: Receiver<OutLink>,
     pub waker: Arc<Waker>,
     pub consensus: Sender<Event>,
-    pub worker_txs: Vec<Sender<Transaction>>,
+    /// The node's worker lanes; the reactor fills and seals them.
+    pub lanes: Vec<Lane>,
+    /// Transactions `NetNode::submit_tx` hands over for the lanes.
+    pub submitted: Receiver<Transaction>,
     pub redial: Sender<DialRequest>,
     pub stats: Arc<AdmissionStats>,
     pub published: Arc<Published>,
@@ -266,7 +276,7 @@ pub(crate) fn reactor_main(config: ReactorConfig) {
         sweep_cursor: 0,
         drain_cursor: 0,
         next_client: 1,
-        next_worker: 0,
+        next_lane: 0,
         reply_dirty: Vec::new(),
         matcher: Matcher::default(),
         ordered_cursor: 0,
@@ -287,7 +297,7 @@ struct Reactor {
     sweep_cursor: usize,
     drain_cursor: usize,
     next_client: u64,
-    next_worker: usize,
+    next_lane: usize,
     /// Clients with queued replies to flush this sweep.
     reply_dirty: Vec<u64>,
     /// Subscribed submissions waiting for their transaction to be ordered.
@@ -320,6 +330,7 @@ impl Reactor {
             progress |= self.sweep_conns();
             progress |= self.sweep_clients();
             progress |= self.drain_admission();
+            progress |= self.seal_lanes();
             progress |= self.notify_ordered();
             progress |= self.flush_replies();
             if !progress {
@@ -696,6 +707,7 @@ impl Reactor {
         if self.client_ids.is_empty() {
             return false;
         }
+        let now = Instant::now();
         let mut budget = DRAIN_BUDGET;
         let mut idle_streak = 0usize;
         let mut drained = false;
@@ -719,12 +731,40 @@ impl Reactor {
             if client.subscribed {
                 self.matcher.admit(id, seq, tx.as_ref());
             }
-            let at = self.next_worker;
-            self.next_worker = self.next_worker.wrapping_add(1);
-            let lane = &self.config.worker_txs[at % self.config.worker_txs.len()];
-            let _ = lane.send(tx);
+            self.fill_lane(tx, now);
         }
         drained
+    }
+
+    /// Moves `NetNode::submit_tx`'s transactions into the lanes, up to
+    /// [`DRAIN_BUDGET`] per sweep, then seals every lane whose open batch
+    /// is due. A seal counts as progress.
+    fn seal_lanes(&mut self) -> bool {
+        let now = Instant::now();
+        let mut progress = false;
+        for _ in 0..DRAIN_BUDGET {
+            let Ok(tx) = self.config.submitted.try_recv() else { break };
+            self.fill_lane(tx, now);
+            progress = true;
+        }
+        for lane in &mut self.config.lanes {
+            if lane.open.overdue(now) {
+                lane.seal(&self.frames, &self.config.consensus);
+                progress = true;
+            }
+        }
+        progress
+    }
+
+    /// Puts `tx` into the next lane's open batch, round-robin, and seals
+    /// that batch once it is full.
+    fn fill_lane(&mut self, tx: Transaction, now: Instant) {
+        let at = self.next_lane % self.config.lanes.len();
+        self.next_lane = self.next_lane.wrapping_add(1);
+        let lane = &mut self.config.lanes[at];
+        if lane.open.push(tx, now) {
+            lane.seal(&self.frames, &self.config.consensus);
+        }
     }
 
     /// Matches the ordered log's new tail against the waiting entries and

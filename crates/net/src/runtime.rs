@@ -1,8 +1,8 @@
 //! The TCP cluster runtime: threads, sockets, and the consensus loop.
 //!
-//! One [`NetNode`] is one DAG-Rider process on a real network. Its
-//! steady-state thread count is O(1) + O(workers) — independent of both
-//! peer count and client count:
+//! One [`NetNode`] is one DAG-Rider process on a real network. It runs
+//! three threads, four with a store — independent of peer count,
+//! client count and worker lane count:
 //!
 //! * **consensus** — owns the sans-I/O [`DagRiderEngine`] and is the only
 //!   thread that touches protocol state. It drains one event channel fed
@@ -16,15 +16,15 @@
 //!   sessions, swept in non-blocking readiness loops (see
 //!   [`crate::reactor`]). Client admission, load shedding, round-robin
 //!   fairness, and matching ordered transactions back to subscribed
-//!   clients' submissions live here, at the socket edge.
+//!   clients' submissions live here, at the socket edge. It also owns
+//!   the worker lanes ([`crate::worker`]): it fills each lane's open
+//!   batch, seals and hashes it, and writes the fan-out. The lanes are
+//!   the node's only way in for transactions: [`NetNode::submit_tx`] and
+//!   the client protocol both feed them, and consensus orders only batch
+//!   digests.
 //! * **dialer** — the one place TCP `connect` happens; hands connected,
 //!   handshaken, non-blocking links to the reactor and redials dead
 //!   ones with capped jittered [`Backoff`].
-//! * **batcher × workers** — per worker channel, assembling, sealing
-//!   and hashing transaction batches ([`crate::worker`]); the reactor
-//!   writes the fan-out. The lanes are the node's only way in for
-//!   transactions: [`NetNode::submit_tx`] and the client protocol both
-//!   feed them, and consensus orders only batch digests.
 //! * **flusher** (when a [`StoreConfig`] is set) — owns the
 //!   [`DurableStore`]: drains groups of durable events off a channel,
 //!   appends them to the write-ahead log, fsyncs per policy, and
@@ -65,7 +65,7 @@ use crate::sync::thread::{self, JoinHandle};
 use crate::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use crate::wal::{wal_channel, wal_flush_loop, WalHandle};
 use crate::wire::WireMsg;
-use crate::worker::{batch_loop, BatchLane, PendingAck};
+use crate::worker::{Lane, PendingAck, BATCH_MAX_BYTES};
 
 /// Configuration for one cluster process.
 #[derive(Debug, Clone)]
@@ -85,8 +85,10 @@ pub struct NetConfig {
     /// How long to wait for peers' sync replies before starting the
     /// protocol anyway.
     pub sync_timeout: Duration,
-    /// Batch-dissemination worker lanes. Every transaction enters the
-    /// node through them, so a node runs at least one.
+    /// Batch-dissemination worker lanes, each with one open batch and
+    /// one worker link per peer. Every transaction enters the node
+    /// through them, so a node runs at least one. The reactor serves
+    /// every lane, so this sets no thread count.
     pub workers: usize,
     /// How long consensus waits for peer [`BatchAck`]s before releasing
     /// a sealed digest into a vertex payload anyway (the engine's
@@ -211,8 +213,9 @@ impl NetConfig {
 pub(crate) enum Event {
     /// A decoded wire message from an identified peer.
     Net { from: ProcessId, msg: WireMsg },
-    /// A local worker sealed, hashed and disseminated a batch: hand it to
-    /// the engine's batch map and start the ack-quorum wait on its digest.
+    /// The reactor sealed, hashed and queued one of this node's batches:
+    /// hand it to the engine's batch map and start the ack-quorum wait on
+    /// its digest.
     OwnBatch(HashedBatch),
     /// A peer's worker connection pushed a batch, which the reactor
     /// hashed: hand it to the engine and acknowledge.
@@ -295,9 +298,9 @@ pub struct NetNode {
     queues: Vec<Arc<SendQueue>>,
     waker: Arc<Waker>,
     admission: Arc<AdmissionStats>,
-    worker_txs: Vec<Sender<Transaction>>,
+    submitted: Sender<Transaction>,
+    workers: usize,
     worker_queues: Vec<Arc<SendQueue>>,
-    next_worker: AtomicU64,
     store_healthy: Option<Arc<AtomicBool>>,
     stop: Arc<Shutdown>,
     threads: Vec<JoinHandle<()>>,
@@ -352,16 +355,15 @@ impl NetNode {
 
         let mut threads = Vec::new();
 
-        // The batch-dissemination workers: one batcher per worker
-        // channel. Fan-out queues are drained by the reactor over links
-        // the dialer establishes — no per-(worker, peer) threads.
+        // The batch-dissemination worker lanes, owned by the reactor.
+        // Their fan-out queues drain over worker links the dialer
+        // establishes.
         let dial_addrs = config.worker_addrs.clone().unwrap_or_else(|| config.addrs.clone());
-        let mut worker_txs = Vec::new();
+        let workers = config.workers.max(1);
+        let mut lanes = Vec::new();
         let mut worker_queues = Vec::new();
-        for worker in 0..config.workers.max(1) {
+        for worker in 0..workers {
             let worker = u32::try_from(worker).unwrap_or(u32::MAX);
-            let (batch_tx, batch_rx) = mpsc::channel::<Transaction>();
-            worker_txs.push(batch_tx);
             let mut peer_queues = Vec::new();
             for peer in committee.others(me) {
                 let queue = Arc::new(SendQueue::new(QUEUE_CAPACITY));
@@ -373,20 +375,9 @@ impl NetNode {
                 peer_queues.push(queue);
             }
             worker_queues.extend(peer_queues.iter().cloned());
-            let batcher_consensus = tx.clone();
-            let batcher_stop = Arc::clone(&stop);
-            let batcher_waker = Arc::clone(&waker);
-            threads.push(thread::spawn(move || {
-                let lane = BatchLane {
-                    me,
-                    worker,
-                    peer_queues: &peer_queues,
-                    consensus: &batcher_consensus,
-                    waker: &batcher_waker,
-                };
-                batch_loop(&lane, &batch_rx, &batcher_stop);
-            }));
+            lanes.push(Lane::new(me, worker, peer_queues));
         }
+        let (submitted, submitted_rx) = mpsc::channel::<Transaction>();
 
         // Seed the consensus links; the dialer (re)establishes them.
         for peer in committee.others(me) {
@@ -413,7 +404,8 @@ impl NetNode {
                 dialed: dialed_rx,
                 waker: Arc::clone(&waker),
                 consensus: tx.clone(),
-                worker_txs: worker_txs.clone(),
+                lanes,
+                submitted: submitted_rx,
                 redial: redial_tx,
                 stats: Arc::clone(&admission),
                 published: Arc::clone(&published),
@@ -471,9 +463,9 @@ impl NetNode {
             queues,
             waker,
             admission,
-            worker_txs,
+            submitted,
+            workers,
             worker_queues,
-            next_worker: AtomicU64::new(0),
             store_healthy,
             stop,
             threads,
@@ -498,18 +490,20 @@ impl NetNode {
     /// Submits one transaction for atomic broadcast through a
     /// batch-dissemination worker lane (round-robin): its bytes travel
     /// over worker connections, and consensus orders the batch digest.
-    /// Returns `false` once the node is shutting down.
+    /// Returns `false` for a transaction longer than [`BATCH_MAX_BYTES`],
+    /// which client admission refuses as `Oversized` too, and once the
+    /// node has shut down.
     pub fn submit_tx(&self, tx: Transaction) -> bool {
-        if self.worker_txs.is_empty() {
+        if tx.len() > BATCH_MAX_BYTES || self.submitted.send(tx).is_err() {
             return false;
         }
-        let at = self.next_worker.fetch_add(1, AtomicOrdering::Relaxed) as usize;
-        self.worker_txs[at % self.worker_txs.len()].send(tx).is_ok()
+        self.waker.wake();
+        true
     }
 
-    /// Number of batch-dissemination worker channels.
+    /// Number of batch-dissemination worker lanes.
     pub fn workers(&self) -> usize {
-        self.worker_txs.len()
+        self.workers
     }
 
     /// Batches the engine's batch store holds (own, received, fetched,
@@ -606,10 +600,6 @@ impl NetNode {
         // drops every socket it owns.
         self.waker.wake();
         let _ = self.tx.send(Event::Shutdown);
-        // Dropping the transaction senders disconnects the batcher
-        // threads' channels; each flushes its pending batch and exits.
-        // (The reactor's clones die when its thread returns.)
-        self.worker_txs.clear();
         for queue in self.queues.iter().chain(&self.worker_queues) {
             queue.close();
         }
@@ -767,7 +757,7 @@ fn consensus_loop<B: ReliableBroadcast>(
     let mut sync_deadline = Instant::now() + config.sync_timeout;
     let mut live = false;
 
-    // Digests sealed by our own workers, awaiting peer acks before the
+    // Digests our own lanes sealed, awaiting peer acks before the
     // engine may propose them. Lives entirely on this thread — acks
     // arrive as consensus-connection frames, so no lock is needed. A
     // digest is released into `SubmitDigests` once `quorum() - 1` peers
@@ -858,9 +848,9 @@ fn consensus_loop<B: ReliableBroadcast>(
                     | WireMsg::ClientOrdered { .. } => {}
                 },
                 Event::OwnBatch(batch) => {
-                    // A local worker sealed and disseminated this batch. Make
-                    // it resolvable locally, and hold the digest until enough
-                    // peers acknowledge.
+                    // The reactor sealed and queued this batch for our peers.
+                    // Make it resolvable locally, and hold the digest until
+                    // enough peers acknowledge.
                     acks.push(PendingAck {
                         digest: batch.digest(),
                         acked: Vec::new(),

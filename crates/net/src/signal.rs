@@ -45,13 +45,14 @@ impl Shutdown {
 /// wakeup.
 ///
 /// Producers (the consensus loop after pushing frames or appending to
-/// the ordered log, batchers after sealing, the dialer after registering
-/// a link, `NetNode::shutdown` after signalling) call [`Waker::wake`];
-/// the reactor parks in [`Waker::wait_timeout`] between sweeps. The
-/// pending flag is flipped *under the mutex* before notifying, so a
-/// wake that races the reactor's park is latched, never
-/// lost — a wake issued while the reactor is mid-sweep is consumed by
-/// the next park instead of vanishing. A waiter counts itself parked
+/// the ordered log, `NetNode::submit_tx` after handing over a
+/// transaction, the dialer after registering a link, `NetNode::shutdown`
+/// after signalling) call [`Waker::wake`]; the reactor parks in
+/// [`Waker::wait_timeout`] between sweeps. The pending flag is flipped
+/// *under the mutex* before notifying, so a wake that races the
+/// reactor's park is latched, never lost — a wake issued while the
+/// reactor is mid-sweep is consumed by the next park instead of
+/// vanishing. A waiter counts itself parked
 /// under the same mutex, and `wake` rings the condvar only when one is:
 /// a notify is a futex syscall even with nobody waiting, and most wakes
 /// land while the reactor is mid-sweep. `crates/check` explores the

@@ -1,19 +1,20 @@
-//! Worker channels: transaction batching and peer-to-peer dissemination.
+//! Worker lanes: transaction batching and peer-to-peer dissemination.
 //!
 //! This is the Narwhal-style decoupling of data dissemination from
 //! consensus (PAPERS.md, "Bullshark"): client transactions go to worker
-//! channels, never to the consensus thread.
+//! lanes, never to the consensus thread.
 //!
-//! Each worker runs a **batcher** thread that drains its transaction
-//! channel, assembles size/time-bounded [`Batch`]es, hashes each sealed
-//! batch into a [`HashedBatch`], and fans it out to every peer through
-//! that peer's bounded [`SendQueue`] (one frame encoding shared by all
-//! peers via [`FramePool`]) before handing it to consensus, whose engine
-//! holds the node's only copy. The queues themselves are drained by the
-//! reactor (`crate::reactor`), which owns the dedicated worker-lane
-//! connections announced with [`WireMsg::WorkerHello`] — sealing rings
-//! the reactor's waker so the fan-out hits the wire without waiting for
-//! the next sweep tick.
+//! A [`Lane`] is one open batch ([`Assembler`]) plus the lane's bounded
+//! [`SendQueue`] toward each peer. The reactor (`crate::reactor`) owns
+//! every lane: it fills them round-robin from drained client submissions
+//! and from `NetNode::submit_tx`, and seals a lane once its batch is full
+//! or its oldest transaction is `BATCH_INTERVAL` old. Sealing hashes the
+//! batch into a [`HashedBatch`], encodes one frame that every peer queue
+//! shares ([`FramePool`]), and hands the batch to consensus, whose engine
+//! holds the node's only copy. The reactor writes those queues to the
+//! dedicated worker-lane connections announced with
+//! [`WireMsg::WorkerHello`]. Nothing in this module spawns a thread or
+//! blocks.
 //!
 //! Inbound, the reactor classifies `WorkerHello` connections and hashes
 //! each pushed batch before handing it to the consensus thread; consensus
@@ -23,8 +24,7 @@
 //! path covers stragglers).
 //!
 //! Consensus therefore carries a 32-byte digest per batch regardless of
-//! transaction size; throughput scales with worker count and network
-//! bandwidth instead of the consensus thread.
+//! transaction size.
 
 use std::time::{Duration, Instant};
 
@@ -34,21 +34,20 @@ use dagrider_types::{Batch, BatchDigest, ProcessId, Transaction};
 use crate::frame::FramePool;
 use crate::queue::SendQueue;
 use crate::runtime::Event;
-use crate::signal::{Shutdown, Waker};
-use crate::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
+use crate::sync::mpsc::Sender;
 use crate::sync::Arc;
 use crate::wire::WireMsg;
 
-/// A worker seals its pending batch once transaction payload reaches
-/// this size. The reactor refuses a client transaction larger than this:
-/// it could never be disseminated.
+/// A lane seals its open batch once transaction payload reaches this
+/// size. Client admission and `NetNode::submit_tx` refuse a transaction
+/// larger than this, so a sealed batch holds less than twice this much.
 pub const BATCH_MAX_BYTES: usize = 64 * 1024;
 
-/// A worker seals an underfull batch once its oldest transaction is this
+/// A lane seals an underfull batch once its oldest transaction is this
 /// old, so a trickle of traffic still reaches consensus promptly.
 const BATCH_INTERVAL: Duration = Duration::from_millis(10);
 
-/// Batch assembly bounds for one worker channel.
+/// Batch assembly bounds for one worker lane.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct BatchPolicy {
     /// Seal as soon as pending transaction payload reaches this size.
@@ -86,92 +85,50 @@ impl Assembler {
         self.oldest.is_some_and(|at| now.duration_since(at) >= self.policy.max_delay)
     }
 
-    /// How long the batcher may sleep before the age bound fires.
-    pub(crate) fn nap(&self, now: Instant) -> Duration {
-        match self.oldest {
-            None => self.policy.max_delay,
-            Some(at) => (at + self.policy.max_delay).saturating_duration_since(now),
-        }
-    }
-
-    /// Takes the pending transactions, resetting the assembler. Empty
-    /// when nothing is pending — workers never seal empty batches.
+    /// Takes the pending transactions, resetting the assembler.
     pub(crate) fn take(&mut self) -> Vec<Transaction> {
         self.pending_bytes = 0;
         self.oldest = None;
         std::mem::take(&mut self.pending)
     }
+}
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+/// One worker lane, owned by the reactor: the open batch and the lane's
+/// queue toward each peer's worker connection.
+pub(crate) struct Lane {
+    me: ProcessId,
+    worker: u32,
+    /// The open batch. The reactor seals it when [`Assembler::push`]
+    /// reports it full or [`Assembler::overdue`] reports it due, so a
+    /// sealed batch is never empty.
+    pub(crate) open: Assembler,
+    peer_queues: Vec<Arc<SendQueue>>,
+}
+
+impl Lane {
+    /// Lane `worker` of process `me`, fanning out to `peer_queues` and
+    /// bounded by [`BATCH_MAX_BYTES`] and `BATCH_INTERVAL`.
+    pub(crate) fn new(me: ProcessId, worker: u32, peer_queues: Vec<Arc<SendQueue>>) -> Self {
+        let policy = BatchPolicy { max_bytes: BATCH_MAX_BYTES, max_delay: BATCH_INTERVAL };
+        Self { me, worker, open: Assembler::new(policy), peer_queues }
     }
-}
 
-/// Everything a batcher needs to seal and publish a batch: its identity
-/// plus the fan-out queues and consensus channel it writes to.
-pub(crate) struct BatchLane<'a> {
-    pub me: ProcessId,
-    pub worker: u32,
-    pub peer_queues: &'a [Arc<SendQueue>],
-    pub consensus: &'a Sender<Event>,
-    /// Rung after a seal fans out, so the reactor drains the peer
-    /// queues immediately instead of on its next sweep tick.
-    pub waker: &'a Waker,
-}
-
-/// The batcher thread body for worker channel `lane.worker` of process
-/// `lane.me`: drain the transaction channel, seal batches bounded by
-/// [`BATCH_MAX_BYTES`] and [`BATCH_INTERVAL`], fan them out, and hand
-/// each sealed batch to consensus (which releases the digest after ack
-/// quorum).
-pub(crate) fn batch_loop(lane: &BatchLane<'_>, rx: &Receiver<Transaction>, stop: &Shutdown) {
-    let frames = FramePool::new();
-    let mut assembler =
-        Assembler::new(BatchPolicy { max_bytes: BATCH_MAX_BYTES, max_delay: BATCH_INTERVAL });
-    loop {
-        let now = Instant::now();
-        if stop.is_signalled() {
-            return;
+    /// Seals the open batch: hashes it, encodes one frame that every peer
+    /// queue shares, and hands the batch to consensus, which holds its
+    /// digest until enough peers acknowledge.
+    pub(crate) fn seal(&mut self, frames: &FramePool, consensus: &Sender<Event>) {
+        let batch = HashedBatch::new(Batch::new(self.me, self.worker, self.open.take()));
+        let frame = frames.encode_with(|buf| WireMsg::encode_batch_into(batch.batch(), buf));
+        for queue in &self.peer_queues {
+            queue.push(frame.clone());
         }
-        if assembler.overdue(now) {
-            seal(lane, &mut assembler, &frames);
-        }
-        // Cap the nap so a signalled shutdown is noticed promptly even
-        // with an idle channel and a long age bound.
-        let nap = assembler.nap(now).clamp(Duration::from_millis(1), Duration::from_millis(50));
-        match rx.recv_timeout(nap) {
-            Ok(tx) => {
-                if assembler.push(tx, Instant::now()) {
-                    seal(lane, &mut assembler, &frames);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => {
-                // Shutdown: flush what is pending, then exit.
-                seal(lane, &mut assembler, &frames);
-                return;
-            }
-        }
+        let _ = consensus.send(Event::OwnBatch(batch));
     }
 }
 
-/// Seals the pending transactions into a batch: hash it, encode one
-/// frame shared by every peer queue, and hand it to consensus.
-fn seal(lane: &BatchLane<'_>, assembler: &mut Assembler, frames: &FramePool) {
-    if assembler.is_empty() {
-        return;
-    }
-    let batch = HashedBatch::new(Batch::new(lane.me, lane.worker, assembler.take()));
-    let frame = frames.encode_with(|buf| WireMsg::encode_batch_into(batch.batch(), buf));
-    for queue in lane.peer_queues {
-        queue.push(frame.clone());
-    }
-    lane.waker.wake();
-    let _ = lane.consensus.send(Event::OwnBatch(batch));
-}
-
-/// A digest sealed by a local worker, awaiting peer acknowledgements
-/// before consensus proposes it. Tracked by the consensus thread.
+/// A digest one of the node's own lanes sealed, awaiting peer
+/// acknowledgements before consensus proposes it. Tracked by the
+/// consensus thread.
 #[derive(Debug)]
 pub(crate) struct PendingAck {
     /// The digest being acknowledged.
@@ -208,9 +165,8 @@ mod tests {
         let now = Instant::now();
         assert!(!a.push(tx(1, 32), now), "32 of 64 bytes: not full");
         assert!(a.push(tx(2, 32), now), "64 of 64 bytes: full");
-        let txs = a.take();
-        assert_eq!(txs.len(), 2);
-        assert!(a.is_empty());
+        assert_eq!(a.take().len(), 2);
+        assert!(a.take().is_empty(), "take resets the assembler");
         assert!(!a.overdue(now + Duration::from_secs(60)), "empty assembler is never overdue");
     }
 
@@ -224,7 +180,6 @@ mod tests {
         a.push(tx(1, 8), start);
         assert!(!a.overdue(start));
         assert!(a.overdue(start + Duration::from_millis(10)));
-        assert!(a.nap(start) <= Duration::from_millis(10));
         assert_eq!(a.take().len(), 1);
     }
 

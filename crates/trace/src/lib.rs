@@ -150,27 +150,6 @@ pub enum TraceEvent {
         /// The phase reached.
         phase: RbcPhase,
     },
-    /// A worker channel sealed a transaction batch (batch dissemination
-    /// happens off the consensus path; vertices carry only the digest).
-    BatchCreated {
-        /// The sealed batch's digest.
-        digest: BatchDigest,
-        /// Total transaction payload bytes in the batch.
-        bytes: u64,
-    },
-    /// A sealed batch was handed to the worker's peer connections for
-    /// streaming.
-    BatchDisseminated {
-        /// The disseminated batch's digest.
-        digest: BatchDigest,
-    },
-    /// A peer acknowledged receipt of a batch on the worker channel.
-    BatchAcked {
-        /// The acknowledged batch's digest.
-        digest: BatchDigest,
-        /// The acknowledging peer.
-        by: ProcessId,
-    },
     /// A batch became available in this process's local batch store
     /// (own assembly, peer dissemination, or a completed fetch).
     BatchStored {
@@ -199,20 +178,6 @@ pub enum TraceEvent {
         digest: BatchDigest,
         /// The peer asked.
         from: ProcessId,
-    },
-    /// A sample of the node's cumulative client-admission counters,
-    /// recorded by the consensus thread whenever they moved. All four
-    /// values are monotone over a process's trace — the auditor checks
-    /// exactly that.
-    ClientAdmission {
-        /// Submissions admitted into a client queue so far.
-        accepted: u64,
-        /// Admitted transactions drained toward consensus so far.
-        coalesced: u64,
-        /// Submissions refused with a typed reject so far.
-        shed: u64,
-        /// Deepest any single client queue has ever been.
-        queue_high_water: u64,
     },
 }
 
@@ -367,6 +332,9 @@ impl Decode for RbcPhase {
     }
 }
 
+// Tags 11-13 and 18 belonged to variants nothing produced and are
+// retired. The other tags keep their numbers: golden stream digests hash
+// events with this codec.
 impl Encode for TraceEvent {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
@@ -423,20 +391,6 @@ impl Encode for TraceEvent {
                 primitive.encode(buf);
                 phase.encode(buf);
             }
-            TraceEvent::BatchCreated { digest, bytes } => {
-                11u8.encode(buf);
-                digest.encode(buf);
-                bytes.encode(buf);
-            }
-            TraceEvent::BatchDisseminated { digest } => {
-                12u8.encode(buf);
-                digest.encode(buf);
-            }
-            TraceEvent::BatchAcked { digest, by } => {
-                13u8.encode(buf);
-                digest.encode(buf);
-                by.encode(buf);
-            }
             TraceEvent::BatchStored { digest } => {
                 14u8.encode(buf);
                 digest.encode(buf);
@@ -454,13 +408,6 @@ impl Encode for TraceEvent {
                 17u8.encode(buf);
                 digest.encode(buf);
                 from.encode(buf);
-            }
-            TraceEvent::ClientAdmission { accepted, coalesced, shed, queue_high_water } => {
-                18u8.encode(buf);
-                accepted.encode(buf);
-                coalesced.encode(buf);
-                shed.encode(buf);
-                queue_high_water.encode(buf);
             }
         }
     }
@@ -486,24 +433,14 @@ impl Encode for TraceEvent {
             TraceEvent::RbcPhase { instance, primitive, phase } => {
                 instance.encoded_len() + primitive.encoded_len() + phase.encoded_len()
             }
-            TraceEvent::BatchCreated { digest, bytes } => {
-                digest.encoded_len() + bytes.encoded_len()
+            TraceEvent::BatchStored { digest } | TraceEvent::DigestOrdered { digest } => {
+                digest.encoded_len()
             }
-            TraceEvent::BatchDisseminated { digest }
-            | TraceEvent::BatchStored { digest }
-            | TraceEvent::DigestOrdered { digest } => digest.encoded_len(),
-            TraceEvent::BatchAcked { digest, by } => digest.encoded_len() + by.encoded_len(),
             TraceEvent::BatchResolved { digest, waited } => {
                 digest.encoded_len() + waited.encoded_len()
             }
             TraceEvent::BatchFetchRequested { digest, from } => {
                 digest.encoded_len() + from.encoded_len()
-            }
-            TraceEvent::ClientAdmission { accepted, coalesced, shed, queue_high_water } => {
-                accepted.encoded_len()
-                    + coalesced.encoded_len()
-                    + shed.encoded_len()
-                    + queue_high_water.encoded_len()
             }
         }
     }
@@ -541,15 +478,6 @@ impl Decode for TraceEvent {
                 primitive: RbcPrimitive::decode(buf)?,
                 phase: RbcPhase::decode(buf)?,
             }),
-            11 => Ok(TraceEvent::BatchCreated {
-                digest: BatchDigest::decode(buf)?,
-                bytes: u64::decode(buf)?,
-            }),
-            12 => Ok(TraceEvent::BatchDisseminated { digest: BatchDigest::decode(buf)? }),
-            13 => Ok(TraceEvent::BatchAcked {
-                digest: BatchDigest::decode(buf)?,
-                by: ProcessId::decode(buf)?,
-            }),
             14 => Ok(TraceEvent::BatchStored { digest: BatchDigest::decode(buf)? }),
             15 => Ok(TraceEvent::DigestOrdered { digest: BatchDigest::decode(buf)? }),
             16 => Ok(TraceEvent::BatchResolved {
@@ -559,12 +487,6 @@ impl Decode for TraceEvent {
             17 => Ok(TraceEvent::BatchFetchRequested {
                 digest: BatchDigest::decode(buf)?,
                 from: ProcessId::decode(buf)?,
-            }),
-            18 => Ok(TraceEvent::ClientAdmission {
-                accepted: u64::decode(buf)?,
-                coalesced: u64::decode(buf)?,
-                shed: u64::decode(buf)?,
-                queue_high_water: u64::decode(buf)?,
             }),
             _ => Err(DecodeError::Invalid("unknown trace event tag")),
         }
@@ -620,21 +542,12 @@ mod tests {
                 primitive: RbcPrimitive::Avid,
                 phase: RbcPhase::Commit,
             },
-            TraceEvent::BatchCreated { digest: BatchDigest::new([7; 32]), bytes: 4096 },
-            TraceEvent::BatchDisseminated { digest: BatchDigest::new([8; 32]) },
-            TraceEvent::BatchAcked { digest: BatchDigest::new([9; 32]), by: ProcessId::new(2) },
             TraceEvent::BatchStored { digest: BatchDigest::new([10; 32]) },
             TraceEvent::DigestOrdered { digest: BatchDigest::new([11; 32]) },
             TraceEvent::BatchResolved { digest: BatchDigest::new([12; 32]), waited: 17 },
             TraceEvent::BatchFetchRequested {
                 digest: BatchDigest::new([13; 32]),
                 from: ProcessId::new(1),
-            },
-            TraceEvent::ClientAdmission {
-                accepted: 120,
-                coalesced: 118,
-                shed: 3,
-                queue_high_water: 42,
             },
         ]
     }
@@ -697,10 +610,12 @@ mod tests {
 
     #[test]
     fn unknown_tags_are_rejected() {
-        assert!(matches!(
-            TraceEvent::from_bytes(&[200]),
-            Err(DecodeError::Invalid("unknown trace event tag"))
-        ));
+        for tag in [11, 12, 13, 18, 200] {
+            assert!(matches!(
+                TraceEvent::from_bytes(&[tag]),
+                Err(DecodeError::Invalid("unknown trace event tag"))
+            ));
+        }
         assert!(matches!(
             RbcPrimitive::from_bytes(&[9]),
             Err(DecodeError::Invalid("unknown RBC primitive tag"))

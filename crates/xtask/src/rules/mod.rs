@@ -214,10 +214,11 @@ fn check_sync_discipline(root: &Path, findings: &mut Vec<Finding>) {
 /// The event-loop functions the `consensus-blocking` rule patrols, as
 /// `(file, function)` pairs relative to the workspace root. The reactor
 /// sweep functions are held to the same standard as consensus: the
-/// reactor thread owns every peer, worker, and client socket, so one
-/// blocking call there stalls all of them at once. Accepting is budgeted
-/// into `accept_pending` (the listener is non-blocking) and dialing
-/// lives on the dialer thread — neither may creep into the sweeps.
+/// reactor thread owns every peer, worker, and client socket and seals
+/// every worker lane's batches, so one blocking call there stalls all
+/// of them at once. Accepting is budgeted into `accept_pending` (the
+/// listener is non-blocking) and dialing lives on the dialer thread —
+/// neither may creep into the sweeps.
 const EVENT_LOOP_FNS: &[(&str, &str)] = &[
     ("crates/net/src/runtime.rs", "consensus_loop"),
     ("crates/net/src/runtime.rs", "serve_sync"),
@@ -230,6 +231,9 @@ const EVENT_LOOP_FNS: &[(&str, &str)] = &[
     ("crates/net/src/reactor.rs", "sweep_clients"),
     ("crates/net/src/reactor.rs", "read_client"),
     ("crates/net/src/reactor.rs", "drain_admission"),
+    ("crates/net/src/reactor.rs", "seal_lanes"),
+    ("crates/net/src/reactor.rs", "fill_lane"),
+    ("crates/net/src/worker.rs", "seal"),
     ("crates/net/src/reactor.rs", "notify_ordered"),
     ("crates/net/src/reactor.rs", "flush_replies"),
     ("crates/net/src/reactor.rs", "pump_client_replies"),

@@ -381,66 +381,6 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
     );
 }
 
-/// Client-admission observability: monotone cumulative samples audit
-/// clean and surface in the report's per-process traffic columns, and a
-/// later sample regressing any counter (records reordered, dropped, or
-/// fabricated) is flagged as `NonMonotoneAdmission`.
-#[test]
-fn admission_samples_audit_clean_and_regressions_are_flagged() {
-    use dag_rider::analysis::InvariantViolation;
-    use dag_rider::simnet::Metrics;
-    use dag_rider::types::{ProcessId, Time};
-
-    let process = ProcessId::new(2);
-    let sample = |seq: u64, accepted: u64, coalesced: u64, shed: u64, qhw: u64| TraceRecord {
-        seq,
-        at: Time::new(seq),
-        process,
-        event: TraceEvent::ClientAdmission { accepted, coalesced, shed, queue_high_water: qhw },
-    };
-    let auditor = DagAuditor::new(Committee::new(4).unwrap());
-
-    // Non-decreasing samples (equality allowed: an idle tick re-samples
-    // the same totals) audit clean.
-    let clean = vec![sample(0, 10, 8, 0, 3), sample(1, 64, 60, 2, 9), sample(2, 64, 60, 2, 9)];
-    let violations = auditor.audit_trace(&clean);
-    assert!(violations.is_empty(), "monotone admission samples flagged: {violations:?}");
-
-    // The report carries the final cumulative totals as traffic columns.
-    let report = TraceReport::build(&clean, &Metrics::new(4), Time::new(3));
-    let row = report
-        .per_process
-        .iter()
-        .find(|p| p.process == process)
-        .expect("admission samples must create a traffic row");
-    assert_eq!(row.client_accepted, 64);
-    assert_eq!(row.client_coalesced, 60);
-    assert_eq!(row.client_shed, 2);
-    assert_eq!(row.client_queue_high_water, 9);
-    let rendered = report.to_string();
-    assert!(rendered.contains("accepted"), "{rendered}");
-    assert!(rendered.contains("qhw"), "{rendered}");
-
-    // A regressing counter must be flagged, naming the counter and both
-    // samples.
-    let tampered = vec![sample(0, 10, 8, 5, 3), sample(1, 64, 60, 2, 9)];
-    let violations = auditor.audit_trace(&tampered);
-    assert!(
-        violations.iter().any(|v| matches!(
-            v,
-            InvariantViolation::NonMonotoneAdmission {
-                process: p,
-                counter: "shed",
-                value: 2,
-                previous: 5,
-            } if *p == process
-        )),
-        "regressing shed counter not flagged: {violations:?}"
-    );
-    // Counters that did not regress are not flagged.
-    assert_eq!(violations.len(), 1, "{violations:?}");
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
