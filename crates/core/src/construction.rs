@@ -147,11 +147,11 @@ impl DagCore {
     /// 32-byte names instead of the transaction bytes. The proposer and
     /// sequence number are stamped at vertex-creation time.
     ///
-    /// Consecutive digest submissions coalesce into one queue entry:
-    /// rounds advance far slower than workers seal batches, and a vertex
-    /// can carry any number of 32-byte digests, so folding them together
-    /// keeps the proposal backlog bounded by round progress instead of
-    /// batch rate.
+    /// Consecutive digest submissions coalesce into one queue entry: the
+    /// TCP runtime may release several digests between two proposals
+    /// (one per acked batch), and a vertex can carry any number of
+    /// 32-byte digests, so folding them together keeps the proposal
+    /// backlog bounded by round progress instead of batch rate.
     pub fn enqueue_digests(&mut self, digests: Vec<BatchDigest>) {
         if let Some(QueuedPayload::Digests(tail)) = self.blocks_to_propose.back_mut() {
             tail.extend(digests);

@@ -268,11 +268,11 @@ fn wait_and_verify(
     }
 
     // Validity: in an uninterrupted run every process's marker must be
-    // ordered (each is sealed within the batch interval, and its digest
-    // rides one of its process's early vertices). A mid-run kill can
-    // orphan early vertices whose weak-edge carriers died with the victim
-    // — validity is only *eventual*, and the run is truncated at
-    // `max_round` — so the restart mode requires at least one marker.
+    // ordered (each seals when its process's round first advances, and
+    // its digest rides one of that process's early vertices). A mid-run
+    // kill can orphan early vertices whose weak-edge carriers died with
+    // the victim — validity is only *eventual*, and the run is truncated
+    // at `max_round` — so the restart mode requires at least one marker.
     let has_marker = |i: usize| {
         let token = format!("m{i}");
         logs[0].iter().any(|l| l.split_whitespace().any(|t| t == token))

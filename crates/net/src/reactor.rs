@@ -29,10 +29,10 @@
 //!   ordered notifications. Client sockets are swept in rotating chunks
 //!   so ten thousand idle connections cannot starve peer traffic.
 //! * **worker lanes** — the reactor owns every [`Lane`]. Drained client
-//!   submissions and `NetNode::submit_tx`'s channel fill the lanes'
-//!   open batches round-robin; a lane seals when its batch is full or
-//!   its oldest transaction is due, queuing one shared frame per peer
-//!   for the worker links and handing the batch to consensus.
+//!   submissions and `NetNode::submit_tx`'s channel fill the lane the
+//!   node's round picks (`round % lanes`), which seals when its batch is
+//!   full or the published round rises, queuing one shared frame per
+//!   peer for the worker links and handing the batch to consensus.
 //! * **ordered notifications** — a subscribed client's submission leaves
 //!   an entry in the reactor's [`Matcher`] as it drains toward a worker
 //!   lane; when the published ordered log grows, the reactor reads the
@@ -43,9 +43,10 @@
 //! progress, it parks on a [`Waker`] — a flag-under-mutex latch
 //! explored by `dagrider-check` — which every producer (consensus
 //! routing frames and appending to the ordered log, `NetNode::submit_tx`,
-//! the dialer registering links) rings after publishing work. The park
-//! also bounds how late a due batch seals. `cargo xtask lint` verifies
-//! no blocking call reaches the sweep functions.
+//! the dialer registering links) rings after publishing work. Consensus
+//! rings it after every burst, so a round advance is seen, and its
+//! batch sealed, one sweep later. `cargo xtask lint` verifies no
+//! blocking call reaches the sweep functions.
 //!
 //! Dialing stays on its own thread ([`dialer_loop`]): `connect` is the
 //! one operation `std::net` offers no non-blocking form for (without
@@ -102,7 +103,9 @@ const CLIENT_QUEUE_CAPACITY: usize = 1024;
 /// client that stops reading).
 const REPLY_QUEUE_CAP: usize = 4096;
 
-/// How long the reactor parks when a full sweep made no progress.
+/// How long the reactor parks when a full sweep made no progress: the
+/// longest an inbound frame waits to be read, since arriving bytes ring
+/// no waker.
 const IDLE_WAIT: Duration = Duration::from_millis(1);
 
 /// Frames one `write_vectored` call offers a socket.
@@ -266,23 +269,7 @@ pub(crate) struct ReactorConfig {
 /// The reactor thread body: build the sweep state and loop until
 /// shutdown.
 pub(crate) fn reactor_main(config: ReactorConfig) {
-    let mut reactor = Reactor {
-        config,
-        links: Vec::new(),
-        conns: Vec::new(),
-        clients: HashMap::new(),
-        client_ids: Vec::new(),
-        stale_ids: 0,
-        sweep_cursor: 0,
-        drain_cursor: 0,
-        next_client: 1,
-        next_lane: 0,
-        reply_dirty: Vec::new(),
-        matcher: Matcher::default(),
-        ordered_cursor: 0,
-        frames: FramePool::new(),
-    };
-    reactor.reactor_loop();
+    Reactor::new(config).reactor_loop();
 }
 
 struct Reactor {
@@ -297,7 +284,11 @@ struct Reactor {
     sweep_cursor: usize,
     drain_cursor: usize,
     next_client: u64,
-    next_lane: usize,
+    /// The published round as of the last seal step.
+    round: u64,
+    /// The lane that round fills, `round % lanes`: however many lanes a
+    /// node runs, one round seals at most one underfull batch.
+    open_lane: usize,
     /// Clients with queued replies to flush this sweep.
     reply_dirty: Vec<u64>,
     /// Subscribed submissions waiting for their transaction to be ordered.
@@ -316,6 +307,26 @@ enum LinkPump {
 }
 
 impl Reactor {
+    fn new(config: ReactorConfig) -> Self {
+        Self {
+            config,
+            links: Vec::new(),
+            conns: Vec::new(),
+            clients: HashMap::new(),
+            client_ids: Vec::new(),
+            stale_ids: 0,
+            sweep_cursor: 0,
+            drain_cursor: 0,
+            next_client: 1,
+            round: 0,
+            open_lane: 0,
+            reply_dirty: Vec::new(),
+            matcher: Matcher::default(),
+            ordered_cursor: 0,
+            frames: FramePool::new(),
+        }
+    }
+
     /// The poll loop. `cargo xtask lint` bans every blocking call in
     /// here and in the sweep functions below — the only wait is the
     /// waker park when a full sweep made no progress.
@@ -707,7 +718,6 @@ impl Reactor {
         if self.client_ids.is_empty() {
             return false;
         }
-        let now = Instant::now();
         let mut budget = DRAIN_BUDGET;
         let mut idle_streak = 0usize;
         let mut drained = false;
@@ -731,38 +741,42 @@ impl Reactor {
             if client.subscribed {
                 self.matcher.admit(id, seq, tx.as_ref());
             }
-            self.fill_lane(tx, now);
+            self.fill_lane(tx);
         }
         drained
     }
 
     /// Moves `NetNode::submit_tx`'s transactions into the lanes, up to
-    /// [`DRAIN_BUDGET`] per sweep, then seals every lane whose open batch
-    /// is due. A seal counts as progress.
+    /// [`DRAIN_BUDGET`] per sweep. Then, if the published round has risen
+    /// since the last call, seals the lane the previous round filled,
+    /// unless it is empty: the vertex made at the advance went out
+    /// without the batch, which has a round to gather its ack quorum in
+    /// time for the next one. A seal counts as progress.
     fn seal_lanes(&mut self) -> bool {
-        let now = Instant::now();
         let mut progress = false;
         for _ in 0..DRAIN_BUDGET {
             let Ok(tx) = self.config.submitted.try_recv() else { break };
-            self.fill_lane(tx, now);
+            self.fill_lane(tx);
             progress = true;
         }
-        for lane in &mut self.config.lanes {
-            if lane.open.overdue(now) {
+        let round = self.config.published.round.load(AtomicOrdering::Relaxed);
+        if round > self.round {
+            let lane = &mut self.config.lanes[self.open_lane];
+            if !lane.open.is_empty() {
                 lane.seal(&self.frames, &self.config.consensus);
                 progress = true;
             }
+            self.round = round;
+            self.open_lane = (round % self.config.lanes.len() as u64) as usize;
         }
         progress
     }
 
-    /// Puts `tx` into the next lane's open batch, round-robin, and seals
-    /// that batch once it is full.
-    fn fill_lane(&mut self, tx: Transaction, now: Instant) {
-        let at = self.next_lane % self.config.lanes.len();
-        self.next_lane = self.next_lane.wrapping_add(1);
-        let lane = &mut self.config.lanes[at];
-        if lane.open.push(tx, now) {
+    /// Puts `tx` into the open batch of the lane the current round
+    /// picks, and seals that batch at once if it is full.
+    fn fill_lane(&mut self, tx: Transaction) {
+        let lane = &mut self.config.lanes[self.open_lane];
+        if lane.open.push(tx) {
             lane.seal(&self.frames, &self.config.consensus);
         }
     }
@@ -957,6 +971,7 @@ mod tests {
     use std::io::Cursor;
 
     use super::*;
+    use crate::sync::mpsc;
 
     /// A non-blocking socket stand-in: call `i` takes at most
     /// `limits[i % len]` bytes across the offered slices, and a zero
@@ -1119,5 +1134,119 @@ mod tests {
             assert_eq!(queue.try_pop(), Pop::Frame(frame));
         }
         assert_eq!(queue.try_pop(), Pop::Empty);
+    }
+
+    /// A reactor with `lanes` worker lanes and no peers, the channel its
+    /// sealed batches reach consensus on, and its `NetNode::submit_tx`
+    /// feed.
+    fn lane_reactor(lanes: u32) -> (Reactor, Receiver<Event>, Sender<Transaction>) {
+        let me = ProcessId::new(0);
+        let (consensus, sealed) = mpsc::channel();
+        let (submit, submitted) = mpsc::channel();
+        let config = ReactorConfig {
+            committee: Committee::new(4).unwrap(),
+            listener: TcpListener::bind("127.0.0.1:0").unwrap(),
+            dialed: mpsc::channel().1,
+            waker: Arc::new(Waker::new()),
+            consensus,
+            lanes: (0..lanes).map(|worker| Lane::new(me, worker, Vec::new())).collect(),
+            submitted,
+            redial: mpsc::channel().0,
+            stats: Arc::default(),
+            published: Arc::default(),
+            stop: Arc::new(Shutdown::new()),
+        };
+        (Reactor::new(config), sealed, submit)
+    }
+
+    /// Publishes `round` as the consensus thread does, then runs one
+    /// sweep's seal step.
+    fn seal_at(reactor: &mut Reactor, round: u64) {
+        reactor.config.published.round.store(round, AtomicOrdering::Relaxed);
+        reactor.seal_lanes();
+    }
+
+    /// `(lane, transactions)` of every batch sealed since the last call.
+    fn sealed(rx: &Receiver<Event>) -> Vec<(u32, usize)> {
+        let mut batches = Vec::new();
+        while let Ok(event) = rx.try_recv() {
+            let Event::OwnBatch(batch) = event else { panic!("a seal sends only OwnBatch") };
+            batches.push((batch.batch().worker(), batch.batch().len()));
+        }
+        batches
+    }
+
+    fn small(tag: u64) -> Transaction {
+        Transaction::synthetic(tag, 128)
+    }
+
+    #[test]
+    fn a_lane_seals_when_the_round_that_filled_it_has_passed() {
+        let (mut reactor, rx, submit) = lane_reactor(3);
+        // At genesis the round stands still: nothing seals, however
+        // many sweeps run.
+        reactor.fill_lane(small(1));
+        submit.send(small(2)).unwrap();
+        for _ in 0..3 {
+            seal_at(&mut reactor, 0);
+        }
+        assert_eq!(sealed(&rx), []);
+
+        // The advance seals round 0's lane, with both transactions.
+        seal_at(&mut reactor, 1);
+        assert_eq!(sealed(&rx), [(0, 2)]);
+
+        // What arrives after the advance joins round 1's lane, and waits
+        // there until round 1 passes.
+        reactor.fill_lane(small(3));
+        submit.send(small(4)).unwrap();
+        seal_at(&mut reactor, 1);
+        assert_eq!(sealed(&rx), []);
+        seal_at(&mut reactor, 2);
+        assert_eq!(sealed(&rx), [(1, 2)]);
+
+        // An advance past a round that filled nothing seals nothing: an
+        // empty lane never seals.
+        seal_at(&mut reactor, 3);
+        assert_eq!(sealed(&rx), []);
+
+        // A jump over several rounds seals the one lane that was filling
+        // (round 3's), and the lane of the round it lands on fills next.
+        reactor.fill_lane(small(5));
+        seal_at(&mut reactor, 7);
+        assert_eq!(sealed(&rx), [(0, 1)]);
+        reactor.fill_lane(small(6));
+        seal_at(&mut reactor, 8);
+        assert_eq!(sealed(&rx), [(1, 1)]);
+    }
+
+    #[test]
+    fn a_full_batch_seals_at_once_mid_round() {
+        let (mut reactor, rx, _submit) = lane_reactor(2);
+        seal_at(&mut reactor, 5);
+        let half = |tag| Transaction::synthetic(tag, BATCH_MAX_BYTES / 2);
+        reactor.fill_lane(half(1));
+        assert_eq!(sealed(&rx), []);
+        reactor.fill_lane(half(2));
+        assert_eq!(sealed(&rx), [(1, 2)], "round 5's lane seals on reaching the bound");
+
+        // The round has not moved: the lane refills, and the rest of the
+        // round's transactions seal at the advance.
+        reactor.fill_lane(half(3));
+        seal_at(&mut reactor, 5);
+        assert_eq!(sealed(&rx), []);
+        seal_at(&mut reactor, 6);
+        assert_eq!(sealed(&rx), [(1, 1)]);
+    }
+
+    #[test]
+    fn one_lane_seals_once_every_round() {
+        let (mut reactor, rx, _submit) = lane_reactor(1);
+        for round in 1..=5 {
+            reactor.fill_lane(small(2 * round));
+            reactor.fill_lane(small(2 * round + 1));
+            seal_at(&mut reactor, round);
+            assert_eq!(sealed(&rx), [(0, 2)], "round {round}");
+        }
     }
 }

@@ -87,8 +87,9 @@ pub struct NetConfig {
     pub sync_timeout: Duration,
     /// Batch-dissemination worker lanes, each with one open batch and
     /// one worker link per peer. Every transaction enters the node
-    /// through them, so a node runs at least one. The reactor serves
-    /// every lane, so this sets no thread count.
+    /// through them, so a node runs at least one. Round `r` fills lane
+    /// `r % workers`, which seals when full or when the round advances.
+    /// The reactor serves every lane, so this sets no thread count.
     pub workers: usize,
     /// How long consensus waits for peer [`BatchAck`]s before releasing
     /// a sealed digest into a vertex payload anyway (the engine's
@@ -225,7 +226,7 @@ pub(crate) enum Event {
         /// The received batch.
         batch: HashedBatch,
     },
-    /// A writer (re-)established its connection to `peer`.
+    /// The dialer (re-)established the consensus link to `peer`.
     LinkUp(ProcessId),
     /// Stop the consensus loop.
     Shutdown,
@@ -239,10 +240,11 @@ pub(crate) struct Published {
     /// The node's ordered log: every `Ordered` output of its engine.
     pub(crate) ordered: Mutex<Vec<OrderedVertex>>,
     /// The ordered log's length, stored (`Release`) under its mutex after
-    /// each append; the reactor's `Acquire` load sees the log grow
-    /// without taking the mutex, and a length it reads never exceeds the
-    /// log it then locks.
+    /// each append; an `Acquire` load (the reactor's, or
+    /// [`NetNode::ordered_len`]) sees the log grow without taking the
+    /// mutex, and a length it reads never exceeds the log it then locks.
     pub(crate) ordered_len: AtomicU64,
+    /// The engine's current round; the reactor seals a lane when it rises.
     pub(crate) round: AtomicU64,
     pub(crate) decided_wave: AtomicU64,
     pub(crate) synced: AtomicBool,
@@ -487,9 +489,10 @@ impl NetNode {
         self.addr
     }
 
-    /// Submits one transaction for atomic broadcast through a
-    /// batch-dissemination worker lane (round-robin): its bytes travel
-    /// over worker connections, and consensus orders the batch digest.
+    /// Submits one transaction for atomic broadcast through the
+    /// batch-dissemination worker lane the node's round picks: its bytes
+    /// travel over worker connections, and consensus orders the batch
+    /// digest.
     /// Returns `false` for a transaction longer than [`BATCH_MAX_BYTES`],
     /// which client admission refuses as `Oversized` too, and once the
     /// node has shut down.
@@ -523,9 +526,11 @@ impl NetNode {
         lock_unpoisoned(&self.published.ordered).clone()
     }
 
-    /// Length of the ordered log so far (cheaper than [`NetNode::ordered`]).
+    /// Length of the ordered log so far. Reads the length the consensus
+    /// thread stores after each append, so it never takes the log's
+    /// mutex.
     pub fn ordered_len(&self) -> usize {
-        lock_unpoisoned(&self.published.ordered).len()
+        self.published.ordered_len.load(AtomicOrdering::Acquire) as usize
     }
 
     /// The ordered log from position `start` onward — an incremental
@@ -937,8 +942,9 @@ fn consensus_loop<B: ReliableBroadcast>(
         published.batch_bytes.store(engine.batch_payload_bytes(), AtomicOrdering::Relaxed);
 
         // Anything this iteration queued or ordered reaches the wire, and
-        // the subscribed clients, after one reactor sweep — ring the bell
-        // rather than wait for its tick.
+        // the subscribed clients, after one reactor sweep, as does the
+        // seal a round advance triggers — ring the bell rather than wait
+        // for its tick.
         waker.wake();
     }
 }

@@ -6,13 +6,13 @@
 //!
 //! A [`Lane`] is one open batch ([`Assembler`]) plus the lane's bounded
 //! [`SendQueue`] toward each peer. The reactor (`crate::reactor`) owns
-//! every lane: it fills them round-robin from drained client submissions
-//! and from `NetNode::submit_tx`, and seals a lane once its batch is full
-//! or its oldest transaction is `BATCH_INTERVAL` old. Sealing hashes the
-//! batch into a [`HashedBatch`], encodes one frame that every peer queue
-//! shares ([`FramePool`]), and hands the batch to consensus, whose engine
-//! holds the node's only copy. The reactor writes those queues to the
-//! dedicated worker-lane connections announced with
+//! every lane: it fills the lane its node's current round picks from
+//! drained client submissions and from `NetNode::submit_tx`, and seals
+//! that lane once its batch is full or the round advances. Sealing
+//! hashes the batch into a [`HashedBatch`], encodes one frame that every
+//! peer queue shares ([`FramePool`]), and hands the batch to consensus,
+//! whose engine holds the node's only copy. The reactor writes those
+//! queues to the dedicated worker-lane connections announced with
 //! [`WireMsg::WorkerHello`]. Nothing in this module spawns a thread or
 //! blocks.
 //!
@@ -26,7 +26,7 @@
 //! Consensus therefore carries a 32-byte digest per batch regardless of
 //! transaction size.
 
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use dagrider_core::HashedBatch;
 use dagrider_types::{Batch, BatchDigest, ProcessId, Transaction};
@@ -43,52 +43,30 @@ use crate::wire::WireMsg;
 /// larger than this, so a sealed batch holds less than twice this much.
 pub const BATCH_MAX_BYTES: usize = 64 * 1024;
 
-/// A lane seals an underfull batch once its oldest transaction is this
-/// old, so a trickle of traffic still reaches consensus promptly.
-const BATCH_INTERVAL: Duration = Duration::from_millis(10);
-
-/// Batch assembly bounds for one worker lane.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BatchPolicy {
-    /// Seal as soon as pending transaction payload reaches this size.
-    pub max_bytes: usize,
-    /// Seal at this age even if underfull, so a trickle of transactions
-    /// still reaches consensus promptly.
-    pub max_delay: Duration,
-}
-
-/// Accumulates transactions and decides when a batch is due.
-#[derive(Debug)]
+/// Accumulates one lane's open batch and says when it is full.
+#[derive(Debug, Default)]
 pub(crate) struct Assembler {
-    policy: BatchPolicy,
     pending: Vec<Transaction>,
     pending_bytes: usize,
-    oldest: Option<Instant>,
 }
 
 impl Assembler {
-    pub(crate) fn new(policy: BatchPolicy) -> Self {
-        Self { policy, pending: Vec::new(), pending_bytes: 0, oldest: None }
-    }
-
-    /// Adds one transaction; returns `true` when the batch is now full
-    /// and should seal immediately.
-    pub(crate) fn push(&mut self, tx: Transaction, now: Instant) -> bool {
-        self.oldest.get_or_insert(now);
+    /// Adds one transaction; returns `true` when the batch has reached
+    /// [`BATCH_MAX_BYTES`] and should seal immediately.
+    pub(crate) fn push(&mut self, tx: Transaction) -> bool {
         self.pending_bytes += tx.len();
         self.pending.push(tx);
-        self.pending_bytes >= self.policy.max_bytes
+        self.pending_bytes >= BATCH_MAX_BYTES
     }
 
-    /// Whether the pending batch's age bound has expired at `now`.
-    pub(crate) fn overdue(&self, now: Instant) -> bool {
-        self.oldest.is_some_and(|at| now.duration_since(at) >= self.policy.max_delay)
+    /// Whether the batch holds no transaction.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.pending.is_empty()
     }
 
     /// Takes the pending transactions, resetting the assembler.
     pub(crate) fn take(&mut self) -> Vec<Transaction> {
         self.pending_bytes = 0;
-        self.oldest = None;
         std::mem::take(&mut self.pending)
     }
 }
@@ -99,18 +77,16 @@ pub(crate) struct Lane {
     me: ProcessId,
     worker: u32,
     /// The open batch. The reactor seals it when [`Assembler::push`]
-    /// reports it full or [`Assembler::overdue`] reports it due, so a
-    /// sealed batch is never empty.
+    /// reports it full, or when the round that filled it has passed and
+    /// it is not empty, so a sealed batch is never empty.
     pub(crate) open: Assembler,
     peer_queues: Vec<Arc<SendQueue>>,
 }
 
 impl Lane {
-    /// Lane `worker` of process `me`, fanning out to `peer_queues` and
-    /// bounded by [`BATCH_MAX_BYTES`] and `BATCH_INTERVAL`.
+    /// Lane `worker` of process `me`, fanning out to `peer_queues`.
     pub(crate) fn new(me: ProcessId, worker: u32, peer_queues: Vec<Arc<SendQueue>>) -> Self {
-        let policy = BatchPolicy { max_bytes: BATCH_MAX_BYTES, max_delay: BATCH_INTERVAL };
-        Self { me, worker, open: Assembler::new(policy), peer_queues }
+        Self { me, worker, open: Assembler::default(), peer_queues }
     }
 
     /// Seals the open batch: hashes it, encodes one frame that every peer
@@ -160,27 +136,16 @@ mod tests {
 
     #[test]
     fn assembler_seals_on_size() {
-        let mut a =
-            Assembler::new(BatchPolicy { max_bytes: 64, max_delay: Duration::from_secs(10) });
-        let now = Instant::now();
-        assert!(!a.push(tx(1, 32), now), "32 of 64 bytes: not full");
-        assert!(a.push(tx(2, 32), now), "64 of 64 bytes: full");
-        assert_eq!(a.take().len(), 2);
-        assert!(a.take().is_empty(), "take resets the assembler");
-        assert!(!a.overdue(now + Duration::from_secs(60)), "empty assembler is never overdue");
-    }
-
-    #[test]
-    fn assembler_seals_on_age() {
-        let mut a = Assembler::new(BatchPolicy {
-            max_bytes: 1 << 20,
-            max_delay: Duration::from_millis(10),
-        });
-        let start = Instant::now();
-        a.push(tx(1, 8), start);
-        assert!(!a.overdue(start));
-        assert!(a.overdue(start + Duration::from_millis(10)));
-        assert_eq!(a.take().len(), 1);
+        let half = BATCH_MAX_BYTES / 2;
+        let mut a = Assembler::default();
+        assert!(a.is_empty());
+        assert!(!a.push(tx(1, half - 1)));
+        assert!(!a.push(tx(2, half)), "one byte short of the bound: not full");
+        assert!(a.push(tx(3, 1)), "at the bound: full");
+        assert_eq!(a.take().len(), 3);
+        assert!(a.is_empty(), "take resets the assembler");
+        assert!(!a.push(tx(4, half)), "the byte count restarts after take");
+        assert!(a.push(tx(5, half)));
     }
 
     #[test]

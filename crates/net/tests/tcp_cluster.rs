@@ -265,8 +265,8 @@ fn a_restarted_node_serves_the_batches_it_recovered() {
     let first = cluster.start_with_store(0, Some(listener), &store_dir);
     assert_eq!(first.workers(), 1);
     assert!(first.submit_tx(marker));
-    // The batch is sealed within the batch interval, long before the
-    // sync phase times out and the node goes live.
+    // The batch seals when the node's round first advances: when the
+    // sync phase times out and the node goes live and starts.
     let deadline = Instant::now() + Duration::from_secs(15);
     while (first.batches_stored() == 0 || !first.is_live()) && Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(10));
@@ -460,6 +460,26 @@ fn a_node_still_syncing_refuses_client_submissions() {
     );
     assert!(!node.is_live());
     drop((stream, node, listeners));
+}
+
+/// A node seals no batch before its engine leaves genesis: a batch seals
+/// when the round advances, and its own batch must not start the node
+/// while it still syncs.
+#[test]
+fn a_node_seals_nothing_before_it_leaves_genesis() {
+    // Node 0 alone; its peers' ports stay bound but never accept, and
+    // its sync phase outlasts the test.
+    let (cluster, mut listeners) = Cluster::prepare(4, 112, 8);
+    let config = cluster.config(0).with_sync_timeout(Duration::from_secs(600));
+    let node = NetNode::start::<BrachaRbc>(config, Some(listeners.remove(0))).unwrap();
+    assert!(node.submit_tx(Transaction::synthetic(1, 16)));
+    // Longer than the default 1 s ack timeout, which would release a
+    // sealed digest into a proposal.
+    std::thread::sleep(Duration::from_millis(1_500));
+    assert!(!node.is_live());
+    assert_eq!(node.current_round().number(), 0, "the node left genesis while syncing");
+    assert_eq!(node.batches_stored(), 0, "the node sealed a batch at genesis");
+    drop((node, listeners));
 }
 
 #[test]
