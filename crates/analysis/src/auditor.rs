@@ -378,7 +378,7 @@ impl DagAuditor {
                 TraceEvent::DigestOrdered { digest } => {
                     state.unresolved_digests.insert(digest);
                 }
-                TraceEvent::BatchResolved { digest, .. } => {
+                TraceEvent::BatchResolved { digest } => {
                     state.unresolved_digests.remove(&digest);
                 }
                 TraceEvent::VertexCreated { .. }

@@ -66,9 +66,10 @@ pub struct ProcessTraffic {
     pub bytes: u64,
     /// Trace records it contributed.
     pub records: u64,
-    /// Missing-batch fetch requests this process issued: it ordered a
-    /// digest whose batch never arrived by dissemination and had to ask
-    /// a peer. Zero when worker push streams keep up.
+    /// Missing-batch fetch requests this process issued: a buffered
+    /// vertex named a batch that had not arrived by dissemination when
+    /// its fetch fell due, so the process asked a peer. Zero when worker
+    /// push streams keep up.
     pub batch_fetches: u64,
 }
 
@@ -79,11 +80,6 @@ pub struct TraceReport {
     pub waves: Vec<WaveLatency>,
     /// Ordering-lag distribution across all processes.
     pub ordering_lag: LagStats,
-    /// Batch-resolve wait distribution: for every ordered digest, ticks
-    /// between `DigestOrdered` and its `BatchResolved` (0 = the batch
-    /// was already local when its digest reached the front of the
-    /// order; larger = `a_deliver` stalled on dissemination or fetch).
-    pub batch_resolve: LagStats,
     /// Per-process traffic, ascending by id.
     pub per_process: Vec<ProcessTraffic>,
     /// The §3 time-unit denominator (max delivered correct-to-correct
@@ -117,7 +113,6 @@ impl TraceReport {
         let mut record_counts: BTreeMap<ProcessId, u64> = BTreeMap::new();
         let mut wave_latencies: BTreeMap<Wave, Vec<(u64, u64, bool)>> = BTreeMap::new();
         let mut lags: Vec<u64> = Vec::new();
-        let mut resolve_waits: Vec<u64> = Vec::new();
         let mut fetch_counts: BTreeMap<ProcessId, u64> = BTreeMap::new();
 
         let mut sorted: Vec<&TraceRecord> = records.iter().collect();
@@ -141,9 +136,6 @@ impl TraceReport {
                     if let Some(&at) = inserted_at.get(&(record.process, vertex)) {
                         lags.push(record.at.ticks().saturating_sub(at.ticks()));
                     }
-                }
-                TraceEvent::BatchResolved { waited, .. } => {
-                    resolve_waits.push(waited);
                 }
                 TraceEvent::BatchFetchRequested { .. } => {
                     *fetch_counts.entry(record.process).or_default() += 1;
@@ -201,7 +193,6 @@ impl TraceReport {
         Self {
             waves,
             ordering_lag: lag_stats(&lags),
-            batch_resolve: lag_stats(&resolve_waits),
             per_process,
             max_correct_delay: denominator,
             elapsed: now,
@@ -288,14 +279,6 @@ impl fmt::Display for TraceReport {
             let bar = "#".repeat(((n * 40).div_ceil(tallest)) as usize);
             writeln!(f, "  [{:>6}, {:>6}) {:>6} {bar}", 1u64 << i, 1u64 << (i + 1), n)?;
         }
-        let resolve = &self.batch_resolve;
-        if resolve.count > 0 {
-            writeln!(
-                f,
-                "batch resolve wait ({} digests): min {} mean {:.1} max {} ticks",
-                resolve.count, resolve.min, resolve.mean, resolve.max
-            )?;
-        }
         writeln!(f, "per-process traffic:")?;
         writeln!(
             f,
@@ -365,25 +348,22 @@ mod tests {
     }
 
     #[test]
-    fn batch_resolve_waits_and_fetch_counts_are_tallied() {
+    fn batch_fetch_counts_are_tallied() {
         use dagrider_types::BatchDigest;
         let d = BatchDigest::new([7u8; 32]);
         let mut tracer = Tracer::new(ProcessId::new(2), 64);
         tracer.set_now(Time::new(10));
-        tracer.record(TraceEvent::DigestOrdered { digest: d });
         tracer.record(TraceEvent::BatchFetchRequested { digest: d, from: ProcessId::new(0) });
         tracer.set_now(Time::new(18));
-        tracer.record(TraceEvent::BatchResolved { digest: d, waited: 8 });
+        tracer.record(TraceEvent::BatchStored { digest: d });
+        tracer.record(TraceEvent::DigestOrdered { digest: d });
+        tracer.record(TraceEvent::BatchResolved { digest: d });
         let metrics = Metrics::new(4);
         let report = TraceReport::build(&tracer.records(), &metrics, Time::new(20));
-        assert_eq!(report.batch_resolve.count, 1);
-        assert_eq!(report.batch_resolve.min, 8);
-        assert_eq!(report.batch_resolve.max, 8);
         assert_eq!(report.per_process.len(), 1);
         assert_eq!(report.per_process[0].batch_fetches, 1);
 
         let rendered = report.to_string();
-        assert!(rendered.contains("batch resolve wait (1 digests)"), "{rendered}");
         assert!(rendered.contains("fetches"), "{rendered}");
     }
 

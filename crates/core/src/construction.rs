@@ -9,19 +9,21 @@
 //!   previous round; source/round must match what the broadcast attests)
 //!   and parked in a **buffer** (lines 22–26);
 //! * a buffered vertex moves into the DAG once every vertex it references
-//!   is present (lines 6–9), keeping the DAG causally closed;
+//!   is present (lines 6–9), keeping the DAG causally closed, and every
+//!   batch its payload names is in the node's batch map, so a vertex this
+//!   process inserts is one every correct process can insert and resolve;
 //! * when the current round holds ≥ `2f+1` vertices the process advances,
 //!   signalling `wave_ready` every 4th round (lines 10–13), and broadcasts
 //!   a new vertex with strong edges to everything it has in the completed
 //!   round and weak edges to any orphans (lines 14–15, 16–21, 27–31).
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 
 use dagrider_rbc::RbcDelivery;
 use dagrider_trace::TraceEvent;
 use dagrider_types::{
-    BatchDigest, Block, Committee, Decode, Payload, ProcessId, Round, SeqNum, SparseEdgeConfig,
-    Vertex, VertexBuilder, Wave,
+    Batch, BatchDigest, Block, Committee, Decode, Payload, ProcessId, Round, SeqNum,
+    SparseEdgeConfig, Vertex, VertexBuilder, Wave,
 };
 
 use crate::dag::Dag;
@@ -35,7 +37,14 @@ pub enum DagEvent {
     /// A wave completed locally (Algorithm 2 line 12) — the ordering layer
     /// should flip the coin for it.
     WaveReady(Wave),
+    /// A vertex joined the buffer naming a batch the node lacks — fetch
+    /// it ([`DagCore::missing_batches`] lists what is missing).
+    BatchesMissing,
 }
+
+/// The node's batch store, by content digest: the engine owns it, and
+/// the buffer drain reads it.
+type Batches = BTreeMap<BatchDigest, Batch>;
 
 /// One entry of the proposal queue: an inline client block, or the
 /// digest list of worker-disseminated batches (proposer and sequence
@@ -52,7 +61,8 @@ pub struct DagCore {
     committee: Committee,
     me: ProcessId,
     dag: Dag,
-    /// Delivered vertices whose causal history is not yet complete.
+    /// Delivered vertices whose causal history or batches are not yet
+    /// all local.
     buffer: Vec<Vertex>,
     /// The current round `r`.
     round: Round,
@@ -148,8 +158,8 @@ impl DagCore {
     /// sequence number are stamped at vertex-creation time.
     ///
     /// Consecutive digest submissions coalesce into one queue entry: the
-    /// TCP runtime may release several digests between two proposals
-    /// (one per acked batch), and a vertex can carry any number of
+    /// TCP runtime may submit several digests between two proposals
+    /// (one per sealed batch), and a vertex can carry any number of
     /// 32-byte digests, so folding them together keeps the proposal
     /// backlog bounded by round progress instead of batch rate.
     pub fn enqueue_digests(&mut self, digests: Vec<BatchDigest>) {
@@ -166,12 +176,13 @@ impl DagCore {
     }
 
     /// Starts the protocol: broadcasts the round-1 vertex. Must be called
-    /// exactly once. Every method that can advance the DAG reports its
-    /// transitions (inserts, round advances, vertex creations, wave
-    /// signals) into `events`, in the order they happen.
-    pub fn start(&mut self, events: &mut Vec<EngineEvent>) -> Vec<DagEvent> {
+    /// exactly once. Every method that can advance the DAG reads the
+    /// node's batch map `batches` and reports its transitions (inserts,
+    /// round advances, vertex creations, wave signals) into `events`, in
+    /// the order they happen.
+    pub fn start(&mut self, batches: &Batches, events: &mut Vec<EngineEvent>) -> Vec<DagEvent> {
         debug_assert_eq!(self.round, Round::GENESIS, "start() is called once");
-        self.try_advance(events)
+        self.try_advance(batches, events)
     }
 
     /// Re-runs the advance loop after a block or digest list was
@@ -179,8 +190,44 @@ impl DagCore {
     /// genesis with the enqueued payload, as `start` would. Past genesis
     /// a round waits only on other processes' vertices, never on the
     /// local queue, so the call changes nothing.
-    pub fn retry_propose(&mut self, events: &mut Vec<EngineEvent>) -> Vec<DagEvent> {
-        self.try_advance(events)
+    pub fn retry_propose(
+        &mut self,
+        batches: &Batches,
+        events: &mut Vec<EngineEvent>,
+    ) -> Vec<DagEvent> {
+        self.try_advance(batches, events)
+    }
+
+    /// A batch joined `batches`: drains the buffer again if a buffered
+    /// vertex names it. A vertex enters the buffer only through
+    /// [`DagCore::on_vertex`], whose advance loop already moved the
+    /// process off genesis, so a batch stored before the protocol starts
+    /// never starts it.
+    pub fn on_batch(
+        &mut self,
+        digest: &BatchDigest,
+        batches: &Batches,
+        events: &mut Vec<EngineEvent>,
+    ) -> Vec<DagEvent> {
+        if self.buffer.iter().any(|v| v.payload().digests().contains(digest)) {
+            self.try_advance(batches, events)
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// The batches that buffered vertices name and `batches` lacks, each
+    /// with the source of a vertex that names it.
+    pub fn missing_batches(&self, batches: &Batches) -> BTreeMap<BatchDigest, ProcessId> {
+        let mut missing = BTreeMap::new();
+        for vertex in &self.buffer {
+            for digest in vertex.payload().digests() {
+                if !batches.contains_key(digest) {
+                    missing.entry(*digest).or_insert(vertex.source());
+                }
+            }
+        }
+        missing
     }
 
     /// Handles `r_deliver(v, round, source)` (Algorithm 2 lines 22–26):
@@ -188,12 +235,13 @@ impl DagCore {
     pub fn on_rbc_delivery(
         &mut self,
         delivery: &RbcDelivery,
+        batches: &Batches,
         events: &mut Vec<EngineEvent>,
     ) -> Vec<DagEvent> {
         let Ok(vertex) = Vertex::from_bytes(&delivery.payload) else {
             return Vec::new(); // malformed payload from a Byzantine source
         };
-        self.on_vertex(vertex, delivery.source, delivery.round, events)
+        self.on_vertex(vertex, delivery.source, delivery.round, batches, events)
     }
 
     /// Handles an already-decoded vertex whose `(source, round)` the
@@ -203,6 +251,7 @@ impl DagCore {
         vertex: Vertex,
         attested_source: ProcessId,
         attested_round: Round,
+        batches: &Batches,
         events: &mut Vec<EngineEvent>,
     ) -> Vec<DagEvent> {
         // The reliable broadcast attests (source, round); the embedded
@@ -223,8 +272,13 @@ impl DagCore {
         if vertex.round() < self.dag.pruned_floor() {
             return Vec::new(); // straggler below the GC floor: already ordered
         }
+        let lacks_batch = vertex.payload().digests().iter().any(|d| !batches.contains_key(d));
         self.buffer.push(vertex);
-        self.try_advance(events)
+        let mut out = self.try_advance(batches, events);
+        if lacks_batch {
+            out.push(DagEvent::BatchesMissing);
+        }
+        out
     }
 
     /// Garbage-collects DAG rounds strictly below `keep_from` (see
@@ -237,19 +291,22 @@ impl DagCore {
 
     /// Lines 5–15: drains the buffer into the DAG and advances rounds
     /// while possible.
-    fn try_advance(&mut self, events: &mut Vec<EngineEvent>) -> Vec<DagEvent> {
+    fn try_advance(&mut self, batches: &Batches, events: &mut Vec<EngineEvent>) -> Vec<DagEvent> {
         let mut out = Vec::new();
         loop {
             let mut progressed = false;
 
             // Lines 6–9: move buffered vertices whose edges are all
-            // present. One pass may unlock further vertices, hence the
-            // inner loop-until-fixpoint.
+            // present and whose batches are all local. One pass may
+            // unlock further vertices, hence the inner loop-until-fixpoint.
             loop {
                 let mut moved_one = false;
                 let mut i = 0;
                 while i < self.buffer.len() {
-                    if self.dag.has_all_edges_of(&self.buffer[i]) {
+                    let vertex = &self.buffer[i];
+                    if self.dag.has_all_edges_of(vertex)
+                        && vertex.payload().digests().iter().all(|d| batches.contains_key(d))
+                    {
                         let vertex = self.buffer.swap_remove(i);
                         let reference = vertex.reference();
                         if self.dag.insert(vertex) {
@@ -345,6 +402,10 @@ mod tests {
         DagCore::new(committee(), ProcessId::new(me), None)
     }
 
+    /// The batch map of a process that holds no batch: inline payloads
+    /// name none.
+    const NO_BATCHES: &Batches = &BTreeMap::new();
+
     fn delivery_of(vertex: &Vertex) -> RbcDelivery {
         RbcDelivery { source: vertex.source(), round: vertex.round(), payload: vertex.to_bytes() }
     }
@@ -353,14 +414,14 @@ mod tests {
     fn broadcast_vertex(events: &[DagEvent]) -> Option<&Vertex> {
         events.iter().find_map(|e| match e {
             DagEvent::Broadcast(v) => Some(v),
-            DagEvent::WaveReady(_) => None,
+            DagEvent::WaveReady(_) | DagEvent::BatchesMissing => None,
         })
     }
 
     #[test]
     fn start_broadcasts_round_one_vertex_over_genesis() {
         let mut c = core(0);
-        let events = c.start(&mut Vec::new());
+        let events = c.start(NO_BATCHES, &mut Vec::new());
         let v = broadcast_vertex(&events).expect("round-1 vertex");
         assert_eq!(v.round(), Round::new(1));
         assert_eq!(v.strong_edges().len(), 4, "genesis has all n vertices");
@@ -372,17 +433,19 @@ mod tests {
     fn round_advances_on_quorum_of_deliveries() {
         let mut c = core(0);
         let mut peers: Vec<DagCore> = (1..4).map(core).collect();
-        let my_v = broadcast_vertex(&c.start(&mut Vec::new())).unwrap().clone();
+        let my_v = broadcast_vertex(&c.start(NO_BATCHES, &mut Vec::new())).unwrap().clone();
         // Deliver my own vertex back to me (validity of RBC).
-        assert!(c.on_rbc_delivery(&delivery_of(&my_v), &mut Vec::new()).is_empty());
+        assert!(c.on_rbc_delivery(&delivery_of(&my_v), NO_BATCHES, &mut Vec::new()).is_empty());
         assert_eq!(c.round(), Round::new(1));
         // Two peers' round-1 vertices complete the quorum.
         let peer_vs: Vec<Vertex> = peers
             .iter_mut()
-            .map(|p| broadcast_vertex(&p.start(&mut Vec::new())).unwrap().clone())
+            .map(|p| broadcast_vertex(&p.start(NO_BATCHES, &mut Vec::new())).unwrap().clone())
             .collect();
-        assert!(c.on_rbc_delivery(&delivery_of(&peer_vs[0]), &mut Vec::new()).is_empty());
-        let events = c.on_rbc_delivery(&delivery_of(&peer_vs[1]), &mut Vec::new());
+        assert!(c
+            .on_rbc_delivery(&delivery_of(&peer_vs[0]), NO_BATCHES, &mut Vec::new())
+            .is_empty());
+        let events = c.on_rbc_delivery(&delivery_of(&peer_vs[1]), NO_BATCHES, &mut Vec::new());
         let v2 = broadcast_vertex(&events).expect("round-2 vertex after quorum");
         assert_eq!(v2.round(), Round::new(2));
         assert_eq!(v2.strong_edges().len(), 3, "strong edges to everything seen in r1");
@@ -394,42 +457,81 @@ mod tests {
         // Deliver a round-2 vertex before its round-1 predecessors: it
         // must wait in the buffer, then flush when the history arrives.
         let mut c = core(0);
-        c.start(&mut Vec::new());
+        c.start(NO_BATCHES, &mut Vec::new());
         let mut makers: Vec<DagCore> = (0..4).map(core).collect();
         let r1: Vec<Vertex> = makers
             .iter_mut()
-            .map(|m| broadcast_vertex(&m.start(&mut Vec::new())).unwrap().clone())
+            .map(|m| broadcast_vertex(&m.start(NO_BATCHES, &mut Vec::new())).unwrap().clone())
             .collect();
         // Build a round-2 vertex at maker 1 by feeding it all of round 1.
         let mut r2 = None;
         for v in &r1 {
-            let events = makers[1].on_rbc_delivery(&delivery_of(v), &mut Vec::new());
+            let events = makers[1].on_rbc_delivery(&delivery_of(v), NO_BATCHES, &mut Vec::new());
             if let Some(v2) = broadcast_vertex(&events) {
                 r2 = Some(v2.clone());
             }
         }
         let r2 = r2.expect("maker 1 advanced to round 2");
-        assert!(c.on_rbc_delivery(&delivery_of(&r2), &mut Vec::new()).is_empty());
+        assert!(c.on_rbc_delivery(&delivery_of(&r2), NO_BATCHES, &mut Vec::new()).is_empty());
         assert_eq!(c.buffered(), 1, "round-2 vertex parked");
         assert!(!c.dag().contains(r2.reference()));
         // Now deliver the round-1 vertices; the buffer flushes.
         for v in &r1 {
-            c.on_rbc_delivery(&delivery_of(v), &mut Vec::new());
+            c.on_rbc_delivery(&delivery_of(v), NO_BATCHES, &mut Vec::new());
         }
         assert_eq!(c.buffered(), 0);
         assert!(c.dag().contains(r2.reference()));
     }
 
     #[test]
+    fn buffer_holds_a_vertex_until_its_batches_are_local() {
+        // A round-1 vertex whose edges are all present waits while a
+        // batch it names is missing, and moves once the batch is stored.
+        let mut c = core(0);
+        c.start(NO_BATCHES, &mut Vec::new());
+        let batch = Batch::new(ProcessId::new(1), 0, vec![Transaction::synthetic(1, 8)]);
+        let digest = BatchDigest::new([7; 32]);
+        let mut maker = core(1);
+        maker.enqueue_digests(vec![digest]);
+        let v = broadcast_vertex(&maker.start(NO_BATCHES, &mut Vec::new())).unwrap().clone();
+        let events = c.on_rbc_delivery(&delivery_of(&v), NO_BATCHES, &mut Vec::new());
+        assert_eq!(events, [DagEvent::BatchesMissing]);
+        assert_eq!(c.buffered(), 1, "the vertex waits for its batch");
+        assert_eq!(c.missing_batches(NO_BATCHES), BTreeMap::from([(digest, ProcessId::new(1))]));
+
+        let mut batches = BTreeMap::new();
+        let other = BatchDigest::new([8; 32]);
+        batches.insert(other, batch.clone());
+        c.on_batch(&other, &batches, &mut Vec::new());
+        assert_eq!(c.buffered(), 1, "a batch the vertex does not name changes nothing");
+        batches.insert(digest, batch);
+        c.on_batch(&digest, &batches, &mut Vec::new());
+        assert_eq!(c.buffered(), 0);
+        assert!(c.dag().contains(v.reference()));
+        assert!(c.missing_batches(&batches).is_empty());
+    }
+
+    #[test]
+    fn a_stored_batch_never_moves_a_process_off_genesis() {
+        let mut c = core(0);
+        let batches = BTreeMap::from([(
+            BatchDigest::new([7; 32]),
+            Batch::new(ProcessId::new(0), 0, Vec::new()),
+        )]);
+        assert!(c.on_batch(&BatchDigest::new([7; 32]), &batches, &mut Vec::new()).is_empty());
+        assert_eq!(c.round(), Round::GENESIS);
+    }
+
+    #[test]
     fn malformed_payload_is_discarded() {
         let mut c = core(0);
-        c.start(&mut Vec::new());
+        c.start(NO_BATCHES, &mut Vec::new());
         let garbage = RbcDelivery {
             source: ProcessId::new(1),
             round: Round::new(1),
             payload: vec![0xff, 0x00, 0xff],
         };
-        assert!(c.on_rbc_delivery(&garbage, &mut Vec::new()).is_empty());
+        assert!(c.on_rbc_delivery(&garbage, NO_BATCHES, &mut Vec::new()).is_empty());
         assert_eq!(c.buffered(), 0);
     }
 
@@ -438,22 +540,22 @@ mod tests {
         // A Byzantine process embeds (source, round) that differ from what
         // the reliable broadcast attests.
         let mut c = core(0);
-        c.start(&mut Vec::new());
+        c.start(NO_BATCHES, &mut Vec::new());
         let mut other = core(2);
-        let v = broadcast_vertex(&other.start(&mut Vec::new())).unwrap().clone();
+        let v = broadcast_vertex(&other.start(NO_BATCHES, &mut Vec::new())).unwrap().clone();
         let lying = RbcDelivery {
             source: ProcessId::new(1), // RBC says p1, vertex says p2
             round: v.round(),
             payload: v.to_bytes(),
         };
-        assert!(c.on_rbc_delivery(&lying, &mut Vec::new()).is_empty());
+        assert!(c.on_rbc_delivery(&lying, NO_BATCHES, &mut Vec::new()).is_empty());
         assert_eq!(c.buffered(), 0);
     }
 
     #[test]
     fn too_few_strong_edges_is_discarded() {
         let mut c = core(0);
-        c.start(&mut Vec::new());
+        c.start(NO_BATCHES, &mut Vec::new());
         let bad = VertexBuilder::new(
             ProcessId::new(1),
             Round::new(1),
@@ -462,7 +564,7 @@ mod tests {
         .strong_edges([VertexRef::new(Round::GENESIS, ProcessId::new(0))])
         .build_unchecked();
         let d = delivery_of(&bad);
-        assert!(c.on_rbc_delivery(&d, &mut Vec::new()).is_empty());
+        assert!(c.on_rbc_delivery(&d, NO_BATCHES, &mut Vec::new()).is_empty());
         assert_eq!(c.buffered(), 0, "line 25 drops it before buffering");
     }
 
@@ -474,7 +576,7 @@ mod tests {
         let mut waves_seen = Vec::new();
         let mut queue: VecDeque<Vertex> = VecDeque::new();
         for c in cores.iter_mut() {
-            for e in c.start(&mut Vec::new()) {
+            for e in c.start(NO_BATCHES, &mut Vec::new()) {
                 if let DagEvent::Broadcast(v) = e {
                     queue.push_back(v);
                 }
@@ -488,7 +590,7 @@ mod tests {
             }
             let d = delivery_of(&v);
             for (i, c) in cores.iter_mut().enumerate() {
-                for e in c.on_rbc_delivery(&d, &mut Vec::new()) {
+                for e in c.on_rbc_delivery(&d, NO_BATCHES, &mut Vec::new()) {
                     match e {
                         DagEvent::Broadcast(nv) => {
                             if nv.round() <= Round::new(12) {
@@ -500,6 +602,7 @@ mod tests {
                                 waves_seen.push(w);
                             }
                         }
+                        DagEvent::BatchesMissing => {}
                     }
                 }
             }
@@ -518,7 +621,7 @@ mod tests {
             Block::new(ProcessId::new(0), SeqNum::new(2), vec![Transaction::synthetic(2, 8)]);
         c.enqueue_block(block1.clone());
         c.enqueue_block(block2);
-        let events = c.start(&mut Vec::new());
+        let events = c.start(NO_BATCHES, &mut Vec::new());
         let v = broadcast_vertex(&events).unwrap();
         assert_eq!(v.block(), Some(&block1));
         assert_eq!(c.pending_blocks(), 1);
@@ -531,7 +634,7 @@ mod tests {
             .collect();
         let mut queue: VecDeque<Vertex> = VecDeque::new();
         for c in cores.iter_mut() {
-            for e in c.start(&mut Vec::new()) {
+            for e in c.start(NO_BATCHES, &mut Vec::new()) {
                 if let DagEvent::Broadcast(v) = e {
                     queue.push_back(v);
                 }
@@ -542,7 +645,7 @@ mod tests {
             max_round_seen = max_round_seen.max(v.round());
             let d = delivery_of(&v);
             for c in cores.iter_mut() {
-                for e in c.on_rbc_delivery(&d, &mut Vec::new()) {
+                for e in c.on_rbc_delivery(&d, NO_BATCHES, &mut Vec::new()) {
                     if let DagEvent::Broadcast(nv) = e {
                         queue.push_back(nv);
                     }

@@ -36,8 +36,15 @@
 //!   driver's to build from the stream. A driver with a durable store
 //!   persists a turn's durable events before it routes the turn's
 //!   outputs.
-//! * **Timers** — the engine currently requests no timers of its own;
-//!   [`EngineInput::Timer`] runs end-of-turn housekeeping (the share
+//! * **Batches** — a vertex enters the DAG only once every batch it
+//!   names is in the engine's batch map, so ordering resolves each
+//!   digest at once. A buffered vertex that names a missing batch starts
+//!   a fetch ([`EngineOutput::FetchBatches`] on [`FETCH_TIMER_TAG`]
+//!   timers) that ends only when the batch arrives or garbage collection
+//!   prunes the vertex.
+//! * **Timers** — the fetch timer is the only one the engine requests.
+//!   A driver fires each timer no earlier than its delay; every other
+//!   [`EngineInput::Timer`] runs end-of-turn housekeeping only (the share
 //!   flush; garbage collection runs only on turns that ordered a vertex),
 //!   so drivers may safely deliver spurious timers.
 
@@ -94,14 +101,17 @@ impl HashedBatch {
     }
 }
 
-/// Timer tag reserved for the missing-batch fetch retry loop.
+/// Timer tag reserved for fetching the missing batches of buffered
+/// vertices.
 pub const FETCH_TIMER_TAG: u64 = u64::MAX;
-/// Ticks between fetch retries while the head delivery is blocked.
+/// Ticks a missing batch gets to arrive by push before its first fetch
+/// request, and between requests during the first rotation over the
+/// peers.
 pub const FETCH_RETRY_DELAY: u64 = 16;
-/// Fetch rounds per peer before the engine stops re-requesting and waits
-/// for a pushed batch (mirrors the sync shortfall protocol's bounded
-/// retries).
-pub const FETCH_RETRIES: usize = 3;
+/// How often the wait between two fetch requests for one batch doubles:
+/// once after each full rotation over the peers, up to 64 times
+/// [`FETCH_RETRY_DELAY`].
+const FETCH_MAX_DOUBLINGS: usize = 6;
 
 /// Wire envelope multiplexing the broadcast layer's traffic with the tiny
 /// coin-share messages (§5 footnote 1: the coin can piggyback on the DAG;
@@ -266,8 +276,8 @@ pub enum EngineInput {
     SubmitDigests(Vec<BatchDigest>),
     /// A batch to keep in the engine's batch store (own assembly, a
     /// peer's dissemination stream, or a completed fetch), already hashed
-    /// by whoever built the [`HashedBatch`]. Unblocks any pending
-    /// deliveries waiting on its digest.
+    /// by whoever built the [`HashedBatch`]. Lets any buffered vertex
+    /// waiting on its digest into the DAG.
     BatchStored(HashedBatch),
 }
 
@@ -300,9 +310,9 @@ pub enum EngineOutput {
     /// digests resolved to the transactions they named.
     Ordered(OrderedVertex),
     /// Ask the driver to request the listed batches from peer `from`:
-    /// the total order reached a digest whose batch is not in the local
-    /// store. Retried (rotating peers) via [`FETCH_TIMER_TAG`] timers, at
-    /// most [`FETCH_RETRIES`] rounds per peer.
+    /// buffered vertices name them and the local store lacks them. Sent
+    /// when a [`FETCH_TIMER_TAG`] timer fires, rotating over the peers
+    /// until the batches arrive.
     FetchBatches {
         /// The peer to ask.
         from: ProcessId,
@@ -344,29 +354,28 @@ pub struct DagRiderEngine<B> {
     /// Shares awaiting a vertex to ride (piggyback mode only).
     pending_shares: Vec<CoinShare>,
     /// The node's batch store: every batch whose bytes this process
-    /// holds, by content digest. Resolution reads it, drivers serve peer
-    /// fetches from it ([`DagRiderEngine::batch`]), and snapshots capture
-    /// it.
+    /// holds, by content digest. The construction layer admits vertices
+    /// against it, resolution reads it, drivers serve peer fetches from
+    /// it ([`DagRiderEngine::batch`]), and snapshots capture it.
     batches: BTreeMap<BatchDigest, Batch>,
     /// Total transaction payload bytes across `batches`.
     batch_bytes: u64,
-    /// Ordered deliveries whose payloads are not yet fully resolved — the
-    /// head blocks the total order until its batches arrive.
-    pending: VecDeque<PendingDelivery>,
-    /// Whether a [`FETCH_TIMER_TAG`] timer is outstanding.
-    fetch_timer_armed: bool,
+    /// Missing batches that buffered vertices name, with their fetch
+    /// progress.
+    fetches: BTreeMap<BatchDigest, Fetch>,
     /// Whether ordering delivered a vertex since the last GC pass — the
     /// only way the delivered frontier can advance (see `maybe_gc`).
     gc_due: bool,
     started: bool,
 }
 
-/// One ordered delivery waiting for its batches, with its fetch budget.
+/// The fetch of one missing batch.
 #[derive(Debug)]
-struct PendingDelivery {
-    delivery: Delivery,
-    /// Fetch requests issued while this delivery headed the queue.
+struct Fetch {
+    /// Requests issued so far.
     attempts: usize,
+    /// When the next request is due.
+    due: Time,
 }
 
 impl<B: ReliableBroadcast> DagRiderEngine<B> {
@@ -394,8 +403,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             pending_shares: Vec::new(),
             batches: BTreeMap::new(),
             batch_bytes: 0,
-            pending: VecDeque::new(),
-            fetch_timer_armed: false,
+            fetches: BTreeMap::new(),
             gc_due: false,
             started: false,
             config,
@@ -437,9 +445,9 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         self.core.enqueue_digests(digests);
     }
 
-    /// Makes a batch resolvable **without** driving the protocol — the
-    /// harness counterpart of [`EngineInput::BatchStored`], for drivers
-    /// that pre-stage batches before a run.
+    /// Stores a batch **without** driving the protocol — the harness
+    /// counterpart of [`EngineInput::BatchStored`], for drivers that
+    /// pre-stage batches before a run.
     pub fn store_batch(&mut self, batch: Batch) {
         if let Entry::Vacant(slot) = self.batches.entry(batch_digest(&batch)) {
             self.batch_bytes += batch.payload_bytes() as u64;
@@ -448,15 +456,21 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     }
 
     /// The batch-insert point of every turn: stores a batch, reports it
-    /// when new, and resolves whatever deliveries waited on it.
-    fn on_batch(&mut self, hashed: HashedBatch, turn: &mut Turn, now: Time) {
+    /// when new, and lets in whatever buffered vertices waited on it.
+    fn on_batch(
+        &mut self,
+        hashed: HashedBatch,
+        turn: &mut Turn,
+        now: Time,
+        rng: &mut rand::rngs::StdRng,
+    ) {
         let HashedBatch { digest, batch } = hashed;
-        if let Entry::Vacant(slot) = self.batches.entry(digest) {
-            self.batch_bytes += batch.payload_bytes() as u64;
-            slot.insert(batch.clone());
-            turn.events.push(EngineEvent::BatchStored { digest, batch });
-        }
-        self.drain_pending(turn, now, false);
+        let Entry::Vacant(slot) = self.batches.entry(digest) else { return };
+        self.batch_bytes += batch.payload_bytes() as u64;
+        slot.insert(batch.clone());
+        turn.events.push(EngineEvent::BatchStored { digest, batch });
+        let dag_events = self.core.on_batch(&digest, &self.batches, &mut turn.events);
+        self.advance(dag_events, turn, now, rng);
     }
 
     /// The single coin-share acceptance point: a share is taken only from
@@ -493,12 +507,6 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                 self.ordering.on_leader(wave, leader, self.core.dag(), now, &mut turn.events);
             self.deliver(delivered, turn, now);
         }
-    }
-
-    /// Ordered deliveries still waiting for their batches (the head
-    /// blocks the total order until it resolves).
-    pub fn pending_deliveries(&self) -> usize {
-        self.pending.len()
     }
 
     /// Batches held in the batch store.
@@ -576,7 +584,9 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             DurableEvent::CoinShare(share) => {
                 self.accept_share(share.issuer(), share, true, &mut turn, now);
             }
-            DurableEvent::Batch(batch) => self.on_batch(HashedBatch::new(batch), &mut turn, now),
+            DurableEvent::Batch(batch) => {
+                self.on_batch(HashedBatch::new(batch), &mut turn, now, rng);
+            }
             DurableEvent::Commit { wave, leader } => {
                 let delivered =
                     self.ordering.on_leader(wave, leader, self.core.dag(), now, &mut turn.events);
@@ -619,7 +629,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         debug_assert!(!self.started, "start() is called once");
         self.started = true;
         let mut turn = Turn::default();
-        let dag_events = self.core.start(&mut turn.events);
+        let dag_events = self.core.start(&self.batches, &mut turn.events);
         self.advance(dag_events, &mut turn, now, rng);
         self.finish_turn(&mut turn);
         turn
@@ -635,30 +645,28 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             }
             EngineInput::Timer { tag } => {
                 if tag == FETCH_TIMER_TAG {
-                    // Fetch-retry turn: the head delivery may re-request
-                    // its missing batches from the next peer in rotation.
-                    self.fetch_timer_armed = false;
-                    self.drain_pending(&mut turn, now, true);
+                    self.fetch_batches(now, &mut turn);
                 }
                 // Other timer turns are end-of-turn housekeeping only.
             }
             EngineInput::SubmitBlock(block) => {
                 self.core.enqueue_block(block);
                 // Before `start`, this moves a fresh engine off genesis.
-                let dag_events = self.core.retry_propose(&mut turn.events);
+                let dag_events = self.core.retry_propose(&self.batches, &mut turn.events);
                 self.advance(dag_events, &mut turn, now, rng);
             }
             EngineInput::SyncVertex(vertex) => {
                 let (source, round) = (vertex.source(), vertex.round());
-                let dag_events = self.core.on_vertex(vertex, source, round, &mut turn.events);
+                let dag_events =
+                    self.core.on_vertex(vertex, source, round, &self.batches, &mut turn.events);
                 self.advance(dag_events, &mut turn, now, rng);
             }
             EngineInput::SubmitDigests(digests) => {
                 self.core.enqueue_digests(digests);
-                let dag_events = self.core.retry_propose(&mut turn.events);
+                let dag_events = self.core.retry_propose(&self.batches, &mut turn.events);
                 self.advance(dag_events, &mut turn, now, rng);
             }
-            EngineInput::BatchStored(hashed) => self.on_batch(hashed, &mut turn, now),
+            EngineInput::BatchStored(hashed) => self.on_batch(hashed, &mut turn, now, rng),
         }
         self.finish_turn(&mut turn);
         turn
@@ -688,87 +696,63 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         }
     }
 
-    /// Queues ordering-layer deliveries for payload resolution and emits
-    /// every delivery now resolvable, preserving the total order.
+    /// Emits ordering-layer deliveries in total order. Every vertex in
+    /// the DAG entered it with its batches local, so each delivery
+    /// resolves at once.
     fn deliver(&mut self, deliveries: Vec<Delivery>, turn: &mut Turn, now: Time) {
         self.gc_due |= !deliveries.is_empty();
         for delivery in deliveries {
-            for &digest in delivery.payload.digests() {
-                turn.events.push(TraceEvent::DigestOrdered { digest }.into());
-            }
-            self.pending.push_back(PendingDelivery { delivery, attempts: 0 });
+            let ordered = self.resolve(delivery, now, &mut turn.events);
+            turn.outputs.push(EngineOutput::Ordered(ordered));
         }
-        self.drain_pending(turn, now, false);
     }
 
-    /// Resolves pending deliveries head-first: a head whose batches are
-    /// all local becomes an [`EngineOutput::Ordered`]; a blocked head
-    /// halts the drain (later deliveries must not overtake it) and
-    /// triggers the bounded fetch path. `retry` marks a fetch-timer turn,
-    /// which may re-request from the next peer in rotation; a head that
-    /// exhausts its budget waits silently for a pushed batch.
-    fn drain_pending(&mut self, turn: &mut Turn, now: Time, mut retry: bool) {
-        while let Some(head) = self.pending.front() {
-            let missing: Vec<BatchDigest> = head
-                .delivery
-                .payload
-                .digests()
-                .iter()
-                .filter(|d| !self.batches.contains_key(d))
-                .copied()
-                .collect();
-            if missing.is_empty() {
-                let head = self.pending.pop_front().expect("front() was Some");
-                let resolved = self.resolve(head.delivery, now, &mut turn.events);
-                turn.outputs.push(EngineOutput::Ordered(resolved));
-                // Progress was made: a fired retry timer is spent.
-                retry = false;
-                continue;
-            }
-            let first_block = head.attempts == 0;
-            let peers = self.committee.n() - 1;
-            let budget = FETCH_RETRIES * peers.max(1);
-            if (first_block || retry) && head.attempts < budget {
-                let source = head.delivery.vertex.source;
-                let attempt = head.attempts;
-                let from = self.fetch_target(source, attempt);
-                let head = self.pending.front_mut().expect("front() was Some");
-                head.attempts += 1;
-                for &digest in &missing {
-                    turn.events.push(TraceEvent::BatchFetchRequested { digest, from }.into());
+    /// Keeps one fetch going for every missing batch a buffered vertex
+    /// names. A new fetch arms a timer for [`FETCH_RETRY_DELAY`], so a
+    /// push still in flight is not fetched as well. Each fetch that is
+    /// due asks the next peer in its rotation (the vertex's proposer
+    /// first, then the others in id order) and re-arms, doubling the
+    /// delay after each full rotation, [`FETCH_MAX_DOUBLINGS`] times at
+    /// most. A fetch ends when its batch arrives or garbage collection
+    /// prunes the vertices that name it.
+    fn fetch_batches(&mut self, now: Time, turn: &mut Turn) {
+        let missing = self.core.missing_batches(&self.batches);
+        self.fetches.retain(|digest, _| missing.contains_key(digest));
+        let peers = self.committee.n() - 1;
+        let mut requests: BTreeMap<ProcessId, Vec<BatchDigest>> = BTreeMap::new();
+        for (digest, proposer) in missing {
+            let delay = match self.fetches.entry(digest) {
+                Entry::Vacant(slot) => {
+                    slot.insert(Fetch { attempts: 0, due: now + FETCH_RETRY_DELAY });
+                    FETCH_RETRY_DELAY
                 }
-                turn.outputs.push(EngineOutput::FetchBatches { from, digests: missing });
-                if !self.fetch_timer_armed {
-                    self.fetch_timer_armed = true;
-                    turn.outputs.push(EngineOutput::SetTimer {
-                        delay: FETCH_RETRY_DELAY,
-                        tag: FETCH_TIMER_TAG,
-                    });
+                Entry::Occupied(slot) => {
+                    let fetch = slot.into_mut();
+                    if fetch.due > now {
+                        continue;
+                    }
+                    let from = fetch_target(self.committee, self.me, proposer, fetch.attempts);
+                    requests.entry(from).or_default().push(digest);
+                    fetch.attempts += 1;
+                    let delay =
+                        FETCH_RETRY_DELAY << (fetch.attempts / peers).min(FETCH_MAX_DOUBLINGS);
+                    fetch.due = now + delay;
+                    delay
                 }
+            };
+            turn.outputs.push(EngineOutput::SetTimer { delay, tag: FETCH_TIMER_TAG });
+        }
+        for (from, digests) in requests {
+            for &digest in &digests {
+                turn.events.push(TraceEvent::BatchFetchRequested { digest, from }.into());
             }
-            break;
+            turn.outputs.push(EngineOutput::FetchBatches { from, digests });
         }
     }
 
-    /// The peer to ask on fetch round `attempt`: the vertex's proposer
-    /// first (its workers assembled or at least named the batches), then
-    /// the remaining peers in id order, wrapping.
-    fn fetch_target(&self, source: ProcessId, attempt: usize) -> ProcessId {
-        let mut peers = Vec::with_capacity(self.committee.n() - 1);
-        if source != self.me {
-            peers.push(source);
-        }
-        for p in self.committee.others(self.me) {
-            if p != source {
-                peers.push(p);
-            }
-        }
-        peers[attempt % peers.len()]
-    }
-
-    /// Materializes a delivery whose batches are all local: inline blocks
-    /// pass through; digest payloads concatenate their batches'
-    /// transactions in digest-list order into one block.
+    /// Materializes a delivery: inline blocks pass through; digest
+    /// payloads concatenate their batches' transactions in digest-list
+    /// order into one block.
     fn resolve(
         &self,
         delivery: Delivery,
@@ -778,12 +762,15 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         let block = match delivery.payload {
             Payload::Block(block) => block,
             Payload::Digests { proposer, seq, digests } => {
-                let waited = now.ticks().saturating_sub(delivery.ordered_at.ticks());
                 let mut transactions = Vec::new();
-                for digest in &digests {
-                    let batch = self.batches.get(digest).expect("drain checked availability");
+                for &digest in &digests {
+                    events.push(TraceEvent::DigestOrdered { digest }.into());
+                    let batch = self
+                        .batches
+                        .get(&digest)
+                        .expect("a vertex enters the DAG with its batches");
                     transactions.extend_from_slice(batch.transactions());
-                    events.push(TraceEvent::BatchResolved { digest: *digest, waited }.into());
+                    events.push(TraceEvent::BatchResolved { digest }.into());
                 }
                 Block::new(proposer, seq, transactions)
             }
@@ -860,8 +847,13 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                     for share in payload.coin_shares {
                         self.accept_share(source, share, false, turn, now);
                     }
-                    let dag_events =
-                        self.core.on_vertex(payload.vertex, source, round, &mut turn.events);
+                    let dag_events = self.core.on_vertex(
+                        payload.vertex,
+                        source,
+                        round,
+                        &self.batches,
+                        &mut turn.events,
+                    );
                     self.handle_dag_events(dag_events, turn, &mut queue, now, rng);
                 }
                 // `enqueue` reported phases when their call returned.
@@ -918,6 +910,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                         self.deliver(delivered, turn, now);
                     }
                 }
+                DagEvent::BatchesMissing => self.fetch_batches(now, turn),
             }
         }
     }
@@ -978,6 +971,21 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             self.coin.prune(self.coin_floor());
         }
     }
+}
+
+/// The peer `me` asks on fetch attempt `attempt` for a batch that
+/// `proposer`'s vertex names: the proposer first (it assembled the batch
+/// or at least named it), then the remaining peers in id order, wrapping.
+fn fetch_target(
+    committee: Committee,
+    me: ProcessId,
+    proposer: ProcessId,
+    attempt: usize,
+) -> ProcessId {
+    let others = committee.others(me).filter(|&p| p != proposer);
+    let order: Vec<ProcessId> =
+        (proposer != me).then_some(proposer).into_iter().chain(others).collect();
+    order[attempt % order.len()]
 }
 
 #[cfg(test)]
@@ -1288,6 +1296,79 @@ mod tests {
             &mut rng,
         );
         assert_eq!(turn.events, vec![EngineEvent::ShareAccepted(share)]);
+    }
+
+    #[test]
+    fn a_missing_batch_is_fetched_from_each_peer_in_turn_until_it_arrives() {
+        // p0 holds p1's round-1 vertex, whose batch it lacks. Each fetch
+        // the timer makes due asks the next peer, the proposer first, and
+        // the wait doubles after each full rotation; the batch lets the
+        // vertex in and ends the fetch.
+        let committee = Committee::new(4).unwrap();
+        let mut rng = StdRng::seed_from_u64(3);
+        let keys = deal_coin_keys(&committee, &mut rng);
+        let mut engine: DagRiderEngine<BrachaRbc> = DagRiderEngine::new(
+            committee,
+            ProcessId::new(0),
+            keys[0].clone(),
+            NodeConfig::default(),
+        );
+        let batch = Batch::new(ProcessId::new(1), 0, vec![Transaction::synthetic(5, 8)]);
+        let digest = batch_digest(&batch);
+        let p1 = ProcessId::new(1);
+        let vertex = dagrider_types::VertexBuilder::new(
+            p1,
+            Round::new(1),
+            Payload::Digests { proposer: p1, seq: SeqNum::new(1), digests: vec![digest] },
+        )
+        .strong_edges(committee.members().map(|p| VertexRef::new(Round::GENESIS, p)))
+        .build(&committee)
+        .unwrap();
+        let reference = vertex.reference();
+
+        // (asked peer, next timer delay) of one turn's fetch outputs.
+        let fetched = |turn: Turn| {
+            let mut asked = None;
+            let mut delay = None;
+            for out in turn.outputs {
+                match out {
+                    EngineOutput::FetchBatches { from, digests } => {
+                        assert_eq!(digests, vec![digest]);
+                        asked = Some(from.as_usize());
+                    }
+                    EngineOutput::SetTimer { delay: d, tag: FETCH_TIMER_TAG } => delay = Some(d),
+                    _ => {}
+                }
+            }
+            (asked, delay)
+        };
+        let turn = engine.handle(Time::new(100), EngineInput::SyncVertex(vertex), &mut rng);
+        assert_eq!(fetched(turn), (None, Some(FETCH_RETRY_DELAY)), "the first request waits");
+        assert!(!engine.dag().contains(reference));
+
+        let mut now = 100;
+        let timer = EngineInput::Timer { tag: FETCH_TIMER_TAG };
+        let early = engine.handle(Time::new(now + 1), timer.clone(), &mut rng);
+        assert_eq!(fetched(early), (None, None), "a timer that is not due asks nobody");
+        let mut plan = Vec::new();
+        let mut delay = FETCH_RETRY_DELAY;
+        for _ in 0..7 {
+            now += delay;
+            let (asked, next) = fetched(engine.handle(Time::new(now), timer.clone(), &mut rng));
+            plan.push((asked.unwrap(), next.unwrap()));
+            delay = next.unwrap();
+        }
+        let d = FETCH_RETRY_DELAY;
+        assert_eq!(
+            plan,
+            [(1, d), (2, d), (3, 2 * d), (1, 2 * d), (2, 2 * d), (3, 4 * d), (1, 4 * d)]
+        );
+
+        let stored = EngineInput::BatchStored(HashedBatch::new(batch));
+        engine.handle(Time::new(now), stored, &mut rng);
+        assert!(engine.dag().contains(reference), "the batch lets the vertex in");
+        let after = engine.handle(Time::new(now + delay), timer, &mut rng);
+        assert_eq!(fetched(after), (None, None), "the fetch ended with the batch");
     }
 
     #[test]

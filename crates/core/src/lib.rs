@@ -69,7 +69,7 @@ pub use dag::Dag;
 pub use durable::DurableEvent;
 pub use engine::{
     batch_digest, DagRiderEngine, EngineInput, EngineOutput, HashedBatch, NodeConfig, NodeMessage,
-    Turn, VertexPayload, FETCH_RETRIES, FETCH_RETRY_DELAY, FETCH_TIMER_TAG,
+    Turn, VertexPayload, FETCH_RETRY_DELAY, FETCH_TIMER_TAG,
 };
 pub use event::EngineEvent;
 pub use ordering::{CommitEvent, Delivery, OrderedVertex, Ordering, WaveOutcome};

@@ -27,10 +27,10 @@ use crate::event::EngineEvent;
 
 /// One vertex in its final total-order position, as emitted by the
 /// ordering layer: the payload is whatever the vertex carried — an
-/// inline [`Block`] or a list of batch digests still to be resolved
-/// against the local batch store (see `DagRiderEngine`'s pending-delivery
-/// queue). `a_deliver` completes only once the payload bytes are in hand,
-/// which is when a [`Delivery`] becomes an [`OrderedVertex`].
+/// inline [`Block`] or a list of batch digests that `DagRiderEngine`
+/// resolves against its batch store, which held them before the vertex
+/// entered the DAG. Resolved, a [`Delivery`] becomes an
+/// [`OrderedVertex`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delivery {
     /// The delivered vertex's identity.
@@ -39,8 +39,6 @@ pub struct Delivery {
     pub payload: Payload,
     /// The wave whose leader's causal history delivered it.
     pub committed_in_wave: Wave,
-    /// Virtual time at which ordering placed it (coin + commit rule).
-    pub ordered_at: Time,
 }
 
 /// One `a_deliver` output: a vertex (hence its block) in its final
@@ -297,7 +295,7 @@ impl Ordering {
         // Lines 51–57: pop in reverse push order → earlier waves first.
         let mut delivered = Vec::new();
         while let Some((wave, leader)) = stack.pop() {
-            delivered.extend(self.order_causal_history(wave, leader, dag, now, events));
+            delivered.extend(self.order_causal_history(wave, leader, dag, events));
         }
         delivered
     }
@@ -311,7 +309,6 @@ impl Ordering {
         wave: Wave,
         leader: VertexRef,
         dag: &Dag,
-        now: Time,
         events: &mut Vec<EngineEvent>,
     ) -> Vec<Delivery> {
         let history: Vec<VertexRef> = dag
@@ -334,7 +331,6 @@ impl Ordering {
                         .payload()
                         .clone(),
                     committed_in_wave: wave,
-                    ordered_at: now,
                 }
             })
             .collect()
@@ -393,7 +389,6 @@ mod tests {
         // leader is p1@r1; history = itself + genesis (pre-delivered).
         assert_eq!(delivered.len(), 1);
         assert_eq!(delivered[0].vertex, VertexRef::new(Round::new(1), ProcessId::new(1)));
-        assert_eq!(delivered[0].ordered_at, Time::new(5));
     }
 
     #[test]

@@ -566,7 +566,7 @@ impl Reactor {
                     return Verdict::Dead;
                 }
                 let batch = HashedBatch::new(batch);
-                if self.config.consensus.send(Event::PeerBatch { from, batch }).is_ok() {
+                if self.config.consensus.send(Event::PeerBatch(batch)).is_ok() {
                     Verdict::Keep
                 } else {
                     Verdict::Dead
@@ -750,8 +750,8 @@ impl Reactor {
     /// [`DRAIN_BUDGET`] per sweep. Then, if the published round has risen
     /// since the last call, seals the lane the previous round filled,
     /// unless it is empty: the vertex made at the advance went out
-    /// without the batch, which has a round to gather its ack quorum in
-    /// time for the next one. A seal counts as progress.
+    /// without the batch, whose digest rides the node's next vertex. A
+    /// seal counts as progress.
     fn seal_lanes(&mut self) -> bool {
         let mut progress = false;
         for _ in 0..DRAIN_BUDGET {

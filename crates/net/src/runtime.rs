@@ -65,7 +65,7 @@ use crate::sync::thread::{self, JoinHandle};
 use crate::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use crate::wal::{wal_channel, wal_flush_loop, WalHandle};
 use crate::wire::WireMsg;
-use crate::worker::{Lane, PendingAck, BATCH_MAX_BYTES};
+use crate::worker::{Lane, BATCH_MAX_BYTES};
 
 /// Configuration for one cluster process.
 #[derive(Debug, Clone)]
@@ -91,12 +91,6 @@ pub struct NetConfig {
     /// `r % workers`, which seals when full or when the round advances.
     /// The reactor serves every lane, so this sets no thread count.
     pub workers: usize,
-    /// How long consensus waits for peer [`BatchAck`]s before releasing
-    /// a sealed digest into a vertex payload anyway (the engine's
-    /// bounded fetch path covers peers that missed the push).
-    ///
-    /// [`BatchAck`]: crate::wire::WireMsg::BatchAck
-    pub ack_timeout: Duration,
     /// Listen addresses the *worker* connections dial, indexed by
     /// process id; `None` means the consensus addresses ([`NetConfig::addrs`]).
     /// A deployment would point this at a data-plane NIC; tests point
@@ -147,7 +141,7 @@ impl StoreConfig {
 
 impl NetConfig {
     /// A configuration with production-ish defaults: 2 s sync phase, one
-    /// worker lane, 1 s ack wait, no store.
+    /// worker lane, no store.
     pub fn new(
         committee: Committee,
         me: ProcessId,
@@ -165,7 +159,6 @@ impl NetConfig {
             seed,
             sync_timeout: Duration::from_secs(2),
             workers: 1,
-            ack_timeout: Duration::from_secs(1),
             worker_addrs: None,
             store: None,
         }
@@ -183,13 +176,6 @@ impl NetConfig {
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers;
-        self
-    }
-
-    /// Overrides the ack-quorum wait for sealed digests.
-    #[must_use]
-    pub fn with_ack_timeout(mut self, timeout: Duration) -> Self {
-        self.ack_timeout = timeout;
         self
     }
 
@@ -215,17 +201,12 @@ pub(crate) enum Event {
     /// A decoded wire message from an identified peer.
     Net { from: ProcessId, msg: WireMsg },
     /// The reactor sealed, hashed and queued one of this node's batches:
-    /// hand it to the engine's batch map and start the ack-quorum wait on
-    /// its digest.
+    /// hand it to the engine's batch map, then its digest to the engine's
+    /// next vertex.
     OwnBatch(HashedBatch),
     /// A peer's worker connection pushed a batch, which the reactor
-    /// hashed: hand it to the engine and acknowledge.
-    PeerBatch {
-        /// The pushing peer.
-        from: ProcessId,
-        /// The received batch.
-        batch: HashedBatch,
-    },
+    /// hashed: hand it to the engine's batch map.
+    PeerBatch(HashedBatch),
     /// The dialer (re-)established the consensus link to `peer`.
     LinkUp(ProcessId),
     /// Stop the consensus loop.
@@ -316,13 +297,29 @@ impl NetNode {
     ///
     /// # Errors
     ///
-    /// Returns an error if the listen address cannot be bound.
+    /// Returns [`io::ErrorKind::InvalidInput`] if `config.me` is not a
+    /// committee member, the coin keys belong to another process, or an
+    /// address list does not have one entry per member; otherwise an
+    /// error if the listen address cannot be bound or the store cannot be
+    /// opened.
     pub fn start<B: ReliableBroadcast + 'static>(
         config: NetConfig,
         listener: Option<TcpListener>,
     ) -> io::Result<Self> {
         let me = config.me;
         let committee = config.committee;
+        if !committee.contains(me) {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "me is not a committee member",
+            ));
+        }
+        if config.coin_keys.owner() != me {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "the coin keys belong to another process",
+            ));
+        }
         if config.addrs.len() != committee.n() {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidInput,
@@ -679,9 +676,8 @@ fn consensus_loop<B: ReliableBroadcast>(
                     routed.timers.push((Instant::now() + Duration::from_millis(delay), tag));
                 }
                 EngineOutput::FetchBatches { from, digests } => {
-                    // The engine ordered a digest whose batch never
-                    // arrived: ask `from` on the consensus connection
-                    // (mirrors the sync shortfall re-request).
+                    // A buffered vertex names batches that never arrived
+                    // by push: ask `from` on the consensus connection.
                     queues[from.as_usize()].push(frames.encode(&WireMsg::BatchRequest { digests }));
                 }
                 EngineOutput::Ordered(ordered) => routed.ordered.push(ordered),
@@ -762,16 +758,6 @@ fn consensus_loop<B: ReliableBroadcast>(
     let mut sync_deadline = Instant::now() + config.sync_timeout;
     let mut live = false;
 
-    // Digests our own lanes sealed, awaiting peer acks before the
-    // engine may propose them. Lives entirely on this thread — acks
-    // arrive as consensus-connection frames, so no lock is needed. A
-    // digest is released into `SubmitDigests` once `quorum() - 1` peers
-    // acknowledge (our own store is the implicit quorum member) or the
-    // ack deadline passes; the engine's bounded fetch path covers any
-    // peer that missed the push.
-    let ack_quorum = committee.quorum().saturating_sub(1);
-    let mut acks: Vec<PendingAck> = Vec::new();
-
     loop {
         let mut next = match rx.recv_timeout(TICK) {
             Ok(event) => Some(event),
@@ -824,21 +810,11 @@ fn consensus_loop<B: ReliableBroadcast>(
                         // A fetch response on the consensus connection (the
                         // steady-state push stream lands on worker
                         // connections, not here), hashed on this thread. The
-                        // engine stores it and resolves whatever deliveries
-                        // wait on it.
+                        // engine stores it and lets in whatever buffered
+                        // vertices wait on it.
                         let input = EngineInput::BatchStored(HashedBatch::new(batch));
                         let turn = engine.handle(engine_now(epoch), input, &mut rng);
                         emit(&engine, turn, &mut routed);
-                    }
-                    WireMsg::BatchAck { digest } => {
-                        if let Some(at) = acks.iter().position(|p| p.digest == digest) {
-                            if acks[at].record(from) >= ack_quorum {
-                                let released = acks.swap_remove(at).digest;
-                                let input = EngineInput::SubmitDigests(vec![released]);
-                                let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                                emit(&engine, turn, &mut routed);
-                            }
-                        }
                     }
                     // Handshake frames are consumed by the reactor; client
                     // frames never reach consensus (admission happens at
@@ -853,24 +829,19 @@ fn consensus_loop<B: ReliableBroadcast>(
                     | WireMsg::ClientOrdered { .. } => {}
                 },
                 Event::OwnBatch(batch) => {
-                    // The reactor sealed and queued this batch for our peers.
-                    // Make it resolvable locally, and hold the digest until
-                    // enough peers acknowledge.
-                    acks.push(PendingAck {
-                        digest: batch.digest(),
-                        acked: Vec::new(),
-                        deadline: Instant::now() + config.ack_timeout,
-                    });
+                    // The reactor sealed and queued this batch for our peers:
+                    // store it, then let the next vertex name it. A peer
+                    // whose push is still in flight holds that vertex in its
+                    // buffer until the batch arrives.
+                    let digest = batch.digest();
                     let turn =
                         engine.handle(engine_now(epoch), EngineInput::BatchStored(batch), &mut rng);
                     emit(&engine, turn, &mut routed);
+                    let input = EngineInput::SubmitDigests(vec![digest]);
+                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                    emit(&engine, turn, &mut routed);
                 }
-                Event::PeerBatch { from, batch } => {
-                    // A peer's worker pushed this batch to us; acknowledge on
-                    // the consensus connection so the creator can count us
-                    // toward its release quorum.
-                    let digest = batch.digest();
-                    queues[from.as_usize()].push(frames.encode(&WireMsg::BatchAck { digest }));
+                Event::PeerBatch(batch) => {
                     let turn =
                         engine.handle(engine_now(epoch), EngineInput::BatchStored(batch), &mut rng);
                     emit(&engine, turn, &mut routed);
@@ -896,21 +867,6 @@ fn consensus_loop<B: ReliableBroadcast>(
             if routed.timers[i].0 <= now_instant {
                 let (_, tag) = routed.timers.swap_remove(i);
                 let turn = engine.handle(engine_now(epoch), EngineInput::Timer { tag }, &mut rng);
-                emit(&engine, turn, &mut routed);
-            } else {
-                i += 1;
-            }
-        }
-
-        // Release digests whose ack deadline passed without a quorum:
-        // laggards resolve them through the engine's fetch path instead
-        // of holding up the pipeline.
-        let mut i = 0;
-        while i < acks.len() {
-            if acks[i].deadline <= now_instant {
-                let released = acks.swap_remove(i).digest;
-                let input = EngineInput::SubmitDigests(vec![released]);
-                let turn = engine.handle(engine_now(epoch), input, &mut rng);
                 emit(&engine, turn, &mut routed);
             } else {
                 i += 1;
@@ -951,8 +907,8 @@ fn consensus_loop<B: ReliableBroadcast>(
 
 /// Serves a peer's missing-batch fetch from the engine's batch store:
 /// one [`WireMsg::Batch`] frame per digest we hold. Digests we lack are
-/// skipped — the requester's engine rotates to another peer on its
-/// fetch timer, so silence is a valid answer.
+/// skipped — the requester's engine asks the next peer when its fetch
+/// timer fires, so silence is a valid answer.
 fn serve_batches<B: ReliableBroadcast>(
     engine: &DagRiderEngine<B>,
     digests: &[BatchDigest],

@@ -36,11 +36,11 @@ pub enum WireMsg {
         served: u64,
     },
     /// Asks the peer to send the named batches (consensus connection):
-    /// the requester ordered a vertex carrying these digests but never
-    /// received the batches' dissemination. The peer answers with one
-    /// [`WireMsg::Batch`] per digest it holds; missing digests are
-    /// silently skipped — the requester's engine rotates to another
-    /// peer on its fetch timer.
+    /// the requester holds a vertex naming these digests in its buffer
+    /// but never received the batches' dissemination. The peer answers
+    /// with one [`WireMsg::Batch`] per digest it holds; missing digests
+    /// are silently skipped — the requester's engine asks another peer
+    /// when its fetch timer fires.
     BatchRequest {
         /// The digests to resolve.
         digests: Vec<BatchDigest>,
@@ -57,14 +57,6 @@ pub enum WireMsg {
         from: ProcessId,
         /// Its worker channel index.
         worker: u32,
-    },
-    /// Acknowledges a disseminated batch by digest. Sent on the
-    /// *consensus* connection back to the batch's creator, which counts
-    /// acks toward the quorum that releases the digest into a vertex
-    /// payload (worker connections stay one-directional push streams).
-    BatchAck {
-        /// Digest of the batch being acknowledged.
-        digest: BatchDigest,
     },
     /// First frame on a client connection: marks the stream as a client
     /// session (submit/subscribe RPC) rather than a peer link. Like
@@ -212,10 +204,6 @@ impl Encode for WireMsg {
                 from.encode(buf);
                 worker.encode(buf);
             }
-            WireMsg::BatchAck { digest } => {
-                8u8.encode(buf);
-                digest.encode(buf);
-            }
             WireMsg::ClientHello => 9u8.encode(buf),
             WireMsg::ClientSubmit { seq, tx } => {
                 10u8.encode(buf);
@@ -249,7 +237,6 @@ impl Encode for WireMsg {
             WireMsg::BatchRequest { digests } => digests.encoded_len(),
             WireMsg::Batch(batch) => batch.encoded_len(),
             WireMsg::WorkerHello { from, worker } => from.encoded_len() + worker.encoded_len(),
-            WireMsg::BatchAck { digest } => digest.encoded_len(),
             WireMsg::ClientHello | WireMsg::ClientSubscribe => 0,
             WireMsg::ClientSubmit { seq, tx } => seq.encoded_len() + tx.encoded_len(),
             WireMsg::ClientSubmitAck { seq } | WireMsg::ClientOrdered { seq } => seq.encoded_len(),
@@ -272,7 +259,6 @@ impl Decode for WireMsg {
                 from: ProcessId::decode(buf)?,
                 worker: u32::decode(buf)?,
             }),
-            8 => Ok(WireMsg::BatchAck { digest: BatchDigest::decode(buf)? }),
             9 => Ok(WireMsg::ClientHello),
             10 => {
                 Ok(WireMsg::ClientSubmit { seq: u64::decode(buf)?, tx: Transaction::decode(buf)? })
@@ -323,7 +309,6 @@ mod tests {
             WireMsg::Batch(batch),
             WireMsg::Batch(Batch::new(ProcessId::new(0), 0, Vec::new())),
             WireMsg::WorkerHello { from: ProcessId::new(2), worker: 3 },
-            WireMsg::BatchAck { digest: BatchDigest::new([0xaa; 32]) },
             WireMsg::ClientHello,
             WireMsg::ClientSubmit { seq: 0, tx: Transaction::synthetic(1, 0) },
             WireMsg::ClientSubmit { seq: u64::MAX, tx: Transaction::synthetic(2, 300) },
@@ -352,10 +337,14 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        assert_eq!(
-            WireMsg::from_bytes(&[250]),
-            Err(DecodeError::Invalid("unknown wire message tag"))
-        );
+        // Tag 8 is retired: a batch acknowledgement from a peer running
+        // older code must not decode as anything.
+        for tag in [8, 250] {
+            assert_eq!(
+                WireMsg::from_bytes(&[tag]),
+                Err(DecodeError::Invalid("unknown wire message tag"))
+            );
+        }
     }
 
     #[test]
@@ -427,18 +416,17 @@ mod tests {
                 1 => RejectReason::Oversized,
                 _ => RejectReason::NotReady,
             };
-            match kind % 10 {
+            match kind % 9 {
                 0 => WireMsg::BatchRequest {
                     digests: (0..ntx).map(|i| digest_from(tag.wrapping_add(i as u64))).collect(),
                 },
                 1 => WireMsg::Batch(batch_from(creator, worker, ntx, size, tag)),
                 2 => WireMsg::WorkerHello { from: ProcessId::new(creator), worker },
-                3 => WireMsg::BatchAck { digest: digest_from(tag) },
-                4 => WireMsg::ClientHello,
-                5 => WireMsg::ClientSubmit { seq: tag, tx: Transaction::synthetic(tag, size) },
-                6 => WireMsg::ClientSubmitAck { seq: tag },
-                7 => WireMsg::ClientReject { seq: tag, reason },
-                8 => WireMsg::ClientSubscribe,
+                3 => WireMsg::ClientHello,
+                4 => WireMsg::ClientSubmit { seq: tag, tx: Transaction::synthetic(tag, size) },
+                5 => WireMsg::ClientSubmitAck { seq: tag },
+                6 => WireMsg::ClientReject { seq: tag, reason },
+                7 => WireMsg::ClientSubscribe,
                 _ => WireMsg::ClientOrdered { seq: tag },
             }
         }
@@ -486,7 +474,11 @@ mod tests {
                 raw in any::<u8>(),
                 rest in collection::vec(any::<u8>(), 0..64),
             ) {
-                let tag = 15u8.wrapping_add(raw % 241); // 15..=255: above every known tag
+                // 8 (retired) or 15..=255 (above every known tag).
+                let tag = match raw % 242 {
+                    0 => 8,
+                    k => 14 + k,
+                };
                 let mut bytes = vec![tag];
                 bytes.extend_from_slice(&rest);
                 prop_assert_eq!(

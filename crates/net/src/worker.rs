@@ -16,20 +16,19 @@
 //! [`WireMsg::WorkerHello`]. Nothing in this module spawns a thread or
 //! blocks.
 //!
-//! Inbound, the reactor classifies `WorkerHello` connections and hashes
-//! each pushed batch before handing it to the consensus thread; consensus
-//! acknowledges on the consensus connection ([`WireMsg::BatchAck`]) and
-//! releases the digest into a vertex payload once a quorum has
-//! acknowledged (or an ack timeout expires — the engine's bounded fetch
-//! path covers stragglers).
+//! Consensus stores each own batch and proposes its digest in the node's
+//! next vertex at once. Inbound, the reactor classifies `WorkerHello`
+//! connections and hashes each pushed batch before handing it to the
+//! consensus thread, whose engine stores it. A peer's vertex enters the
+//! DAG only once the batches it names are stored; one that arrives
+//! ahead of its push waits in the buffer, and the engine fetches what
+//! is still missing once its fetch timer fires.
 //!
 //! Consensus therefore carries a 32-byte digest per batch regardless of
 //! transaction size.
 
-use std::time::Instant;
-
 use dagrider_core::HashedBatch;
-use dagrider_types::{Batch, BatchDigest, ProcessId, Transaction};
+use dagrider_types::{Batch, ProcessId, Transaction};
 
 use crate::frame::FramePool;
 use crate::queue::SendQueue;
@@ -90,8 +89,8 @@ impl Lane {
     }
 
     /// Seals the open batch: hashes it, encodes one frame that every peer
-    /// queue shares, and hands the batch to consensus, which holds its
-    /// digest until enough peers acknowledge.
+    /// queue shares, and hands the batch to consensus, which proposes its
+    /// digest in the node's next vertex.
     pub(crate) fn seal(&mut self, frames: &FramePool, consensus: &Sender<Event>) {
         let batch = HashedBatch::new(Batch::new(self.me, self.worker, self.open.take()));
         let frame = frames.encode_with(|buf| WireMsg::encode_batch_into(batch.batch(), buf));
@@ -99,30 +98,6 @@ impl Lane {
             queue.push(frame.clone());
         }
         let _ = consensus.send(Event::OwnBatch(batch));
-    }
-}
-
-/// A digest one of the node's own lanes sealed, awaiting peer
-/// acknowledgements before consensus proposes it. Tracked by the
-/// consensus thread.
-#[derive(Debug)]
-pub(crate) struct PendingAck {
-    /// The digest being acknowledged.
-    pub digest: BatchDigest,
-    /// Peers that have acknowledged so far.
-    pub acked: Vec<ProcessId>,
-    /// When the ack wait expires and the digest is released anyway —
-    /// the engine's fetch path covers any peer that missed the push.
-    pub deadline: Instant,
-}
-
-impl PendingAck {
-    /// Records an ack from `peer`; returns the total distinct acks.
-    pub(crate) fn record(&mut self, peer: ProcessId) -> usize {
-        if !self.acked.contains(&peer) {
-            self.acked.push(peer);
-        }
-        self.acked.len()
     }
 }
 
@@ -146,17 +121,5 @@ mod tests {
         assert!(a.is_empty(), "take resets the assembler");
         assert!(!a.push(tx(4, half)), "the byte count restarts after take");
         assert!(a.push(tx(5, half)));
-    }
-
-    #[test]
-    fn pending_ack_counts_distinct_peers() {
-        let mut pending = PendingAck {
-            digest: BatchDigest::new([1; 32]),
-            acked: Vec::new(),
-            deadline: Instant::now(),
-        };
-        assert_eq!(pending.record(ProcessId::new(1)), 1);
-        assert_eq!(pending.record(ProcessId::new(1)), 1, "duplicate ack does not double-count");
-        assert_eq!(pending.record(ProcessId::new(2)), 2);
     }
 }

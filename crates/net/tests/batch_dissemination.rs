@@ -3,11 +3,12 @@
 //! Four [`NetNode`]s run with worker channels enabled: client
 //! transactions enter via [`NetNode::submit_tx`], are batched and
 //! disseminated peer-to-peer over dedicated worker connections, and the
-//! consensus layer orders only 32-byte digests. Every node must resolve
-//! the digests back to transaction bytes at ordering time and produce
+//! consensus layer orders only 32-byte digests. A vertex enters a
+//! node's DAG only once the batches it names are stored there, so every
+//! node resolves the digests back to transaction bytes and produces
 //! byte-identical logs — including a node whose inbound pushes are
-//! blackholed, which can only resolve through the missing-batch fetch
-//! protocol on the consensus connection.
+//! blackholed, which gets every peer batch through the missing-batch
+//! fetch protocol on the consensus connection.
 
 use std::net::{SocketAddr, TcpListener};
 use std::time::{Duration, Instant};
@@ -105,22 +106,14 @@ fn ordered_marker(node: &NetNode, tx: &Transaction) -> bool {
 
 #[test]
 fn workers_disseminate_and_order_by_digest() {
-    // Generous round budget: with the unreachable ack deadline below, a
-    // digest rides a vertex only after a full ack quorum, and on a slow
-    // or loaded host rounds can outpace the dissemination + ack round
-    // trips — the budget must leave proposal opportunities after them.
+    // Generous round budget: on a slow or loaded host rounds can outpace
+    // the pushes, and a vertex that arrives ahead of its batch waits in
+    // its peers' buffers — the budget must leave rounds after that.
     let max_round = 32;
     let (cluster, listeners) = Cluster::prepare(4, 777, max_round);
     let mut nodes: Vec<NetNode> = Vec::new();
     for (i, listener) in listeners.into_iter().enumerate() {
-        // An unreachable ack deadline: digests may only be released into
-        // vertices via the ack-quorum path, so this test proves peers
-        // actually acknowledge disseminated batches.
-        nodes.push(
-            cluster.start(i, listener, |c| {
-                c.with_workers(2).with_ack_timeout(Duration::from_secs(600))
-            }),
-        );
+        nodes.push(cluster.start(i, listener, |c| c.with_workers(2)));
     }
     for (i, node) in nodes.iter().enumerate() {
         assert_eq!(node.workers(), 2);
@@ -132,9 +125,8 @@ fn workers_disseminate_and_order_by_digest() {
     let len = assert_identical_logs_with_payloads(&refs);
     assert!(len > 16, "only {len} vertices ordered in {max_round} rounds");
     for (i, node) in nodes.iter().enumerate() {
-        // Everyone stored everyone's batches (pushed, since with an
-        // unreachable deadline unacked digests are never even proposed),
-        // each once: every node sealed exactly one 48-byte marker batch.
+        // Everyone stored everyone's batches, each once: every node
+        // sealed exactly one 48-byte marker batch.
         assert_eq!(node.batches_stored(), 4, "node {i} stored {}", node.batches_stored());
         assert_eq!(node.batch_payload_bytes(), 4 * 48, "node {i} miscounted payload bytes");
         for m in 0..nodes.len() {
@@ -168,8 +160,8 @@ fn blackholed_pushes_resolve_through_the_fetch_path() {
             } else {
                 // Every other node's worker connection *to the victim* is
                 // blackholed: the victim sees none of their batch pushes
-                // and can resolve ordered digests only by fetching them
-                // over the consensus connection.
+                // and can insert their digest vertices only by fetching
+                // the batches over the consensus connection.
                 let mut worker_addrs = cluster.addrs.clone();
                 worker_addrs[victim] = blackhole_addr;
                 c.with_worker_addrs(worker_addrs)

@@ -106,6 +106,35 @@ fn assert_identical_logs(nodes: &[&NetNode]) -> usize {
     reference.len()
 }
 
+/// `NetNode::start` refuses what it cannot run, before it binds or
+/// spawns anything: an identity outside the committee (with a pre-bound
+/// listener or without), coin keys dealt to another process, and an
+/// address list without one entry per member.
+#[test]
+fn start_refuses_a_configuration_outside_the_committee() {
+    use std::io::ErrorKind;
+
+    let (cluster, _listeners) = Cluster::prepare(4, 444, 8);
+    let refusal = |config: NetConfig, listener: Option<TcpListener>| {
+        NetNode::start::<BrachaRbc>(config, listener).map(drop).unwrap_err().kind()
+    };
+    let mut stranger = cluster.config(0);
+    stranger.me = ProcessId::new(4);
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    assert_eq!(refusal(stranger.clone(), Some(listener)), ErrorKind::InvalidInput);
+    assert_eq!(refusal(stranger, None), ErrorKind::InvalidInput);
+
+    let mut borrowed_keys = cluster.config(0);
+    borrowed_keys.coin_keys = cluster.keys[1].clone();
+    assert_eq!(refusal(borrowed_keys, None), ErrorKind::InvalidInput);
+
+    let mut short = cluster.config(0);
+    short.addrs.pop();
+    assert_eq!(refusal(short, None), ErrorKind::InvalidInput);
+    let short_workers = cluster.config(0).with_worker_addrs(cluster.addrs[..3].to_vec());
+    assert_eq!(refusal(short_workers, None), ErrorKind::InvalidInput);
+}
+
 #[test]
 fn four_nodes_agree_over_real_sockets() {
     let max_round = 16;
@@ -473,8 +502,7 @@ fn a_node_seals_nothing_before_it_leaves_genesis() {
     let config = cluster.config(0).with_sync_timeout(Duration::from_secs(600));
     let node = NetNode::start::<BrachaRbc>(config, Some(listeners.remove(0))).unwrap();
     assert!(node.submit_tx(Transaction::synthetic(1, 16)));
-    // Longer than the default 1 s ack timeout, which would release a
-    // sealed digest into a proposal.
+    // Many sweeps of the reactor, none of which may seal.
     std::thread::sleep(Duration::from_millis(1_500));
     assert!(!node.is_live());
     assert_eq!(node.current_round().number(), 0, "the node left genesis while syncing");

@@ -197,10 +197,13 @@ impl<B: ReliableBroadcast> SimActor<B> {
                 EngineOutput::Send { to, payload } => ctx.send(to, payload),
                 EngineOutput::Broadcast { payload } => ctx.broadcast_to_others(payload),
                 EngineOutput::SetTimer { delay, tag } => ctx.schedule(delay, tag),
-                // Simulation drivers submit inline payloads, never bare
-                // digests, so a missing-batch fetch can only fire if a
-                // test feeds digests directly — and then it drives the
-                // engine itself, not through this actor.
+                // The simulator carries no batches. Drivers that propose
+                // digests (the `net_throughput` simnet phase, the
+                // benchmark's sim workload) pre-stage every batch in
+                // every engine, so nothing is ever missing. A node that
+                // does miss a batch keeps the vertex naming it in its
+                // buffer, and its fetch timer keeps firing, for as long
+                // as the vertex stays there.
                 EngineOutput::FetchBatches { .. } => {}
                 EngineOutput::Ordered(o) => self.ordered.push(o),
             }

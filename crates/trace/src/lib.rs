@@ -156,23 +156,22 @@ pub enum TraceEvent {
         /// The stored batch's digest.
         digest: BatchDigest,
     },
-    /// The total order reached a vertex naming this digest; `a_deliver`
-    /// is pending until the batch resolves locally.
+    /// The total order reached a vertex naming this digest.
     DigestOrdered {
         /// The ordered digest.
         digest: BatchDigest,
     },
     /// An ordered digest resolved against the local batch store,
-    /// completing `a_deliver` for its vertex.
+    /// completing `a_deliver` for its vertex. The vertex entered the DAG
+    /// only once its batches were local, so this follows its
+    /// `DigestOrdered` in the same step.
     BatchResolved {
         /// The resolved batch's digest.
         digest: BatchDigest,
-        /// Ticks between ordering the digest and resolving it (0 when the
-        /// batch was already local).
-        waited: u64,
     },
-    /// The engine asked a peer for a batch missing at resolution time
-    /// (the bounded re-request path).
+    /// The engine asked a peer for a batch that a buffered vertex names
+    /// and this process lacks (the fetch path, which keeps rotating over
+    /// the peers until the batch arrives).
     BatchFetchRequested {
         /// The missing batch's digest.
         digest: BatchDigest,
@@ -399,10 +398,9 @@ impl Encode for TraceEvent {
                 15u8.encode(buf);
                 digest.encode(buf);
             }
-            TraceEvent::BatchResolved { digest, waited } => {
+            TraceEvent::BatchResolved { digest } => {
                 16u8.encode(buf);
                 digest.encode(buf);
-                waited.encode(buf);
             }
             TraceEvent::BatchFetchRequested { digest, from } => {
                 17u8.encode(buf);
@@ -433,12 +431,9 @@ impl Encode for TraceEvent {
             TraceEvent::RbcPhase { instance, primitive, phase } => {
                 instance.encoded_len() + primitive.encoded_len() + phase.encoded_len()
             }
-            TraceEvent::BatchStored { digest } | TraceEvent::DigestOrdered { digest } => {
-                digest.encoded_len()
-            }
-            TraceEvent::BatchResolved { digest, waited } => {
-                digest.encoded_len() + waited.encoded_len()
-            }
+            TraceEvent::BatchStored { digest }
+            | TraceEvent::DigestOrdered { digest }
+            | TraceEvent::BatchResolved { digest } => digest.encoded_len(),
             TraceEvent::BatchFetchRequested { digest, from } => {
                 digest.encoded_len() + from.encoded_len()
             }
@@ -480,10 +475,7 @@ impl Decode for TraceEvent {
             }),
             14 => Ok(TraceEvent::BatchStored { digest: BatchDigest::decode(buf)? }),
             15 => Ok(TraceEvent::DigestOrdered { digest: BatchDigest::decode(buf)? }),
-            16 => Ok(TraceEvent::BatchResolved {
-                digest: BatchDigest::decode(buf)?,
-                waited: u64::decode(buf)?,
-            }),
+            16 => Ok(TraceEvent::BatchResolved { digest: BatchDigest::decode(buf)? }),
             17 => Ok(TraceEvent::BatchFetchRequested {
                 digest: BatchDigest::decode(buf)?,
                 from: ProcessId::decode(buf)?,
@@ -544,7 +536,7 @@ mod tests {
             },
             TraceEvent::BatchStored { digest: BatchDigest::new([10; 32]) },
             TraceEvent::DigestOrdered { digest: BatchDigest::new([11; 32]) },
-            TraceEvent::BatchResolved { digest: BatchDigest::new([12; 32]), waited: 17 },
+            TraceEvent::BatchResolved { digest: BatchDigest::new([12; 32]) },
             TraceEvent::BatchFetchRequested {
                 digest: BatchDigest::new([13; 32]),
                 from: ProcessId::new(1),

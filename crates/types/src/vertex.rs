@@ -13,8 +13,9 @@ use crate::{BatchDigest, Block, Committee, ProcessId, Round, SeqNum};
 /// the consensus path. The Narwhal/Bullshark-style decoupling instead
 /// disseminates transaction bytes in worker [`Batch`](crate::Batch)es and
 /// has vertices name them by digest — the consensus path then pays 32
-/// bytes per batch regardless of batch size, and `a_deliver` resolves
-/// digests back to transactions at ordering time.
+/// bytes per batch regardless of batch size. A vertex enters the DAG only
+/// once the batches it names are local, and `a_deliver` resolves its
+/// digests back to transactions from them.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum Payload {
     /// A full block of transactions, inlined (the paper's original form).

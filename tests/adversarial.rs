@@ -1,9 +1,16 @@
 //! Adversarial end-to-end scenarios: network partitions (long finite
-//! delays — the async model's version of a partition) and a DAG-level
-//! equivocator attacking through the broadcast layer.
+//! delays — the async model's version of a partition), a DAG-level
+//! equivocator attacking through the broadcast layer, and proposers
+//! whose batches no process, or only one other process, can serve.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 use bytes::Bytes;
-use dag_rider::core::{NodeConfig, VertexPayload};
+use dag_rider::core::{
+    batch_digest, DagRiderEngine, EngineInput, EngineOutput, HashedBatch, NodeConfig,
+    OrderedVertex, Turn, VertexPayload,
+};
 use dag_rider::crypto::deal_coin_keys;
 use dag_rider::rbc::{BrachaKind, BrachaMessage, BrachaRbc, RbcAction, ReliableBroadcast};
 use dag_rider::simactor::DagRiderNode;
@@ -11,7 +18,7 @@ use dag_rider::simnet::{
     Actor, Context, Either, PartitionScheduler, Simulation, Time, UniformScheduler,
 };
 use dag_rider::types::{
-    Block, Committee, Decode, Encode, ProcessId, Round, SeqNum, Transaction, VertexBuilder,
+    Batch, Block, Committee, Decode, Encode, ProcessId, Round, SeqNum, Transaction, VertexBuilder,
     VertexRef, Wave,
 };
 use rand::rngs::StdRng;
@@ -214,5 +221,196 @@ fn crash_plus_partition_combined() {
         let common = log.len().min(reference.len());
         assert_eq!(&log[..common], &reference[..common], "{p} diverged");
         assert!(sim.actor(p).decided_wave() >= Wave::new(1), "{p} made no progress");
+    }
+}
+
+/// Four engines on a FIFO wire that also carries fetched batches. A
+/// timer fires no earlier than it is due, and a `FetchBatches` is
+/// answered from the asked engine's batch map unless that engine is
+/// `mute`. A batch that no engine holds is
+/// fetched for as long as its vertex stays buffered, so [`Harness::run`]
+/// stops at a virtual-time horizon.
+struct Harness {
+    committee: Committee,
+    engines: Vec<DagRiderEngine<BrachaRbc>>,
+    rngs: Vec<StdRng>,
+    /// Inputs in flight, first in first out: peer messages and batches.
+    wire: VecDeque<(ProcessId, EngineInput)>,
+    /// Armed timers as `(due tick, process, tag)`, earliest first.
+    timers: BinaryHeap<Reverse<(u64, ProcessId, u64)>>,
+    /// Every `(requester, asked)` pair of the fetch requests issued.
+    fetches: Vec<(ProcessId, ProcessId)>,
+    /// Each engine's `Ordered` outputs.
+    logs: Vec<Vec<OrderedVertex>>,
+    mute: Option<ProcessId>,
+    now: u64,
+}
+
+impl Harness {
+    /// Starts four engines with `max_round(40)`. Engine `p` holds batch
+    /// `b` when `holds(p, b)` and proposes the digest of `batches[p]`.
+    fn start(
+        batches: &[Batch],
+        holds: impl Fn(ProcessId, usize) -> bool,
+        mute: Option<ProcessId>,
+    ) -> Self {
+        let committee = Committee::new(4).unwrap();
+        let keys = deal_coin_keys(&committee, &mut StdRng::seed_from_u64(313));
+        let config = NodeConfig::default().with_max_round(40);
+        let mut harness = Self {
+            committee,
+            engines: committee
+                .members()
+                .zip(keys)
+                .map(|(p, k)| DagRiderEngine::new(committee, p, k, config.clone()))
+                .collect(),
+            rngs: (0..4).map(|i| StdRng::seed_from_u64(700 + i)).collect(),
+            wire: VecDeque::new(),
+            timers: BinaryHeap::new(),
+            fetches: Vec::new(),
+            logs: vec![Vec::new(); 4],
+            mute,
+            now: 0,
+        };
+        for p in committee.members() {
+            let i = p.as_usize();
+            for (b, batch) in batches.iter().enumerate() {
+                if holds(p, b) {
+                    harness.engines[i].store_batch(batch.clone());
+                }
+            }
+            // The submission moves the engine off genesis with the digest
+            // in its round-1 vertex.
+            let input = EngineInput::SubmitDigests(vec![batch_digest(&batches[i])]);
+            let turn = harness.engines[i].handle(Time::ZERO, input, &mut harness.rngs[i]);
+            harness.route(p, turn);
+        }
+        harness
+    }
+
+    fn route(&mut self, from: ProcessId, turn: Turn) {
+        for out in turn.outputs {
+            match out {
+                EngineOutput::Send { to, payload } => {
+                    self.wire
+                        .push_back((to, EngineInput::Message { from, payload: payload.to_vec() }));
+                }
+                EngineOutput::Broadcast { payload } => {
+                    for to in self.committee.others(from) {
+                        let payload = payload.to_vec();
+                        self.wire.push_back((to, EngineInput::Message { from, payload }));
+                    }
+                }
+                EngineOutput::SetTimer { delay, tag } => {
+                    self.timers.push(Reverse((self.now + delay, from, tag)));
+                }
+                EngineOutput::FetchBatches { from: asked, digests } => {
+                    self.fetches.push((from, asked));
+                    if self.mute == Some(asked) {
+                        continue;
+                    }
+                    for digest in digests {
+                        if let Some(batch) = self.engines[asked.as_usize()].batch(&digest) {
+                            let input = EngineInput::BatchStored(HashedBatch::new(batch.clone()));
+                            self.wire.push_back((from, input));
+                        }
+                    }
+                }
+                EngineOutput::Ordered(o) => self.logs[from.as_usize()].push(o),
+            }
+        }
+    }
+
+    /// Runs until nothing is in flight or armed, or until virtual time
+    /// passes `horizon`. Each input in flight takes one tick; a due timer
+    /// fires ahead of the wire.
+    fn run(&mut self, horizon: u64) {
+        loop {
+            let due = self.timers.peek().is_some_and(|Reverse((at, ..))| *at <= self.now);
+            let next = if due { None } else { self.wire.pop_front() };
+            let (to, input) = if let Some(next) = next {
+                self.now += 1;
+                next
+            } else if let Some(Reverse((at, p, tag))) = self.timers.pop() {
+                self.now = self.now.max(at);
+                (p, EngineInput::Timer { tag })
+            } else {
+                return;
+            };
+            if self.now > horizon {
+                return;
+            }
+            let i = to.as_usize();
+            let turn = self.engines[i].handle(Time::new(self.now), input, &mut self.rngs[i]);
+            self.route(to, turn);
+        }
+    }
+
+    /// The vertices of `p`'s ordered log.
+    fn order(&self, p: u32) -> Vec<VertexRef> {
+        self.logs[p as usize].iter().map(|o| o.vertex).collect()
+    }
+}
+
+/// One batch of one marker transaction per process.
+fn marker_batches() -> Vec<Batch> {
+    (0..4u32)
+        .map(|p| {
+            Batch::new(ProcessId::new(p), 0, vec![Transaction::synthetic(900 + u64::from(p), 32)])
+        })
+        .collect()
+}
+
+/// A Byzantine proposer names a batch that no process holds. Its vertex
+/// never enters an honest DAG, so no honest process orders it, and the
+/// honest logs keep growing without it instead of stalling behind it.
+#[test]
+fn a_vertex_naming_a_batch_no_process_holds_is_never_ordered() {
+    let batches = marker_batches();
+    let byz = ProcessId::new(3);
+    let mut harness = Harness::start(&batches, |_, b| b != byz.as_usize(), None);
+    harness.run(100_000);
+
+    let phantom = VertexRef::new(Round::new(1), byz);
+    let reference = harness.order(0);
+    for p in 0..3u32 {
+        let log = harness.order(p);
+        assert_eq!(log, reference, "p{p} diverged");
+        assert!(log.len() >= 140, "p{p} ordered only {} vertices", log.len());
+        assert!(!log.contains(&phantom), "p{p} ordered the phantom vertex");
+    }
+    assert!(harness.fetches.iter().any(|&(_, asked)| asked == byz), "nobody asked the proposer");
+}
+
+/// A batch that only its proposer and one other process hold reaches
+/// every honest process through the fetch path, although the proposer
+/// answers no fetch: the others ask it first, then the holder.
+#[test]
+fn a_batch_one_honest_process_holds_resolves_everywhere() {
+    let batches = marker_batches();
+    let (holder, proposer) = (ProcessId::new(0), ProcessId::new(3));
+    let holds = |p: ProcessId, b: usize| b != proposer.as_usize() || p == holder || p == proposer;
+    let mut harness = Harness::start(&batches, holds, Some(proposer));
+    harness.run(100_000);
+
+    let vertex = VertexRef::new(Round::new(1), proposer);
+    let payloads = |p: ProcessId| -> Vec<(VertexRef, Block)> {
+        harness.logs[p.as_usize()].iter().map(|o| (o.vertex, o.block.clone())).collect()
+    };
+    let reference = payloads(holder);
+    assert!(reference.len() >= 140, "p0 ordered only {} vertices", reference.len());
+    for p in [1u32, 2].map(ProcessId::new) {
+        let log = payloads(p);
+        assert_eq!(log, reference, "{p} diverged");
+        let (_, block) = log.iter().find(|(v, _)| *v == vertex).expect("p3's vertex was ordered");
+        assert_eq!(block.transactions(), batches[proposer.as_usize()].transactions());
+        let asked: Vec<ProcessId> = harness
+            .fetches
+            .iter()
+            .filter(|&&(from, _)| from == p)
+            .map(|&(_, asked)| asked)
+            .collect();
+        // The proposer first, then the other peers in id order.
+        assert!(asked.starts_with(&[proposer, holder]), "{p} asked {asked:?}");
     }
 }

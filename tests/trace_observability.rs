@@ -212,7 +212,8 @@ fn tracing_is_off_by_default() {
 /// flagged as `UnresolvedOrderedDigest`.
 #[test]
 fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
-    use std::collections::VecDeque;
+    use std::cmp::Reverse;
+    use std::collections::{BinaryHeap, VecDeque};
 
     use dag_rider::analysis::InvariantViolation;
     use dag_rider::core::{
@@ -221,11 +222,13 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
     use dag_rider::types::{Batch, BatchDigest, ProcessId, Round, Time, Transaction};
 
     /// The test's driver: an instant FIFO wire, the fetch requests the
-    /// engines issued, and each engine's event stream stamped with the
-    /// time of its turn, as the simulator adapter stamps it.
+    /// engines issued, the timers they armed as (due tick, process, tag),
+    /// and each engine's event stream stamped with the time of its turn,
+    /// as the simulator adapter stamps it.
     struct Driver {
         wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)>,
         fetches: VecDeque<(ProcessId, Vec<BatchDigest>)>,
+        timers: BinaryHeap<Reverse<(u64, ProcessId, u64)>>,
         fetches_sent: Vec<u64>,
         /// `Ordered` outputs per process.
         ordered: Vec<usize>,
@@ -254,7 +257,9 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
                         self.fetches.push_back((from, digests));
                     }
                     EngineOutput::Ordered(_) => self.ordered[from.as_usize()] += 1,
-                    EngineOutput::SetTimer { .. } => {}
+                    EngineOutput::SetTimer { delay, tag } => {
+                        self.timers.push(Reverse((at.ticks() + delay, from, tag)));
+                    }
                 }
             }
         }
@@ -273,14 +278,15 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
         .members()
         .map(|p| Batch::new(p, 0, vec![Transaction::synthetic(90 + p.as_usize() as u64, 32)]))
         .collect();
-    // Process 3 never receives process 0's batch by dissemination: once
-    // that digest reaches the front of its order it must go through the
-    // missing-batch fetch path.
+    // Process 3 never receives process 0's batch by dissemination: the
+    // vertex naming it waits in its buffer until the fetch path brings
+    // the batch.
     let straggler = ProcessId::new(3);
 
     let mut driver = Driver {
         wire: VecDeque::new(),
         fetches: VecDeque::new(),
+        timers: BinaryHeap::new(),
         fetches_sent: vec![0; 4],
         ordered: vec![0; 4],
         tracers: committee.members().map(|p| Tracer::new(p, 8192)).collect(),
@@ -310,7 +316,8 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
         }
     }
     let mut t = 0u64;
-    while !driver.wire.is_empty() || !driver.fetches.is_empty() {
+    while !driver.wire.is_empty() || !driver.fetches.is_empty() || !driver.timers.is_empty() {
+        assert!(t < 1_000_000, "the cluster never went idle");
         while let Some((from, to, payload)) = driver.wire.pop_front() {
             t += 1;
             let i = to.as_usize();
@@ -336,6 +343,17 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
                 driver.route(committee, requester, Time::new(t), turn);
             }
         }
+        // Fire the earliest timer once the wire is idle, no earlier than
+        // it is due.
+        if driver.wire.is_empty() && driver.fetches.is_empty() {
+            if let Some(Reverse((due, p, tag))) = driver.timers.pop() {
+                t = t.max(due);
+                let i = p.as_usize();
+                let turn =
+                    engines[i].handle(Time::new(t), EngineInput::Timer { tag }, &mut rngs[i]);
+                driver.route(committee, p, Time::new(t), turn);
+            }
+        }
     }
 
     let auditor = DagAuditor::new(committee);
@@ -353,16 +371,18 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
     }
     assert!(driver.fetches_sent[straggler.as_usize()] > 0, "straggler never fetched");
     let straggler_records = driver.tracers[straggler.as_usize()].records();
-    assert!(
-        straggler_records.iter().any(|r| matches!(r.event, TraceEvent::BatchFetchRequested { .. })),
-        "straggler trace has no fetch request"
-    );
-    assert!(
-        straggler_records
-            .iter()
-            .any(|r| matches!(r.event, TraceEvent::BatchResolved { waited, .. } if waited > 0)),
-        "straggler trace shows no waited resolution"
-    );
+    let fetched = straggler_records
+        .iter()
+        .position(|r| matches!(r.event, TraceEvent::BatchFetchRequested { .. }))
+        .expect("straggler trace has no fetch request");
+    // Process 0's digest rides its round-1 vertex, which the straggler
+    // inserts only once the fetch brought the batch.
+    let p0_vertex = VertexRef::new(Round::new(1), ProcessId::new(0));
+    let inserted = straggler_records
+        .iter()
+        .position(|r| r.event == TraceEvent::VertexInserted { vertex: p0_vertex })
+        .expect("straggler never inserted process 0's vertex");
+    assert!(fetched < inserted, "straggler inserted {p0_vertex} before fetching its batch");
 
     // Strip the resolution records: every digest the straggler ordered now
     // dangles, and the auditor must say so.
