@@ -12,12 +12,14 @@
 //!   is present (lines 6–9), keeping the DAG causally closed, and every
 //!   batch its payload names is in the node's batch map, so a vertex this
 //!   process inserts is one every correct process can insert and resolve;
+//! * a garbage-collection pass releases the batches that only collected
+//!   vertices named ([`DagCore::prune_below`]);
 //! * when the current round holds ≥ `2f+1` vertices the process advances,
 //!   signalling `wave_ready` every 4th round (lines 10–13), and broadcasts
 //!   a new vertex with strong edges to everything it has in the completed
 //!   round and weak edges to any orphans (lines 14–15, 16–21, 27–31).
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use dagrider_rbc::RbcDelivery;
 use dagrider_trace::TraceEvent;
@@ -81,6 +83,14 @@ pub struct DagCore {
     /// all of round `r - 1`, and accept peers' vertices down to the
     /// sampled minimum. `None` (or a degenerate config) is dense mode.
     sparse: Option<SparseEdgeConfig>,
+    /// Every batch digest a vertex at or above the GC floor names, with
+    /// the highest round of such a vertex: this process's own vertices
+    /// from their creation, and every other vertex from the moment it
+    /// joins the buffer.
+    naming_round: BTreeMap<BatchDigest, Round>,
+    /// The digests of `naming_round` under their highest naming round:
+    /// what a floor move past that round releases.
+    named_at: BTreeMap<Round, Vec<BatchDigest>>,
 }
 
 impl DagCore {
@@ -101,6 +111,8 @@ impl DagCore {
             last_wave_signalled: 0,
             disable_weak_edges: false,
             sparse: None,
+            naming_round: BTreeMap::new(),
+            named_at: BTreeMap::new(),
         }
     }
 
@@ -273,6 +285,7 @@ impl DagCore {
             return Vec::new(); // straggler below the GC floor: already ordered
         }
         let lacks_batch = vertex.payload().digests().iter().any(|d| !batches.contains_key(d));
+        self.note_named(vertex.payload().digests(), vertex.round());
         self.buffer.push(vertex);
         let mut out = self.try_advance(batches, events);
         if lacks_batch {
@@ -283,10 +296,54 @@ impl DagCore {
 
     /// Garbage-collects DAG rounds strictly below `keep_from` (see
     /// [`Dag::prune_below`]); also drops any buffered stragglers below the
-    /// floor. Returns vertices dropped from the DAG.
-    pub fn prune_below(&mut self, keep_from: Round) -> usize {
+    /// floor. Returns the vertices dropped from the DAG, and the batch
+    /// digests the floor releases: those that only vertices below
+    /// `keep_from` named. A digest no vertex has named, or one queued
+    /// for this process's next vertex, is never released. The work is
+    /// per digest named in the collected rounds.
+    pub fn prune_below(&mut self, keep_from: Round) -> (usize, Vec<BatchDigest>) {
         self.buffer.retain(|v| v.round() >= keep_from);
-        self.dag.prune_below(keep_from)
+        let dropped = self.dag.prune_below(keep_from);
+        let mut released = Vec::new();
+        while let Some(collected) = self.named_at.first_entry() {
+            if *collected.key() >= keep_from {
+                break;
+            }
+            let (round, digests) = collected.remove_entry();
+            for digest in digests {
+                // A later vertex naming it moved the digest to its round.
+                if self.naming_round.get(&digest) == Some(&round) {
+                    self.naming_round.remove(&digest);
+                    released.push(digest);
+                }
+            }
+        }
+        if !released.is_empty() && !self.blocks_to_propose.is_empty() {
+            // A digest queued again (the same batch sealed twice) stays:
+            // the next vertex names it anew when it is created.
+            let queued: BTreeSet<&BatchDigest> = self
+                .blocks_to_propose
+                .iter()
+                .flat_map(|payload| match payload {
+                    QueuedPayload::Digests(digests) => digests.as_slice(),
+                    QueuedPayload::Block(_) => &[],
+                })
+                .collect();
+            released.retain(|digest| !queued.contains(digest));
+        }
+        (dropped, released)
+    }
+
+    /// Records that a vertex of `round` names `digests`.
+    fn note_named(&mut self, digests: &[BatchDigest], round: Round) {
+        for &digest in digests {
+            // Genesis names nothing, so it stands for "not named yet".
+            let highest = self.naming_round.entry(digest).or_insert(Round::GENESIS);
+            if round > *highest {
+                *highest = round;
+                self.named_at.entry(round).or_default().push(digest);
+            }
+        }
     }
 
     /// Lines 5–15: drains the buffer into the DAG and advances rounds
@@ -380,6 +437,9 @@ impl DagCore {
         } else {
             self.dag.orphans_below(&strong, orphan_cutoff)
         };
+        // The vertex names its batches from now on, while its broadcast
+        // is still in flight.
+        self.note_named(payload.digests(), round);
         VertexBuilder::new(self.me, round, payload)
             .strong_edges(strong)
             .weak_edges(weak)
@@ -509,6 +569,40 @@ mod tests {
         assert_eq!(c.buffered(), 0);
         assert!(c.dag().contains(v.reference()));
         assert!(c.missing_batches(&batches).is_empty());
+    }
+
+    /// A vertex of `source` at `round` naming `digests`, with strong
+    /// edges to every vertex of the round below.
+    fn naming(source: u32, round: u64, digests: Vec<BatchDigest>) -> Vertex {
+        let source = ProcessId::new(source);
+        let below = Round::new(round - 1);
+        let payload = Payload::Digests { proposer: source, seq: SeqNum::new(1), digests };
+        VertexBuilder::new(source, Round::new(round), payload)
+            .strong_edges(committee().members().map(|p| VertexRef::new(below, p)))
+            .build(&committee())
+            .unwrap()
+    }
+
+    #[test]
+    fn prune_below_releases_what_only_collected_vertices_name() {
+        let mut c = core(0);
+        c.start(NO_BATCHES, &mut Vec::new());
+        let [a, b, reused, own] = [1u8, 2, 3, 4].map(|i| BatchDigest::new([i; 32]));
+        // Neither vertex has its parents or its batches: both wait in the
+        // buffer, and both name what they carry.
+        for vertex in [naming(1, 3, vec![a, b, reused]), naming(2, 6, vec![b])] {
+            let (source, round) = (vertex.source(), vertex.round());
+            c.on_vertex(vertex, source, round, NO_BATCHES, &mut Vec::new());
+        }
+        assert_eq!(c.buffered(), 2);
+        // Both digests wait for this process's next vertex: `own` was
+        // never named, and `reused` is the same batch sealed again.
+        c.enqueue_digests(vec![reused, own]);
+        let released = c.prune_below(Round::new(4)).1;
+        assert_eq!(released, [a], "the round-6 vertex names b, and the next vertex the queued two");
+        assert_eq!(c.buffered(), 1);
+        assert_eq!(c.prune_below(Round::new(7)).1, [b]);
+        assert!(c.prune_below(Round::new(9)).1.is_empty(), "a queued digest stays");
     }
 
     #[test]

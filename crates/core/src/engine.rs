@@ -41,7 +41,9 @@
 //!   digest at once. A buffered vertex that names a missing batch starts
 //!   a fetch ([`EngineOutput::FetchBatches`] on [`FETCH_TIMER_TAG`]
 //!   timers) that ends only when the batch arrives or garbage collection
-//!   prunes the vertex.
+//!   prunes the vertex. Garbage collection also drops every batch that
+//!   only the collected vertices named; a batch no vertex has named yet
+//!   stays.
 //! * **Timers** — the fetch timer is the only one the engine requests.
 //!   A driver fires each timer no earlier than its delay; every other
 //!   [`EngineInput::Timer`] runs end-of-turn housekeeping only (the share
@@ -353,10 +355,13 @@ pub struct DagRiderEngine<B> {
     coin: Coin,
     /// Shares awaiting a vertex to ride (piggyback mode only).
     pending_shares: Vec<CoinShare>,
-    /// The node's batch store: every batch whose bytes this process
-    /// holds, by content digest. The construction layer admits vertices
-    /// against it, resolution reads it, drivers serve peer fetches from
-    /// it ([`DagRiderEngine::batch`]), and snapshots capture it.
+    /// The node's batch store, by content digest: the batches that
+    /// vertices at or above the GC floor name, and those no vertex has
+    /// named yet. A GC pass drops a batch once every vertex naming it has
+    /// left the DAG and the buffer (`maybe_gc`). The construction layer
+    /// admits vertices against it, resolution reads it, drivers serve
+    /// peer fetches from it ([`DagRiderEngine::batch`]), and snapshots
+    /// capture it.
     batches: BTreeMap<BatchDigest, Batch>,
     /// Total transaction payload bytes across `batches`.
     batch_bytes: u64,
@@ -509,12 +514,13 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         }
     }
 
-    /// Batches held in the batch store.
+    /// Batches the batch store holds now: garbage collection drops those
+    /// that only collected vertices named.
     pub fn batches_stored(&self) -> usize {
         self.batches.len()
     }
 
-    /// Total transaction payload bytes across the stored batches.
+    /// Total transaction payload bytes across the batches held now.
     pub fn batch_payload_bytes(&self) -> u64 {
         self.batch_bytes
     }
@@ -544,7 +550,9 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         self.ordering.decided_wave()
     }
 
-    /// Every stored batch — the batch section of a durable snapshot.
+    /// The batches the store holds now — those the retained DAG and the
+    /// buffer name, and those no vertex has named yet: the batch section
+    /// of a durable snapshot.
     pub fn stored_batches(&self) -> Vec<Batch> {
         self.batches.values().cloned().collect()
     }
@@ -929,7 +937,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     }
 
     /// Prunes every round strictly below the fully-delivered prefix minus
-    /// the configured safety margin.
+    /// the configured safety margin, and the batches only those rounds
+    /// named.
     ///
     /// Only turns in which ordering delivered a vertex call this, and
     /// that skips no prune: a vertex joins the DAG undelivered, so
@@ -960,10 +969,17 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             // Advancing the floor also rebases the reachability engine's
             // slot space and rebuilds retained closures (see Dag::prune_below),
             // so prune only when the floor actually moves.
-            let dropped = self.core.prune_below(keep_from);
+            let (dropped, released) = self.core.prune_below(keep_from);
             if dropped > 0 {
                 events
                     .push(TraceEvent::Pruned { floor: keep_from, dropped: dropped as u64 }.into());
+            }
+            // Every vertex that could still be ordered lies at or above
+            // the floor, so no resolution needs these again.
+            for digest in released {
+                if let Some(batch) = self.batches.remove(&digest) {
+                    self.batch_bytes -= batch.payload_bytes() as u64;
+                }
             }
             self.ordering.prune_delivered_below(keep_from);
             self.rbc.prune(keep_from);

@@ -330,7 +330,8 @@ fn child_main(args: &[String]) -> Result<(), String> {
 
     let mut node_config = NodeConfig::default().with_max_round(max_round);
     if serve {
-        // Unbounded horizon: prune aggressively so memory stays flat.
+        // Unbounded horizon: prune aggressively, so the DAG window and the
+        // batches it names stay flat. The ordered log still grows.
         node_config = node_config.with_gc_depth(64);
     }
     let process_seed = seed.wrapping_mul(0x9e37_79b9).wrapping_add(index as u64);

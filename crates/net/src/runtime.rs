@@ -52,7 +52,9 @@ use dagrider_core::{
 use dagrider_crypto::CoinKeys;
 use dagrider_rbc::ReliableBroadcast;
 use dagrider_store::{replay_into, DurableStore, FsyncPolicy, Recovered, StoreSnapshot};
-use dagrider_types::{BatchDigest, Committee, Encode, ProcessId, Round, Time, Transaction, Wave};
+use dagrider_types::{
+    Batch, BatchDigest, Committee, Encode, ProcessId, Round, Time, Transaction, Wave,
+};
 
 use crate::client::{AdmissionSnapshot, AdmissionStats};
 use crate::frame::FramePool;
@@ -230,7 +232,9 @@ pub(crate) struct Published {
     pub(crate) decided_wave: AtomicU64,
     pub(crate) synced: AtomicBool,
     pub(crate) recovered: AtomicU64,
-    /// Batches in the engine's batch store, and their payload bytes.
+    /// Batches the engine has stored since the node started, recovered
+    /// ones included, and their payload bytes: running totals, which
+    /// garbage collection does not lower.
     pub(crate) batches: AtomicU64,
     pub(crate) batch_bytes: AtomicU64,
     /// Coin shares the engine refused (`EngineEvent::ShareRejected`).
@@ -506,14 +510,16 @@ impl NetNode {
         self.workers
     }
 
-    /// Batches the engine's batch store holds (own, received, fetched,
-    /// and recovered from the durable store), as of the consensus loop's
-    /// last iteration.
+    /// Batches the engine has stored since the node started (own,
+    /// received, fetched, and recovered from the durable store): a
+    /// running total. The engine's batch map holds fewer, as garbage
+    /// collection drops the batches of collected rounds.
     pub fn batches_stored(&self) -> usize {
         self.published.batches.load(AtomicOrdering::Relaxed) as usize
     }
 
-    /// Total transaction payload bytes across stored batches.
+    /// Total transaction payload bytes across the batches counted by
+    /// [`NetNode::batches_stored`]: a running total.
     pub fn batch_payload_bytes(&self) -> u64 {
         self.published.batch_bytes.load(AtomicOrdering::Relaxed)
     }
@@ -689,15 +695,21 @@ fn consensus_loop<B: ReliableBroadcast>(
     // turn's durable events (a channel send to the flusher — the fsync
     // happens off-thread), *then* route the outputs to the wire, so a
     // WAL append always precedes the network effects it justifies.
-    // Refused coin shares are counted; the rest of the stream is
-    // dropped. Snapshot cadence counts persisted vertex events; the
-    // capture is a cheap clone on this thread, and the
-    // tmp-write/fsync/rename/truncate sequence runs on the flusher.
+    // Refused coin shares and stored batches are counted; the rest of
+    // the stream is dropped. Snapshot cadence counts persisted vertex
+    // events. The capture copies the retained DAG and the batches it
+    // names on this thread, which stalls consensus for as long as that
+    // copy takes, and the tmp-write/fsync/rename/truncate sequence runs
+    // on the flusher.
     let mut emit = |engine: &DagRiderEngine<B>, turn: Turn, routed: &mut Routed| {
-        let rejected =
-            turn.events.iter().filter(|e| matches!(e, EngineEvent::ShareRejected { .. })).count();
-        if rejected > 0 {
-            published.rejected_shares.fetch_add(rejected as u64, AtomicOrdering::Relaxed);
+        for event in &turn.events {
+            match event {
+                EngineEvent::ShareRejected { .. } => {
+                    published.rejected_shares.fetch_add(1, AtomicOrdering::Relaxed);
+                }
+                EngineEvent::BatchStored { batch, .. } => count_batch(published, batch),
+                _ => {}
+            }
         }
         if let Some(ctx) = durable.as_mut() {
             let events: Vec<DurableEvent> =
@@ -741,6 +753,9 @@ fn consensus_loop<B: ReliableBroadcast>(
         );
         route(replay_outs, &mut routed);
         published.recovered.store(stats.total() as u64, AtomicOrdering::Relaxed);
+        // The recovered batches start the running totals.
+        published.batches.store(engine.batches_stored() as u64, AtomicOrdering::Relaxed);
+        published.batch_bytes.store(engine.batch_payload_bytes(), AtomicOrdering::Relaxed);
     }
 
     // Sync phase: ask every peer for its retained DAG as links come up;
@@ -837,9 +852,17 @@ fn consensus_loop<B: ReliableBroadcast>(
                     let turn =
                         engine.handle(engine_now(epoch), EngineInput::BatchStored(batch), &mut rng);
                     emit(&engine, turn, &mut routed);
-                    let input = EngineInput::SubmitDigests(vec![digest]);
-                    let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                    emit(&engine, turn, &mut routed);
+                    if live {
+                        let input = EngineInput::SubmitDigests(vec![digest]);
+                        let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                        emit(&engine, turn, &mut routed);
+                    } else {
+                        // A lane seals once full, whatever the round, but a
+                        // digest submitted before `start` would move the
+                        // engine off genesis: queue it without driving the
+                        // protocol, for the node's next vertex.
+                        engine.enqueue_digests(vec![digest]);
+                    }
                 }
                 Event::PeerBatch(batch) => {
                     let turn =
@@ -894,8 +917,6 @@ fn consensus_loop<B: ReliableBroadcast>(
         }
         published.round.store(engine.current_round().number(), AtomicOrdering::Relaxed);
         published.decided_wave.store(engine.decided_wave().number(), AtomicOrdering::Relaxed);
-        published.batches.store(engine.batches_stored() as u64, AtomicOrdering::Relaxed);
-        published.batch_bytes.store(engine.batch_payload_bytes(), AtomicOrdering::Relaxed);
 
         // Anything this iteration queued or ordered reaches the wire, and
         // the subscribed clients, after one reactor sweep, as does the
@@ -903,6 +924,12 @@ fn consensus_loop<B: ReliableBroadcast>(
         // for its tick.
         waker.wake();
     }
+}
+
+/// Adds one stored batch to the node's running totals.
+fn count_batch(published: &Published, batch: &Batch) {
+    published.batches.fetch_add(1, AtomicOrdering::Relaxed);
+    published.batch_bytes.fetch_add(batch.payload_bytes() as u64, AtomicOrdering::Relaxed);
 }
 
 /// Serves a peer's missing-batch fetch from the engine's batch store:

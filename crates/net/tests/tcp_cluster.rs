@@ -510,6 +510,44 @@ fn a_node_seals_nothing_before_it_leaves_genesis() {
     drop((node, listeners));
 }
 
+/// A full batch seals at once, even at genesis, but a syncing node only
+/// stores it: the node stays at genesis, and the batch's digest rides
+/// its first vertex once the sync phase ends, so the batch is ordered.
+#[test]
+fn a_full_own_batch_waits_for_the_sync_phase_to_end() {
+    use dagrider_net::BATCH_MAX_BYTES;
+
+    let (cluster, mut listeners) = Cluster::prepare(4, 113, 16);
+    let peers = listeners.split_off(1);
+    // Node 0 syncs until every peer answers, long after the check below.
+    let config = cluster.config(0).with_sync_timeout(Duration::from_secs(600));
+    let first = NetNode::start::<BrachaRbc>(config, Some(listeners.remove(0))).unwrap();
+    let halves: Vec<Transaction> =
+        (1..=2).map(|tag| Transaction::synthetic(tag, BATCH_MAX_BYTES / 2)).collect();
+    for tx in &halves {
+        assert!(first.submit_tx(tx.clone()));
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while first.batches_stored() == 0 && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(first.batches_stored(), 1, "the full batch never sealed");
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(!first.is_live());
+    assert_eq!(first.current_round().number(), 0, "the node left genesis while syncing");
+
+    let rest: Vec<NetNode> =
+        peers.into_iter().enumerate().map(|(i, l)| cluster.start(i + 1, Some(l))).collect();
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let ordered =
+        |tx: &Transaction| first.ordered().iter().any(|o| o.block.transactions().contains(tx));
+    while !halves.iter().all(ordered) && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    assert!(halves.iter().all(ordered), "the held batch was never ordered");
+    drop((first, rest));
+}
+
 #[test]
 fn admission_refuses_exactly_the_transactions_no_batch_can_hold() {
     use dagrider_net::BATCH_MAX_BYTES;

@@ -9,8 +9,9 @@
 //! log ([`Wal`]), and recovery simply replays them into a fresh engine
 //! ([`replay_into`]). Periodically the log is compacted into a
 //! [`StoreSnapshot`] (the retained DAG in the `DAGSNAP1` format shared
-//! with `dagrider-analysis`, plus opened coin leaders and stored
-//! batches), after which the WAL restarts empty.
+//! with `dagrider-analysis`, plus opened coin leaders and the batches
+//! the engine still holds: those the retained DAG names and those no
+//! vertex has named yet), after which the WAL restarts empty.
 //!
 //! The crash-safety contract is deliberately modest: the store is a
 //! **recovery accelerator**, not the safety root. Losing an unsynced WAL

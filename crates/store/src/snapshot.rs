@@ -12,7 +12,11 @@
 //!    needs, and
 //! 3. the **worker batches** currently in the engine's batch store, so
 //!    digest-carrying vertices can resolve to transactions without
-//!    refetching from peers.
+//!    refetching from peers. Garbage collection drops the batches that
+//!    only collected vertices named, so these are the batches the
+//!    retained DAG and the buffer name, plus those no vertex has named
+//!    yet: the section is bounded by the GC window, not by the node's
+//!    history.
 //!
 //! Installing a snapshot truncates the WAL: the snapshot supersedes
 //! every record appended before it, and the WAL restarts empty as the
@@ -37,7 +41,8 @@ pub struct StoreSnapshot {
 
 impl StoreSnapshot {
     /// Captures a snapshot of `engine`'s durable state: retained DAG,
-    /// opened coin leaders, and stored worker batches.
+    /// opened coin leaders, and the worker batches the store holds now.
+    /// The copy runs on the caller's thread.
     #[must_use]
     pub fn capture<B: ReliableBroadcast>(engine: &DagRiderEngine<B>) -> Self {
         Self {

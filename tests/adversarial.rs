@@ -1,10 +1,11 @@
 //! Adversarial end-to-end scenarios: network partitions (long finite
 //! delays — the async model's version of a partition), a DAG-level
-//! equivocator attacking through the broadcast layer, and proposers
-//! whose batches no process, or only one other process, can serve.
+//! equivocator attacking through the broadcast layer, proposers whose
+//! batches no process, or only one other process, can serve, and batch
+//! retention under garbage collection.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 use dag_rider::core::{
@@ -17,9 +18,10 @@ use dag_rider::simactor::DagRiderNode;
 use dag_rider::simnet::{
     Actor, Context, Either, PartitionScheduler, Simulation, Time, UniformScheduler,
 };
+use dag_rider::store::StoreSnapshot;
 use dag_rider::types::{
-    Batch, Block, Committee, Decode, Encode, ProcessId, Round, SeqNum, Transaction, VertexBuilder,
-    VertexRef, Wave,
+    Batch, BatchDigest, Block, Committee, Decode, Encode, ProcessId, Round, SeqNum, Transaction,
+    VertexBuilder, VertexRef, Wave,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -224,12 +226,20 @@ fn crash_plus_partition_combined() {
     }
 }
 
-/// Four engines on a FIFO wire that also carries fetched batches. A
-/// timer fires no earlier than it is due, and a `FetchBatches` is
-/// answered from the asked engine's batch map unless that engine is
-/// `mute`. A batch that no engine holds is
-/// fetched for as long as its vertex stays buffered, so [`Harness::run`]
-/// stops at a virtual-time horizon.
+/// Processes in every [`Harness`] run.
+const N: usize = 4;
+
+/// Four engines on a FIFO wire that carries peer messages, batch pushes
+/// and fetch answers, one tick per input. A timer fires no earlier than
+/// it is due, and a `FetchBatches` is answered from the asked engine's
+/// batch map unless that engine is `mute`. A batch that no engine holds
+/// is fetched for as long as its vertex stays buffered, so
+/// [`Harness::run`] stops at a virtual-time horizon.
+///
+/// Engines started by [`Harness::sealing`] seal a batch whenever their
+/// round rises, as the TCP runtime does: they push it to their peers
+/// ahead of the vertex that names it, store it, and submit its digest
+/// for their next vertex.
 struct Harness {
     committee: Committee,
     engines: Vec<DagRiderEngine<BrachaRbc>>,
@@ -243,10 +253,40 @@ struct Harness {
     /// Each engine's `Ordered` outputs.
     logs: Vec<Vec<OrderedVertex>>,
     mute: Option<ProcessId>,
+    /// The batch a process seals on reaching a round, when engines seal.
+    seal: Option<Box<dyn Fn(ProcessId, Round) -> Batch>>,
+    /// Each engine's round as of its last seal.
+    sealed_round: Vec<Round>,
+    /// Every batch sealed, with the round its sealer had reached.
+    sealed: Vec<(Round, Batch)>,
     now: u64,
 }
 
 impl Harness {
+    /// Four engines under `config`, none of them started.
+    fn new(config: &NodeConfig, mute: Option<ProcessId>) -> Self {
+        let committee = Committee::new(N).unwrap();
+        let keys = deal_coin_keys(&committee, &mut StdRng::seed_from_u64(313));
+        Self {
+            committee,
+            engines: committee
+                .members()
+                .zip(keys)
+                .map(|(p, k)| DagRiderEngine::new(committee, p, k, config.clone()))
+                .collect(),
+            rngs: (0..N as u64).map(|i| StdRng::seed_from_u64(700 + i)).collect(),
+            wire: VecDeque::new(),
+            timers: BinaryHeap::new(),
+            fetches: Vec::new(),
+            logs: vec![Vec::new(); N],
+            mute,
+            seal: None,
+            sealed_round: vec![Round::GENESIS; N],
+            sealed: Vec::new(),
+            now: 0,
+        }
+    }
+
     /// Starts four engines with `max_round(40)`. Engine `p` holds batch
     /// `b` when `holds(p, b)` and proposes the digest of `batches[p]`.
     fn start(
@@ -254,36 +294,56 @@ impl Harness {
         holds: impl Fn(ProcessId, usize) -> bool,
         mute: Option<ProcessId>,
     ) -> Self {
-        let committee = Committee::new(4).unwrap();
-        let keys = deal_coin_keys(&committee, &mut StdRng::seed_from_u64(313));
         let config = NodeConfig::default().with_max_round(40);
-        let mut harness = Self {
-            committee,
-            engines: committee
-                .members()
-                .zip(keys)
-                .map(|(p, k)| DagRiderEngine::new(committee, p, k, config.clone()))
-                .collect(),
-            rngs: (0..4).map(|i| StdRng::seed_from_u64(700 + i)).collect(),
-            wire: VecDeque::new(),
-            timers: BinaryHeap::new(),
-            fetches: Vec::new(),
-            logs: vec![Vec::new(); 4],
-            mute,
-            now: 0,
-        };
-        for p in committee.members() {
+        Self::start_with(&config, batches, holds, |p| vec![p.as_usize()], mute)
+    }
+
+    /// Like [`Harness::start`] under `config`, with engine `p` proposing
+    /// the digests of the batches `proposes(p)` lists.
+    fn start_with(
+        config: &NodeConfig,
+        batches: &[Batch],
+        holds: impl Fn(ProcessId, usize) -> bool,
+        proposes: impl Fn(ProcessId) -> Vec<usize>,
+        mute: Option<ProcessId>,
+    ) -> Self {
+        let mut harness = Self::new(config, mute);
+        for p in harness.committee.members() {
             let i = p.as_usize();
             for (b, batch) in batches.iter().enumerate() {
                 if holds(p, b) {
                     harness.engines[i].store_batch(batch.clone());
                 }
             }
-            // The submission moves the engine off genesis with the digest
+            // The submission moves the engine off genesis with the digests
             // in its round-1 vertex.
-            let input = EngineInput::SubmitDigests(vec![batch_digest(&batches[i])]);
+            let digests = proposes(p).iter().map(|&b| batch_digest(&batches[b])).collect();
+            let input = EngineInput::SubmitDigests(digests);
             let turn = harness.engines[i].handle(Time::ZERO, input, &mut harness.rngs[i]);
             harness.route(p, turn);
+        }
+        harness
+    }
+
+    /// Starts four engines with `gc_depth(GC_DEPTH)` and `max_round`,
+    /// each holding every batch of `staged`, that seal `seal(p, round)`
+    /// whenever their round rises.
+    fn sealing(
+        max_round: u64,
+        staged: &[Batch],
+        seal: impl Fn(ProcessId, Round) -> Batch + 'static,
+    ) -> Self {
+        let config = NodeConfig::default().with_max_round(max_round).with_gc_depth(GC_DEPTH);
+        let mut harness = Self::new(&config, None);
+        harness.seal = Some(Box::new(seal));
+        for p in harness.committee.members() {
+            let i = p.as_usize();
+            for batch in staged {
+                harness.engines[i].store_batch(batch.clone());
+            }
+            let turn = harness.engines[i].start(Time::ZERO, &mut harness.rngs[i]);
+            harness.route(p, turn);
+            harness.seal_if_advanced(p);
         }
         harness
     }
@@ -325,6 +385,12 @@ impl Harness {
     /// passes `horizon`. Each input in flight takes one tick; a due timer
     /// fires ahead of the wire.
     fn run(&mut self, horizon: u64) {
+        self.run_checked(horizon, |_, _| {});
+    }
+
+    /// Like [`Harness::run`], calling `check` after every input with the
+    /// engine that took it.
+    fn run_checked(&mut self, horizon: u64, mut check: impl FnMut(&Self, ProcessId)) {
         loop {
             let due = self.timers.peek().is_some_and(|Reverse((at, ..))| *at <= self.now);
             let next = if due { None } else { self.wire.pop_front() };
@@ -340,15 +406,62 @@ impl Harness {
             if self.now > horizon {
                 return;
             }
-            let i = to.as_usize();
-            let turn = self.engines[i].handle(Time::new(self.now), input, &mut self.rngs[i]);
-            self.route(to, turn);
+            self.feed(to, input);
+            check(self, to);
         }
+    }
+
+    fn feed(&mut self, to: ProcessId, input: EngineInput) {
+        let i = to.as_usize();
+        let turn = self.engines[i].handle(Time::new(self.now), input, &mut self.rngs[i]);
+        self.route(to, turn);
+        self.seal_if_advanced(to);
+    }
+
+    /// Seals `p`'s next batch if engines seal and `p`'s round rose:
+    /// pushes it to the peers, stores it, and submits its digest for the
+    /// next vertex.
+    fn seal_if_advanced(&mut self, p: ProcessId) {
+        let round = self.engines[p.as_usize()].current_round();
+        let Some(seal) = &self.seal else { return };
+        if round <= self.sealed_round[p.as_usize()] {
+            return;
+        }
+        let batch = seal(p, round);
+        self.sealed_round[p.as_usize()] = round;
+        self.sealed.push((round, batch.clone()));
+        let hashed = HashedBatch::new(batch);
+        let digest = hashed.digest();
+        for q in self.committee.others(p) {
+            self.wire.push_back((q, EngineInput::BatchStored(hashed.clone())));
+        }
+        self.feed(p, EngineInput::BatchStored(hashed));
+        self.feed(p, EngineInput::SubmitDigests(vec![digest]));
     }
 
     /// The vertices of `p`'s ordered log.
     fn order(&self, p: u32) -> Vec<VertexRef> {
         self.logs[p as usize].iter().map(|o| o.vertex).collect()
+    }
+
+    /// How often each transaction occurs in process 0's log.
+    fn ordered_counts(&self) -> BTreeMap<&Transaction, usize> {
+        let mut counts = BTreeMap::new();
+        for ordered in &self.logs[0] {
+            for tx in ordered.block.transactions() {
+                *counts.entry(tx).or_insert(0) += 1;
+            }
+        }
+        counts
+    }
+
+    /// Every log equals process 0's, payloads included.
+    fn assert_identical_logs(&self) {
+        let reference: Vec<_> = self.logs[0].iter().map(|o| (o.vertex, &o.block)).collect();
+        for (p, log) in self.logs.iter().enumerate().skip(1) {
+            let log: Vec<_> = log.iter().map(|o| (o.vertex, &o.block)).collect();
+            assert_eq!(log, reference, "p{p} diverged");
+        }
     }
 }
 
@@ -413,4 +526,232 @@ fn a_batch_one_honest_process_holds_resolves_everywhere() {
         // The proposer first, then the other peers in id order.
         assert!(asked.starts_with(&[proposer, holder]), "{p} asked {asked:?}");
     }
+}
+
+/// A Byzantine proposer names a batch every process holds next to one
+/// that none holds. Its vertex waits in every honest buffer until garbage
+/// collection drops it, and the drop releases the batch that did arrive,
+/// as nothing else names it, and ends the fetch of the other.
+#[test]
+fn a_buffered_vertex_that_gc_drops_releases_the_batches_it_named() {
+    let byz = ProcessId::new(3);
+    let mut batches = marker_batches();
+    let shared = Batch::new(byz, 1, vec![Transaction::synthetic(999, 32)]);
+    batches.push(shared.clone());
+    let config = NodeConfig::default().with_max_round(40).with_gc_depth(8);
+    let proposes =
+        |p: ProcessId| if p == byz { vec![byz.as_usize(), 4] } else { vec![p.as_usize()] };
+    let mut harness =
+        Harness::start_with(&config, &batches, |_, b| b != byz.as_usize(), proposes, None);
+    harness.run(100_000);
+
+    assert!(harness.now < 100_000, "the fetch outlived the vertex");
+    let phantom = VertexRef::new(Round::new(1), byz);
+    let reference = harness.order(0);
+    assert!(reference.len() >= 100, "p0 ordered only {} vertices", reference.len());
+    for p in 0..3u32 {
+        assert_eq!(harness.order(p), reference, "p{p} diverged");
+        let engine = &harness.engines[p as usize];
+        assert!(engine.dag().pruned_floor() > Round::new(1), "p{p} never collected round 1");
+        assert!(!engine.dag().contains(phantom));
+        assert!(engine.batch(&batch_digest(&shared)).is_none(), "p{p} kept the shared batch");
+        // The markers rode round-1 vertices, which were collected too.
+        assert_eq!(engine.batches_stored(), 0, "p{p} kept batches of collected rounds");
+    }
+}
+
+// Batch retention under garbage collection. A node's batch map holds the
+// batches that vertices at or above its GC floor name, those no vertex
+// has named yet, and those whose digest waits for its next vertex; a
+// floor move drops the rest. The runs below use `Harness::sealing`.
+
+const GC_DEPTH: u64 = 8;
+const TX_BYTES: usize = 16;
+
+/// Virtual ticks a sealing run may take: far more than a 1,024-round run
+/// needs, so a batch fetched forever ends the run instead of hanging it.
+const SEALING_HORIZON: u64 = 1 << 24;
+
+/// Rounds the delivered frontier may trail an engine's round by in the
+/// sealing runs: the wave being decided, waves whose leader was skipped,
+/// and vertices that wait for a later vertex's weak edge.
+const FRONTIER_LAG: u64 = 32;
+
+/// The most batches an engine may hold: one per process for each round
+/// from its GC floor, `GC_DEPTH` below the frontier, up to the round
+/// after its own, whose batches were pushed but not yet named.
+const HELD_BOUND: usize = N * (GC_DEPTH + FRONTIER_LAG + 2) as usize;
+
+/// The batch a process seals on reaching a round: one transaction
+/// unique to the pair.
+fn fresh_batch(p: ProcessId, round: Round) -> Batch {
+    let tag = u64::from(p.index()) << 32 | round.number();
+    Batch::new(p, 0, vec![Transaction::synthetic(tag, TX_BYTES)])
+}
+
+/// Over 1,024 rounds, every engine holds at most a bound set by
+/// `gc_depth` and n, every log is the same, and every batch named by an
+/// ordered vertex is ordered exactly once. Keeping every batch ever
+/// stored passes the bound within the first 100 rounds.
+#[test]
+fn a_sealing_cluster_holds_only_the_batches_of_its_gc_window() {
+    const ROUNDS: u64 = 1_024;
+    let mut harness = Harness::sealing(ROUNDS, &[], fresh_batch);
+    let mut held_max = 0;
+    harness.run_checked(SEALING_HORIZON, |h, p| {
+        let engine = &h.engines[p.as_usize()];
+        let (round, held) = (engine.current_round(), engine.batches_stored());
+        let window = round.number() - engine.dag().pruned_floor().number();
+        assert!(window <= GC_DEPTH + FRONTIER_LAG, "{p} keeps {window} rounds at {round}");
+        // The batches of the rounds the DAG keeps, and of the next one.
+        assert!(held <= N * (window as usize + 2), "{p} holds {held} batches at {round}");
+        held_max = held_max.max(held);
+    });
+    assert!(held_max <= HELD_BOUND);
+    assert!(harness.engines.iter().all(|e| e.current_round() == Round::new(ROUNDS)));
+    assert!(harness.fetches.is_empty(), "a batch was missing");
+    assert!(held_max >= N * GC_DEPTH as usize, "the window never filled: {held_max}");
+    harness.assert_identical_logs();
+
+    let counts = harness.ordered_counts();
+    let mut ordered = 0;
+    for (round, batch) in &harness.sealed {
+        let times = counts.get(&batch.transactions()[0]).copied().unwrap_or(0);
+        assert!(times <= 1, "a batch of round {round} was ordered {times} times");
+        // The batches of the last rounds ride vertices no leader orders.
+        assert!(times == 1 || round.number() + 16 > ROUNDS, "a batch of {round} was never ordered");
+        ordered += times;
+    }
+    assert_eq!(ordered, counts.len(), "a transaction no batch held was ordered");
+}
+
+/// A snapshot taken anywhere in a long GC run holds a batch for every
+/// digest its DAG section names, and its batch section stays within the
+/// bound the GC window sets, however long the run has been.
+#[test]
+fn snapshots_carry_the_batches_of_the_retained_window_only() {
+    let mut harness = Harness::sealing(512, &[], fresh_batch);
+    let mut snapshots = 0;
+    harness.run_checked(SEALING_HORIZON, |h, p| {
+        let engine = &h.engines[p.as_usize()];
+        if p != ProcessId::new(0) || engine.current_round().number() % 64 != 0 {
+            return;
+        }
+        let snapshot = StoreSnapshot::capture(engine);
+        let held: BTreeMap<BatchDigest, &Batch> =
+            snapshot.batches().iter().map(|b| (batch_digest(b), b)).collect();
+        for entry in snapshot.dag().entries() {
+            for digest in entry.vertex.payload().digests() {
+                let vertex = entry.vertex.reference();
+                assert!(held.contains_key(digest), "{vertex} names a batch the snapshot lacks");
+            }
+        }
+        let bytes: usize = snapshot.batches().iter().map(Batch::payload_bytes).sum();
+        assert!(
+            bytes <= HELD_BOUND * TX_BYTES,
+            "{bytes} batch bytes at {}",
+            engine.current_round()
+        );
+        snapshots += 1;
+    });
+    assert!(snapshots >= 7, "only {snapshots} snapshots were taken");
+}
+
+/// p0 seals the same batch at rounds 40 and 60, so two of its vertices
+/// name one digest. Collecting the first vertex's round keeps the batch,
+/// which the second still names; the second vertex orders it again, and
+/// collecting its round drops the batch.
+#[test]
+fn a_batch_named_again_outlives_the_first_vertex_that_named_it() {
+    let (p0, first, second) = (ProcessId::new(0), Round::new(40), Round::new(60));
+    let reused = fresh_batch(p0, first);
+    let digest = batch_digest(&reused);
+    let mut harness = Harness::sealing(160, &[], move |p, round| {
+        if p == p0 && round == second {
+            fresh_batch(p0, first)
+        } else {
+            fresh_batch(p, round)
+        }
+    });
+    // The digests ride the vertices of the following rounds.
+    let (first_vertex, second_vertex) = (first.next(), second.next());
+    let mut kept_past_the_first = [false; N];
+    harness.run_checked(SEALING_HORIZON, |h, p| {
+        let engine = &h.engines[p.as_usize()];
+        let floor = engine.dag().pruned_floor();
+        if floor > first_vertex && floor <= second_vertex {
+            assert!(engine.batch(&digest).is_some(), "{p} dropped a batch a retained vertex names");
+            kept_past_the_first[p.as_usize()] = true;
+        }
+    });
+    assert!(kept_past_the_first.iter().all(|&kept| kept), "no floor fell between the vertices");
+    harness.assert_identical_logs();
+    let counts = harness.ordered_counts();
+    assert_eq!(counts.get(&reused.transactions()[0]), Some(&2), "each vertex orders the batch");
+    for engine in &harness.engines {
+        assert!(engine.dag().pruned_floor() > second_vertex);
+        assert!(engine.batch(&digest).is_none(), "{} kept a batch nothing names", engine.me());
+    }
+}
+
+/// A batch every engine stored before the run, which no vertex names
+/// until p1 seals it at round 100, survives the floor moves before that
+/// and is ordered once. Dropping batches no vertex has named yet would
+/// leave p1's vertex waiting for it in every buffer.
+#[test]
+fn a_batch_no_vertex_names_yet_survives_floor_moves() {
+    let p1 = ProcessId::new(1);
+    let staged = Batch::new(p1, 0, vec![Transaction::synthetic(u64::MAX, TX_BYTES)]);
+    let digest = batch_digest(&staged);
+    let late = Round::new(100);
+    let named = staged.clone();
+    let mut harness = Harness::sealing(160, std::slice::from_ref(&staged), move |p, round| {
+        if p == p1 && round == late {
+            named.clone()
+        } else {
+            fresh_batch(p, round)
+        }
+    });
+    harness.run_checked(SEALING_HORIZON, |h, p| {
+        let engine = &h.engines[p.as_usize()];
+        if engine.dag().pruned_floor() <= late {
+            assert!(engine.batch(&digest).is_some(), "{p} dropped a batch no vertex named");
+        }
+    });
+    assert!(harness.fetches.is_empty(), "a batch was missing");
+    harness.assert_identical_logs();
+    assert_eq!(harness.ordered_counts().get(&staged.transactions()[0]), Some(&1));
+}
+
+/// p0 seals the batch of round 40 again on reaching a later round, each
+/// round from 52 to 68 in turn. Wherever that second seal falls against
+/// the floor's passage over the first vertex's round, p0 keeps the batch
+/// while its digest waits for p0's next vertex, so p0 never fetches it:
+/// a peer that dropped it first fetches it back from p0. The second
+/// vertex orders the batch again at every process. In one of these runs
+/// (the seal at round 65) p0's floor passes round 41 while p0 is still
+/// at round 65, before its next vertex names the digest.
+#[test]
+fn a_batch_sealed_again_is_ordered_again() {
+    let (p0, first) = (ProcessId::new(0), Round::new(40));
+    let reused = fresh_batch(p0, first);
+    let mut fetched = false;
+    for second in 52..=68 {
+        let sealed_again = reused.clone();
+        let mut harness = Harness::sealing(120, &[], move |p, round| {
+            if p == p0 && round.number() == second {
+                sealed_again.clone()
+            } else {
+                fresh_batch(p, round)
+            }
+        });
+        harness.run(SEALING_HORIZON);
+        harness.assert_identical_logs();
+        let times = harness.ordered_counts().get(&reused.transactions()[0]).copied();
+        assert_eq!(times, Some(2), "sealed again at round {second}");
+        let asked: Vec<_> = harness.fetches.iter().filter(|&&(from, _)| from == p0).collect();
+        assert!(asked.is_empty(), "p0 fetched its own batch, sealed again at {second}: {asked:?}");
+        fetched |= !harness.fetches.is_empty();
+    }
+    assert!(fetched, "no process dropped the batch before the second vertex named it");
 }
