@@ -13,9 +13,8 @@
 //! thousand threads, on either side.
 //!
 //! The node side proves the reactor's scaling claim: client sockets and
-//! worker lanes are owned by each node's reactor thread, so a node runs
-//! three threads no matter how many clients connect or how many lanes
-//! `--workers` asks for.
+//! the open batch are owned by each node's reactor thread, so a node runs
+//! three threads no matter how many clients connect.
 //!
 //! At the default 10 000 connections the process needs roughly 2×
 //! that many file descriptors (both ends are in-process); raise the
@@ -44,7 +43,6 @@ use rand::SeedableRng;
 struct Config {
     clients: usize,
     nodes: usize,
-    workers: usize,
     window: usize,
     tx_size: usize,
     warmup: Duration,
@@ -62,7 +60,6 @@ impl Config {
         let mut cfg = Self {
             clients: 10_000,
             nodes: 4,
-            workers: 2,
             window: 2,
             tx_size: 128,
             warmup: Duration::from_secs(3),
@@ -77,7 +74,6 @@ impl Config {
             match arg.as_str() {
                 "--clients" => cfg.clients = value("--clients").parse().expect("usize"),
                 "--nodes" => cfg.nodes = value("--nodes").parse().expect("usize"),
-                "--workers" => cfg.workers = value("--workers").parse().expect("usize"),
                 "--window" => cfg.window = value("--window").parse().expect("usize"),
                 "--tx-size" => cfg.tx_size = value("--tx-size").parse().expect("usize"),
                 "--warmup-secs" => {
@@ -181,8 +177,7 @@ fn start_cluster(cfg: &Config) -> Vec<NetNode> {
             keys[i].clone(),
             4242 + i as u64,
         )
-        .with_sync_timeout(Duration::from_millis(500))
-        .with_workers(cfg.workers);
+        .with_sync_timeout(Duration::from_millis(500));
         nodes.push(NetNode::start::<BrachaRbc>(config, Some(listener)).expect("start node"));
     }
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -259,8 +254,8 @@ struct Totals {
 fn main() {
     let cfg = Config::parse();
     println!(
-        "loadgen: clients={} nodes={} workers={} window={} tx_size={}B warmup={:?} measure={:?}",
-        cfg.clients, cfg.nodes, cfg.workers, cfg.window, cfg.tx_size, cfg.warmup, cfg.measure
+        "loadgen: clients={} nodes={} window={} tx_size={}B warmup={:?} measure={:?}",
+        cfg.clients, cfg.nodes, cfg.window, cfg.tx_size, cfg.warmup, cfg.measure
     );
     // In-process cluster by default; `--connect` targets a cluster that
     // is already serving (e.g. `cluster --serve`).
@@ -430,7 +425,7 @@ fn main() {
         let json = format!(
             concat!(
                 "{{\n",
-                "  \"config\": {{\"clients\": {}, \"nodes\": {}, \"workers\": {}, ",
+                "  \"config\": {{\"clients\": {}, \"nodes\": {}, ",
                 "\"window\": {}, \"tx_size\": {}, \"measure_secs\": {:.1}}},\n",
                 "  \"result\": {{\"live_clients\": {}, \"notified_per_sec\": {:.1}, ",
                 "\"cluster_txs_per_sec\": {}, \"p50_ms\": {:.1}, \"p99_ms\": {:.1}, ",
@@ -439,7 +434,6 @@ fn main() {
             ),
             cfg.clients,
             cfg.nodes,
-            cfg.workers,
             cfg.window,
             cfg.tx_size,
             cfg.measure.as_secs_f64(),

@@ -4,21 +4,18 @@
 //! simnet run of the same engine, reporting blocks/sec, ordered-tx/sec,
 //! and p50/p99 submit→order latency.
 //!
-//! The TCP phase runs each node with `--workers W` worker lanes (default
-//! 2): client transactions enter through [`NetNode::submit_tx`], worker
-//! lanes batch and disseminate them peer-to-peer, and consensus vertices
-//! carry only digests. Every lane is served by the node's one reactor
-//! thread, so `W` sets how many batches are open at once and how many
-//! worker links each node keeps to each peer, not a thread count. It
-//! keeps a fixed window of transactions in flight per node (a submission
+//! In the TCP phase, client transactions enter through
+//! [`NetNode::submit_tx`], each node batches them and pushes every batch
+//! to its peers on the one link it keeps to each, and consensus vertices
+//! carry only digests. It keeps a fixed window of transactions in flight
+//! per node (a submission
 //! is outstanding until the submitting node orders it, and is then
 //! replaced), warms up, then measures over a fixed wall-clock window.
 //! The simnet phase runs the identical engine at fixed load through the
 //! deterministic simulator, isolating protocol + codec CPU cost from
 //! socket I/O, once with inline block payloads and once with digest
-//! payloads. `--matrix` sweeps tx sizes {256 B, 1 KiB, 4 KiB}
-//! × worker lane counts {1, 2, 4} and reports ordered tx/s and ordered
-//! bytes/s for each cell.
+//! payloads. `--matrix` sweeps tx sizes {256 B, 1 KiB, 4 KiB} and
+//! reports ordered tx/s and ordered bytes/s for each.
 //!
 //! With `--durable` every node keeps a durable store (checksummed WAL +
 //! periodic snapshots) under a scratch directory, using the default
@@ -28,7 +25,6 @@
 //!
 //! ```sh
 //! cargo run --release -p dagrider-bench --bin net_throughput -- --json out.json
-//! cargo run --release -p dagrider-bench --bin net_throughput -- --workers 4
 //! cargo run --release -p dagrider-bench --bin net_throughput -- --durable
 //! cargo run --release -p dagrider-bench --bin net_throughput -- --matrix
 //! cargo run --release -p dagrider-bench --bin net_throughput -- --smoke
@@ -57,7 +53,6 @@ struct Config {
     txs_per_block: usize,
     tx_size: usize,
     sim_rounds: u64,
-    workers: usize,
     durable: bool,
     matrix: bool,
     json: Option<String>,
@@ -73,7 +68,6 @@ impl Config {
             txs_per_block: 32,
             tx_size: 256,
             sim_rounds: 64,
-            workers: 2,
             durable: false,
             matrix: false,
             json: None,
@@ -98,7 +92,6 @@ impl Config {
                 }
                 "--tx-size" => cfg.tx_size = value("--tx-size").parse().expect("usize"),
                 "--sim-rounds" => cfg.sim_rounds = value("--sim-rounds").parse().expect("u64"),
-                "--workers" => cfg.workers = value("--workers").parse().expect("--workers: usize"),
                 "--durable" => cfg.durable = true,
                 "--matrix" => cfg.matrix = true,
                 "--json" => cfg.json = Some(value("--json")),
@@ -198,8 +191,7 @@ fn start_cluster(cfg: &Config) -> Vec<NetNode> {
             keys[i].clone(),
             42 + i as u64,
         )
-        .with_sync_timeout(Duration::from_millis(500))
-        .with_workers(cfg.workers);
+        .with_sync_timeout(Duration::from_millis(500));
         if cfg.durable {
             // Default store policy: batched fsync (EveryN), periodic
             // snapshots — the production durability configuration.
@@ -219,8 +211,8 @@ fn start_cluster(cfg: &Config) -> Vec<NetNode> {
 }
 
 /// Closed-loop load against a real localhost TCP cluster: transactions
-/// enter via `submit_tx`, workers batch and disseminate them, vertices
-/// carry digests. The window counts individual transactions — one is
+/// enter via `submit_tx`, nodes batch and push them, vertices carry
+/// digests. The window counts individual transactions — one is
 /// outstanding from submission until the submitting node orders a block
 /// of its own containing it, at which point a replacement is submitted.
 fn run_tcp(cfg: &Config) -> TcpResult {
@@ -232,7 +224,7 @@ fn run_tcp(cfg: &Config) -> TcpResult {
     let mut submitted = vec![0u64; n];
     let mut own_ordered = vec![0u64; n];
     // Submission instants, popped in order as own transactions order:
-    // worker lanes preserve per-lane FIFO, so this matches
+    // batches preserve submission order, so this matches
     // transactions to instants closely enough for latency percentiles.
     let mut in_flight: Vec<VecDeque<Instant>> = vec![VecDeque::new(); n];
     for (i, node) in nodes.iter().enumerate() {
@@ -315,42 +307,37 @@ fn run_tcp(cfg: &Config) -> TcpResult {
     result
 }
 
-/// One matrix cell: ordered tx/s and bytes/s for a (tx size, workers)
-/// configuration.
+/// One matrix cell: ordered tx/s and bytes/s for one tx size.
 fn run_matrix(cfg: &Config) {
     const TX_SIZES: [usize; 3] = [256, 1024, 4096];
-    const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
     println!(
         "matrix: n={} window={} txs/block={} warmup={:?} measure={:?} per cell",
         cfg.nodes, cfg.window, cfg.txs_per_block, cfg.warmup, cfg.measure
     );
     println!(
-        "\n  {:>8} {:>8} {:>12} {:>14} {:>9} {:>9}",
-        "tx_size", "workers", "ordered_tx/s", "ordered_B/s", "p50_ms", "p99_ms"
+        "\n  {:>8} {:>12} {:>14} {:>9} {:>9}",
+        "tx_size", "ordered_tx/s", "ordered_B/s", "p50_ms", "p99_ms"
     );
     let mut rows = Vec::new();
     for tx_size in TX_SIZES {
-        for workers in WORKER_COUNTS {
-            let mut cell = cfg.clone();
-            cell.tx_size = tx_size;
-            cell.workers = workers;
-            let r = run_tcp(&cell);
-            let txs_per_sec = r.txs as f64 / r.secs;
-            let bytes_per_sec = r.bytes as f64 / r.secs;
-            println!(
-                "  {:>8} {:>8} {:>12.1} {:>14.1} {:>9.1} {:>9.1}",
-                tx_size, workers, txs_per_sec, bytes_per_sec, r.p50_ms, r.p99_ms
-            );
-            assert!(r.txs > 0, "cell ({tx_size}B, {workers}) ordered nothing — cluster stalled");
-            rows.push(format!(
-                concat!(
-                    "    {{\"tx_size\": {}, \"workers\": {}, \"txs_per_sec\": {:.1}, ",
-                    "\"bytes_per_sec\": {:.1}, \"p50_ms\": {:.1}, \"p99_ms\": {:.1}, ",
-                    "\"dropped_frames\": {}}}"
-                ),
-                tx_size, workers, txs_per_sec, bytes_per_sec, r.p50_ms, r.p99_ms, r.dropped_frames
-            ));
-        }
+        let mut cell = cfg.clone();
+        cell.tx_size = tx_size;
+        let r = run_tcp(&cell);
+        let txs_per_sec = r.txs as f64 / r.secs;
+        let bytes_per_sec = r.bytes as f64 / r.secs;
+        println!(
+            "  {:>8} {:>12.1} {:>14.1} {:>9.1} {:>9.1}",
+            tx_size, txs_per_sec, bytes_per_sec, r.p50_ms, r.p99_ms
+        );
+        assert!(r.txs > 0, "cell ({tx_size}B) ordered nothing — cluster stalled");
+        rows.push(format!(
+            concat!(
+                "    {{\"tx_size\": {}, \"txs_per_sec\": {:.1}, ",
+                "\"bytes_per_sec\": {:.1}, \"p50_ms\": {:.1}, \"p99_ms\": {:.1}, ",
+                "\"dropped_frames\": {}}}"
+            ),
+            tx_size, txs_per_sec, bytes_per_sec, r.p50_ms, r.p99_ms, r.dropped_frames
+        ));
     }
     if let Some(path) = &cfg.json {
         let json = format!(
@@ -429,16 +416,9 @@ fn main() {
         return;
     }
     println!(
-        "net_throughput: n={} window={} txs/block={} tx_size={}B workers={} durable={} \
+        "net_throughput: n={} window={} txs/block={} tx_size={}B durable={} \
          warmup={:?} measure={:?}",
-        cfg.nodes,
-        cfg.window,
-        cfg.txs_per_block,
-        cfg.tx_size,
-        cfg.workers,
-        cfg.durable,
-        cfg.warmup,
-        cfg.measure
+        cfg.nodes, cfg.window, cfg.txs_per_block, cfg.tx_size, cfg.durable, cfg.warmup, cfg.measure
     );
 
     let tcp = run_tcp(&cfg);
@@ -493,7 +473,7 @@ fn main() {
             concat!(
                 "{{\n",
                 "  \"config\": {{\"nodes\": {}, \"window\": {}, \"txs_per_block\": {}, ",
-                "\"tx_size\": {}, \"workers\": {}, \"durable\": {}, \"measure_secs\": {:.1}}},\n",
+                "\"tx_size\": {}, \"durable\": {}, \"measure_secs\": {:.1}}},\n",
                 "  \"tcp\": {{\"vertices_per_sec\": {:.1}, \"blocks_per_sec\": {:.1}, ",
                 "\"txs_per_sec\": {:.1}, \"bytes_per_sec\": {:.1}, ",
                 "\"p50_ms\": {:.1}, \"p99_ms\": {:.1}, ",
@@ -506,7 +486,6 @@ fn main() {
             cfg.window,
             cfg.txs_per_block,
             cfg.tx_size,
-            cfg.workers,
             cfg.durable,
             cfg.measure.as_secs_f64(),
             vertices_per_sec,

@@ -158,6 +158,12 @@ impl DagCore {
         self.buffer.len()
     }
 
+    /// Whether a vertex at or above the GC floor, in the DAG or the
+    /// buffer, names `digest`.
+    pub fn names_batch(&self, digest: &BatchDigest) -> bool {
+        self.naming_round.contains_key(digest)
+    }
+
     /// Enqueues a client block (`a_bcast` pushes here, Algorithm 3
     /// line 33).
     pub fn enqueue_block(&mut self, block: Block) {
@@ -595,12 +601,16 @@ mod tests {
             c.on_vertex(vertex, source, round, NO_BATCHES, &mut Vec::new());
         }
         assert_eq!(c.buffered(), 2);
+        assert!(c.names_batch(&a) && c.names_batch(&b));
         // Both digests wait for this process's next vertex: `own` was
         // never named, and `reused` is the same batch sealed again.
         c.enqueue_digests(vec![reused, own]);
+        assert!(!c.names_batch(&own), "a queued digest is not named yet");
         let released = c.prune_below(Round::new(4)).1;
         assert_eq!(released, [a], "the round-6 vertex names b, and the next vertex the queued two");
         assert_eq!(c.buffered(), 1);
+        assert!(!c.names_batch(&a), "only the collected vertex named a");
+        assert!(c.names_batch(&b));
         assert_eq!(c.prune_below(Round::new(7)).1, [b]);
         assert!(c.prune_below(Round::new(9)).1.is_empty(), "a queued digest stays");
     }

@@ -530,6 +530,12 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         self.batches.get(digest)
     }
 
+    /// Whether a vertex at or above the GC floor, in the DAG or the
+    /// construction buffer, names `digest` ([`DagCore::names_batch`]).
+    pub fn names_batch(&self, digest: &BatchDigest) -> bool {
+        self.core.names_batch(digest)
+    }
+
     /// Per-wave commit outcomes (experiment bookkeeping).
     pub fn commits(&self) -> &[CommitEvent] {
         self.ordering.commits()

@@ -6,9 +6,9 @@
 //! ordered log, and verifies the logs are **identical** — the atomic
 //! broadcast total-order property, demonstrated over real TCP.
 //!
-//! Each child runs `--workers N` worker lanes (default 2): its marker is
-//! batched, disseminated peer-to-peer over worker connections, and
-//! ordered by digest — the full decoupled data path end to end.
+//! Each child's marker is batched, pushed to every peer on the one link
+//! the child keeps to it, and ordered by digest — the full decoupled
+//! data path end to end.
 //!
 //! With `--restart`, the parent additionally SIGKILLs one child mid-run
 //! and relaunches it; the replacement must rejoin through the sync
@@ -56,8 +56,6 @@ use rand::SeedableRng;
 /// Committee-wide seed: coin-key dealing must agree across processes.
 const DEFAULT_SEED: u64 = 2026;
 const DEFAULT_MAX_ROUND: u64 = 24;
-/// Worker lanes per child, as in the benchmark and `loadgen`.
-const DEFAULT_WORKERS: usize = 2;
 /// A child declares quiescence once its log stopped growing this long.
 const STABLE_GRACE: Duration = Duration::from_millis(1500);
 
@@ -102,7 +100,6 @@ fn parent_main(args: &[String]) -> Result<(), String> {
     let default_round = if serve { u64::MAX / 2 } else { DEFAULT_MAX_ROUND };
     let max_round: u64 = parse_arg(args, "--max-round", default_round)?;
     let timeout = Duration::from_secs(parse_arg(args, "--timeout-secs", 120u64)?);
-    let workers: usize = parse_arg(args, "--workers", DEFAULT_WORKERS)?;
 
     let dir = match arg_value(args, "--dir") {
         Some(d) => PathBuf::from(d),
@@ -127,8 +124,6 @@ fn parent_main(args: &[String]) -> Result<(), String> {
             max_round.to_string(),
             "--out".to_owned(),
             out_path(i).display().to_string(),
-            "--workers".to_owned(),
-            workers.to_string(),
         ];
         if serve {
             child_args.push("--serve".to_owned());
@@ -155,8 +150,7 @@ fn parent_main(args: &[String]) -> Result<(), String> {
     };
 
     eprintln!(
-        "cluster: n={n} seed={seed} max_round={max_round} restart={restart} store={store} \
-         workers={workers} dir={}",
+        "cluster: n={n} seed={seed} max_round={max_round} restart={restart} store={store} dir={}",
         dir.display()
     );
     let mut children: Vec<Child> = (0..n).map(spawn_child).collect::<Result<_, _>>()?;
@@ -307,7 +301,6 @@ fn child_main(args: &[String]) -> Result<(), String> {
     let seed: u64 = parse_arg(args, "--seed", DEFAULT_SEED)?;
     let max_round: u64 = parse_arg(args, "--max-round", DEFAULT_MAX_ROUND)?;
     let serve = args.iter().any(|a| a == "--serve");
-    let workers: usize = parse_arg(args, "--workers", DEFAULT_WORKERS)?;
     let out = arg_value(args, "--out").ok_or("--out is required")?;
     let addrs: Vec<SocketAddr> = arg_value(args, "--addrs")
         .ok_or("--addrs is required")?
@@ -336,8 +329,7 @@ fn child_main(args: &[String]) -> Result<(), String> {
     }
     let process_seed = seed.wrapping_mul(0x9e37_79b9).wrapping_add(index as u64);
     let mut config =
-        NetConfig::new(committee, me, addrs.clone(), node_config, my_keys, process_seed)
-            .with_workers(workers);
+        NetConfig::new(committee, me, addrs.clone(), node_config, my_keys, process_seed);
     if let Some(store_dir) = arg_value(args, "--store-dir") {
         // Sync every group commit: a SIGKILLed child must find its full
         // pre-kill state on disk. Snapshot often so short runs compact.
@@ -354,8 +346,8 @@ fn child_main(args: &[String]) -> Result<(), String> {
     let node =
         NetNode::start::<BrachaRbc>(config, Some(listener)).map_err(|e| format!("start: {e}"))?;
 
-    // Submit our marker immediately, through a worker lane: it is
-    // batched, disseminated peer-to-peer, and its digest rides an early
+    // Submit our marker immediately, into the open batch: it is
+    // batched, pushed to every peer, and its digest rides an early
     // vertex (on localhost the whole run can finish in under a second —
     // waiting for the sync phase could miss the last proposal round).
     node.submit_tx(marker_tx(index));

@@ -9,19 +9,20 @@
 //!   blocking ([`read_frame`]) and incremental ([`FrameReader`], for
 //!   non-blocking sockets).
 //! * [`wire`] — the [`WireMsg`] envelope (peer handshake, opaque engine
-//!   payloads, the DAG sync stream for rejoining processes, and the
-//!   client submit/subscribe protocol).
+//!   payloads, the DAG sync stream for rejoining processes, batches and
+//!   their fetches, and the client submit/subscribe protocol).
 //! * [`backoff`] — capped exponential reconnect delays.
 //! * [`queue`] — bounded per-peer outbound queues with drop-oldest
 //!   backpressure, drained by the reactor without blocking.
-//! * `worker` (crate-private) — worker lanes, the node's only way in
-//!   for transactions: batching, hashing, and peer-to-peer batch
-//!   dissemination off the consensus path. Consensus orders digests.
 //! * `reactor` (crate-private) — the readiness-based event loop: one
-//!   thread owns every peer, worker, and client socket, fills and seals
-//!   the worker lanes' batches, and tells subscribed clients when their
-//!   transactions are ordered, so a node runs three threads (four with a
-//!   store) regardless of cluster size, client count, or lane count.
+//!   thread owns every socket, one link per peer plus the clients. It
+//!   fills the node's one open batch, its only way in for transactions,
+//!   and seals it once full ([`BATCH_MAX_BYTES`]) or once the round that
+//!   filled it has passed. It queues each sealed batch on every peer's
+//!   link ahead of the vertex that names it, hashes every batch a peer
+//!   sends, and tells subscribed clients when their transactions are
+//!   ordered, so a node runs three threads (four with a store) regardless
+//!   of cluster size or client count. Consensus orders batch digests.
 //! * [`client`] — the client submission front end: admission counters
 //!   and the ordered-notification matcher the reactor keeps.
 //! * [`runtime`] — [`NetNode`]: one DAG-Rider process as an
@@ -40,9 +41,9 @@
 //!   [`Waker`], the reactor's lost-wakeup-proof readiness bell.
 //!
 //! The `cluster` binary launches an `n = 4` cluster as real OS processes
-//! on localhost, submits a transaction to each through its worker lanes,
-//! and checks that every process emits the same total order (optionally SIGKILLing and restarting one
-//! process mid-run to exercise sync-on-rejoin):
+//! on localhost, submits a transaction to each, and checks that every
+//! process emits the same total order (optionally SIGKILLing and
+//! restarting one process mid-run to exercise sync-on-rejoin):
 //!
 //! ```text
 //! cargo run --release -p dagrider-net --bin cluster
@@ -62,14 +63,13 @@ pub mod signal;
 pub mod sync;
 pub mod wal;
 pub mod wire;
-pub(crate) mod worker;
 
 pub use backoff::Backoff;
 pub use client::{AdmissionSnapshot, AdmissionStats};
 pub use frame::{read_frame, write_frame, Fill, Frame, FramePool, FrameReader, MAX_FRAME_LEN};
 pub use queue::{Pop, SendQueue};
+pub use reactor::BATCH_MAX_BYTES;
 pub use runtime::{NetConfig, NetNode, StoreConfig};
 pub use signal::{Shutdown, Waker};
 pub use wal::{wal_channel, wal_flush_loop, WalHandle, WalJob, WalJobs, WalSink};
 pub use wire::{RejectReason, WireMsg};
-pub use worker::BATCH_MAX_BYTES;

@@ -1,41 +1,41 @@
 //! The readiness-based reactor: one thread owns every socket.
 //!
-//! PR 4's engine/driver split made the network layer a driver; this
-//! module makes the driver *event-driven*. Instead of ~3 OS threads per
-//! peer (reader, writer, accept) plus one writer per worker lane — a
-//! layout whose thread count grows with cluster size and admits no
-//! client-connection story — a single reactor thread sweeps every
-//! socket in non-blocking mode:
+//! The engine/driver split made the network layer a driver; this module
+//! makes the driver *event-driven*. Instead of OS threads per peer
+//! (reader, writer, accept) — a layout whose thread count grows with
+//! cluster size and admits no client-connection story — a single
+//! reactor thread sweeps every socket in non-blocking mode:
 //!
 //! * **inbound** — the listener plus all accepted connections. A
-//!   connection's first frame classifies it: [`WireMsg::Hello`] (peer
-//!   consensus link), [`WireMsg::WorkerHello`] (peer batch push
-//!   stream), or [`WireMsg::ClientHello`] (client submit/subscribe
+//!   connection's first frame classifies it: [`WireMsg::Hello`] (a
+//!   peer's link, carrying its engine traffic, sync streams, fetches
+//!   and batches) or [`WireMsg::ClientHello`] (client submit/subscribe
 //!   session). Each connection carries its own incremental
 //!   [`FrameReader`], so frames split across reads reassemble without a
-//!   blocking `read_exact`.
-//! * **outbound** — every dialed link ([`OutLink`]), draining the same
-//!   bounded [`SendQueue`]s the per-peer writer threads used to drain,
-//!   now via the non-blocking [`SendQueue::try_pop`]. A link takes up to
-//!   [`MAX_IOV`] queued frames into its [`Outbox`] and writes them with
-//!   one `write_vectored` call, carrying partial-write state across frame
+//!   blocking `read_exact`. The reactor hashes every batch a peer link
+//!   carries before handing it to consensus.
+//! * **outbound** — one dialed link ([`OutLink`]) per peer, draining
+//!   that peer's bounded [`SendQueue`] via the non-blocking
+//!   [`SendQueue::try_pop`]. A link takes up to [`MAX_IOV`] queued
+//!   frames into its [`Outbox`] and writes them with one
+//!   `write_vectored` call, carrying partial-write state across frame
 //!   boundaries. Dead links are handed back to the dialer thread for
 //!   backoff redial; every frame taken but not fully sent is requeued
 //!   first.
 //! * **clients** — admission control at the socket edge: bounded
 //!   per-client queues ([`CLIENT_QUEUE_CAPACITY`]), typed
 //!   [`WireMsg::ClientReject`]s when load must shed, round-robin draining
-//!   into the worker lanes, per-connection reply queues for acks and
+//!   into the open batch, per-connection reply queues for acks and
 //!   ordered notifications. Client sockets are swept in rotating chunks
 //!   so ten thousand idle connections cannot starve peer traffic.
-//! * **worker lanes** — the reactor owns every [`Lane`]. Drained client
-//!   submissions and `NetNode::submit_tx`'s channel fill the lane the
-//!   node's round picks (`round % lanes`), which seals when its batch is
-//!   full or the published round rises, queuing one shared frame per
-//!   peer for the worker links and handing the batch to consensus.
+//! * **the open batch** — drained client submissions and
+//!   `NetNode::submit_tx`'s channel fill the node's one open batch, which
+//!   seals when it is full or the published round rises. Sealing queues
+//!   one shared frame on every peer's link, ahead of the vertex that will
+//!   name the batch, and then hands the batch to consensus.
 //! * **ordered notifications** — a subscribed client's submission leaves
-//!   an entry in the reactor's [`Matcher`] as it drains toward a worker
-//!   lane; when the published ordered log grows, the reactor reads the
+//!   an entry in the client `Matcher` as it drains toward the open
+//!   batch; when the published ordered log grows, the reactor reads the
 //!   new tail from its cursor and queues a [`WireMsg::ClientOrdered`] on
 //!   the socket of each client whose transaction it finds.
 //!
@@ -61,7 +61,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
 use dagrider_core::HashedBatch;
-use dagrider_types::{Committee, Decode, Encode, ProcessId, Transaction};
+use dagrider_types::{Batch, Committee, Decode, Encode, ProcessId, Transaction};
 
 use crate::backoff::Backoff;
 use crate::client::{AdmissionStats, Matcher};
@@ -73,18 +73,22 @@ use crate::sync::atomic::Ordering as AtomicOrdering;
 use crate::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use crate::sync::Arc;
 use crate::wire::{RejectReason, WireMsg};
-use crate::worker::{Lane, BATCH_MAX_BYTES};
+
+/// A batch seals once its transaction payload reaches this size. Client
+/// admission and `NetNode::submit_tx` refuse a transaction larger than
+/// this, so a sealed batch holds less than twice this much.
+pub const BATCH_MAX_BYTES: usize = 64 * 1024;
 
 /// Inbound connections accepted per sweep (keeps one accept storm from
 /// starving established traffic).
 const ACCEPT_BUDGET: usize = 256;
 
 /// Client sockets read per sweep, as a rotating window over all of
-/// them. Peer and worker connections are swept every time; clients — of
+/// them. Peer connections are swept every time; clients — of
 /// which there may be tens of thousands, mostly idle — take turns.
 const CLIENT_SWEEP_CHUNK: usize = 2048;
 
-/// Transactions moved into the worker lanes per sweep from the client
+/// Transactions moved into the open batch per sweep from the client
 /// queues, round-robin across clients so one firehose client cannot
 /// monopolize a sweep, and as many again from `NetNode::submit_tx`.
 const DRAIN_BUDGET: usize = 1024;
@@ -114,28 +118,11 @@ const MAX_IOV: usize = 64;
 /// How long the dialer waits for one TCP connect.
 const DIAL_TIMEOUT: Duration = Duration::from_millis(500);
 
-/// Which protocol stream an outbound link carries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum LinkKind {
-    /// The consensus connection to `peer` (engine traffic, sync, acks).
-    Consensus {
-        /// The peer being dialed.
-        peer: ProcessId,
-    },
-    /// Worker lane `worker`'s batch push stream to `peer`.
-    Worker {
-        /// The peer being dialed.
-        peer: ProcessId,
-        /// The local worker lane index.
-        worker: u32,
-    },
-}
-
 /// One connected outbound link: a non-blocking socket draining a
-/// bounded [`SendQueue`] through its [`Outbox`].
+/// peer's bounded [`SendQueue`] through its [`Outbox`].
 pub(crate) struct OutLink {
     stream: TcpStream,
-    kind: LinkKind,
+    peer: ProcessId,
     addr: SocketAddr,
     queue: Arc<SendQueue>,
     /// Frames taken from `queue` but not yet fully written.
@@ -203,8 +190,8 @@ impl Outbox {
 
 /// A link the dialer should (re)establish.
 pub(crate) struct DialRequest {
-    /// What the link carries (decides the handshake frame).
-    pub kind: LinkKind,
+    /// The peer being dialed.
+    pub peer: ProcessId,
     /// The peer address to dial.
     pub addr: SocketAddr,
     /// The bounded queue the link will drain once connected.
@@ -215,10 +202,8 @@ pub(crate) struct DialRequest {
 enum ConnRole {
     /// First frame not yet seen.
     Handshake,
-    /// A peer's consensus connection.
+    /// A peer's link.
     Peer(ProcessId),
-    /// A peer worker lane's batch push stream.
-    WorkerIn(ProcessId),
 }
 
 /// One inbound peer/handshake connection.
@@ -251,14 +236,15 @@ enum Verdict {
 /// Everything the reactor thread needs, handed over at spawn.
 pub(crate) struct ReactorConfig {
     pub committee: Committee,
+    pub me: ProcessId,
     pub listener: TcpListener,
     /// Links the dialer connected and handshook, for the reactor to adopt.
     pub dialed: Receiver<OutLink>,
     pub waker: Arc<Waker>,
     pub consensus: Sender<Event>,
-    /// The node's worker lanes; the reactor fills and seals them.
-    pub lanes: Vec<Lane>,
-    /// Transactions `NetNode::submit_tx` hands over for the lanes.
+    /// Every peer's outbound queue, which a sealed batch's frame joins.
+    pub peers: Vec<Arc<SendQueue>>,
+    /// Transactions `NetNode::submit_tx` hands over for the open batch.
     pub submitted: Receiver<Transaction>,
     pub redial: Sender<DialRequest>,
     pub stats: Arc<AdmissionStats>,
@@ -284,11 +270,14 @@ struct Reactor {
     sweep_cursor: usize,
     drain_cursor: usize,
     next_client: u64,
-    /// The published round as of the last seal step.
+    /// The published round as of the last seal step: the round that
+    /// fills `open`.
     round: u64,
-    /// The lane that round fills, `round % lanes`: however many lanes a
-    /// node runs, one round seals at most one underfull batch.
-    open_lane: usize,
+    /// The open batch. It seals when [`Assembler::push`] reports it full,
+    /// or when the round that filled it has passed and it is not empty,
+    /// so a sealed batch is never empty and one round seals at most one
+    /// underfull batch.
+    open: Assembler,
     /// Clients with queued replies to flush this sweep.
     reply_dirty: Vec<u64>,
     /// Subscribed submissions waiting for their transaction to be ordered.
@@ -296,6 +285,34 @@ struct Reactor {
     /// How much of the published ordered log `notify_ordered` has read.
     ordered_cursor: usize,
     frames: FramePool,
+}
+
+/// Accumulates the open batch and says when it is full.
+#[derive(Debug, Default)]
+struct Assembler {
+    pending: Vec<Transaction>,
+    pending_bytes: usize,
+}
+
+impl Assembler {
+    /// Adds one transaction; returns `true` when the batch has reached
+    /// [`BATCH_MAX_BYTES`] and should seal immediately.
+    fn push(&mut self, tx: Transaction) -> bool {
+        self.pending_bytes += tx.len();
+        self.pending.push(tx);
+        self.pending_bytes >= BATCH_MAX_BYTES
+    }
+
+    /// Whether the batch holds no transaction.
+    fn is_empty(&self) -> bool {
+        self.pending.is_empty()
+    }
+
+    /// Takes the pending transactions, resetting the assembler.
+    fn take(&mut self) -> Vec<Transaction> {
+        self.pending_bytes = 0;
+        std::mem::take(&mut self.pending)
+    }
 }
 
 /// Outcome of pumping one outbound link.
@@ -319,7 +336,7 @@ impl Reactor {
             drain_cursor: 0,
             next_client: 1,
             round: 0,
-            open_lane: 0,
+            open: Assembler::default(),
             reply_dirty: Vec::new(),
             matcher: Matcher::default(),
             ordered_cursor: 0,
@@ -341,7 +358,7 @@ impl Reactor {
             progress |= self.sweep_conns();
             progress |= self.sweep_clients();
             progress |= self.drain_admission();
-            progress |= self.seal_lanes();
+            progress |= self.seal_on_advance();
             progress |= self.notify_ordered();
             progress |= self.flush_replies();
             if !progress {
@@ -452,9 +469,9 @@ impl Reactor {
     /// Requeues a broken link's unsent frames and asks the dialer to
     /// re-establish it.
     fn redial_link(&self, link: OutLink) {
-        let OutLink { kind, addr, queue, unsent, .. } = link;
+        let OutLink { peer, addr, queue, unsent, .. } = link;
         unsent.requeue(&queue);
-        let _ = self.config.redial.send(DialRequest { kind, addr, queue });
+        let _ = self.config.redial.send(DialRequest { peer, addr, queue });
     }
 
     /// Sweeps every peer/handshake connection: non-blocking reads into
@@ -530,10 +547,6 @@ impl Reactor {
                     *role = ConnRole::Peer(from);
                     Verdict::Keep
                 }
-                WireMsg::WorkerHello { from, .. } if self.config.committee.contains(from) => {
-                    *role = ConnRole::WorkerIn(from);
-                    Verdict::Keep
-                }
                 WireMsg::ClientHello => Verdict::ToClient,
                 _ => Verdict::Dead,
             },
@@ -548,28 +561,21 @@ impl Reactor {
                     | WireMsg::ClientSubscribe
                     | WireMsg::ClientOrdered { .. } => Verdict::Dead, // protocol abuse
                     other => {
-                        if self.config.consensus.send(Event::Net { from, msg: other }).is_ok() {
+                        // A push or a fetch answer alike: hashing here keeps
+                        // it off the consensus thread, which decides whether
+                        // to store it.
+                        let event = match other {
+                            WireMsg::Batch(batch) => {
+                                Event::PeerBatch { from, batch: HashedBatch::new(batch) }
+                            }
+                            msg => Event::Net { from, msg },
+                        };
+                        if self.config.consensus.send(event).is_ok() {
                             Verdict::Keep
                         } else {
                             Verdict::Dead
                         }
                     }
-                }
-            }
-            ConnRole::WorkerIn(from) => {
-                let from = *from;
-                // Worker push streams carry only the peer's own batches;
-                // anything else is protocol abuse and drops the stream.
-                // Hashing here keeps it off the consensus thread.
-                let WireMsg::Batch(batch) = msg else { return Verdict::Dead };
-                if batch.creator() != from {
-                    return Verdict::Dead;
-                }
-                let batch = HashedBatch::new(batch);
-                if self.config.consensus.send(Event::PeerBatch(batch)).is_ok() {
-                    Verdict::Keep
-                } else {
-                    Verdict::Dead
                 }
             }
         }
@@ -712,7 +718,7 @@ impl Reactor {
         }
     }
 
-    /// Round-robin drain of admitted submissions into the worker lanes.
+    /// Round-robin drain of admitted submissions into the open batch.
     /// Budgeted per sweep — this is the per-client fairness point.
     fn drain_admission(&mut self) -> bool {
         if self.client_ids.is_empty() {
@@ -741,44 +747,53 @@ impl Reactor {
             if client.subscribed {
                 self.matcher.admit(id, seq, tx.as_ref());
             }
-            self.fill_lane(tx);
+            self.fill_batch(tx);
         }
         drained
     }
 
-    /// Moves `NetNode::submit_tx`'s transactions into the lanes, up to
-    /// [`DRAIN_BUDGET`] per sweep. Then, if the published round has risen
-    /// since the last call, seals the lane the previous round filled,
-    /// unless it is empty: the vertex made at the advance went out
+    /// Moves `NetNode::submit_tx`'s transactions into the open batch, up
+    /// to [`DRAIN_BUDGET`] per sweep. Then, if the published round has
+    /// risen since the last call, seals the batch the previous round
+    /// filled, unless it is empty: the vertex made at the advance went out
     /// without the batch, whose digest rides the node's next vertex. A
     /// seal counts as progress.
-    fn seal_lanes(&mut self) -> bool {
+    fn seal_on_advance(&mut self) -> bool {
         let mut progress = false;
         for _ in 0..DRAIN_BUDGET {
             let Ok(tx) = self.config.submitted.try_recv() else { break };
-            self.fill_lane(tx);
+            self.fill_batch(tx);
             progress = true;
         }
         let round = self.config.published.round.load(AtomicOrdering::Relaxed);
         if round > self.round {
-            let lane = &mut self.config.lanes[self.open_lane];
-            if !lane.open.is_empty() {
-                lane.seal(&self.frames, &self.config.consensus);
+            if !self.open.is_empty() {
+                self.seal();
                 progress = true;
             }
             self.round = round;
-            self.open_lane = (round % self.config.lanes.len() as u64) as usize;
         }
         progress
     }
 
-    /// Puts `tx` into the open batch of the lane the current round
-    /// picks, and seals that batch at once if it is full.
-    fn fill_lane(&mut self, tx: Transaction) {
-        let lane = &mut self.config.lanes[self.open_lane];
-        if lane.open.push(tx) {
-            lane.seal(&self.frames, &self.config.consensus);
+    /// Puts `tx` into the open batch, and seals it at once if it is full.
+    fn fill_batch(&mut self, tx: Transaction) {
+        if self.open.push(tx) {
+            self.seal();
         }
+    }
+
+    /// Seals the open batch as worker 0: hashes it, queues one frame that
+    /// every peer link shares, and only then hands the batch to consensus,
+    /// so on each link the frame goes out ahead of the vertex that names
+    /// it.
+    fn seal(&mut self) {
+        let batch = HashedBatch::new(Batch::new(self.config.me, 0, self.open.take()));
+        let frame = self.frames.encode_with(|buf| WireMsg::encode_batch_into(batch.batch(), buf));
+        for queue in &self.config.peers {
+            queue.push(frame.clone());
+        }
+        let _ = self.config.consensus.send(Event::OwnBatch(batch));
     }
 
     /// Matches the ordered log's new tail against the waiting entries and
@@ -868,9 +883,8 @@ impl Reactor {
 /// requested link is dialed with capped jittered backoff; a connected
 /// socket gets its handshake frame written (still blocking — the frame
 /// is a handful of bytes), is flipped to non-blocking, and is handed to
-/// the reactor. Consensus links additionally raise [`Event::LinkUp`] so
-/// the sync protocol re-requests on every reconnect, exactly as the
-/// per-peer writer threads used to.
+/// the reactor, and [`Event::LinkUp`] tells consensus, so the sync
+/// protocol re-requests on every reconnect.
 pub(crate) fn dialer_loop(
     me: ProcessId,
     rx: &Receiver<DialRequest>,
@@ -879,7 +893,7 @@ pub(crate) fn dialer_loop(
     consensus: &Sender<Event>,
     stop: &Shutdown,
 ) {
-    let mut backoffs: HashMap<LinkKind, Backoff> = HashMap::new();
+    let mut backoffs: HashMap<ProcessId, Backoff> = HashMap::new();
     let mut pending: Vec<(DialRequest, Instant)> = Vec::new();
     loop {
         if stop.is_signalled() {
@@ -910,20 +924,20 @@ pub(crate) fn dialer_loop(
             let (req, _) = pending.swap_remove(i);
             match dial(me, &req) {
                 Ok(link) => {
-                    if let Some(backoff) = backoffs.get_mut(&req.kind) {
+                    if let Some(backoff) = backoffs.get_mut(&req.peer) {
                         backoff.reset();
                     }
-                    if let LinkKind::Consensus { peer } = req.kind {
-                        let _ = consensus.send(Event::LinkUp(peer));
-                    }
+                    let _ = consensus.send(Event::LinkUp(req.peer));
                     if reactor.send(link).is_err() {
                         return; // reactor gone: the node is stopping
                     }
                     waker.wake();
                 }
                 Err(_) => {
-                    let backoff = backoffs.entry(req.kind).or_insert_with(|| {
-                        let seed = jitter_seed(me, req.kind);
+                    let backoff = backoffs.entry(req.peer).or_insert_with(|| {
+                        // Per link, so a cluster-wide peer death does not
+                        // redial in lockstep.
+                        let seed = (me.as_usize() as u64) << 32 | req.peer.as_usize() as u64;
                         Backoff::new(Duration::from_millis(50), Duration::from_secs(2))
                             .with_jitter(30, seed)
                     });
@@ -935,31 +949,16 @@ pub(crate) fn dialer_loop(
     }
 }
 
-/// Per-link jitter seed so a cluster-wide peer death does not redial in
-/// lockstep.
-fn jitter_seed(me: ProcessId, kind: LinkKind) -> u64 {
-    match kind {
-        LinkKind::Consensus { peer } => (me.as_usize() as u64) << 32 | peer.as_usize() as u64,
-        LinkKind::Worker { peer, worker } => {
-            (me.as_usize() as u64) << 48 | u64::from(worker) << 32 | peer.as_usize() as u64
-        }
-    }
-}
-
 /// One connection attempt: connect with a timeout, write the handshake
 /// frame, flip to non-blocking.
 fn dial(me: ProcessId, req: &DialRequest) -> io::Result<OutLink> {
     let mut stream = TcpStream::connect_timeout(&req.addr, DIAL_TIMEOUT)?;
     let _ = stream.set_nodelay(true);
-    let hello = match req.kind {
-        LinkKind::Consensus { .. } => WireMsg::Hello(me),
-        LinkKind::Worker { worker, .. } => WireMsg::WorkerHello { from: me, worker },
-    };
-    write_frame(&mut stream, &hello.to_bytes())?;
+    write_frame(&mut stream, &WireMsg::Hello(me).to_bytes())?;
     stream.set_nonblocking(true)?;
     Ok(OutLink {
         stream,
-        kind: req.kind,
+        peer: req.peer,
         addr: req.addr,
         queue: Arc::clone(&req.queue),
         unsent: Outbox::default(),
@@ -1136,20 +1135,22 @@ mod tests {
         assert_eq!(queue.try_pop(), Pop::Empty);
     }
 
-    /// A reactor with `lanes` worker lanes and no peers, the channel its
-    /// sealed batches reach consensus on, and its `NetNode::submit_tx`
-    /// feed.
-    fn lane_reactor(lanes: u32) -> (Reactor, Receiver<Event>, Sender<Transaction>) {
-        let me = ProcessId::new(0);
+    /// A reactor of process 0 with one queue per peer in `peers`, the
+    /// channel its sealed batches reach consensus on, and its
+    /// `NetNode::submit_tx` feed.
+    fn sealing_reactor(
+        peers: Vec<Arc<SendQueue>>,
+    ) -> (Reactor, Receiver<Event>, Sender<Transaction>) {
         let (consensus, sealed) = mpsc::channel();
         let (submit, submitted) = mpsc::channel();
         let config = ReactorConfig {
             committee: Committee::new(4).unwrap(),
+            me: ProcessId::new(0),
             listener: TcpListener::bind("127.0.0.1:0").unwrap(),
             dialed: mpsc::channel().1,
             waker: Arc::new(Waker::new()),
             consensus,
-            lanes: (0..lanes).map(|worker| Lane::new(me, worker, Vec::new())).collect(),
+            peers,
             submitted,
             redial: mpsc::channel().0,
             stats: Arc::default(),
@@ -1163,15 +1164,15 @@ mod tests {
     /// sweep's seal step.
     fn seal_at(reactor: &mut Reactor, round: u64) {
         reactor.config.published.round.store(round, AtomicOrdering::Relaxed);
-        reactor.seal_lanes();
+        reactor.seal_on_advance();
     }
 
-    /// `(lane, transactions)` of every batch sealed since the last call.
-    fn sealed(rx: &Receiver<Event>) -> Vec<(u32, usize)> {
+    /// The transaction count of every batch sealed since the last call.
+    fn sealed(rx: &Receiver<Event>) -> Vec<usize> {
         let mut batches = Vec::new();
         while let Ok(event) = rx.try_recv() {
             let Event::OwnBatch(batch) = event else { panic!("a seal sends only OwnBatch") };
-            batches.push((batch.batch().worker(), batch.batch().len()));
+            batches.push(batch.batch().len());
         }
         batches
     }
@@ -1182,71 +1183,100 @@ mod tests {
 
     #[test]
     fn a_lane_seals_when_the_round_that_filled_it_has_passed() {
-        let (mut reactor, rx, submit) = lane_reactor(3);
+        let (mut reactor, rx, submit) = sealing_reactor(Vec::new());
         // At genesis the round stands still: nothing seals, however
         // many sweeps run.
-        reactor.fill_lane(small(1));
+        reactor.fill_batch(small(1));
         submit.send(small(2)).unwrap();
         for _ in 0..3 {
             seal_at(&mut reactor, 0);
         }
         assert_eq!(sealed(&rx), []);
 
-        // The advance seals round 0's lane, with both transactions.
+        // The advance seals round 0's batch, with both transactions.
         seal_at(&mut reactor, 1);
-        assert_eq!(sealed(&rx), [(0, 2)]);
+        assert_eq!(sealed(&rx), [2]);
 
-        // What arrives after the advance joins round 1's lane, and waits
+        // What arrives after the advance joins round 1's batch, and waits
         // there until round 1 passes.
-        reactor.fill_lane(small(3));
+        reactor.fill_batch(small(3));
         submit.send(small(4)).unwrap();
         seal_at(&mut reactor, 1);
         assert_eq!(sealed(&rx), []);
         seal_at(&mut reactor, 2);
-        assert_eq!(sealed(&rx), [(1, 2)]);
+        assert_eq!(sealed(&rx), [2]);
 
         // An advance past a round that filled nothing seals nothing: an
-        // empty lane never seals.
+        // empty batch never seals.
         seal_at(&mut reactor, 3);
         assert_eq!(sealed(&rx), []);
 
-        // A jump over several rounds seals the one lane that was filling
-        // (round 3's), and the lane of the round it lands on fills next.
-        reactor.fill_lane(small(5));
+        // A jump over several rounds seals the one batch that was filling
+        // (round 3's), and the round it lands on fills the next one.
+        reactor.fill_batch(small(5));
         seal_at(&mut reactor, 7);
-        assert_eq!(sealed(&rx), [(0, 1)]);
-        reactor.fill_lane(small(6));
+        assert_eq!(sealed(&rx), [1]);
+        reactor.fill_batch(small(6));
         seal_at(&mut reactor, 8);
-        assert_eq!(sealed(&rx), [(1, 1)]);
+        assert_eq!(sealed(&rx), [1]);
     }
 
     #[test]
     fn a_full_batch_seals_at_once_mid_round() {
-        let (mut reactor, rx, _submit) = lane_reactor(2);
+        let (mut reactor, rx, _submit) = sealing_reactor(Vec::new());
         seal_at(&mut reactor, 5);
         let half = |tag| Transaction::synthetic(tag, BATCH_MAX_BYTES / 2);
-        reactor.fill_lane(half(1));
+        reactor.fill_batch(half(1));
         assert_eq!(sealed(&rx), []);
-        reactor.fill_lane(half(2));
-        assert_eq!(sealed(&rx), [(1, 2)], "round 5's lane seals on reaching the bound");
+        reactor.fill_batch(half(2));
+        assert_eq!(sealed(&rx), [2], "round 5's batch seals on reaching the bound");
 
-        // The round has not moved: the lane refills, and the rest of the
+        // The round has not moved: the batch refills, and the rest of the
         // round's transactions seal at the advance.
-        reactor.fill_lane(half(3));
+        reactor.fill_batch(half(3));
         seal_at(&mut reactor, 5);
         assert_eq!(sealed(&rx), []);
         seal_at(&mut reactor, 6);
-        assert_eq!(sealed(&rx), [(1, 1)]);
+        assert_eq!(sealed(&rx), [1]);
+    }
+
+    #[test]
+    fn a_seal_queues_the_batch_on_every_peer_link() {
+        let peers: Vec<Arc<SendQueue>> = (0..3).map(|_| Arc::new(SendQueue::new(8))).collect();
+        let (mut reactor, rx, _submit) = sealing_reactor(peers.clone());
+        reactor.fill_batch(small(1));
+        seal_at(&mut reactor, 1);
+        let Ok(Event::OwnBatch(own)) = rx.try_recv() else { panic!("nothing sealed") };
+        for queue in &peers {
+            let Pop::Frame(frame) = queue.try_pop() else { panic!("a peer got no frame") };
+            let sent = WireMsg::from_bytes(frame.payload());
+            assert_eq!(sent, Ok(WireMsg::Batch(own.batch().clone())));
+            assert_eq!(queue.try_pop(), Pop::Empty);
+        }
     }
 
     #[test]
     fn one_lane_seals_once_every_round() {
-        let (mut reactor, rx, _submit) = lane_reactor(1);
+        let (mut reactor, rx, _submit) = sealing_reactor(Vec::new());
         for round in 1..=5 {
-            reactor.fill_lane(small(2 * round));
-            reactor.fill_lane(small(2 * round + 1));
+            reactor.fill_batch(small(2 * round));
+            reactor.fill_batch(small(2 * round + 1));
             seal_at(&mut reactor, round);
-            assert_eq!(sealed(&rx), [(0, 2)], "round {round}");
+            assert_eq!(sealed(&rx), [2], "round {round}");
         }
+    }
+
+    #[test]
+    fn assembler_seals_on_size() {
+        let half = BATCH_MAX_BYTES / 2;
+        let mut a = Assembler::default();
+        assert!(a.is_empty());
+        assert!(!a.push(Transaction::synthetic(1, half - 1)));
+        assert!(!a.push(Transaction::synthetic(2, half)), "one byte short of the bound: not full");
+        assert!(a.push(Transaction::synthetic(3, 1)), "at the bound: full");
+        assert_eq!(a.take().len(), 3);
+        assert!(a.is_empty(), "take resets the assembler");
+        assert!(!a.push(Transaction::synthetic(4, half)), "the byte count restarts after take");
+        assert!(a.push(Transaction::synthetic(5, half)));
     }
 }

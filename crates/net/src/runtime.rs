@@ -1,8 +1,8 @@
 //! The TCP cluster runtime: threads, sockets, and the consensus loop.
 //!
 //! One [`NetNode`] is one DAG-Rider process on a real network. It runs
-//! three threads, four with a store — independent of peer count,
-//! client count and worker lane count:
+//! three threads, four with a store — independent of peer count and
+//! client count:
 //!
 //! * **consensus** — owns the sans-I/O [`DagRiderEngine`] and is the only
 //!   thread that touches protocol state. It drains one event channel fed
@@ -11,20 +11,20 @@
 //!   payload once per instance and checks each coin share's proof. It
 //!   forwards the durable subset of each engine turn's events to the
 //!   flusher before routing the turn's outputs.
-//! * **reactor** — owns *every* socket: the listener, all inbound peer
-//!   and worker connections, all outbound links, and all client
-//!   sessions, swept in non-blocking readiness loops (see
-//!   [`crate::reactor`]). Client admission, load shedding, round-robin
-//!   fairness, and matching ordered transactions back to subscribed
-//!   clients' submissions live here, at the socket edge. It also owns
-//!   the worker lanes ([`crate::worker`]): it fills each lane's open
-//!   batch, seals and hashes it, and writes the fan-out. The lanes are
-//!   the node's only way in for transactions: [`NetNode::submit_tx`] and
-//!   the client protocol both feed them, and consensus orders only batch
-//!   digests.
+//! * **reactor** — owns *every* socket: the listener, one inbound and
+//!   one outbound link per peer, and all client sessions, swept in
+//!   non-blocking readiness loops (see `crate::reactor`). Client
+//!   admission, load shedding, round-robin fairness, and matching
+//!   ordered transactions back to subscribed clients' submissions live
+//!   here, at the socket edge. It also owns the node's open batch: it
+//!   fills it, seals and hashes it, and queues its frame on every peer's
+//!   link. The open batch is the node's only way in for transactions:
+//!   [`NetNode::submit_tx`] and the client protocol both feed it, and
+//!   consensus orders only batch digests. Every peer batch, pushed or
+//!   fetched, is hashed here too.
 //! * **dialer** — the one place TCP `connect` happens; hands connected,
 //!   handshaken, non-blocking links to the reactor and redials dead
-//!   ones with capped jittered [`Backoff`].
+//!   ones with capped jittered [`Backoff`](crate::Backoff).
 //! * **flusher** (when a [`StoreConfig`] is set) — owns the
 //!   [`DurableStore`]: drains groups of durable events off a channel,
 //!   appends them to the write-ahead log, fsyncs per policy, and
@@ -59,7 +59,7 @@ use dagrider_types::{
 use crate::client::{AdmissionSnapshot, AdmissionStats};
 use crate::frame::FramePool;
 use crate::queue::SendQueue;
-use crate::reactor::{dialer_loop, reactor_main, DialRequest, LinkKind, ReactorConfig};
+use crate::reactor::{dialer_loop, reactor_main, DialRequest, ReactorConfig, BATCH_MAX_BYTES};
 use crate::signal::{Shutdown, Waker};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use crate::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -67,7 +67,6 @@ use crate::sync::thread::{self, JoinHandle};
 use crate::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use crate::wal::{wal_channel, wal_flush_loop, WalHandle};
 use crate::wire::WireMsg;
-use crate::worker::{Lane, BATCH_MAX_BYTES};
 
 /// Configuration for one cluster process.
 #[derive(Debug, Clone)]
@@ -87,18 +86,6 @@ pub struct NetConfig {
     /// How long to wait for peers' sync replies before starting the
     /// protocol anyway.
     pub sync_timeout: Duration,
-    /// Batch-dissemination worker lanes, each with one open batch and
-    /// one worker link per peer. Every transaction enters the node
-    /// through them, so a node runs at least one. Round `r` fills lane
-    /// `r % workers`, which seals when full or when the round advances.
-    /// The reactor serves every lane, so this sets no thread count.
-    pub workers: usize,
-    /// Listen addresses the *worker* connections dial, indexed by
-    /// process id; `None` means the consensus addresses ([`NetConfig::addrs`]).
-    /// A deployment would point this at a data-plane NIC; tests point
-    /// individual entries at a black hole to force the missing-batch
-    /// fetch path.
-    pub worker_addrs: Option<Vec<SocketAddr>>,
     /// Durable store configuration; `None` runs the node ephemeral (a
     /// crash recovers over peer sync alone).
     pub store: Option<StoreConfig>,
@@ -142,8 +129,8 @@ impl StoreConfig {
 }
 
 impl NetConfig {
-    /// A configuration with production-ish defaults: 2 s sync phase, one
-    /// worker lane, no store.
+    /// A configuration with production-ish defaults: 2 s sync phase, no
+    /// store.
     pub fn new(
         committee: Committee,
         me: ProcessId,
@@ -160,8 +147,6 @@ impl NetConfig {
             coin_keys,
             seed,
             sync_timeout: Duration::from_secs(2),
-            workers: 1,
-            worker_addrs: None,
             store: None,
         }
     }
@@ -173,19 +158,11 @@ impl NetConfig {
         self
     }
 
-    /// Overrides the batch-dissemination worker lane count (a node runs
-    /// at least one).
+    /// Does nothing: a node keeps one open batch and one link per peer,
+    /// and seals every batch as worker 0. The repository benchmark calls
+    /// it, so deleting it waits for that benchmark's next version.
     #[must_use]
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Overrides the addresses worker connections dial (fault-injection
-    /// seam; defaults to the consensus addresses).
-    #[must_use]
-    pub fn with_worker_addrs(mut self, addrs: Vec<SocketAddr>) -> Self {
-        self.worker_addrs = Some(addrs);
+    pub fn with_workers(self, _workers: usize) -> Self {
         self
     }
 
@@ -206,10 +183,11 @@ pub(crate) enum Event {
     /// hand it to the engine's batch map, then its digest to the engine's
     /// next vertex.
     OwnBatch(HashedBatch),
-    /// A peer's worker connection pushed a batch, which the reactor
-    /// hashed: hand it to the engine's batch map.
-    PeerBatch(HashedBatch),
-    /// The dialer (re-)established the consensus link to `peer`.
+    /// Peer `from`'s link carried a batch, pushed or fetched, which the
+    /// reactor hashed: the engine stores it if `from` created it or a
+    /// vertex the engine holds names it.
+    PeerBatch { from: ProcessId, batch: HashedBatch },
+    /// The dialer (re-)established the link to `peer`.
     LinkUp(ProcessId),
     /// Stop the consensus loop.
     Shutdown,
@@ -227,7 +205,8 @@ pub(crate) struct Published {
     /// [`NetNode::ordered_len`]) sees the log grow without taking the
     /// mutex, and a length it reads never exceeds the log it then locks.
     pub(crate) ordered_len: AtomicU64,
-    /// The engine's current round; the reactor seals a lane when it rises.
+    /// The engine's current round; the reactor seals its open batch when
+    /// it rises.
     pub(crate) round: AtomicU64,
     pub(crate) decided_wave: AtomicU64,
     pub(crate) synced: AtomicBool,
@@ -286,8 +265,6 @@ pub struct NetNode {
     waker: Arc<Waker>,
     admission: Arc<AdmissionStats>,
     submitted: Sender<Transaction>,
-    workers: usize,
-    worker_queues: Vec<Arc<SendQueue>>,
     store_healthy: Option<Arc<AtomicBool>>,
     stop: Arc<Shutdown>,
     threads: Vec<JoinHandle<()>>,
@@ -302,7 +279,7 @@ impl NetNode {
     /// # Errors
     ///
     /// Returns [`io::ErrorKind::InvalidInput`] if `config.me` is not a
-    /// committee member, the coin keys belong to another process, or an
+    /// committee member, the coin keys belong to another process, or the
     /// address list does not have one entry per member; otherwise an
     /// error if the listen address cannot be bound or the store cannot be
     /// opened.
@@ -330,12 +307,6 @@ impl NetNode {
                 "need one address per committee member",
             ));
         }
-        if config.worker_addrs.as_ref().is_some_and(|a| a.len() != committee.n()) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "need one worker address per committee member",
-            ));
-        }
         let listener = match listener {
             Some(l) => l,
             None => TcpListener::bind(config.addrs[me.as_usize()])?,
@@ -358,34 +329,12 @@ impl NetNode {
 
         let mut threads = Vec::new();
 
-        // The batch-dissemination worker lanes, owned by the reactor.
-        // Their fan-out queues drain over worker links the dialer
-        // establishes.
-        let dial_addrs = config.worker_addrs.clone().unwrap_or_else(|| config.addrs.clone());
-        let workers = config.workers.max(1);
-        let mut lanes = Vec::new();
-        let mut worker_queues = Vec::new();
-        for worker in 0..workers {
-            let worker = u32::try_from(worker).unwrap_or(u32::MAX);
-            let mut peer_queues = Vec::new();
-            for peer in committee.others(me) {
-                let queue = Arc::new(SendQueue::new(QUEUE_CAPACITY));
-                let _ = redial_tx.send(DialRequest {
-                    kind: LinkKind::Worker { peer, worker },
-                    addr: dial_addrs[peer.as_usize()],
-                    queue: Arc::clone(&queue),
-                });
-                peer_queues.push(queue);
-            }
-            worker_queues.extend(peer_queues.iter().cloned());
-            lanes.push(Lane::new(me, worker, peer_queues));
-        }
         let (submitted, submitted_rx) = mpsc::channel::<Transaction>();
 
-        // Seed the consensus links; the dialer (re)establishes them.
+        // Seed one link per peer; the dialer (re)establishes them.
         for peer in committee.others(me) {
             let _ = redial_tx.send(DialRequest {
-                kind: LinkKind::Consensus { peer },
+                peer,
                 addr: config.addrs[peer.as_usize()],
                 queue: Arc::clone(&queues[peer.as_usize()]),
             });
@@ -403,11 +352,12 @@ impl NetNode {
         {
             let reactor_config = ReactorConfig {
                 committee,
+                me,
                 listener,
                 dialed: dialed_rx,
                 waker: Arc::clone(&waker),
                 consensus: tx.clone(),
-                lanes,
+                peers: committee.others(me).map(|p| Arc::clone(&queues[p.as_usize()])).collect(),
                 submitted: submitted_rx,
                 redial: redial_tx,
                 stats: Arc::clone(&admission),
@@ -467,8 +417,6 @@ impl NetNode {
             waker,
             admission,
             submitted,
-            workers,
-            worker_queues,
             store_healthy,
             stop,
             threads,
@@ -490,10 +438,9 @@ impl NetNode {
         self.addr
     }
 
-    /// Submits one transaction for atomic broadcast through the
-    /// batch-dissemination worker lane the node's round picks: its bytes
-    /// travel over worker connections, and consensus orders the batch
-    /// digest.
+    /// Submits one transaction for atomic broadcast through the node's
+    /// open batch: its bytes travel in the batch, pushed to every peer,
+    /// and consensus orders the batch digest.
     /// Returns `false` for a transaction longer than [`BATCH_MAX_BYTES`],
     /// which client admission refuses as `Oversized` too, and once the
     /// node has shut down.
@@ -503,11 +450,6 @@ impl NetNode {
         }
         self.waker.wake();
         true
-    }
-
-    /// Number of batch-dissemination worker lanes.
-    pub fn workers(&self) -> usize {
-        self.workers
     }
 
     /// Batches the engine has stored since the node started (own,
@@ -573,10 +515,10 @@ impl NetNode {
         self.store_healthy.as_ref().is_none_or(|h| h.load(AtomicOrdering::Relaxed))
     }
 
-    /// Total outbound frames dropped to queue overflow, across all
-    /// consensus and worker queues.
+    /// Total outbound frames dropped to queue overflow, across every
+    /// peer's queue.
     pub fn dropped_frames(&self) -> u64 {
-        self.queues.iter().chain(&self.worker_queues).map(|q| q.dropped()).sum()
+        self.queues.iter().map(|q| q.dropped()).sum()
     }
 
     /// Coin shares the engine refused: a failed proof, or a share relayed
@@ -608,7 +550,7 @@ impl NetNode {
         // drops every socket it owns.
         self.waker.wake();
         let _ = self.tx.send(Event::Shutdown);
-        for queue in self.queues.iter().chain(&self.worker_queues) {
+        for queue in &self.queues {
             queue.close();
         }
         for handle in self.threads.drain(..) {
@@ -627,8 +569,8 @@ impl Drop for NetNode {
 /// progress and rings the reactor.
 const MAX_BURST: u64 = 64;
 
-/// Outbound queue capacity per peer link and per worker link, in frames
-/// (drop-oldest beyond).
+/// Outbound queue capacity per peer link, in frames (drop-oldest
+/// beyond). Batches and engine frames share it.
 const QUEUE_CAPACITY: usize = 4096;
 
 /// How long the consensus thread waits for an event before it fires due
@@ -821,21 +763,12 @@ fn consensus_loop<B: ReliableBroadcast>(
                     WireMsg::BatchRequest { digests } => {
                         serve_batches(&engine, &digests, &queues[from.as_usize()], &frames);
                     }
-                    WireMsg::Batch(batch) => {
-                        // A fetch response on the consensus connection (the
-                        // steady-state push stream lands on worker
-                        // connections, not here), hashed on this thread. The
-                        // engine stores it and lets in whatever buffered
-                        // vertices wait on it.
-                        let input = EngineInput::BatchStored(HashedBatch::new(batch));
-                        let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                        emit(&engine, turn, &mut routed);
-                    }
-                    // Handshake frames are consumed by the reactor; client
-                    // frames never reach consensus (admission happens at
-                    // the socket edge).
+                    // Handshake frames are consumed by the reactor, which
+                    // sends batches as `PeerBatch`; client frames never
+                    // reach consensus (admission happens at the socket
+                    // edge).
                     WireMsg::Hello(_)
-                    | WireMsg::WorkerHello { .. }
+                    | WireMsg::Batch(_)
                     | WireMsg::ClientHello
                     | WireMsg::ClientSubmit { .. }
                     | WireMsg::ClientSubmitAck { .. }
@@ -845,9 +778,10 @@ fn consensus_loop<B: ReliableBroadcast>(
                 },
                 Event::OwnBatch(batch) => {
                     // The reactor sealed and queued this batch for our peers:
-                    // store it, then let the next vertex name it. A peer
-                    // whose push is still in flight holds that vertex in its
-                    // buffer until the batch arrives.
+                    // store it, then let the next vertex name it. Each link
+                    // carries the batch ahead of that vertex, but a peer can
+                    // deliver the vertex first from other peers' READYs and
+                    // hold it in its buffer until the batch arrives.
                     let digest = batch.digest();
                     let turn =
                         engine.handle(engine_now(epoch), EngineInput::BatchStored(batch), &mut rng);
@@ -857,17 +791,23 @@ fn consensus_loop<B: ReliableBroadcast>(
                         let turn = engine.handle(engine_now(epoch), input, &mut rng);
                         emit(&engine, turn, &mut routed);
                     } else {
-                        // A lane seals once full, whatever the round, but a
+                        // A batch seals once full, whatever the round, but a
                         // digest submitted before `start` would move the
                         // engine off genesis: queue it without driving the
                         // protocol, for the node's next vertex.
                         engine.enqueue_digests(vec![digest]);
                     }
                 }
-                Event::PeerBatch(batch) => {
-                    let turn =
-                        engine.handle(engine_now(epoch), EngineInput::BatchStored(batch), &mut rng);
-                    emit(&engine, turn, &mut routed);
+                Event::PeerBatch { from, batch } => {
+                    // A peer pushes only its own batches unasked; any other
+                    // is a fetch answer, wanted while a vertex names it. An
+                    // honest answer that arrives after GC pruned that vertex
+                    // looks like an unasked one, so neither closes the link.
+                    if batch.batch().creator() == from || engine.names_batch(&batch.digest()) {
+                        let input = EngineInput::BatchStored(batch);
+                        let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                        emit(&engine, turn, &mut routed);
+                    }
                 }
                 Event::LinkUp(peer) => {
                     if !live {

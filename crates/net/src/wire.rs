@@ -35,9 +35,9 @@ pub enum WireMsg {
         /// How many `SyncVertex` frames preceded this one.
         served: u64,
     },
-    /// Asks the peer to send the named batches (consensus connection):
-    /// the requester holds a vertex naming these digests in its buffer
-    /// but never received the batches' dissemination. The peer answers
+    /// Asks the peer to send the named batches: the requester holds a
+    /// vertex naming these digests in its buffer but never received the
+    /// batches' push. The peer answers
     /// with one [`WireMsg::Batch`] per digest it holds; missing digests
     /// are silently skipped — the requester's engine asks another peer
     /// when its fetch timer fires.
@@ -45,19 +45,10 @@ pub enum WireMsg {
         /// The digests to resolve.
         digests: Vec<BatchDigest>,
     },
-    /// One transaction batch: the steady-state payload of a worker
-    /// connection's push stream, and the reply to a
-    /// [`WireMsg::BatchRequest`] on the consensus connection.
+    /// One transaction batch: a process pushes each batch it seals to
+    /// every peer, ahead of the vertex that names it, and answers a
+    /// [`WireMsg::BatchRequest`] with the batches it holds.
     Batch(Batch),
-    /// First frame on a worker connection: identifies the dialing
-    /// process and which of its worker channels this stream carries.
-    /// Like [`WireMsg::Hello`], an authentication stand-in.
-    WorkerHello {
-        /// The dialing process.
-        from: ProcessId,
-        /// Its worker channel index.
-        worker: u32,
-    },
     /// First frame on a client connection: marks the stream as a client
     /// session (submit/subscribe RPC) rather than a peer link. Like
     /// [`WireMsg::Hello`], an authentication stand-in.
@@ -199,11 +190,6 @@ impl Encode for WireMsg {
                 6u8.encode(buf);
                 batch.encode(buf);
             }
-            WireMsg::WorkerHello { from, worker } => {
-                7u8.encode(buf);
-                from.encode(buf);
-                worker.encode(buf);
-            }
             WireMsg::ClientHello => 9u8.encode(buf),
             WireMsg::ClientSubmit { seq, tx } => {
                 10u8.encode(buf);
@@ -236,7 +222,6 @@ impl Encode for WireMsg {
             WireMsg::SyncEnd { served } => served.encoded_len(),
             WireMsg::BatchRequest { digests } => digests.encoded_len(),
             WireMsg::Batch(batch) => batch.encoded_len(),
-            WireMsg::WorkerHello { from, worker } => from.encoded_len() + worker.encoded_len(),
             WireMsg::ClientHello | WireMsg::ClientSubscribe => 0,
             WireMsg::ClientSubmit { seq, tx } => seq.encoded_len() + tx.encoded_len(),
             WireMsg::ClientSubmitAck { seq } | WireMsg::ClientOrdered { seq } => seq.encoded_len(),
@@ -255,10 +240,6 @@ impl Decode for WireMsg {
             4 => Ok(WireMsg::SyncEnd { served: u64::decode(buf)? }),
             5 => Ok(WireMsg::BatchRequest { digests: Vec::decode(buf)? }),
             6 => Ok(WireMsg::Batch(Batch::decode(buf)?)),
-            7 => Ok(WireMsg::WorkerHello {
-                from: ProcessId::decode(buf)?,
-                worker: u32::decode(buf)?,
-            }),
             9 => Ok(WireMsg::ClientHello),
             10 => {
                 Ok(WireMsg::ClientSubmit { seq: u64::decode(buf)?, tx: Transaction::decode(buf)? })
@@ -308,7 +289,6 @@ mod tests {
             },
             WireMsg::Batch(batch),
             WireMsg::Batch(Batch::new(ProcessId::new(0), 0, Vec::new())),
-            WireMsg::WorkerHello { from: ProcessId::new(2), worker: 3 },
             WireMsg::ClientHello,
             WireMsg::ClientSubmit { seq: 0, tx: Transaction::synthetic(1, 0) },
             WireMsg::ClientSubmit { seq: u64::MAX, tx: Transaction::synthetic(2, 300) },
@@ -337,9 +317,10 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        // Tag 8 is retired: a batch acknowledgement from a peer running
-        // older code must not decode as anything.
-        for tag in [8, 250] {
+        // Tags 7 and 8 are retired: a worker-link handshake or a batch
+        // acknowledgement from a peer running older code must not decode
+        // as anything.
+        for tag in [7, 8, 250] {
             assert_eq!(
                 WireMsg::from_bytes(&[tag]),
                 Err(DecodeError::Invalid("unknown wire message tag"))
@@ -416,17 +397,16 @@ mod tests {
                 1 => RejectReason::Oversized,
                 _ => RejectReason::NotReady,
             };
-            match kind % 9 {
+            match kind % 8 {
                 0 => WireMsg::BatchRequest {
                     digests: (0..ntx).map(|i| digest_from(tag.wrapping_add(i as u64))).collect(),
                 },
                 1 => WireMsg::Batch(batch_from(creator, worker, ntx, size, tag)),
-                2 => WireMsg::WorkerHello { from: ProcessId::new(creator), worker },
-                3 => WireMsg::ClientHello,
-                4 => WireMsg::ClientSubmit { seq: tag, tx: Transaction::synthetic(tag, size) },
-                5 => WireMsg::ClientSubmitAck { seq: tag },
-                6 => WireMsg::ClientReject { seq: tag, reason },
-                7 => WireMsg::ClientSubscribe,
+                2 => WireMsg::ClientHello,
+                3 => WireMsg::ClientSubmit { seq: tag, tx: Transaction::synthetic(tag, size) },
+                4 => WireMsg::ClientSubmitAck { seq: tag },
+                5 => WireMsg::ClientReject { seq: tag, reason },
+                6 => WireMsg::ClientSubscribe,
                 _ => WireMsg::ClientOrdered { seq: tag },
             }
         }
@@ -474,10 +454,11 @@ mod tests {
                 raw in any::<u8>(),
                 rest in collection::vec(any::<u8>(), 0..64),
             ) {
-                // 8 (retired) or 15..=255 (above every known tag).
-                let tag = match raw % 242 {
-                    0 => 8,
-                    k => 14 + k,
+                // 7 or 8 (retired) or 15..=255 (above every known tag).
+                let tag = match raw % 243 {
+                    0 => 7,
+                    1 => 8,
+                    k => 13 + k,
                 };
                 let mut bytes = vec![tag];
                 bytes.extend_from_slice(&rest);

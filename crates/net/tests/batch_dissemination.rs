@@ -1,23 +1,26 @@
-//! Worker-based batch dissemination over real sockets.
+//! Batch dissemination over real sockets.
 //!
-//! Four [`NetNode`]s run with worker channels enabled: client
-//! transactions enter via [`NetNode::submit_tx`], are batched and
-//! disseminated peer-to-peer over dedicated worker connections, and the
-//! consensus layer orders only 32-byte digests. A vertex enters a
-//! node's DAG only once the batches it names are stored there, so every
-//! node resolves the digests back to transaction bytes and produces
-//! byte-identical logs — including a node whose inbound pushes are
-//! blackholed, which gets every peer batch through the missing-batch
-//! fetch protocol on the consensus connection.
+//! Four [`NetNode`]s run: client transactions enter via
+//! [`NetNode::submit_tx`], are batched and pushed to every peer on the
+//! one link each node keeps to it, and the consensus layer orders only
+//! 32-byte digests. A vertex enters a node's DAG only once the batches
+//! it names are stored there, so every node resolves the digests back
+//! to transaction bytes and produces byte-identical logs — including a
+//! node behind a frame proxy that drops every batch a peer sends of its
+//! own, which gets every peer batch from a third party through the
+//! missing-batch fetch protocol.
 
-use std::net::{SocketAddr, TcpListener};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use dagrider_core::NodeConfig;
 use dagrider_crypto::{deal_coin_keys, CoinKeys};
-use dagrider_net::{NetConfig, NetNode};
+use dagrider_net::{read_frame, write_frame, NetConfig, NetNode, WireMsg};
 use dagrider_rbc::BrachaRbc;
-use dagrider_types::{Committee, ProcessId, Transaction};
+use dagrider_types::{Committee, Decode, ProcessId, Transaction};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -116,8 +119,7 @@ fn workers_disseminate_and_order_by_digest() {
         nodes.push(cluster.start(i, listener, |c| c.with_workers(2)));
     }
     for (i, node) in nodes.iter().enumerate() {
-        assert_eq!(node.workers(), 2);
-        assert!(node.submit_tx(marker(i)), "worker channels must accept transactions");
+        assert!(node.submit_tx(marker(i)));
     }
 
     let refs: Vec<&NetNode> = nodes.iter().collect();
@@ -138,6 +140,80 @@ fn workers_disseminate_and_order_by_digest() {
     }
 }
 
+/// A frame proxy in front of one node. Each connection it accepts is
+/// forwarded to the node, frame by frame on a thread of its own, except
+/// every batch whose creator is the peer that sent its `Hello`: the
+/// peer's pushes and its answers to fetches of its own batches vanish.
+struct Proxy {
+    addr: SocketAddr,
+    dropped: Arc<AtomicUsize>,
+    forwarded: Arc<AtomicUsize>,
+    stop: Arc<AtomicBool>,
+    acceptor: JoinHandle<()>,
+}
+
+impl Proxy {
+    fn start(target: SocketAddr) -> Self {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        listener.set_nonblocking(true).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (dropped, forwarded) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let counts = (Arc::clone(&dropped), Arc::clone(&forwarded));
+        let stopped = Arc::clone(&stop);
+        let acceptor = std::thread::spawn(move || {
+            let (dropped, forwarded) = (&*counts.0, &*counts.1);
+            // The scope joins every forwarder; each ends when either side
+            // closes its socket.
+            std::thread::scope(|links| {
+                while !stopped.load(Ordering::Relaxed) {
+                    let Ok((inbound, _)) = listener.accept() else {
+                        std::thread::sleep(Duration::from_millis(5));
+                        continue;
+                    };
+                    links.spawn(move || forward(inbound, target, dropped, forwarded));
+                }
+            });
+        });
+        Self { addr, dropped, forwarded, stop, acceptor }
+    }
+
+    /// Stops accepting and joins every forwarder, so every node must be
+    /// shut down first; returns (batches dropped, batches forwarded).
+    fn stop(self) -> (usize, usize) {
+        self.stop.store(true, Ordering::Relaxed);
+        self.acceptor.join().unwrap();
+        (self.dropped.load(Ordering::Relaxed), self.forwarded.load(Ordering::Relaxed))
+    }
+}
+
+fn forward(
+    mut inbound: TcpStream,
+    target: SocketAddr,
+    dropped: &AtomicUsize,
+    forwarded: &AtomicUsize,
+) {
+    let _ = inbound.set_nonblocking(false);
+    let Ok(mut outbound) = TcpStream::connect(target) else { return };
+    let mut peer = None;
+    while let Ok(frame) = read_frame(&mut inbound) {
+        match WireMsg::from_bytes(&frame) {
+            Ok(WireMsg::Hello(from)) => peer = Some(from),
+            Ok(WireMsg::Batch(batch)) if Some(batch.creator()) == peer => {
+                dropped.fetch_add(1, Ordering::Relaxed);
+                continue;
+            }
+            Ok(WireMsg::Batch(_)) => {
+                forwarded.fetch_add(1, Ordering::Relaxed);
+            }
+            _ => {}
+        }
+        if write_frame(&mut outbound, &frame).is_err() {
+            return;
+        }
+    }
+}
+
 #[test]
 fn blackholed_pushes_resolve_through_the_fetch_path() {
     // Same headroom rationale as above, plus fetch retries for the victim.
@@ -145,27 +221,19 @@ fn blackholed_pushes_resolve_through_the_fetch_path() {
     let n = 4;
     let (cluster, listeners) = Cluster::prepare(n, 888, max_round);
 
-    // A listener that accepts no connections: worker pushes dialed at it
-    // connect (or hang in the backlog) but their batches never arrive.
-    let blackhole = TcpListener::bind("127.0.0.1:0").unwrap();
-    let blackhole_addr = blackhole.local_addr().unwrap();
+    // Every other node reaches the victim through the proxy: the victim
+    // sees none of their pushes, nor their answers for their own
+    // batches, and can insert their digest vertices only once a third
+    // party has answered its fetch.
     let victim = 3usize;
-
+    let proxy = Proxy::start(cluster.addrs[victim]);
     let mut nodes: Vec<NetNode> = Vec::new();
     for (i, listener) in listeners.into_iter().enumerate() {
-        nodes.push(cluster.start(i, listener, |c| {
-            let c = c.with_workers(1);
-            if i == victim {
-                c
-            } else {
-                // Every other node's worker connection *to the victim* is
-                // blackholed: the victim sees none of their batch pushes
-                // and can insert their digest vertices only by fetching
-                // the batches over the consensus connection.
-                let mut worker_addrs = cluster.addrs.clone();
-                worker_addrs[victim] = blackhole_addr;
-                c.with_worker_addrs(worker_addrs)
+        nodes.push(cluster.start(i, listener, |mut c| {
+            if i != victim {
+                c.addrs[victim] = proxy.addr;
             }
+            c
         }));
     }
     for (i, node) in nodes.iter().enumerate() {
@@ -181,7 +249,7 @@ fn blackholed_pushes_resolve_through_the_fetch_path() {
             assert!(ordered_marker(node, &marker(m)), "node {i} never ordered marker {m}");
         }
     }
-    // The victim received no pushes, so every peer batch it holds came
+    // The victim received no push, so every peer batch it holds came
     // through the fetch path — and it must hold all of them, each once,
     // to have resolved its (byte-identical) log above.
     assert_eq!(
@@ -193,5 +261,7 @@ fn blackholed_pushes_resolve_through_the_fetch_path() {
     for mut node in nodes {
         node.shutdown();
     }
-    drop(blackhole);
+    let (dropped, forwarded) = proxy.stop();
+    assert!(dropped >= n - 1, "the proxy dropped {dropped} batches");
+    assert!(forwarded >= n - 1, "the proxy forwarded {forwarded} batches");
 }

@@ -1,10 +1,10 @@
 //! The simulator adapter for the sans-I/O DAG-Rider engine.
 //!
-//! [`DagRiderEngine`](dagrider_core::DagRiderEngine) is a pure state
+//! [`DagRiderEngine`] is a pure state
 //! machine; this crate is the thin glue that runs it inside the
 //! deterministic simulator: [`SimActor`] implements
 //! [`dagrider_simnet::Actor`] by translating simulator callbacks into
-//! [`EngineInput`](dagrider_core::EngineInput)s and routing the returned
+//! [`EngineInput`]s and routing the returned
 //! [`EngineOutput`]s back through the simulator's [`Context`]. It keeps
 //! the process's ordered log ([`SimActor::ordered`]), stamps the returned
 //! [`EngineEvent`](dagrider_core::EngineEvent)s with virtual time into an

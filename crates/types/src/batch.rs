@@ -1,12 +1,12 @@
 //! Transaction batches and their digests — the mempool currency of the
-//! worker-based dissemination layer.
+//! batch dissemination layer.
 //!
 //! Following the Narwhal/Bullshark decoupling, transaction bytes travel
-//! peer-to-peer in [`Batch`]es over dedicated worker channels, while the
-//! consensus path (vertices, RBC, ordering) carries only constant-size
-//! [`BatchDigest`]s. The digest itself is computed by the layer that owns
-//! a hash implementation (`dagrider-crypto` depends on this crate, not
-//! the reverse), so this module defines only the wire representation.
+//! peer-to-peer in [`Batch`]es, while the consensus path (vertices, RBC,
+//! ordering) carries only constant-size [`BatchDigest`]s. The digest
+//! itself is computed by the layer that owns a hash implementation
+//! (`dagrider-crypto` depends on this crate, not the reverse), so this
+//! module defines only the wire representation.
 
 use std::fmt;
 

@@ -117,8 +117,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             NetNode::start::<BrachaRbc>(cfg, Some(listener))
         })
         .collect::<Result<_, _>>()?;
-    // A transaction enters through a worker lane: its bytes travel to
-    // the peers on worker connections, and a vertex carries its batch
+    // A transaction enters the node's open batch: its bytes travel to
+    // the peers in the batch's push, and a vertex carries its batch
     // digest.
     tcp_nodes[1].submit_tx(Transaction::synthetic(7, 48));
 
