@@ -234,7 +234,8 @@ impl FifoCluster {
                 }
                 EngineOutput::SetTimer { .. }
                 | EngineOutput::Ordered(_)
-                | EngineOutput::FetchBatches { .. } => {}
+                | EngineOutput::FetchBatches { .. }
+                | EngineOutput::PushBatch(_) => {}
             }
         }
     }

@@ -12,9 +12,10 @@
 //! — so ten thousand connections cost ten thousand sockets, not ten
 //! thousand threads, on either side.
 //!
-//! The node side proves the reactor's scaling claim: client sockets and
-//! the open batch are owned by each node's reactor thread, so a node runs
-//! three threads no matter how many clients connect.
+//! The node side proves the reactor's scaling claim: client sockets are
+//! owned by each node's reactor thread, and the open batch by its
+//! engine, so a node runs three threads no matter how many clients
+//! connect.
 //!
 //! At the default 10 000 connections the process needs roughly 2×
 //! that many file descriptors (both ends are in-process); raise the

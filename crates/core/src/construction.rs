@@ -17,7 +17,10 @@
 //! * when the current round holds ≥ `2f+1` vertices the process advances,
 //!   signalling `wave_ready` every 4th round (lines 10–13), and broadcasts
 //!   a new vertex with strong edges to everything it has in the completed
-//!   round and weak edges to any orphans (lines 14–15, 16–21, 27–31).
+//!   round and weak edges to any orphans (lines 14–15, 16–21, 27–31);
+//! * the process's own transactions fill one open batch, which seals once
+//!   it holds [`BATCH_MAX_BYTES`] or when the process creates its next
+//!   vertex, so that vertex names every transaction the process holds.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -25,11 +28,17 @@ use dagrider_rbc::RbcDelivery;
 use dagrider_trace::TraceEvent;
 use dagrider_types::{
     Batch, BatchDigest, Block, Committee, Decode, Payload, ProcessId, Round, SeqNum,
-    SparseEdgeConfig, Vertex, VertexBuilder, Wave,
+    SparseEdgeConfig, Transaction, Vertex, VertexBuilder, Wave,
 };
 
 use crate::dag::Dag;
+use crate::engine::HashedBatch;
 use crate::event::EngineEvent;
+
+/// The open batch seals once its transaction payload reaches this size.
+/// Drivers refuse a transaction larger than this, so a sealed batch
+/// holds less than twice this much.
+pub const BATCH_MAX_BYTES: usize = 64 * 1024;
 
 /// An effect emitted by the construction layer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,6 +51,10 @@ pub enum DagEvent {
     /// A vertex joined the buffer naming a batch the node lacks — fetch
     /// it ([`DagCore::missing_batches`] lists what is missing).
     BatchesMissing,
+    /// The open batch sealed just before the vertex that names it was
+    /// created: store it and push it to every peer ahead of that
+    /// vertex's broadcast, which follows in the same event list.
+    BatchSealed(HashedBatch),
 }
 
 /// The node's batch store, by content digest: the engine owns it, and
@@ -71,6 +84,10 @@ pub struct DagCore {
     /// Client payloads awaiting a vertex (`blocksToPropose`, generalized
     /// to also carry batch-digest lists in worker-dissemination mode).
     blocks_to_propose: VecDeque<QueuedPayload>,
+    /// This process's open batch: transactions no batch holds yet.
+    open: Vec<Transaction>,
+    /// The transaction payload bytes of `open`.
+    open_bytes: usize,
     next_seq: SeqNum,
     /// Stop creating vertices after this round, so simulations quiesce.
     max_round: Option<Round>,
@@ -106,6 +123,8 @@ impl DagCore {
             buffer: Vec::new(),
             round: Round::GENESIS,
             blocks_to_propose: VecDeque::new(),
+            open: Vec::new(),
+            open_bytes: 0,
             next_seq: SeqNum::new(1),
             max_round,
             last_wave_signalled: 0,
@@ -191,6 +210,32 @@ impl DagCore {
     /// Number of enqueued blocks not yet proposed.
     pub fn pending_blocks(&self) -> usize {
         self.blocks_to_propose.len()
+    }
+
+    /// Appends this process's transactions to its open batch, without
+    /// driving the protocol. Each time the batch reaches
+    /// [`BATCH_MAX_BYTES`] it seals at once, and its digest is queued for
+    /// the next vertex. Returns the batches sealed, for the node to store
+    /// and push; the rest waits for the next vertex this process creates.
+    pub fn submit_transactions(&mut self, transactions: Vec<Transaction>) -> Vec<HashedBatch> {
+        let mut sealed = Vec::new();
+        for tx in transactions {
+            self.open_bytes += tx.len();
+            self.open.push(tx);
+            if self.open_bytes >= BATCH_MAX_BYTES {
+                sealed.push(self.seal());
+            }
+        }
+        sealed
+    }
+
+    /// Seals the open batch as worker 0 and queues its digest, after any
+    /// digest already queued, for the next vertex.
+    fn seal(&mut self) -> HashedBatch {
+        self.open_bytes = 0;
+        let batch = HashedBatch::new(Batch::new(self.me, 0, std::mem::take(&mut self.open)));
+        self.enqueue_digests(vec![batch.digest()]);
+        batch
     }
 
     /// Starts the protocol: broadcasts the round-1 vertex. Must be called
@@ -401,6 +446,10 @@ impl DagCore {
                     return out; // quiescence for finite experiments
                 }
                 self.round = self.round.next();
+                // The vertex names every transaction this process holds.
+                if !self.open.is_empty() {
+                    out.push(DagEvent::BatchSealed(self.seal()));
+                }
                 let vertex = self.create_new_vertex(self.round);
                 events.push(TraceEvent::RoundAdvanced { round: self.round }.into());
                 events.push(TraceEvent::VertexCreated { vertex: vertex.reference() }.into());
@@ -480,7 +529,7 @@ mod tests {
     fn broadcast_vertex(events: &[DagEvent]) -> Option<&Vertex> {
         events.iter().find_map(|e| match e {
             DagEvent::Broadcast(v) => Some(v),
-            DagEvent::WaveReady(_) | DagEvent::BatchesMissing => None,
+            DagEvent::WaveReady(_) | DagEvent::BatchesMissing | DagEvent::BatchSealed(_) => None,
         })
     }
 
@@ -706,7 +755,7 @@ mod tests {
                                 waves_seen.push(w);
                             }
                         }
-                        DagEvent::BatchesMissing => {}
+                        DagEvent::BatchesMissing | DagEvent::BatchSealed(_) => {}
                     }
                 }
             }

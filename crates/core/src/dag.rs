@@ -283,15 +283,30 @@ impl Dag {
     }
 
     /// Garbage-collects rounds strictly below `keep_from`, popping them
-    /// off the front of the window, so the cost is the number of rounds
-    /// dropped plus the rebuild below. Safe once the ordering layer has
+    /// off the front of the window. Safe once the ordering layer has
     /// delivered everything below: ordered history is never consulted
     /// again (Algorithm 3 walks only forward from `decidedWave`), and
     /// reachability queries against collected rounds simply return false.
     ///
-    /// The closure slot space is truncated to the new floor and every
-    /// retained closure is recomputed under it, so closures pay only for
-    /// live rounds.
+    /// The closure slot space is truncated to the new floor, and every
+    /// retained closure shifts its bits down by the slots dropped, so
+    /// closures pay only for live rounds. The shift keeps the engine
+    /// exactly equal to the BFS over what remains:
+    ///
+    /// * edges strictly descend in round, so a path between two retained
+    ///   non-genesis vertices never dips below the floor, and those bits
+    ///   only move;
+    /// * genesis is kept, and once the floor passes round 1 a retained
+    ///   vertex reaches genesis only through a weak edge into round 0.
+    ///   Honest vertices have none (the orphan scan covers only retained
+    ///   rounds), but a Byzantine one may. So the genesis bits are
+    ///   cleared, and when a retained vertex has such an edge, the full
+    ///   closures' genesis bits are recomputed from those edges, in
+    ///   ascending round order. Strong closures never reach genesis
+    ///   again.
+    ///
+    /// The cost is the rounds dropped plus one pass over the retained
+    /// closures' words.
     ///
     /// Returns the number of vertices dropped.
     pub fn prune_below(&mut self, keep_from: Round) -> usize {
@@ -304,29 +319,49 @@ impl Dag {
             self.base += 1;
         }
         self.pruned_floor = self.pruned_floor.max(keep_from);
-        if self.slots.advance_base(self.pruned_floor.number().max(1)) > 0 {
-            self.rebuild_closures();
+        let removed = self.slots.advance_base(self.pruned_floor.number().max(1));
+        if removed > 0 {
+            let genesis = self.committee.n();
+            for closures in self.window.iter_mut().flat_map(|round| round.closures.iter_mut()) {
+                let Some(closures) = closures else { continue };
+                for closure in [&mut closures.strong, &mut closures.all] {
+                    closure.rebase(genesis, removed);
+                    closure.clear_below(genesis);
+                }
+            }
+            if self.iter().any(|v| v.weak_edges().iter().any(|e| e.round == Round::GENESIS)) {
+                self.restore_genesis_reach();
+            }
         }
         dropped
     }
 
-    /// Recomputes every retained closure under the truncated slot space,
-    /// in ascending round order, each round from the rounds below it that
-    /// are already rebuilt. Wholesale recomposition (rather than shifting
-    /// bits in place) is what keeps the engine exactly equal to the BFS:
-    /// genesis survives pruning, so a vertex whose only paths to a genesis
-    /// vertex ran through the collected rounds must *lose* that bit, just
-    /// as the BFS loses the path. No other target is affected — edges
-    /// strictly descend in round, so a path between two retained
-    /// non-genesis vertices can never dip below the floor.
-    fn rebuild_closures(&mut self) {
-        let n = self.committee.n();
+    /// Recomputes the genesis bits of every retained full closure after
+    /// a prune cleared them: a vertex reaches the genesis vertices its
+    /// weak edges name, and those its retained targets reach. Ascending
+    /// round order finishes every target before the vertices above it.
+    fn restore_genesis_reach(&mut self) {
+        let genesis = self.committee.n();
         for index in 0..self.window.len() {
-            let mut row = vec![None; n];
+            let mut row = Vec::new();
             for (&source, v) in &self.window[index].vertices {
-                row[source.as_usize()] = Some(self.close_over(v));
+                let mut reached = Vec::new();
+                for &edge in v.edges() {
+                    if edge.round == Round::GENESIS {
+                        reached.push(edge.source.as_usize());
+                    } else if let Some(target) = self.closures_of(edge) {
+                        reached.extend(target.all.ones().take_while(|&slot| slot < genesis));
+                    }
+                }
+                row.push((source, reached));
             }
-            self.window[index].closures = row;
+            for (source, reached) in row {
+                if let Some(closures) = &mut self.window[index].closures[source.as_usize()] {
+                    for slot in reached {
+                        closures.all.insert(slot);
+                    }
+                }
+            }
         }
     }
 

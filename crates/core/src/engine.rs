@@ -15,18 +15,23 @@
 //!
 //! * **Inputs** — [`EngineInput::Message`] for every payload received from
 //!   an authenticated peer, [`EngineInput::Timer`] when a timer requested
-//!   via [`EngineOutput::SetTimer`] fires, [`EngineInput::SubmitBlock`]
-//!   (inline) or [`EngineInput::SubmitDigests`] (digests of disseminated
-//!   batches) for client payload (`a_bcast`), [`EngineInput::BatchStored`]
-//!   for a batch's bytes, and [`EngineInput::SyncVertex`] for state
-//!   transfer when a restarted process catches up. No input carries an
+//!   via [`EngineOutput::SetTimer`] fires,
+//!   [`EngineInput::SubmitTransactions`] for this process's transactions
+//!   (`a_bcast` through its open batch), [`EngineInput::SubmitBlock`]
+//!   (inline) or [`EngineInput::SubmitDigests`] (digests of batches the
+//!   driver disseminated itself) for harness payload,
+//!   [`EngineInput::BatchStored`] for a batch's bytes, and
+//!   [`EngineInput::SyncVertex`] for state transfer when a restarted
+//!   process catches up. No input carries an
 //!   unchecked claim: the engine checks what arrives, and a
 //!   [`HashedBatch`] is built only by hashing. A restarting driver feeds
 //!   its durable store through [`DagRiderEngine::replay_durable`].
 //! * **Outputs** — [`EngineOutput::Send`] (unicast to one peer),
 //!   [`EngineOutput::Broadcast`] (to every *other* process — self-routing
-//!   is handled inside the engine), [`EngineOutput::SetTimer`], and
-//!   [`EngineOutput::Ordered`] for every `a_deliver` in total order.
+//!   is handled inside the engine), [`EngineOutput::PushBatch`] (one of
+//!   this process's batches, to every other process),
+//!   [`EngineOutput::SetTimer`], and [`EngineOutput::Ordered`] for every
+//!   `a_deliver` in total order.
 //!   Outputs must be routed in the order returned: the wire order is part
 //!   of the deterministic replay contract. The engine keeps no ordered
 //!   log: a driver that wants one keeps the `Ordered` outputs.
@@ -36,7 +41,11 @@
 //!   driver's to build from the stream. A driver with a durable store
 //!   persists a turn's durable events before it routes the turn's
 //!   outputs.
-//! * **Batches** — a vertex enters the DAG only once every batch it
+//! * **Batches** — the engine keeps this process's open batch. It seals
+//!   once full, or when the process creates its next vertex, which then
+//!   names it; a sealed batch is stored, reported as
+//!   [`EngineEvent::BatchStored`], and pushed ahead of every send of the
+//!   vertex that names it. A vertex enters the DAG only once every batch it
 //!   names is in the engine's batch map, so ordering resolves each
 //!   digest at once. A buffered vertex that names a missing batch starts
 //!   a fetch ([`EngineOutput::FetchBatches`] on [`FETCH_TIMER_TAG`]
@@ -59,7 +68,7 @@ use dagrider_rbc::{RbcAction, ReliableBroadcast};
 use dagrider_trace::TraceEvent;
 use dagrider_types::{
     Batch, BatchDigest, Block, Committee, Decode, DecodeError, Encode, Payload, ProcessId, Round,
-    SparseEdgeConfig, Time, Vertex, VertexRef, Wave,
+    SparseEdgeConfig, Time, Transaction, Vertex, VertexRef, Wave,
 };
 
 use crate::construction::{DagCore, DagEvent};
@@ -273,9 +282,15 @@ pub enum EngineInput {
     /// `(source, round)` is taken as attested (a production deployment
     /// would verify a signature here).
     SyncVertex(Vertex),
-    /// `a_bcast` in digest mode: batch digests the worker layer finished
+    /// `a_bcast` in digest mode: batch digests the driver finished
     /// disseminating, ready to ride the next vertex as its payload.
     SubmitDigests(Vec<BatchDigest>),
+    /// `a_bcast` through the open batch: this process's transactions. A
+    /// batch that reaches [`BATCH_MAX_BYTES`](crate::BATCH_MAX_BYTES)
+    /// seals at once; the rest seals when the process creates its next
+    /// vertex. Never drives the protocol, so it never moves an engine
+    /// that has not started off genesis.
+    SubmitTransactions(Vec<Transaction>),
     /// A batch to keep in the engine's batch store (own assembly, a
     /// peer's dissemination stream, or a completed fetch), already hashed
     /// by whoever built the [`HashedBatch`]. Lets any buffered vertex
@@ -311,6 +326,11 @@ pub enum EngineOutput {
     /// `a_deliver`: the next vertex (block) of the total order, batch
     /// digests resolved to the transactions they named.
     Ordered(OrderedVertex),
+    /// Push this process's sealed batch `digest` (read it from
+    /// [`DagRiderEngine::batch`]) to every other process. It comes ahead
+    /// of every [`EngineOutput::Send`] of the vertex that names it, so a
+    /// FIFO link carries the batch first.
+    PushBatch(BatchDigest),
     /// Ask the driver to request the listed batches from peer `from`:
     /// buffered vertices name them and the local store lacks them. Sent
     /// when a [`FETCH_TIMER_TAG`] timer fires, rotating over the peers
@@ -442,10 +462,10 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
 
     /// Enqueues a digest-list payload for atomic broadcast **without**
     /// driving the protocol — the digest-mode counterpart of
-    /// [`DagRiderEngine::enqueue_block`]. Consecutive pre-start calls
-    /// coalesce into one payload; prefer
-    /// [`EngineInput::SubmitDigests`] through [`DagRiderEngine::handle`]
-    /// in live drivers.
+    /// [`DagRiderEngine::enqueue_block`], for harnesses that stage their
+    /// own batches. Consecutive pre-start calls coalesce into one
+    /// payload; prefer [`EngineInput::SubmitDigests`] through
+    /// [`DagRiderEngine::handle`] in live drivers that do.
     pub fn enqueue_digests(&mut self, digests: Vec<BatchDigest>) {
         self.core.enqueue_digests(digests);
     }
@@ -469,13 +489,32 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         now: Time,
         rng: &mut rand::rngs::StdRng,
     ) {
+        let digest = hashed.digest();
+        if self.store(hashed, &mut turn.events) {
+            let dag_events = self.core.on_batch(&digest, &self.batches, &mut turn.events);
+            self.advance(dag_events, turn, now, rng);
+        }
+    }
+
+    /// Stores a batch and reports it, unless the store already holds it.
+    /// Returns whether it was new.
+    fn store(&mut self, hashed: HashedBatch, events: &mut Vec<EngineEvent>) -> bool {
         let HashedBatch { digest, batch } = hashed;
-        let Entry::Vacant(slot) = self.batches.entry(digest) else { return };
+        let Entry::Vacant(slot) = self.batches.entry(digest) else { return false };
         self.batch_bytes += batch.payload_bytes() as u64;
         slot.insert(batch.clone());
-        turn.events.push(EngineEvent::BatchStored { digest, batch });
-        let dag_events = self.core.on_batch(&digest, &self.batches, &mut turn.events);
-        self.advance(dag_events, turn, now, rng);
+        events.push(EngineEvent::BatchStored { digest, batch });
+        true
+    }
+
+    /// Stores a batch this process sealed and asks the driver to push it.
+    /// Only this process's vertices name its batches, and those never wait
+    /// for one, so nothing is drained here; a Byzantine vertex that named
+    /// the digest ahead of time gets in with the next drain.
+    fn on_sealed(&mut self, hashed: HashedBatch, turn: &mut Turn) {
+        let digest = hashed.digest();
+        self.store(hashed, &mut turn.events);
+        turn.outputs.push(EngineOutput::PushBatch(digest));
     }
 
     /// The single coin-share acceptance point: a share is taken only from
@@ -681,6 +720,11 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                 self.advance(dag_events, &mut turn, now, rng);
             }
             EngineInput::BatchStored(hashed) => self.on_batch(hashed, &mut turn, now, rng),
+            EngineInput::SubmitTransactions(transactions) => {
+                for sealed in self.core.submit_transactions(transactions) {
+                    self.on_sealed(sealed, &mut turn);
+                }
+            }
         }
         self.finish_turn(&mut turn);
         turn
@@ -925,6 +969,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                     }
                 }
                 DagEvent::BatchesMissing => self.fetch_batches(now, turn),
+                DagEvent::BatchSealed(sealed) => self.on_sealed(sealed, turn),
             }
         }
     }
@@ -973,8 +1018,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         let keep_from = dagrider_types::Round::new(frontier.number().saturating_sub(depth));
         if keep_from > self.core.dag().pruned_floor() {
             // Advancing the floor also rebases the reachability engine's
-            // slot space and rebuilds retained closures (see Dag::prune_below),
-            // so prune only when the floor actually moves.
+            // slot space and shifts every retained closure (see
+            // Dag::prune_below), so prune only when the floor actually moves.
             let (dropped, released) = self.core.prune_below(keep_from);
             if dropped > 0 {
                 events
@@ -1014,11 +1059,12 @@ fn fetch_target(
 mod tests {
     use dagrider_crypto::deal_coin_keys;
     use dagrider_rbc::BrachaRbc;
-    use dagrider_types::{SeqNum, Transaction};
+    use dagrider_types::SeqNum;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     use super::*;
+    use crate::BATCH_MAX_BYTES;
 
     #[test]
     fn node_message_codec_roundtrip() {
@@ -1099,7 +1145,9 @@ mod tests {
                             }
                         }
                         EngineOutput::Ordered(o) => logs[from.as_usize()].push(o),
-                        EngineOutput::SetTimer { .. } | EngineOutput::FetchBatches { .. } => {}
+                        EngineOutput::SetTimer { .. }
+                        | EngineOutput::FetchBatches { .. }
+                        | EngineOutput::PushBatch(_) => {}
                     }
                 }
             };
@@ -1391,6 +1439,216 @@ mod tests {
         assert!(engine.dag().contains(reference), "the batch lets the vertex in");
         let after = engine.handle(Time::new(now + delay), timer, &mut rng);
         assert_eq!(fetched(after), (None, None), "the fetch ended with the batch");
+    }
+
+    /// The vertices whose INIT messages a turn sends, in order, once
+    /// each, with the index of the first output that carries each.
+    fn inits(turn: &Turn) -> Vec<(usize, Vertex)> {
+        let mut found: Vec<(usize, Vertex)> = Vec::new();
+        for (index, out) in turn.outputs.iter().enumerate() {
+            let EngineOutput::Send { payload, .. } = out else { continue };
+            let Ok(NodeMessage::Rbc(dagrider_rbc::BrachaMessage {
+                kind: dagrider_rbc::BrachaKind::Init(bytes),
+                ..
+            })) = NodeMessage::<dagrider_rbc::BrachaMessage>::from_bytes(payload)
+            else {
+                continue;
+            };
+            let vertex = VertexPayload::from_bytes(&bytes).unwrap().vertex;
+            if found.iter().all(|(_, seen)| seen.round() != vertex.round()) {
+                found.push((index, vertex));
+            }
+        }
+        found
+    }
+
+    /// The digests a turn pushes, with the index of each push.
+    fn pushes(turn: &Turn) -> Vec<(usize, BatchDigest)> {
+        let pushed = |(index, out): (usize, &EngineOutput)| match out {
+            EngineOutput::PushBatch(digest) => Some((index, *digest)),
+            _ => None,
+        };
+        turn.outputs.iter().enumerate().filter_map(pushed).collect()
+    }
+
+    /// The digests a turn reports stored.
+    fn stored(turn: &Turn) -> Vec<BatchDigest> {
+        let stored = |event: &EngineEvent| match event {
+            EngineEvent::BatchStored { digest, .. } => Some(*digest),
+            _ => None,
+        };
+        turn.events.iter().filter_map(stored).collect()
+    }
+
+    /// A turn of engine 0, with the transactions it was handed (`None` for
+    /// a turn that took a message).
+    type FedTurn = (Option<Vec<Transaction>>, Turn);
+
+    /// Runs four engines to round 12 over an instant FIFO wire. Before
+    /// the `k`-th message engine 0 takes, it is handed the transactions
+    /// `submit(k, its round)` returns, if any. Returns engine 0 and each of
+    /// its turns.
+    fn run_submitting(
+        mut submit: impl FnMut(usize, Round) -> Vec<Transaction>,
+    ) -> (DagRiderEngine<BrachaRbc>, Vec<FedTurn>) {
+        let committee = Committee::new(4).unwrap();
+        let keys = deal_coin_keys(&committee, &mut StdRng::seed_from_u64(71));
+        let config = NodeConfig::default().with_max_round(12);
+        let mut engines: Vec<DagRiderEngine<BrachaRbc>> = committee
+            .members()
+            .zip(keys)
+            .map(|(p, k)| DagRiderEngine::new(committee, p, k, config.clone()))
+            .collect();
+        let mut rngs: Vec<StdRng> = (0..4).map(|i| StdRng::seed_from_u64(72 + i)).collect();
+        let mut wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)> = VecDeque::new();
+        let mut turns = Vec::new();
+        let route = |from: ProcessId, turn: &Turn, wire: &mut VecDeque<_>| {
+            for out in &turn.outputs {
+                match out {
+                    EngineOutput::Send { to, payload } => {
+                        wire.push_back((from, *to, payload.to_vec()));
+                    }
+                    EngineOutput::Broadcast { payload } => {
+                        wire.extend(committee.others(from).map(|to| (from, to, payload.to_vec())));
+                    }
+                    _ => {}
+                }
+            }
+        };
+        for p in committee.members() {
+            let turn = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]);
+            route(p, &turn, &mut wire);
+            if p == ProcessId::new(0) {
+                turns.push((None, turn));
+            }
+        }
+        let mut taken = 0;
+        while let Some((from, to, payload)) = wire.pop_front() {
+            let (engine, rng) = (&mut engines[to.as_usize()], &mut rngs[to.as_usize()]);
+            if to == ProcessId::new(0) {
+                taken += 1;
+                let transactions = submit(taken, engine.current_round());
+                if !transactions.is_empty() {
+                    let input = EngineInput::SubmitTransactions(transactions.clone());
+                    let turn = engine.handle(Time::ZERO, input, rng);
+                    route(to, &turn, &mut wire);
+                    turns.push((Some(transactions), turn));
+                }
+            }
+            let turn = engine.handle(Time::ZERO, EngineInput::Message { from, payload }, rng);
+            route(to, &turn, &mut wire);
+            if to == ProcessId::new(0) {
+                turns.push((None, turn));
+            }
+        }
+        (engines.swap_remove(0), turns)
+    }
+
+    /// Every transaction the batches `digests` hold, in digest order.
+    fn named(engine: &DagRiderEngine<BrachaRbc>, digests: &[BatchDigest]) -> Vec<Transaction> {
+        digests.iter().flat_map(|d| engine.batch(d).unwrap().transactions().to_vec()).collect()
+    }
+
+    #[test]
+    fn a_vertex_names_every_transaction_its_engine_holds_when_creating_it() {
+        // Engine 0 takes a small transaction before every third message
+        // until round 10. Each vertex it creates names exactly those it
+        // took since its last vertex, in one batch sealed in the same
+        // turn: stored, then pushed ahead of every INIT of the vertex. A
+        // vertex created while it held none names no batch, and its turn
+        // seals nothing.
+        let (engine, turns) = run_submitting(|k, round| {
+            if k % 3 == 0 && round < Round::new(10) {
+                vec![Transaction::synthetic(k as u64, 128)]
+            } else {
+                Vec::new()
+            }
+        });
+        let mut held: Vec<Transaction> = Vec::new();
+        let (mut sealing, mut empty) = (0, 0);
+        for (submitted, turn) in &turns {
+            if let Some(transactions) = submitted {
+                assert!(turn.outputs.is_empty(), "an underfull batch seals with a vertex only");
+                held.extend(transactions.iter().cloned());
+                continue;
+            }
+            let (pushed, reported) = (pushes(turn), stored(turn));
+            for (i, (first_init, vertex)) in inits(turn).into_iter().enumerate() {
+                let digests = vertex.payload().digests().to_vec();
+                if i > 0 || held.is_empty() {
+                    assert!(digests.is_empty(), "round {}: nothing held", vertex.round());
+                    assert!(
+                        pushed.is_empty() && reported.is_empty(),
+                        "an empty round seals nothing"
+                    );
+                    empty += 1;
+                    continue;
+                }
+                assert_eq!(named(&engine, &digests), std::mem::take(&mut held));
+                assert_eq!(digests, reported, "the sealing turn reports the batch stored");
+                assert_eq!(pushed.iter().map(|&(_, d)| d).collect::<Vec<_>>(), digests);
+                assert!(pushed.iter().all(|&(at, _)| at < first_init), "the push leads the INIT");
+                sealing += 1;
+            }
+        }
+        assert!(sealing >= 5 && empty >= 2, "{sealing} sealing and {empty} empty vertices");
+    }
+
+    #[test]
+    fn a_full_batch_seals_in_the_turn_that_fills_it_and_rides_the_next_vertex() {
+        let half = |tag| Transaction::synthetic(tag, BATCH_MAX_BYTES / 2);
+        let small = Transaction::synthetic(3, 128);
+        let (engine, turns) = run_submitting(|k, _| {
+            if k == 20 {
+                vec![half(1), half(2), small.clone()]
+            } else {
+                Vec::new()
+            }
+        });
+        let at = turns.iter().position(|(submitted, _)| submitted.is_some()).unwrap();
+        let full = batch_digest(&Batch::new(ProcessId::new(0), 0, vec![half(1), half(2)]));
+        let filled = &turns[at].1;
+        assert_eq!(
+            filled.outputs,
+            vec![EngineOutput::PushBatch(full)],
+            "sealed in the filling turn"
+        );
+        assert_eq!(stored(filled), [full]);
+        // The next vertex names the full batch, then the remainder it
+        // sealed on creation.
+        let (_, next) = turns[at + 1..].iter().flat_map(|(_, t)| inits(t)).next().unwrap();
+        let digests = next.payload().digests();
+        assert_eq!(digests.len(), 2);
+        assert_eq!(digests[0], full);
+        assert_eq!(named(&engine, &digests[1..]), [small]);
+    }
+
+    #[test]
+    fn transactions_before_start_seal_into_the_round_one_vertex_and_keep_genesis() {
+        let committee = Committee::new(4).unwrap();
+        let mut rng = StdRng::seed_from_u64(73);
+        let keys = deal_coin_keys(&committee, &mut rng);
+        let p0 = ProcessId::new(0);
+        let mut engine: DagRiderEngine<BrachaRbc> =
+            DagRiderEngine::new(committee, p0, keys[0].clone(), NodeConfig::default());
+        let half = |tag| Transaction::synthetic(tag, BATCH_MAX_BYTES / 2);
+        let rest = Transaction::synthetic(3, 128);
+        let input = EngineInput::SubmitTransactions(vec![half(1), half(2), rest.clone()]);
+        let turn = engine.handle(Time::ZERO, input, &mut rng);
+        let full = batch_digest(&Batch::new(p0, 0, vec![half(1), half(2)]));
+        assert_eq!(turn.outputs, vec![EngineOutput::PushBatch(full)]);
+        assert_eq!(stored(&turn), [full]);
+        assert_eq!(engine.current_round(), Round::GENESIS, "submitting never drives");
+        assert!(!engine.is_started());
+
+        let turn = engine.start(Time::ZERO, &mut rng);
+        let (first_init, vertex) = inits(&turn).remove(0);
+        assert_eq!(vertex.round(), Round::new(1));
+        let digests = vertex.payload().digests();
+        assert_eq!(digests[0], full);
+        assert_eq!(named(&engine, &digests[1..]), [rest]);
+        assert_eq!(stored(&turn), &digests[1..]);
+        assert!(pushes(&turn).iter().all(|&(at, _)| at < first_init));
     }
 
     #[test]

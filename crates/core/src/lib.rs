@@ -64,7 +64,7 @@ mod ordering;
 mod reach;
 pub mod render;
 
-pub use construction::{DagCore, DagEvent};
+pub use construction::{DagCore, DagEvent, BATCH_MAX_BYTES};
 pub use dag::Dag;
 pub use durable::DurableEvent;
 pub use engine::{

@@ -77,6 +77,53 @@ impl Closure {
         Closure { words: out }
     }
 
+    /// Drops the `removed` slots from `genesis` up and moves every slot at
+    /// or above `genesis + removed` down by `removed`, in place; slots
+    /// below `genesis` keep their place. Words the move empties at the top
+    /// are cut off. This is how a closure follows
+    /// [`SlotSpace::advance_base`].
+    pub fn rebase(&mut self, genesis: usize, removed: usize) {
+        let bits = self.words.len() * 64;
+        if removed == 0 || bits <= genesis {
+            return;
+        }
+        let len = (bits - removed.min(bits)).max(genesis).div_ceil(64);
+        let first = genesis / 64;
+        // Destination word `w` takes the 64 bits that start `removed`
+        // slots above it. Every word read lies at or above the one being
+        // written, so ascending order reads each before it is overwritten.
+        for w in first..len {
+            let shifted = self.bits_from(w * 64 + removed);
+            self.words[w] = if w == first {
+                let keep = (1u64 << (genesis % 64)) - 1;
+                (self.words[w] & keep) | (shifted & !keep)
+            } else {
+                shifted
+            };
+        }
+        self.words.truncate(len);
+    }
+
+    /// The 64 slots from `start` up, as one word (absent slots unset).
+    fn bits_from(&self, start: usize) -> u64 {
+        let (index, offset) = (start / 64, start % 64);
+        let low = self.words.get(index).copied().unwrap_or(0);
+        if offset == 0 {
+            return low;
+        }
+        let high = self.words.get(index + 1).copied().unwrap_or(0);
+        (low >> offset) | (high << (64 - offset))
+    }
+
+    /// Unsets every slot below `end`.
+    pub fn clear_below(&mut self, end: usize) {
+        let full = (end / 64).min(self.words.len());
+        self.words[..full].fill(0);
+        if let Some(word) = self.words.get_mut(end / 64) {
+            *word &= !((1u64 << (end % 64)) - 1);
+        }
+    }
+
     /// Iterates the set slots in ascending order.
     pub fn ones(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(index, &word)| WordBits { word, base: index * 64 })
@@ -271,6 +318,59 @@ mod tests {
         assert!(c.contains(70));
         c.toggle(70);
         assert!(!c.contains(70));
+    }
+
+    #[test]
+    fn rebase_matches_a_bit_by_bit_shift() {
+        // The reference: genesis slots stay, the removed slots go, and
+        // every slot above them moves down by the removal.
+        fn reference(slots: &[usize], genesis: usize, removed: usize) -> Vec<usize> {
+            slots
+                .iter()
+                .filter_map(|&s| match s {
+                    s if s < genesis => Some(s),
+                    s if s >= genesis + removed => Some(s - removed),
+                    _ => None,
+                })
+                .collect()
+        }
+        let mut seed = 0x2545_f491_4f6c_dd1d_u64;
+        for genesis in [4, 100] {
+            for removed in [4, 60, 64, 68, 128, 1_000] {
+                for width in [1, 2, 3, 5, 9] {
+                    let mut slots = Vec::new();
+                    for slot in 0..width * 64 {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        if seed.is_multiple_of(3) {
+                            slots.push(slot);
+                        }
+                    }
+                    let mut closure = Closure::default();
+                    slots.iter().for_each(|&s| closure.insert(s));
+                    closure.rebase(genesis, removed);
+                    let case = format!("genesis {genesis}, removed {removed}, {width} words");
+                    assert_eq!(
+                        closure.ones().collect::<Vec<_>>(),
+                        reference(&slots, genesis, removed),
+                        "{case}"
+                    );
+                    let top = (width * 64).saturating_sub(removed).max(genesis);
+                    assert!(
+                        closure.width_words() <= top.div_ceil(64).max(1),
+                        "{case}: emptied words stay"
+                    );
+                }
+            }
+        }
+        // A removal at least as wide as the closure leaves genesis alone.
+        let mut closure = Closure::default();
+        [1, 3, 4, 40, 63].iter().for_each(|&s| closure.insert(s));
+        closure.rebase(4, 64);
+        assert_eq!(closure.ones().collect::<Vec<_>>(), [1, 3]);
+        closure.clear_below(4);
+        assert_eq!(closure.count(), 0);
     }
 
     #[test]

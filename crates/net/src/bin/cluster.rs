@@ -31,6 +31,10 @@
 //! they write one line per ordered vertex followed by a `DONE` marker,
 //! then linger to serve sync requests until the parent kills them.
 //!
+//! Logs and stores go under `--dir`, or else a fresh
+//! `$TMPDIR/dagrider-cluster-<pid>` that a passing run removes; a failed
+//! run keeps it and prints its path.
+//!
 //! ```text
 //! cargo run --release -p dagrider-net --bin cluster
 //! cargo run --release -p dagrider-net --bin cluster -- --restart
@@ -90,23 +94,54 @@ fn marker_tx(i: usize) -> Transaction {
 // Parent
 // ---------------------------------------------------------------------------
 
+/// What the parent runs, parsed from its arguments.
+struct Launch {
+    n: usize,
+    seed: u64,
+    restart: bool,
+    store: bool,
+    serve: bool,
+    max_round: u64,
+    timeout: Duration,
+}
+
 fn parent_main(args: &[String]) -> Result<(), String> {
-    let n: usize = parse_arg(args, "--n", 4)?;
-    let seed: u64 = parse_arg(args, "--seed", DEFAULT_SEED)?;
-    let restart = args.iter().any(|a| a == "--restart");
-    let store = args.iter().any(|a| a == "--store");
     let serve = args.iter().any(|a| a == "--serve");
     // A serving cluster has no round horizon: it runs until killed.
     let default_round = if serve { u64::MAX / 2 } else { DEFAULT_MAX_ROUND };
-    let max_round: u64 = parse_arg(args, "--max-round", default_round)?;
-    let timeout = Duration::from_secs(parse_arg(args, "--timeout-secs", 120u64)?);
-
-    let dir = match arg_value(args, "--dir") {
+    let launch = Launch {
+        n: parse_arg(args, "--n", 4)?,
+        seed: parse_arg(args, "--seed", DEFAULT_SEED)?,
+        restart: args.iter().any(|a| a == "--restart"),
+        store: args.iter().any(|a| a == "--store"),
+        serve,
+        max_round: parse_arg(args, "--max-round", default_round)?,
+        timeout: Duration::from_secs(parse_arg(args, "--timeout-secs", 120u64)?),
+    };
+    let given = arg_value(args, "--dir");
+    let owned = given.is_none();
+    let dir = match given {
         Some(d) => PathBuf::from(d),
         None => std::env::temp_dir().join(format!("dagrider-cluster-{}", std::process::id())),
     };
     std::fs::create_dir_all(&dir).map_err(|e| format!("create {}: {e}", dir.display()))?;
+    let verdict = run_cluster(&launch, &dir);
+    match &verdict {
+        // A run directory of our own goes once the run has passed; the
+        // logs and stores of a failed run stay for a post-mortem.
+        Ok(()) if owned => {
+            std::fs::remove_dir_all(&dir).map_err(|e| format!("remove {}: {e}", dir.display()))?;
+        }
+        Ok(()) => {}
+        Err(_) => eprintln!("cluster: run directory kept at {}", dir.display()),
+    }
+    verdict
+}
 
+/// Launches the children with their logs and stores in `dir`, then
+/// serves until one dies, or runs them to quiescence and verifies them.
+fn run_cluster(launch: &Launch, dir: &Path) -> Result<(), String> {
+    let Launch { n, seed, restart, store, serve, max_round, timeout } = *launch;
     let addrs = free_addrs(n)?;
     let addr_list = addrs.iter().map(ToString::to_string).collect::<Vec<_>>().join(",");
     let exe = std::env::current_exe().map_err(|e| format!("current_exe: {e}"))?;
@@ -188,7 +223,7 @@ fn parent_main(args: &[String]) -> Result<(), String> {
         children[victim] = spawn_child(victim)?;
     }
 
-    let verdict = wait_and_verify(&dir, n, restart, timeout, &mut children, &out_path);
+    let verdict = wait_and_verify(dir, n, restart, timeout, &mut children, &out_path);
     for mut child in children {
         let _ = child.kill();
         let _ = child.wait();
@@ -346,10 +381,11 @@ fn child_main(args: &[String]) -> Result<(), String> {
     let node =
         NetNode::start::<BrachaRbc>(config, Some(listener)).map_err(|e| format!("start: {e}"))?;
 
-    // Submit our marker immediately, into the open batch: it is
-    // batched, pushed to every peer, and its digest rides an early
-    // vertex (on localhost the whole run can finish in under a second —
-    // waiting for the sync phase could miss the last proposal round).
+    // Submit our marker immediately, into the engine's open batch: the
+    // node's first vertex seals it and names it, and the batch is pushed
+    // to every peer ahead of that vertex (on localhost the whole run can
+    // finish in under a second — waiting for the sync phase could miss
+    // the last proposal round).
     node.submit_tx(marker_tx(index));
 
     // Serving mode: no quiescence, no log dump — run until the parent

@@ -12,7 +12,7 @@
 //!   [`NetNode::admission_stats`](crate::NetNode::admission_stats) reads.
 //! * `Matcher` (crate-private) — the ordered-notification matcher the
 //!   reactor keeps beside its client sessions: an entry per subscribed
-//!   submission drained toward the open batch, taken when a
+//!   submission drained toward consensus, taken when a
 //!   transaction with its bytes lands in the total order, so the reactor
 //!   can queue a [`WireMsg::ClientOrdered`] on that client's socket.
 //!
@@ -51,7 +51,8 @@ pub struct AdmissionStats {
 pub struct AdmissionSnapshot {
     /// Submissions admitted into a client queue (acked).
     pub accepted: u64,
-    /// Admitted transactions drained onward into the open batch.
+    /// Admitted transactions drained onward to consensus, for the
+    /// engine's open batch.
     pub coalesced: u64,
     /// Submissions refused with a typed reject (queue full, oversized,
     /// or node not yet live).
@@ -103,7 +104,7 @@ fn tx_hash(bytes: &[u8]) -> u64 {
 /// Subscribed submissions waiting for their transaction to be ordered:
 /// the ordered-notification matcher. The reactor owns it next to the
 /// client sessions, records an entry before it hands the transaction to
-/// the open batch, and takes entries as the ordered log grows, so an
+/// consensus, and takes entries as the ordered log grows, so an
 /// entry always exists before its transaction can appear in the log.
 ///
 /// Entries are keyed by [`tx_hash`] and queue in admission order, so

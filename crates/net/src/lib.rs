@@ -16,19 +16,20 @@
 //!   backpressure, drained by the reactor without blocking.
 //! * `reactor` (crate-private) — the readiness-based event loop: one
 //!   thread owns every socket, one link per peer plus the clients. It
-//!   fills the node's one open batch, its only way in for transactions,
-//!   and seals it once full ([`BATCH_MAX_BYTES`]) or once the round that
-//!   filled it has passed. It queues each sealed batch on every peer's
-//!   link ahead of the vertex that names it, hashes every batch a peer
-//!   sends, and tells subscribed clients when their transactions are
-//!   ordered, so a node runs three threads (four with a store) regardless
-//!   of cluster size or client count. Consensus orders batch digests.
+//!   admits client transactions and hands them to consensus, hashes every
+//!   batch a peer sends, and tells subscribed clients when their
+//!   transactions are ordered, so a node runs three threads (four with a
+//!   store) regardless of cluster size or client count.
 //! * [`client`] — the client submission front end: admission counters
 //!   and the ordered-notification matcher the reactor keeps.
 //! * [`runtime`] — [`NetNode`]: one DAG-Rider process as an
 //!   event-driven TCP runtime with graceful shutdown. Its consensus
 //!   thread checks peer input as the engine takes it, a burst of events
-//!   per wake-up; batches arrive already hashed.
+//!   per wake-up; batches arrive already hashed. Transactions fill the
+//!   engine's open batch, which seals once full ([`BATCH_MAX_BYTES`]) or
+//!   when the engine creates its next vertex; consensus queues each sealed
+//!   batch on every peer's link ahead of the vertex that names it, and
+//!   orders batch digests.
 //! * [`wal`] — off-thread durability: the consensus loop hands durable
 //!   events to a flusher thread that appends them to a
 //!   `dagrider-store` write-ahead log and installs compacted
@@ -66,9 +67,9 @@ pub mod wire;
 
 pub use backoff::Backoff;
 pub use client::{AdmissionSnapshot, AdmissionStats};
+pub use dagrider_core::BATCH_MAX_BYTES;
 pub use frame::{read_frame, write_frame, Fill, Frame, FramePool, FrameReader, MAX_FRAME_LEN};
 pub use queue::{Pop, SendQueue};
-pub use reactor::BATCH_MAX_BYTES;
 pub use runtime::{NetConfig, NetNode, StoreConfig};
 pub use signal::{Shutdown, Waker};
 pub use wal::{wal_channel, wal_flush_loop, WalHandle, WalJob, WalJobs, WalSink};

@@ -25,17 +25,13 @@
 //! * **clients** — admission control at the socket edge: bounded
 //!   per-client queues ([`CLIENT_QUEUE_CAPACITY`]), typed
 //!   [`WireMsg::ClientReject`]s when load must shed, round-robin draining
-//!   into the open batch, per-connection reply queues for acks and
-//!   ordered notifications. Client sockets are swept in rotating chunks
-//!   so ten thousand idle connections cannot starve peer traffic.
-//! * **the open batch** — drained client submissions and
-//!   `NetNode::submit_tx`'s channel fill the node's one open batch, which
-//!   seals when it is full or the published round rises. Sealing queues
-//!   one shared frame on every peer's link, ahead of the vertex that will
-//!   name the batch, and then hands the batch to consensus.
+//!   onto consensus's transaction channel, which feeds the engine's open
+//!   batch, and per-connection reply queues for acks and ordered
+//!   notifications. Client sockets are swept in rotating chunks so ten
+//!   thousand idle connections cannot starve peer traffic.
 //! * **ordered notifications** — a subscribed client's submission leaves
-//!   an entry in the client `Matcher` as it drains toward the open
-//!   batch; when the published ordered log grows, the reactor reads the
+//!   an entry in the client `Matcher` as it drains toward consensus;
+//!   when the published ordered log grows, the reactor reads the
 //!   new tail from its cursor and queues a [`WireMsg::ClientOrdered`] on
 //!   the socket of each client whose transaction it finds.
 //!
@@ -44,8 +40,8 @@
 //! explored by `dagrider-check` — which every producer (consensus
 //! routing frames and appending to the ordered log, `NetNode::submit_tx`,
 //! the dialer registering links) rings after publishing work. Consensus
-//! rings it after every burst, so a round advance is seen, and its
-//! batch sealed, one sweep later. `cargo xtask lint` verifies no
+//! rings it after every burst, so the frames and ordered entries a burst
+//! made go out one sweep later. `cargo xtask lint` verifies no
 //! blocking call reaches the sweep functions.
 //!
 //! Dialing stays on its own thread ([`dialer_loop`]): `connect` is the
@@ -60,8 +56,8 @@ use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use dagrider_core::HashedBatch;
-use dagrider_types::{Batch, Committee, Decode, Encode, ProcessId, Transaction};
+use dagrider_core::{HashedBatch, BATCH_MAX_BYTES};
+use dagrider_types::{Committee, Decode, Encode, ProcessId, Transaction};
 
 use crate::backoff::Backoff;
 use crate::client::{AdmissionStats, Matcher};
@@ -74,11 +70,6 @@ use crate::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use crate::sync::Arc;
 use crate::wire::{RejectReason, WireMsg};
 
-/// A batch seals once its transaction payload reaches this size. Client
-/// admission and `NetNode::submit_tx` refuse a transaction larger than
-/// this, so a sealed batch holds less than twice this much.
-pub const BATCH_MAX_BYTES: usize = 64 * 1024;
-
 /// Inbound connections accepted per sweep (keeps one accept storm from
 /// starving established traffic).
 const ACCEPT_BUDGET: usize = 256;
@@ -88,9 +79,9 @@ const ACCEPT_BUDGET: usize = 256;
 /// which there may be tens of thousands, mostly idle — take turns.
 const CLIENT_SWEEP_CHUNK: usize = 2048;
 
-/// Transactions moved into the open batch per sweep from the client
-/// queues, round-robin across clients so one firehose client cannot
-/// monopolize a sweep, and as many again from `NetNode::submit_tx`.
+/// Transactions handed to consensus per sweep from the client queues,
+/// round-robin across clients so one firehose client cannot monopolize a
+/// sweep.
 const DRAIN_BUDGET: usize = 1024;
 
 /// Read calls per connection per sweep (16 KiB each): bounds how long
@@ -236,16 +227,14 @@ enum Verdict {
 /// Everything the reactor thread needs, handed over at spawn.
 pub(crate) struct ReactorConfig {
     pub committee: Committee,
-    pub me: ProcessId,
     pub listener: TcpListener,
     /// Links the dialer connected and handshook, for the reactor to adopt.
     pub dialed: Receiver<OutLink>,
     pub waker: Arc<Waker>,
     pub consensus: Sender<Event>,
-    /// Every peer's outbound queue, which a sealed batch's frame joins.
-    pub peers: Vec<Arc<SendQueue>>,
-    /// Transactions `NetNode::submit_tx` hands over for the open batch.
-    pub submitted: Receiver<Transaction>,
+    /// Where admitted transactions go: consensus's channel for the
+    /// engine's open batch, which `NetNode::submit_tx` feeds too.
+    pub submitted: Sender<Transaction>,
     pub redial: Sender<DialRequest>,
     pub stats: Arc<AdmissionStats>,
     pub published: Arc<Published>,
@@ -270,14 +259,6 @@ struct Reactor {
     sweep_cursor: usize,
     drain_cursor: usize,
     next_client: u64,
-    /// The published round as of the last seal step: the round that
-    /// fills `open`.
-    round: u64,
-    /// The open batch. It seals when [`Assembler::push`] reports it full,
-    /// or when the round that filled it has passed and it is not empty,
-    /// so a sealed batch is never empty and one round seals at most one
-    /// underfull batch.
-    open: Assembler,
     /// Clients with queued replies to flush this sweep.
     reply_dirty: Vec<u64>,
     /// Subscribed submissions waiting for their transaction to be ordered.
@@ -285,34 +266,6 @@ struct Reactor {
     /// How much of the published ordered log `notify_ordered` has read.
     ordered_cursor: usize,
     frames: FramePool,
-}
-
-/// Accumulates the open batch and says when it is full.
-#[derive(Debug, Default)]
-struct Assembler {
-    pending: Vec<Transaction>,
-    pending_bytes: usize,
-}
-
-impl Assembler {
-    /// Adds one transaction; returns `true` when the batch has reached
-    /// [`BATCH_MAX_BYTES`] and should seal immediately.
-    fn push(&mut self, tx: Transaction) -> bool {
-        self.pending_bytes += tx.len();
-        self.pending.push(tx);
-        self.pending_bytes >= BATCH_MAX_BYTES
-    }
-
-    /// Whether the batch holds no transaction.
-    fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
-
-    /// Takes the pending transactions, resetting the assembler.
-    fn take(&mut self) -> Vec<Transaction> {
-        self.pending_bytes = 0;
-        std::mem::take(&mut self.pending)
-    }
 }
 
 /// Outcome of pumping one outbound link.
@@ -335,8 +288,6 @@ impl Reactor {
             sweep_cursor: 0,
             drain_cursor: 0,
             next_client: 1,
-            round: 0,
-            open: Assembler::default(),
             reply_dirty: Vec::new(),
             matcher: Matcher::default(),
             ordered_cursor: 0,
@@ -358,7 +309,6 @@ impl Reactor {
             progress |= self.sweep_conns();
             progress |= self.sweep_clients();
             progress |= self.drain_admission();
-            progress |= self.seal_on_advance();
             progress |= self.notify_ordered();
             progress |= self.flush_replies();
             if !progress {
@@ -718,8 +668,9 @@ impl Reactor {
         }
     }
 
-    /// Round-robin drain of admitted submissions into the open batch.
-    /// Budgeted per sweep — this is the per-client fairness point.
+    /// Round-robin drain of admitted submissions onto consensus's
+    /// transaction channel. Budgeted per sweep — this is the per-client
+    /// fairness point.
     fn drain_admission(&mut self) -> bool {
         if self.client_ids.is_empty() {
             return false;
@@ -747,53 +698,9 @@ impl Reactor {
             if client.subscribed {
                 self.matcher.admit(id, seq, tx.as_ref());
             }
-            self.fill_batch(tx);
+            let _ = self.config.submitted.send(tx);
         }
         drained
-    }
-
-    /// Moves `NetNode::submit_tx`'s transactions into the open batch, up
-    /// to [`DRAIN_BUDGET`] per sweep. Then, if the published round has
-    /// risen since the last call, seals the batch the previous round
-    /// filled, unless it is empty: the vertex made at the advance went out
-    /// without the batch, whose digest rides the node's next vertex. A
-    /// seal counts as progress.
-    fn seal_on_advance(&mut self) -> bool {
-        let mut progress = false;
-        for _ in 0..DRAIN_BUDGET {
-            let Ok(tx) = self.config.submitted.try_recv() else { break };
-            self.fill_batch(tx);
-            progress = true;
-        }
-        let round = self.config.published.round.load(AtomicOrdering::Relaxed);
-        if round > self.round {
-            if !self.open.is_empty() {
-                self.seal();
-                progress = true;
-            }
-            self.round = round;
-        }
-        progress
-    }
-
-    /// Puts `tx` into the open batch, and seals it at once if it is full.
-    fn fill_batch(&mut self, tx: Transaction) {
-        if self.open.push(tx) {
-            self.seal();
-        }
-    }
-
-    /// Seals the open batch as worker 0: hashes it, queues one frame that
-    /// every peer link shares, and only then hands the batch to consensus,
-    /// so on each link the frame goes out ahead of the vertex that names
-    /// it.
-    fn seal(&mut self) {
-        let batch = HashedBatch::new(Batch::new(self.config.me, 0, self.open.take()));
-        let frame = self.frames.encode_with(|buf| WireMsg::encode_batch_into(batch.batch(), buf));
-        for queue in &self.config.peers {
-            queue.push(frame.clone());
-        }
-        let _ = self.config.consensus.send(Event::OwnBatch(batch));
     }
 
     /// Matches the ordered log's new tail against the waiting entries and
@@ -970,7 +877,6 @@ mod tests {
     use std::io::Cursor;
 
     use super::*;
-    use crate::sync::mpsc;
 
     /// A non-blocking socket stand-in: call `i` takes at most
     /// `limits[i % len]` bytes across the offered slices, and a zero
@@ -1133,150 +1039,5 @@ mod tests {
             assert_eq!(queue.try_pop(), Pop::Frame(frame));
         }
         assert_eq!(queue.try_pop(), Pop::Empty);
-    }
-
-    /// A reactor of process 0 with one queue per peer in `peers`, the
-    /// channel its sealed batches reach consensus on, and its
-    /// `NetNode::submit_tx` feed.
-    fn sealing_reactor(
-        peers: Vec<Arc<SendQueue>>,
-    ) -> (Reactor, Receiver<Event>, Sender<Transaction>) {
-        let (consensus, sealed) = mpsc::channel();
-        let (submit, submitted) = mpsc::channel();
-        let config = ReactorConfig {
-            committee: Committee::new(4).unwrap(),
-            me: ProcessId::new(0),
-            listener: TcpListener::bind("127.0.0.1:0").unwrap(),
-            dialed: mpsc::channel().1,
-            waker: Arc::new(Waker::new()),
-            consensus,
-            peers,
-            submitted,
-            redial: mpsc::channel().0,
-            stats: Arc::default(),
-            published: Arc::default(),
-            stop: Arc::new(Shutdown::new()),
-        };
-        (Reactor::new(config), sealed, submit)
-    }
-
-    /// Publishes `round` as the consensus thread does, then runs one
-    /// sweep's seal step.
-    fn seal_at(reactor: &mut Reactor, round: u64) {
-        reactor.config.published.round.store(round, AtomicOrdering::Relaxed);
-        reactor.seal_on_advance();
-    }
-
-    /// The transaction count of every batch sealed since the last call.
-    fn sealed(rx: &Receiver<Event>) -> Vec<usize> {
-        let mut batches = Vec::new();
-        while let Ok(event) = rx.try_recv() {
-            let Event::OwnBatch(batch) = event else { panic!("a seal sends only OwnBatch") };
-            batches.push(batch.batch().len());
-        }
-        batches
-    }
-
-    fn small(tag: u64) -> Transaction {
-        Transaction::synthetic(tag, 128)
-    }
-
-    #[test]
-    fn a_lane_seals_when_the_round_that_filled_it_has_passed() {
-        let (mut reactor, rx, submit) = sealing_reactor(Vec::new());
-        // At genesis the round stands still: nothing seals, however
-        // many sweeps run.
-        reactor.fill_batch(small(1));
-        submit.send(small(2)).unwrap();
-        for _ in 0..3 {
-            seal_at(&mut reactor, 0);
-        }
-        assert_eq!(sealed(&rx), []);
-
-        // The advance seals round 0's batch, with both transactions.
-        seal_at(&mut reactor, 1);
-        assert_eq!(sealed(&rx), [2]);
-
-        // What arrives after the advance joins round 1's batch, and waits
-        // there until round 1 passes.
-        reactor.fill_batch(small(3));
-        submit.send(small(4)).unwrap();
-        seal_at(&mut reactor, 1);
-        assert_eq!(sealed(&rx), []);
-        seal_at(&mut reactor, 2);
-        assert_eq!(sealed(&rx), [2]);
-
-        // An advance past a round that filled nothing seals nothing: an
-        // empty batch never seals.
-        seal_at(&mut reactor, 3);
-        assert_eq!(sealed(&rx), []);
-
-        // A jump over several rounds seals the one batch that was filling
-        // (round 3's), and the round it lands on fills the next one.
-        reactor.fill_batch(small(5));
-        seal_at(&mut reactor, 7);
-        assert_eq!(sealed(&rx), [1]);
-        reactor.fill_batch(small(6));
-        seal_at(&mut reactor, 8);
-        assert_eq!(sealed(&rx), [1]);
-    }
-
-    #[test]
-    fn a_full_batch_seals_at_once_mid_round() {
-        let (mut reactor, rx, _submit) = sealing_reactor(Vec::new());
-        seal_at(&mut reactor, 5);
-        let half = |tag| Transaction::synthetic(tag, BATCH_MAX_BYTES / 2);
-        reactor.fill_batch(half(1));
-        assert_eq!(sealed(&rx), []);
-        reactor.fill_batch(half(2));
-        assert_eq!(sealed(&rx), [2], "round 5's batch seals on reaching the bound");
-
-        // The round has not moved: the batch refills, and the rest of the
-        // round's transactions seal at the advance.
-        reactor.fill_batch(half(3));
-        seal_at(&mut reactor, 5);
-        assert_eq!(sealed(&rx), []);
-        seal_at(&mut reactor, 6);
-        assert_eq!(sealed(&rx), [1]);
-    }
-
-    #[test]
-    fn a_seal_queues_the_batch_on_every_peer_link() {
-        let peers: Vec<Arc<SendQueue>> = (0..3).map(|_| Arc::new(SendQueue::new(8))).collect();
-        let (mut reactor, rx, _submit) = sealing_reactor(peers.clone());
-        reactor.fill_batch(small(1));
-        seal_at(&mut reactor, 1);
-        let Ok(Event::OwnBatch(own)) = rx.try_recv() else { panic!("nothing sealed") };
-        for queue in &peers {
-            let Pop::Frame(frame) = queue.try_pop() else { panic!("a peer got no frame") };
-            let sent = WireMsg::from_bytes(frame.payload());
-            assert_eq!(sent, Ok(WireMsg::Batch(own.batch().clone())));
-            assert_eq!(queue.try_pop(), Pop::Empty);
-        }
-    }
-
-    #[test]
-    fn one_lane_seals_once_every_round() {
-        let (mut reactor, rx, _submit) = sealing_reactor(Vec::new());
-        for round in 1..=5 {
-            reactor.fill_batch(small(2 * round));
-            reactor.fill_batch(small(2 * round + 1));
-            seal_at(&mut reactor, round);
-            assert_eq!(sealed(&rx), [2], "round {round}");
-        }
-    }
-
-    #[test]
-    fn assembler_seals_on_size() {
-        let half = BATCH_MAX_BYTES / 2;
-        let mut a = Assembler::default();
-        assert!(a.is_empty());
-        assert!(!a.push(Transaction::synthetic(1, half - 1)));
-        assert!(!a.push(Transaction::synthetic(2, half)), "one byte short of the bound: not full");
-        assert!(a.push(Transaction::synthetic(3, 1)), "at the bound: full");
-        assert_eq!(a.take().len(), 3);
-        assert!(a.is_empty(), "take resets the assembler");
-        assert!(!a.push(Transaction::synthetic(4, half)), "the byte count restarts after take");
-        assert!(a.push(Transaction::synthetic(5, half)));
     }
 }

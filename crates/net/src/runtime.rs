@@ -10,18 +10,20 @@
 //!   peer payloads to the engine raw: the engine hashes each broadcast
 //!   payload once per instance and checks each coin share's proof. It
 //!   forwards the durable subset of each engine turn's events to the
-//!   flusher before routing the turn's outputs.
+//!   flusher before routing the turn's outputs. Transactions reach it on a
+//!   channel of their own, which [`NetNode::submit_tx`] and the reactor's
+//!   client admission both feed; before each event it hands whatever the
+//!   channel holds to the engine's open batch. The engine seals that
+//!   batch once full or when it creates its next vertex, which then names
+//!   it, and consensus queues the batch's frame on every peer's link
+//!   ahead of that vertex. Consensus orders only batch digests.
 //! * **reactor** — owns *every* socket: the listener, one inbound and
 //!   one outbound link per peer, and all client sessions, swept in
 //!   non-blocking readiness loops (see `crate::reactor`). Client
 //!   admission, load shedding, round-robin fairness, and matching
 //!   ordered transactions back to subscribed clients' submissions live
-//!   here, at the socket edge. It also owns the node's open batch: it
-//!   fills it, seals and hashes it, and queues its frame on every peer's
-//!   link. The open batch is the node's only way in for transactions:
-//!   [`NetNode::submit_tx`] and the client protocol both feed it, and
-//!   consensus orders only batch digests. Every peer batch, pushed or
-//!   fetched, is hashed here too.
+//!   here, at the socket edge. Every peer batch, pushed or fetched, is
+//!   hashed here before consensus sees it.
 //! * **dialer** — the one place TCP `connect` happens; hands connected,
 //!   handshaken, non-blocking links to the reactor and redials dead
 //!   ones with capped jittered [`Backoff`](crate::Backoff).
@@ -47,7 +49,7 @@ use std::time::{Duration, Instant};
 
 use dagrider_core::{
     DagRiderEngine, DurableEvent, EngineEvent, EngineInput, EngineOutput, HashedBatch, NodeConfig,
-    NodeMessage, OrderedVertex, Turn,
+    NodeMessage, OrderedVertex, Turn, BATCH_MAX_BYTES,
 };
 use dagrider_crypto::CoinKeys;
 use dagrider_rbc::ReliableBroadcast;
@@ -59,7 +61,7 @@ use dagrider_types::{
 use crate::client::{AdmissionSnapshot, AdmissionStats};
 use crate::frame::FramePool;
 use crate::queue::SendQueue;
-use crate::reactor::{dialer_loop, reactor_main, DialRequest, ReactorConfig, BATCH_MAX_BYTES};
+use crate::reactor::{dialer_loop, reactor_main, DialRequest, ReactorConfig};
 use crate::signal::{Shutdown, Waker};
 use crate::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use crate::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
@@ -158,9 +160,10 @@ impl NetConfig {
         self
     }
 
-    /// Does nothing: a node keeps one open batch and one link per peer,
-    /// and seals every batch as worker 0. The repository benchmark calls
-    /// it, so deleting it waits for that benchmark's next version.
+    /// Does nothing: a node's engine keeps one open batch, the node keeps
+    /// one link per peer, and every batch seals as worker 0. The
+    /// repository benchmark calls it, so deleting it waits for that
+    /// benchmark's next version.
     #[must_use]
     pub fn with_workers(self, _workers: usize) -> Self {
         self
@@ -179,10 +182,6 @@ impl NetConfig {
 pub(crate) enum Event {
     /// A decoded wire message from an identified peer.
     Net { from: ProcessId, msg: WireMsg },
-    /// The reactor sealed, hashed and queued one of this node's batches:
-    /// hand it to the engine's batch map, then its digest to the engine's
-    /// next vertex.
-    OwnBatch(HashedBatch),
     /// Peer `from`'s link carried a batch, pushed or fetched, which the
     /// reactor hashed: the engine stores it if `from` created it or a
     /// vertex the engine holds names it.
@@ -205,8 +204,7 @@ pub(crate) struct Published {
     /// [`NetNode::ordered_len`]) sees the log grow without taking the
     /// mutex, and a length it reads never exceeds the log it then locks.
     pub(crate) ordered_len: AtomicU64,
-    /// The engine's current round; the reactor seals its open batch when
-    /// it rises.
+    /// The engine's current round, for [`NetNode::current_round`].
     pub(crate) round: AtomicU64,
     pub(crate) decided_wave: AtomicU64,
     pub(crate) synced: AtomicBool,
@@ -329,6 +327,8 @@ impl NetNode {
 
         let mut threads = Vec::new();
 
+        // Transactions for the engine's open batch, from `submit_tx` and
+        // the reactor's client admission.
         let (submitted, submitted_rx) = mpsc::channel::<Transaction>();
 
         // Seed one link per peer; the dialer (re)establishes them.
@@ -352,13 +352,11 @@ impl NetNode {
         {
             let reactor_config = ReactorConfig {
                 committee,
-                me,
                 listener,
                 dialed: dialed_rx,
                 waker: Arc::clone(&waker),
                 consensus: tx.clone(),
-                peers: committee.others(me).map(|p| Arc::clone(&queues[p.as_usize()])).collect(),
-                submitted: submitted_rx,
+                submitted: submitted.clone(),
                 redial: redial_tx,
                 stats: Arc::clone(&admission),
                 published: Arc::clone(&published),
@@ -397,7 +395,7 @@ impl NetNode {
             threads.push(thread::spawn(move || {
                 consensus_loop::<B>(
                     config,
-                    rx,
+                    Inbox { events: rx, transactions: submitted_rx },
                     &consensus_queues,
                     &state,
                     &consensus_stop,
@@ -438,18 +436,15 @@ impl NetNode {
         self.addr
     }
 
-    /// Submits one transaction for atomic broadcast through the node's
+    /// Submits one transaction for atomic broadcast through the engine's
     /// open batch: its bytes travel in the batch, pushed to every peer,
-    /// and consensus orders the batch digest.
+    /// and consensus orders the batch digest. Consensus takes it before
+    /// its next event, and the node's next vertex names it.
     /// Returns `false` for a transaction longer than [`BATCH_MAX_BYTES`],
     /// which client admission refuses as `Oversized` too, and once the
     /// node has shut down.
     pub fn submit_tx(&self, tx: Transaction) -> bool {
-        if tx.len() > BATCH_MAX_BYTES || self.submitted.send(tx).is_err() {
-            return false;
-        }
-        self.waker.wake();
-        true
+        tx.len() <= BATCH_MAX_BYTES && self.submitted.send(tx).is_ok()
     }
 
     /// Batches the engine has stored since the node started (own,
@@ -565,6 +560,14 @@ impl Drop for NetNode {
     }
 }
 
+/// The consensus thread's two channels: the events that wake it, and the
+/// transactions for the engine's open batch (from [`NetNode::submit_tx`]
+/// and client admission), whose sends wake nothing.
+struct Inbox {
+    events: Receiver<Event>,
+    transactions: Receiver<Transaction>,
+}
+
 /// Events one consensus wake-up takes before it fires timers, publishes
 /// progress and rings the reactor.
 const MAX_BURST: u64 = 64;
@@ -578,12 +581,13 @@ const QUEUE_CAPACITY: usize = 4096;
 const TICK: Duration = Duration::from_millis(25);
 
 /// The consensus thread: sync phase, then the event loop driving the
-/// engine until shutdown. Each wake-up takes a burst of queued events
-/// and ends by ringing the reactor's waker once, so frames the engine
-/// pushed hit the wire without waiting for the reactor's idle tick.
+/// engine until shutdown. Each wake-up takes a burst of queued events,
+/// handing the engine the submitted transactions before each, and ends by
+/// ringing the reactor's waker once, so frames the engine pushed hit the
+/// wire without waiting for the reactor's idle tick.
 fn consensus_loop<B: ReliableBroadcast>(
     config: NetConfig,
-    rx: Receiver<Event>,
+    inbox: Inbox,
     queues: &[Arc<SendQueue>],
     published: &Published,
     stop: &Shutdown,
@@ -600,10 +604,14 @@ fn consensus_loop<B: ReliableBroadcast>(
     let mut recovered_state = durable.as_mut().and_then(|ctx| ctx.recovered.take());
 
     let mut routed = Routed::default();
-    // Encode buffers recycle through this pool: steady-state outbound
-    // traffic allocates nothing.
+    // Encode buffers recycle through these pools: steady-state outbound
+    // traffic allocates nothing. Batch frames (up to twice
+    // `BATCH_MAX_BYTES`) keep a pool of their own: a buffer never
+    // shrinks, and one that carried a batch and then went round with the
+    // engine frames would keep its size there.
     let frames = FramePool::new();
-    let route = |outs: Vec<EngineOutput>, routed: &mut Routed| {
+    let batch_frames = FramePool::new();
+    let route = |engine: &DagRiderEngine<B>, outs: Vec<EngineOutput>, routed: &mut Routed| {
         for out in outs {
             match out {
                 EngineOutput::Send { to, payload } => {
@@ -622,6 +630,18 @@ fn consensus_loop<B: ReliableBroadcast>(
                 }
                 EngineOutput::SetTimer { delay, tag } => {
                     routed.timers.push((Instant::now() + Duration::from_millis(delay), tag));
+                }
+                EngineOutput::PushBatch(digest) => {
+                    // The engine emits this ahead of the vertex that names
+                    // the batch, so each link carries the batch first. One
+                    // frame, shared by every queue.
+                    if let Some(batch) = engine.batch(&digest) {
+                        let frame =
+                            batch_frames.encode_with(|buf| WireMsg::encode_batch_into(batch, buf));
+                        for to in committee.others(me) {
+                            queues[to.as_usize()].push(frame.clone());
+                        }
+                    }
                 }
                 EngineOutput::FetchBatches { from, digests } => {
                     // A buffered vertex names batches that never arrived
@@ -669,13 +689,13 @@ fn consensus_loop<B: ReliableBroadcast>(
                 }
             }
         }
-        route(turn.outputs, routed);
+        route(engine, turn.outputs, routed);
     };
 
     // Replay the local store into the fresh engine before anything
     // touches the network. The recovered prefix re-derives silently —
-    // its events are already in the store, `Send`/`Broadcast` are
-    // dropped (peers saw the original traffic long ago), and `Ordered`
+    // its events are already in the store, `Send`/`Broadcast`/`PushBatch`
+    // are dropped (peers saw the original traffic long ago), and `Ordered`
     // re-deliveries are published with the first iteration's progress.
     // The DAG and the coin now hold the prefix, so only *new* events
     // reach the WAL. The sync phase below then fetches just the suffix
@@ -689,11 +709,13 @@ fn consensus_loop<B: ReliableBroadcast>(
             engine_now(epoch),
             &mut rng,
             |out| match out {
-                EngineOutput::Send { .. } | EngineOutput::Broadcast { .. } => {}
+                EngineOutput::Send { .. }
+                | EngineOutput::Broadcast { .. }
+                | EngineOutput::PushBatch(_) => {}
                 other => replay_outs.push(other),
             },
         );
-        route(replay_outs, &mut routed);
+        route(&engine, replay_outs, &mut routed);
         published.recovered.store(stats.total() as u64, AtomicOrdering::Relaxed);
         // The recovered batches start the running totals.
         published.batches.store(engine.batches_stored() as u64, AtomicOrdering::Relaxed);
@@ -716,7 +738,7 @@ fn consensus_loop<B: ReliableBroadcast>(
     let mut live = false;
 
     loop {
-        let mut next = match rx.recv_timeout(TICK) {
+        let mut next = match inbox.events.recv_timeout(TICK) {
             Ok(event) => Some(event),
             Err(RecvTimeoutError::Timeout) => None,
             Err(RecvTimeoutError::Disconnected) => return,
@@ -725,9 +747,22 @@ fn consensus_loop<B: ReliableBroadcast>(
             return;
         }
         // One wake-up takes every event already queued, up to
-        // `MAX_BURST`; each turn still persists before it routes.
+        // `MAX_BURST`; each turn still persists before it routes. Before
+        // each event, and once more after the last, the engine takes the
+        // transactions submitted so far, so the vertex any event makes
+        // names them.
         let mut burst = 0;
-        while let Some(event) = next.take() {
+        loop {
+            let mut transactions = Vec::new();
+            while let Ok(tx) = inbox.transactions.try_recv() {
+                transactions.push(tx);
+            }
+            if !transactions.is_empty() {
+                let input = EngineInput::SubmitTransactions(transactions);
+                let turn = engine.handle(engine_now(epoch), input, &mut rng);
+                emit(&engine, turn, &mut routed);
+            }
+            let Some(event) = next.take() else { break };
             burst += 1;
             match event {
                 Event::Net { from, msg } => match msg {
@@ -761,7 +796,7 @@ fn consensus_loop<B: ReliableBroadcast>(
                         }
                     }
                     WireMsg::BatchRequest { digests } => {
-                        serve_batches(&engine, &digests, &queues[from.as_usize()], &frames);
+                        serve_batches(&engine, &digests, &queues[from.as_usize()], &batch_frames);
                     }
                     // Handshake frames are consumed by the reactor, which
                     // sends batches as `PeerBatch`; client frames never
@@ -776,28 +811,6 @@ fn consensus_loop<B: ReliableBroadcast>(
                     | WireMsg::ClientSubscribe
                     | WireMsg::ClientOrdered { .. } => {}
                 },
-                Event::OwnBatch(batch) => {
-                    // The reactor sealed and queued this batch for our peers:
-                    // store it, then let the next vertex name it. Each link
-                    // carries the batch ahead of that vertex, but a peer can
-                    // deliver the vertex first from other peers' READYs and
-                    // hold it in its buffer until the batch arrives.
-                    let digest = batch.digest();
-                    let turn =
-                        engine.handle(engine_now(epoch), EngineInput::BatchStored(batch), &mut rng);
-                    emit(&engine, turn, &mut routed);
-                    if live {
-                        let input = EngineInput::SubmitDigests(vec![digest]);
-                        let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                        emit(&engine, turn, &mut routed);
-                    } else {
-                        // A batch seals once full, whatever the round, but a
-                        // digest submitted before `start` would move the
-                        // engine off genesis: queue it without driving the
-                        // protocol, for the node's next vertex.
-                        engine.enqueue_digests(vec![digest]);
-                    }
-                }
                 Event::PeerBatch { from, batch } => {
                     // A peer pushes only its own batches unasked; any other
                     // is a fetch answer, wanted while a vertex names it. An
@@ -818,7 +831,7 @@ fn consensus_loop<B: ReliableBroadcast>(
                 Event::Shutdown => return,
             }
             if burst < MAX_BURST {
-                next = rx.try_recv().ok();
+                next = inbox.events.try_recv().ok();
             }
         }
         published.max_burst.fetch_max(burst, AtomicOrdering::Relaxed);
@@ -859,9 +872,8 @@ fn consensus_loop<B: ReliableBroadcast>(
         published.decided_wave.store(engine.decided_wave().number(), AtomicOrdering::Relaxed);
 
         // Anything this iteration queued or ordered reaches the wire, and
-        // the subscribed clients, after one reactor sweep, as does the
-        // seal a round advance triggers — ring the bell rather than wait
-        // for its tick.
+        // the subscribed clients, after one reactor sweep — ring the bell
+        // rather than wait for its tick.
         waker.wake();
     }
 }

@@ -153,9 +153,9 @@ impl WireMsg {
 
     /// Encodes a `Batch(batch)` envelope straight from a borrowed batch —
     /// byte-identical to `WireMsg::Batch(batch.clone())`'s encoding,
-    /// minus the clone. Worker fan-out pairs this with
-    /// `FramePool::encode_with` so each sealed batch is encoded exactly
-    /// once for all peers.
+    /// minus the clone. The consensus thread's batch push pairs this
+    /// with `FramePool::encode_with` so each sealed batch is encoded
+    /// exactly once for all peers.
     pub fn encode_batch_into(batch: &Batch, buf: &mut Vec<u8>) {
         6u8.encode(buf);
         batch.encode(buf);

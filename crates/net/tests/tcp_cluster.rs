@@ -326,7 +326,7 @@ fn a_restarted_node_serves_the_batches_it_recovered() {
 
     let first = cluster.start_with_store(0, Some(listener), &store_dir);
     assert!(first.submit_tx(marker));
-    // The batch seals when the node's round first advances: when the
+    // The batch seals when the node creates its first vertex: when the
     // sync phase times out and the node goes live and starts.
     let deadline = Instant::now() + Duration::from_secs(15);
     while (first.batches_stored() == 0 || !first.is_live()) && Instant::now() < deadline {

@@ -18,8 +18,9 @@ fn os_thread_count() -> usize {
     std::fs::read_dir("/proc/self/task").map_or(0, |entries| entries.count())
 }
 
-/// The reactor serves every peer and client socket and the open batch,
-/// so a node without a store runs three threads (consensus, reactor,
+/// The reactor serves every peer and client socket, and the engine on
+/// the consensus thread keeps the open batch, so a node without a store
+/// runs three threads (consensus, reactor,
 /// dialer) whatever its `workers` setting: four nodes with
 /// `with_workers(4)` add exactly 4 × 3. Connecting clients spawns
 /// none: the count holds while 48 client connections handshake,

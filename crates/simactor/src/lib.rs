@@ -203,8 +203,9 @@ impl<B: ReliableBroadcast> SimActor<B> {
                 // every engine, so nothing is ever missing. A node that
                 // does miss a batch keeps the vertex naming it in its
                 // buffer, and its fetch timer keeps firing, for as long
-                // as the vertex stays there.
-                EngineOutput::FetchBatches { .. } => {}
+                // as the vertex stays there. No simulated driver submits
+                // transactions to the open batch, so none is pushed.
+                EngineOutput::FetchBatches { .. } | EngineOutput::PushBatch(_) => {}
                 EngineOutput::Ordered(o) => self.ordered.push(o),
             }
         }

@@ -133,7 +133,8 @@ fn direct_harness_run_replays_byte_identically() {
                 }
                 EngineOutput::SetTimer { .. }
                 | EngineOutput::Ordered(_)
-                | EngineOutput::FetchBatches { .. } => {}
+                | EngineOutput::FetchBatches { .. }
+                | EngineOutput::PushBatch(_) => {}
             }
         }
     };
@@ -218,7 +219,7 @@ fn digest_payloads_order_identically_to_inline_payloads() {
                         }
                         EngineOutput::FetchBatches { .. } => fetches_sent[from.as_usize()] += 1,
                         EngineOutput::Ordered(o) => ordered[from.as_usize()].push(o.clone()),
-                        EngineOutput::SetTimer { .. } => {}
+                        EngineOutput::SetTimer { .. } | EngineOutput::PushBatch(_) => {}
                     }
                 }
             };
@@ -367,7 +368,8 @@ fn verified_and_unverified_routes_produce_identical_state() {
                         }
                         EngineOutput::SetTimer { .. }
                         | EngineOutput::Ordered(_)
-                        | EngineOutput::FetchBatches { .. } => {}
+                        | EngineOutput::FetchBatches { .. }
+                        | EngineOutput::PushBatch(_) => {}
                     }
                 }
                 outputs[from.as_usize()].extend(outs);
@@ -555,6 +557,10 @@ fn encode_turn(turn: &Turn, buf: &mut Vec<u8>) {
                 4u8.encode(buf);
                 from.encode(buf);
                 digests.encode(buf);
+            }
+            EngineOutput::PushBatch(digest) => {
+                5u8.encode(buf);
+                digest.encode(buf);
             }
         }
     }

@@ -214,9 +214,8 @@ fn check_sync_discipline(root: &Path, findings: &mut Vec<Finding>) {
 /// The event-loop functions the `consensus-blocking` rule patrols, as
 /// `(file, function)` pairs relative to the workspace root. The reactor
 /// sweep functions are held to the same standard as consensus: the
-/// reactor thread owns every peer and client socket and seals the
-/// node's batches, so one blocking call there stalls all of them at
-/// once. Accepting is budgeted into `accept_pending` (the
+/// reactor thread owns every peer and client socket, so one blocking
+/// call there stalls all of them at once. Accepting is budgeted into `accept_pending` (the
 /// listener is non-blocking) and dialing lives on the dialer thread —
 /// neither may creep into the sweeps.
 const EVENT_LOOP_FNS: &[(&str, &str)] = &[
@@ -231,9 +230,6 @@ const EVENT_LOOP_FNS: &[(&str, &str)] = &[
     ("crates/net/src/reactor.rs", "sweep_clients"),
     ("crates/net/src/reactor.rs", "read_client"),
     ("crates/net/src/reactor.rs", "drain_admission"),
-    ("crates/net/src/reactor.rs", "seal_on_advance"),
-    ("crates/net/src/reactor.rs", "fill_batch"),
-    ("crates/net/src/reactor.rs", "seal"),
     ("crates/net/src/reactor.rs", "notify_ordered"),
     ("crates/net/src/reactor.rs", "flush_replies"),
     ("crates/net/src/reactor.rs", "pump_client_replies"),

@@ -117,9 +117,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             NetNode::start::<BrachaRbc>(cfg, Some(listener))
         })
         .collect::<Result<_, _>>()?;
-    // A transaction enters the node's open batch: its bytes travel to
-    // the peers in the batch's push, and a vertex carries its batch
-    // digest.
+    // A transaction enters the engine's open batch: the node's next
+    // vertex seals it and carries its digest, and its bytes travel to the
+    // peers in the batch's push, ahead of that vertex.
     tcp_nodes[1].submit_tx(Transaction::synthetic(7, 48));
 
     // Wait until every node exhausted its rounds and the logs stabilize.

@@ -377,6 +377,8 @@ impl Harness {
                     }
                 }
                 EngineOutput::Ordered(o) => self.logs[from.as_usize()].push(o),
+                // Batches here are staged or fetched; no engine seals one.
+                EngineOutput::PushBatch(_) => {}
             }
         }
     }

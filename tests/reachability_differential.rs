@@ -36,7 +36,8 @@ fn subset(rng: &mut StdRng, pool: &[VertexRef], min: usize) -> Vec<VertexRef> {
 /// participation: each round a random subset (≥ quorum, so the DAG can
 /// keep advancing) of processes produces a vertex with a random
 /// quorum-or-larger strong-edge subset of the previous round, plus an
-/// occasional weak edge to a random older retained vertex. Every inserted
+/// occasional weak edge to a random older retained vertex and, from round
+/// 2 up, a rarer weak edge to a random genesis vertex. Every inserted
 /// vertex keeps the DAG causally closed. Equivocation attempts — a second
 /// vertex for an occupied `(round, source)` slot — are injected and must
 /// be rejected without disturbing the engine. Growth starts above the
@@ -66,11 +67,19 @@ fn grow(dag: &mut Dag, rng: &mut StdRng, rounds: u64) {
             if dag.round_size(round) >= quorum && rng.random_bool(0.25) {
                 continue; // this process sits the round out
             }
-            let mut builder = VertexBuilder::new(p, round, Block::empty(p, SeqNum::new(r)))
-                .strong_edges(subset(rng, &prev, quorum));
+            let mut weak = Vec::new();
             if !older.is_empty() && rng.random_bool(0.5) {
-                builder = builder.weak_edges([older[rng.random_range(0..older.len())]]);
+                weak.push(older[rng.random_range(0..older.len())]);
             }
+            if r >= 2 && rng.random_bool(0.1) {
+                // Byzantine: an honest vertex never points a weak edge at
+                // genesis, but validation lets one through.
+                let target = rng.random_range(0..committee.n());
+                weak.push(VertexRef::new(Round::GENESIS, committee.members().nth(target).unwrap()));
+            }
+            let builder = VertexBuilder::new(p, round, Block::empty(p, SeqNum::new(r)))
+                .strong_edges(subset(rng, &prev, quorum))
+                .weak_edges(weak);
             assert!(dag.insert(builder.build_unchecked()));
             if rng.random_bool(0.2) {
                 // A Byzantine twin for the occupied slot must bounce off.
@@ -146,8 +155,9 @@ proptest! {
     /// leaves a gap below the next insert. After each prune the oracle is
     /// rechecked and every collected vertex must bounce off as a
     /// straggler; then the DAG keeps growing above the floor and is
-    /// rechecked again — closures recomposed by the prune-time rebuild and
-    /// closures composed fresh after it must both agree with the oracle.
+    /// rechecked again — closures shifted by the prune, with their genesis
+    /// bits recomputed where a weak edge reaches genesis, and closures
+    /// composed fresh after it must both agree with the oracle.
     #[test]
     fn engine_matches_oracle_under_pruning(seed in 0u64..10_000, floor in 2u64..7, gap in 0u64..4) {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -102,7 +102,8 @@ fn record_run(seed: u64) -> Recorded {
                 EngineOutput::Ordered(o) if from.as_usize() == OBSERVER => ordered.push(o),
                 EngineOutput::SetTimer { .. }
                 | EngineOutput::Ordered(_)
-                | EngineOutput::FetchBatches { .. } => {}
+                | EngineOutput::FetchBatches { .. }
+                | EngineOutput::PushBatch(_) => {}
             }
         }
     };

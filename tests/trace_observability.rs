@@ -260,6 +260,8 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
                     EngineOutput::SetTimer { delay, tag } => {
                         self.timers.push(Reverse((at.ticks() + delay, from, tag)));
                     }
+                    // Batches here are staged; no engine seals one.
+                    EngineOutput::PushBatch(_) => {}
                 }
             }
         }
