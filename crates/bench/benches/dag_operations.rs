@@ -232,10 +232,7 @@ impl FifoCluster {
                         self.wire.push_back((from, to, payload.to_vec()));
                     }
                 }
-                EngineOutput::SetTimer { .. }
-                | EngineOutput::Ordered(_)
-                | EngineOutput::FetchBatches { .. }
-                | EngineOutput::PushBatch(_) => {}
+                EngineOutput::SetTimer { .. } | EngineOutput::Ordered(_) => {}
             }
         }
     }

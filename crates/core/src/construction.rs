@@ -189,16 +189,16 @@ impl DagCore {
         self.blocks_to_propose.push_back(QueuedPayload::Block(block));
     }
 
-    /// Enqueues a digest-list payload: the worker layer finished
-    /// disseminating these batches, so the next vertex can carry their
-    /// 32-byte names instead of the transaction bytes. The proposer and
-    /// sequence number are stamped at vertex-creation time.
+    /// Enqueues a digest-list payload: the named batches are sealed or
+    /// staged, so the next vertex can carry their 32-byte names instead
+    /// of the transaction bytes. The proposer and sequence number are
+    /// stamped at vertex-creation time.
     ///
-    /// Consecutive digest submissions coalesce into one queue entry: the
-    /// TCP runtime may submit several digests between two proposals
-    /// (one per sealed batch), and a vertex can carry any number of
-    /// 32-byte digests, so folding them together keeps the proposal
-    /// backlog bounded by round progress instead of batch rate.
+    /// Consecutive digest submissions coalesce into one queue entry: a
+    /// node may seal several batches between two proposals (each full
+    /// one at once, the rest at proposal), and a vertex can carry any
+    /// number of 32-byte digests, so folding them together keeps the
+    /// proposal backlog bounded by round progress instead of batch rate.
     pub fn enqueue_digests(&mut self, digests: Vec<BatchDigest>) {
         if let Some(QueuedPayload::Digests(tail)) = self.blocks_to_propose.back_mut() {
             tail.extend(digests);
@@ -245,19 +245,6 @@ impl DagCore {
     /// the order they happen.
     pub fn start(&mut self, batches: &Batches, events: &mut Vec<EngineEvent>) -> Vec<DagEvent> {
         debug_assert_eq!(self.round, Round::GENESIS, "start() is called once");
-        self.try_advance(batches, events)
-    }
-
-    /// Re-runs the advance loop after a block or digest list was
-    /// enqueued. Before [`DagCore::start`], this moves a fresh process off
-    /// genesis with the enqueued payload, as `start` would. Past genesis
-    /// a round waits only on other processes' vertices, never on the
-    /// local queue, so the call changes nothing.
-    pub fn retry_propose(
-        &mut self,
-        batches: &Batches,
-        events: &mut Vec<EngineEvent>,
-    ) -> Vec<DagEvent> {
         self.try_advance(batches, events)
     }
 

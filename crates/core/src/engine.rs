@@ -17,21 +17,18 @@
 //!   an authenticated peer, [`EngineInput::Timer`] when a timer requested
 //!   via [`EngineOutput::SetTimer`] fires,
 //!   [`EngineInput::SubmitTransactions`] for this process's transactions
-//!   (`a_bcast` through its open batch), [`EngineInput::SubmitBlock`]
-//!   (inline) or [`EngineInput::SubmitDigests`] (digests of batches the
-//!   driver disseminated itself) for harness payload,
-//!   [`EngineInput::BatchStored`] for a batch's bytes, and
-//!   [`EngineInput::SyncVertex`] for state transfer when a restarted
-//!   process catches up. No input carries an
-//!   unchecked claim: the engine checks what arrives, and a
-//!   [`HashedBatch`] is built only by hashing. A restarting driver feeds
-//!   its durable store through [`DagRiderEngine::replay_durable`].
+//!   (`a_bcast` through its open batch), and [`EngineInput::SyncVertex`]
+//!   for state transfer when a restarted process catches up. No input
+//!   carries an unchecked claim: the engine checks what arrives, and
+//!   hashes every batch it takes. A restarting driver feeds its durable
+//!   store through [`DagRiderEngine::replay_durable`]; a harness stages
+//!   payload before a run with [`DagRiderEngine::enqueue_block`],
+//!   [`DagRiderEngine::enqueue_digests`] and
+//!   [`DagRiderEngine::store_batch`].
 //! * **Outputs** — [`EngineOutput::Send`] (unicast to one peer),
 //!   [`EngineOutput::Broadcast`] (to every *other* process — self-routing
-//!   is handled inside the engine), [`EngineOutput::PushBatch`] (one of
-//!   this process's batches, to every other process),
-//!   [`EngineOutput::SetTimer`], and [`EngineOutput::Ordered`] for every
-//!   `a_deliver` in total order.
+//!   is handled inside the engine), [`EngineOutput::SetTimer`], and
+//!   [`EngineOutput::Ordered`] for every `a_deliver` in total order.
 //!   Outputs must be routed in the order returned: the wire order is part
 //!   of the deterministic replay contract. The engine keeps no ordered
 //!   log: a driver that wants one keeps the `Ordered` outputs.
@@ -41,18 +38,23 @@
 //!   driver's to build from the stream. A driver with a durable store
 //!   persists a turn's durable events before it routes the turn's
 //!   outputs.
-//! * **Batches** — the engine keeps this process's open batch. It seals
-//!   once full, or when the process creates its next vertex, which then
-//!   names it; a sealed batch is stored, reported as
-//!   [`EngineEvent::BatchStored`], and pushed ahead of every send of the
-//!   vertex that names it. A vertex enters the DAG only once every batch it
-//!   names is in the engine's batch map, so ordering resolves each
-//!   digest at once. A buffered vertex that names a missing batch starts
-//!   a fetch ([`EngineOutput::FetchBatches`] on [`FETCH_TIMER_TAG`]
-//!   timers) that ends only when the batch arrives or garbage collection
-//!   prunes the vertex. Garbage collection also drops every batch that
-//!   only the collected vertices named; a batch no vertex has named yet
-//!   stays.
+//! * **Batches** — the whole batch protocol lives here, and batches travel
+//!   as [`NodeMessage`]s like any other traffic. The engine keeps this
+//!   process's open batch. It seals once full, or when the process
+//!   creates its next vertex, which then names it; a sealed batch is
+//!   stored, reported as [`EngineEvent::BatchStored`], and broadcast
+//!   ([`NodeMessage::Batch`]) ahead of every send of the vertex that
+//!   names it. A vertex enters the DAG only once every batch it names is
+//!   in the engine's batch map, so ordering resolves each digest at once.
+//!   A buffered vertex that names a missing batch starts a fetch
+//!   ([`NodeMessage::BatchRequest`] sends on [`FETCH_TIMER_TAG`] timers)
+//!   that ends only when the batch arrives or garbage collection prunes
+//!   the vertex; a peer answers with the batches it holds and stays
+//!   silent about the rest. A peer's batch is stored only if the peer
+//!   created it (a push) or a vertex the engine holds names it (a fetch
+//!   answer); any other is dropped unreported. Garbage collection also
+//!   drops every batch that only the collected vertices named; a batch no
+//!   vertex has named yet stays.
 //! * **Timers** — the fetch timer is the only one the engine requests.
 //!   A driver fires each timer no earlier than its delay; every other
 //!   [`EngineInput::Timer`] runs end-of-turn housekeeping only (the share
@@ -60,7 +62,7 @@
 //!   so drivers may safely deliver spurious timers.
 
 use std::collections::btree_map::Entry;
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use bytes::Bytes;
 use dagrider_crypto::{sha256, Coin, CoinKeys, CoinShare};
@@ -86,8 +88,9 @@ pub fn batch_digest(batch: &Batch) -> BatchDigest {
 
 /// A batch paired with its content digest. The fields are private and
 /// [`HashedBatch::new`] is the only constructor, so the digest always
-/// matches the batch: a driver may hash on any thread and hand the pair
-/// to the engine ([`EngineInput::BatchStored`]), which stores it by that
+/// matches the batch: the construction layer hands the engine the
+/// batches it seals this way, the engine hashes each peer batch into one
+/// before it applies the admission rule, and either is stored by that
 /// digest without hashing again.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HashedBatch {
@@ -127,13 +130,34 @@ const FETCH_MAX_DOUBLINGS: usize = 6;
 /// Wire envelope multiplexing the broadcast layer's traffic with the tiny
 /// coin-share messages (§5 footnote 1: the coin can piggyback on the DAG;
 /// we send shares as their own messages, which costs `O(n)` extra words
-/// per wave — asymptotically free next to the broadcasts).
+/// per wave — asymptotically free next to the broadcasts) and the batch
+/// protocol.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeMessage<M> {
     /// A reliable-broadcast protocol message.
     Rbc(M),
     /// A threshold-coin share for some wave.
     Coin(CoinShare),
+    /// One transaction batch: a process pushes each batch it seals to
+    /// every peer, ahead of the vertex that names it, and answers a
+    /// [`NodeMessage::BatchRequest`] with the batches it holds.
+    Batch(Batch),
+    /// Asks the peer for the named batches, which vertices in the
+    /// requester's buffer name and its batch map lacks.
+    BatchRequest(Vec<BatchDigest>),
+}
+
+/// Encodes `NodeMessage::Batch(batch)` from a borrowed batch.
+fn encode_batch_into(batch: &Batch, buf: &mut Vec<u8>) {
+    2u8.encode(buf);
+    batch.encode(buf);
+}
+
+/// The bytes of `NodeMessage::Batch(batch)`, without cloning the batch.
+fn batch_message(batch: &Batch) -> Bytes {
+    let mut buf = Vec::with_capacity(1 + batch.encoded_len());
+    encode_batch_into(batch, &mut buf);
+    Bytes::from(buf)
 }
 
 impl<M: Encode> Encode for NodeMessage<M> {
@@ -147,6 +171,11 @@ impl<M: Encode> Encode for NodeMessage<M> {
                 1u8.encode(buf);
                 s.encode(buf);
             }
+            NodeMessage::Batch(batch) => encode_batch_into(batch, buf),
+            NodeMessage::BatchRequest(digests) => {
+                3u8.encode(buf);
+                digests.encode(buf);
+            }
         }
     }
 
@@ -154,6 +183,8 @@ impl<M: Encode> Encode for NodeMessage<M> {
         1 + match self {
             NodeMessage::Rbc(m) => m.encoded_len(),
             NodeMessage::Coin(s) => s.encoded_len(),
+            NodeMessage::Batch(batch) => batch.encoded_len(),
+            NodeMessage::BatchRequest(digests) => digests.encoded_len(),
         }
     }
 }
@@ -163,6 +194,8 @@ impl<M: Decode> Decode for NodeMessage<M> {
         match u8::decode(buf)? {
             0 => Ok(NodeMessage::Rbc(M::decode(buf)?)),
             1 => Ok(NodeMessage::Coin(CoinShare::decode(buf)?)),
+            2 => Ok(NodeMessage::Batch(Batch::decode(buf)?)),
+            3 => Ok(NodeMessage::BatchRequest(Vec::decode(buf)?)),
             _ => Err(DecodeError::Invalid("unknown node message tag")),
         }
     }
@@ -272,9 +305,6 @@ pub enum EngineInput {
         /// The tag given when the timer was set.
         tag: u64,
     },
-    /// `a_bcast(b, r)`: a client block to atomically broadcast
-    /// (Algorithm 3 lines 32–33).
-    SubmitBlock(Block),
     /// State transfer: a vertex replayed by a peer so a restarted process
     /// can rebuild its DAG without re-running the original broadcasts.
     /// The vertex is structurally validated like any delivery; in this
@@ -282,20 +312,12 @@ pub enum EngineInput {
     /// `(source, round)` is taken as attested (a production deployment
     /// would verify a signature here).
     SyncVertex(Vertex),
-    /// `a_bcast` in digest mode: batch digests the driver finished
-    /// disseminating, ready to ride the next vertex as its payload.
-    SubmitDigests(Vec<BatchDigest>),
     /// `a_bcast` through the open batch: this process's transactions. A
     /// batch that reaches [`BATCH_MAX_BYTES`](crate::BATCH_MAX_BYTES)
     /// seals at once; the rest seals when the process creates its next
     /// vertex. Never drives the protocol, so it never moves an engine
     /// that has not started off genesis.
     SubmitTransactions(Vec<Transaction>),
-    /// A batch to keep in the engine's batch store (own assembly, a
-    /// peer's dissemination stream, or a completed fetch), already hashed
-    /// by whoever built the [`HashedBatch`]. Lets any buffered vertex
-    /// waiting on its digest into the DAG.
-    BatchStored(HashedBatch),
 }
 
 /// A typed effect returned by the engine. Drivers must route outputs in
@@ -326,21 +348,6 @@ pub enum EngineOutput {
     /// `a_deliver`: the next vertex (block) of the total order, batch
     /// digests resolved to the transactions they named.
     Ordered(OrderedVertex),
-    /// Push this process's sealed batch `digest` (read it from
-    /// [`DagRiderEngine::batch`]) to every other process. It comes ahead
-    /// of every [`EngineOutput::Send`] of the vertex that names it, so a
-    /// FIFO link carries the batch first.
-    PushBatch(BatchDigest),
-    /// Ask the driver to request the listed batches from peer `from`:
-    /// buffered vertices name them and the local store lacks them. Sent
-    /// when a [`FETCH_TIMER_TAG`] timer fires, rotating over the peers
-    /// until the batches arrive.
-    FetchBatches {
-        /// The peer to ask.
-        from: ProcessId,
-        /// The missing digests.
-        digests: Vec<BatchDigest>,
-    },
 }
 
 /// What one engine call produced: the effects to route and the
@@ -379,9 +386,8 @@ pub struct DagRiderEngine<B> {
     /// vertices at or above the GC floor name, and those no vertex has
     /// named yet. A GC pass drops a batch once every vertex naming it has
     /// left the DAG and the buffer (`maybe_gc`). The construction layer
-    /// admits vertices against it, resolution reads it, drivers serve
-    /// peer fetches from it ([`DagRiderEngine::batch`]), and snapshots
-    /// capture it.
+    /// admits vertices against it, resolution reads it, peer fetches are
+    /// served from it, and snapshots capture it.
     batches: BTreeMap<BatchDigest, Batch>,
     /// Total transaction payload bytes across `batches`.
     batch_bytes: u64,
@@ -450,12 +456,11 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         self.started
     }
 
-    /// Enqueues a block for atomic broadcast **without** driving the
-    /// protocol — the compatibility path for harnesses that inject client
-    /// payload outside a driver turn (the block rides the next vertex).
-    /// Prefer feeding [`EngineInput::SubmitBlock`] through
-    /// [`DagRiderEngine::handle`], which also moves an engine that has not
-    /// started off genesis.
+    /// `a_bcast(b, r)` with an inline block (Algorithm 3 lines 32–33),
+    /// **without** driving the protocol: the block rides the next vertex
+    /// this process creates. Enqueued before [`DagRiderEngine::start`],
+    /// it rides the round-1 vertex. Table 1's communication figures need
+    /// the payload inside the broadcast vertex.
     pub fn enqueue_block(&mut self, block: Block) {
         self.core.enqueue_block(block);
     }
@@ -463,16 +468,16 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// Enqueues a digest-list payload for atomic broadcast **without**
     /// driving the protocol — the digest-mode counterpart of
     /// [`DagRiderEngine::enqueue_block`], for harnesses that stage their
-    /// own batches. Consecutive pre-start calls coalesce into one
-    /// payload; prefer [`EngineInput::SubmitDigests`] through
-    /// [`DagRiderEngine::handle`] in live drivers that do.
+    /// own batches ([`DagRiderEngine::store_batch`]). Consecutive calls
+    /// coalesce into one payload, which rides the next vertex this
+    /// process creates.
     pub fn enqueue_digests(&mut self, digests: Vec<BatchDigest>) {
         self.core.enqueue_digests(digests);
     }
 
-    /// Stores a batch **without** driving the protocol — the harness
-    /// counterpart of [`EngineInput::BatchStored`], for drivers that
-    /// pre-stage batches before a run.
+    /// Stores a batch **without** driving the protocol or reporting it,
+    /// for harnesses that pre-stage batches before a run or stand in for
+    /// this process's own sealing.
     pub fn store_batch(&mut self, batch: Batch) {
         if let Entry::Vacant(slot) = self.batches.entry(batch_digest(&batch)) {
             self.batch_bytes += batch.payload_bytes() as u64;
@@ -507,14 +512,47 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         true
     }
 
-    /// Stores a batch this process sealed and asks the driver to push it.
-    /// Only this process's vertices name its batches, and those never wait
-    /// for one, so nothing is drained here; a Byzantine vertex that named
-    /// the digest ahead of time gets in with the next drain.
+    /// Stores a batch this process sealed and broadcasts it. Only this
+    /// process's vertices name its batches, and those never wait for one,
+    /// so nothing is drained here; a Byzantine vertex that named the
+    /// digest ahead of time gets in with the next drain.
     fn on_sealed(&mut self, hashed: HashedBatch, turn: &mut Turn) {
-        let digest = hashed.digest();
+        let payload = batch_message(hashed.batch());
         self.store(hashed, &mut turn.events);
-        turn.outputs.push(EngineOutput::PushBatch(digest));
+        turn.outputs.push(EngineOutput::Broadcast { payload });
+    }
+
+    /// A batch from peer `from`. A peer pushes only its own batches
+    /// unasked; any other is a fetch answer, wanted while a vertex names
+    /// it. The rest is dropped unreported: an honest answer that arrives
+    /// after garbage collection pruned the vertex looks the same.
+    fn on_peer_batch(
+        &mut self,
+        from: ProcessId,
+        batch: Batch,
+        turn: &mut Turn,
+        now: Time,
+        rng: &mut rand::rngs::StdRng,
+    ) {
+        let hashed = HashedBatch::new(batch);
+        if hashed.batch().creator() == from || self.core.names_batch(&hashed.digest()) {
+            self.on_batch(hashed, turn, now, rng);
+        }
+    }
+
+    /// Answers peer `to`'s fetch: one batch for each distinct digest the
+    /// batch map holds, so no request, however often it repeats a digest,
+    /// draws an answer larger than the map. Silence about the rest is a
+    /// valid answer; the requester asks its next peer when its fetch
+    /// timer fires.
+    fn serve_batches(&self, to: ProcessId, digests: &[BatchDigest], turn: &mut Turn) {
+        let mut answered = BTreeSet::new();
+        for digest in digests {
+            let Some(batch) = self.batches.get(digest) else { continue };
+            if answered.insert(digest) {
+                turn.outputs.push(EngineOutput::Send { to, payload: batch_message(batch) });
+            }
+        }
     }
 
     /// The single coin-share acceptance point: a share is taken only from
@@ -569,12 +607,6 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         self.batches.get(digest)
     }
 
-    /// Whether a vertex at or above the GC floor, in the DAG or the
-    /// construction buffer, names `digest` ([`DagCore::names_batch`]).
-    pub fn names_batch(&self, digest: &BatchDigest) -> bool {
-        self.core.names_batch(digest)
-    }
-
     /// Per-wave commit outcomes (experiment bookkeeping).
     pub fn commits(&self) -> &[CommitEvent] {
         self.ordering.commits()
@@ -614,9 +646,10 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
 
     /// Replays one recovered durable event into the engine — the restart
     /// path. Events must be fed in log order, normally before
-    /// [`DagRiderEngine::start`]. A vertex or batch replays exactly as
-    /// its live input would, and a coin share as one whose proof was
-    /// checked before it was persisted; the DAG and the coin then hold
+    /// [`DagRiderEngine::start`]. A vertex replays exactly as its sync
+    /// input would, a batch as one the engine admitted, and a coin share
+    /// as one whose proof was checked before it was persisted; the DAG
+    /// and the coin then hold
     /// it, so a later sync duplicate reports no durable event. Identical
     /// event sequences rebuild byte-identical ordered logs (the
     /// determinism contract of the module docs). A recovering driver
@@ -702,24 +735,12 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
                 }
                 // Other timer turns are end-of-turn housekeeping only.
             }
-            EngineInput::SubmitBlock(block) => {
-                self.core.enqueue_block(block);
-                // Before `start`, this moves a fresh engine off genesis.
-                let dag_events = self.core.retry_propose(&self.batches, &mut turn.events);
-                self.advance(dag_events, &mut turn, now, rng);
-            }
             EngineInput::SyncVertex(vertex) => {
                 let (source, round) = (vertex.source(), vertex.round());
                 let dag_events =
                     self.core.on_vertex(vertex, source, round, &self.batches, &mut turn.events);
                 self.advance(dag_events, &mut turn, now, rng);
             }
-            EngineInput::SubmitDigests(digests) => {
-                self.core.enqueue_digests(digests);
-                let dag_events = self.core.retry_propose(&self.batches, &mut turn.events);
-                self.advance(dag_events, &mut turn, now, rng);
-            }
-            EngineInput::BatchStored(hashed) => self.on_batch(hashed, &mut turn, now, rng),
             EngineInput::SubmitTransactions(transactions) => {
                 for sealed in self.core.submit_transactions(transactions) {
                     self.on_sealed(sealed, &mut turn);
@@ -731,8 +752,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     }
 
     /// The Message-input body: decode the wire envelope, dispatch. The
-    /// broadcast layer hashes what it needs, and coin shares take the
-    /// verifying path.
+    /// broadcast layer hashes what it needs, coin shares take the
+    /// verifying path, and batches the admitting one.
     fn on_message(
         &mut self,
         from: ProcessId,
@@ -750,6 +771,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             }
             // Shares with bad proofs are rejected inside the coin.
             Ok(NodeMessage::Coin(share)) => self.accept_share(from, share, false, turn, now),
+            Ok(NodeMessage::Batch(batch)) => self.on_peer_batch(from, batch, turn, now, rng),
+            Ok(NodeMessage::BatchRequest(digests)) => self.serve_batches(from, &digests, turn),
             Err(_) => turn.events.push(EngineEvent::Rejected { from }),
         }
     }
@@ -804,7 +827,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             for &digest in &digests {
                 turn.events.push(TraceEvent::BatchFetchRequested { digest, from }.into());
             }
-            turn.outputs.push(EngineOutput::FetchBatches { from, digests });
+            let request: NodeMessage<B::Message> = NodeMessage::BatchRequest(digests);
+            turn.outputs.push(EngineOutput::Send { to: from, payload: request.to_bytes().into() });
         }
     }
 
@@ -1145,9 +1169,7 @@ mod tests {
                             }
                         }
                         EngineOutput::Ordered(o) => logs[from.as_usize()].push(o),
-                        EngineOutput::SetTimer { .. }
-                        | EngineOutput::FetchBatches { .. }
-                        | EngineOutput::PushBatch(_) => {}
+                        EngineOutput::SetTimer { .. } => {}
                     }
                 }
             };
@@ -1368,32 +1390,51 @@ mod tests {
         assert_eq!(turn.events, vec![EngineEvent::ShareAccepted(share)]);
     }
 
+    type Message = NodeMessage<dagrider_rbc::BrachaMessage>;
+
+    /// Engine 0 of a four-process committee, with the committee and an
+    /// RNG.
+    fn engine_zero(seed: u64) -> (DagRiderEngine<BrachaRbc>, Committee, StdRng) {
+        let committee = Committee::new(4).unwrap();
+        let mut rng = StdRng::seed_from_u64(seed);
+        let keys = deal_coin_keys(&committee, &mut rng);
+        let engine = DagRiderEngine::new(
+            committee,
+            ProcessId::new(0),
+            keys[0].clone(),
+            NodeConfig::default(),
+        );
+        (engine, committee, rng)
+    }
+
+    /// p1's round-1 vertex, whose payload names the batches `digests`.
+    fn p1_vertex_naming(committee: &Committee, digests: Vec<BatchDigest>) -> Vertex {
+        let p1 = ProcessId::new(1);
+        dagrider_types::VertexBuilder::new(
+            p1,
+            Round::new(1),
+            Payload::Digests { proposer: p1, seq: SeqNum::new(1), digests },
+        )
+        .strong_edges(committee.members().map(|p| VertexRef::new(Round::GENESIS, p)))
+        .build(committee)
+        .unwrap()
+    }
+
+    /// `msg` as peer `from` puts it on the wire.
+    fn from_peer(from: u32, msg: &Message) -> EngineInput {
+        EngineInput::Message { from: ProcessId::new(from), payload: msg.to_bytes() }
+    }
+
     #[test]
     fn a_missing_batch_is_fetched_from_each_peer_in_turn_until_it_arrives() {
         // p0 holds p1's round-1 vertex, whose batch it lacks. Each fetch
         // the timer makes due asks the next peer, the proposer first, and
         // the wait doubles after each full rotation; the batch lets the
         // vertex in and ends the fetch.
-        let committee = Committee::new(4).unwrap();
-        let mut rng = StdRng::seed_from_u64(3);
-        let keys = deal_coin_keys(&committee, &mut rng);
-        let mut engine: DagRiderEngine<BrachaRbc> = DagRiderEngine::new(
-            committee,
-            ProcessId::new(0),
-            keys[0].clone(),
-            NodeConfig::default(),
-        );
+        let (mut engine, committee, mut rng) = engine_zero(3);
         let batch = Batch::new(ProcessId::new(1), 0, vec![Transaction::synthetic(5, 8)]);
         let digest = batch_digest(&batch);
-        let p1 = ProcessId::new(1);
-        let vertex = dagrider_types::VertexBuilder::new(
-            p1,
-            Round::new(1),
-            Payload::Digests { proposer: p1, seq: SeqNum::new(1), digests: vec![digest] },
-        )
-        .strong_edges(committee.members().map(|p| VertexRef::new(Round::GENESIS, p)))
-        .build(&committee)
-        .unwrap();
+        let vertex = p1_vertex_naming(&committee, vec![digest]);
         let reference = vertex.reference();
 
         // (asked peer, next timer delay) of one turn's fetch outputs.
@@ -1402,9 +1443,13 @@ mod tests {
             let mut delay = None;
             for out in turn.outputs {
                 match out {
-                    EngineOutput::FetchBatches { from, digests } => {
-                        assert_eq!(digests, vec![digest]);
-                        asked = Some(from.as_usize());
+                    EngineOutput::Send { to, payload } => {
+                        if let Ok(NodeMessage::BatchRequest(digests)) =
+                            Message::from_bytes(&payload)
+                        {
+                            assert_eq!(digests, vec![digest]);
+                            asked = Some(to.as_usize());
+                        }
                     }
                     EngineOutput::SetTimer { delay: d, tag: FETCH_TIMER_TAG } => delay = Some(d),
                     _ => {}
@@ -1434,11 +1479,77 @@ mod tests {
             [(1, d), (2, d), (3, 2 * d), (1, 2 * d), (2, 2 * d), (3, 4 * d), (1, 4 * d)]
         );
 
-        let stored = EngineInput::BatchStored(HashedBatch::new(batch));
-        engine.handle(Time::new(now), stored, &mut rng);
+        engine.handle(Time::new(now), from_peer(1, &Message::Batch(batch)), &mut rng);
         assert!(engine.dag().contains(reference), "the batch lets the vertex in");
         let after = engine.handle(Time::new(now + delay), timer, &mut rng);
         assert_eq!(fetched(after), (None, None), "the fetch ended with the batch");
+    }
+
+    #[test]
+    fn a_peer_batch_that_no_vertex_names_is_stored_only_from_its_creator() {
+        let (mut engine, _, mut rng) = engine_zero(11);
+        let own = Batch::new(ProcessId::new(1), 0, vec![Transaction::synthetic(1, 16)]);
+        let turn = engine.handle(Time::ZERO, from_peer(1, &Message::Batch(own.clone())), &mut rng);
+        assert_eq!(stored(&turn), [batch_digest(&own)], "a push is stored and reported");
+        assert!(turn.outputs.is_empty());
+
+        // p2 relays p3's batch unasked: dropped, with no event.
+        let relayed = Batch::new(ProcessId::new(3), 0, vec![Transaction::synthetic(2, 16)]);
+        let turn =
+            engine.handle(Time::ZERO, from_peer(2, &Message::Batch(relayed.clone())), &mut rng);
+        assert_eq!(turn, Turn::default());
+        assert!(engine.batch(&batch_digest(&relayed)).is_none());
+        assert_eq!(engine.batches_stored(), 1);
+    }
+
+    #[test]
+    fn a_batch_a_buffered_vertex_names_is_stored_from_any_peer_and_lets_it_in() {
+        let (mut engine, committee, mut rng) = engine_zero(13);
+        let batch = Batch::new(ProcessId::new(1), 0, vec![Transaction::synthetic(3, 16)]);
+        let digest = batch_digest(&batch);
+        let vertex = p1_vertex_naming(&committee, vec![digest]);
+        let reference = vertex.reference();
+        engine.handle(Time::ZERO, EngineInput::SyncVertex(vertex), &mut rng);
+        assert!(!engine.dag().contains(reference));
+
+        // p2 answers with p1's batch: a fetch answer, wanted while the
+        // vertex names it.
+        let turn = engine.handle(Time::ZERO, from_peer(2, &Message::Batch(batch)), &mut rng);
+        assert_eq!(stored(&turn), [digest]);
+        assert!(engine.dag().contains(reference), "the batch lets the vertex in");
+    }
+
+    #[test]
+    fn a_batch_request_is_answered_with_each_held_batch_and_nothing_else() {
+        let (mut engine, _, mut rng) = engine_zero(17);
+        let held: Vec<Batch> = (0..2)
+            .map(|tag| Batch::new(ProcessId::new(0), 0, vec![Transaction::synthetic(tag, 24)]))
+            .collect();
+        for batch in &held {
+            engine.store_batch(batch.clone());
+        }
+        let unknown = BatchDigest::new([7; 32]);
+        let mut digests = vec![batch_digest(&held[0]), unknown, batch_digest(&held[1])];
+        // Repeats draw nothing more: no answer outgrows the batch map.
+        digests.extend([batch_digest(&held[0]); 1_000]);
+        let turn =
+            engine.handle(Time::ZERO, from_peer(2, &Message::BatchRequest(digests)), &mut rng);
+        let answers: Vec<EngineOutput> = held
+            .iter()
+            .map(|batch| EngineOutput::Send {
+                to: ProcessId::new(2),
+                payload: Message::Batch(batch.clone()).to_bytes().into(),
+            })
+            .collect();
+        assert_eq!(turn.outputs, answers);
+        assert!(turn.events.is_empty());
+
+        let turn = engine.handle(
+            Time::ZERO,
+            from_peer(2, &Message::BatchRequest(vec![unknown])),
+            &mut rng,
+        );
+        assert_eq!(turn, Turn::default(), "nothing answers a digest the engine lacks");
     }
 
     /// The vertices whose INIT messages a turn sends, in order, once
@@ -1462,13 +1573,22 @@ mod tests {
         found
     }
 
-    /// The digests a turn pushes, with the index of each push.
+    /// The digests of the batches a turn broadcasts, with the index of
+    /// each broadcast.
     fn pushes(turn: &Turn) -> Vec<(usize, BatchDigest)> {
         let pushed = |(index, out): (usize, &EngineOutput)| match out {
-            EngineOutput::PushBatch(digest) => Some((index, *digest)),
+            EngineOutput::Broadcast { payload } => match Message::from_bytes(payload) {
+                Ok(NodeMessage::Batch(batch)) => Some((index, batch_digest(&batch))),
+                _ => None,
+            },
             _ => None,
         };
         turn.outputs.iter().enumerate().filter_map(pushed).collect()
+    }
+
+    /// The broadcast of `batch`.
+    fn push_of(batch: &Batch) -> EngineOutput {
+        EngineOutput::Broadcast { payload: Message::Batch(batch.clone()).to_bytes().into() }
     }
 
     /// The digests a turn reports stored.
@@ -1606,13 +1726,10 @@ mod tests {
             }
         });
         let at = turns.iter().position(|(submitted, _)| submitted.is_some()).unwrap();
-        let full = batch_digest(&Batch::new(ProcessId::new(0), 0, vec![half(1), half(2)]));
+        let full_batch = Batch::new(ProcessId::new(0), 0, vec![half(1), half(2)]);
+        let full = batch_digest(&full_batch);
         let filled = &turns[at].1;
-        assert_eq!(
-            filled.outputs,
-            vec![EngineOutput::PushBatch(full)],
-            "sealed in the filling turn"
-        );
+        assert_eq!(filled.outputs, vec![push_of(&full_batch)], "sealed in the filling turn");
         assert_eq!(stored(filled), [full]);
         // The next vertex names the full batch, then the remainder it
         // sealed on creation.
@@ -1635,8 +1752,9 @@ mod tests {
         let rest = Transaction::synthetic(3, 128);
         let input = EngineInput::SubmitTransactions(vec![half(1), half(2), rest.clone()]);
         let turn = engine.handle(Time::ZERO, input, &mut rng);
-        let full = batch_digest(&Batch::new(p0, 0, vec![half(1), half(2)]));
-        assert_eq!(turn.outputs, vec![EngineOutput::PushBatch(full)]);
+        let full_batch = Batch::new(p0, 0, vec![half(1), half(2)]);
+        let full = batch_digest(&full_batch);
+        assert_eq!(turn.outputs, vec![push_of(&full_batch)]);
         assert_eq!(stored(&turn), [full]);
         assert_eq!(engine.current_round(), Round::GENESIS, "submitting never drives");
         assert!(!engine.is_started());

@@ -1,13 +1,16 @@
-//! Property tests for the [`NodeMessage`] wire envelope — the only bytes
-//! a DAG-Rider process ever sends. Every representable message
-//! round-trips exactly, unknown envelope tags are rejected, and no
-//! truncation of a valid encoding decodes (so a cut TCP frame can never
-//! be mistaken for a shorter valid message).
+//! Property tests for the [`NodeMessage`] wire envelope — the bytes of
+//! every engine message: broadcast traffic, coin shares, batches and
+//! batch requests. Every representable message round-trips exactly,
+//! unknown envelope tags are rejected, and no truncation of a valid
+//! encoding decodes (so a cut TCP frame can never be mistaken for a
+//! shorter valid message).
 
 use dagrider_core::NodeMessage;
 use dagrider_crypto::{deal_coin_keys, Coin, CoinShare};
 use dagrider_rbc::{BrachaKind, BrachaMessage};
-use dagrider_types::{Committee, Decode, DecodeError, Encode, ProcessId, Round};
+use dagrider_types::{
+    Batch, BatchDigest, Committee, Decode, DecodeError, Encode, ProcessId, Round, Transaction,
+};
 use proptest::prelude::*;
 
 /// Expands integers into a [`BrachaMessage`] covering all three phases.
@@ -29,6 +32,29 @@ fn make_share(issuer_index: usize, instance: u64, seed: u64) -> CoinShare {
     let keys = deal_coin_keys(&committee, &mut rng);
     let mut coin = Coin::new(keys.into_iter().nth(issuer_index % 4).expect("n = 4 keys dealt"));
     coin.my_share(instance, &mut rng)
+}
+
+/// A batch of `ntx` synthetic transactions of `size` bytes each.
+fn make_batch(creator: u32, worker: u32, ntx: usize, size: usize, tag: u64) -> Batch {
+    let txs: Vec<Transaction> =
+        (0..ntx).map(|i| Transaction::synthetic(tag.wrapping_add(i as u64), size)).collect();
+    Batch::new(ProcessId::new(creator), worker, txs)
+}
+
+/// A digest list, one digest per seed byte.
+fn make_digests(seeds: &[u8]) -> Vec<BatchDigest> {
+    seeds.iter().map(|&seed| BatchDigest::new([seed; 32])).collect()
+}
+
+/// Asserts that no strict prefix of `bytes` decodes.
+fn assert_no_prefix_decodes(bytes: &[u8]) {
+    for cut in 0..bytes.len() {
+        assert!(
+            NodeMessage::<BrachaMessage>::from_bytes(&bytes[..cut]).is_err(),
+            "truncation at {cut} of {} decoded",
+            bytes.len()
+        );
+    }
 }
 
 proptest! {
@@ -60,8 +86,30 @@ proptest! {
     }
 
     #[test]
+    fn batches_roundtrip(
+        creator in 0u32..64,
+        worker in 0u32..8,
+        ntx in 0usize..8,
+        size in 0usize..256,
+        tag in any::<u64>(),
+    ) {
+        let msg = NodeMessage::<BrachaMessage>::Batch(make_batch(creator, worker, ntx, size, tag));
+        let bytes = msg.to_bytes();
+        prop_assert_eq!(bytes.len(), msg.encoded_len());
+        prop_assert_eq!(NodeMessage::<BrachaMessage>::from_bytes(&bytes).expect("roundtrip"), msg);
+    }
+
+    #[test]
+    fn batch_requests_roundtrip(seeds in proptest::collection::vec(any::<u8>(), 0..16)) {
+        let msg = NodeMessage::<BrachaMessage>::BatchRequest(make_digests(&seeds));
+        let bytes = msg.to_bytes();
+        prop_assert_eq!(bytes.len(), msg.encoded_len());
+        prop_assert_eq!(NodeMessage::<BrachaMessage>::from_bytes(&bytes).expect("roundtrip"), msg);
+    }
+
+    #[test]
     fn unknown_envelope_tags_are_rejected(
-        tag in 2u8..=255,
+        tag in 4u8..=255,
         tail in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let mut bytes = vec![tag];
@@ -80,12 +128,7 @@ proptest! {
         payload in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let bytes = NodeMessage::Rbc(make_rbc(phase, source, round, payload)).to_bytes();
-        for cut in 0..bytes.len() {
-            prop_assert!(
-                NodeMessage::<BrachaMessage>::from_bytes(&bytes[..cut]).is_err(),
-                "truncation at {} of {} decoded", cut, bytes.len()
-            );
-        }
+        assert_no_prefix_decodes(&bytes);
     }
 
     #[test]
@@ -94,11 +137,25 @@ proptest! {
         instance in 0u64..10_000,
     ) {
         let bytes = NodeMessage::<BrachaMessage>::Coin(make_share(issuer, instance, 7)).to_bytes();
-        for cut in 0..bytes.len() {
-            prop_assert!(
-                NodeMessage::<BrachaMessage>::from_bytes(&bytes[..cut]).is_err(),
-                "truncation at {} of {} decoded", cut, bytes.len()
-            );
-        }
+        assert_no_prefix_decodes(&bytes);
+    }
+
+    #[test]
+    fn no_strict_prefix_of_a_batch_decodes(
+        creator in 0u32..64,
+        ntx in 0usize..4,
+        size in 0usize..64,
+        tag in any::<u64>(),
+    ) {
+        let batch = make_batch(creator, 0, ntx, size, tag);
+        assert_no_prefix_decodes(&NodeMessage::<BrachaMessage>::Batch(batch).to_bytes());
+    }
+
+    #[test]
+    fn no_strict_prefix_of_a_batch_request_decodes(
+        seeds in proptest::collection::vec(any::<u8>(), 0..4),
+    ) {
+        let request = NodeMessage::<BrachaMessage>::BatchRequest(make_digests(&seeds));
+        assert_no_prefix_decodes(&request.to_bytes());
     }
 }

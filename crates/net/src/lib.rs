@@ -9,27 +9,29 @@
 //!   blocking ([`read_frame`]) and incremental ([`FrameReader`], for
 //!   non-blocking sockets).
 //! * [`wire`] — the [`WireMsg`] envelope (peer handshake, opaque engine
-//!   payloads, the DAG sync stream for rejoining processes, batches and
-//!   their fetches, and the client submit/subscribe protocol).
+//!   payloads — batches and their fetches among them — the DAG sync
+//!   stream for rejoining processes, and the client submit/subscribe
+//!   protocol).
 //! * [`backoff`] — capped exponential reconnect delays.
 //! * [`queue`] — bounded per-peer outbound queues with drop-oldest
 //!   backpressure, drained by the reactor without blocking.
 //! * `reactor` (crate-private) — the readiness-based event loop: one
 //!   thread owns every socket, one link per peer plus the clients. It
-//!   admits client transactions and hands them to consensus, hashes every
-//!   batch a peer sends, and tells subscribed clients when their
-//!   transactions are ordered, so a node runs three threads (four with a
-//!   store) regardless of cluster size or client count.
+//!   admits client transactions and hands them to consensus, passes peer
+//!   frames on, and tells subscribed clients when their transactions are
+//!   ordered, so a node runs three threads (four with a store) regardless
+//!   of cluster size or client count.
 //! * [`client`] — the client submission front end: admission counters
 //!   and the ordered-notification matcher the reactor keeps.
 //! * [`runtime`] — [`NetNode`]: one DAG-Rider process as an
 //!   event-driven TCP runtime with graceful shutdown. Its consensus
 //!   thread checks peer input as the engine takes it, a burst of events
-//!   per wake-up; batches arrive already hashed. Transactions fill the
-//!   engine's open batch, which seals once full ([`BATCH_MAX_BYTES`]) or
-//!   when the engine creates its next vertex; consensus queues each sealed
-//!   batch on every peer's link ahead of the vertex that names it, and
-//!   orders batch digests.
+//!   per wake-up, and routes only the engine's sends, broadcasts, timers
+//!   and ordered vertices. Transactions fill the engine's open batch,
+//!   which seals once full ([`BATCH_MAX_BYTES`]) or when the engine
+//!   creates its next vertex; the engine broadcasts each sealed batch
+//!   ahead of the vertex that names it, fetches and serves missing ones,
+//!   and orders batch digests.
 //! * [`wal`] — off-thread durability: the consensus loop hands durable
 //!   events to a flusher thread that appends them to a
 //!   `dagrider-store` write-ahead log and installs compacted

@@ -8,12 +8,11 @@
 //!
 //! * **inbound** — the listener plus all accepted connections. A
 //!   connection's first frame classifies it: [`WireMsg::Hello`] (a
-//!   peer's link, carrying its engine traffic, sync streams, fetches
-//!   and batches) or [`WireMsg::ClientHello`] (client submit/subscribe
+//!   peer's link, carrying its engine traffic — batches included — and
+//!   sync streams) or [`WireMsg::ClientHello`] (client submit/subscribe
 //!   session). Each connection carries its own incremental
 //!   [`FrameReader`], so frames split across reads reassemble without a
-//!   blocking `read_exact`. The reactor hashes every batch a peer link
-//!   carries before handing it to consensus.
+//!   blocking `read_exact`. A peer's frames go to consensus as decoded.
 //! * **outbound** — one dialed link ([`OutLink`]) per peer, draining
 //!   that peer's bounded [`SendQueue`] via the non-blocking
 //!   [`SendQueue::try_pop`]. A link takes up to [`MAX_IOV`] queued
@@ -56,7 +55,7 @@ use std::io::{self, IoSlice, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use dagrider_core::{HashedBatch, BATCH_MAX_BYTES};
+use dagrider_core::BATCH_MAX_BYTES;
 use dagrider_types::{Committee, Decode, Encode, ProcessId, Transaction};
 
 use crate::backoff::Backoff;
@@ -510,17 +509,8 @@ impl Reactor {
                     | WireMsg::ClientReject { .. }
                     | WireMsg::ClientSubscribe
                     | WireMsg::ClientOrdered { .. } => Verdict::Dead, // protocol abuse
-                    other => {
-                        // A push or a fetch answer alike: hashing here keeps
-                        // it off the consensus thread, which decides whether
-                        // to store it.
-                        let event = match other {
-                            WireMsg::Batch(batch) => {
-                                Event::PeerBatch { from, batch: HashedBatch::new(batch) }
-                            }
-                            msg => Event::Net { from, msg },
-                        };
-                        if self.config.consensus.send(event).is_ok() {
+                    msg => {
+                        if self.config.consensus.send(Event::Net { from, msg }).is_ok() {
                             Verdict::Keep
                         } else {
                             Verdict::Dead

@@ -8,22 +8,23 @@
 //!   thread that touches protocol state. It drains one event channel fed
 //!   by everything else, a burst of queued events per wake-up, and feeds
 //!   peer payloads to the engine raw: the engine hashes each broadcast
-//!   payload once per instance and checks each coin share's proof. It
-//!   forwards the durable subset of each engine turn's events to the
-//!   flusher before routing the turn's outputs. Transactions reach it on a
-//!   channel of their own, which [`NetNode::submit_tx`] and the reactor's
-//!   client admission both feed; before each event it hands whatever the
-//!   channel holds to the engine's open batch. The engine seals that
-//!   batch once full or when it creates its next vertex, which then names
-//!   it, and consensus queues the batch's frame on every peer's link
-//!   ahead of that vertex. Consensus orders only batch digests.
+//!   payload once per instance and each peer batch once, and checks each
+//!   coin share's proof. It forwards the durable subset of each engine
+//!   turn's events to the flusher before routing the turn's outputs, which
+//!   are sends, broadcasts, timers and ordered vertices only: batch
+//!   pushes, fetches and fetch answers are engine messages like any
+//!   other. Transactions reach it on a channel of their own, which
+//!   [`NetNode::submit_tx`] and the reactor's client admission both feed;
+//!   before each event it hands whatever the channel holds to the
+//!   engine's open batch. The engine seals that batch once full or when
+//!   it creates its next vertex, which then names it, and broadcasts the
+//!   batch ahead of that vertex. Consensus orders only batch digests.
 //! * **reactor** — owns *every* socket: the listener, one inbound and
 //!   one outbound link per peer, and all client sessions, swept in
 //!   non-blocking readiness loops (see `crate::reactor`). Client
 //!   admission, load shedding, round-robin fairness, and matching
 //!   ordered transactions back to subscribed clients' submissions live
-//!   here, at the socket edge. Every peer batch, pushed or fetched, is
-//!   hashed here before consensus sees it.
+//!   here, at the socket edge.
 //! * **dialer** — the one place TCP `connect` happens; hands connected,
 //!   handshaken, non-blocking links to the reactor and redials dead
 //!   ones with capped jittered [`Backoff`](crate::Backoff).
@@ -36,7 +37,9 @@
 //! A (re)starting node first replays its durable store (snapshot + WAL
 //! tail) into the fresh engine, then asks every peer for its retained
 //! DAG ([`WireMsg::SyncRequest`]) — covering just the suffix it missed
-//! — and only calls `engine.start()` if, after the sync phase, it is
+//! — and applies a peer's sync stream only while its own request to that
+//! peer is outstanding. It only calls `engine.start()` if, after the sync
+//! phase, it is
 //! still at the genesis round — a rejoining process resumes organically
 //! from the replayed and synced vertices instead, which keeps its
 //! pre-crash proposals from being equivocated where peers would notice.
@@ -48,15 +51,13 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dagrider_core::{
-    DagRiderEngine, DurableEvent, EngineEvent, EngineInput, EngineOutput, HashedBatch, NodeConfig,
-    NodeMessage, OrderedVertex, Turn, BATCH_MAX_BYTES,
+    DagRiderEngine, DurableEvent, EngineEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage,
+    OrderedVertex, Turn, BATCH_MAX_BYTES,
 };
 use dagrider_crypto::CoinKeys;
 use dagrider_rbc::ReliableBroadcast;
 use dagrider_store::{replay_into, DurableStore, FsyncPolicy, Recovered, StoreSnapshot};
-use dagrider_types::{
-    Batch, BatchDigest, Committee, Encode, ProcessId, Round, Time, Transaction, Wave,
-};
+use dagrider_types::{Batch, Committee, Encode, ProcessId, Round, Time, Transaction, Wave};
 
 use crate::client::{AdmissionSnapshot, AdmissionStats};
 use crate::frame::FramePool;
@@ -182,10 +183,6 @@ impl NetConfig {
 pub(crate) enum Event {
     /// A decoded wire message from an identified peer.
     Net { from: ProcessId, msg: WireMsg },
-    /// Peer `from`'s link carried a batch, pushed or fetched, which the
-    /// reactor hashed: the engine stores it if `from` created it or a
-    /// vertex the engine holds names it.
-    PeerBatch { from: ProcessId, batch: HashedBatch },
     /// The dialer (re-)established the link to `peer`.
     LinkUp(ProcessId),
     /// Stop the consensus loop.
@@ -573,8 +570,13 @@ struct Inbox {
 const MAX_BURST: u64 = 64;
 
 /// Outbound queue capacity per peer link, in frames (drop-oldest
-/// beyond). Batches and engine frames share it.
+/// beyond). Batches share it with every other engine frame.
 const QUEUE_CAPACITY: usize = 4096;
+
+/// Engine payloads longer than this take a frame pool of their own. No
+/// vertex, broadcast-layer or coin frame comes near it; batches of more
+/// than a few transactions pass it.
+const LARGE_FRAME_BYTES: usize = 4 * 1024;
 
 /// How long the consensus thread waits for an event before it fires due
 /// timers anyway (timer resolution, shutdown latency).
@@ -605,48 +607,32 @@ fn consensus_loop<B: ReliableBroadcast>(
 
     let mut routed = Routed::default();
     // Encode buffers recycle through these pools: steady-state outbound
-    // traffic allocates nothing. Batch frames (up to twice
-    // `BATCH_MAX_BYTES`) keep a pool of their own: a buffer never
-    // shrinks, and one that carried a batch and then went round with the
-    // engine frames would keep its size there.
+    // traffic allocates nothing. Payloads past `LARGE_FRAME_BYTES`
+    // (batches, up to twice `BATCH_MAX_BYTES`) keep a pool of their own:
+    // a buffer never shrinks, and one that carried a batch and then went
+    // round with the vertex frames would keep its size there.
     let frames = FramePool::new();
-    let batch_frames = FramePool::new();
-    let route = |engine: &DagRiderEngine<B>, outs: Vec<EngineOutput>, routed: &mut Routed| {
+    let large_frames = FramePool::new();
+    let engine_frame = |payload: &[u8]| {
+        let pool = if payload.len() > LARGE_FRAME_BYTES { &large_frames } else { &frames };
+        pool.encode_with(|buf| WireMsg::encode_engine_into(payload, buf))
+    };
+    let route = |outs: Vec<EngineOutput>, routed: &mut Routed| {
         for out in outs {
             match out {
                 EngineOutput::Send { to, payload } => {
-                    let frame =
-                        frames.encode_with(|buf| WireMsg::encode_engine_into(&payload, buf));
-                    queues[to.as_usize()].push(frame);
+                    queues[to.as_usize()].push(engine_frame(&payload));
                 }
                 EngineOutput::Broadcast { payload } => {
                     // Encoded exactly once; every queue holds a refcounted
                     // handle to the same buffer.
-                    let frame =
-                        frames.encode_with(|buf| WireMsg::encode_engine_into(&payload, buf));
+                    let frame = engine_frame(&payload);
                     for to in committee.others(me) {
                         queues[to.as_usize()].push(frame.clone());
                     }
                 }
                 EngineOutput::SetTimer { delay, tag } => {
                     routed.timers.push((Instant::now() + Duration::from_millis(delay), tag));
-                }
-                EngineOutput::PushBatch(digest) => {
-                    // The engine emits this ahead of the vertex that names
-                    // the batch, so each link carries the batch first. One
-                    // frame, shared by every queue.
-                    if let Some(batch) = engine.batch(&digest) {
-                        let frame =
-                            batch_frames.encode_with(|buf| WireMsg::encode_batch_into(batch, buf));
-                        for to in committee.others(me) {
-                            queues[to.as_usize()].push(frame.clone());
-                        }
-                    }
-                }
-                EngineOutput::FetchBatches { from, digests } => {
-                    // A buffered vertex names batches that never arrived
-                    // by push: ask `from` on the consensus connection.
-                    queues[from.as_usize()].push(frames.encode(&WireMsg::BatchRequest { digests }));
                 }
                 EngineOutput::Ordered(ordered) => routed.ordered.push(ordered),
             }
@@ -689,13 +675,13 @@ fn consensus_loop<B: ReliableBroadcast>(
                 }
             }
         }
-        route(engine, turn.outputs, routed);
+        route(turn.outputs, routed);
     };
 
     // Replay the local store into the fresh engine before anything
     // touches the network. The recovered prefix re-derives silently —
-    // its events are already in the store, `Send`/`Broadcast`/`PushBatch`
-    // are dropped (peers saw the original traffic long ago), and `Ordered`
+    // its events are already in the store, `Send`/`Broadcast` are
+    // dropped (peers saw the original traffic long ago), and `Ordered`
     // re-deliveries are published with the first iteration's progress.
     // The DAG and the coin now hold the prefix, so only *new* events
     // reach the WAL. The sync phase below then fetches just the suffix
@@ -709,13 +695,11 @@ fn consensus_loop<B: ReliableBroadcast>(
             engine_now(epoch),
             &mut rng,
             |out| match out {
-                EngineOutput::Send { .. }
-                | EngineOutput::Broadcast { .. }
-                | EngineOutput::PushBatch(_) => {}
+                EngineOutput::Send { .. } | EngineOutput::Broadcast { .. } => {}
                 other => replay_outs.push(other),
             },
         );
-        route(&engine, replay_outs, &mut routed);
+        route(replay_outs, &mut routed);
         published.recovered.store(stats.total() as u64, AtomicOrdering::Relaxed);
         // The recovered batches start the running totals.
         published.batches.store(engine.batches_stored() as u64, AtomicOrdering::Relaxed);
@@ -730,8 +714,12 @@ fn consensus_loop<B: ReliableBroadcast>(
     // never recovers the swallowed frame. `SyncEnd` therefore carries
     // the served vertex count; a shortfall triggers a bounded
     // re-request (re-served vertices are idempotent for the engine).
+    // A sync vertex skips the broadcast, so only a stream this node
+    // asked for is applied: `sync_asked` marks the peers with a request
+    // outstanding, from the request until that peer's `SyncEnd`.
     const SYNC_RETRIES: u32 = 3;
     let mut awaiting_sync: BTreeSet<ProcessId> = committee.others(me).collect();
+    let mut sync_asked = vec![false; committee.n()];
     let mut sync_received = vec![0u64; committee.n()];
     let mut sync_retries = vec![SYNC_RETRIES; committee.n()];
     let mut sync_deadline = Instant::now() + config.sync_timeout;
@@ -774,13 +762,14 @@ fn consensus_loop<B: ReliableBroadcast>(
                     WireMsg::SyncRequest => {
                         serve_sync(&mut engine, &mut rng, &queues[from.as_usize()], &frames);
                     }
-                    WireMsg::SyncVertex(vertex) => {
+                    WireMsg::SyncVertex(vertex) if sync_asked[from.as_usize()] => {
                         sync_received[from.as_usize()] += 1;
                         let input = EngineInput::SyncVertex(vertex);
                         let turn = engine.handle(engine_now(epoch), input, &mut rng);
                         emit(&engine, turn, &mut routed);
                     }
-                    WireMsg::SyncEnd { served } => {
+                    WireMsg::SyncEnd { served } if sync_asked[from.as_usize()] => {
+                        sync_asked[from.as_usize()] = false;
                         if sync_received[from.as_usize()] >= served {
                             awaiting_sync.remove(&from);
                         } else if !live && sync_retries[from.as_usize()] > 0 {
@@ -789,21 +778,20 @@ fn consensus_loop<B: ReliableBroadcast>(
                             // Ask again, and give the retry a fresh window.
                             sync_retries[from.as_usize()] -= 1;
                             sync_received[from.as_usize()] = 0;
+                            sync_asked[from.as_usize()] = true;
                             queues[from.as_usize()].push(frames.encode(&WireMsg::SyncRequest));
                             sync_deadline = Instant::now() + config.sync_timeout;
                         } else {
                             awaiting_sync.remove(&from);
                         }
                     }
-                    WireMsg::BatchRequest { digests } => {
-                        serve_batches(&engine, &digests, &queues[from.as_usize()], &batch_frames);
-                    }
-                    // Handshake frames are consumed by the reactor, which
-                    // sends batches as `PeerBatch`; client frames never
-                    // reach consensus (admission happens at the socket
-                    // edge).
+                    // Handshake frames are consumed by the reactor; a sync
+                    // stream nobody asked for is dropped; client frames
+                    // never reach consensus (admission happens at the
+                    // socket edge).
                     WireMsg::Hello(_)
-                    | WireMsg::Batch(_)
+                    | WireMsg::SyncVertex(_)
+                    | WireMsg::SyncEnd { .. }
                     | WireMsg::ClientHello
                     | WireMsg::ClientSubmit { .. }
                     | WireMsg::ClientSubmitAck { .. }
@@ -811,20 +799,10 @@ fn consensus_loop<B: ReliableBroadcast>(
                     | WireMsg::ClientSubscribe
                     | WireMsg::ClientOrdered { .. } => {}
                 },
-                Event::PeerBatch { from, batch } => {
-                    // A peer pushes only its own batches unasked; any other
-                    // is a fetch answer, wanted while a vertex names it. An
-                    // honest answer that arrives after GC pruned that vertex
-                    // looks like an unasked one, so neither closes the link.
-                    if batch.batch().creator() == from || engine.names_batch(&batch.digest()) {
-                        let input = EngineInput::BatchStored(batch);
-                        let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                        emit(&engine, turn, &mut routed);
-                    }
-                }
                 Event::LinkUp(peer) => {
                     if !live {
                         sync_received[peer.as_usize()] = 0;
+                        sync_asked[peer.as_usize()] = true;
                         queues[peer.as_usize()].push(frames.encode(&WireMsg::SyncRequest));
                     }
                 }
@@ -882,23 +860,6 @@ fn consensus_loop<B: ReliableBroadcast>(
 fn count_batch(published: &Published, batch: &Batch) {
     published.batches.fetch_add(1, AtomicOrdering::Relaxed);
     published.batch_bytes.fetch_add(batch.payload_bytes() as u64, AtomicOrdering::Relaxed);
-}
-
-/// Serves a peer's missing-batch fetch from the engine's batch store:
-/// one [`WireMsg::Batch`] frame per digest we hold. Digests we lack are
-/// skipped — the requester's engine asks the next peer when its fetch
-/// timer fires, so silence is a valid answer.
-fn serve_batches<B: ReliableBroadcast>(
-    engine: &DagRiderEngine<B>,
-    digests: &[BatchDigest],
-    queue: &SendQueue,
-    frames: &FramePool,
-) {
-    for digest in digests {
-        if let Some(batch) = engine.batch(digest) {
-            queue.push(frames.encode_with(|buf| WireMsg::encode_batch_into(batch, buf)));
-        }
-    }
 }
 
 /// Streams our retained DAG to a catching-up peer: every non-genesis

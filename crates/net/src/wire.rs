@@ -3,12 +3,13 @@
 //! Every frame on a cluster connection carries one [`WireMsg`], encoded
 //! with the workspace [`Encode`]/[`Decode`] codec. The envelope separates
 //! the transport concerns (identifying the peer, state sync for
-//! rejoining processes) from the opaque engine traffic, which stays in
-//! the exact byte format the sans-I/O engine emits.
+//! rejoining processes, the client protocol) from the opaque engine
+//! traffic — broadcasts, coin shares, batches and their fetches — which
+//! stays in the exact byte format the sans-I/O engine emits.
 
 use dagrider_types::{
-    bytes_encoded_len, decode_bytes, encode_bytes, Batch, BatchDigest, Decode, DecodeError, Encode,
-    ProcessId, Transaction, Vertex,
+    bytes_encoded_len, decode_bytes, encode_bytes, Decode, DecodeError, Encode, ProcessId,
+    Transaction, Vertex,
 };
 
 /// One message on a cluster TCP connection.
@@ -35,20 +36,6 @@ pub enum WireMsg {
         /// How many `SyncVertex` frames preceded this one.
         served: u64,
     },
-    /// Asks the peer to send the named batches: the requester holds a
-    /// vertex naming these digests in its buffer but never received the
-    /// batches' push. The peer answers
-    /// with one [`WireMsg::Batch`] per digest it holds; missing digests
-    /// are silently skipped — the requester's engine asks another peer
-    /// when its fetch timer fires.
-    BatchRequest {
-        /// The digests to resolve.
-        digests: Vec<BatchDigest>,
-    },
-    /// One transaction batch: a process pushes each batch it seals to
-    /// every peer, ahead of the vertex that names it, and answers a
-    /// [`WireMsg::BatchRequest`] with the batches it holds.
-    Batch(Batch),
     /// First frame on a client connection: marks the stream as a client
     /// session (submit/subscribe RPC) rather than a peer link. Like
     /// [`WireMsg::Hello`], an authentication stand-in.
@@ -150,16 +137,6 @@ impl WireMsg {
         1u8.encode(buf);
         encode_bytes(payload, buf);
     }
-
-    /// Encodes a `Batch(batch)` envelope straight from a borrowed batch —
-    /// byte-identical to `WireMsg::Batch(batch.clone())`'s encoding,
-    /// minus the clone. The consensus thread's batch push pairs this
-    /// with `FramePool::encode_with` so each sealed batch is encoded
-    /// exactly once for all peers.
-    pub fn encode_batch_into(batch: &Batch, buf: &mut Vec<u8>) {
-        6u8.encode(buf);
-        batch.encode(buf);
-    }
 }
 
 impl Encode for WireMsg {
@@ -181,14 +158,6 @@ impl Encode for WireMsg {
             WireMsg::SyncEnd { served } => {
                 4u8.encode(buf);
                 served.encode(buf);
-            }
-            WireMsg::BatchRequest { digests } => {
-                5u8.encode(buf);
-                digests.encode(buf);
-            }
-            WireMsg::Batch(batch) => {
-                6u8.encode(buf);
-                batch.encode(buf);
             }
             WireMsg::ClientHello => 9u8.encode(buf),
             WireMsg::ClientSubmit { seq, tx } => {
@@ -220,8 +189,6 @@ impl Encode for WireMsg {
             WireMsg::SyncRequest => 0,
             WireMsg::SyncVertex(v) => v.encoded_len(),
             WireMsg::SyncEnd { served } => served.encoded_len(),
-            WireMsg::BatchRequest { digests } => digests.encoded_len(),
-            WireMsg::Batch(batch) => batch.encoded_len(),
             WireMsg::ClientHello | WireMsg::ClientSubscribe => 0,
             WireMsg::ClientSubmit { seq, tx } => seq.encoded_len() + tx.encoded_len(),
             WireMsg::ClientSubmitAck { seq } | WireMsg::ClientOrdered { seq } => seq.encoded_len(),
@@ -238,8 +205,6 @@ impl Decode for WireMsg {
             2 => Ok(WireMsg::SyncRequest),
             3 => Ok(WireMsg::SyncVertex(Vertex::decode(buf)?)),
             4 => Ok(WireMsg::SyncEnd { served: u64::decode(buf)? }),
-            5 => Ok(WireMsg::BatchRequest { digests: Vec::decode(buf)? }),
-            6 => Ok(WireMsg::Batch(Batch::decode(buf)?)),
             9 => Ok(WireMsg::ClientHello),
             10 => {
                 Ok(WireMsg::ClientSubmit { seq: u64::decode(buf)?, tx: Transaction::decode(buf)? })
@@ -270,11 +235,6 @@ mod tests {
         )
         .strong_edges((0..3).map(|p| VertexRef::new(Round::new(2), ProcessId::new(p))))
         .build_unchecked();
-        let batch = Batch::new(
-            ProcessId::new(1),
-            2,
-            vec![Transaction::synthetic(7, 16), Transaction::synthetic(8, 0)],
-        );
         let msgs = [
             WireMsg::Hello(ProcessId::new(3)),
             WireMsg::Engine(vec![9, 8, 7]),
@@ -283,12 +243,6 @@ mod tests {
             WireMsg::SyncVertex(vertex),
             WireMsg::SyncEnd { served: 0 },
             WireMsg::SyncEnd { served: u64::MAX },
-            WireMsg::BatchRequest { digests: Vec::new() },
-            WireMsg::BatchRequest {
-                digests: vec![BatchDigest::new([7; 32]), BatchDigest::new([0; 32])],
-            },
-            WireMsg::Batch(batch),
-            WireMsg::Batch(Batch::new(ProcessId::new(0), 0, Vec::new())),
             WireMsg::ClientHello,
             WireMsg::ClientSubmit { seq: 0, tx: Transaction::synthetic(1, 0) },
             WireMsg::ClientSubmit { seq: u64::MAX, tx: Transaction::synthetic(2, 300) },
@@ -317,10 +271,11 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        // Tags 7 and 8 are retired: a worker-link handshake or a batch
-        // acknowledgement from a peer running older code must not decode
-        // as anything.
-        for tag in [7, 8, 250] {
+        // Tags 5 to 8 are retired: a batch request, a batch, a worker-link
+        // handshake or a batch acknowledgement from a peer running older
+        // code must not decode as anything. Batches travel inside
+        // `Engine` frames now.
+        for tag in [5, 6, 7, 8, 250] {
             assert_eq!(
                 WireMsg::from_bytes(&[tag]),
                 Err(DecodeError::Invalid("unknown wire message tag"))
@@ -347,66 +302,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn encode_batch_into_matches_the_owned_encoding() {
-        let batch = Batch::new(ProcessId::new(3), 1, vec![Transaction::synthetic(5, 64)]);
-        let mut fast = Vec::new();
-        WireMsg::encode_batch_into(&batch, &mut fast);
-        assert_eq!(fast, WireMsg::Batch(batch).to_bytes());
-    }
-
     mod props {
         use proptest::collection;
         use proptest::prelude::*;
 
         use super::*;
 
-        /// Deterministically derives a digest from a seed (the codec does
-        /// not care that it is not a real hash).
-        fn digest_from(seed: u64) -> BatchDigest {
-            let mut bytes = [0u8; 32];
-            for (i, byte) in bytes.iter_mut().enumerate() {
-                *byte = (seed
-                    .wrapping_mul(0x9e37_79b9_7f4a_7c15)
-                    .wrapping_add(i as u64)
-                    .rotate_left((i % 61) as u32)
-                    & 0xff) as u8;
-            }
-            BatchDigest::new(bytes)
-        }
-
-        fn batch_from(creator: u32, worker: u32, ntx: usize, size: usize, tag: u64) -> Batch {
-            let txs: Vec<Transaction> = (0..ntx)
-                .map(|i| Transaction::synthetic(tag.wrapping_add(i as u64), size))
-                .collect();
-            Batch::new(ProcessId::new(creator), worker, txs)
-        }
-
-        /// One of the batch- or client-layer wire messages, chosen by
-        /// `kind`.
-        fn msg_from(
-            kind: u8,
-            creator: u32,
-            worker: u32,
-            ntx: usize,
-            size: usize,
-            tag: u64,
-        ) -> WireMsg {
+        /// One of the client-layer wire messages, chosen by `kind`.
+        fn msg_from(kind: u8, size: usize, tag: u64) -> WireMsg {
             let reason = match tag % 3 {
                 0 => RejectReason::QueueFull,
                 1 => RejectReason::Oversized,
                 _ => RejectReason::NotReady,
             };
-            match kind % 8 {
-                0 => WireMsg::BatchRequest {
-                    digests: (0..ntx).map(|i| digest_from(tag.wrapping_add(i as u64))).collect(),
-                },
-                1 => WireMsg::Batch(batch_from(creator, worker, ntx, size, tag)),
-                2 => WireMsg::ClientHello,
-                3 => WireMsg::ClientSubmit { seq: tag, tx: Transaction::synthetic(tag, size) },
-                4 => WireMsg::ClientSubmitAck { seq: tag },
-                5 => WireMsg::ClientReject { seq: tag, reason },
-                6 => WireMsg::ClientSubscribe,
+            match kind % 6 {
+                0 => WireMsg::ClientHello,
+                1 => WireMsg::ClientSubmit { seq: tag, tx: Transaction::synthetic(tag, size) },
+                2 => WireMsg::ClientSubmitAck { seq: tag },
+                3 => WireMsg::ClientReject { seq: tag, reason },
+                4 => WireMsg::ClientSubscribe,
                 _ => WireMsg::ClientOrdered { seq: tag },
             }
         }
@@ -414,18 +328,15 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
 
-            /// Round-trip: every batch-layer wire message decodes back to
+            /// Round-trip: every client-layer wire message decodes back to
             /// itself, and `encoded_len` matches the bytes produced.
             #[test]
-            fn batch_wire_roundtrip(
+            fn client_wire_roundtrip(
                 kind in any::<u8>(),
-                creator in 0u32..64,
-                worker in 0u32..8,
-                ntx in 0usize..8,
                 size in 0usize..64,
                 tag in any::<u64>(),
             ) {
-                let msg = msg_from(kind, creator, worker, ntx, size, tag);
+                let msg = msg_from(kind, size, tag);
                 let bytes = msg.to_bytes();
                 prop_assert_eq!(bytes.len(), msg.encoded_len());
                 prop_assert_eq!(WireMsg::from_bytes(&bytes), Ok(msg));
@@ -433,16 +344,13 @@ mod tests {
 
             /// Strict prefix: no truncation of a valid encoding decodes.
             #[test]
-            fn batch_wire_rejects_strict_prefixes(
+            fn client_wire_rejects_strict_prefixes(
                 kind in any::<u8>(),
-                creator in 0u32..64,
-                worker in 0u32..8,
-                ntx in 0usize..8,
                 size in 0usize..64,
                 tag in any::<u64>(),
                 cut in 0usize..4096,
             ) {
-                let msg = msg_from(kind, creator, worker, ntx, size, tag);
+                let msg = msg_from(kind, size, tag);
                 let bytes = msg.to_bytes();
                 let cut = cut % bytes.len().max(1);
                 prop_assert!(WireMsg::from_bytes(&bytes[..cut]).is_err());
@@ -454,11 +362,10 @@ mod tests {
                 raw in any::<u8>(),
                 rest in collection::vec(any::<u8>(), 0..64),
             ) {
-                // 7 or 8 (retired) or 15..=255 (above every known tag).
-                let tag = match raw % 243 {
-                    0 => 7,
-                    1 => 8,
-                    k => 13 + k,
+                // 5 to 8 (retired) or 15..=255 (above every known tag).
+                let tag = match raw % 245 {
+                    k @ 0..=3 => 5 + k,
+                    k => 11 + k,
                 };
                 let mut bytes = vec![tag];
                 bytes.extend_from_slice(&rest);

@@ -16,10 +16,10 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use dagrider_core::NodeConfig;
+use dagrider_core::{NodeConfig, NodeMessage};
 use dagrider_crypto::{deal_coin_keys, CoinKeys};
 use dagrider_net::{read_frame, write_frame, NetConfig, NetNode, WireMsg};
-use dagrider_rbc::BrachaRbc;
+use dagrider_rbc::{BrachaMessage, BrachaRbc};
 use dagrider_types::{Committee, Decode, ProcessId, Transaction};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -142,8 +142,9 @@ fn workers_disseminate_and_order_by_digest() {
 
 /// A frame proxy in front of one node. Each connection it accepts is
 /// forwarded to the node, frame by frame on a thread of its own, except
-/// every batch whose creator is the peer that sent its `Hello`: the
-/// peer's pushes and its answers to fetches of its own batches vanish.
+/// every batch message whose creator is the peer that sent its `Hello`:
+/// the peer's pushes and its answers to fetches of its own batches
+/// vanish.
 struct Proxy {
     addr: SocketAddr,
     dropped: Arc<AtomicUsize>,
@@ -199,12 +200,16 @@ fn forward(
     while let Ok(frame) = read_frame(&mut inbound) {
         match WireMsg::from_bytes(&frame) {
             Ok(WireMsg::Hello(from)) => peer = Some(from),
-            Ok(WireMsg::Batch(batch)) if Some(batch.creator()) == peer => {
-                dropped.fetch_add(1, Ordering::Relaxed);
-                continue;
-            }
-            Ok(WireMsg::Batch(_)) => {
-                forwarded.fetch_add(1, Ordering::Relaxed);
+            Ok(WireMsg::Engine(payload)) => {
+                if let Ok(NodeMessage::<BrachaMessage>::Batch(batch)) =
+                    NodeMessage::from_bytes(&payload)
+                {
+                    if Some(batch.creator()) == peer {
+                        dropped.fetch_add(1, Ordering::Relaxed);
+                        continue;
+                    }
+                    forwarded.fetch_add(1, Ordering::Relaxed);
+                }
             }
             _ => {}
         }

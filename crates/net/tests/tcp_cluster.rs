@@ -8,12 +8,12 @@ use std::net::TcpListener;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
-use dagrider_core::NodeConfig;
+use dagrider_core::{NodeConfig, NodeMessage};
 use dagrider_crypto::{deal_coin_keys, CoinKeys};
 use dagrider_net::{
     read_frame, write_frame, NetConfig, NetNode, RejectReason, StoreConfig, WireMsg,
 };
-use dagrider_rbc::BrachaRbc;
+use dagrider_rbc::{BrachaMessage, BrachaRbc};
 use dagrider_store::FsyncPolicy;
 use dagrider_types::{Batch, Committee, Decode, Encode, ProcessId, Transaction};
 use rand::rngs::StdRng;
@@ -95,6 +95,11 @@ fn await_quiescence(nodes: &[&NetNode], max_round: u64, grace: Duration, timeout
             return;
         }
     }
+}
+
+/// The frame a peer link carries for engine message `msg`.
+fn engine_frame(msg: &NodeMessage<BrachaMessage>) -> Vec<u8> {
+    WireMsg::Engine(msg.to_bytes()).to_bytes()
 }
 
 fn assert_identical_logs(nodes: &[&NetNode]) -> usize {
@@ -366,8 +371,8 @@ fn a_restarted_node_serves_the_batches_it_recovered() {
     // ... and reads peer 1's requests on the link peer 1 dials.
     let mut to_node = TcpStream::connect(addr).unwrap();
     write_frame(&mut to_node, &WireMsg::Hello(ProcessId::new(1)).to_bytes()).unwrap();
-    let request = WireMsg::BatchRequest { digests: vec![batch_digest(&batch)] };
-    write_frame(&mut to_node, &request.to_bytes()).unwrap();
+    let request = NodeMessage::BatchRequest(vec![batch_digest(&batch)]);
+    write_frame(&mut to_node, &engine_frame(&request)).unwrap();
 
     let deadline = Instant::now() + Duration::from_secs(10);
     let served = loop {
@@ -377,7 +382,8 @@ fn a_restarted_node_serves_the_batches_it_recovered() {
         let Ok(frame) = read_frame(&mut from_node) else {
             panic!("node 0 never served the batch it recovered");
         };
-        if let Ok(WireMsg::Batch(served)) = WireMsg::from_bytes(&frame) {
+        let Ok(WireMsg::Engine(payload)) = WireMsg::from_bytes(&frame) else { continue };
+        if let Ok(NodeMessage::<BrachaMessage>::Batch(served)) = NodeMessage::from_bytes(&payload) {
             break served;
         }
     };
@@ -617,7 +623,7 @@ fn a_peer_link_stores_only_its_peers_own_batches_unasked() {
     for creator in [2, 1] {
         let tx = Transaction::synthetic(u64::from(creator), 32);
         let batch = Batch::new(ProcessId::new(creator), 0, vec![tx]);
-        write_frame(&mut stream, &WireMsg::Batch(batch).to_bytes()).unwrap();
+        write_frame(&mut stream, &engine_frame(&NodeMessage::Batch(batch))).unwrap();
     }
     let deadline = Instant::now() + Duration::from_secs(10);
     while node.batches_stored() == 0 && Instant::now() < deadline {
@@ -627,6 +633,54 @@ fn a_peer_link_stores_only_its_peers_own_batches_unasked() {
     std::thread::sleep(Duration::from_millis(300));
     assert_eq!(node.batches_stored(), 1, "exactly p1's own batch is stored");
     drop((stream, node, listeners));
+}
+
+/// A sync vertex skips the broadcast, so a node applies one only as an
+/// answer to its own sync request. Nodes 0–2 run and nothing listens at
+/// p3's address, so no node ever asks p3. While node 1 still syncs, the
+/// test dials it as p3 and sends a round-1 vertex of p0 whose block holds
+/// a marker: node 1 must drop it and order p0's real vertex, as the
+/// others do.
+#[test]
+fn a_node_applies_only_the_sync_vertices_it_asked_for() {
+    use dagrider_types::{Block, Round, SeqNum, VertexBuilder, VertexRef};
+
+    let max_round = 16;
+    let (cluster, mut listeners) = Cluster::prepare(4, 515, max_round);
+    drop(listeners.pop());
+    // Every node waits out its sync window for p3; two seconds leave the
+    // forger ample time to arrive inside it.
+    let start = |(i, listener)| {
+        let config = cluster.config(i).with_sync_timeout(Duration::from_secs(2));
+        NetNode::start::<BrachaRbc>(config, Some(listener)).unwrap()
+    };
+    let nodes: Vec<NetNode> = listeners.into_iter().enumerate().map(start).collect();
+
+    let p0 = ProcessId::new(0);
+    let marker = Transaction::synthetic(5_150, 32);
+    let forged =
+        VertexBuilder::new(p0, Round::new(1), Block::new(p0, SeqNum::new(1), vec![marker.clone()]))
+            .strong_edges(cluster.committee.members().map(|p| VertexRef::new(Round::GENESIS, p)))
+            .build(&cluster.committee)
+            .unwrap();
+    let mut forger = std::net::TcpStream::connect(nodes[1].local_addr()).unwrap();
+    write_frame(&mut forger, &WireMsg::Hello(ProcessId::new(3)).to_bytes()).unwrap();
+    write_frame(&mut forger, &WireMsg::SyncVertex(forged).to_bytes()).unwrap();
+    assert!(!nodes[1].is_live(), "node 1 went live before the forged vertex was sent");
+
+    let refs: Vec<&NetNode> = nodes.iter().collect();
+    await_quiescence(&refs, max_round, Duration::from_millis(800), Duration::from_secs(60));
+    let logs: Vec<Vec<_>> = nodes
+        .iter()
+        .map(|node| node.ordered().into_iter().map(|o| (o.vertex, o.block)).collect())
+        .collect();
+    assert!(!logs[0].is_empty());
+    for (i, log) in logs.iter().enumerate() {
+        assert_eq!(log, &logs[0], "node {i} ordered a different sequence or payloads");
+        let ordered_marker = log.iter().any(|(_, block)| block.transactions().contains(&marker));
+        assert!(!ordered_marker, "node {i} ordered the forged vertex's marker");
+    }
+    drop((forger, nodes));
 }
 
 #[test]

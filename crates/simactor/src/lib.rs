@@ -12,7 +12,9 @@
 //! counters simulation tests query.
 //!
 //! The adapter adds **no protocol logic** — every decision, every byte on
-//! the wire, and every draw of randomness happens inside the engine. That
+//! the wire, and every draw of randomness happens inside the engine;
+//! batch pushes, fetches and their answers are engine messages the
+//! simulator carries like any other. That
 //! is what makes the refactor behavior-preserving: a simulation run through
 //! this adapter is event-for-event identical to the pre-refactor
 //! `DagRiderNode` actor (the full pre-refactor test suite lives here,
@@ -197,15 +199,6 @@ impl<B: ReliableBroadcast> SimActor<B> {
                 EngineOutput::Send { to, payload } => ctx.send(to, payload),
                 EngineOutput::Broadcast { payload } => ctx.broadcast_to_others(payload),
                 EngineOutput::SetTimer { delay, tag } => ctx.schedule(delay, tag),
-                // The simulator carries no batches. Drivers that propose
-                // digests (the `net_throughput` simnet phase, the
-                // benchmark's sim workload) pre-stage every batch in
-                // every engine, so nothing is ever missing. A node that
-                // does miss a batch keeps the vertex naming it in its
-                // buffer, and its fetch timer keeps firing, for as long
-                // as the vertex stays there. No simulated driver submits
-                // transactions to the open batch, so none is pushed.
-                EngineOutput::FetchBatches { .. } | EngineOutput::PushBatch(_) => {}
                 EngineOutput::Ordered(o) => self.ordered.push(o),
             }
         }

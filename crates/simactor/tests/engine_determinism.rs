@@ -131,10 +131,7 @@ fn direct_harness_run_replays_byte_identically() {
                         wire.push_back((from, to, payload.to_vec()));
                     }
                 }
-                EngineOutput::SetTimer { .. }
-                | EngineOutput::Ordered(_)
-                | EngineOutput::FetchBatches { .. }
-                | EngineOutput::PushBatch(_) => {}
+                EngineOutput::SetTimer { .. } | EngineOutput::Ordered(_) => {}
             }
         }
     };
@@ -169,14 +166,13 @@ fn direct_harness_run_replays_byte_identically() {
 }
 
 #[test]
-#[allow(clippy::type_complexity)] // the `submit` injector's signature is the test's whole point
 fn digest_payloads_order_identically_to_inline_payloads() {
     // Decoupling data from consensus must not change consensus: a
     // cluster whose processes propose digest-list payloads (batches
-    // pre-stored everywhere, as after worker dissemination) must order
-    // the same vertex sequence as one proposing the same transactions
+    // pre-stored everywhere, as after dissemination) must order the
+    // same vertex sequence as one proposing the same transactions
     // inline — and resolve each delivery to the same transactions.
-    use dagrider_core::{batch_digest, HashedBatch};
+    use dagrider_core::batch_digest;
     use dagrider_types::{Batch, Block, SeqNum, Transaction};
 
     let committee = Committee::new(4).unwrap();
@@ -187,13 +183,9 @@ fn digest_payloads_order_identically_to_inline_payloads() {
         vec![Transaction::synthetic(40 + p.as_usize() as u64, 32)]
     };
 
-    // Runs a 4-engine FIFO-wire cluster to quiescence; `submit` injects
-    // each process's payload before start.
-    let run = |submit: &dyn Fn(
-        &mut DagRiderEngine<BrachaRbc>,
-        ProcessId,
-        &mut StdRng,
-    ) -> Vec<EngineOutput>| {
+    // Runs a 4-engine FIFO-wire cluster to quiescence; `stage` gives
+    // each process its payload before start.
+    let run = |stage: &dyn Fn(&mut DagRiderEngine<BrachaRbc>, ProcessId)| {
         let mut fetches_sent = vec![0u64; 4];
         let mut ordered: Vec<Vec<OrderedVertex>> = vec![Vec::new(); 4];
         let mut engines: Vec<DagRiderEngine<BrachaRbc>> = committee
@@ -210,6 +202,10 @@ fn digest_payloads_order_identically_to_inline_payloads() {
                 for out in outs {
                     match out {
                         EngineOutput::Send { to, payload } => {
+                            let request = NodeMessage::<BrachaMessage>::from_bytes(payload);
+                            if let Ok(NodeMessage::BatchRequest(_)) = request {
+                                fetches_sent[from.as_usize()] += 1;
+                            }
                             wire.push_back((from, *to, payload.to_vec()));
                         }
                         EngineOutput::Broadcast { payload } => {
@@ -217,25 +213,16 @@ fn digest_payloads_order_identically_to_inline_payloads() {
                                 wire.push_back((from, to, payload.to_vec()));
                             }
                         }
-                        EngineOutput::FetchBatches { .. } => fetches_sent[from.as_usize()] += 1,
                         EngineOutput::Ordered(o) => ordered[from.as_usize()].push(o.clone()),
-                        EngineOutput::SetTimer { .. } | EngineOutput::PushBatch(_) => {}
+                        EngineOutput::SetTimer { .. } => {}
                     }
                 }
             };
         for p in committee.members() {
-            // Pre-start submissions self-start the engine (the first
-            // proposal fires off the genesis quorum), so collect their
-            // outputs too and only call start() if it is still pending —
-            // the same gate the TCP runtime applies after sync.
-            let outs = submit(&mut engines[p.as_usize()], p, &mut rngs[p.as_usize()]);
+            let (engine, rng) = (&mut engines[p.as_usize()], &mut rngs[p.as_usize()]);
+            stage(engine, p);
+            let outs = engine.start(Time::ZERO, rng).outputs;
             route(p, &outs, &mut wire);
-            if engines[p.as_usize()].current_round() == dagrider_types::Round::GENESIS
-                && !engines[p.as_usize()].is_started()
-            {
-                let outs = engines[p.as_usize()].start(Time::ZERO, &mut rngs[p.as_usize()]).outputs;
-                route(p, &outs, &mut wire);
-            }
         }
         let mut t = 0u64;
         while let Some((from, to, payload)) = wire.pop_front() {
@@ -253,24 +240,16 @@ fn digest_payloads_order_identically_to_inline_payloads() {
     };
 
     // Inline: each process proposes its transactions as a block.
-    let (inline, inline_ordered, _) = run(&|engine, p, rng| {
-        let block = Block::new(p, SeqNum::new(1), txs_of(p));
-        engine.handle(Time::ZERO, EngineInput::SubmitBlock(block), rng).outputs
-    });
+    let (inline, inline_ordered, _) =
+        run(&|engine, p| engine.enqueue_block(Block::new(p, SeqNum::new(1), txs_of(p))));
     // Digest: every batch is pre-stored on every engine (the post-
     // dissemination state), then each process proposes its digest.
     let batches: Vec<Batch> = committee.members().map(|p| Batch::new(p, 0, txs_of(p))).collect();
-    let (digest, digest_ordered, digest_fetches) = run(&|engine, p, rng| {
-        let mut outs = Vec::new();
+    let (digest, digest_ordered, digest_fetches) = run(&|engine, p| {
         for batch in &batches {
-            let input = EngineInput::BatchStored(HashedBatch::new(batch.clone()));
-            outs.extend(engine.handle(Time::ZERO, input, rng).outputs);
+            engine.store_batch(batch.clone());
         }
-        let digest = batch_digest(&batches[p.as_usize()]);
-        outs.extend(
-            engine.handle(Time::ZERO, EngineInput::SubmitDigests(vec![digest]), rng).outputs,
-        );
-        outs
+        engine.enqueue_digests(vec![batch_digest(&batches[p.as_usize()])]);
     });
 
     for p in committee.members() {
@@ -366,10 +345,7 @@ fn verified_and_unverified_routes_produce_identical_state() {
                                 wire.push_back((from, to, payload.to_vec()));
                             }
                         }
-                        EngineOutput::SetTimer { .. }
-                        | EngineOutput::Ordered(_)
-                        | EngineOutput::FetchBatches { .. }
-                        | EngineOutput::PushBatch(_) => {}
+                        EngineOutput::SetTimer { .. } | EngineOutput::Ordered(_) => {}
                     }
                 }
                 outputs[from.as_usize()].extend(outs);
@@ -552,15 +528,6 @@ fn encode_turn(turn: &Turn, buf: &mut Vec<u8>) {
                 ordered.block.encode(buf);
                 ordered.committed_in_wave.encode(buf);
                 ordered.delivered_at.ticks().encode(buf);
-            }
-            EngineOutput::FetchBatches { from, digests } => {
-                4u8.encode(buf);
-                from.encode(buf);
-                digests.encode(buf);
-            }
-            EngineOutput::PushBatch(digest) => {
-                5u8.encode(buf);
-                digest.encode(buf);
             }
         }
     }

@@ -2,12 +2,15 @@
 //! through the [`SimActor`](dagrider_simactor::SimActor) adapter — the
 //! behavior-preservation proof for the sans-I/O engine extraction.
 
-use dagrider_core::NodeConfig;
+use std::collections::BTreeMap;
+
+use dagrider_core::{batch_digest, EngineInput, NodeConfig};
 use dagrider_crypto::deal_coin_keys;
 use dagrider_rbc::{AvidRbc, BrachaRbc, ProbabilisticRbc, ReliableBroadcast};
 use dagrider_simactor::DagRiderNode;
 use dagrider_simnet::{Simulation, UniformScheduler};
-use dagrider_types::{Block, Committee, ProcessId, Round, SeqNum, Transaction, Wave};
+use dagrider_trace::TraceEvent;
+use dagrider_types::{Batch, Block, Committee, ProcessId, Round, SeqNum, Time, Transaction, Wave};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -227,4 +230,118 @@ fn commit_latency_is_recorded() {
         assert!(window[0].delivered_at <= window[1].delivered_at);
     }
     assert!(!node.commits().is_empty());
+}
+
+/// Events a 12-round run of four processes takes with room to spare; a
+/// run still busy after this many never goes idle.
+const IDLE_BOUND: u64 = 200_000;
+
+/// Runs `sim` for at most [`IDLE_BOUND`] events and asserts that it went
+/// idle, then that every process ordered the same vertices with the same
+/// payloads.
+fn assert_idle_with_identical_logs(
+    sim: &mut Simulation<DagRiderNode<BrachaRbc>, UniformScheduler>,
+) {
+    sim.run_until(IDLE_BOUND, |_| false);
+    assert!(!sim.step(), "the run never went idle");
+    let committee = sim.committee();
+    let reference = sim.actor(ProcessId::new(0)).ordered();
+    assert!(!reference.is_empty());
+    for p in committee.members() {
+        let log = sim.actor(p).ordered();
+        let pairs = |log: &[dagrider_core::OrderedVertex]| -> Vec<(_, Block)> {
+            log.iter().map(|o| (o.vertex, o.block.clone())).collect()
+        };
+        assert_eq!(pairs(log), pairs(reference), "{p} ordered a different sequence or payloads");
+    }
+}
+
+/// Each process proposes the digest of its own pre-staged batch, and p3
+/// lacks p0's. p3 fetches it over the simulated network, from p0 first,
+/// and the run goes idle with every log equal, payloads included.
+#[test]
+fn a_missing_batch_is_fetched_over_the_simulated_network() {
+    let committee = Committee::new(4).unwrap();
+    let keys = deal_coin_keys(&committee, &mut StdRng::seed_from_u64(53));
+    let config = NodeConfig::default().with_max_round(12);
+    let batches: Vec<Batch> = committee
+        .members()
+        .map(|p| Batch::new(p, 0, vec![Transaction::synthetic(5_300 + u64::from(p.index()), 32)]))
+        .collect();
+    let (p0, p3) = (ProcessId::new(0), ProcessId::new(3));
+    let nodes: Vec<DagRiderNode<BrachaRbc>> = committee
+        .members()
+        .zip(keys)
+        .map(|(p, k)| {
+            let mut node = DagRiderNode::new(committee, p, k, config.clone()).with_trace(1 << 14);
+            for batch in &batches {
+                if p != p3 || batch.creator() != p0 {
+                    node.store_batch(batch.clone());
+                }
+            }
+            node.enqueue_digests(vec![batch_digest(&batches[p.as_usize()])]);
+            node
+        })
+        .collect();
+    let mut sim = Simulation::new(committee, nodes, UniformScheduler::new(1, 10), 53);
+    assert_idle_with_identical_logs(&mut sim);
+
+    let asked: Vec<ProcessId> = sim
+        .actor(p3)
+        .trace_records()
+        .iter()
+        .filter_map(|r| match r.event {
+            TraceEvent::BatchFetchRequested { from, .. } => Some(from),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(asked.first(), Some(&p0), "p3's first request must ask the proposer: {asked:?}");
+    for p in committee.members() {
+        let ordered = sim
+            .actor(p)
+            .ordered()
+            .iter()
+            .any(|o| o.block.transactions() == batches[p0.as_usize()].transactions());
+        assert!(ordered, "{p} never ordered p0's batch");
+    }
+}
+
+/// Transactions handed to each engine's open batch before the run seal
+/// into the round-1 vertices, travel to the peers as messages, and are
+/// each ordered exactly once everywhere.
+#[test]
+fn transactions_sealed_at_start_travel_as_messages_and_order_once() {
+    let committee = Committee::new(4).unwrap();
+    let keys = deal_coin_keys(&committee, &mut StdRng::seed_from_u64(59));
+    let config = NodeConfig::default().with_max_round(12);
+    let txs_of = |p: ProcessId| -> Vec<Transaction> {
+        (0..3).map(|i| Transaction::synthetic(u64::from(p.index()) * 100 + i, 64)).collect()
+    };
+    let nodes: Vec<DagRiderNode<BrachaRbc>> = committee
+        .members()
+        .zip(keys)
+        .map(|(p, k)| {
+            let mut node = DagRiderNode::new(committee, p, k, config.clone());
+            let input = EngineInput::SubmitTransactions(txs_of(p));
+            let turn = node.handle(Time::ZERO, input, &mut StdRng::seed_from_u64(0));
+            assert!(turn.outputs.is_empty(), "an underfull batch waits for the round-1 vertex");
+            node
+        })
+        .collect();
+    let mut sim = Simulation::new(committee, nodes, UniformScheduler::new(1, 10), 59);
+    assert_idle_with_identical_logs(&mut sim);
+
+    for p in committee.members() {
+        let mut counts: BTreeMap<Transaction, usize> = BTreeMap::new();
+        for ordered in sim.actor(p).ordered() {
+            for tx in ordered.block.transactions() {
+                *counts.entry(tx.clone()).or_insert(0) += 1;
+            }
+        }
+        let submitted: Vec<Transaction> = committee.members().flat_map(txs_of).collect();
+        assert_eq!(counts.len(), submitted.len(), "{p} ordered {counts:?}");
+        for tx in &submitted {
+            assert_eq!(counts.get(tx), Some(&1), "{p} ordered a transaction other than once");
+        }
+    }
 }

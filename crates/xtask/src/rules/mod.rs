@@ -221,7 +221,6 @@ fn check_sync_discipline(root: &Path, findings: &mut Vec<Finding>) {
 const EVENT_LOOP_FNS: &[(&str, &str)] = &[
     ("crates/net/src/runtime.rs", "consensus_loop"),
     ("crates/net/src/runtime.rs", "serve_sync"),
-    ("crates/net/src/runtime.rs", "serve_batches"),
     ("crates/net/src/reactor.rs", "reactor_loop"),
     ("crates/net/src/reactor.rs", "adopt_links"),
     ("crates/net/src/reactor.rs", "flush_links"),

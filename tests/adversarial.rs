@@ -9,7 +9,7 @@ use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 
 use bytes::Bytes;
 use dag_rider::core::{
-    batch_digest, DagRiderEngine, EngineInput, EngineOutput, HashedBatch, NodeConfig,
+    batch_digest, DagRiderEngine, EngineInput, EngineOutput, NodeConfig, NodeMessage,
     OrderedVertex, Turn, VertexPayload,
 };
 use dag_rider::crypto::deal_coin_keys;
@@ -27,6 +27,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 type Node = DagRiderNode<BrachaRbc>;
+type Message = NodeMessage<BrachaMessage>;
 
 /// During a partition no wave can commit (neither side has 2f+1); after
 /// healing, progress resumes and total order holds.
@@ -229,22 +230,21 @@ fn crash_plus_partition_combined() {
 /// Processes in every [`Harness`] run.
 const N: usize = 4;
 
-/// Four engines on a FIFO wire that carries peer messages, batch pushes
-/// and fetch answers, one tick per input. A timer fires no earlier than
-/// it is due, and a `FetchBatches` is answered from the asked engine's
-/// batch map unless that engine is `mute`. A batch that no engine holds
-/// is fetched for as long as its vertex stays buffered, so
-/// [`Harness::run`] stops at a virtual-time horizon.
+/// Four engines on a FIFO wire that carries their messages, batch
+/// pushes, fetches and fetch answers included, one tick per input. A
+/// timer fires no earlier than it is due, and a batch request addressed
+/// to the `mute` engine is dropped. A batch that no engine holds is
+/// fetched for as long as its vertex stays buffered, so [`Harness::run`]
+/// stops at a virtual-time horizon.
 ///
 /// Engines started by [`Harness::sealing`] seal a batch whenever their
-/// round rises, as the TCP runtime does: they push it to their peers
-/// ahead of the vertex that names it, store it, and submit its digest
-/// for their next vertex.
+/// round rises: they push it to their peers ahead of the vertex that
+/// names it, store it, and enqueue its digest for their next vertex.
 struct Harness {
     committee: Committee,
     engines: Vec<DagRiderEngine<BrachaRbc>>,
     rngs: Vec<StdRng>,
-    /// Inputs in flight, first in first out: peer messages and batches.
+    /// Inputs in flight, first in first out.
     wire: VecDeque<(ProcessId, EngineInput)>,
     /// Armed timers as `(due tick, process, tag)`, earliest first.
     timers: BinaryHeap<Reverse<(u64, ProcessId, u64)>>,
@@ -315,11 +315,10 @@ impl Harness {
                     harness.engines[i].store_batch(batch.clone());
                 }
             }
-            // The submission moves the engine off genesis with the digests
-            // in its round-1 vertex.
+            // The digests ride the round-1 vertex.
             let digests = proposes(p).iter().map(|&b| batch_digest(&batches[b])).collect();
-            let input = EngineInput::SubmitDigests(digests);
-            let turn = harness.engines[i].handle(Time::ZERO, input, &mut harness.rngs[i]);
+            harness.engines[i].enqueue_digests(digests);
+            let turn = harness.engines[i].start(Time::ZERO, &mut harness.rngs[i]);
             harness.route(p, turn);
         }
         harness
@@ -352,6 +351,12 @@ impl Harness {
         for out in turn.outputs {
             match out {
                 EngineOutput::Send { to, payload } => {
+                    if let Ok(NodeMessage::BatchRequest(_)) = Message::from_bytes(&payload) {
+                        self.fetches.push((from, to));
+                        if self.mute == Some(to) {
+                            continue;
+                        }
+                    }
                     self.wire
                         .push_back((to, EngineInput::Message { from, payload: payload.to_vec() }));
                 }
@@ -364,21 +369,7 @@ impl Harness {
                 EngineOutput::SetTimer { delay, tag } => {
                     self.timers.push(Reverse((self.now + delay, from, tag)));
                 }
-                EngineOutput::FetchBatches { from: asked, digests } => {
-                    self.fetches.push((from, asked));
-                    if self.mute == Some(asked) {
-                        continue;
-                    }
-                    for digest in digests {
-                        if let Some(batch) = self.engines[asked.as_usize()].batch(&digest) {
-                            let input = EngineInput::BatchStored(HashedBatch::new(batch.clone()));
-                            self.wire.push_back((from, input));
-                        }
-                    }
-                }
                 EngineOutput::Ordered(o) => self.logs[from.as_usize()].push(o),
-                // Batches here are staged or fetched; no engine seals one.
-                EngineOutput::PushBatch(_) => {}
             }
         }
     }
@@ -421,24 +412,24 @@ impl Harness {
     }
 
     /// Seals `p`'s next batch if engines seal and `p`'s round rose:
-    /// pushes it to the peers, stores it, and submits its digest for the
+    /// pushes it to the peers, stores it, and enqueues its digest for the
     /// next vertex.
     fn seal_if_advanced(&mut self, p: ProcessId) {
-        let round = self.engines[p.as_usize()].current_round();
+        let i = p.as_usize();
+        let round = self.engines[i].current_round();
         let Some(seal) = &self.seal else { return };
-        if round <= self.sealed_round[p.as_usize()] {
+        if round <= self.sealed_round[i] {
             return;
         }
         let batch = seal(p, round);
-        self.sealed_round[p.as_usize()] = round;
+        self.sealed_round[i] = round;
         self.sealed.push((round, batch.clone()));
-        let hashed = HashedBatch::new(batch);
-        let digest = hashed.digest();
+        let payload = Message::Batch(batch.clone()).to_bytes();
         for q in self.committee.others(p) {
-            self.wire.push_back((q, EngineInput::BatchStored(hashed.clone())));
+            self.wire.push_back((q, EngineInput::Message { from: p, payload: payload.clone() }));
         }
-        self.feed(p, EngineInput::BatchStored(hashed));
-        self.feed(p, EngineInput::SubmitDigests(vec![digest]));
+        self.engines[i].enqueue_digests(vec![batch_digest(&batch)]);
+        self.engines[i].store_batch(batch);
     }
 
     /// The vertices of `p`'s ordered log.

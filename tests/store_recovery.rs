@@ -100,10 +100,7 @@ fn record_run(seed: u64) -> Recorded {
                     }
                 }
                 EngineOutput::Ordered(o) if from.as_usize() == OBSERVER => ordered.push(o),
-                EngineOutput::SetTimer { .. }
-                | EngineOutput::Ordered(_)
-                | EngineOutput::FetchBatches { .. }
-                | EngineOutput::PushBatch(_) => {}
+                EngineOutput::SetTimer { .. } | EngineOutput::Ordered(_) => {}
             }
         }
     };

@@ -217,17 +217,17 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
 
     use dag_rider::analysis::InvariantViolation;
     use dag_rider::core::{
-        batch_digest, DagRiderEngine, EngineEvent, EngineInput, EngineOutput, HashedBatch, Turn,
+        batch_digest, DagRiderEngine, EngineEvent, EngineInput, EngineOutput, NodeMessage, Turn,
     };
-    use dag_rider::types::{Batch, BatchDigest, ProcessId, Round, Time, Transaction};
+    use dag_rider::rbc::BrachaMessage;
+    use dag_rider::types::{Batch, Decode, ProcessId, Round, Time, Transaction};
 
-    /// The test's driver: an instant FIFO wire, the fetch requests the
-    /// engines issued, the timers they armed as (due tick, process, tag),
+    /// The test's driver: an instant FIFO wire, the timers the engines
+    /// armed as (due tick, process, tag), the fetch requests each sent,
     /// and each engine's event stream stamped with the time of its turn,
     /// as the simulator adapter stamps it.
     struct Driver {
         wire: VecDeque<(ProcessId, ProcessId, Vec<u8>)>,
-        fetches: VecDeque<(ProcessId, Vec<BatchDigest>)>,
         timers: BinaryHeap<Reverse<(u64, ProcessId, u64)>>,
         fetches_sent: Vec<u64>,
         /// `Ordered` outputs per process.
@@ -245,6 +245,10 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
             for out in turn.outputs {
                 match out {
                     EngineOutput::Send { to, payload } => {
+                        let request = NodeMessage::<BrachaMessage>::from_bytes(&payload);
+                        if let Ok(NodeMessage::BatchRequest(_)) = request {
+                            self.fetches_sent[from.as_usize()] += 1;
+                        }
                         self.wire.push_back((from, to, payload.to_vec()));
                     }
                     EngineOutput::Broadcast { payload } => {
@@ -252,16 +256,10 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
                             self.wire.push_back((from, to, payload.to_vec()));
                         }
                     }
-                    EngineOutput::FetchBatches { digests, .. } => {
-                        self.fetches_sent[from.as_usize()] += 1;
-                        self.fetches.push_back((from, digests));
-                    }
                     EngineOutput::Ordered(_) => self.ordered[from.as_usize()] += 1,
                     EngineOutput::SetTimer { delay, tag } => {
                         self.timers.push(Reverse((at.ticks() + delay, from, tag)));
                     }
-                    // Batches here are staged; no engine seals one.
-                    EngineOutput::PushBatch(_) => {}
                 }
             }
         }
@@ -287,7 +285,6 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
 
     let mut driver = Driver {
         wire: VecDeque::new(),
-        fetches: VecDeque::new(),
         timers: BinaryHeap::new(),
         fetches_sent: vec![0; 4],
         ordered: vec![0; 4],
@@ -299,26 +296,14 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
             if p == straggler && b == 0 {
                 continue;
             }
-            let turn = engines[i].handle(
-                Time::ZERO,
-                EngineInput::BatchStored(HashedBatch::new(batch.clone())),
-                &mut rngs[i],
-            );
-            driver.route(committee, p, Time::ZERO, turn);
+            engines[i].store_batch(batch.clone());
         }
-        let turn = engines[i].handle(
-            Time::ZERO,
-            EngineInput::SubmitDigests(vec![batch_digest(&batches[i])]),
-            &mut rngs[i],
-        );
+        engines[i].enqueue_digests(vec![batch_digest(&batches[i])]);
+        let turn = engines[i].start(Time::ZERO, &mut rngs[i]);
         driver.route(committee, p, Time::ZERO, turn);
-        if engines[i].current_round() == Round::GENESIS && !engines[i].is_started() {
-            let turn = engines[i].start(Time::ZERO, &mut rngs[i]);
-            driver.route(committee, p, Time::ZERO, turn);
-        }
     }
     let mut t = 0u64;
-    while !driver.wire.is_empty() || !driver.fetches.is_empty() || !driver.timers.is_empty() {
+    while !driver.wire.is_empty() || !driver.timers.is_empty() {
         assert!(t < 1_000_000, "the cluster never went idle");
         while let Some((from, to, payload)) = driver.wire.pop_front() {
             t += 1;
@@ -330,24 +315,9 @@ fn digest_lifecycle_traces_audit_clean_and_flag_missing_resolution() {
             );
             driver.route(committee, to, Time::new(t), turn);
         }
-        // Serve the fetch requests the drained wire produced: deliver the
-        // requested batches to the requester at a strictly later tick.
-        while let Some((requester, digests)) = driver.fetches.pop_front() {
-            let i = requester.as_usize();
-            for digest in digests {
-                let Some(batch) = batches.iter().find(|b| batch_digest(b) == digest).cloned()
-                else {
-                    continue;
-                };
-                t += 1;
-                let input = EngineInput::BatchStored(HashedBatch::new(batch));
-                let turn = engines[i].handle(Time::new(t), input, &mut rngs[i]);
-                driver.route(committee, requester, Time::new(t), turn);
-            }
-        }
         // Fire the earliest timer once the wire is idle, no earlier than
         // it is due.
-        if driver.wire.is_empty() && driver.fetches.is_empty() {
+        if driver.wire.is_empty() {
             if let Some(Reverse((due, p, tag))) = driver.timers.pop() {
                 t = t.max(due);
                 let i = p.as_usize();
