@@ -15,14 +15,15 @@
 //!
 //! * **Inputs** — [`EngineInput::Message`] for every payload received from
 //!   an authenticated peer, [`EngineInput::Timer`] when a timer requested
-//!   via [`EngineOutput::SetTimer`] fires,
+//!   via [`EngineOutput::SetTimer`] fires, [`EngineInput::LinkUp`] when
+//!   the link to a peer comes up, and
 //!   [`EngineInput::SubmitTransactions`] for this process's transactions
-//!   (`a_bcast` through its open batch), and [`EngineInput::SyncVertex`]
-//!   for state transfer when a restarted process catches up. No input
-//!   carries an unchecked claim: the engine checks what arrives, and
-//!   hashes every batch it takes. A restarting driver feeds its durable
-//!   store through [`DagRiderEngine::replay_durable`]; a harness stages
-//!   payload before a run with [`DagRiderEngine::enqueue_block`],
+//!   (`a_bcast` through its open batch). No input carries an unchecked
+//!   claim: the engine checks what arrives, hashes every batch it takes,
+//!   and takes a sync stream only from a peer it asked. A restarting
+//!   driver feeds its durable store through
+//!   [`DagRiderEngine::replay_durable`]; a harness stages payload before
+//!   a run with [`DagRiderEngine::enqueue_block`],
 //!   [`DagRiderEngine::enqueue_digests`] and
 //!   [`DagRiderEngine::store_batch`].
 //! * **Outputs** — [`EngineOutput::Send`] (unicast to one peer),
@@ -38,6 +39,14 @@
 //!   driver's to build from the stream. A driver with a durable store
 //!   persists a turn's durable events before it routes the turn's
 //!   outputs.
+//! * **Entry** — [`DagRiderEngine::start`] proposes round 1 at once;
+//!   [`DagRiderEngine::join`] enters the sync phase, in which the engine
+//!   asks each peer whose link comes up for its retained DAG and takes a
+//!   stream only from a peer it asked, until its [`NodeMessage::SyncEnd`]
+//!   (a synced vertex skips the reliable broadcast); any other sync
+//!   message is [`EngineEvent::Rejected`]. The phase ends once every
+//!   stream has ended or its deadline passed, and the engine then
+//!   proposes round 1 only if it is still at genesis.
 //! * **Batches** — the whole batch protocol lives here, and batches travel
 //!   as [`NodeMessage`]s like any other traffic. The engine keeps this
 //!   process's open batch. It seals once full, or when the process
@@ -55,9 +64,10 @@
 //!   answer); any other is dropped unreported. Garbage collection also
 //!   drops every batch that only the collected vertices named; a batch no
 //!   vertex has named yet stays.
-//! * **Timers** — the fetch timer is the only one the engine requests.
-//!   A driver fires each timer no earlier than its delay; every other
-//!   [`EngineInput::Timer`] runs end-of-turn housekeeping only (the share
+//! * **Timers** — the fetch timer and the sync deadline. A driver fires
+//!   each timer no earlier than its delay; a deadline timer that fires
+//!   early (one a re-request moved) and every other
+//!   [`EngineInput::Timer`] run end-of-turn housekeeping only (the share
 //!   flush; garbage collection runs only on turns that ordered a vertex),
 //!   so drivers may safely deliver spurious timers.
 
@@ -126,12 +136,16 @@ pub const FETCH_RETRY_DELAY: u64 = 16;
 /// once after each full rotation over the peers, up to 64 times
 /// [`FETCH_RETRY_DELAY`].
 const FETCH_MAX_DOUBLINGS: usize = 6;
+/// Timer tag reserved for the sync phase's deadline.
+const SYNC_TIMER_TAG: u64 = u64::MAX - 1;
+/// Re-requests a syncing engine makes of a peer whose stream fell short.
+const SYNC_RETRIES: u32 = 3;
 
 /// Wire envelope multiplexing the broadcast layer's traffic with the tiny
 /// coin-share messages (§5 footnote 1: the coin can piggyback on the DAG;
 /// we send shares as their own messages, which costs `O(n)` extra words
-/// per wave — asymptotically free next to the broadcasts) and the batch
-/// protocol.
+/// per wave — asymptotically free next to the broadcasts), the batch
+/// protocol and the sync protocol of a joining process.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum NodeMessage<M> {
     /// A reliable-broadcast protocol message.
@@ -145,37 +159,47 @@ pub enum NodeMessage<M> {
     /// Asks the peer for the named batches, which vertices in the
     /// requester's buffer name and its batch map lacks.
     BatchRequest(Vec<BatchDigest>),
+    /// Asks the peer for its retained DAG (a joining process's request).
+    SyncRequest,
+    /// One vertex of the peer's retained DAG, in `(round, source)` order.
+    SyncVertex(Vertex),
+    /// Ends a sync stream with its `SyncVertex` count, so the requester
+    /// can tell that a dying connection swallowed some, and ask again.
+    SyncEnd {
+        /// How many `SyncVertex` messages preceded this one.
+        served: u64,
+    },
 }
 
-/// Encodes `NodeMessage::Batch(batch)` from a borrowed batch.
-fn encode_batch_into(batch: &Batch, buf: &mut Vec<u8>) {
-    2u8.encode(buf);
-    batch.encode(buf);
+/// Tag of [`NodeMessage::Batch`].
+const BATCH_TAG: u8 = 2;
+/// Tag of [`NodeMessage::SyncVertex`].
+const SYNC_VERTEX_TAG: u8 = 5;
+
+/// Encodes the message with `tag` whose body is `body`.
+fn encode_tagged_into(tag: u8, body: &impl Encode, buf: &mut Vec<u8>) {
+    tag.encode(buf);
+    body.encode(buf);
 }
 
-/// The bytes of `NodeMessage::Batch(batch)`, without cloning the batch.
-fn batch_message(batch: &Batch) -> Bytes {
-    let mut buf = Vec::with_capacity(1 + batch.encoded_len());
-    encode_batch_into(batch, &mut buf);
+/// The bytes of the message with `tag` whose body is `body`, encoded from
+/// a borrow: a batch or a served vertex is not cloned into a message.
+fn tagged_message(tag: u8, body: &impl Encode) -> Bytes {
+    let mut buf = Vec::with_capacity(1 + body.encoded_len());
+    encode_tagged_into(tag, body, &mut buf);
     Bytes::from(buf)
 }
 
 impl<M: Encode> Encode for NodeMessage<M> {
     fn encode(&self, buf: &mut Vec<u8>) {
         match self {
-            NodeMessage::Rbc(m) => {
-                0u8.encode(buf);
-                m.encode(buf);
-            }
-            NodeMessage::Coin(s) => {
-                1u8.encode(buf);
-                s.encode(buf);
-            }
-            NodeMessage::Batch(batch) => encode_batch_into(batch, buf),
-            NodeMessage::BatchRequest(digests) => {
-                3u8.encode(buf);
-                digests.encode(buf);
-            }
+            NodeMessage::Rbc(m) => encode_tagged_into(0, m, buf),
+            NodeMessage::Coin(s) => encode_tagged_into(1, s, buf),
+            NodeMessage::Batch(batch) => encode_tagged_into(BATCH_TAG, batch, buf),
+            NodeMessage::BatchRequest(digests) => encode_tagged_into(3, digests, buf),
+            NodeMessage::SyncRequest => 4u8.encode(buf),
+            NodeMessage::SyncVertex(vertex) => encode_tagged_into(SYNC_VERTEX_TAG, vertex, buf),
+            NodeMessage::SyncEnd { served } => encode_tagged_into(6, served, buf),
         }
     }
 
@@ -185,6 +209,9 @@ impl<M: Encode> Encode for NodeMessage<M> {
             NodeMessage::Coin(s) => s.encoded_len(),
             NodeMessage::Batch(batch) => batch.encoded_len(),
             NodeMessage::BatchRequest(digests) => digests.encoded_len(),
+            NodeMessage::SyncRequest => 0,
+            NodeMessage::SyncVertex(vertex) => vertex.encoded_len(),
+            NodeMessage::SyncEnd { served } => served.encoded_len(),
         }
     }
 }
@@ -194,8 +221,11 @@ impl<M: Decode> Decode for NodeMessage<M> {
         match u8::decode(buf)? {
             0 => Ok(NodeMessage::Rbc(M::decode(buf)?)),
             1 => Ok(NodeMessage::Coin(CoinShare::decode(buf)?)),
-            2 => Ok(NodeMessage::Batch(Batch::decode(buf)?)),
+            BATCH_TAG => Ok(NodeMessage::Batch(Batch::decode(buf)?)),
             3 => Ok(NodeMessage::BatchRequest(Vec::decode(buf)?)),
+            4 => Ok(NodeMessage::SyncRequest),
+            SYNC_VERTEX_TAG => Ok(NodeMessage::SyncVertex(Vertex::decode(buf)?)),
+            6 => Ok(NodeMessage::SyncEnd { served: u64::decode(buf)? }),
             _ => Err(DecodeError::Invalid("unknown node message tag")),
         }
     }
@@ -305,13 +335,9 @@ pub enum EngineInput {
         /// The tag given when the timer was set.
         tag: u64,
     },
-    /// State transfer: a vertex replayed by a peer so a restarted process
-    /// can rebuild its DAG without re-running the original broadcasts.
-    /// The vertex is structurally validated like any delivery; in this
-    /// reproduction vertices carry no creator signature, so the embedded
-    /// `(source, round)` is taken as attested (a production deployment
-    /// would verify a signature here).
-    SyncVertex(Vertex),
+    /// The link to `peer` came up (again). A syncing engine asks the peer
+    /// for its retained DAG; after the sync phase this does nothing.
+    LinkUp(ProcessId),
     /// `a_bcast` through the open batch: this process's transactions. A
     /// batch that reaches [`BATCH_MAX_BYTES`](crate::BATCH_MAX_BYTES)
     /// seals at once; the rest seals when the process creates its next
@@ -397,7 +423,28 @@ pub struct DagRiderEngine<B> {
     /// Whether ordering delivered a vertex since the last GC pass — the
     /// only way the delivered frontier can advance (see `maybe_gc`).
     gc_due: bool,
-    started: bool,
+    phase: Phase,
+    /// The sync stream asked of each peer, by process id.
+    streams: Vec<SyncStream>,
+}
+
+/// Where an engine is in its life: built, joined and syncing until
+/// `deadline` (each re-request moves it `timeout` ticks on), or live.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    Built,
+    Syncing { timeout: u64, deadline: Time },
+    Live,
+}
+
+/// The sync stream asked of one peer: a request outstanding, the vertices
+/// taken since, re-requests made, and whether it ended (or was given up).
+#[derive(Debug, Clone, Copy, Default)]
+struct SyncStream {
+    asked: bool,
+    received: u64,
+    retries: u32,
+    ended: bool,
 }
 
 /// The fetch of one missing batch.
@@ -436,7 +483,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             batch_bytes: 0,
             fetches: BTreeMap::new(),
             gc_due: false,
-            started: false,
+            phase: Phase::Built,
+            streams: vec![SyncStream::default(); committee.n()],
             config,
         }
     }
@@ -451,9 +499,9 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         self.committee
     }
 
-    /// Whether [`DagRiderEngine::start`] has run.
-    pub fn is_started(&self) -> bool {
-        self.started
+    /// Whether the engine proposes: it started, or its sync phase ended.
+    pub fn is_live(&self) -> bool {
+        self.phase == Phase::Live
     }
 
     /// `a_bcast(b, r)` with an inline block (Algorithm 3 lines 32–33),
@@ -517,7 +565,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// so nothing is drained here; a Byzantine vertex that named the
     /// digest ahead of time gets in with the next drain.
     fn on_sealed(&mut self, hashed: HashedBatch, turn: &mut Turn) {
-        let payload = batch_message(hashed.batch());
+        let payload = tagged_message(BATCH_TAG, hashed.batch());
         self.store(hashed, &mut turn.events);
         turn.outputs.push(EngineOutput::Broadcast { payload });
     }
@@ -550,7 +598,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         for digest in digests {
             let Some(batch) = self.batches.get(digest) else { continue };
             if answered.insert(digest) {
-                turn.outputs.push(EngineOutput::Send { to, payload: batch_message(batch) });
+                let payload = tagged_message(BATCH_TAG, batch);
+                turn.outputs.push(EngineOutput::Send { to, payload });
             }
         }
     }
@@ -646,8 +695,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
 
     /// Replays one recovered durable event into the engine — the restart
     /// path. Events must be fed in log order, normally before
-    /// [`DagRiderEngine::start`]. A vertex replays exactly as its sync
-    /// input would, a batch as one the engine admitted, and a coin share
+    /// [`DagRiderEngine::join`]. A vertex replays exactly as a synced one
+    /// would, a batch as one the engine admitted, and a coin share
     /// as one whose proof was checked before it was persisted; the DAG
     /// and the coin then hold
     /// it, so a later sync duplicate reports no durable event. Identical
@@ -664,9 +713,7 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     ) -> Turn {
         let mut turn = Turn::default();
         match event {
-            DurableEvent::Vertex(vertex) => {
-                return self.handle(now, EngineInput::SyncVertex(vertex), rng);
-            }
+            DurableEvent::Vertex(vertex) => self.on_synced_vertex(vertex, &mut turn, now, rng),
             DurableEvent::CoinShare(share) => {
                 self.accept_share(share.issuer(), share, true, &mut turn, now);
             }
@@ -683,14 +730,38 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
         turn
     }
 
-    /// All non-genesis vertices of the local DAG in ascending
-    /// `(round, source)` order — the replay stream served to a restarted
-    /// peer (each becomes an [`EngineInput::SyncVertex`] there).
-    pub fn sync_vertices(&self) -> Vec<Vertex> {
-        self.core.dag().iter().filter(|v| v.round() != Round::GENESIS).cloned().collect()
+    /// A vertex from a sync stream or the durable store: it skips the
+    /// broadcast, so its own `(source, round)` stands for the attestation.
+    fn on_synced_vertex(
+        &mut self,
+        vertex: Vertex,
+        turn: &mut Turn,
+        now: Time,
+        rng: &mut rand::rngs::StdRng,
+    ) {
+        let (source, round) = (vertex.source(), vertex.round());
+        let dag_events =
+            self.core.on_vertex(vertex, source, round, &self.batches, &mut turn.events);
+        self.advance(dag_events, turn, now, rng);
     }
 
-    /// This process's own coin shares for a restarted peer, in wave
+    /// Answers `to`'s sync request: every non-genesis vertex in `(round,
+    /// source)` order, this process's [`Self::sync_shares`] (`f + 1`
+    /// answers reconstruct those coins), and `SyncEnd` with the count.
+    fn serve_sync(&mut self, to: ProcessId, turn: &mut Turn, rng: &mut rand::rngs::StdRng) {
+        let mut served = 0;
+        for vertex in self.core.dag().iter().filter(|v| v.round() != Round::GENESIS) {
+            let payload = tagged_message(SYNC_VERTEX_TAG, vertex);
+            turn.outputs.push(EngineOutput::Send { to, payload });
+            served += 1;
+        }
+        let shares = self.sync_shares(rng).into_iter().map(NodeMessage::<B::Message>::Coin);
+        for msg in shares.chain([NodeMessage::SyncEnd { served }]) {
+            turn.outputs.push(EngineOutput::Send { to, payload: msg.to_bytes().into() });
+        }
+    }
+
+    /// This process's own coin shares for a syncing peer, in wave
     /// order: one for each wave this process completed that its coin
     /// still keeps, from the garbage-collection floor up to the last
     /// wave it completed. A share for a wave still in progress would
@@ -698,9 +769,55 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     /// served. Share values are deterministic per (key, wave); only the
     /// proof nonce draws from `rng`, and any valid share combines to the
     /// same leader.
-    pub fn sync_shares(&mut self, rng: &mut rand::rngs::StdRng) -> Vec<CoinShare> {
+    fn sync_shares(&mut self, rng: &mut rand::rngs::StdRng) -> Vec<CoinShare> {
         let completed = self.core.last_wave_ready().number();
         (self.coin_floor().max(1)..=completed).map(|wave| self.coin.my_share(wave, rng)).collect()
+    }
+
+    /// Ends `from`'s sync stream if a request to `from` is outstanding. A
+    /// syncing engine asks again, with a fresh deadline, after a stream
+    /// short of its count while the peer's retries last. Returns whether
+    /// the phase ends: every peer's stream has.
+    fn on_sync_end(&mut self, from: ProcessId, served: u64, now: Time, turn: &mut Turn) -> bool {
+        let Some(stream) = self.streams.get_mut(from.as_usize()).filter(|s| s.asked) else {
+            turn.events.push(EngineEvent::Rejected { from });
+            return false;
+        };
+        stream.asked = false;
+        let Phase::Syncing { timeout, .. } = self.phase else { return false };
+        if stream.received < served && stream.retries < SYNC_RETRIES {
+            stream.retries += 1;
+            self.ask(from, turn);
+            self.arm(timeout, now, turn);
+            return false;
+        }
+        stream.ended = true;
+        let me = self.me.as_usize();
+        self.streams.iter().enumerate().all(|(p, stream)| p == me || stream.ended)
+    }
+
+    /// Sends `peer` a sync request and takes its stream from the start.
+    fn ask(&mut self, peer: ProcessId, turn: &mut Turn) {
+        let stream = &mut self.streams[peer.as_usize()];
+        (stream.asked, stream.received) = (true, 0);
+        let payload = NodeMessage::<B::Message>::SyncRequest.to_bytes().into();
+        turn.outputs.push(EngineOutput::Send { to: peer, payload });
+    }
+
+    /// Sets the sync deadline `timeout` ticks past `now` and arms its timer.
+    fn arm(&mut self, timeout: u64, now: Time, turn: &mut Turn) {
+        self.phase = Phase::Syncing { timeout, deadline: now + timeout };
+        turn.outputs.push(EngineOutput::SetTimer { delay: timeout, tag: SYNC_TIMER_TAG });
+    }
+
+    /// Goes live and proposes round 1 (Algorithm 2), unless synced
+    /// vertices already moved the engine off genesis.
+    fn go_live(&mut self, turn: &mut Turn, now: Time, rng: &mut rand::rngs::StdRng) {
+        self.phase = Phase::Live;
+        if self.core.round() == Round::GENESIS {
+            let dag_events = self.core.start(&self.batches, &mut turn.events);
+            self.advance(dag_events, turn, now, rng);
+        }
     }
 
     /// The lowest wave the coin keeps: the wave before the one holding
@@ -710,14 +827,24 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
     }
 
     /// Starts the protocol (Algorithm 2: broadcast the round-1 vertex).
-    /// Must be called exactly once, before any [`DagRiderEngine::handle`].
+    /// Call it, or [`DagRiderEngine::join`], exactly once, before any
+    /// [`DagRiderEngine::handle`].
     pub fn start(&mut self, now: Time, rng: &mut rand::rngs::StdRng) -> Turn {
-        debug_assert!(!self.started, "start() is called once");
-        self.started = true;
+        debug_assert_eq!(self.phase, Phase::Built, "start() or join() is called once");
         let mut turn = Turn::default();
-        let dag_events = self.core.start(&self.batches, &mut turn.events);
-        self.advance(dag_events, &mut turn, now, rng);
+        self.go_live(&mut turn, now, rng);
         self.finish_turn(&mut turn);
+        turn
+    }
+
+    /// Joins running peers: enters the sync phase, whose deadline is
+    /// `timeout` ticks on (module docs). Call it, or `start`, once, after
+    /// any [`DagRiderEngine::replay_durable`]; then feed
+    /// [`EngineInput::LinkUp`] for each peer whose link is up.
+    pub fn join(&mut self, now: Time, timeout: u64) -> Turn {
+        debug_assert_eq!(self.phase, Phase::Built, "start() or join() is called once");
+        let mut turn = Turn::default();
+        self.arm(timeout, now, &mut turn);
         turn
     }
 
@@ -729,17 +856,18 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             EngineInput::Message { from, payload } => {
                 self.on_message(from, &payload, &mut turn, now, rng);
             }
-            EngineInput::Timer { tag } => {
-                if tag == FETCH_TIMER_TAG {
-                    self.fetch_batches(now, &mut turn);
+            EngineInput::Timer { tag: FETCH_TIMER_TAG } => self.fetch_batches(now, &mut turn),
+            EngineInput::Timer { tag: SYNC_TIMER_TAG } => {
+                if matches!(self.phase, Phase::Syncing { deadline, .. } if deadline <= now) {
+                    self.go_live(&mut turn, now, rng);
                 }
-                // Other timer turns are end-of-turn housekeeping only.
             }
-            EngineInput::SyncVertex(vertex) => {
-                let (source, round) = (vertex.source(), vertex.round());
-                let dag_events =
-                    self.core.on_vertex(vertex, source, round, &self.batches, &mut turn.events);
-                self.advance(dag_events, &mut turn, now, rng);
+            // Other timer turns are end-of-turn housekeeping only.
+            EngineInput::Timer { .. } => {}
+            EngineInput::LinkUp(peer) => {
+                if peer != self.me && matches!(self.phase, Phase::Syncing { .. }) {
+                    self.ask(peer, &mut turn);
+                }
             }
             EngineInput::SubmitTransactions(transactions) => {
                 for sealed in self.core.submit_transactions(transactions) {
@@ -753,7 +881,8 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
 
     /// The Message-input body: decode the wire envelope, dispatch. The
     /// broadcast layer hashes what it needs, coin shares take the
-    /// verifying path, and batches the admitting one.
+    /// verifying path, batches the admitting one, and sync streams the
+    /// asked one.
     fn on_message(
         &mut self,
         from: ProcessId,
@@ -773,6 +902,19 @@ impl<B: ReliableBroadcast> DagRiderEngine<B> {
             Ok(NodeMessage::Coin(share)) => self.accept_share(from, share, false, turn, now),
             Ok(NodeMessage::Batch(batch)) => self.on_peer_batch(from, batch, turn, now, rng),
             Ok(NodeMessage::BatchRequest(digests)) => self.serve_batches(from, &digests, turn),
+            Ok(NodeMessage::SyncRequest) => self.serve_sync(from, turn, rng),
+            Ok(NodeMessage::SyncVertex(vertex)) => match self.streams.get_mut(from.as_usize()) {
+                Some(stream) if stream.asked => {
+                    stream.received += 1;
+                    self.on_synced_vertex(vertex, turn, now, rng);
+                }
+                _ => turn.events.push(EngineEvent::Rejected { from }),
+            },
+            Ok(NodeMessage::SyncEnd { served }) => {
+                if self.on_sync_end(from, served, now, turn) {
+                    self.go_live(turn, now, rng);
+                }
+            }
             Err(_) => turn.events.push(EngineEvent::Rejected { from }),
         }
     }
@@ -1262,22 +1404,51 @@ mod tests {
         (engines, rngs, keys, reference)
     }
 
+    /// What `server` sends `to` in answer to a sync request from `to`,
+    /// decoded. Panics on any other output.
+    fn sync_answer(
+        server: &mut DagRiderEngine<BrachaRbc>,
+        to: ProcessId,
+        rng: &mut StdRng,
+    ) -> Vec<Message> {
+        let request = EngineInput::Message { from: to, payload: Message::SyncRequest.to_bytes() };
+        let answer = |out| match out {
+            EngineOutput::Send { to: dest, payload } if dest == to => {
+                Message::from_bytes(&payload).unwrap()
+            }
+            other => panic!("a sync answer holds only sends to the requester, got {other:?}"),
+        };
+        server.handle(Time::ZERO, request, rng).outputs.into_iter().map(answer).collect()
+    }
+
+    /// The coin shares of a sync answer.
+    fn shares_of(answer: Vec<Message>) -> Vec<CoinShare> {
+        let share = |msg| match msg {
+            NodeMessage::Coin(share) => Some(share),
+            _ => None,
+        };
+        answer.into_iter().filter_map(share).collect()
+    }
+
     #[test]
     fn sync_vertices_rebuild_an_identical_ordered_log() {
         // Run four engines to quiescence, then rebuild a fifth process's
-        // state purely from one engine's sync stream plus two peers' sync
-        // shares — the restarted-process catch-up path of the TCP runtime.
+        // state purely from two peers' sync streams — the restarted-process
+        // catch-up path of every driver. p0's stream carries the DAG, and
+        // p0's and p1's shares reach the coin threshold f + 1 = 2.
         let config = NodeConfig::default().with_max_round(12);
         let (mut engines, mut rngs, keys, reference) = quiesce(&config, 33);
         assert!(!reference.is_empty());
 
-        // A "restarted" p3: fresh engine, fed p0's sync stream and two
-        // peers' coin shares (threshold f + 1 = 2). It must not start —
+        // A "restarted" p3: fresh engine, joined, asking p0 and p1. p2's
+        // stream never ends, so the phase lasts: it must not start, as
         // syncing precedes proposing.
         let committee = engines[0].committee();
+        let p3 = ProcessId::new(3);
         let mut fresh: DagRiderEngine<BrachaRbc> =
-            DagRiderEngine::new(committee, ProcessId::new(3), keys[3].clone(), config);
+            DagRiderEngine::new(committee, p3, keys[3].clone(), config);
         let mut fresh_rng = StdRng::seed_from_u64(999);
+        fresh.join(Time::ZERO, 1_000);
         let mut rebuilt: Vec<VertexRef> = Vec::new();
         let mut feed = |input: EngineInput| {
             for out in fresh.handle(Time::ZERO, input, &mut fresh_rng).outputs {
@@ -1286,18 +1457,13 @@ mod tests {
                 }
             }
         };
-        let vertices = engines[0].sync_vertices();
-        assert!(!vertices.is_empty());
-        for v in vertices {
-            feed(EngineInput::SyncVertex(v));
-        }
         for issuer in [0usize, 1] {
-            for share in engines[issuer].sync_shares(&mut rngs[issuer]) {
-                let msg: NodeMessage<dagrider_rbc::BrachaMessage> = NodeMessage::Coin(share);
-                feed(EngineInput::Message {
-                    from: ProcessId::new(issuer as u32),
-                    payload: msg.to_bytes(),
-                });
+            let from = ProcessId::new(issuer as u32);
+            feed(EngineInput::LinkUp(from));
+            let answer = sync_answer(&mut engines[issuer], p3, &mut rngs[issuer]);
+            assert!(answer.len() > 1);
+            for msg in answer {
+                feed(EngineInput::Message { from, payload: msg.to_bytes() });
             }
         }
         let common = rebuilt.len().min(reference.len());
@@ -1318,7 +1484,8 @@ mod tests {
         }
         let mut coin = Coin::new(keys[3].clone());
         for issuer in [0usize, 1] {
-            for share in engines[issuer].sync_shares(&mut rngs[issuer]) {
+            let answer = sync_answer(&mut engines[issuer], ProcessId::new(3), &mut rngs[issuer]);
+            for share in shares_of(answer) {
                 assert!(share.instance() <= 2, "served a share for wave {}", share.instance());
                 coin.add_share(share).unwrap();
             }
@@ -1337,11 +1504,43 @@ mod tests {
         let engine = &mut engines[0];
         assert_eq!(engine.core.last_wave_ready(), Wave::new(100));
         let retained: Vec<u64> = engine.coin_leaders().iter().map(|&(wave, _)| wave).collect();
-        let shares = engine.sync_shares(&mut rngs[0]);
+        let shares = shares_of(sync_answer(engine, ProcessId::new(3), &mut rngs[0]));
         let served: Vec<u64> = shares.iter().map(CoinShare::instance).collect();
         assert!(!served.is_empty() && served.len() <= 8, "served waves {served:?}");
         assert!(served.iter().all(|wave| retained.contains(wave)), "{served:?} ⊄ {retained:?}");
         assert_eq!(engine.coin_leaders().len(), retained.len());
+    }
+
+    #[test]
+    fn a_sync_request_is_answered_with_the_window_the_completed_shares_and_the_count() {
+        // Four engines quiesce at round 10: waves 1 and 2 completed, and
+        // no garbage collection, so the window is every non-genesis
+        // vertex.
+        let (mut engines, mut rngs, _, _) = quiesce(&NodeConfig::default().with_max_round(10), 5);
+        let engine = &mut engines[0];
+        let window = engine.dag().len() - 4;
+        let mut answer = sync_answer(engine, ProcessId::new(2), &mut rngs[0]).into_iter();
+        let vertices: Vec<VertexRef> = answer
+            .by_ref()
+            .take(window)
+            .map(|msg| match msg {
+                NodeMessage::SyncVertex(vertex) => vertex.reference(),
+                other => panic!("expected the window first, got {other:?}"),
+            })
+            .collect();
+        let key = |v: &VertexRef| (v.round, v.source);
+        assert!(vertices.windows(2).all(|w| key(&w[0]) < key(&w[1])), "{vertices:?}");
+        assert!(vertices.iter().all(|v| v.round > Round::GENESIS && engine.dag().contains(*v)));
+        let rest: Vec<Message> = answer.collect();
+        let waves: Vec<(ProcessId, u64)> = rest[..rest.len() - 1]
+            .iter()
+            .map(|msg| match msg {
+                NodeMessage::Coin(share) => (share.issuer(), share.instance()),
+                other => panic!("expected own shares after the window, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(waves, [(ProcessId::new(0), 1), (ProcessId::new(0), 2)]);
+        assert_eq!(rest.last(), Some(&NodeMessage::SyncEnd { served: window as u64 }));
     }
 
     #[test]
@@ -1457,7 +1656,7 @@ mod tests {
             }
             (asked, delay)
         };
-        let turn = engine.handle(Time::new(100), EngineInput::SyncVertex(vertex), &mut rng);
+        let turn = engine.replay_durable(DurableEvent::Vertex(vertex), Time::new(100), &mut rng);
         assert_eq!(fetched(turn), (None, Some(FETCH_RETRY_DELAY)), "the first request waits");
         assert!(!engine.dag().contains(reference));
 
@@ -1509,7 +1708,7 @@ mod tests {
         let digest = batch_digest(&batch);
         let vertex = p1_vertex_naming(&committee, vec![digest]);
         let reference = vertex.reference();
-        engine.handle(Time::ZERO, EngineInput::SyncVertex(vertex), &mut rng);
+        engine.replay_durable(DurableEvent::Vertex(vertex), Time::ZERO, &mut rng);
         assert!(!engine.dag().contains(reference));
 
         // p2 answers with p1's batch: a fetch answer, wanted while the
@@ -1550,6 +1749,124 @@ mod tests {
             &mut rng,
         );
         assert_eq!(turn, Turn::default(), "nothing answers a digest the engine lacks");
+    }
+
+    /// Engine 0, joined at tick 0 with a sync deadline `timeout` ticks
+    /// away.
+    fn joined(seed: u64, timeout: u64) -> (DagRiderEngine<BrachaRbc>, Committee, StdRng) {
+        let (mut engine, committee, rng) = engine_zero(seed);
+        assert_eq!(engine.join(Time::ZERO, timeout).outputs, [deadline(timeout)]);
+        (engine, committee, rng)
+    }
+
+    /// The timer output that arms a sync deadline `delay` ticks away.
+    fn deadline(delay: u64) -> EngineOutput {
+        EngineOutput::SetTimer { delay, tag: SYNC_TIMER_TAG }
+    }
+
+    /// The sync request sent to `peer`.
+    fn request_to(peer: u32) -> EngineOutput {
+        let payload = Message::SyncRequest.to_bytes().into();
+        EngineOutput::Send { to: ProcessId::new(peer), payload }
+    }
+
+    /// The rounds of the vertices a turn proposes.
+    fn proposed(turn: &Turn) -> Vec<Round> {
+        inits(turn).iter().map(|(_, vertex)| vertex.round()).collect()
+    }
+
+    #[test]
+    fn a_joining_engine_takes_sync_messages_only_from_a_peer_it_asked() {
+        // The twin of the TCP forged-vertex probe: p0 asks p1 only, so
+        // p2's sync messages are refused, and the same vertex from p1 is
+        // taken.
+        let (mut engine, committee, mut rng) = joined(19, 100);
+        let turn = engine.handle(Time::ZERO, EngineInput::LinkUp(ProcessId::new(1)), &mut rng);
+        assert_eq!(turn.outputs, [request_to(1)]);
+        let vertex = p1_vertex_naming(&committee, Vec::new());
+        let reference = vertex.reference();
+        let synced = Message::SyncVertex(vertex);
+        let p2 = ProcessId::new(2);
+        for unasked in [synced.clone(), Message::SyncEnd { served: 0 }] {
+            let turn = engine.handle(Time::new(1), from_peer(2, &unasked), &mut rng);
+            assert_eq!(turn.events, [EngineEvent::Rejected { from: p2 }]);
+            assert!(turn.outputs.is_empty());
+        }
+        assert!(!engine.dag().contains(reference), "an unasked sync vertex was inserted");
+        engine.handle(Time::new(2), from_peer(1, &synced), &mut rng);
+        assert!(engine.dag().contains(reference), "the asked peer's vertex is taken");
+    }
+
+    #[test]
+    fn a_short_sync_stream_is_asked_for_three_more_times_then_given_up() {
+        let (mut engine, _, mut rng) = joined(23, 50);
+        engine.handle(Time::ZERO, EngineInput::LinkUp(ProcessId::new(1)), &mut rng);
+        // p1 reports one vertex served, and none arrived.
+        let short = from_peer(1, &Message::SyncEnd { served: 1 });
+        for retry in 1..=3 {
+            let turn = engine.handle(Time::new(10 * retry), short.clone(), &mut rng);
+            assert_eq!(turn.outputs, [request_to(1), deadline(50)], "retry {retry}");
+        }
+        // The last request, at tick 30, moved the deadline to tick 80:
+        // the deadlines armed before it have passed, and end nothing.
+        for stale in [50, 60, 70, 79] {
+            engine.handle(Time::new(stale), EngineInput::Timer { tag: SYNC_TIMER_TAG }, &mut rng);
+            assert!(!engine.is_live(), "a stale deadline at tick {stale} ended the phase");
+        }
+        let turn = engine.handle(Time::new(79), short, &mut rng);
+        assert_eq!(turn, Turn::default(), "the fourth short stream is given up");
+        // p1's stream has ended: the phase ends with the other two.
+        for peer in [2, 3] {
+            assert!(!engine.is_live());
+            engine.handle(Time::new(79), EngineInput::LinkUp(ProcessId::new(peer)), &mut rng);
+            let end = from_peer(peer, &Message::SyncEnd { served: 0 });
+            engine.handle(Time::new(79), end, &mut rng);
+        }
+        assert!(engine.is_live(), "every stream ended");
+    }
+
+    #[test]
+    fn the_deadline_ends_the_sync_phase_and_only_an_engine_at_genesis_proposes_then() {
+        let (mut engine, committee, mut rng) = joined(29, 100);
+        let early =
+            engine.handle(Time::new(99), EngineInput::Timer { tag: SYNC_TIMER_TAG }, &mut rng);
+        let other = engine.handle(Time::new(100), EngineInput::Timer { tag: 7 }, &mut rng);
+        assert_eq!((early, other), (Turn::default(), Turn::default()));
+        assert!(!engine.is_live(), "a timer before the deadline ended the phase");
+        let turn =
+            engine.handle(Time::new(100), EngineInput::Timer { tag: SYNC_TIMER_TAG }, &mut rng);
+        assert!(engine.is_live());
+        assert_eq!(proposed(&turn), [Round::new(1)], "at genesis, the deadline starts it");
+
+        // A synced vertex moves an engine off genesis, so it proposes
+        // round 1 then, and the deadline proposes nothing more.
+        let (mut engine, _, mut rng) = joined(29, 100);
+        engine.handle(Time::ZERO, EngineInput::LinkUp(ProcessId::new(1)), &mut rng);
+        let synced = Message::SyncVertex(p1_vertex_naming(&committee, Vec::new()));
+        let turn = engine.handle(Time::new(1), from_peer(1, &synced), &mut rng);
+        assert_eq!(proposed(&turn), [Round::new(1)]);
+        let turn =
+            engine.handle(Time::new(100), EngineInput::Timer { tag: SYNC_TIMER_TAG }, &mut rng);
+        assert!(engine.is_live());
+        assert_eq!(proposed(&turn), [], "a second round-1 vertex");
+    }
+
+    #[test]
+    fn a_link_up_outside_the_sync_phase_asks_nobody() {
+        let p1 = ProcessId::new(1);
+        let (mut engine, _, mut rng) = joined(31, 10);
+        engine.handle(Time::new(10), EngineInput::Timer { tag: SYNC_TIMER_TAG }, &mut rng);
+        assert!(engine.is_live());
+        assert_eq!(
+            engine.handle(Time::new(11), EngineInput::LinkUp(p1), &mut rng),
+            Turn::default()
+        );
+
+        let (mut engine, _, mut rng) = engine_zero(31);
+        assert_eq!(engine.handle(Time::ZERO, EngineInput::LinkUp(p1), &mut rng), Turn::default());
+        engine.start(Time::ZERO, &mut rng);
+        assert!(engine.is_live());
+        assert_eq!(engine.handle(Time::ZERO, EngineInput::LinkUp(p1), &mut rng), Turn::default());
     }
 
     /// The vertices whose INIT messages a turn sends, in order, once
@@ -1757,7 +2074,7 @@ mod tests {
         assert_eq!(turn.outputs, vec![push_of(&full_batch)]);
         assert_eq!(stored(&turn), [full]);
         assert_eq!(engine.current_round(), Round::GENESIS, "submitting never drives");
-        assert!(!engine.is_started());
+        assert!(!engine.is_live());
 
         let turn = engine.start(Time::ZERO, &mut rng);
         let (first_init, vertex) = inits(&turn).remove(0);

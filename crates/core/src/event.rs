@@ -35,7 +35,8 @@ pub enum EngineEvent {
     /// The coin accepted a share it did not hold yet (this process's own
     /// share included): persisted as [`DurableEvent::CoinShare`].
     ShareAccepted(CoinShare),
-    /// Wire input from `from` failed to decode.
+    /// Wire input from `from` failed to decode, or was part of a sync
+    /// stream this process did not ask `from` for.
     Rejected {
         /// The authenticated peer the input came from.
         from: ProcessId,

@@ -1,6 +1,6 @@
 //! Property tests for the [`NodeMessage`] wire envelope — the bytes of
-//! every engine message: broadcast traffic, coin shares, batches and
-//! batch requests. Every representable message round-trips exactly,
+//! every engine message: broadcast traffic, coin shares, batches, batch
+//! requests and sync streams. Every representable message round-trips exactly,
 //! unknown envelope tags are rejected, and no truncation of a valid
 //! encoding decodes (so a cut TCP frame can never be mistaken for a
 //! shorter valid message).
@@ -9,7 +9,8 @@ use dagrider_core::NodeMessage;
 use dagrider_crypto::{deal_coin_keys, Coin, CoinShare};
 use dagrider_rbc::{BrachaKind, BrachaMessage};
 use dagrider_types::{
-    Batch, BatchDigest, Committee, Decode, DecodeError, Encode, ProcessId, Round, Transaction,
+    Batch, BatchDigest, Block, Committee, Decode, DecodeError, Encode, ProcessId, Round, SeqNum,
+    Transaction, Vertex, VertexBuilder, VertexRef,
 };
 use proptest::prelude::*;
 
@@ -44,6 +45,30 @@ fn make_batch(creator: u32, worker: u32, ntx: usize, size: usize, tag: u64) -> B
 /// A digest list, one digest per seed byte.
 fn make_digests(seeds: &[u8]) -> Vec<BatchDigest> {
     seeds.iter().map(|&seed| BatchDigest::new([seed; 32])).collect()
+}
+
+/// A vertex of `source` in `round` with `strong` strong edges into the
+/// round before, an optional weak edge, and `txs` transactions.
+fn make_vertex(source: u32, round: u64, strong: u32, weak: bool, txs: u8) -> Vertex {
+    let transactions: Vec<Transaction> =
+        (0..txs).map(|i| Transaction::synthetic(u64::from(i), 24)).collect();
+    let block = Block::new(ProcessId::new(source), SeqNum::new(1), transactions);
+    let previous = Round::new(round.saturating_sub(1));
+    let mut builder = VertexBuilder::new(ProcessId::new(source), Round::new(round), block)
+        .strong_edges((0..strong).map(|p| VertexRef::new(previous, ProcessId::new(p))));
+    if weak && round >= 2 {
+        builder = builder.weak_edges([VertexRef::new(Round::new(round - 2), ProcessId::new(0))]);
+    }
+    builder.build_unchecked()
+}
+
+/// One of the three sync messages, chosen by `kind`.
+fn make_sync(kind: u8, vertex: Vertex, served: u64) -> NodeMessage<BrachaMessage> {
+    match kind % 3 {
+        0 => NodeMessage::SyncRequest,
+        1 => NodeMessage::SyncVertex(vertex),
+        _ => NodeMessage::SyncEnd { served },
+    }
 }
 
 /// Asserts that no strict prefix of `bytes` decodes.
@@ -108,8 +133,24 @@ proptest! {
     }
 
     #[test]
+    fn sync_messages_roundtrip(
+        kind in 0u8..3,
+        source in 0u32..64,
+        round in 1u64..1_000_000,
+        strong in 0u32..8,
+        weak in any::<bool>(),
+        txs in 0u8..4,
+        served in any::<u64>(),
+    ) {
+        let msg = make_sync(kind, make_vertex(source, round, strong, weak, txs), served);
+        let bytes = msg.to_bytes();
+        prop_assert_eq!(bytes.len(), msg.encoded_len());
+        prop_assert_eq!(NodeMessage::<BrachaMessage>::from_bytes(&bytes).expect("roundtrip"), msg);
+    }
+
+    #[test]
     fn unknown_envelope_tags_are_rejected(
-        tag in 4u8..=255,
+        tag in 7u8..=255,
         tail in proptest::collection::vec(any::<u8>(), 0..64),
     ) {
         let mut bytes = vec![tag];
@@ -157,5 +198,17 @@ proptest! {
     ) {
         let request = NodeMessage::<BrachaMessage>::BatchRequest(make_digests(&seeds));
         assert_no_prefix_decodes(&request.to_bytes());
+    }
+
+    #[test]
+    fn no_strict_prefix_of_a_sync_message_decodes(
+        kind in 0u8..3,
+        round in 1u64..1_000,
+        strong in 0u32..4,
+        txs in 0u8..3,
+        served in any::<u64>(),
+    ) {
+        let msg = make_sync(kind, make_vertex(1, round, strong, true, txs), served);
+        assert_no_prefix_decodes(&msg.to_bytes());
     }
 }

@@ -9,9 +9,8 @@
 //!   blocking ([`read_frame`]) and incremental ([`FrameReader`], for
 //!   non-blocking sockets).
 //! * [`wire`] — the [`WireMsg`] envelope (peer handshake, opaque engine
-//!   payloads — batches and their fetches among them — the DAG sync
-//!   stream for rejoining processes, and the client submit/subscribe
-//!   protocol).
+//!   payloads — batches, their fetches and the sync streams of joining
+//!   processes among them — and the client submit/subscribe protocol).
 //! * [`backoff`] — capped exponential reconnect delays.
 //! * [`queue`] — bounded per-peer outbound queues with drop-oldest
 //!   backpressure, drained by the reactor without blocking.

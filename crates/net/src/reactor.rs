@@ -8,11 +8,11 @@
 //!
 //! * **inbound** — the listener plus all accepted connections. A
 //!   connection's first frame classifies it: [`WireMsg::Hello`] (a
-//!   peer's link, carrying its engine traffic — batches included — and
-//!   sync streams) or [`WireMsg::ClientHello`] (client submit/subscribe
-//!   session). Each connection carries its own incremental
-//!   [`FrameReader`], so frames split across reads reassemble without a
-//!   blocking `read_exact`. A peer's frames go to consensus as decoded.
+//!   peer's link, carrying its engine traffic) or [`WireMsg::ClientHello`]
+//!   (client submit/subscribe session). Each connection carries its own
+//!   incremental [`FrameReader`], so frames split across reads reassemble
+//!   without a blocking `read_exact`. A peer's engine payloads go to
+//!   consensus; any frame but `Hello` and `Engine` drops the link.
 //! * **outbound** — one dialed link ([`OutLink`]) per peer, draining
 //!   that peer's bounded [`SendQueue`] via the non-blocking
 //!   [`SendQueue::try_pop`]. A link takes up to [`MAX_IOV`] queued
@@ -499,25 +499,18 @@ impl Reactor {
                 WireMsg::ClientHello => Verdict::ToClient,
                 _ => Verdict::Dead,
             },
-            ConnRole::Peer(from) => {
-                let from = *from;
-                match msg {
-                    WireMsg::Hello(_) => Verdict::Keep,
-                    WireMsg::ClientHello
-                    | WireMsg::ClientSubmit { .. }
-                    | WireMsg::ClientSubmitAck { .. }
-                    | WireMsg::ClientReject { .. }
-                    | WireMsg::ClientSubscribe
-                    | WireMsg::ClientOrdered { .. } => Verdict::Dead, // protocol abuse
-                    msg => {
-                        if self.config.consensus.send(Event::Net { from, msg }).is_ok() {
-                            Verdict::Keep
-                        } else {
-                            Verdict::Dead
-                        }
+            ConnRole::Peer(from) => match msg {
+                WireMsg::Hello(_) => Verdict::Keep,
+                WireMsg::Engine(payload) => {
+                    let event = Event::Message { from: *from, payload };
+                    if self.config.consensus.send(event).is_ok() {
+                        Verdict::Keep
+                    } else {
+                        Verdict::Dead
                     }
                 }
-            }
+                _ => Verdict::Dead, // client frames on a peer link: protocol abuse
+            },
         }
     }
 
@@ -780,8 +773,8 @@ impl Reactor {
 /// requested link is dialed with capped jittered backoff; a connected
 /// socket gets its handshake frame written (still blocking — the frame
 /// is a handful of bytes), is flipped to non-blocking, and is handed to
-/// the reactor, and [`Event::LinkUp`] tells consensus, so the sync
-/// protocol re-requests on every reconnect.
+/// the reactor, and [`Event::LinkUp`] tells consensus, whose engine asks
+/// the peer for its sync stream again while it syncs.
 pub(crate) fn dialer_loop(
     me: ProcessId,
     rx: &Receiver<DialRequest>,

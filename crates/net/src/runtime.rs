@@ -35,29 +35,24 @@
 //!   on the consensus thread (see [`crate::wal`]).
 //!
 //! A (re)starting node first replays its durable store (snapshot + WAL
-//! tail) into the fresh engine, then asks every peer for its retained
-//! DAG ([`WireMsg::SyncRequest`]) — covering just the suffix it missed
-//! — and applies a peer's sync stream only while its own request to that
-//! peer is outstanding. It only calls `engine.start()` if, after the sync
-//! phase, it is
-//! still at the genesis round — a rejoining process resumes organically
-//! from the replayed and synced vertices instead, which keeps its
-//! pre-crash proposals from being equivocated where peers would notice.
+//! tail) into the fresh engine, then joins ([`DagRiderEngine::join`],
+//! with [`NetConfig::sync_timeout`] as the deadline) and tells the engine
+//! of every link the dialer brings up; the engine runs the sync phase
+//! itself, and [`NetNode::is_live`] reads it after each burst.
 
-use std::collections::BTreeSet;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use dagrider_core::{
-    DagRiderEngine, DurableEvent, EngineEvent, EngineInput, EngineOutput, NodeConfig, NodeMessage,
+    DagRiderEngine, DurableEvent, EngineEvent, EngineInput, EngineOutput, NodeConfig,
     OrderedVertex, Turn, BATCH_MAX_BYTES,
 };
 use dagrider_crypto::CoinKeys;
 use dagrider_rbc::ReliableBroadcast;
 use dagrider_store::{replay_into, DurableStore, FsyncPolicy, Recovered, StoreSnapshot};
-use dagrider_types::{Batch, Committee, Encode, ProcessId, Round, Time, Transaction, Wave};
+use dagrider_types::{Batch, Committee, ProcessId, Round, Time, Transaction, Wave};
 
 use crate::client::{AdmissionSnapshot, AdmissionStats};
 use crate::frame::FramePool;
@@ -86,8 +81,8 @@ pub struct NetConfig {
     pub coin_keys: CoinKeys,
     /// Seed for this process's protocol randomness.
     pub seed: u64,
-    /// How long to wait for peers' sync replies before starting the
-    /// protocol anyway.
+    /// How long the engine's sync phase waits for peers' sync streams,
+    /// from its last request, before it goes live anyway.
     pub sync_timeout: Duration,
     /// Durable store configuration; `None` runs the node ephemeral (a
     /// crash recovers over peer sync alone).
@@ -181,8 +176,8 @@ impl NetConfig {
 
 /// Everything that can wake the consensus thread.
 pub(crate) enum Event {
-    /// A decoded wire message from an identified peer.
-    Net { from: ProcessId, msg: WireMsg },
+    /// The engine payload of an identified peer's `Engine` frame.
+    Message { from: ProcessId, payload: Vec<u8> },
     /// The dialer (re-)established the link to `peer`.
     LinkUp(ProcessId),
     /// Stop the consensus loop.
@@ -582,7 +577,7 @@ const LARGE_FRAME_BYTES: usize = 4 * 1024;
 /// timers anyway (timer resolution, shutdown latency).
 const TICK: Duration = Duration::from_millis(25);
 
-/// The consensus thread: sync phase, then the event loop driving the
+/// The consensus thread: replays the store and joins, then drives the
 /// engine until shutdown. Each wake-up takes a burst of queued events,
 /// handing the engine the submitted transactions before each, and ends by
 /// ringing the reactor's waker once, so frames the engine pushed hit the
@@ -706,24 +701,10 @@ fn consensus_loop<B: ReliableBroadcast>(
         published.batch_bytes.store(engine.batch_payload_bytes(), AtomicOrdering::Relaxed);
     }
 
-    // Sync phase: ask every peer for its retained DAG as links come up;
-    // go live once all have answered or the timeout expires. A sync
-    // stream can arrive with holes — a TCP write "succeeds" into the
-    // socket buffer of a connection that is already dying, and only the
-    // *next* write observes the error, so the writer's requeue-on-error
-    // never recovers the swallowed frame. `SyncEnd` therefore carries
-    // the served vertex count; a shortfall triggers a bounded
-    // re-request (re-served vertices are idempotent for the engine).
-    // A sync vertex skips the broadcast, so only a stream this node
-    // asked for is applied: `sync_asked` marks the peers with a request
-    // outstanding, from the request until that peer's `SyncEnd`.
-    const SYNC_RETRIES: u32 = 3;
-    let mut awaiting_sync: BTreeSet<ProcessId> = committee.others(me).collect();
-    let mut sync_asked = vec![false; committee.n()];
-    let mut sync_received = vec![0u64; committee.n()];
-    let mut sync_retries = vec![SYNC_RETRIES; committee.n()];
-    let mut sync_deadline = Instant::now() + config.sync_timeout;
-    let mut live = false;
+    // The engine runs the sync phase from here (see the module docs).
+    let timeout = u64::try_from(config.sync_timeout.as_millis()).unwrap_or(u64::MAX);
+    let turn = engine.join(engine_now(epoch), timeout);
+    emit(&engine, turn, &mut routed);
 
     loop {
         let mut next = match inbox.events.recv_timeout(TICK) {
@@ -752,62 +733,13 @@ fn consensus_loop<B: ReliableBroadcast>(
             }
             let Some(event) = next.take() else { break };
             burst += 1;
-            match event {
-                Event::Net { from, msg } => match msg {
-                    WireMsg::Engine(payload) => {
-                        let input = EngineInput::Message { from, payload };
-                        let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                        emit(&engine, turn, &mut routed);
-                    }
-                    WireMsg::SyncRequest => {
-                        serve_sync(&mut engine, &mut rng, &queues[from.as_usize()], &frames);
-                    }
-                    WireMsg::SyncVertex(vertex) if sync_asked[from.as_usize()] => {
-                        sync_received[from.as_usize()] += 1;
-                        let input = EngineInput::SyncVertex(vertex);
-                        let turn = engine.handle(engine_now(epoch), input, &mut rng);
-                        emit(&engine, turn, &mut routed);
-                    }
-                    WireMsg::SyncEnd { served } if sync_asked[from.as_usize()] => {
-                        sync_asked[from.as_usize()] = false;
-                        if sync_received[from.as_usize()] >= served {
-                            awaiting_sync.remove(&from);
-                        } else if !live && sync_retries[from.as_usize()] > 0 {
-                            // The stream arrived short of what the peer put on
-                            // the wire: a dying connection swallowed frames.
-                            // Ask again, and give the retry a fresh window.
-                            sync_retries[from.as_usize()] -= 1;
-                            sync_received[from.as_usize()] = 0;
-                            sync_asked[from.as_usize()] = true;
-                            queues[from.as_usize()].push(frames.encode(&WireMsg::SyncRequest));
-                            sync_deadline = Instant::now() + config.sync_timeout;
-                        } else {
-                            awaiting_sync.remove(&from);
-                        }
-                    }
-                    // Handshake frames are consumed by the reactor; a sync
-                    // stream nobody asked for is dropped; client frames
-                    // never reach consensus (admission happens at the
-                    // socket edge).
-                    WireMsg::Hello(_)
-                    | WireMsg::SyncVertex(_)
-                    | WireMsg::SyncEnd { .. }
-                    | WireMsg::ClientHello
-                    | WireMsg::ClientSubmit { .. }
-                    | WireMsg::ClientSubmitAck { .. }
-                    | WireMsg::ClientReject { .. }
-                    | WireMsg::ClientSubscribe
-                    | WireMsg::ClientOrdered { .. } => {}
-                },
-                Event::LinkUp(peer) => {
-                    if !live {
-                        sync_received[peer.as_usize()] = 0;
-                        sync_asked[peer.as_usize()] = true;
-                        queues[peer.as_usize()].push(frames.encode(&WireMsg::SyncRequest));
-                    }
-                }
+            let input = match event {
+                Event::Message { from, payload } => EngineInput::Message { from, payload },
+                Event::LinkUp(peer) => EngineInput::LinkUp(peer),
                 Event::Shutdown => return,
-            }
+            };
+            let turn = engine.handle(engine_now(epoch), input, &mut rng);
+            emit(&engine, turn, &mut routed);
             if burst < MAX_BURST {
                 next = inbox.events.try_recv().ok();
             }
@@ -827,19 +759,6 @@ fn consensus_loop<B: ReliableBroadcast>(
             }
         }
 
-        // Leave the sync phase. A fresh process is still at genesis and
-        // must start (propose its round-1 vertex); a rejoining one has
-        // already advanced off the synced vertices and must *not* —
-        // `start()` is a genesis-only entry point.
-        if !live && (awaiting_sync.is_empty() || Instant::now() >= sync_deadline) {
-            live = true;
-            published.synced.store(true, AtomicOrdering::Relaxed);
-            if engine.current_round() == Round::GENESIS && !engine.is_started() {
-                let turn = engine.start(engine_now(epoch), &mut rng);
-                emit(&engine, turn, &mut routed);
-            }
-        }
-
         // Publish progress for cross-thread queries.
         if !routed.ordered.is_empty() {
             let mut log = lock_unpoisoned(&published.ordered);
@@ -848,6 +767,7 @@ fn consensus_loop<B: ReliableBroadcast>(
         }
         published.round.store(engine.current_round().number(), AtomicOrdering::Relaxed);
         published.decided_wave.store(engine.decided_wave().number(), AtomicOrdering::Relaxed);
+        published.synced.store(engine.is_live(), AtomicOrdering::Relaxed);
 
         // Anything this iteration queued or ordered reaches the wire, and
         // the subscribed clients, after one reactor sweep — ring the bell
@@ -860,28 +780,4 @@ fn consensus_loop<B: ReliableBroadcast>(
 fn count_batch(published: &Published, batch: &Batch) {
     published.batches.fetch_add(1, AtomicOrdering::Relaxed);
     published.batch_bytes.fetch_add(batch.payload_bytes() as u64, AtomicOrdering::Relaxed);
-}
-
-/// Streams our retained DAG to a catching-up peer: every non-genesis
-/// vertex in ascending `(round, source)` order, then our own coin share
-/// for each completed wave the coin still keeps
-/// ([`DagRiderEngine::sync_shares`]; `f + 1` peers answering reconstructs
-/// those coins), then `SyncEnd` carrying the vertex count so the
-/// requester can detect in-flight loss and re-request.
-fn serve_sync<B: ReliableBroadcast>(
-    engine: &mut DagRiderEngine<B>,
-    rng: &mut rand::rngs::StdRng,
-    queue: &SendQueue,
-    frames: &FramePool,
-) {
-    let mut served = 0u64;
-    for vertex in engine.sync_vertices() {
-        queue.push(frames.encode(&WireMsg::SyncVertex(vertex)));
-        served += 1;
-    }
-    for share in engine.sync_shares(rng) {
-        let msg = NodeMessage::<B::Message>::Coin(share);
-        queue.push(frames.encode_with(|buf| WireMsg::encode_engine_into(&msg.to_bytes(), buf)));
-    }
-    queue.push(frames.encode(&WireMsg::SyncEnd { served }));
 }

@@ -2,14 +2,14 @@
 //!
 //! Every frame on a cluster connection carries one [`WireMsg`], encoded
 //! with the workspace [`Encode`]/[`Decode`] codec. The envelope separates
-//! the transport concerns (identifying the peer, state sync for
-//! rejoining processes, the client protocol) from the opaque engine
-//! traffic — broadcasts, coin shares, batches and their fetches — which
-//! stays in the exact byte format the sans-I/O engine emits.
+//! the transport concerns (identifying the peer, the client protocol)
+//! from the opaque engine traffic — broadcasts, coin shares, batches and
+//! sync streams — which stays in the exact byte format the sans-I/O
+//! engine emits. A peer link carries only `Hello` and `Engine` frames.
 
 use dagrider_types::{
     bytes_encoded_len, decode_bytes, encode_bytes, Decode, DecodeError, Encode, ProcessId,
-    Transaction, Vertex,
+    Transaction,
 };
 
 /// One message on a cluster TCP connection.
@@ -22,20 +22,6 @@ pub enum WireMsg {
     /// An opaque engine-to-engine payload (`NodeMessage` bytes), exactly
     /// as the engine's `Send`/`Broadcast` outputs produced it.
     Engine(Vec<u8>),
-    /// Asks the peer to stream its retained DAG so a (re)starting process
-    /// can catch up before proposing.
-    SyncRequest,
-    /// One vertex of a peer's retained DAG, in ascending `(round, source)`
-    /// order.
-    SyncVertex(Vertex),
-    /// Terminates a sync stream. Carries the number of `SyncVertex`
-    /// frames the peer put on the wire, so the requester can detect
-    /// frames a dying connection swallowed (a TCP write that succeeds
-    /// is not a delivery) and ask again.
-    SyncEnd {
-        /// How many `SyncVertex` frames preceded this one.
-        served: u64,
-    },
     /// First frame on a client connection: marks the stream as a client
     /// session (submit/subscribe RPC) rather than a peer link. Like
     /// [`WireMsg::Hello`], an authentication stand-in.
@@ -150,15 +136,6 @@ impl Encode for WireMsg {
                 1u8.encode(buf);
                 encode_bytes(bytes, buf);
             }
-            WireMsg::SyncRequest => 2u8.encode(buf),
-            WireMsg::SyncVertex(v) => {
-                3u8.encode(buf);
-                v.encode(buf);
-            }
-            WireMsg::SyncEnd { served } => {
-                4u8.encode(buf);
-                served.encode(buf);
-            }
             WireMsg::ClientHello => 9u8.encode(buf),
             WireMsg::ClientSubmit { seq, tx } => {
                 10u8.encode(buf);
@@ -186,9 +163,6 @@ impl Encode for WireMsg {
         1 + match self {
             WireMsg::Hello(p) => p.encoded_len(),
             WireMsg::Engine(bytes) => bytes_encoded_len(bytes),
-            WireMsg::SyncRequest => 0,
-            WireMsg::SyncVertex(v) => v.encoded_len(),
-            WireMsg::SyncEnd { served } => served.encoded_len(),
             WireMsg::ClientHello | WireMsg::ClientSubscribe => 0,
             WireMsg::ClientSubmit { seq, tx } => seq.encoded_len() + tx.encoded_len(),
             WireMsg::ClientSubmitAck { seq } | WireMsg::ClientOrdered { seq } => seq.encoded_len(),
@@ -202,9 +176,6 @@ impl Decode for WireMsg {
         match u8::decode(buf)? {
             0 => Ok(WireMsg::Hello(ProcessId::decode(buf)?)),
             1 => Ok(WireMsg::Engine(decode_bytes(buf)?)),
-            2 => Ok(WireMsg::SyncRequest),
-            3 => Ok(WireMsg::SyncVertex(Vertex::decode(buf)?)),
-            4 => Ok(WireMsg::SyncEnd { served: u64::decode(buf)? }),
             9 => Ok(WireMsg::ClientHello),
             10 => {
                 Ok(WireMsg::ClientSubmit { seq: u64::decode(buf)?, tx: Transaction::decode(buf)? })
@@ -224,25 +195,13 @@ impl Decode for WireMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dagrider_types::{Block, Round, SeqNum, Transaction, VertexBuilder, VertexRef};
 
     #[test]
     fn every_variant_roundtrips() {
-        let vertex = VertexBuilder::new(
-            ProcessId::new(2),
-            Round::new(3),
-            Block::new(ProcessId::new(2), SeqNum::new(1), Vec::new()),
-        )
-        .strong_edges((0..3).map(|p| VertexRef::new(Round::new(2), ProcessId::new(p))))
-        .build_unchecked();
         let msgs = [
             WireMsg::Hello(ProcessId::new(3)),
             WireMsg::Engine(vec![9, 8, 7]),
             WireMsg::Engine(Vec::new()),
-            WireMsg::SyncRequest,
-            WireMsg::SyncVertex(vertex),
-            WireMsg::SyncEnd { served: 0 },
-            WireMsg::SyncEnd { served: u64::MAX },
             WireMsg::ClientHello,
             WireMsg::ClientSubmit { seq: 0, tx: Transaction::synthetic(1, 0) },
             WireMsg::ClientSubmit { seq: u64::MAX, tx: Transaction::synthetic(2, 300) },
@@ -271,11 +230,12 @@ mod tests {
 
     #[test]
     fn unknown_tag_is_rejected() {
-        // Tags 5 to 8 are retired: a batch request, a batch, a worker-link
-        // handshake or a batch acknowledgement from a peer running older
-        // code must not decode as anything. Batches travel inside
-        // `Engine` frames now.
-        for tag in [5, 6, 7, 8, 250] {
+        // Tags 2 to 8 are retired: a sync request, vertex or end, a batch
+        // request, a batch, a worker-link handshake or a batch
+        // acknowledgement from a peer running older code must not decode
+        // as anything. Sync streams and batches travel inside `Engine`
+        // frames now.
+        for tag in [2, 3, 4, 5, 6, 7, 8, 250] {
             assert_eq!(
                 WireMsg::from_bytes(&[tag]),
                 Err(DecodeError::Invalid("unknown wire message tag"))
@@ -362,10 +322,10 @@ mod tests {
                 raw in any::<u8>(),
                 rest in collection::vec(any::<u8>(), 0..64),
             ) {
-                // 5 to 8 (retired) or 15..=255 (above every known tag).
-                let tag = match raw % 245 {
-                    k @ 0..=3 => 5 + k,
-                    k => 11 + k,
+                // 2 to 8 (retired) or 15..=255 (above every known tag).
+                let tag = match raw % 248 {
+                    k @ 0..=6 => 2 + k,
+                    k => 8 + k,
                 };
                 let mut bytes = vec![tag];
                 bytes.extend_from_slice(&rest);

@@ -83,12 +83,12 @@ proptest! {
         txs in 0u8..4,
     ) {
         let pool = FramePool::new();
+        let vertex = make_vertex(source, round, strong, weak, txs);
         let msgs = [
             WireMsg::Hello(ProcessId::new(peer)),
             WireMsg::Engine(engine_payload),
-            WireMsg::SyncRequest,
-            WireMsg::SyncVertex(make_vertex(source, round, strong, weak, txs)),
-            WireMsg::SyncEnd { served },
+            WireMsg::Engine(NodeMessage::<BrachaMessage>::SyncVertex(vertex).to_bytes()),
+            WireMsg::Engine(NodeMessage::<BrachaMessage>::SyncEnd { served }.to_bytes()),
         ];
         for msg in &msgs {
             // First pass allocates; dropping the frame recycles its

@@ -638,9 +638,9 @@ fn a_peer_link_stores_only_its_peers_own_batches_unasked() {
 /// A sync vertex skips the broadcast, so a node applies one only as an
 /// answer to its own sync request. Nodes 0–2 run and nothing listens at
 /// p3's address, so no node ever asks p3. While node 1 still syncs, the
-/// test dials it as p3 and sends a round-1 vertex of p0 whose block holds
-/// a marker: node 1 must drop it and order p0's real vertex, as the
-/// others do.
+/// test dials it as p3 and sends, as an engine message, a sync vertex:
+/// p0's round 1 with a block that holds a marker. Node 1 must drop it
+/// and order p0's real vertex, as the others do.
 #[test]
 fn a_node_applies_only_the_sync_vertices_it_asked_for() {
     use dagrider_types::{Block, Round, SeqNum, VertexBuilder, VertexRef};
@@ -665,7 +665,7 @@ fn a_node_applies_only_the_sync_vertices_it_asked_for() {
             .unwrap();
     let mut forger = std::net::TcpStream::connect(nodes[1].local_addr()).unwrap();
     write_frame(&mut forger, &WireMsg::Hello(ProcessId::new(3)).to_bytes()).unwrap();
-    write_frame(&mut forger, &WireMsg::SyncVertex(forged).to_bytes()).unwrap();
+    write_frame(&mut forger, &engine_frame(&NodeMessage::SyncVertex(forged))).unwrap();
     assert!(!nodes[1].is_live(), "node 1 went live before the forged vertex was sent");
 
     let refs: Vec<&NetNode> = nodes.iter().collect();

@@ -13,8 +13,11 @@
 //!
 //! The adapter adds **no protocol logic** — every decision, every byte on
 //! the wire, and every draw of randomness happens inside the engine;
-//! batch pushes, fetches and their answers are engine messages the
-//! simulator carries like any other. That
+//! batches and the sync streams a joining process asks for are engine
+//! messages the simulator carries like any other. `init` calls
+//! [`DagRiderEngine::start`]; a harness that boots or restarts a process
+//! through the join path of a TCP node calls [`DagRiderEngine::join`]
+//! and feeds [`EngineInput::LinkUp`] itself (`tests/sim_suite.rs`). That
 //! is what makes the refactor behavior-preserving: a simulation run through
 //! this adapter is event-for-event identical to the pre-refactor
 //! `DagRiderNode` actor (the full pre-refactor test suite lives here,

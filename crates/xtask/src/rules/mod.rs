@@ -220,7 +220,6 @@ fn check_sync_discipline(root: &Path, findings: &mut Vec<Finding>) {
 /// neither may creep into the sweeps.
 const EVENT_LOOP_FNS: &[(&str, &str)] = &[
     ("crates/net/src/runtime.rs", "consensus_loop"),
-    ("crates/net/src/runtime.rs", "serve_sync"),
     ("crates/net/src/reactor.rs", "reactor_loop"),
     ("crates/net/src/reactor.rs", "adopt_links"),
     ("crates/net/src/reactor.rs", "flush_links"),
@@ -235,9 +234,10 @@ const EVENT_LOOP_FNS: &[(&str, &str)] = &[
 ];
 
 /// Calls that can stall the consensus thread indefinitely. `.recv()` is
-/// the exact untimed form — `.recv_timeout(` does not match.
+/// the exact untimed form — `.recv_timeout(` does not match — and
+/// `.join()` a thread join's, which the engine's `join(now, timeout)` is not.
 const BLOCKING_TOKENS: &[(&str, &str)] = &[
-    (".join(", "joining a thread parks consensus until that thread exits"),
+    (".join()", "joining a thread parks consensus until that thread exits"),
     (".recv()", "untimed receive can park consensus forever; use `.recv_timeout(tick)`"),
     (".wait(", "untimed condvar wait can park consensus forever; use a timed wait"),
     ("thread::sleep(", "sleeping stalls every timer and message in the event loop"),
@@ -426,6 +426,7 @@ mod tests {
                       \x20   let e = rx.recv_timeout(tick);\n\
                       \x20   let bad = rx.recv();\n\
                       \x20   handle.join();\n\
+                      \x20   let turn = engine.join(now, timeout);\n\
                       }\n\
                       fn elsewhere() { other.recv(); }\n";
         let mut findings = Vec::new();

@@ -35,9 +35,7 @@ use dag_rider::rbc::{BrachaMessage, BrachaRbc};
 use dag_rider::store::{
     replay_into, DurableStore, FaultKind, FaultPlan, FsyncPolicy, StoreSnapshot,
 };
-use dag_rider::types::{
-    Block, Committee, Encode, ProcessId, SeqNum, Time, Transaction, Vertex, Wave,
-};
+use dag_rider::types::{Block, Committee, Encode, ProcessId, SeqNum, Time, Transaction, Wave};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -54,8 +52,9 @@ struct Recorded {
     snapshot: StoreSnapshot,
     snapshot_at: usize,
     ordered: Vec<OrderedVertex>,
-    /// The observer's sync stream at the end of the run.
-    sync: Vec<Vertex>,
+    /// The observer's answer to a sync request at the end of the run:
+    /// the engine messages of its sync stream.
+    sync: Vec<Vec<u8>>,
 }
 
 /// The durable subset of a turn's events — what the runtime persists.
@@ -131,7 +130,16 @@ fn record_run(seed: u64) -> Recorded {
     assert!(!ordered.is_empty(), "the run must order something to be worth recovering");
     let (snapshot_at, snapshot) = snapshot.expect("a snapshot must have been captured mid-run");
     assert!(snapshot_at < events.len(), "events must continue past the snapshot capture");
-    let sync = engines[OBSERVER].sync_vertices();
+    let request = NodeMessage::<BrachaMessage>::SyncRequest.to_bytes();
+    let input = EngineInput::Message { from: ProcessId::new(1), payload: request };
+    let answer = engines[OBSERVER].handle(Time::new(clock), input, &mut rngs[OBSERVER]).outputs;
+    let sync = answer
+        .into_iter()
+        .filter_map(|out| match out {
+            EngineOutput::Send { payload, .. } => Some(payload.to_vec()),
+            _ => None,
+        })
+        .collect();
     Recorded { committee, events, snapshot, snapshot_at, ordered, sync }
 }
 
@@ -346,15 +354,19 @@ fn replay_commits_waves_in_order_and_exactly_once() {
 #[test]
 fn recovered_state_persists_nothing_when_peers_resend_it() {
     // After a full replay the DAG and the coin already hold everything
-    // the pre-crash process knew, so a peer re-sending its sync stream
-    // and every coin share of the log must produce no durable event.
+    // the pre-crash process knew, so joining, taking a peer's re-sent
+    // sync stream (the DAG the observer itself served at the end of the
+    // run) and every coin share of the log must produce no durable event.
     let run = record_run(SEED);
     let (mut engine, _) = recover(run.committee, None, &run.events);
     let mut rng = StdRng::seed_from_u64(2);
-    let mut persisted = Vec::new();
-    assert!(!run.sync.is_empty());
-    for vertex in run.sync {
-        let input = EngineInput::SyncVertex(vertex);
+    let peer = ProcessId::new(1);
+    let mut persisted = durable(engine.join(Time::ZERO, 1_000).events);
+    assert!(run.sync.len() > 1);
+    persisted
+        .extend(durable(engine.handle(Time::ZERO, EngineInput::LinkUp(peer), &mut rng).events));
+    for payload in run.sync {
+        let input = EngineInput::Message { from: peer, payload };
         persisted.extend(durable(engine.handle(Time::ZERO, input, &mut rng).events));
     }
     let shares: Vec<_> = run
